@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .linalg import check_vector, hermitian, qform
+from .linalg import check_vector, hermitian, is_diagonal, qform, symmetrize
 
 
 @dataclass
@@ -79,10 +79,7 @@ class ChannelStats:
 
     def is_diagonal(self, rtol: float = 1e-12) -> bool:
         """True when R and Q carry negligible off-diagonal mass."""
-        def offdiag_small(M):
-            off = M - np.diag(np.diag(M))
-            return np.abs(off).sum() <= rtol * max(np.abs(np.trace(M)), 1e-300)
-        return offdiag_small(self.R) and offdiag_small(self.Q)
+        return is_diagonal(self.R, rtol) and is_diagonal(self.Q, rtol)
 
 
 @dataclass
@@ -110,8 +107,7 @@ def build_stats(p: RicianParams, sigma2: float = 1.0) -> ChannelStats:
     Q = np.outer(p.g_mean, p.g_mean.conj()) + np.diag(p.g_var)
     Rf = np.outer(p.f_mean, p.f_mean.conj()) + np.diag(p.f_var)
     R = Rf * Q
-    return ChannelStats(D=D, R=hermitian(R, name="R"), Q=hermitian(Q, name="Q"),
-                        sigma2=float(sigma2))
+    return ChannelStats(D=D, R=symmetrize(R), Q=symmetrize(Q), sigma2=float(sigma2))
 
 
 def snr(stats: ChannelStats, Ps: float, w) -> float:
@@ -165,4 +161,4 @@ def monte_carlo_stats(p: RicianParams, samples: int, seed: int,
     # accumulators hold sum of conj-outer products transposed; fix orientation
     R_hat = (R_acc / samples).conj()
     Q_hat = (Q_acc / samples).conj()
-    return D_acc / samples, hermitian(R_hat, name="R_hat"), hermitian(Q_hat, name="Q_hat")
+    return D_acc / samples, symmetrize(R_hat), symmetrize(Q_hat)

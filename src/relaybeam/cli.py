@@ -8,7 +8,8 @@ Subcommands:
 
 Scenario files are JSON with complex numbers encoded as [re, im] pairs and
 matrices row-major.  Exit codes: 0 success, 2 solver non-convergence,
-3 input error.
+3 input error, 4 any other library failure (a singular or degenerate
+matrix, an infeasible or unbounded model).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 from . import fixtures, indiv_diag, indiv_qcqp, indiv_search, oracle, total_power
 from .channel import ChannelStats, RicianParams, build_stats
 from .errors import ConvergenceError, InputError, RelayBeamError
+from .linalg import principal_factor
 from .problems import IndivPowerProblem, TotalPowerProblem
 from .sdp import SdpProblem, solve_relaxation
 
@@ -123,7 +125,7 @@ class Report:
     w: list                      # [re, im] pairs
     Ps: float
     snr: float
-    snr_db: float
+    snr_db: float | None         # null when the SNR is 0
     feasibility: list
     metadata: dict
     assumptions: list
@@ -171,7 +173,7 @@ def run(s: Scenario, tol: float | None = None, samples: int | None = None,
     return Report(scenario_mode=s.mode, solver=meta.get("solver", solver_name),
                   w=[[float(v.real), float(v.imag)] for v in bsol.w],
                   Ps=float(bsol.Ps), snr=float(bsol.snr),
-                  snr_db=float(10.0 * np.log10(bsol.snr)) if bsol.snr > 0 else -np.inf,
+                  snr_db=float(bsol.snr_db) if bsol.snr > 0 else None,
                   feasibility=[float(v) for v in np.atleast_1d(bsol.feasibility)],
                   metadata=meta, assumptions=assumptions, trace_file=trace_file)
 
@@ -180,24 +182,10 @@ def _run_indiv(prob: IndivPowerProblem, solver: str, options: dict,
                tol=None, samples=None, pexp=None, seed=0):
     tol = 1e-8 if tol is None else tol
     meta = {"solver": solver}
-    trace = None
+    start = None
     if solver == "indiv-diag":
         sol = indiv_diag.solve_diagonal(prob)
-        return sol, meta, trace
-    if solver == "cdm":
-        w0 = np.asarray(options.get("w0", np.ones(prob.n)), dtype=complex)
-        sol, trace = indiv_search.coordinate_descent(
-            prob, w0, eps=float(options.get("eps", 1e-3)))
-        meta["sweeps"] = int(trace.rows[-1][0]) + 1 if len(trace) else 0
-        return sol, meta, trace
-    if solver == "pnorm":
-        p_val = int(pexp or options.get("p", 0)) or indiv_search.choose_p(prob.n, 0.01)
-        emb = indiv_search.build_pnorm_embedding(prob, p_val)
-        z0 = options.get("z0")
-        sol, trace, state = indiv_search.augmented_lagrangian_solve(emb, prob, z0=z0)
-        meta.update(p=p_val, multiplier=state.lam,
-                    constraint_residual=state.constraint_residual)
-        return sol, meta, trace
+        return sol, meta, None
     if solver == "grp":
         q, sdp_sol, _ = indiv_qcqp.solve_via_sdp(prob, tol=tol)
         n_samples = int(samples or options.get("samples", 10 ** 6))
@@ -205,33 +193,35 @@ def _run_indiv(prob: IndivPowerProblem, solver: str, options: dict,
         sol = indiv_qcqp.rescale_to_original(w, q, prob)
         meta.update(samples=n_samples, sdp_obj=sdp_sol.primal_obj,
                     rank_estimate=sdp_sol.rank_estimate)
-        return sol, meta, trace
+        return sol, meta, None
     if solver == "sdp":
         q, sdp_sol, w = indiv_qcqp.solve_via_sdp(prob, tol=tol)
         meta.update(sdp_obj=sdp_sol.primal_obj, sdp_gap=sdp_sol.gap,
                     rank_estimate=sdp_sol.rank_estimate,
                     iterations=sdp_sol.iterations)
-        if w is None:
-            # relaxation is not rank one: exact decomposition for n <= 3,
-            # otherwise the configured search fallback (coordinate descent)
-            if prob.n <= 3:
-                meta["fallback"] = "rank-one-decomposition"
-                w = indiv_qcqp.rank_one_decompose(sdp_sol.X, q)
-            else:
-                fb = options.get("fallback", "cdm")
-                meta["fallback"] = fb
-                vals, vecs = np.linalg.eigh(sdp_sol.X)
-                w0 = np.sqrt(max(vals[-1], 0.0)) * vecs[:, -1]
-                if fb == "pnorm":
-                    emb = indiv_search.build_pnorm_embedding(
-                        prob, int(pexp or indiv_search.choose_p(prob.n, 0.01)))
-                    z0 = np.concatenate([w0.real, w0.imag])
-                    sol, trace, _ = indiv_search.augmented_lagrangian_solve(
-                        emb, prob, z0=z0)
-                    return sol, meta, trace
-                sol, trace = indiv_search.coordinate_descent(prob, w0)
-                return sol, meta, trace
-        sol = indiv_qcqp.rescale_to_original(w, q, prob)
+        if w is None and prob.n <= 3:
+            meta["fallback"] = "rank-one-decomposition"
+            w = indiv_qcqp.rank_one_decompose(sdp_sol.X, q)
+        if w is not None:
+            return indiv_qcqp.rescale_to_original(w, q, prob), meta, None
+        # relaxation is not rank one and n > 3: the configured search solver
+        # (coordinate descent by default) from the relaxation's principal factor
+        solver = meta["fallback"] = options.get("fallback", "cdm")
+        start = principal_factor(sdp_sol.X)
+    if solver == "cdm":
+        w0 = start if start is not None else np.asarray(
+            options.get("w0", np.ones(prob.n)), dtype=complex)
+        sol, trace = indiv_search.coordinate_descent(
+            prob, w0, eps=float(options.get("eps", 1e-3)))
+        meta["sweeps"] = int(trace.rows[-1][0]) + 1 if len(trace) else 0
+        return sol, meta, trace
+    if solver == "pnorm":
+        p_val = int(pexp or options.get("p", 0)) or indiv_search.choose_p(prob.n, 0.01)
+        emb = indiv_search.build_pnorm_embedding(prob, p_val)
+        z0 = options.get("z0") if start is None else np.concatenate([start.real, start.imag])
+        sol, trace, state = indiv_search.augmented_lagrangian_solve(emb, prob, z0=z0)
+        meta.update(p=p_val, multiplier=state.lam,
+                    constraint_residual=state.constraint_residual)
         return sol, meta, trace
     raise InputError(f"unknown solver {solver!r}")
 
@@ -269,33 +259,17 @@ def _reproduce_total(case: int, reports: dict):
     exp = fixtures.TOTAL_EXPECT[case]
     tol = fixtures.TOTAL_TOL
     params = fixtures.total_fixture(case)
-    ratio_used = fixtures.TOTAL_ASSUMED_P0 / fixtures.TOTAL_ASSUMED_SIGMA2
     assumption_note = (f"assuming sigma2={fixtures.TOTAL_ASSUMED_SIGMA2}, "
                        f"P0={fixtures.TOTAL_ASSUMED_P0} for the quoted SNR level")
-
-    def bracket_for(ratio):
-        stats = build_stats(params, fixtures.TOTAL_ASSUMED_SIGMA2)
-        prob = TotalPowerProblem(stats=stats, P0=fixtures.TOTAL_ASSUMED_SIGMA2 * ratio)
-        s = total_power.build_s_pair(prob)
-        return prob, s, total_power.bracket_x(s)
-
-    prob, s, (xl, xu) = bracket_for(ratio_used)
-    ok_bracket = (abs(xl - exp["bracket"][0]) <= tol
-                  and abs(xu - exp["bracket"][1]) <= tol)
-    if not ok_bracket:
-        for ratio in fixtures.TOTAL_RATIO_SWEEP:
-            prob2, s2, (xl2, xu2) = bracket_for(ratio)
-            if (abs(xl2 - exp["bracket"][0]) <= tol
-                    and abs(xu2 - exp["bracket"][1]) <= tol):
-                prob, s, (xl, xu) = prob2, s2, (xl2, xu2)
-                ratio_used = ratio
-                assumption_note = f"P0/sigma2={ratio} identified by sweep"
-                ok_bracket = True
-                break
+    stats = build_stats(params, fixtures.TOTAL_ASSUMED_SIGMA2)
+    prob = TotalPowerProblem(stats=stats, P0=fixtures.TOTAL_ASSUMED_P0)
+    s = total_power.build_s_pair(prob)
+    xl, xu = total_power.bracket_x(s)
     name = f"total-{case}"
     rows = [(name, "x_l", exp["bracket"][0], xl, tol, abs(xl - exp["bracket"][0]) <= tol),
             (name, "x_u", exp["bracket"][1], xu, tol, abs(xu - exp["bracket"][1]) <= tol)]
-    report = {"case": name, "assumption": assumption_note, "P0_over_sigma2": ratio_used,
+    report = {"case": name, "assumption": assumption_note,
+              "P0_over_sigma2": fixtures.TOTAL_ASSUMED_P0 / fixtures.TOTAL_ASSUMED_SIGMA2,
               "bracket": [xl, xu]}
     for key, x0 in (("from_xl", xl), ("from_xu", xu)):
         sol = total_power.newton_solve(prob, x0, s=s)
@@ -334,9 +308,8 @@ def _reproduce_indiv(n: int, reports: dict, seed: int):
     rows.append((name, "rank_estimate", 2, sdp_sol.rank_estimate, 0,
                  sdp_sol.rank_estimate == 2))
 
-    vals, vecs = np.linalg.eigh(sdp_sol.X)
-    w0 = np.sqrt(max(vals[-1], 0.0)) * vecs[:, -1]
-    cdm_sol, _ = indiv_search.coordinate_descent(prob, w0.copy())
+    w0 = principal_factor(sdp_sol.X)
+    cdm_sol, _ = indiv_search.coordinate_descent(prob, w0)
     cdm_obj = indiv_qcqp.qcqp_objective(q, cdm_sol.w)
     rel("cdm_objective", exp["cdm"], cdm_obj)
 
@@ -408,12 +381,9 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)
         return 2
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except RelayBeamError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, InputError) else 4
 
 
 def _dispatch(args) -> int:

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the solvers.
 
-The CLI maps InputError to exit code 3 and ConvergenceError to exit code 2;
-everything else is a plain failure.
+The CLI maps ConvergenceError to exit code 2, InputError (with its
+subclasses DispatchError and ScopeError) to exit code 3, and every other
+RelayBeamError (SingularityError, DegenerateSpectrumError, ModelError) to
+exit code 4.
 """
 
 

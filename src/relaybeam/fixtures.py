@@ -4,8 +4,7 @@ Two Rician total-power scenarios (defined through per-relay channel
 parameters) and two individual-power scenarios (defined directly through
 printed R and Q matrices with unit scale coefficients).  The total-power
 reference values assume sigma^2 = 1 and P0 = 10; that assumption is
-reported wherever these fixtures are used, and a sweep over candidate
-ratios exists as a fallback.
+reported wherever these fixtures are used.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from .channel import RicianParams
 
 TOTAL_ASSUMED_SIGMA2 = 1.0
 TOTAL_ASSUMED_P0 = 10.0
-TOTAL_RATIO_SWEEP = (1.0, 10.0, 100.0)   # candidate P0/sigma2 values
 
 
 def total_fixture(case: int) -> RicianParams:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import BeamformingSolution, snr
 from .errors import InputError, ScopeError
-from .linalg import hermitian, qform
+from .linalg import principal_factor, qform, symmetrize
 from .problems import IndivPowerProblem
 from .sdp import SdpProblem, solve_relaxation
 
@@ -46,7 +46,7 @@ def build_qcqp(p: IndivPowerProblem) -> QcqpInstance:
     for k, ck in enumerate(coeffs):
         Ak = p.stats.Q.copy()
         Ak[k, k] += ck
-        A.append(hermitian(Ak))
+        A.append(symmetrize(Ak))
     return QcqpInstance(R=p.stats.R, A=A, scale_coeffs=coeffs)
 
 
@@ -79,10 +79,7 @@ def solve_via_sdp(p: IndivPowerProblem, tol: float = 1e-8):
     """
     q = build_qcqp(p)
     sol = solve_relaxation(SdpProblem(objective=q.R, constraints=q.A), tol=tol)
-    w = None
-    if sol.rank_estimate == 1:
-        vals, vecs = np.linalg.eigh(sol.X)
-        w = np.sqrt(max(vals[-1], 0.0)) * vecs[:, -1]
+    w = principal_factor(sol.X) if sol.rank_estimate == 1 else None
     return q, sol, w
 
 
@@ -104,9 +101,8 @@ def rank_one_decompose(X, q: QcqpInstance, rank_tol: float = 1e-7,
         raise ScopeError(
             "rank-one decomposition is only guaranteed for n <= 3; "
             "use coordinate descent or the p-norm solver")
-    X = hermitian(X)
+    X = symmetrize(X)
     A = q.A
-    N = len(A)
     for _ in range(max_rounds):
         w, U = np.linalg.eigh(X)
         w = np.maximum(w, 0.0)
@@ -120,41 +116,25 @@ def rank_one_decompose(X, q: QcqpInstance, rank_tol: float = 1e-7,
             return v
         V = U[:, keep] * np.sqrt(w[keep])
         vals = np.array([np.trace(Ak @ X).real for Ak in A])
-        active = [k for k in range(N) if vals[k] >= 1.0 - active_tol]
+        active = [k for k in range(len(A)) if vals[k] >= 1.0 - active_tol]
         rows = [_vech(V.conj().T @ A[k] @ V) for k in active]
         M = _null_direction(rows, r)
         if M is None:
             raise InputError(
                 "no reduction direction found; X is likely not an optimal "
                 f"face point (rank {r}, {len(active)} active constraints)")
-        reduced = False
         for Ms in (M, -M):
             lmax = float(np.linalg.eigvalsh(Ms).max())
-            if lmax <= 1e-12:
-                continue
-            tau_rank = 1.0 / lmax
-            rates = np.array([np.trace((V.conj().T @ A[k] @ V) @ Ms).real
-                              for k in range(N)])
-            tau_block = np.inf
-            for k in range(N):
-                if k not in active and rates[k] < -1e-14:
-                    tau_block = min(tau_block, (1.0 - vals[k]) / (-rates[k]))
-            if tau_rank <= tau_block:
-                X = hermitian(V @ (np.eye(r) - tau_rank * Ms) @ V.conj().T)
-                reduced = True
+            if lmax > 1e-12 and 1.0 / lmax <= _blocking_step(V, A, vals, active, Ms):
+                tau = 1.0 / lmax
                 break
-        if not reduced:
+        else:
             # both signs blocked: walk to the blocking point, growing the active set
             Ms = M if np.linalg.eigvalsh(M).max() > 1e-12 else -M
-            rates = np.array([np.trace((V.conj().T @ A[k] @ V) @ Ms).real
-                              for k in range(N)])
-            tau_block = np.inf
-            for k in range(N):
-                if k not in active and rates[k] < -1e-14:
-                    tau_block = min(tau_block, (1.0 - vals[k]) / (-rates[k]))
-            if not np.isfinite(tau_block):
+            tau = _blocking_step(V, A, vals, active, Ms)
+            if not np.isfinite(tau):
                 raise InputError("rank reduction stalled without a blocking constraint")
-            X = hermitian(V @ (np.eye(r) - tau_block * Ms) @ V.conj().T)
+        X = symmetrize(V @ (np.eye(r) - tau * Ms) @ V.conj().T)
     raise InputError(f"rank reduction did not reach rank one in {max_rounds} rounds")
 
 
@@ -169,7 +149,7 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
     """
     if samples < 1:
         raise InputError("samples must be >= 1")
-    X = hermitian(X)
+    X = symmetrize(X)
     wv, U = np.linalg.eigh(X)
     wv = np.maximum(wv, 0.0)
     if wv.max() <= 0:
@@ -242,3 +222,16 @@ def _null_direction(rows, r):
         return None
     M = _unvech(null[0], r)
     return M / np.abs(np.linalg.eigvalsh(M)).max()
+
+
+def _blocking_step(V, A, vals, active, Ms) -> float:
+    """Largest tau before X(tau) = V (I - tau Ms) V^H makes an inactive
+    constraint active; inf when none ever does."""
+    tau = np.inf
+    for k, Ak in enumerate(A):
+        if k in active:
+            continue
+        rate = np.trace((V.conj().T @ Ak @ V) @ Ms).real
+        if rate < -1e-14:
+            tau = min(tau, (1.0 - vals[k]) / (-rate))
+    return tau

@@ -21,11 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .channel import BeamformingSolution, snr
 from .errors import ConvergenceError, InputError, SingularityError
-from .linalg import hermitian, psd_inv_sqrt
+from .linalg import psd_inv_sqrt, symmetrize
 from .problems import IndivPowerProblem
 from .trace import SolverTrace
 from . import indiv_qcqp
@@ -151,12 +150,15 @@ def solve_scalar_subproblem(s: ScalarFractionalSubproblem):
     # the optimal value is the unique zero of the decreasing auxiliary
     # function, so F(val) > 0 exposes a missed candidate; recover by bisection
     if _aux_F(s, val) > 1e-9 * scale:
-        hi = max(val, 1.0)
+        lo, hi = val, max(val, 1.0)
         while _aux_F(s, hi) > 0:
-            hi *= 2.0
+            lo, hi = hi, 2.0 * hi
             if hi > 1e18:
                 raise ConvergenceError("auxiliary function has no sign change")
-        t = brentq(lambda tv: _aux_F(s, tv), 0.0, hi, xtol=1e-14, rtol=1e-15)
+        while hi - lo > 1e-14 + 1e-15 * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if _aux_F(s, mid) > 0 else (lo, mid)
+        t = 0.5 * (lo + hi)
         y_alt = y_interior(t) if t * a2 - a1 > 1e-11 * scale else y_boundary(t)
         if abs(y_alt) > beta:
             y_alt = y_boundary(t)
@@ -258,14 +260,6 @@ class PnormEmbedding:
     def n(self) -> int:
         return self.Q1.shape[0]
 
-    def selector(self, k: int) -> np.ndarray:
-        """Block-diagonal selector with z^T selector(k) z = |u_k|^2."""
-        n = self.n
-        J = np.zeros((2 * n, 2 * n))
-        J[k, k] = 1.0
-        J[n + k, n + k] = 1.0
-        return J
-
 
 @dataclass
 class AugLagState:
@@ -292,8 +286,8 @@ def build_pnorm_embedding(p: IndivPowerProblem, pexp: int) -> PnormEmbedding:
         raise InputError("p must be >= 1")
     d1 = np.sqrt((p.Ps * p.stats.D + p.stats.sigma2) / p.P)
     Dinv = np.diag(1.0 / d1)
-    Q1 = hermitian(Dinv @ p.stats.Q @ Dinv)
-    R1 = hermitian(Dinv @ p.stats.R @ Dinv)
+    Q1 = symmetrize(Dinv @ p.stats.Q @ Dinv)
+    R1 = symmetrize(Dinv @ p.stats.R @ Dinv)
     if np.linalg.eigvalsh(R1)[0] <= 1e-12:
         raise SingularityError("R must be positive definite for the p-norm route")
     return PnormEmbedding(D1=d1, Q1=Q1, R1=R1, F=_real_embed(Q1),
@@ -353,7 +347,7 @@ def initial_multiplier(e: PnormEmbedding) -> float:
     the p = 1 problem, used to warm-start the outer loop."""
     Kis = psd_inv_sqrt(e.K, eps=1e-14)
     M = Kis @ e.F @ Kis + Kis @ Kis
-    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
+    return float(np.linalg.eigvalsh(symmetrize(M))[0])
 
 
 def augmented_lagrangian_solve(e: PnormEmbedding, prob: IndivPowerProblem,
@@ -361,16 +355,14 @@ def augmented_lagrangian_solve(e: PnormEmbedding, prob: IndivPowerProblem,
                                constraint_tol: float = 1e-8,
                                grad_tol: float = 1e-6,
                                max_outer: int = 100,
-                               max_inner: int = 400,
-                               mu_schedule: bool = False):
+                               max_inner: int = 400):
     """Outer multiplier updates around inner modified-Newton minimizations.
 
     L(z; lam; mu) = z^T F z + phi_p(z) - lam (z^T K z - 1)
                     + (z^T K z - 1)^2 / (2 mu),
     lam starts at the p = 1 closed form and updates by
-    lam <- lam - (z^T K z - 1)/mu; mu stays fixed by default (a decreasing
-    schedule sits behind ``mu_schedule``).  Inner steps are Newton with the
-    Hessian shifted to positive definite when needed and Armijo
+    lam <- lam - (z^T K z - 1)/mu with mu fixed.  Inner steps are Newton
+    with the Hessian shifted to positive definite when needed and Armijo
     backtracking (alpha = 1, c1 = 1e-4, rho = 0.5).  Terminates when
     |z^T K z - 1| <= constraint_tol and ||grad L|| <= grad_tol.
 
@@ -390,12 +382,12 @@ def augmented_lagrangian_solve(e: PnormEmbedding, prob: IndivPowerProblem,
         raise InputError("z0 must be nonzero")
     lam = initial_multiplier(e)
     trace = SolverTrace(columns=AL_TRACE_COLUMNS)
-    mu_k = float(mu)
+    mu = float(mu)
     F, K, p = e.F, e.K, e.p
 
     def lagrangian(zv):
         c = zv @ K @ zv - 1.0
-        return zv @ F @ zv + phi_p_value(e, zv) - lam * c + c * c / (2.0 * mu_k), c
+        return zv @ F @ zv + phi_p_value(e, zv) - lam * c + c * c / (2.0 * mu), c
 
     converged = False
     for outer in range(max_outer):
@@ -404,14 +396,14 @@ def augmented_lagrangian_solve(e: PnormEmbedding, prob: IndivPowerProblem,
             val, g_phi, H_phi = phi_p_grad_hess(e, z)
             c = z @ K @ z - 1.0
             Kz = K @ z
-            L = z @ F @ z + val - lam * c + c * c / (2.0 * mu_k)
-            gL = 2.0 * F @ z + g_phi - 2.0 * lam * Kz + (2.0 / mu_k) * c * Kz
+            L = z @ F @ z + val - lam * c + c * c / (2.0 * mu)
+            gL = 2.0 * F @ z + g_phi - 2.0 * lam * Kz + (2.0 / mu) * c * Kz
             g_norm = float(np.linalg.norm(gL))
             if g_norm <= grad_tol:
                 break
-            HL = 2.0 * F + H_phi - 2.0 * lam * K + (2.0 / mu_k) * c * K \
-                + (4.0 / mu_k) * np.outer(Kz, Kz)
-            HL = 0.5 * (HL + HL.T)
+            HL = 2.0 * F + H_phi - 2.0 * lam * K + (2.0 / mu) * c * K \
+                + (4.0 / mu) * np.outer(Kz, Kz)
+            HL = symmetrize(HL)
             lmin = float(np.linalg.eigvalsh(HL)[0])
             if lmin <= 0:
                 HL = HL + (-lmin + 1e-6) * np.eye(2 * n)
@@ -433,9 +425,7 @@ def augmented_lagrangian_solve(e: PnormEmbedding, prob: IndivPowerProblem,
         if abs(c) <= constraint_tol and g_norm <= grad_tol:
             converged = True
             break
-        lam = lam - c / mu_k
-        if mu_schedule:
-            mu_k = max(mu_k * 0.5, 1e-9)
+        lam = lam - c / mu
     if not converged:
         raise ConvergenceError(
             f"augmented Lagrangian did not converge in {max_outer} outer rounds",
@@ -447,5 +437,5 @@ def augmented_lagrangian_solve(e: PnormEmbedding, prob: IndivPowerProblem,
     C = float(q.constraint_values(w).max())
     w_qcqp = w / np.sqrt(C)
     sol = indiv_qcqp.rescale_to_original(w_qcqp, q, prob)
-    state = AugLagState(z=z, lam=float(lam), mu=mu_k, constraint_residual=c)
+    state = AugLagState(z=z, lam=float(lam), mu=mu, constraint_residual=c)
     return sol, trace, state

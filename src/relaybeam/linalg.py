@@ -3,8 +3,10 @@
 Everything downstream (channel statistics, the total-power eigenvalue
 search, the SDP relaxation) manipulates small Hermitian matrices; this
 module owns their construction, eigendecomposition, inverse square roots
-and PSD tests.  Matrix sizes equal the relay count (<= ~16), so dense
-LAPACK routines via numpy are used throughout; the contracts here are
+and PSD tests.  ``hermitian`` validates a matrix where it enters from a
+caller; ``symmetrize`` only cleans the round-off asymmetry of a matrix the
+library computed itself.  Matrix sizes equal the relay count (<= ~16), so
+dense LAPACK routines via numpy are used throughout; the contracts here are
 accuracy bounds, not a particular algorithm.
 """
 
@@ -37,10 +39,25 @@ def hermitian(a, *, atol: float = 1e-9, name: str = "matrix") -> np.ndarray:
         raise InputError(
             f"{name} is not Hermitian: max asymmetry {asym:.3e} exceeds {atol:.1e}"
         )
+    return symmetrize(H)
+
+
+def symmetrize(H) -> np.ndarray:
+    """(H + H^dagger)/2 with a real diagonal, without validation.
+
+    For matrices the library computed itself, whose round-off asymmetry is
+    not an input error however badly conditioned the product.
+    """
     H = 0.5 * (H + H.conj().T)
     # exact symmetry: real diagonal, conjugate off-diagonal pairs
     np.fill_diagonal(H, H.diagonal().real)
     return H
+
+
+def is_diagonal(M, rtol: float = 1e-12) -> bool:
+    """True when M's off-diagonal mass is negligible against its trace."""
+    off = M - np.diag(np.diag(M))
+    return bool(np.abs(off).sum() <= rtol * max(np.abs(np.trace(M)), 1e-300))
 
 
 def check_vector(v, *, name: str = "vector") -> np.ndarray:
@@ -105,15 +122,14 @@ def psd_inv_sqrt(H, eps: float = 1e-12) -> np.ndarray:
             eigenvalue=float(w[0]),
         )
     M = (U * (1.0 / np.sqrt(w))) @ U.conj().T
-    return hermitian(M)
+    return symmetrize(M)
 
 
-def psd_sqrt(H, floor: float = 0.0) -> np.ndarray:
-    """Square root of a PSD Hermitian H; eigenvalues clipped at ``floor``."""
-    H = hermitian(H)
-    w, U = np.linalg.eigh(H)
-    w = np.maximum(w, floor)
-    return hermitian((U * np.sqrt(w)) @ U.conj().T)
+def principal_factor(X) -> np.ndarray:
+    """sqrt(lambda_max) times the top unit eigenvector of a Hermitian X:
+    the factor of X's best rank-one approximation."""
+    vals, vecs = np.linalg.eigh(X)
+    return np.sqrt(max(vals[-1], 0.0)) * vecs[:, -1]
 
 
 def qform(H, v) -> float:

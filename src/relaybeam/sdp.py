@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, InputError, ModelError
-from .linalg import hermitian, is_psd, qform
+from .linalg import hermitian, is_psd, symmetrize
 
 
 @dataclass
@@ -116,8 +116,7 @@ def solve_relaxation(p: SdpProblem, tol: float = 1e-8, feas_tol: float = 1e-8,
         if mu > 1e14 or not np.isfinite(mu):
             raise ModelError("iterates diverged; problem may be unbounded")
 
-        Zinv = np.linalg.inv(Z)
-        Zinv = 0.5 * (Zinv + Zinv.conj().T)
+        Zinv = symmetrize(np.linalg.inv(Z))
         M = np.empty((N, N))
         XA = [X @ Aj @ Zinv for Aj in A]
         for k in range(N):
@@ -132,7 +131,7 @@ def solve_relaxation(p: SdpProblem, tol: float = 1e-8, feas_tol: float = 1e-8,
             dy = np.linalg.solve(M, rhs)
             dZ = _combine(dy, A) - Rd
             dX = sig * mu * Zinv - X - X @ dZ @ Zinv
-            dX = 0.5 * (dX + dX.conj().T)
+            dX = symmetrize(dX)
             ds = (sig * mu - y * s - s * dy) / y
             return dX, ds, dy, dZ
 
@@ -146,10 +145,10 @@ def solve_relaxation(p: SdpProblem, tol: float = 1e-8, feas_tol: float = 1e-8,
         dX, ds, dy, dZ = directions(sigma)
         ap = 0.98 * _max_step(X, dX, s, ds, 0.99)
         ad = 0.98 * _max_step(Z, dZ, y, dy, 0.99)
-        X = hermitian(X + ap * dX)
+        X = symmetrize(X + ap * dX)
         s = s + ap * ds
         y = y + ad * dy
-        Z = hermitian(Z + ad * dZ)
+        Z = symmetrize(Z + ad * dZ)
     else:
         _, Xb, yb, pb, db, _ = best
         raise ConvergenceError(
@@ -166,18 +165,13 @@ def dual_certificate_residuals(p: SdpProblem, sol: SdpSolution) -> CertificateRe
     R, A = p.objective, p.constraints
     X, y = sol.X, sol.dual_y
     vals = np.array([np.trace(Ak @ X).real for Ak in A])
-    lam_x = np.linalg.eigvalsh(hermitian(X))[0]
+    lam_x = np.linalg.eigvalsh(symmetrize(X))[0]
     primal_feas = float(max((vals - 1.0).max(), -min(lam_x, 0.0), 0.0))
     Zbar = _combine(y, A) - R
-    dual_feas = float(np.linalg.eigvalsh(hermitian(Zbar))[0])
+    dual_feas = float(np.linalg.eigvalsh(symmetrize(Zbar))[0])
     comp = abs(np.trace(Zbar @ X).real) + float(y @ (1.0 - vals))
     return CertificateReport(primal_feas=primal_feas, dual_feas=dual_feas,
                              comp_slack=float(comp))
-
-
-def relaxation_bound_check(p: SdpProblem, sol: SdpSolution, w, tol: float = 1e-6) -> bool:
-    """True iff w^H R w <= primal_obj + tol (relaxation dominance)."""
-    return qform(p.objective, w) <= sol.primal_obj + tol
 
 
 def _combine(y, A):
@@ -200,10 +194,11 @@ def _max_step(P, dP, v, dv, tau):
 
 
 def _package(X, y, A, primal, dual, rank_tol, iterations):
-    wX = np.linalg.eigvalsh(hermitian(X))
+    X = symmetrize(X)
+    wX = np.linalg.eigvalsh(X)
     rank_est = int((wX > rank_tol * max(wX.max(), 1e-300)).sum())
     slacks = 1.0 - np.array([np.trace(Ak @ X).real for Ak in A])
-    return SdpSolution(X=hermitian(X), dual_y=np.maximum(y, 0.0),
+    return SdpSolution(X=X, dual_y=np.maximum(y, 0.0),
                        primal_obj=float(primal), dual_obj=float(dual),
                        gap=float(dual - primal), rank_estimate=rank_est,
                        iterations=iterations, rank_tol=rank_tol, slacks=slacks)

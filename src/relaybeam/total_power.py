@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import BeamformingSolution, snr
 from .errors import ConvergenceError, DegenerateSpectrumError, DispatchError, SingularityError
-from .linalg import hermitian, psd_inv_sqrt
+from .linalg import is_diagonal, psd_inv_sqrt, symmetrize
 from .problems import TotalPowerProblem
 from .trace import SolverTrace
 
@@ -39,11 +39,7 @@ class SPair:
         return self.S1.shape[0]
 
     def is_diagonal(self, rtol: float = 1e-12) -> bool:
-        for M in (self.S1, self.S2):
-            off = M - np.diag(np.diag(M))
-            if np.abs(off).sum() > rtol * max(np.abs(np.trace(M)), 1e-300):
-                return False
-        return True
+        return is_diagonal(self.S1, rtol) and is_diagonal(self.S2, rtol)
 
 
 @dataclass
@@ -69,8 +65,8 @@ def build_s_pair(p: TotalPowerProblem) -> SPair:
             f"{exc}", eigenvalue=exc.eigenvalue) from exc
     Rinv = Ris @ Ris
     ratio = stats.sigma2 / p.P0
-    S1 = hermitian(Ris @ np.diag(stats.D) @ Ris + ratio * Rinv)
-    S2 = hermitian(Ris @ stats.Q @ Ris + ratio * Rinv)
+    S1 = symmetrize(Ris @ np.diag(stats.D) @ Ris + ratio * Rinv)
+    S2 = symmetrize(Ris @ stats.Q @ Ris + ratio * Rinv)
     return SPair(S1=S1, S2=S2, R_inv_sqrt=Ris)
 
 
@@ -81,7 +77,7 @@ def bracket_x(s: SPair) -> tuple[float, float]:
     the extreme eigenvalues of S1^{-1/2} S2 S1^{-1/2}.
     """
     S1is = psd_inv_sqrt(s.S1, eps=1e-14)
-    w = np.linalg.eigvalsh(hermitian(S1is @ s.S2 @ S1is))
+    w = np.linalg.eigvalsh(symmetrize(S1is @ s.S2 @ S1is))
     c, d = float(w[0]), float(w[-1])
     xl = np.sqrt(c) / (1.0 + np.sqrt(c))
     xu = np.sqrt(d) / (1.0 + np.sqrt(d))

@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relaybeam
 from relaybeam import fixtures
 from relaybeam.cli import main, parse_scenario, reproduce, run
 from relaybeam.errors import InputError
 from relaybeam.indiv_diag import solve_diagonal
+from relaybeam.oracle import brute_force_indiv
 from relaybeam.problems import IndivPowerProblem
 
 
@@ -37,17 +43,24 @@ def diagonal_scenario(tmp_path, solver="indiv-diag"):
     return write_scenario(tmp_path / "scenario.json", payload), payload
 
 
-def fixture_scenario(tmp_path, solver="sdp"):
+def fixture_scenario(tmp_path, solver="sdp", options=None):
     R, Q = fixtures.indiv_fixture(4)
     payload = {
         "mode": "individual",
         "sigma2": 1.0,
         "channel": {"stats": {"D": [1.0] * 4, "R": cmat(R), "Q": cmat(Q)}},
         "budget": {"Ps": 1.0, "P": [2.0] * 4},
-        "solver": {"name": solver},
+        "solver": {"name": solver, **({"options": options} if options else {})},
         "seed": 11,
     }
     return write_scenario(tmp_path / "n4.json", payload), payload
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and +-Infinity, which JSON does not have."""
+    def reject(name):
+        raise ValueError(f"{name} is not valid JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 class TestParseScenario:
@@ -175,6 +188,20 @@ class TestRun:
         rep = run(parse_scenario(path))
         assert rep.snr_db == pytest.approx(10 * np.log10(rep.snr), abs=1e-12)
 
+    @pytest.mark.parametrize("solver,options", [("pnorm", None),
+                                                ("sdp", {"fallback": "pnorm"})])
+    def test_pnorm_routes_on_n4_fixture(self, tmp_path, solver, options):
+        path, _ = fixture_scenario(tmp_path, solver=solver, options=options)
+        rep = run(parse_scenario(path))
+        assert rep.metadata.get("fallback", "pnorm") == "pnorm"
+        assert rep.metadata["p"] == 256
+        # Ps = sigma2 = 1, so the SNR is the QCQP value: within the fixture
+        # tolerance of the p-norm reference and below the SDP bound
+        assert rep.snr == pytest.approx(fixtures.INDIV_EXPECT[4]["pnorm"],
+                                        rel=fixtures.INDIV_TOL)
+        assert rep.snr <= fixtures.INDIV_EXPECT[4]["sdp"] * (1 + fixtures.INDIV_TOL)
+        assert min(rep.feasibility) >= -1e-12
+
 
 class TestMain:
     def test_solve_exit_0(self, tmp_path, capsys):
@@ -203,6 +230,42 @@ class TestMain:
         }
         path = write_scenario(tmp_path / "stall.json", payload)
         assert main(["solve", str(path)]) == 2
+
+    def test_pure_line_of_sight_exit_4(self, tmp_path, capsys):
+        # every variance 0 makes R rank one: a SingularityError inside the
+        # total-power reduction, not an input error
+        payload = {"mode": "total", "sigma2": 1.0,
+                   "channel": {"rician": {"f_mean": [[0.7, 0.2], [-0.4, 0.9], [1.1, -0.3]],
+                                          "f_var": [0.0] * 3,
+                                          "g_mean": [[-0.3, 0.9], [0.5, 0.5], [0.8, -0.6]],
+                                          "g_var": [0.0] * 3}},
+                   "budget": {"P0": 10.0}}
+        path = write_scenario(tmp_path / "los.json", payload)
+        assert main(["solve", path]) == 4
+        assert "singular" in capsys.readouterr().err
+
+    def test_zero_snr_report_is_strict_json(self, tmp_path, capsys):
+        payload = {"mode": "individual", "sigma2": 1.0,
+                   "channel": {"stats": {"D": [1.0] * 3,
+                                         "R": cmat(np.zeros((3, 3))),
+                                         "Q": cmat(np.eye(3))}},
+                   "budget": {"Ps": 1.0, "P": [1.0] * 3}}
+        path = write_scenario(tmp_path / "dark.json", payload)
+        assert main(["solve", path]) == 0
+        rep = strict_json(capsys.readouterr().out)
+        assert rep["snr"] == 0.0
+        assert rep["snr_db"] is None
+
+    def test_sample_rician_scenario(self, capsys):
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "individual_rician_n3.json"
+        assert main(["solve", str(path)]) == 0
+        rep = strict_json(capsys.readouterr().out)
+        assert rep["scenario_mode"] == "individual"
+        assert len(rep["w"]) == 3
+        assert min(rep["feasibility"]) >= -1e-12
+        s = parse_scenario(str(path))
+        prob = IndivPowerProblem(stats=s.stats(), Ps=s.budget["Ps"], P=s.budget["P"])
+        assert rep["snr"] >= brute_force_indiv(prob)[1] * (1 - 1e-9)
 
     def test_trace_and_export(self, tmp_path, capsys):
         path, _ = diagonal_scenario(tmp_path, solver="cdm")
@@ -239,3 +302,12 @@ class TestReproduce:
     def test_unknown_case_rejected(self):
         with pytest.raises(InputError):
             reproduce("total-9")
+
+
+def test_cli_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(relaybeam.__file__)))
+    code = "import relaybeam.cli, sys; assert 'scipy' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -85,6 +85,22 @@ class TestScalarSubproblem:
         assert abs(y) == pytest.approx(0.8, rel=1e-12)
         assert t == pytest.approx(subproblem_value(s, y), rel=1e-12)
 
+    def test_bisection_recovers_missed_candidate(self):
+        # the squared candidate equations miss this optimum and leave y = 0
+        # (value c1/c2 ~ 2e-10); F(c1/c2) > 0 sends the solver into its
+        # bisection on the decreasing auxiliary function
+        s = ScalarFractionalSubproblem(
+            a1=0.5292279301347068, a2=4.319937227016552e-05,
+            b1=5.064139848037656e-07 - 4.145966114436969e-06j,
+            b2=-2.112074393972352e-10 - 7.252912528899636e-10j,
+            c1=1.9593655289424063e-10, c2=1.0000000000000144,
+            beta=5778.812138186871)
+        y, t, const = solve_scalar_subproblem(s)
+        assert not const
+        assert t == pytest.approx(12242.33845806319, rel=1e-9)
+        assert abs(y) == s.beta
+        assert t == pytest.approx(grid_maximum(s)[0], rel=1e-6)
+
     def test_matches_grid_oracle(self, rng):
         branches = {"boundary": 0, "interior": 0, "constant": 0}
         for trial in range(200):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relaybeam import fixtures
-from relaybeam.channel import ChannelStats, build_stats, snr
+from relaybeam.channel import ChannelStats, RicianParams, build_stats, snr
 from relaybeam.errors import DegenerateSpectrumError, DispatchError
 from relaybeam.problems import TotalPowerProblem
 from relaybeam.linalg import is_psd
@@ -17,6 +19,44 @@ def fixture_problem(case):
     stats = build_stats(fixtures.total_fixture(case),
                         fixtures.TOTAL_ASSUMED_SIGMA2)
     return TotalPowerProblem(stats=stats, P0=fixtures.TOTAL_ASSUMED_P0)
+
+
+def scan_snr(stats, P0, points=1001, zooms=2):
+    """Independent dense scan of the best SNR over x = Ps/P0.
+
+    For fixed x the relays spend (1-x) P0 and the best weights give
+    (x P0/sigma^2) lambda_max(R, Q + (x P0 D + sigma^2 I)/((1-x) P0)); the
+    grid is refined ``zooms`` times around its best point.
+    """
+    xs = np.linspace(0.0, 1.0, points + 2)[1:-1]
+    best = -np.inf
+    for _ in range(zooms + 1):
+        bump = (xs[:, None] * P0 * stats.D + stats.sigma2) / ((1.0 - xs)[:, None] * P0)
+        Li = np.linalg.inv(np.linalg.cholesky(stats.Q + bump[:, :, None] * np.eye(stats.n)))
+        lam = np.linalg.eigvalsh(Li @ stats.R @ np.conj(np.swapaxes(Li, 1, 2)))[:, -1]
+        vals = xs * P0 / stats.sigma2 * lam
+        i = int(np.argmax(vals))
+        best = max(best, float(vals[i]))
+        xs = np.linspace(xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)], points)
+    return best
+
+
+def los_problem(n, var, P0, seed):
+    """Rician links with line-of-sight gains of modulus 0.5..2 and random
+    phase, plus scattering of variance ``var`` on every link; sigma^2 = 1.
+
+    Moduli bounded away from 0 keep lambda_min(R) >= var/2, above the
+    R > 0 cut of build_s_pair; a relay whose mean gains are both weak makes
+    R numerically singular, which build_s_pair rejects with SingularityError.
+    """
+    rng = np.random.default_rng(seed)
+
+    def los():
+        return rng.uniform(0.5, 2.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+
+    params = RicianParams(f_mean=los(), f_var=np.full(n, var),
+                          g_mean=los(), g_var=np.full(n, var))
+    return TotalPowerProblem(stats=build_stats(params, 1.0), P0=P0)
 
 
 class TestBuildSPair:
@@ -234,3 +274,28 @@ class TestDiagonal:
             best = max(runs, key=lambda r: r.snr)
             assert best.x == pytest.approx(ref.x, abs=1e-6)
             assert best.snr == pytest.approx(ref.snr, rel=1e-6)
+
+
+class TestLineOfSight:
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(3, 8), log_var=st.floats(-9.0, -3.0),
+           log_ratio=st.floats(-2.0, 4.0), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=4, log_var=-9.0, log_ratio=1.0, seed=4)
+    @example(n=6, log_var=-9.0, log_ratio=1.0, seed=6)
+    @example(n=16, log_var=-9.0, log_ratio=1.0, seed=16)
+    def test_near_los_matches_dense_scan(self, n, log_var, log_ratio, seed):
+        # at variance 1e-9 the internal product S1^-1/2 S2 S1^-1/2 is badly
+        # conditioned; its round-off asymmetry is not an input error
+        p = los_problem(n, 10.0 ** log_var, 10.0 ** log_ratio, seed)
+        sol = solve(p)
+        assert sol.snr >= (1.0 - 1e-6) * scan_snr(p.stats, p.P0)
+
+    def test_identical_relays_take_golden_section(self):
+        # identical relays make lambda_min(G(x)) degenerate, so Newton hands
+        # over to the golden-section scan of the bracket
+        params = RicianParams(f_mean=np.full(3, 0.7 + 0.2j), f_var=np.full(3, 0.8),
+                              g_mean=np.full(3, -0.3 + 0.9j), g_var=np.full(3, 1.3))
+        p = TotalPowerProblem(stats=build_stats(params, 1.0), P0=10.0)
+        sol = solve(p)
+        assert any("golden" in note for note in sol.trace.notes)
+        assert sol.snr == pytest.approx(scan_snr(p.stats, p.P0), rel=1e-6)
