@@ -21,7 +21,7 @@ from .channel import BeamformingSolution, snr
 from .errors import InputError, ScopeError
 from .linalg import principal_factor, qform, symmetrize
 from .problems import IndivPowerProblem
-from .sdp import SdpProblem, solve_relaxation
+from .sdp import SdpProblem, _traces, solve_relaxation
 
 GRP_BATCH = 65536   # fixed batch so the sample stream is a prefix-stable counter
 
@@ -29,7 +29,7 @@ GRP_BATCH = 65536   # fixed batch so the sample stream is a prefix-stable counte
 @dataclass
 class QcqpInstance:
     R: np.ndarray
-    A: list[np.ndarray]
+    A: np.ndarray                # (n, n, n) stack of the constraint matrices A_k
     scale_coeffs: np.ndarray     # c_k = (Ps D_kk + sigma^2)/P_k
 
     @property
@@ -37,16 +37,15 @@ class QcqpInstance:
         return self.R.shape[0]
 
     def constraint_values(self, w) -> np.ndarray:
-        return np.array([qform(Ak, w) for Ak in self.A])
+        w = np.asarray(w, dtype=complex).ravel()
+        return (self.A @ w @ w.conj()).real
 
 
 def build_qcqp(p: IndivPowerProblem) -> QcqpInstance:
     coeffs = (p.Ps * p.stats.D + p.stats.sigma2) / p.P
-    A = []
-    for k, ck in enumerate(coeffs):
-        Ak = p.stats.Q.copy()
-        Ak[k, k] += ck
-        A.append(symmetrize(Ak))
+    n = coeffs.size
+    A = np.broadcast_to(p.stats.Q, (n, n, n)).copy()
+    A[np.arange(n), np.arange(n), np.arange(n)] += coeffs
     return QcqpInstance(R=p.stats.R, A=A, scale_coeffs=coeffs)
 
 
@@ -115,8 +114,8 @@ def rank_one_decompose(X, q: QcqpInstance, rank_tol: float = 1e-7,
                 v = v * (np.abs(v[j]) / v[j])
             return v
         V = U[:, keep] * np.sqrt(w[keep])
-        vals = np.array([np.trace(Ak @ X).real for Ak in A])
-        active = [k for k in range(len(A)) if vals[k] >= 1.0 - active_tol]
+        vals = _traces(A, X)
+        active = np.flatnonzero(vals >= 1.0 - active_tol)
         rows = [_vech(V.conj().T @ A[k] @ V) for k in active]
         M = _null_direction(rows, r)
         if M is None:
@@ -170,9 +169,9 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
             np.random.Philox(key=[np.uint64(seed), np.uint64(batch_idx)]))
         xi = rng.standard_normal((GRP_BATCH, n)) + 1j * rng.standard_normal((GRP_BATCH, n))
         W = (xi[:take] / np.sqrt(2.0)) @ L.T
-        quad_Q = np.einsum("bi,ij,bj->b", W.conj(), Qmat, W).real
+        quad_Q = ((W @ Qmat.T) * W.conj()).sum(axis=1).real
         worst = (quad_Q[:, None] + np.abs(W) ** 2 * q.scale_coeffs[None, :]).max(axis=1)
-        robj = np.einsum("bi,ij,bj->b", W.conj(), q.R, W).real
+        robj = ((W @ q.R.T) * W.conj()).sum(axis=1).real
         vals = robj / worst
         i = int(np.argmax(vals))
         if vals[i] > best_val:
@@ -227,11 +226,7 @@ def _null_direction(rows, r):
 def _blocking_step(V, A, vals, active, Ms) -> float:
     """Largest tau before X(tau) = V (I - tau Ms) V^H makes an inactive
     constraint active; inf when none ever does."""
-    tau = np.inf
-    for k, Ak in enumerate(A):
-        if k in active:
-            continue
-        rate = np.trace((V.conj().T @ Ak @ V) @ Ms).real
-        if rate < -1e-14:
-            tau = min(tau, (1.0 - vals[k]) / (-rate))
-    return tau
+    rates = _traces(A, V @ Ms @ V.conj().T)
+    hit = rates < -1e-14
+    hit[active] = False
+    return float(((1.0 - vals[hit]) / -rates[hit]).min(initial=np.inf))

@@ -9,7 +9,9 @@ direction, adaptive centering).  Iterates keep X, Z strictly inside their
 cones, so the returned dual multipliers certify the reported gap without
 any post-hoc cleanup; a pure primal log-barrier was tried first and could
 not certify gaps below ~3e-8 in double precision on the target problems.
-Sizes are tiny (n, N <= ~16), so the N x N Schur system is formed densely.
+The constraints are one (N, n, n) stack, so the Schur matrix Re Tr(A_k X A_j Z^-1)
+is a batched product X A_j Z^-1 and one (N, n^2) x (n^2, N) GEMM: O(N n^3 + N^2 n^2)
+per iteration.
 """
 
 from __future__ import annotations
@@ -25,27 +27,27 @@ from .linalg import hermitian, is_psd, symmetrize
 
 @dataclass
 class SdpProblem:
-    """Objective matrix R and constraint matrices A_1..A_N (all Hermitian)."""
+    """Objective R and constraints A_1..A_N (Hermitian), stored as an (N, n, n) stack."""
 
     objective: np.ndarray
-    constraints: list[np.ndarray]
+    constraints: np.ndarray
 
     def __post_init__(self):
         self.objective = hermitian(self.objective, name="R")
-        self.constraints = [hermitian(A, name=f"A_{k+1}") for k, A in
-                            enumerate(self.constraints)]
+        A = [hermitian(Ak, name=f"A_{k+1}") for k, Ak in enumerate(self.constraints)]
         n = self.objective.shape[0]
-        for k, A in enumerate(self.constraints):
-            if A.shape != (n, n):
-                raise InputError(f"A_{k+1} has shape {A.shape}, expected {(n, n)}")
-        if not self.constraints:
+        for k, Ak in enumerate(A):
+            if Ak.shape != (n, n):
+                raise InputError(f"A_{k+1} has shape {Ak.shape}, expected {(n, n)}")
+        if not A:
             raise InputError("at least one constraint matrix is required")
         if not is_psd(self.objective, tol=1e-9):
             warnings.warn("objective matrix R is not PSD; relaxation may be unbounded",
                           stacklevel=2)
-        for k, A in enumerate(self.constraints):
-            if not is_psd(A, tol=1e-9):
-                raise ModelError(f"constraint matrix A_{k+1} is not PSD")
+        self.constraints = np.stack(A)
+        bad = np.flatnonzero(np.linalg.eigvalsh(self.constraints)[:, 0] < -1e-9)
+        if bad.size:
+            raise ModelError(f"constraint matrix A_{bad[0] + 1} is not PSD")
 
     @property
     def n(self) -> int:
@@ -88,12 +90,12 @@ def solve_relaxation(p: SdpProblem, tol: float = 1e-8, feas_tol: float = 1e-8,
     R = p.objective
     A = p.constraints
     n, N = p.n, p.m
-    tr_caps = [float(np.trace(Ak).real) for Ak in A]
-    if max(tr_caps) <= 0:
+    tr_cap = np.trace(A, axis1=1, axis2=2).real.max()
+    if tr_cap <= 0:
         raise ModelError("all constraint matrices have zero trace; no interior")
 
-    X = (0.5 / max(tr_caps)) * np.eye(n, dtype=complex)
-    s = 1.0 - np.array([np.trace(Ak @ X).real for Ak in A])
+    X = (0.5 / tr_cap) * np.eye(n, dtype=complex)
+    s = 1.0 - _traces(A, X)
     if s.min() <= 0:
         raise ModelError("initial point not strictly feasible")  # unreachable for PSD A_k
     y = np.ones(N)
@@ -102,7 +104,7 @@ def solve_relaxation(p: SdpProblem, tol: float = 1e-8, feas_tol: float = 1e-8,
     best = None
     it = 0
     for it in range(max_iter):
-        rp = (1.0 - np.array([np.trace(Ak @ X).real for Ak in A])) - s
+        rp = (1.0 - _traces(A, X)) - s
         Rd = Z - (_combine(y, A) - R)
         mu = (np.trace(Z @ X).real + y @ s) / (n + N)
         primal = np.trace(R @ X).real
@@ -117,14 +119,15 @@ def solve_relaxation(p: SdpProblem, tol: float = 1e-8, feas_tol: float = 1e-8,
             raise ModelError("iterates diverged; problem may be unbounded")
 
         Zinv = symmetrize(np.linalg.inv(Z))
-        M = np.empty((N, N))
-        XA = [X @ Aj @ Zinv for Aj in A]
-        for k in range(N):
-            for j in range(N):
-                M[k, j] = np.trace(A[k] @ XA[j]).real
+        XA = X @ A @ Zinv
+        # M_kj = Re Tr(A_k XA_j) = Re sum_ab A_k[a, b] XA_j[b, a]
+        M = (A.reshape(N, -1) @ XA.transpose(0, 2, 1).reshape(N, -1).T).real
         M += np.diag(s / y)
-        trAZ = np.array([np.trace(Ak @ Zinv).real for Ak in A])
-        trAXRdZ = np.array([np.trace(Ak @ (X @ Rd @ Zinv)).real for Ak in A])
+        trAZ = _traces(A, Zinv)
+        trAXRdZ = _traces(A, X @ Rd @ Zinv)
+        # X^{-1/2} and Z^{-1/2}, shared by the predictor and corrector step lengths
+        w, U = np.linalg.eigh(np.stack([X, Z]))
+        Xmh, Zmh = (U / np.sqrt(np.maximum(w, 1e-300))[:, None, :]) @ U.conj().transpose(0, 2, 1)
 
         def directions(sig):
             rhs = sig * mu * (trAZ + 1.0 / y) - 1.0 + trAXRdZ
@@ -137,14 +140,14 @@ def solve_relaxation(p: SdpProblem, tol: float = 1e-8, feas_tol: float = 1e-8,
 
         # predictor fixes the centering weight, then one corrected solve
         dX, ds, dy, dZ = directions(0.0)
-        ap = _max_step(X, dX, s, ds, 1.0)
-        ad = _max_step(Z, dZ, y, dy, 1.0)
+        ap = _max_step(Xmh, dX, s, ds, 1.0)
+        ad = _max_step(Zmh, dZ, y, dy, 1.0)
         mu_aff = (np.trace((Z + ad * dZ) @ (X + ap * dX)).real
                   + (y + ad * dy) @ (s + ap * ds)) / (n + N)
         sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-4, 0.8))
         dX, ds, dy, dZ = directions(sigma)
-        ap = 0.98 * _max_step(X, dX, s, ds, 0.99)
-        ad = 0.98 * _max_step(Z, dZ, y, dy, 0.99)
+        ap = 0.98 * _max_step(Xmh, dX, s, ds, 0.99)
+        ad = 0.98 * _max_step(Zmh, dZ, y, dy, 0.99)
         X = symmetrize(X + ap * dX)
         s = s + ap * ds
         y = y + ad * dy
@@ -164,7 +167,7 @@ def dual_certificate_residuals(p: SdpProblem, sol: SdpSolution) -> CertificateRe
     """KKT residuals of a candidate solution; all ~0 on a valid optimum."""
     R, A = p.objective, p.constraints
     X, y = sol.X, sol.dual_y
-    vals = np.array([np.trace(Ak @ X).real for Ak in A])
+    vals = _traces(A, X)
     lam_x = np.linalg.eigvalsh(symmetrize(X))[0]
     primal_feas = float(max((vals - 1.0).max(), -min(lam_x, 0.0), 0.0))
     Zbar = _combine(y, A) - R
@@ -174,17 +177,19 @@ def dual_certificate_residuals(p: SdpProblem, sol: SdpSolution) -> CertificateRe
                              comp_slack=float(comp))
 
 
+def _traces(A, X):
+    """Tr(A_k X) for every matrix of the stack A."""
+    return np.einsum("kab,ba->k", A, X).real
+
+
 def _combine(y, A):
-    out = np.zeros_like(A[0])
-    for yk, Ak in zip(y, A):
-        out = out + yk * Ak
-    return out
+    """sum_k y_k A_k over the stack A."""
+    return np.tensordot(y, A, 1)
 
 
-def _max_step(P, dP, v, dv, tau):
-    """Largest a <= 1 with P + a dP >= (1-tau)-ish inside the cone and v + a dv > 0."""
-    w, U = np.linalg.eigh(P)
-    Pmh = (U * (1.0 / np.sqrt(np.maximum(w, 1e-300)))) @ U.conj().T
+def _max_step(Pmh, dP, v, dv, tau):
+    """Largest a <= 1 with P + a dP >= (1-tau)-ish inside the cone and v + a dv > 0;
+    Pmh = P^{-1/2}."""
     lam = np.linalg.eigvalsh(Pmh @ dP @ Pmh).min()
     a = 1.0 if lam >= 0 else min(1.0, -tau / lam)
     neg = dv < 0
@@ -197,7 +202,7 @@ def _package(X, y, A, primal, dual, rank_tol, iterations):
     X = symmetrize(X)
     wX = np.linalg.eigvalsh(X)
     rank_est = int((wX > rank_tol * max(wX.max(), 1e-300)).sum())
-    slacks = 1.0 - np.array([np.trace(Ak @ X).real for Ak in A])
+    slacks = 1.0 - _traces(A, X)
     return SdpSolution(X=X, dual_y=np.maximum(y, 0.0),
                        primal_obj=float(primal), dual_obj=float(dual),
                        gap=float(dual - primal), rank_estimate=rank_est,

@@ -28,6 +28,9 @@ class TestBuildQcqp:
             J = np.zeros((4, 4))
             J[k, k] = 1.0
             assert np.allclose(Ak, J + p.stats.Q)
+        w = np.arange(1.0, 5.0) + 1j
+        assert np.allclose(q.constraint_values(w), [qform(Ak, w) for Ak in q.A],
+                           rtol=1e-14, atol=0)
 
     def test_zero_q_unit_box(self):
         stats = ChannelStats(D=np.ones(3), R=np.eye(3), Q=np.zeros((3, 3)),
@@ -138,6 +141,26 @@ class TestRankOneDecompose:
             vals = q.constraint_values(w)
             assert vals.max() <= 1.0 + 1e-8
             assert qform(q.R, w) >= sol.primal_obj - 1e-6 * abs(sol.primal_obj)
+
+    def test_both_signs_blocked_walks_to_blocking_point(self):
+        # fuzz-found rank-3 relaxation where neither M nor -M reaches a rank
+        # drop before an inactive constraint becomes active
+        D = np.array([1.3023126450061204, 1.9343948885924642, 1.6516180401909857])
+        P = np.array([0.9122066091200027, 1.2593291445610737, 2.4464756993495307])
+        Q = np.diag([1.2860534326030995, 1.1971039844946225, 0.2545901623873574]).astype(complex)
+        Q[0, 1] = 0.5828723505203993 + 0.519772889995155j
+        Q[0, 2] = -0.2631820991848445 + 0.3138015337126348j
+        Q[1, 2] = -0.0820053440073483 + 0.4831668942030954j
+        Q = Q + np.triu(Q, 1).conj().T
+        y = np.array([0.6668734311954239, 0.0, 0.0018300415468206488])
+        R = y.sum() * Q + np.diag(y * (D + 1.0) / P)
+        prob = IndivPowerProblem(stats=ChannelStats(D=D, R=R, Q=Q, sigma2=1.0),
+                                 Ps=1.0, P=P)
+        q, sol, _ = solve_via_sdp(prob)
+        assert sol.rank_estimate == 3
+        w = rank_one_decompose(sol.X, q)
+        assert qcqp_objective(q, w) == pytest.approx(sol.primal_obj, rel=1e-8)
+        assert q.constraint_values(w).max() <= 1.0 + 1e-9
 
     def test_scope_error_above_three(self):
         p = fixture_problem(4)

@@ -84,6 +84,19 @@ class TestSolveRelaxation:
             w = w / np.sqrt(worst)
             assert qform(p.objective, w) <= sol.primal_obj + 1e-7
 
+    def test_more_constraints_than_dimension(self, rng):
+        A = [rand_psd(rng, 3) + 0.1 * np.eye(3) for _ in range(5)]
+        p = SdpProblem(objective=rand_psd(rng, 3), constraints=A)
+        assert p.constraints.shape == (5, 3, 3)
+        sol = solve_relaxation(p)
+        rep = dual_certificate_residuals(p, sol)
+        assert rep.primal_feas <= 1e-8
+        assert rep.dual_feas >= -1e-8
+        assert rep.comp_slack <= 1e-6
+        # per-constraint loop as the reference for the stacked contraction
+        ref = np.array([1.0 - np.trace(Ak @ sol.X).real for Ak in A])
+        assert np.allclose(sol.slacks, ref, rtol=0, atol=1e-12)
+
     def test_non_psd_objective_warns(self):
         with pytest.warns(UserWarning):
             SdpProblem(objective=np.diag([1.0, -1.0]),
@@ -95,8 +108,9 @@ class TestSolveRelaxation:
 
 
 class TestCertificateResiduals:
-    def test_valid_solution_small_residuals(self, rng):
-        p = random_problem(rng, 4)
+    @pytest.mark.parametrize("n", [4, 24])
+    def test_valid_solution_small_residuals(self, rng, n):
+        p = random_problem(rng, n)
         sol = solve_relaxation(p)
         rep = dual_certificate_residuals(p, sol)
         assert rep.primal_feas <= 1e-8
