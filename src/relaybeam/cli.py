@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import warnings
 from dataclasses import dataclass, field
 
@@ -167,8 +168,10 @@ def run(s: Scenario, tol: float | None = None, samples: int | None = None,
     trace_file = None
     if trace_dir is not None and trace_obj is not None and len(trace_obj):
         os.makedirs(trace_dir, exist_ok=True)
-        trace_file = os.path.join(trace_dir, f"trace-{meta.get('solver', 'run')}.csv")
-        trace_obj.write_csv(trace_file)
+        fd, trace_file = tempfile.mkstemp(prefix=f"trace-{meta.get('solver', 'run')}-",
+                                          suffix=".csv", dir=trace_dir)
+        with os.fdopen(fd, "w") as fh:
+            fh.write(trace_obj.to_csv())
 
     return Report(scenario_mode=s.mode, solver=meta.get("solver", solver_name),
                   w=[[float(v.real), float(v.imag)] for v in bsol.w],
@@ -187,8 +190,8 @@ def _run_indiv(prob: IndivPowerProblem, solver: str, options: dict,
         sol = indiv_diag.solve_diagonal(prob)
         return sol, meta, None
     if solver == "grp":
+        n_samples = _option(options, "samples", int, 10 ** 6, flag=samples)
         q, sdp_sol, _ = indiv_qcqp.solve_via_sdp(prob, tol=tol)
-        n_samples = int(samples or options.get("samples", 10 ** 6))
         w = indiv_qcqp.grp_extract(sdp_sol.X, q, n_samples, seed)
         sol = indiv_qcqp.rescale_to_original(w, q, prob)
         meta.update(samples=n_samples, sdp_obj=sdp_sol.primal_obj,
@@ -212,11 +215,11 @@ def _run_indiv(prob: IndivPowerProblem, solver: str, options: dict,
         w0 = start if start is not None else np.asarray(
             options.get("w0", np.ones(prob.n)), dtype=complex)
         sol, trace = indiv_search.coordinate_descent(
-            prob, w0, eps=float(options.get("eps", 1e-3)))
+            prob, w0, eps=_option(options, "eps", float, 1e-3))
         meta["sweeps"] = int(trace.rows[-1][0]) + 1 if len(trace) else 0
         return sol, meta, trace
     if solver == "pnorm":
-        p_val = int(pexp or options.get("p", 0)) or indiv_search.choose_p(prob.n, 0.01)
+        p_val = _option(options, "p", int, 0, flag=pexp) or indiv_search.choose_p(prob.n, 0.01)
         emb = indiv_search.build_pnorm_embedding(prob, p_val)
         z0 = options.get("z0") if start is None else np.concatenate([start.real, start.imag])
         sol, trace, state = indiv_search.augmented_lagrangian_solve(emb, prob, z0=z0)
@@ -224,6 +227,15 @@ def _run_indiv(prob: IndivPowerProblem, solver: str, options: dict,
                     constraint_residual=state.constraint_residual)
         return sol, meta, trace
     raise InputError(f"unknown solver {solver!r}")
+
+
+def _option(options: dict, key: str, cast, default, flag=None):
+    """Solver option ``key`` as ``cast``; a command-line flag that is set wins."""
+    value = options.get(key, default) if flag is None else flag
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise InputError(f"field 'solver.options.{key}' must be a number, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,12 @@ import numpy as np
 
 from .channel import BeamformingSolution, snr
 from .errors import InputError, ScopeError
-from .linalg import principal_factor, qform, symmetrize
+from .linalg import _real_embed, principal_factor, qform, symmetrize
 from .problems import IndivPowerProblem
 from .sdp import SdpProblem, _traces, solve_relaxation
 
 GRP_BATCH = 65536   # fixed batch so the sample stream is a prefix-stable counter
+_GRP_CHUNK = 4096   # GRP samples per column chunk: its temporaries stay in L2
 
 
 @dataclass
@@ -144,41 +145,46 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
     Samples are generated in fixed-size batches keyed by (seed, batch
     index) through a counter-based generator, so results for a given seed
     are independent of batching/parallel order and growing ``samples``
-    only extends the stream (prefix property).
+    only extends the stream (prefix property).  The kernel is real and
+    column-major: with E(M) = [[Re M, -Im M], [Im M, Re M]] and L L^H = X,
+    the columns of WT = E(L/sqrt 2) [a; b]^T, shape (2n, cols), are the
+    samples [Re w; Im w], and w^H M w is the column sum of WT * E(M) WT.
+    Each batch runs in column chunks of _GRP_CHUNK samples so that the
+    temporaries stay in cache; the first maximum wins.
     """
     if samples < 1:
         raise InputError("samples must be >= 1")
-    X = symmetrize(X)
-    wv, U = np.linalg.eigh(X)
+    wv, U = np.linalg.eigh(symmetrize(X))
     wv = np.maximum(wv, 0.0)
     if wv.max() <= 0:
         raise InputError("X is numerically zero; nothing to sample")
-    L = U * np.sqrt(wv)
     n = q.n
-    best_val = -np.inf
-    best_w = None
-    done = 0
-    batch_idx = 0
+    La, Lb = np.hsplit(_real_embed(U * np.sqrt(wv / 2.0)), 2)
     # A_k = c_k J_k + Q: evaluate the shared Q form once per sample and add
     # the per-relay diagonal bump
     Qmat = q.A[0].copy()
     Qmat[0, 0] -= q.scale_coeffs[0]
-    while done < samples:
+    K = np.vstack([_real_embed(q.R), _real_embed(Qmat)])
+    c = q.scale_coeffs[:, None]
+    best_val, best_w = -np.inf, None
+    for batch_idx, done in enumerate(range(0, samples, GRP_BATCH)):
         take = min(GRP_BATCH, samples - done)
         rng = np.random.Generator(
             np.random.Philox(key=[np.uint64(seed), np.uint64(batch_idx)]))
-        xi = rng.standard_normal((GRP_BATCH, n)) + 1j * rng.standard_normal((GRP_BATCH, n))
-        W = (xi[:take] / np.sqrt(2.0)) @ L.T
-        quad_Q = ((W @ Qmat.T) * W.conj()).sum(axis=1).real
-        worst = (quad_Q[:, None] + np.abs(W) ** 2 * q.scale_coeffs[None, :]).max(axis=1)
-        robj = ((W @ q.R.T) * W.conj()).sum(axis=1).real
-        vals = robj / worst
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val = float(vals[i])
-            best_w = W[i] / np.sqrt(worst[i])
-        done += take
-        batch_idx += 1
+        a = rng.standard_normal((GRP_BATCH, n))   # in full: positions the stream for b
+        b = rng.standard_normal((take, n))        # = the first take rows of a full draw
+        for c0 in range(0, take, _GRP_CHUNK):
+            cols = slice(c0, min(c0 + _GRP_CHUNK, take))
+            WT = La @ a[cols].T + Lb @ b[cols].T
+            KW = (K @ WT).reshape(2, 2 * n, -1)
+            robj, quad_Q = (KW * WT).sum(axis=1)
+            P = WT * WT
+            worst = quad_Q + (c * (P[:n] + P[n:])).max(axis=0)
+            vals = robj / worst
+            i = int(np.argmax(vals))
+            if vals[i] > best_val:
+                best_val = float(vals[i])
+                best_w = (WT[:n, i] + 1j * WT[n:, i]) / np.sqrt(worst[i])
     return best_w
 
 

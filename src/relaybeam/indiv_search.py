@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import BeamformingSolution, snr
 from .errors import ConvergenceError, InputError, SingularityError
-from .linalg import psd_inv_sqrt, symmetrize
+from .linalg import _real_embed, psd_inv_sqrt, symmetrize
 from .problems import IndivPowerProblem
 from .trace import SolverTrace
 from . import indiv_qcqp
@@ -292,10 +292,6 @@ def build_pnorm_embedding(p: IndivPowerProblem, pexp: int) -> PnormEmbedding:
         raise SingularityError("R must be positive definite for the p-norm route")
     return PnormEmbedding(D1=d1, Q1=Q1, R1=R1, F=_real_embed(Q1),
                           K=_real_embed(R1), p=int(pexp))
-
-
-def _real_embed(M):
-    return np.block([[M.real, -M.imag], [M.imag, M.real]])
 
 
 def phi_p_value(e: PnormEmbedding, z) -> float:

@@ -54,6 +54,11 @@ def symmetrize(H) -> np.ndarray:
     return H
 
 
+def _real_embed(M):
+    """[[Re M, -Im M], [Im M, Re M]]: M acting on [Re z; Im z]."""
+    return np.block([[M.real, -M.imag], [M.imag, M.real]])
+
+
 def is_diagonal(M, rtol: float = 1e-12) -> bool:
     """True when M's off-diagonal mass is negligible against its trace."""
     off = M - np.diag(np.diag(M))

@@ -38,10 +38,6 @@ class SolverTrace:
             buf.write(",".join(_fmt(v) for v in row) + "\n")
         return buf.getvalue()
 
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
-
 
 def _fmt(v):
     if isinstance(v, float):

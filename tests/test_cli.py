@@ -278,6 +278,32 @@ class TestMain:
         csv = capsys.readouterr().out
         assert csv.splitlines()[0] == "sweep,slot,objective"
 
+    def test_two_traced_solves_keep_two_files(self, tmp_path, capsys):
+        path, _ = diagonal_scenario(tmp_path, solver="cdm")
+        out_dir = tmp_path / "out"
+        trace_files = []
+        for _ in range(2):
+            assert main(["solve", path, "--trace", "--out", str(out_dir)]) == 0
+            report_path = capsys.readouterr().out.strip()
+            trace_files.append(json.loads(Path(report_path).read_text())["trace_file"])
+        assert trace_files[0] != trace_files[1]
+        assert sorted(os.listdir(out_dir)) == sorted(
+            ["report.json"] + [os.path.basename(f) for f in trace_files])
+        for f in trace_files:
+            assert Path(f).read_text().splitlines()[0] == "sweep,slot,objective"
+
+    def test_samples_zero_exit_3(self, tmp_path, capsys):
+        path, _ = fixture_scenario(tmp_path, solver="grp")
+        assert main(["solve", path, "--samples", "0"]) == 3
+        assert "samples must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver,key", [("grp", "samples"), ("cdm", "eps"),
+                                            ("pnorm", "p")])
+    def test_non_numeric_option_exit_3(self, tmp_path, capsys, solver, key):
+        path, _ = fixture_scenario(tmp_path, solver=solver, options={key: "many"})
+        assert main(["solve", path]) == 3
+        assert f"'solver.options.{key}'" in capsys.readouterr().err
+
     def test_oracle_subcommand(self, tmp_path, capsys):
         path, _ = diagonal_scenario(tmp_path)
         assert main(["oracle", path]) == 0

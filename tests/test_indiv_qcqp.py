@@ -5,12 +5,35 @@ from relaybeam import fixtures
 from relaybeam.channel import ChannelStats
 from relaybeam.errors import InputError, ScopeError
 from relaybeam.indiv_diag import solve_diagonal
-from relaybeam.indiv_qcqp import (build_qcqp, grp_extract, qcqp_objective,
+from relaybeam.indiv_qcqp import (GRP_BATCH, build_qcqp, grp_extract, qcqp_objective,
                                   rank_one_decompose, rescale_to_original,
                                   solve_via_sdp)
-from relaybeam.linalg import qform
+from relaybeam.linalg import qform, symmetrize
 from relaybeam.problems import IndivPowerProblem
 from conftest import degenerate_qcqp_instance, rand_indiv_problem
+
+
+def grp_reference(X, q, samples, seed):
+    """GRP in complex (samples, n) arithmetic, the formula the real
+    column-major kernel replaced: the reference it must agree with."""
+    wv, U = np.linalg.eigh(symmetrize(X))
+    L = U * np.sqrt(np.maximum(wv, 0.0))
+    Qmat = q.A[0].copy()
+    Qmat[0, 0] -= q.scale_coeffs[0]
+    best_val, best_w = -np.inf, None
+    for batch_idx, done in enumerate(range(0, samples, GRP_BATCH)):
+        take = min(GRP_BATCH, samples - done)
+        rng = np.random.Generator(
+            np.random.Philox(key=[np.uint64(seed), np.uint64(batch_idx)]))
+        xi = rng.standard_normal((GRP_BATCH, q.n)) + 1j * rng.standard_normal((GRP_BATCH, q.n))
+        W = (xi[:take] / np.sqrt(2.0)) @ L.T
+        quad_Q = ((W @ Qmat.T) * W.conj()).sum(axis=1).real
+        worst = (quad_Q[:, None] + np.abs(W) ** 2 * q.scale_coeffs[None, :]).max(axis=1)
+        vals = ((W @ q.R.T) * W.conj()).sum(axis=1).real / worst
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            best_val, best_w = float(vals[i]), W[i] / np.sqrt(worst[i])
+    return best_w
 
 
 def fixture_problem(n):
@@ -211,3 +234,22 @@ class TestGrp:
         q = build_qcqp(p)
         with pytest.raises(InputError):
             grp_extract(np.zeros((3, 3)), q, samples=10, seed=0)
+
+    @pytest.mark.parametrize("rank", [None, 2, 1])      # None: full rank
+    @pytest.mark.parametrize("n", [3, 4, 6, 16])
+    def test_matches_complex_reference(self, n, rank):
+        # the sample counts cover a single sample, a partial first batch, the
+        # batch edge on both sides and a partial second batch (the b prefix)
+        rng = np.random.default_rng([n, rank or n])
+        if rank == 2 and n in fixtures.INDIV_EXPECT:
+            p = fixture_problem(n)
+            X = solve_via_sdp(p)[1].X              # the rank-two fixture relaxation
+        else:
+            p = rand_indiv_problem(rng, n)
+            V = rng.standard_normal((n, rank or n)) + 1j * rng.standard_normal((n, rank or n))
+            X = V @ V.conj().T
+        q = build_qcqp(p)
+        for samples in (1, 7, GRP_BATCH - 1, GRP_BATCH, GRP_BATCH + 1, 100000):
+            w = grp_extract(X, q, samples, seed=samples + n)
+            w_ref = grp_reference(X, q, samples, seed=samples + n)
+            assert np.abs(w - w_ref).max() <= 1e-12, samples
