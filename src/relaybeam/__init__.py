@@ -7,9 +7,8 @@ power caps, driven entirely by the channel covariance triple (D, R, Q).
 
 from .channel import (BeamformingSolution, ChannelStats, RicianParams,
                       build_stats, monte_carlo_stats, powers, snr)
-from .errors import (ConvergenceError, DegenerateSpectrumError, DispatchError,
-                     InputError, ModelError, RelayBeamError, ScopeError,
-                     SingularityError)
+from .errors import (ConvergenceError, DispatchError, InputError, ModelError,
+                     RelayBeamError, ScopeError, SingularityError)
 from .linalg import (EigenDecomposition, hermitian, hermitian_eig, is_psd,
                      psd_inv_sqrt)
 from .problems import IndivPowerProblem, TotalPowerProblem
@@ -20,9 +19,8 @@ from .trace import SolverTrace
 __all__ = [
     "BeamformingSolution", "ChannelStats", "RicianParams", "build_stats",
     "monte_carlo_stats", "powers", "snr",
-    "ConvergenceError", "DegenerateSpectrumError", "DispatchError",
-    "InputError", "ModelError", "RelayBeamError", "ScopeError",
-    "SingularityError",
+    "ConvergenceError", "DispatchError", "InputError", "ModelError",
+    "RelayBeamError", "ScopeError", "SingularityError",
     "EigenDecomposition", "hermitian", "hermitian_eig", "is_psd",
     "psd_inv_sqrt",
     "IndivPowerProblem", "TotalPowerProblem",

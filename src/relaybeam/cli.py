@@ -7,9 +7,11 @@ Subcommands:
   trace-export <report>     print the trace CSV referenced by a report
 
 Scenario files are JSON with complex numbers encoded as [re, im] pairs and
-matrices row-major.  Exit codes: 0 success, 2 solver non-convergence,
-3 input error, 4 any other library failure (a singular or degenerate
-matrix, an infeasible or unbounded model).
+matrices row-major.  ``solve --out DIR`` writes a new
+``report-<solver>-<random>.json`` per run, so reports never overwrite each
+other.  Exit codes: 0 success, 1 a ``reproduce`` row outside its tolerance,
+2 solver non-convergence, 3 input error, 4 any other library failure (a
+singular matrix, an infeasible or unbounded model, R = 0).
 """
 
 from __future__ import annotations
@@ -408,8 +410,9 @@ def _dispatch(args) -> int:
         body = rep.to_json()
         if args.out:
             os.makedirs(args.out, exist_ok=True)
-            path = os.path.join(args.out, "report.json")
-            with open(path, "w") as fh:
+            fd, path = tempfile.mkstemp(prefix=f"report-{rep.solver}-", suffix=".json",
+                                        dir=args.out)
+            with os.fdopen(fd, "w") as fh:
                 fh.write(body)
             print(path)
         else:
@@ -418,7 +421,7 @@ def _dispatch(args) -> int:
     if args.command == "reproduce":
         rows, _ = reproduce(args.case, out_dir=args.out, seed=args.seed)
         _print_rows(rows)
-        return 0
+        return 0 if all(ok for *_, ok in rows) else 1
     if args.command == "oracle":
         s = parse_scenario(args.scenario)
         stats = s.stats()

@@ -2,8 +2,7 @@
 
 The CLI maps ConvergenceError to exit code 2, InputError (with its
 subclasses DispatchError and ScopeError) to exit code 3, and every other
-RelayBeamError (SingularityError, DegenerateSpectrumError, ModelError) to
-exit code 4.
+RelayBeamError (SingularityError, ModelError) to exit code 4.
 """
 
 
@@ -34,14 +33,6 @@ class SingularityError(RelayBeamError):
         self.eigenvalue = eigenvalue
 
 
-class DegenerateSpectrumError(RelayBeamError):
-    """Eigenvalue derivative requested at a (nearly) repeated eigenvalue."""
-
-    def __init__(self, message, gap=None):
-        super().__init__(message)
-        self.gap = gap
-
-
 class ConvergenceError(RelayBeamError):
     """Iteration budget exhausted or a line search stalled.
 
@@ -56,4 +47,4 @@ class ConvergenceError(RelayBeamError):
 
 
 class ModelError(RelayBeamError):
-    """Problem detected as infeasible or unbounded."""
+    """Problem detected as infeasible, unbounded, or carrying no signal (R = 0)."""

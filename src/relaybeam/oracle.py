@@ -16,7 +16,7 @@ import numpy as np
 from .channel import snr
 from .errors import InputError, ScopeError
 from .problems import IndivPowerProblem, TotalPowerProblem
-from . import indiv_search, total_power
+from . import indiv_search
 
 EVAL_GUARD = 10 ** 8
 
@@ -87,15 +87,24 @@ def brute_force_total(p: TotalPowerProblem, points: int = 100):
     """Dense scan of the total-power objective over the bracket.
 
     Returns ``(x, objective)`` for the best of ``points`` uniform grid
-    values of the normalized source power.
+    values of the normalized source power.  Independent of ``total_power``:
+    the bracket comes from the extreme eigenvalues c, d of the pencil
+    (Q + rI, D + rI), r = sigma^2/P0, as x = sqrt(c)/(1+sqrt(c)), and at
+    each x the relays spend (1-x) P0, so the best weights give
+    (x P0/sigma^2) lambda_max(R, Q + (x D + r I)/(1-x)), evaluated through a
+    Cholesky factor of the second matrix.
     """
     if points < 10:
         raise InputError("points must be >= 10")
-    s = total_power.build_s_pair(p)
-    xl, xu = total_power.bracket_x(s)
-    xs = np.linspace(xl, xu, points)
-    vals = [total_power.objective_value(p, x, total_power.lambda_min_g(s, x)[0])
-            for x in xs]
+    stats = p.stats
+    r = stats.sigma2 / p.P0
+    dis = 1.0 / np.sqrt(stats.D + r)
+    ev = np.sqrt(np.linalg.eigvalsh(dis[:, None] * (stats.Q + r * np.eye(stats.n)) * dis))
+    xs = np.linspace(ev[0] / (1.0 + ev[0]), ev[-1] / (1.0 + ev[-1]), points)
+    bump = (xs[:, None] * stats.D + r) / (1.0 - xs)[:, None]
+    Li = np.linalg.inv(np.linalg.cholesky(stats.Q + bump[:, :, None] * np.eye(stats.n)))
+    lam = np.linalg.eigvalsh(Li @ stats.R @ np.conj(np.swapaxes(Li, 1, 2)))[:, -1]
+    vals = xs * p.P0 / stats.sigma2 * lam
     i = int(np.argmax(vals))
     return float(xs[i]), float(vals[i])
 

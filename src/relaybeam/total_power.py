@@ -1,14 +1,20 @@
 """SNR maximization under a joint source+relay power budget.
 
-The joint problem over (Ps, w) reduces to a scalar search: with
-S1 = R^{-1/2} D R^{-1/2} + (sigma^2/P0) R^{-1} and S2 the same with Q,
-the optimum normalized source power x = Ps/P0 minimizes
-lambda_min(G(x)) for G(x) = S1/(1-x) + S2/x over a bracket [x_l, x_u]
-derived from the extreme generalized eigenvalues of (S1, S2).  The search
-runs Newton's method on analytic first/second eigenvalue derivatives
-(Hadamard variation formulas); for diagonal S1, S2 the minimizer is in
-closed form.  The optimal weight direction is R^{-1/2} times the bottom
-eigenvector of G(x), rescaled so the power budget holds with equality.
+The joint problem over (Ps, w) reduces to a search over the normalized
+source power x = Ps/P0.  With r = sigma^2/P0 and
+B(x) = (D + rI)/(1-x) + (Q + rI)/x, the best SNR at x is (P0/sigma^2) mu(x)
+for mu(x) = lambda_max(R, B(x)), and the paper's lambda_min(G(x)) equals
+1/mu(x).  One change of basis, fixed for all x, makes B(x) diagonal: with
+d = D + r and d^{-1/2} (Q + rI) d^{-1/2} = V diag(lam) V^H, B(x) becomes
+diag(beta(x)) with beta = 1/(1-x) + lam/x, and mu(x) is the top eigenvalue
+of H(x) = beta^{-1/2} Rt beta^{-1/2} for the fixed Rt = V^H d^{-1/2} R d^{-1/2} V.
+Only the positive vector d is inverted, so rank-deficient R (line-of-sight
+links) needs no special case.  The bracket [x_l, x_u] follows from lam_1
+and lam_n.  Newton's method runs on analytic first and second derivatives
+(Hadamard variation formulas) from one eigendecomposition of H per
+iterate; for diagonal statistics the minimizer is in closed form.  The
+weight direction d^{-1/2} V beta^{-1/2} h, for H's top eigenvector h, is
+rescaled so the power budget holds with equality.
 """
 
 from __future__ import annotations
@@ -18,28 +24,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import BeamformingSolution, snr
-from .errors import ConvergenceError, DegenerateSpectrumError, DispatchError, SingularityError
-from .linalg import is_diagonal, psd_inv_sqrt, symmetrize
+from .errors import ConvergenceError, DispatchError, ModelError
 from .problems import TotalPowerProblem
 from .trace import SolverTrace
 
 TRACE_COLUMNS = ("k", "x", "lambda_min", "d1", "d2", "step")
+GAP_TOL = 1e-8   # relative spectral gap below which Newton's derivatives are not trusted
 
 
 @dataclass
 class SPair:
-    """The two positive definite matrices S1, S2 of the scalar reduction."""
+    """The problem in the basis that makes B(x) diagonal for every x."""
 
-    S1: np.ndarray
-    S2: np.ndarray
-    R_inv_sqrt: np.ndarray   # kept to map eigenvectors back to weight space
-
-    @property
-    def n(self) -> int:
-        return self.S1.shape[0]
-
-    def is_diagonal(self, rtol: float = 1e-12) -> bool:
-        return is_diagonal(self.S1, rtol) and is_diagonal(self.S2, rtol)
+    lam: np.ndarray     # ascending eigenvalues of d^{-1/2} (Q + rI) d^{-1/2}
+    Rt: np.ndarray      # V^H d^{-1/2} R d^{-1/2} V
+    basis: np.ndarray   # d^{-1/2} V, maps H's eigenvectors back to weight space
 
 
 @dataclass
@@ -48,100 +47,94 @@ class TotalPowerSolution:
     Ps: float
     w: np.ndarray             # scaled so the budget is saturated
     snr: float
-    lambda_min: float         # lambda_min(G(x)) at the returned x
+    lambda_min: float         # lambda_min(G(x)) = 1/mu(x) at the returned x
     iterations: int
     trace: SolverTrace
 
 
 def build_s_pair(p: TotalPowerProblem) -> SPair:
-    """S1 = R^{-1/2} D R^{-1/2} + (sigma^2/P0) R^{-1}, S2 likewise with Q."""
+    """One eigendecomposition of d^{-1/2} (Q + rI) d^{-1/2}, d = D + r."""
     stats = p.stats
-    try:
-        Ris = psd_inv_sqrt(stats.R, eps=1e-10)
-    except SingularityError as exc:
-        raise SingularityError(
-            "R is singular; the S1/S2 reduction requires R > 0 "
-            "(the lambda_max reformulation for singular R is out of scope): "
-            f"{exc}", eigenvalue=exc.eigenvalue) from exc
-    Rinv = Ris @ Ris
-    ratio = stats.sigma2 / p.P0
-    S1 = symmetrize(Ris @ np.diag(stats.D) @ Ris + ratio * Rinv)
-    S2 = symmetrize(Ris @ stats.Q @ Ris + ratio * Rinv)
-    return SPair(S1=S1, S2=S2, R_inv_sqrt=Ris)
+    r = stats.sigma2 / p.P0
+    dis = 1.0 / np.sqrt(stats.D + r)
+    lam, V = np.linalg.eigh(dis[:, None] * (stats.Q + r * np.eye(stats.n)) * dis)
+    T = dis[:, None] * V
+    Rt = T.conj().T @ stats.R @ T
+    if not np.trace(Rt).real > 0:
+        raise ModelError("R = 0: no signal reaches the destination, the SNR is 0 for every w")
+    return SPair(lam=lam, Rt=Rt, basis=T)
 
 
 def bracket_x(s: SPair) -> tuple[float, float]:
     """Bracket [x_l, x_u] containing every optimal x.
 
     x_l = sqrt(c)/(1+sqrt(c)) and x_u = sqrt(d)/(1+sqrt(d)) where c, d are
-    the extreme eigenvalues of S1^{-1/2} S2 S1^{-1/2}.
+    the extreme generalized eigenvalues of (Q + rI, D + rI), lam_1 and lam_n.
     """
-    S1is = psd_inv_sqrt(s.S1, eps=1e-14)
-    w = np.linalg.eigvalsh(symmetrize(S1is @ s.S2 @ S1is))
-    c, d = float(w[0]), float(w[-1])
-    xl = np.sqrt(c) / (1.0 + np.sqrt(c))
-    xu = np.sqrt(d) / (1.0 + np.sqrt(d))
-    return float(xl), float(xu)
-
-
-def g_matrix(s: SPair, x: float) -> np.ndarray:
-    return s.S1 / (1.0 - x) + s.S2 / x
+    c, d = np.sqrt(s.lam[[0, -1]])
+    return float(c / (1.0 + c)), float(d / (1.0 + d))
 
 
 def lambda_min_g(s: SPair, x: float):
-    """lambda_min of G(x), its unit eigenvector, and the gap to the next
-    eigenvalue (0 signals degeneracy)."""
+    """lambda_min(G(x)) = 1/mu(x), its first and second derivatives in x,
+    the weight direction, and the relative gap (mu_1 - mu_2)/mu_1 below H's
+    top eigenvalue (0 at a repeated eigenvalue, where the derivatives do
+    not exist).
+
+    With D1 = diag(-beta'/2beta) and D2 = diag(3beta'^2/4beta^2 - beta''/2beta),
+    H' = D1 H + H D1 and H'' = D2 H + 2 D1 H D1 + H D2, so in H's eigenbasis
+    with c = U^H D1 h: mu' = 2 mu h^H D1 h and
+    mu'' = 2 mu h^H D2 h + 2 sum_j mu_j |c_j|^2
+           + 2 sum_{j>1} (mu + mu_j)^2 |c_j|^2 / (mu - mu_j).
+    """
     if not 0.0 < x < 1.0:
         raise ValueError(f"x must lie in (0,1), got {x}")
-    w, U = np.linalg.eigh(g_matrix(s, x))
-    gap = float(w[1] - w[0]) if w.size > 1 else np.inf
-    return float(w[0]), U[:, 0], gap
+    beta = 1.0 / (1.0 - x) + s.lam / x
+    db = 1.0 / (1.0 - x) ** 2 - s.lam / x ** 2
+    ddb = 2.0 / (1.0 - x) ** 3 + 2.0 * s.lam / x ** 3
+    bis = 1.0 / np.sqrt(beta)
+    mus, U = np.linalg.eigh(bis[:, None] * s.Rt * bis)
+    mu, h, rest = mus[-1], U[:, -1], mus[:-1]
+    D1 = -db / (2.0 * beta)
+    D2 = 0.75 * (db / beta) ** 2 - ddb / (2.0 * beta)
+    hh = np.abs(h) ** 2
+    cc = np.abs(U.conj().T @ (D1 * h)) ** 2
+    dmu = 2.0 * mu * (D1 @ hh)
+    # at a zero gap d2 is meaningless, and Newton reads the gap before d2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ddmu = 2.0 * (mu * (D2 @ hh) + mus @ cc
+                      + ((mu + rest) ** 2 * cc[:-1] / (mu - rest)).sum())
+    d1 = -dmu / mu ** 2
+    d2 = -ddmu / mu ** 2 + 2.0 * dmu ** 2 / mu ** 3
+    gap = float((mu - rest[-1]) / mu) if rest.size else np.inf
+    return float(1.0 / mu), float(d1), float(d2), s.basis @ (bis * h), gap
 
 
-def eig_derivatives(s: SPair, x: float, gap_tol_factor: float = 1e-8):
-    """Analytic d/dx and d^2/dx^2 of lambda_min(G(x)).
+def solve_diagonal(p: TotalPowerProblem) -> TotalPowerSolution:
+    """Closed form when R, Q are diagonal (uncorrelated Rayleigh fading).
 
-    First derivative u0^H G' u0; second derivative u0^H G'' u0 minus the
-    perturbation sum over the remaining eigenpairs.  Requires a simple
-    bottom eigenvalue: gap below gap_tol_factor*||G|| raises.
-    """
-    G = g_matrix(s, x)
-    w, U = np.linalg.eigh(G)
-    gap_tol = gap_tol_factor * np.linalg.norm(G)
-    if w.size > 1 and (w[1] - w[0]) <= gap_tol:
-        raise DegenerateSpectrumError(
-            f"lambda_min(G({x:.6f})) is degenerate: gap {w[1]-w[0]:.3e}",
-            gap=float(w[1] - w[0]))
-    Gp = s.S1 / (1.0 - x) ** 2 - s.S2 / x ** 2
-    Gpp = 2.0 * s.S1 / (1.0 - x) ** 3 + 2.0 * s.S2 / x ** 3
-    u0 = U[:, 0]
-    d1 = float(np.real(u0.conj() @ Gp @ u0))
-    d2 = float(np.real(u0.conj() @ Gpp @ u0))
-    cross = U[:, 1:].conj().T @ Gp @ u0
-    d2 -= float((2.0 * np.abs(cross) ** 2 / (w[1:] - w[0])).sum())
-    return d1, d2
-
-
-def solve_diagonal(p: TotalPowerProblem, s: SPair | None = None) -> TotalPowerSolution:
-    """Closed form when S1, S2 are diagonal (uncorrelated Rayleigh fading).
-
+    With a_k = (D_k + r)/R_kk and b_k = (Q_kk + r)/R_kk,
     min_x min_k (a_k/(1-x) + b_k/x) = (sqrt(a_k0)+sqrt(b_k0))^2 attained at
     x = sqrt(b_k0)/(sqrt(a_k0)+sqrt(b_k0)), k0 minimizing (sqrt a + sqrt b)^2.
+    It is computed as the maximum of R_kk/(sqrt(D_k+r)+sqrt(Q_kk+r))^2, so a
+    relay with R_kk = 0 is never chosen.
     """
-    if s is None:
-        s = build_s_pair(p)
-    if not s.is_diagonal():
-        raise DispatchError("S1/S2 are not diagonal; use newton_solve or solve")
-    a = np.diag(s.S1).real
-    b = np.diag(s.S2).real
-    score = (np.sqrt(a) + np.sqrt(b)) ** 2
-    k0 = int(np.argmin(score))
-    x = float(np.sqrt(b[k0]) / (np.sqrt(a[k0]) + np.sqrt(b[k0])))
-    lam = float(score[k0])
+    stats = p.stats
+    if not stats.is_diagonal():
+        raise DispatchError("R, Q are not diagonal; use newton_solve or solve")
+    r = stats.sigma2 / p.P0
+    sa = np.sqrt(stats.D + r)
+    sb = np.sqrt(np.diag(stats.Q).real + r)
+    mu = np.diag(stats.R).real / (sa + sb) ** 2
+    k0 = int(np.argmax(mu))
+    if not mu[k0] > 0:
+        raise ModelError("R = 0: no signal reaches the destination, the SNR is 0 for every w")
+    x = float(sb[k0] / (sa[k0] + sb[k0]))
+    lam = float(1.0 / mu[k0])
     trace = SolverTrace(columns=TRACE_COLUMNS)
     trace.append(0, x, lam, 0.0, 0.0, 0.0)
     trace.note(f"closed form, k0={k0}")
-    return _package(p, s, x, lam, np.eye(s.n)[:, k0] + 0j, 0, trace)
+    return _package(p, x, lam, np.eye(stats.n)[:, k0] + 0j, 0, trace)
 
 
 def newton_solve(p: TotalPowerProblem, x0: float, max_iter: int = 100,
@@ -151,9 +144,10 @@ def newton_solve(p: TotalPowerProblem, x0: float, max_iter: int = 100,
 
     The step is -d1/d2 with the step size halved until the iterate stays
     inside [x_l, x_u]; stops when both |dx/x| < rel_step_tol and
-    |d1| < deriv_tol.  A degenerate spectrum anywhere on the path (or
-    nonconvex local curvature d2 <= 0) abandons Newton for a golden-section
-    scan of the bracket, documented in the trace.
+    |d1| < deriv_tol.  A degenerate spectrum anywhere on the path (relative
+    gap at most GAP_TOL) or nonconvex local curvature (d2 <= 0) abandons
+    Newton for a golden-section scan of the bracket, documented in the trace.
+    Each iterate takes one eigendecomposition.
     """
     if s is None:
         s = build_s_pair(p)
@@ -162,13 +156,12 @@ def newton_solve(p: TotalPowerProblem, x0: float, max_iter: int = 100,
         raise ValueError(f"x0={x0} outside bracket [{xl:.6f}, {xu:.6f}]")
     trace = SolverTrace(columns=TRACE_COLUMNS)
     x = float(x0)
+    lam, d1, d2, w_dir, gap = lambda_min_g(s, x)
     for k in range(max_iter):
-        try:
-            d1, d2 = eig_derivatives(s, x)
-        except DegenerateSpectrumError as exc:
-            trace.note(f"degenerate spectrum at x={x:.6f} ({exc}); golden-section fallback")
+        if gap <= GAP_TOL:
+            trace.note(f"degenerate spectrum at x={x:.6f} (relative gap {gap:.3e}); "
+                       "golden-section fallback")
             return _golden_fallback(p, s, xl, xu, trace)
-        lam, _, _ = lambda_min_g(s, x)
         if d2 <= 0:
             trace.note(f"nonconvex curvature d2={d2:.3e} at x={x:.6f}; golden-section fallback")
             return _golden_fallback(p, s, xl, xu, trace)
@@ -182,27 +175,21 @@ def newton_solve(p: TotalPowerProblem, x0: float, max_iter: int = 100,
         trace.append(k, x, lam, d1, d2, alpha * step)
         converged = abs((x_new - x) / x) < rel_step_tol
         x = x_new
-        if converged:
-            try:
-                d1_new, _ = eig_derivatives(s, x)
-            except DegenerateSpectrumError:
-                d1_new = np.inf
-            if abs(d1_new) < deriv_tol:
-                lam, u0, _ = lambda_min_g(s, x)
-                return _package(p, s, x, lam, u0, k + 1, trace)
-    lam, u0, _ = lambda_min_g(s, x)
+        lam, d1, d2, w_dir, gap = lambda_min_g(s, x)
+        if converged and gap > GAP_TOL and abs(d1) < deriv_tol:
+            return _package(p, x, lam, w_dir, k + 1, trace)
     raise ConvergenceError(
         f"Newton did not meet the stopping test in {max_iter} iterations",
-        best=_package(p, s, x, lam, u0, max_iter, trace), trace=trace)
+        best=_package(p, x, lam, w_dir, max_iter, trace), trace=trace)
 
 
 def solve(p: TotalPowerProblem) -> TotalPowerSolution:
     """Dispatch: diagonal instances in closed form, otherwise Newton from
     both bracket endpoints, keeping the run with the larger SNR objective
     (ties toward smaller x)."""
+    if p.stats.is_diagonal():
+        return solve_diagonal(p)
     s = build_s_pair(p)
-    if s.is_diagonal():
-        return solve_diagonal(p, s)
     xl, xu = bracket_x(s)
     runs = [newton_solve(p, x0, s=s) for x0 in (xl, xu)]
     runs.sort(key=lambda r: (-r.snr, r.x))
@@ -210,11 +197,8 @@ def solve(p: TotalPowerProblem) -> TotalPowerSolution:
 
 
 def objective_value(p: TotalPowerProblem, x: float, lam: float) -> float:
-    """SNR achieved at normalized source power x with lambda_min(G(x)) = lam.
-
-    Equals (P0/sigma^2) * x(1-x) / lambda_min(x S1 + (1-x) S2); the
-    x(1-x) factors cancel against the convex-combination scaling of G.
-    """
+    """SNR achieved at normalized source power x with lambda_min(G(x)) = lam,
+    that is (P0/sigma^2) mu(x)."""
     return (p.P0 / p.stats.sigma2) / lam
 
 
@@ -242,15 +226,14 @@ def _golden_fallback(p, s, xl, xu, trace, grid_points: int = 100):
             d = a + phi * (b - a)
             fd = lambda_min_g(s, d)[0]
     x = 0.5 * (a + b)
-    lam, u0, _ = lambda_min_g(s, x)
+    lam, _, _, w_dir, _ = lambda_min_g(s, x)
     trace.append(iters, x, lam, np.nan, np.nan, 0.0)
-    return _package(p, s, x, lam, u0, iters, trace)
+    return _package(p, x, lam, w_dir, iters, trace)
 
 
-def _package(p, s, x, lam, u0, iterations, trace) -> TotalPowerSolution:
+def _package(p, x, lam, w_dir, iterations, trace) -> TotalPowerSolution:
     stats = p.stats
     Ps = x * p.P0
-    w_dir = s.R_inv_sqrt @ u0
     # saturate the budget: Ps + Ps w^H D w + sigma^2 w^H w = P0
     relay_power = Ps * float(stats.D @ np.abs(w_dir) ** 2) \
         + stats.sigma2 * float(np.vdot(w_dir, w_dir).real)

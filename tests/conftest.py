@@ -37,6 +37,26 @@ def rand_total_problem(rng, n, diagonal=False):
     return TotalPowerProblem(stats=stats, P0=float(rng.uniform(2.0, 20.0)))
 
 
+def scan_snr(stats, P0, points=1001, zooms=2):
+    """Independent dense scan of the best total-power SNR over x = Ps/P0.
+
+    For fixed x the relays spend (1-x) P0 and the best weights give
+    (x P0/sigma^2) lambda_max(R, Q + (x P0 D + sigma^2 I)/((1-x) P0)); the
+    grid is refined ``zooms`` times around its best point.
+    """
+    xs = np.linspace(0.0, 1.0, points + 2)[1:-1]
+    best = -np.inf
+    for _ in range(zooms + 1):
+        bump = (xs[:, None] * P0 * stats.D + stats.sigma2) / ((1.0 - xs)[:, None] * P0)
+        Li = np.linalg.inv(np.linalg.cholesky(stats.Q + bump[:, :, None] * np.eye(stats.n)))
+        lam = np.linalg.eigvalsh(Li @ stats.R @ np.conj(np.swapaxes(Li, 1, 2)))[:, -1]
+        vals = xs * P0 / stats.sigma2 * lam
+        i = int(np.argmax(vals))
+        best = max(best, float(vals[i]))
+        xs = np.linspace(xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)], points)
+    return best
+
+
 def degenerate_qcqp_instance(rng, n):
     """An individual-power instance whose SDP relaxation has a non-unique
     optimal face: R is a positive combination of the constraint matrices,

@@ -14,6 +14,7 @@ from relaybeam.errors import InputError
 from relaybeam.indiv_diag import solve_diagonal
 from relaybeam.oracle import brute_force_indiv
 from relaybeam.problems import IndivPowerProblem
+from conftest import scan_snr
 
 
 def cpair(z):
@@ -231,9 +232,9 @@ class TestMain:
         path = write_scenario(tmp_path / "stall.json", payload)
         assert main(["solve", str(path)]) == 2
 
-    def test_pure_line_of_sight_exit_4(self, tmp_path, capsys):
-        # every variance 0 makes R rank one: a SingularityError inside the
-        # total-power reduction, not an input error
+    def test_pure_line_of_sight_solves(self, tmp_path, capsys):
+        # every variance 0 makes R rank one, which the total-power
+        # reduction handles like any other R
         payload = {"mode": "total", "sigma2": 1.0,
                    "channel": {"rician": {"f_mean": [[0.7, 0.2], [-0.4, 0.9], [1.1, -0.3]],
                                           "f_var": [0.0] * 3,
@@ -241,8 +242,21 @@ class TestMain:
                                           "g_var": [0.0] * 3}},
                    "budget": {"P0": 10.0}}
         path = write_scenario(tmp_path / "los.json", payload)
+        assert main(["solve", path]) == 0
+        rep = strict_json(capsys.readouterr().out)
+        stats = parse_scenario(path).stats()
+        assert np.linalg.matrix_rank(stats.R, tol=1e-10) == 1
+        assert rep["snr"] >= (1.0 - 1e-6) * scan_snr(stats, 10.0)
+
+    def test_zero_r_total_exit_4(self, tmp_path, capsys):
+        # no signal path is a model failure, not an input error
+        payload = {"mode": "total", "sigma2": 1.0,
+                   "channel": {"stats": {"D": [1.0] * 3, "R": cmat(np.zeros((3, 3))),
+                                         "Q": cmat(np.ones((3, 3)))}},
+                   "budget": {"P0": 10.0}}
+        path = write_scenario(tmp_path / "dark.json", payload)
         assert main(["solve", path]) == 4
-        assert "singular" in capsys.readouterr().err
+        assert "R = 0" in capsys.readouterr().err
 
     def test_zero_snr_report_is_strict_json(self, tmp_path, capsys):
         payload = {"mode": "individual", "sigma2": 1.0,
@@ -281,14 +295,17 @@ class TestMain:
     def test_two_traced_solves_keep_two_files(self, tmp_path, capsys):
         path, _ = diagonal_scenario(tmp_path, solver="cdm")
         out_dir = tmp_path / "out"
-        trace_files = []
+        trace_files, report_paths = [], []
         for _ in range(2):
             assert main(["solve", path, "--trace", "--out", str(out_dir)]) == 0
             report_path = capsys.readouterr().out.strip()
+            report_paths.append(report_path)
             trace_files.append(json.loads(Path(report_path).read_text())["trace_file"])
         assert trace_files[0] != trace_files[1]
+        assert len(set(report_paths)) == 2
         assert sorted(os.listdir(out_dir)) == sorted(
-            ["report.json"] + [os.path.basename(f) for f in trace_files])
+            os.path.basename(f) for f in report_paths + trace_files)
+        assert all(os.path.basename(f).startswith("report-cdm-") for f in report_paths)
         for f in trace_files:
             assert Path(f).read_text().splitlines()[0] == "sweep,slot,objective"
 
@@ -328,6 +345,13 @@ class TestReproduce:
     def test_unknown_case_rejected(self):
         with pytest.raises(InputError):
             reproduce("total-9")
+
+    def test_exit_1_when_a_row_fails(self, monkeypatch, capsys):
+        assert main(["reproduce", "total-1"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        monkeypatch.setitem(fixtures.TOTAL_EXPECT[1], "bracket", (0.5, 0.5))
+        assert main(["reproduce", "total-1"]) == 1
+        assert "FAIL" in capsys.readouterr().out
 
 
 def test_cli_import_leaves_scipy_out():

@@ -5,14 +5,14 @@ from hypothesis import strategies as st
 
 from relaybeam import fixtures
 from relaybeam.channel import ChannelStats, RicianParams, build_stats, snr
-from relaybeam.errors import DegenerateSpectrumError, DispatchError
+from relaybeam.errors import DispatchError, ModelError
 from relaybeam.problems import TotalPowerProblem
 from relaybeam.linalg import is_psd
 from relaybeam.oracle import finite_diff, finite_diff_second
-from relaybeam.total_power import (SPair, bracket_x, build_s_pair,
-                                   eig_derivatives, lambda_min_g, newton_solve,
+from relaybeam.total_power import (GAP_TOL, bracket_x, build_s_pair,
+                                   lambda_min_g, newton_solve,
                                    objective_value, solve, solve_diagonal)
-from conftest import rand_total_problem
+from conftest import rand_pd, rand_total_problem, scan_snr
 
 
 def fixture_problem(case):
@@ -21,51 +21,52 @@ def fixture_problem(case):
     return TotalPowerProblem(stats=stats, P0=fixtures.TOTAL_ASSUMED_P0)
 
 
-def scan_snr(stats, P0, points=1001, zooms=2):
-    """Independent dense scan of the best SNR over x = Ps/P0.
+def diagonal_stats(D, Rd, Qd, sigma2=1.0):
+    return ChannelStats(D=np.asarray(D, dtype=float), R=np.diag(Rd).astype(complex),
+                        Q=np.diag(Qd).astype(complex), sigma2=sigma2)
 
-    For fixed x the relays spend (1-x) P0 and the best weights give
-    (x P0/sigma^2) lambda_max(R, Q + (x P0 D + sigma^2 I)/((1-x) P0)); the
-    grid is refined ``zooms`` times around its best point.
-    """
-    xs = np.linspace(0.0, 1.0, points + 2)[1:-1]
-    best = -np.inf
-    for _ in range(zooms + 1):
-        bump = (xs[:, None] * P0 * stats.D + stats.sigma2) / ((1.0 - xs)[:, None] * P0)
-        Li = np.linalg.inv(np.linalg.cholesky(stats.Q + bump[:, :, None] * np.eye(stats.n)))
-        lam = np.linalg.eigvalsh(Li @ stats.R @ np.conj(np.swapaxes(Li, 1, 2)))[:, -1]
-        vals = xs * P0 / stats.sigma2 * lam
-        i = int(np.argmax(vals))
-        best = max(best, float(vals[i]))
-        xs = np.linspace(xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)], points)
-    return best
+
+def identity_problem():
+    """D = 0, R = I, Q = 0, sigma^2 = P0 = 1: B(x) = I/(1-x) + I/x, every
+    eigenvalue repeated."""
+    return TotalPowerProblem(stats=diagonal_stats(np.zeros(3), np.ones(3), np.zeros(3)),
+                             P0=1.0)
 
 
 def los_problem(n, var, P0, seed):
-    """Rician links with line-of-sight gains of modulus 0.5..2 and random
-    phase, plus scattering of variance ``var`` on every link; sigma^2 = 1.
-
-    Moduli bounded away from 0 keep lambda_min(R) >= var/2, above the
-    R > 0 cut of build_s_pair; a relay whose mean gains are both weak makes
-    R numerically singular, which build_s_pair rejects with SingularityError.
+    """Rician links with CN(0, 1) line-of-sight gains plus scattering of
+    variance ``var`` on every link; sigma^2 = 1.  At var = 0, R has rank
+    one; a relay whose mean gains are both weak leaves R nearly singular.
     """
     rng = np.random.default_rng(seed)
 
     def los():
-        return rng.uniform(0.5, 2.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
 
     params = RicianParams(f_mean=los(), f_var=np.full(n, var),
                           g_mean=los(), g_var=np.full(n, var))
     return TotalPowerProblem(stats=build_stats(params, 1.0), P0=P0)
 
 
+def assert_whitens(p, s):
+    """basis^H (D + rI) basis = I, basis^H (Q + rI) basis = diag(lam) and
+    basis^H R basis = Rt, so B(x) is diag(1/(1-x) + lam/x) in that basis."""
+    st = p.stats
+    r = st.sigma2 / p.P0
+    T = s.basis
+    assert np.allclose(T.conj().T @ np.diag(st.D + r) @ T, np.eye(st.n), atol=1e-10)
+    assert np.allclose(T.conj().T @ (st.Q + r * np.eye(st.n)) @ T, np.diag(s.lam),
+                       atol=1e-10 * s.lam[-1])
+    assert np.allclose(T.conj().T @ st.R @ T, s.Rt, atol=1e-12)
+
+
 class TestBuildSPair:
     def test_zero_d_zero_q(self):
-        stats = ChannelStats(D=np.zeros(3), R=np.eye(3), Q=np.zeros((3, 3)),
-                             sigma2=1.0)
-        s = build_s_pair(TotalPowerProblem(stats=stats, P0=1.0))
-        assert np.allclose(s.S1, np.eye(3))
-        assert np.allclose(s.S2, np.eye(3))
+        p = identity_problem()
+        s = build_s_pair(p)
+        assert np.allclose(s.lam, 1.0)
+        assert np.allclose(s.Rt, np.eye(3))
+        assert_whitens(p, s)
 
     def test_diagonal_algebra(self, rng):
         n = 4
@@ -73,25 +74,36 @@ class TestBuildSPair:
         Qd = rng.uniform(0.5, 2.0, n)
         D = rng.uniform(0.1, 2.0, n)
         sigma2, P0 = 1.3, 7.0
-        stats = ChannelStats(D=D, R=np.diag(Rd).astype(complex),
-                             Q=np.diag(Qd).astype(complex), sigma2=sigma2)
-        s = build_s_pair(TotalPowerProblem(stats=stats, P0=P0))
-        assert np.allclose(np.diag(s.S1).real, (D + sigma2 / P0) / Rd)
-        assert np.allclose(np.diag(s.S2).real, (Qd + sigma2 / P0) / Rd)
+        p = TotalPowerProblem(stats=diagonal_stats(D, Rd, Qd, sigma2), P0=P0)
+        s = build_s_pair(p)
+        r = sigma2 / P0
+        assert np.allclose(s.lam, np.sort((Qd + r) / (D + r)))
+        assert np.allclose(np.sort(np.diag(s.Rt).real), np.sort(Rd / (D + r)))
+        assert_whitens(p, s)
 
     def test_fixture_positive_definite(self):
         for case in (1, 2):
-            s = build_s_pair(fixture_problem(case))
-            assert is_psd(s.S1 - 1e-12 * np.eye(6))
-            assert is_psd(s.S2 - 1e-12 * np.eye(6))
+            p = fixture_problem(case)
+            s = build_s_pair(p)
+            assert s.lam[0] > 1e-12
+            assert is_psd(s.Rt)
+            assert_whitens(p, s)
+
+    def test_zero_r_is_a_model_error(self, rng):
+        # no signal path: the SNR is 0 for every weight vector
+        n = 3
+        for Q in (rand_pd(rng, n), np.eye(n)):
+            stats = ChannelStats(D=np.ones(n), R=np.zeros((n, n)), Q=Q, sigma2=1.0)
+            with pytest.raises(ModelError):
+                solve(TotalPowerProblem(stats=stats, P0=10.0))
 
 
 class TestBracket:
     def test_equal_matrices(self, rng):
-        from conftest import rand_pd
-        S = rand_pd(rng, 3)
-        s = SPair(S1=S, S2=S.copy(), R_inv_sqrt=np.eye(3))
-        xl, xu = bracket_x(s)
+        # Q = diag(D) makes the pencil (Q + rI, D + rI) the identity
+        D = rng.uniform(0.1, 2.0, 3)
+        stats = ChannelStats(D=D, R=rand_pd(rng, 3), Q=np.diag(D).astype(complex))
+        xl, xu = bracket_x(build_s_pair(TotalPowerProblem(stats=stats, P0=5.0)))
         assert xl == pytest.approx(0.5, abs=1e-12)
         assert xu == pytest.approx(0.5, abs=1e-12)
 
@@ -121,30 +133,42 @@ class TestBracket:
 
 class TestLambdaMin:
     def test_degenerate_identity_pair(self):
-        s = SPair(S1=np.eye(2), S2=np.eye(2), R_inv_sqrt=np.eye(2))
-        val, u0, gap = lambda_min_g(s, 0.5)
+        val, _, _, _, gap = lambda_min_g(build_s_pair(identity_problem()), 0.5)
         assert val == pytest.approx(4.0)
-        assert gap == pytest.approx(0.0)
+        assert gap == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal_value(self, rng):
-        a = rng.uniform(0.5, 2.0, 3)
-        b = rng.uniform(0.5, 2.0, 3)
-        s = SPair(S1=np.diag(a).astype(complex), S2=np.diag(b).astype(complex),
-                  R_inv_sqrt=np.eye(3))
+        Rd, Qd, D = (rng.uniform(0.5, 2.0, 3) for _ in range(3))
+        sigma2, P0 = 0.8, 3.0
+        s = build_s_pair(TotalPowerProblem(stats=diagonal_stats(D, Rd, Qd, sigma2), P0=P0))
+        r = sigma2 / P0
+        a, b = (D + r) / Rd, (Qd + r) / Rd
         x = 0.37
-        val, _, _ = lambda_min_g(s, x)
-        assert val == pytest.approx((a / (1 - x) + b / x).min())
+        assert lambda_min_g(s, x)[0] == pytest.approx((a / (1 - x) + b / x).min())
+
+    def test_direction_attains_lambda_max(self, rng):
+        # w^H R w / w^H B(x) w = mu(x) = 1/lambda_min(G(x)) for the returned w
+        for _ in range(5):
+            p = rand_total_problem(rng, 5)
+            st, r = p.stats, p.stats.sigma2 / p.P0
+            x = float(rng.uniform(0.1, 0.9))
+            val, _, _, w, _ = lambda_min_g(build_s_pair(p), x)
+            B = np.diag(st.D + r) / (1 - x) + (st.Q + r * np.eye(st.n)) / x
+            ratio = np.vdot(w, st.R @ w).real / np.vdot(w, B @ w).real
+            assert ratio == pytest.approx(1.0 / val, rel=1e-10)
 
 
 class TestEigDerivatives:
     def test_scalar_case(self):
-        a, b = 1.4, 0.6
-        s = SPair(S1=np.array([[a]], dtype=complex),
-                  S2=np.array([[b]], dtype=complex), R_inv_sqrt=np.eye(1))
+        # n = 1: lambda_min(G(x)) = a/(1-x) + b/x, a = (D + r)/R, b = (Q + r)/R
+        stats = diagonal_stats([0.5], [0.75], [0.05], sigma2=2.0)
+        p = TotalPowerProblem(stats=stats, P0=4.0)
+        a, b = (0.5 + 0.5) / 0.75, (0.05 + 0.5) / 0.75
         x = 0.3
-        d1, d2 = eig_derivatives(s, x)
+        _, d1, d2, _, gap = lambda_min_g(build_s_pair(p), x)
         assert d1 == pytest.approx(a / (1 - x) ** 2 - b / x ** 2, rel=1e-12)
         assert d2 == pytest.approx(2 * a / (1 - x) ** 3 + 2 * b / x ** 3, rel=1e-12)
+        assert gap == np.inf
 
     def test_matches_finite_differences(self, rng):
         hits = 0
@@ -153,9 +177,8 @@ class TestEigDerivatives:
             s = build_s_pair(p)
             xl, xu = bracket_x(s)
             x = float(rng.uniform(xl, xu))
-            try:
-                d1, d2 = eig_derivatives(s, x)
-            except DegenerateSpectrumError:
+            _, d1, d2, _, gap = lambda_min_g(s, x)
+            if gap <= GAP_TOL:
                 continue
             f = lambda xv: lambda_min_g(s, float(xv))[0]
             fd1 = finite_diff(f, x, h=1e-5)
@@ -165,18 +188,58 @@ class TestEigDerivatives:
             hits += 1
         assert hits >= 50
 
-    def test_degenerate_raises(self):
-        s = SPair(S1=np.eye(2), S2=np.eye(2), R_inv_sqrt=np.eye(2))
-        with pytest.raises(DegenerateSpectrumError):
-            eig_derivatives(s, 0.5)
+    def test_degenerate_start_takes_golden_section(self):
+        # at a repeated eigenvalue the derivatives do not exist: Newton reads
+        # the zero gap and hands over to the golden-section scan
+        p = identity_problem()
+        sol = newton_solve(p, 0.5)
+        assert any("degenerate" in note and "golden" in note for note in sol.trace.notes)
+        assert sol.x == pytest.approx(0.5)
+        assert sol.lambda_min == pytest.approx(4.0)
+
+    def test_rank_one_r_matches_finite_differences(self):
+        # pure line of sight: R = g g^H, so mu(x) = g^H B(x)^{-1} g exactly
+        for seed in range(5):
+            p = los_problem(5, 0.0, 10.0 ** (seed - 1), seed)
+            st, r = p.stats, p.stats.sigma2 / p.P0
+            assert np.linalg.matrix_rank(st.R, tol=1e-10 * np.abs(st.R).max()) == 1
+            wR, VR = np.linalg.eigh(st.R)
+            g = np.sqrt(wR[-1]) * VR[:, -1]
+            s = build_s_pair(p)
+            xl, xu = bracket_x(s)
+            for x in np.linspace(xl, xu, 5)[1:-1]:
+                val, d1, d2, _, gap = lambda_min_g(s, x)
+                assert gap == pytest.approx(1.0)
+                B = np.diag(st.D + r) / (1 - x) + (st.Q + r * np.eye(st.n)) / x
+                assert 1.0 / val == pytest.approx(
+                    np.vdot(g, np.linalg.solve(B, g)).real, rel=1e-10)
+                f = lambda xv: lambda_min_g(s, float(xv))[0]
+                assert d1 == pytest.approx(finite_diff(f, x, h=1e-6), rel=1e-6, abs=1e-9)
+                assert d2 == pytest.approx(finite_diff_second(f, x, h=1e-4),
+                                           rel=1e-4, abs=1e-6)
+
+    def test_one_eigh_per_newton_iterate(self, monkeypatch):
+        calls = []
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append("eigh") or eigh(M))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda M: calls.append("eigvalsh") or eigvalsh(M))
+        for case in (1, 2):
+            p = fixture_problem(case)
+            s = build_s_pair(p)
+            calls.clear()
+            for x0 in bracket_x(s):
+                sol = newton_solve(p, x0, s=s)
+                # one at the start point, then one per Newton step
+                assert calls == ["eigh"] * (sol.iterations + 1)
+                calls.clear()
 
     def test_stationary_point_small_d1(self):
         p = fixture_problem(1)
         s = build_s_pair(p)
         xl, _ = bracket_x(s)
         sol = newton_solve(p, xl, s=s)
-        d1, _ = eig_derivatives(s, sol.x)
-        assert abs(d1) <= 1e-3
+        assert abs(lambda_min_g(s, sol.x)[1]) <= 1e-3
 
 
 class TestNewton:
@@ -236,20 +299,23 @@ class TestDiagonal:
         assert sol.x == pytest.approx(0.5, abs=1e-3)
 
     def test_min_selection(self):
-        # S1 = diag(1, 4), S2 = diag(1, 1): scores (4, 9) => k0 = 0, x = 1/2
-        s = SPair(S1=np.diag([1.0, 4.0]).astype(complex),
-                  S2=np.diag([1.0, 1.0]).astype(complex), R_inv_sqrt=np.eye(2))
-        stats = ChannelStats(D=np.ones(2), R=np.eye(2), Q=np.eye(2), sigma2=1.0)
-        p = TotalPowerProblem(stats=stats, P0=10.0)
-        sol = solve_diagonal(p, s=s)
+        # r = 0.1, a = (D + r)/R = (1, 4), b = (Q + r)/R = (1, 1):
+        # scores (4, 9) => k0 = 0, x = 1/2
+        stats = diagonal_stats([0.9, 3.9], [1.0, 1.0], [0.9, 0.9])
+        sol = solve_diagonal(TotalPowerProblem(stats=stats, P0=10.0))
         assert sol.x == pytest.approx(0.5, abs=1e-12)
+        assert sol.lambda_min == pytest.approx(4.0, rel=1e-12)
         assert np.argmax(np.abs(sol.w)) == 0
 
+    def test_relay_without_signal_never_chosen(self):
+        # relay 0 has the best a, b but R_00 = 0
+        stats = diagonal_stats([0.0, 1.0], [0.0, 1.0], [0.0, 1.0])
+        sol = solve(TotalPowerProblem(stats=stats, P0=10.0))
+        assert np.abs(sol.w[0]) == 0.0 and sol.snr > 0
+
     def test_dispatch_error_for_dense(self):
-        p = fixture_problem(1)
-        s = build_s_pair(p)
         with pytest.raises(DispatchError):
-            solve_diagonal(p, s=s)
+            solve_diagonal(fixture_problem(1))
 
     def test_solve_routes_diagonal(self, rng):
         p = rand_total_problem(rng, 3, diagonal=True)
@@ -268,7 +334,7 @@ class TestDiagonal:
         for _ in range(25):
             p = rand_total_problem(rng, int(rng.integers(2, 5)), diagonal=True)
             s = build_s_pair(p)
-            ref = solve_diagonal(p, s=s)
+            ref = solve_diagonal(p)
             xl, xu = bracket_x(s)
             runs = [newton_solve(p, x0, s=s) for x0 in (xl, xu)]
             best = max(runs, key=lambda r: r.snr)
@@ -279,13 +345,14 @@ class TestDiagonal:
 class TestLineOfSight:
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(3, 8), log_var=st.floats(-9.0, -3.0),
-           log_ratio=st.floats(-2.0, 4.0), seed=st.integers(0, 2 ** 32 - 1))
+           log_ratio=st.floats(-6.0, 8.0), seed=st.integers(0, 2 ** 32 - 1))
     @example(n=4, log_var=-9.0, log_ratio=1.0, seed=4)
     @example(n=6, log_var=-9.0, log_ratio=1.0, seed=6)
     @example(n=16, log_var=-9.0, log_ratio=1.0, seed=16)
+    @example(n=5, log_var=-np.inf, log_ratio=1.0, seed=5)    # variance 0: rank-one R
+    @example(n=6, log_var=-9.0, log_ratio=-6.0, seed=7)
+    @example(n=6, log_var=-9.0, log_ratio=8.0, seed=8)
     def test_near_los_matches_dense_scan(self, n, log_var, log_ratio, seed):
-        # at variance 1e-9 the internal product S1^-1/2 S2 S1^-1/2 is badly
-        # conditioned; its round-off asymmetry is not an input error
         p = los_problem(n, 10.0 ** log_var, 10.0 ** log_ratio, seed)
         sol = solve(p)
         assert sol.snr >= (1.0 - 1e-6) * scan_snr(p.stats, p.P0)
