@@ -1,17 +1,20 @@
-"""Command-line interface: scenario files in, reports and traces out.
+"""Command-line interface: parse a scenario, solve it, serialize a report.
 
 Subcommands:
   solve <scenario.json>     run the configured solver on a scenario file
   reproduce <case|all>      regenerate the embedded benchmark numbers
-  oracle <scenario.json>    brute-force verification of a scenario
+  oracle <scenario.json>    brute-force verification of a scenario (no flags)
   trace-export <report>     print the trace CSV referenced by a report
 
 Scenario files are JSON with complex numbers encoded as [re, im] pairs and
-matrices row-major.  ``solve --out DIR`` writes a new
+matrices row-major.  ``parse_scenario`` is the one place a file is read: it
+converts and checks every field and builds the problem, so the solvers never
+see raw JSON.  ``solve --out DIR`` writes a new
 ``report-<solver>-<random>.json`` per run, so reports never overwrite each
-other.  Exit codes: 0 success, 1 a ``reproduce`` row outside its tolerance,
-2 solver non-convergence, 3 input error, 4 any other library failure (a
-singular matrix, an infeasible or unbounded model, R = 0).
+other.  Exit codes: 0 success (and ``--help``), 1 a ``reproduce`` row outside
+its tolerance, 2 solver non-convergence, 3 input error (a malformed field,
+named in the message, or a command-line usage error), 4 any other library
+failure (a singular matrix, an infeasible or unbounded model, R = 0).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import reprlib
 import sys
 import tempfile
 import warnings
@@ -39,37 +43,29 @@ INDIV_SOLVERS = ("auto", "indiv-diag", "sdp", "cdm", "pnorm", "grp")
 
 @dataclass
 class Scenario:
+    """A scenario file after parsing: the problem it poses and how to solve it."""
     mode: str                      # "total" | "individual"
-    sigma2: float
-    channel: dict                  # raw channel block (exactly one representation)
-    budget: dict
+    problem: TotalPowerProblem | IndivPowerProblem
     solver: str = "auto"
-    solver_options: dict = field(default_factory=dict)
+    solver_options: dict = field(default_factory=dict)   # converted, see _OPTION_KINDS
     seed: int = 0
 
-    def stats(self) -> ChannelStats:
-        if "rician" in self.channel:
-            r = self.channel["rician"]
-            params = RicianParams(
-                f_mean=_vec_c(r["f_mean"], "channel.rician.f_mean"),
-                f_var=r["f_var"], g_mean=_vec_c(r["g_mean"], "channel.rician.g_mean"),
-                g_var=r["g_var"])
-            return build_stats(params, self.sigma2)
-        s = self.channel["stats"]
-        return ChannelStats(D=np.asarray(s["D"], dtype=float),
-                            R=_mat_c(s["R"], "channel.stats.R"),
-                            Q=_mat_c(s["Q"], "channel.stats.Q"),
-                            sigma2=self.sigma2)
 
-    def to_dict(self) -> dict:
-        return {"mode": self.mode, "sigma2": self.sigma2,
-                "channel": self.channel, "budget": self.budget,
-                "solver": {"name": self.solver, "options": self.solver_options},
-                "seed": self.seed}
+# field: kind of its value (see _field).  The channel fields are the
+# arguments of ChannelStats ("stats") and of RicianParams ("rician").
+_CHANNEL_KINDS = {"stats": {"D": "numbers", "R": "matrix", "Q": "matrix"},
+                  "rician": {"f_mean": "vector", "f_var": "numbers",
+                             "g_mean": "vector", "g_var": "numbers"}}
+_OPTION_KINDS = {"samples": "integer", "eps": "number", "p": "integer",
+                 "w0": "vector", "z0": "numbers", "fallback": ("cdm", "pnorm")}
 
 
 def parse_scenario(path: str) -> Scenario:
-    """Load and validate a scenario file; errors name the offending field."""
+    """Read, convert and validate a scenario file and build its problem.
+
+    The only place a scenario file is read: every error is an InputError,
+    and one in a field names that field.
+    """
     if not os.path.exists(path):
         raise InputError(f"scenario file not found: {path}")
     with open(path) as fh:
@@ -77,48 +73,35 @@ def parse_scenario(path: str) -> Scenario:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"scenario is not valid JSON: {exc}") from exc
-    mode = _require(raw, "mode", str)
-    if mode not in ("total", "individual"):
-        raise InputError(f"field 'mode' must be 'total' or 'individual', got {mode!r}")
-    sigma2 = float(raw.get("sigma2", 1.0))
-    if sigma2 <= 0:
-        raise InputError("field 'sigma2' must be positive")
-    channel = _require(raw, "channel", dict)
+    if not isinstance(raw, dict):
+        raise InputError("scenario must be a JSON object")
+    mode = _field(raw, "mode", ("total", "individual"))
+    sigma2 = _field(raw, "sigma2", "number", 1.0)
+    channel = _field(raw, "channel", "object")
     reprs = [k for k in ("rician", "stats") if k in channel]
     if len(reprs) != 1:
         raise InputError(
             "field 'channel' must contain exactly one of 'rician' or 'stats', "
             f"found {reprs or 'neither'}")
-    if "stats" in channel:
-        for key in ("D", "R", "Q"):
-            if key not in channel["stats"]:
-                raise InputError(f"field 'channel.stats.{key}' is missing")
-        _mat_c(channel["stats"]["R"], "channel.stats.R")   # validates hermiticity
-        _mat_c(channel["stats"]["Q"], "channel.stats.Q")
-    else:
-        for key in ("f_mean", "f_var", "g_mean", "g_var"):
-            if key not in channel["rician"]:
-                raise InputError(f"field 'channel.rician.{key}' is missing")
-    budget = _require(raw, "budget", dict)
+    (rep,) = reprs
+    block = _field(channel, f"channel.{rep}", "object")
+    values = {key: _field(block, f"channel.{rep}.{key}", kind)
+              for key, kind in _CHANNEL_KINDS[rep].items()}
+    stats = (ChannelStats(**values, sigma2=sigma2) if rep == "stats"
+             else build_stats(RicianParams(**values), sigma2))
+    budget = _field(raw, "budget", "object")
     if mode == "total":
-        if "P0" not in budget:
-            raise InputError("field 'budget.P0' is required for mode 'total'")
+        problem = TotalPowerProblem(stats=stats, P0=_field(budget, "budget.P0", "number"))
     else:
-        for key in ("Ps", "P"):
-            if key not in budget:
-                raise InputError(f"field 'budget.{key}' is required for mode 'individual'")
-    solver_block = raw.get("solver", {"name": "auto"})
-    if not isinstance(solver_block, dict) or "name" not in solver_block:
-        raise InputError("field 'solver' must be an object with a 'name'")
-    name = solver_block["name"]
-    allowed = TOTAL_SOLVERS if mode == "total" else INDIV_SOLVERS
-    if name not in allowed:
-        raise InputError(
-            f"field 'solver.name' {name!r} invalid for mode {mode!r}; "
-            f"choose one of {allowed}")
-    return Scenario(mode=mode, sigma2=sigma2, channel=channel, budget=budget,
-                    solver=name, solver_options=dict(solver_block.get("options", {})),
-                    seed=int(raw.get("seed", 0)))
+        problem = IndivPowerProblem(stats=stats, Ps=_field(budget, "budget.Ps", "number"),
+                                    P=_field(budget, "budget.P", "numbers"))
+    solver = _field(raw, "solver", "object", {"name": "auto"})
+    name = _field(solver, "solver.name", TOTAL_SOLVERS if mode == "total" else INDIV_SOLVERS)
+    given = _field(solver, "solver.options", "object", {})
+    options = {key: _field(given, f"solver.options.{key}", kind)
+               for key, kind in _OPTION_KINDS.items() if key in given}
+    return Scenario(mode=mode, problem=problem, solver=name, solver_options=options,
+                    seed=_field(raw, "seed", "integer", 0))
 
 
 @dataclass
@@ -142,14 +125,13 @@ def run(s: Scenario, tol: float | None = None, samples: int | None = None,
         pexp: int | None = None, trace_dir: str | None = None,
         seed: int | None = None) -> Report:
     """Dispatch a scenario to its solver and package a report."""
-    stats = s.stats()
+    prob, stats = s.problem, s.problem.stats
     seed = s.seed if seed is None else seed
     meta: dict = {"seed": seed}
     assumptions: list[str] = []
     trace_obj = None
 
     if s.mode == "total":
-        prob = TotalPowerProblem(stats=stats, P0=float(s.budget["P0"]))
         sol = total_power.solve(prob)
         meta.update(solver="total-diagonal" if stats.is_diagonal() else "total-newton",
                     iterations=sol.iterations, x=sol.x, lambda_min=sol.lambda_min)
@@ -157,8 +139,6 @@ def run(s: Scenario, tol: float | None = None, samples: int | None = None,
         trace_obj = sol.trace
         solver_name = meta["solver"]
     else:
-        prob = IndivPowerProblem(stats=stats, Ps=float(s.budget["Ps"]),
-                                 P=np.asarray(s.budget["P"], dtype=float))
         solver_name = s.solver
         if solver_name == "auto":
             solver_name = "indiv-diag" if stats.is_diagonal() else "sdp"
@@ -189,10 +169,9 @@ def _run_indiv(prob: IndivPowerProblem, solver: str, options: dict,
     meta = {"solver": solver}
     start = None
     if solver == "indiv-diag":
-        sol = indiv_diag.solve_diagonal(prob)
-        return sol, meta, None
+        return indiv_diag.solve_diagonal(prob), meta, None
     if solver == "grp":
-        n_samples = _option(options, "samples", int, 10 ** 6, flag=samples)
+        n_samples = options.get("samples", 10 ** 6) if samples is None else samples
         q, sdp_sol, _ = indiv_qcqp.solve_via_sdp(prob, tol=tol)
         w = indiv_qcqp.grp_extract(sdp_sol.X, q, n_samples, seed)
         sol = indiv_qcqp.rescale_to_original(w, q, prob)
@@ -214,14 +193,13 @@ def _run_indiv(prob: IndivPowerProblem, solver: str, options: dict,
         solver = meta["fallback"] = options.get("fallback", "cdm")
         start = principal_factor(sdp_sol.X)
     if solver == "cdm":
-        w0 = start if start is not None else np.asarray(
-            options.get("w0", np.ones(prob.n)), dtype=complex)
-        sol, trace = indiv_search.coordinate_descent(
-            prob, w0, eps=_option(options, "eps", float, 1e-3))
+        w0 = start if start is not None else options.get("w0", np.ones(prob.n))
+        sol, trace = indiv_search.coordinate_descent(prob, w0, eps=options.get("eps", 1e-3))
         meta["sweeps"] = int(trace.rows[-1][0]) + 1 if len(trace) else 0
         return sol, meta, trace
     if solver == "pnorm":
-        p_val = _option(options, "p", int, 0, flag=pexp) or indiv_search.choose_p(prob.n, 0.01)
+        p_val = options.get("p", 0) if pexp is None else pexp
+        p_val = p_val or indiv_search.choose_p(prob.n, 0.01)
         emb = indiv_search.build_pnorm_embedding(prob, p_val)
         z0 = options.get("z0") if start is None else np.concatenate([start.real, start.imag])
         sol, trace, state = indiv_search.augmented_lagrangian_solve(emb, prob, z0=z0)
@@ -229,15 +207,6 @@ def _run_indiv(prob: IndivPowerProblem, solver: str, options: dict,
                     constraint_residual=state.constraint_residual)
         return sol, meta, trace
     raise InputError(f"unknown solver {solver!r}")
-
-
-def _option(options: dict, key: str, cast, default, flag=None):
-    """Solver option ``key`` as ``cast``; a command-line flag that is set wins."""
-    value = options.get(key, default) if flag is None else flag
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise InputError(f"field 'solver.options.{key}' must be a number, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -379,17 +348,19 @@ def main(argv=None) -> int:
     p_trace = sub.add_parser("trace-export", help="print a report's trace CSV")
     p_trace.add_argument("report")
 
-    for p in (p_solve, p_repro, p_oracle, p_trace):
+    for p in (p_solve, p_repro, p_trace):
         p.add_argument("--out", default=None, help="directory for report files")
-    for p in (p_solve, p_oracle):
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--p", type=int, default=None, dest="pexp")
+    p_solve.add_argument("--tol", type=float, default=None)
+    p_solve.add_argument("--seed", type=int, default=None)
+    p_solve.add_argument("--samples", type=int, default=None)
+    p_solve.add_argument("--p", type=int, default=None, dest="pexp")
     p_solve.add_argument("--trace", action="store_true")
     p_repro.add_argument("--seed", type=int, default=20111)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:      # argparse exits 0 after --help, 2 on a usage error
+        return 3 if exc.code else 0
     try:
         return _dispatch(args)
     except ConvergenceError as exc:
@@ -403,10 +374,8 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "solve":
         s = parse_scenario(args.scenario)
-        trace_dir = args.out if (args.trace and args.out) else (
-            "." if args.trace else None)
         rep = run(s, tol=args.tol, samples=args.samples, pexp=args.pexp,
-                  trace_dir=trace_dir, seed=args.seed)
+                  trace_dir=(args.out or ".") if args.trace else None, seed=args.seed)
         body = rep.to_json()
         if args.out:
             os.makedirs(args.out, exist_ok=True)
@@ -424,15 +393,11 @@ def _dispatch(args) -> int:
         return 0 if all(ok for *_, ok in rows) else 1
     if args.command == "oracle":
         s = parse_scenario(args.scenario)
-        stats = s.stats()
         if s.mode == "total":
-            prob = TotalPowerProblem(stats=stats, P0=float(s.budget["P0"]))
-            x, obj = oracle.brute_force_total(prob)
+            x, obj = oracle.brute_force_total(s.problem)
             print(json.dumps({"x": x, "objective": obj}, indent=2))
         else:
-            prob = IndivPowerProblem(stats=stats, Ps=float(s.budget["Ps"]),
-                                     P=np.asarray(s.budget["P"], dtype=float))
-            w, val = oracle.brute_force_indiv(prob)
+            w, val = oracle.brute_force_indiv(s.problem)
             print(json.dumps({"snr": val,
                               "w": [[v.real, v.imag] for v in w]}, indent=2))
         return 0
@@ -462,34 +427,54 @@ def _dispatch(args) -> int:
 # field decoding helpers
 # ---------------------------------------------------------------------------
 
-def _require(raw: dict, key: str, typ):
-    if key not in raw:
-        raise InputError(f"field '{key}' is missing")
-    if not isinstance(raw[key], typ):
-        raise InputError(f"field '{key}' has wrong type, expected {typ.__name__}")
-    return raw[key]
+_MISSING = object()
+# numeric field kind: (array rank, description); ranks 2 and 3 hold [re, im] pairs
+_NUMERIC = {"number": (0, "a number"), "integer": (0, "an integer"),
+            "numbers": (1, "a list of numbers"), "vector": (2, "a list of [re, im] pairs"),
+            "matrix": (3, "a square matrix of [re, im] pairs")}
 
 
-def _vec_c(data, field_name: str) -> np.ndarray:
-    try:
-        arr = np.asarray(data, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError
-    except (ValueError, TypeError):
-        raise InputError(
-            f"field '{field_name}' must be a list of [re, im] pairs") from None
-    return arr[:, 0] + 1j * arr[:, 1]
+def _field(block: dict, path: str, kind, default=_MISSING):
+    """The field at the dotted ``path`` (its last part is the key in ``block``)
+    converted to ``kind``: "object", a tuple of the allowed strings, or a kind
+    of ``_NUMERIC``, which gives a float, an int, a float array, a complex
+    vector or a Hermitian matrix.  A missing field without a default, or a
+    value of another kind, raises an InputError that names ``path``."""
+    key = path.rpartition(".")[2]
+    if key not in block:
+        if default is _MISSING:
+            raise InputError(f"field '{path}' is missing")
+        return default
+    value = block[key]
+    if kind == "object":
+        if isinstance(value, dict):
+            return value
+        what = "an object"
+    elif isinstance(kind, tuple):
+        if isinstance(value, str) and value in kind:
+            return value
+        what = f"one of {kind}"
+    else:
+        ndim, what = _NUMERIC[kind]
+        try:
+            arr = np.asarray(value)
+        except ValueError:             # ragged nesting
+            arr = np.asarray(None)
+        if (arr.dtype.kind in "iuf" and arr.ndim == ndim and np.isfinite(arr).all()
+                and (ndim < 2 or arr.shape[-1] == 2)
+                and (ndim < 3 or arr.shape[0] == arr.shape[1])
+                and (kind != "integer" or arr == np.round(arr))):
+            if ndim == 0:
+                return int(arr) if kind == "integer" else float(arr)
+            if ndim == 1:
+                return arr.astype(float)
+            z = arr[..., 0] + 1j * arr[..., 1]
+            return z if ndim == 2 else _mat_c(z, path)
+    raise InputError(f"field '{path}' must be {what}, got {reprlib.repr(value)}")
 
 
-def _mat_c(data, field_name: str) -> np.ndarray:
-    try:
-        arr = np.asarray(data, dtype=float)
-        if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError
-    except (ValueError, TypeError):
-        raise InputError(
-            f"field '{field_name}' must be a square matrix of [re, im] pairs") from None
-    M = arr[..., 0] + 1j * arr[..., 1]
+def _mat_c(M: np.ndarray, field_name: str) -> np.ndarray:
+    """The Hermitian part of the complex matrix ``M`` read from ``field_name``."""
     asym = np.abs(M - M.conj().T).max()
     scale = max(1.0, np.abs(M).max())
     if asym > 1e-6 * scale:

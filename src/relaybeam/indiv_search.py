@@ -27,7 +27,6 @@ from .errors import ConvergenceError, InputError, SingularityError
 from .linalg import _real_embed, psd_inv_sqrt, symmetrize
 from .problems import IndivPowerProblem
 from .trace import SolverTrace
-from . import indiv_qcqp
 
 CDM_TRACE_COLUMNS = ("sweep", "slot", "objective")
 AL_TRACE_COLUMNS = ("outer_k", "inner_i", "L", "constraint_residual",
@@ -363,8 +362,7 @@ def augmented_lagrangian_solve(e: PnormEmbedding, prob: IndivPowerProblem,
     |z^T K z - 1| <= constraint_tol and ||grad L|| <= grad_tol.
 
     Returns ``(BeamformingSolution, SolverTrace, AugLagState)``; the
-    solution is mapped back through the QCQP scaling so it is feasible for
-    the per-relay caps.
+    solution is scaled so that its largest per-relay cap is active.
     """
     n = e.n
     if z0 is None:
@@ -428,10 +426,9 @@ def augmented_lagrangian_solve(e: PnormEmbedding, prob: IndivPowerProblem,
             trace=trace)
 
     u = z[:n] + 1j * z[n:]
-    w = u / e.D1
-    q = indiv_qcqp.build_qcqp(prob)
-    C = float(q.constraint_values(w).max())
-    w_qcqp = w / np.sqrt(C)
-    sol = indiv_qcqp.rescale_to_original(w_qcqp, q, prob)
+    # cap k reads |u_k| <= 1: the largest |u_k| is the active cap
+    w = u / (e.D1 * np.abs(u).max())
+    sol = BeamformingSolution(w=w, Ps=prob.Ps, snr=snr(prob.stats, prob.Ps, w),
+                              feasibility=prob.slacks(w))
     state = AugLagState(z=z, lam=float(lam), mu=mu, constraint_residual=c)
     return sol, trace, state

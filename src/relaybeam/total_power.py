@@ -185,15 +185,15 @@ def newton_solve(p: TotalPowerProblem, x0: float, max_iter: int = 100,
 
 def solve(p: TotalPowerProblem) -> TotalPowerSolution:
     """Dispatch: diagonal instances in closed form, otherwise Newton from
-    both bracket endpoints, keeping the run with the larger SNR objective
-    (ties toward smaller x)."""
+    both bracket endpoints.  The run from x_l is kept unless the run from
+    x_u reaches an SNR larger by more than 1e-12 relative, so two runs that
+    end at the same optimum never compete on round-off."""
     if p.stats.is_diagonal():
         return solve_diagonal(p)
     s = build_s_pair(p)
     xl, xu = bracket_x(s)
-    runs = [newton_solve(p, x0, s=s) for x0 in (xl, xu)]
-    runs.sort(key=lambda r: (-r.snr, r.x))
-    return runs[0]
+    run_l, run_u = (newton_solve(p, x0, s=s) for x0 in (xl, xu))
+    return run_u if run_u.snr > run_l.snr * (1.0 + 1e-12) else run_l
 
 
 def objective_value(p: TotalPowerProblem, x: float, lam: float) -> float:

@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 
 import relaybeam
-from relaybeam import fixtures
+from relaybeam import cli, fixtures
 from relaybeam.cli import main, parse_scenario, reproduce, run
 from relaybeam.errors import InputError
 from relaybeam.indiv_diag import solve_diagonal
 from relaybeam.oracle import brute_force_indiv
-from relaybeam.problems import IndivPowerProblem
+from relaybeam.problems import IndivPowerProblem, TotalPowerProblem
 from conftest import scan_snr
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def cpair(z):
@@ -70,13 +72,13 @@ class TestParseScenario:
         s = parse_scenario(path)
         assert s.mode == "individual"
         assert s.solver == "indiv-diag"
-        assert s.stats().is_diagonal()
+        assert s.problem.stats.is_diagonal()
 
     def test_fixture_matrices_exact(self, tmp_path):
         path, _ = fixture_scenario(tmp_path)
         s = parse_scenario(path)
         R, Q = fixtures.indiv_fixture(4)
-        stats = s.stats()
+        stats = s.problem.stats
         assert np.array_equal(stats.R, R)
         assert np.array_equal(stats.Q, Q)
 
@@ -115,13 +117,32 @@ class TestParseScenario:
         with pytest.raises(InputError, match="exactly one"):
             parse_scenario(path)
 
-    def test_round_trip(self, tmp_path):
-        path, payload = fixture_scenario(tmp_path)
+    def test_problem_carries_the_payload(self, tmp_path):
+        options = {"samples": 1e4, "eps": 1e-4, "p": 64, "fallback": "pnorm",
+                   "w0": [[1.0, 0.5]] * 4, "z0": [1.0] * 8}
+        path, payload = fixture_scenario(tmp_path, options=options)
         s = parse_scenario(path)
-        assert s.to_dict() == {
-            "mode": payload["mode"], "sigma2": payload["sigma2"],
-            "channel": payload["channel"], "budget": payload["budget"],
-            "solver": {"name": "sdp", "options": {}}, "seed": 11}
+        R, Q = fixtures.indiv_fixture(4)
+        assert isinstance(s.problem, IndivPowerProblem)
+        stats = s.problem.stats
+        assert np.array_equal(stats.D, payload["channel"]["stats"]["D"])
+        assert np.array_equal(stats.R, R) and np.array_equal(stats.Q, Q)
+        assert stats.sigma2 == payload["sigma2"]
+        assert s.problem.Ps == payload["budget"]["Ps"]
+        assert np.array_equal(s.problem.P, payload["budget"]["P"])
+        assert (s.mode, s.solver, s.seed) == ("individual", "sdp", 11)
+        opts = s.solver_options
+        assert opts.keys() == options.keys()
+        assert type(opts["samples"]) is int and opts["samples"] == 10000
+        assert type(opts["p"]) is int and opts["p"] == 64
+        assert (opts["eps"], opts["fallback"]) == (1e-4, "pnorm")
+        assert np.array_equal(opts["w0"], np.full(4, 1.0 + 0.5j))
+        assert np.array_equal(opts["z0"], np.ones(8))
+
+    def test_total_problem_carries_p0(self):
+        s = parse_scenario(str(SCENARIOS / "total_rayleigh_n4.json"))
+        assert isinstance(s.problem, TotalPowerProblem)
+        assert (s.problem.P0, s.problem.stats.n, s.seed) == (10.0, 4, 1)
 
     def test_invalid_solver_for_mode(self, tmp_path):
         payload = {"mode": "total", "sigma2": 1.0,
@@ -160,7 +181,7 @@ class TestRun:
     def test_diagonal_cdm_matches_indiv_diag(self, tmp_path):
         path, _ = diagonal_scenario(tmp_path, solver="cdm")
         rep = run(parse_scenario(path))
-        stats = parse_scenario(path).stats()
+        stats = parse_scenario(path).problem.stats
         ref = solve_diagonal(IndivPowerProblem(stats=stats, Ps=1.0,
                                                P=np.ones(3)))
         assert rep.snr == pytest.approx(ref.snr, rel=1e-4)
@@ -244,7 +265,7 @@ class TestMain:
         path = write_scenario(tmp_path / "los.json", payload)
         assert main(["solve", path]) == 0
         rep = strict_json(capsys.readouterr().out)
-        stats = parse_scenario(path).stats()
+        stats = parse_scenario(path).problem.stats
         assert np.linalg.matrix_rank(stats.R, tol=1e-10) == 1
         assert rep["snr"] >= (1.0 - 1e-6) * scan_snr(stats, 10.0)
 
@@ -271,14 +292,13 @@ class TestMain:
         assert rep["snr_db"] is None
 
     def test_sample_rician_scenario(self, capsys):
-        path = Path(__file__).resolve().parents[1] / "scenarios" / "individual_rician_n3.json"
+        path = SCENARIOS / "individual_rician_n3.json"
         assert main(["solve", str(path)]) == 0
         rep = strict_json(capsys.readouterr().out)
         assert rep["scenario_mode"] == "individual"
         assert len(rep["w"]) == 3
         assert min(rep["feasibility"]) >= -1e-12
-        s = parse_scenario(str(path))
-        prob = IndivPowerProblem(stats=s.stats(), Ps=s.budget["Ps"], P=s.budget["P"])
+        prob = parse_scenario(str(path)).problem
         assert rep["snr"] >= brute_force_indiv(prob)[1] * (1 - 1e-9)
 
     def test_trace_and_export(self, tmp_path, capsys):
@@ -320,6 +340,67 @@ class TestMain:
         path, _ = fixture_scenario(tmp_path, solver=solver, options={key: "many"})
         assert main(["solve", path]) == 3
         assert f"'solver.options.{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("base,field,value", [
+        ("cdm", "sigma2", "one"),
+        ("cdm", "sigma2", True),
+        ("cdm", "seed", "seven"),
+        ("cdm", "seed", 2.5),
+        ("total", "budget.P0", "ten"),
+        ("cdm", "budget.Ps", [1.0]),
+        ("cdm", "budget.P", "ones"),
+        ("cdm", "channel.stats.D", ["a", 1, 1]),
+        ("total", "channel.rician.f_var", "wide"),
+        ("cdm", "solver.options", "fast"),
+        ("cdm", "solver.options.w0", "ones"),
+        ("pnorm", "solver.options.z0", "ones"),
+        ("sdp", "solver.options.fallback", "bogus"),
+    ])
+    def test_malformed_field_exit_3(self, tmp_path, capsys, base, field, value):
+        if base == "total":
+            payload = {"mode": "total", "sigma2": 1.0,
+                       "channel": {"rician": {"f_mean": [[0.7, 0.2], [-0.4, 0.9]],
+                                              "f_var": [1.0, 0.5],
+                                              "g_mean": [[-0.3, 0.9], [0.5, 0.5]],
+                                              "g_var": [0.8, 1.2]}},
+                       "budget": {"P0": 10.0}}
+        else:
+            # the diagonal relaxation is rank one, so the sdp route never
+            # reads its fallback: only parsing can catch a bad one
+            payload = diagonal_scenario(tmp_path, solver=base)[1]
+            payload["solver"]["options"] = {}
+        *parents, key = field.split(".")
+        block = payload
+        for part in parents:
+            block = block[part]
+        block[key] = value
+        path = write_scenario(tmp_path / "bad.json", payload)
+        assert main(["solve", path]) == 3
+        assert f"field '{field}'" in capsys.readouterr().err
+
+    def test_each_matrix_parsed_once_per_solve(self, tmp_path, monkeypatch, capsys):
+        path, _ = fixture_scenario(tmp_path, solver="cdm")
+        seen = []
+        parse_matrix = cli._mat_c
+        monkeypatch.setattr(cli, "_mat_c", lambda M, name: seen.append(name) or parse_matrix(M, name))
+        assert main(["solve", path]) == 0
+        assert sorted(seen) == ["channel.stats.Q", "channel.stats.R"]
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "total_rayleigh_n4.json", "--samples", "abc"],
+        ["solve", "total_rayleigh_n4.json", "--no-such-flag"],
+        [],
+        ["oracle", "total_rayleigh_n4.json", "--out", "/nonexistent"],
+        ["oracle", "total_rayleigh_n4.json", "--samples", "10"],
+    ])
+    def test_usage_error_exit_3(self, argv, capsys):
+        argv = [str(SCENARIOS / a) if a.endswith(".json") else a for a in argv]
+        assert main(argv) == 3
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exit_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
 
     def test_oracle_subcommand(self, tmp_path, capsys):
         path, _ = diagonal_scenario(tmp_path)

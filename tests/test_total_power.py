@@ -12,7 +12,7 @@ from relaybeam.oracle import finite_diff, finite_diff_second
 from relaybeam.total_power import (GAP_TOL, bracket_x, build_s_pair,
                                    lambda_min_g, newton_solve,
                                    objective_value, solve, solve_diagonal)
-from conftest import rand_pd, rand_total_problem, scan_snr
+from conftest import rand_pd, rand_stats, rand_total_problem, scan_snr
 
 
 def fixture_problem(case):
@@ -328,6 +328,22 @@ class TestDiagonal:
         sol = solve(fixture_problem(1))
         assert sol.x == pytest.approx(0.2156, abs=5e-3)
         assert sol.lambda_min == pytest.approx(1.2191, abs=5e-3)
+
+    def test_tied_runs_keep_the_x_l_run(self):
+        # when both Newton runs end at one optimum, solve returns the run
+        # from x_l exactly rather than whichever run round-off favours
+        tied = 0
+        for seed in range(20):
+            rng = np.random.default_rng([seed, 7])
+            p = TotalPowerProblem(stats=rand_stats(rng, int(rng.integers(2, 9))),
+                                  P0=float(10.0 ** rng.uniform(-1.0, 3.0)))
+            s = build_s_pair(p)
+            xl, xu = bracket_x(s)
+            run_l, run_u = (newton_solve(p, x0, s=s) for x0 in (xl, xu))
+            if abs(run_l.x - run_u.x) <= 1e-6:
+                tied += 1
+                assert solve(p).x == run_l.x, seed
+        assert tied >= 10
 
     def test_newton_matches_closed_form(self, rng):
         # cross-solver agreement on diagonal instances
