@@ -98,6 +98,10 @@ def parse_scenario(path: str) -> Scenario:
     solver = _field(raw, "solver", "object", {"name": "auto"})
     name = _field(solver, "solver.name", TOTAL_SOLVERS if mode == "total" else INDIV_SOLVERS)
     given = _field(solver, "solver.options", "object", {})
+    unknown = sorted(given.keys() - _OPTION_KINDS.keys())
+    if unknown:
+        raise InputError(f"field 'solver.options.{unknown[0]}' is not an option; "
+                         f"known options: {', '.join(_OPTION_KINDS)}")
     options = {key: _field(given, f"solver.options.{key}", kind)
                for key, kind in _OPTION_KINDS.items() if key in given}
     return Scenario(mode=mode, problem=problem, solver=name, solver_options=options,

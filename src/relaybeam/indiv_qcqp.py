@@ -154,6 +154,8 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
     """
     if samples < 1:
         raise InputError("samples must be >= 1")
+    if not 0 <= seed < 2 ** 64:
+        raise InputError("seed must be a non-negative integer below 2**64")
     wv, U = np.linalg.eigh(symmetrize(X))
     wv = np.maximum(wv, 0.0)
     if wv.max() <= 0:

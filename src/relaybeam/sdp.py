@@ -5,13 +5,17 @@ for Hermitian R and PSD A_k, together with the dual
            max -sum_k y_k  s.t.  sum_k y_k A_k - R >= 0,  y >= 0.
 
 The engine is an infeasible primal-dual interior-point method (HKM
-direction, adaptive centering).  Iterates keep X, Z strictly inside their
-cones, so the returned dual multipliers certify the reported gap without
-any post-hoc cleanup; a pure primal log-barrier was tried first and could
-not certify gaps below ~3e-8 in double precision on the target problems.
-The constraints are one (N, n, n) stack, so the Schur matrix Re Tr(A_k X A_j Z^-1)
-is a batched product X A_j Z^-1 and one (N, n^2) x (n^2, N) GEMM: O(N n^3 + N^2 n^2)
-per iteration.
+direction, Mehrotra predictor-corrector: the corrector reuses the Schur
+matrix and targets sigma mu I - dX_a dZ_a).  Iterates keep X, Z strictly
+inside their cones, so the returned dual multipliers certify the reported
+gap without post-hoc cleanup; a pure primal log-barrier was tried first and
+could not certify gaps below ~3e-8 in double precision on the target
+problems.  The stop is SDPT3's relative gap,
+|gap| <= tol max(1, |primal|); an absolute 1e-8 stalled on round-off at
+objectives near 70.  The constraints are one (N, n, n) stack, so the Schur
+matrix Re Tr(A_k X A_j Z^-1) is a batched product X A_j Z^-1 and one
+(N, n^2) x (n^2, N) GEMM: O(N n^3 + N^2 n^2) per iteration, plus one
+stacked [X, Z] eigh and one stacked step-length eigvalsh per direction.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ class CertificateReport:
 
 def solve_relaxation(p: SdpProblem, tol: float = 1e-8, feas_tol: float = 1e-8,
                      rank_tol: float = 1e-6, max_iter: int = 200) -> SdpSolution:
-    """Solve the relaxation to a certified duality gap <= tol.
+    """Solve the relaxation to a certified duality gap <= tol * max(1, |primal|).
 
     Initial point ``X0 = eps I`` with ``eps = 0.5 / max_k Tr(A_k)`` is
     strictly feasible because every A_k is PSD.  Raises ConvergenceError
@@ -113,7 +117,7 @@ def solve_relaxation(p: SdpProblem, tol: float = 1e-8, feas_tol: float = 1e-8,
         feas = max(np.abs(rp).max(), np.linalg.norm(Rd))
         if best is None or abs(gap) + feas < best[0]:
             best = (abs(gap) + feas, X.copy(), y.copy(), primal, dual, it)
-        if feas <= feas_tol and abs(gap) <= tol:
+        if feas <= feas_tol and abs(gap) <= tol * max(1.0, abs(primal)):
             break
         if mu > 1e14 or not np.isfinite(mu):
             raise ModelError("iterates diverged; problem may be unbounded")
@@ -125,29 +129,28 @@ def solve_relaxation(p: SdpProblem, tol: float = 1e-8, feas_tol: float = 1e-8,
         M += np.diag(s / y)
         trAZ = _traces(A, Zinv)
         trAXRdZ = _traces(A, X @ Rd @ Zinv)
-        # X^{-1/2} and Z^{-1/2}, shared by the predictor and corrector step lengths
+        # [X^{-1/2}, Z^{-1/2}], shared by the predictor and corrector step lengths
         w, U = np.linalg.eigh(np.stack([X, Z]))
-        Xmh, Zmh = (U / np.sqrt(np.maximum(w, 1e-300))[:, None, :]) @ U.conj().transpose(0, 2, 1)
+        Pmh = (U / np.sqrt(np.maximum(w, 1e-300))[:, None, :]) @ U.conj().transpose(0, 2, 1)
 
-        def directions(sig):
-            rhs = sig * mu * (trAZ + 1.0 / y) - 1.0 + trAXRdZ
+        def directions(sig, C, cs):
+            # HKM step toward X Z = sig mu I - C Z and y s = sig mu - cs
+            rhs = sig * mu * (trAZ + 1.0 / y) - 1.0 + trAXRdZ - _traces(A, C) - cs / y
             dy = np.linalg.solve(M, rhs)
             dZ = _combine(dy, A) - Rd
-            dX = sig * mu * Zinv - X - X @ dZ @ Zinv
-            dX = symmetrize(dX)
-            ds = (sig * mu - y * s - s * dy) / y
+            dX = symmetrize(sig * mu * Zinv - X - X @ dZ @ Zinv - C)
+            ds = (sig * mu - cs - y * s - s * dy) / y
             return dX, ds, dy, dZ
 
-        # predictor fixes the centering weight, then one corrected solve
-        dX, ds, dy, dZ = directions(0.0)
-        ap = _max_step(Xmh, dX, s, ds, 1.0)
-        ad = _max_step(Zmh, dZ, y, dy, 1.0)
+        # the affine predictor fixes the centering weight; Mehrotra's corrector
+        # then also cancels its second-order term dX_a dZ_a
+        dX, ds, dy, dZ = directions(0.0, np.zeros_like(X), 0.0)
+        ap, ad = _max_steps(Pmh, dX, dZ, (s, y), (ds, dy), 1.0)
         mu_aff = (np.trace((Z + ad * dZ) @ (X + ap * dX)).real
                   + (y + ad * dy) @ (s + ap * ds)) / (n + N)
         sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-4, 0.8))
-        dX, ds, dy, dZ = directions(sigma)
-        ap = 0.98 * _max_step(Xmh, dX, s, ds, 0.99)
-        ad = 0.98 * _max_step(Zmh, dZ, y, dy, 0.99)
+        dX, ds, dy, dZ = directions(sigma, dX @ dZ @ Zinv, ds * dy)
+        ap, ad = (0.98 * a for a in _max_steps(Pmh, dX, dZ, (s, y), (ds, dy), 0.99))
         X = symmetrize(X + ap * dX)
         s = s + ap * ds
         y = y + ad * dy
@@ -155,7 +158,7 @@ def solve_relaxation(p: SdpProblem, tol: float = 1e-8, feas_tol: float = 1e-8,
     else:
         _, Xb, yb, pb, db, _ = best
         raise ConvergenceError(
-            f"interior-point method did not certify gap <= {tol:.1e} "
+            f"interior-point method did not certify relative gap <= {tol:.1e} "
             f"in {max_iter} iterations",
             best=_package(Xb, yb, A, pb, db, rank_tol, max_iter),
         )
@@ -187,15 +190,18 @@ def _combine(y, A):
     return np.tensordot(y, A, 1)
 
 
-def _max_step(Pmh, dP, v, dv, tau):
-    """Largest a <= 1 with P + a dP >= (1-tau)-ish inside the cone and v + a dv > 0;
-    Pmh = P^{-1/2}."""
-    lam = np.linalg.eigvalsh(Pmh @ dP @ Pmh).min()
-    a = 1.0 if lam >= 0 else min(1.0, -tau / lam)
-    neg = dv < 0
-    if neg.any():
-        a = min(a, float((-tau * v[neg] / dv[neg]).min()))
-    return a
+def _max_steps(Pmh, dX, dZ, vs, dvs, tau):
+    """Largest steps a <= 1 (primal, dual) keeping X + a dX and Z + a dZ
+    (1-tau)-ish inside the cone and v + a dv > 0; Pmh = [X^{-1/2}, Z^{-1/2}]."""
+    lams = np.linalg.eigvalsh(Pmh @ np.stack([dX, dZ]) @ Pmh).min(axis=1)
+    steps = []
+    for lam, v, dv in zip(lams, vs, dvs):
+        a = 1.0 if lam >= 0 else min(1.0, -tau / lam)
+        neg = dv < 0
+        if neg.any():
+            a = min(a, float((-tau * v[neg] / dv[neg]).min()))
+        steps.append(a)
+    return steps
 
 
 def _package(X, y, A, primal, dual, rank_tol, iterations):

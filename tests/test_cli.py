@@ -334,6 +334,23 @@ class TestMain:
         assert main(["solve", path, "--samples", "0"]) == 3
         assert "samples must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["field", "flag"])
+    def test_negative_seed_exit_3(self, tmp_path, capsys, where):
+        payload = json.loads((SCENARIOS / "individual_rician_n3.json").read_text())
+        payload["solver"] = {"name": "grp", "options": {"samples": 100}}
+        payload["seed"] = -1 if where == "field" else 7
+        path = write_scenario(tmp_path / "seed.json", payload)
+        flags = ["--seed", "-1"] if where == "flag" else []
+        assert main(["solve", path, *flags]) == 3
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+    def test_unknown_option_exit_3(self, tmp_path, capsys):
+        path, _ = fixture_scenario(tmp_path, solver="grp", options={"sample": 100})
+        assert main(["solve", path]) == 3
+        err = capsys.readouterr().err
+        assert "'solver.options.sample'" in err
+        assert "samples, eps, p, w0, z0, fallback" in err
+
     @pytest.mark.parametrize("solver,key", [("grp", "samples"), ("cdm", "eps"),
                                             ("pnorm", "p")])
     def test_non_numeric_option_exit_3(self, tmp_path, capsys, solver, key):

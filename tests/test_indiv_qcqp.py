@@ -235,6 +235,11 @@ class TestGrp:
         with pytest.raises(InputError):
             grp_extract(np.zeros((3, 3)), q, samples=10, seed=0)
 
+    def test_negative_seed_rejected(self):
+        q, sol, _ = solve_via_sdp(fixture_problem(4))
+        with pytest.raises(InputError, match="seed must be a non-negative integer"):
+            grp_extract(sol.X, q, samples=10, seed=-1)
+
     @pytest.mark.parametrize("rank", [None, 2, 1])      # None: full rank
     @pytest.mark.parametrize("n", [3, 4, 6, 16])
     def test_matches_complex_reference(self, n, rank):

@@ -32,6 +32,18 @@ def random_problem(rng, n):
     return SdpProblem(objective=R, constraints=A)
 
 
+def n64_problem(index):
+    """Instance ``index`` of a random n = 64 recipe (objectives near 67) on
+    which an absolute 1e-8 gap test stalled at gaps of ~1e-8."""
+    rng = np.random.default_rng(3)
+    for _ in range(index + 1):
+        R, Q = rand_psd(rng, 64), rand_psd(rng, 64)
+        D, P = rng.uniform(0.5, 2.0, 64), rng.uniform(1.0, 3.0, 64)
+    stats = ChannelStats(D=D, R=R, Q=Q, sigma2=1.0)
+    q = build_qcqp(IndivPowerProblem(stats=stats, Ps=1.0, P=P))
+    return SdpProblem(objective=q.R, constraints=q.A)
+
+
 class TestSolveRelaxation:
     def test_single_constraint_trace_bound(self):
         # max Tr(X) s.t. Tr(X) <= 1 on PSD 2x2: optimum value 1
@@ -57,6 +69,20 @@ class TestSolveRelaxation:
         assert rep.dual_feas >= -1e-8
         assert rep.primal_feas <= 1e-8
         assert rep.comp_slack <= 1e-6
+
+    @pytest.mark.parametrize("n,most", [(4, 13), (6, 16)])
+    def test_fixture_iteration_count(self, n, most):
+        assert solve_relaxation(fixture_problem(n)).iterations <= most
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_n64_converges_to_relative_gap(self, index):
+        p = n64_problem(index)
+        sol = solve_relaxation(p)
+        rep = dual_certificate_residuals(p, sol)
+        assert sol.iterations < 25
+        assert rep.primal_feas <= 1e-8
+        assert rep.dual_feas >= -1e-8
+        assert rep.comp_slack <= 1e-8 * max(1.0, abs(sol.primal_obj))
 
     def test_gap_not_worse_than_initial(self, rng):
         p = random_problem(rng, 4)
