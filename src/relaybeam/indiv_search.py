@@ -3,10 +3,12 @@
 Two routes when the SDP relaxation is not rank one:
 
 * Cyclic coordinate descent on the SNR ratio, one complex weight at a
-  time.  Each scalar subproblem is a constrained fractional program whose
-  optimal value is the unique root of a strictly decreasing auxiliary
-  function; the root and maximizer are closed-form (two quadratics in t,
-  filtered by the unsquared case conditions).
+  time, O(n) per weight: each sweep forms R w and Q w once and moves them
+  by one column per update.  Each scalar subproblem is a constrained
+  fractional program whose optimal value is the unique root of a strictly
+  decreasing auxiliary function; the root and maximizer are closed-form
+  (two quadratics in t, filtered by the unsquared case conditions).  The
+  stop tolerance eps must be positive.
 
 * Smoothed minimax: the QCQP is equivalent (up to scaling) to minimizing
   u^H Q1 u + ||u||_inf^2 on the ellipsoid u^H R1 u = 1; the infinity norm
@@ -17,6 +19,7 @@ Two routes when the SDP relaxation is not rank one:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -60,39 +63,40 @@ def extract_coefficients(p: IndivPowerProblem, w, k: int) -> ScalarFractionalSub
     denominator from Q with the +1 noise term in c2.
     """
     w = np.asarray(w, dtype=complex).ravel()
-    n = p.n
-    if not 0 <= k < n:
-        raise InputError(f"slot index {k} out of range for n={n}")
-    R, Q = p.stats.R, p.stats.Q
-    idx = [i for i in range(n) if i != k]
-    wt = w[idx]
-    a1 = float(R[k, k].real)
-    a2 = float(Q[k, k].real)
-    b1 = complex(wt.conj() @ R[idx, k])
-    b2 = complex(wt.conj() @ Q[idx, k])
-    c1 = float(np.real(wt.conj() @ R[np.ix_(idx, idx)] @ wt))
-    c2 = 1.0 + float(np.real(wt.conj() @ Q[np.ix_(idx, idx)] @ wt))
-    beta = float(p.caps()[k])
-    return ScalarFractionalSubproblem(a1=a1, a2=a2, b1=b1, b2=b2,
-                                      c1=c1, c2=c2, beta=beta)
+    if not 0 <= k < p.n:
+        raise InputError(f"slot index {k} out of range for n={p.n}")
+    cols, a1s, a2s, caps = _slot_data(p)
+    P, wRw, wQw = _products(cols, w)
+    return _slot_coefficients(a1s[k], a2s[k], caps[k], complex(w[k]), *P[k].tolist(), wRw, wQw)
+
+
+def _products(cols, w):
+    """R w and Q w as the columns of one (n, 2) array, then w^H R w, w^H Q w."""
+    P = (w @ cols.reshape(w.size, -1)).reshape(w.size, 2)
+    return (P, *(w.conj() @ P).real.tolist())
+
+
+def _slot_coefficients(a1, a2, beta, wk, rw, qw, wRw, wQw):
+    """Slot k's subproblem in O(1) from (R w)_k = rw, (Q w)_k = qw and the
+    full forms: removing w_k's own terms leaves the frozen parts."""
+    m = abs(wk) ** 2
+    return ScalarFractionalSubproblem(
+        a1, a2, (rw - a1 * wk).conjugate(), (qw - a2 * wk).conjugate(),
+        wRw - 2.0 * (wk.conjugate() * rw).real + a1 * m,
+        1.0 + wQw - 2.0 * (wk.conjugate() * qw).real + a2 * m, beta)
 
 
 def subproblem_value(s: ScalarFractionalSubproblem, y: complex) -> float:
-    num = s.a1 * abs(y) ** 2 + 2.0 * np.real(s.b1 * y) + s.c1
-    den = s.a2 * abs(y) ** 2 + 2.0 * np.real(s.b2 * y) + s.c2
-    return num / den
+    m = abs(y) ** 2
+    return (s.a1 * m + 2.0 * (s.b1 * y).real + s.c1) / (s.a2 * m + 2.0 * (s.b2 * y).real + s.c2)
 
 
 def _aux_F(s: ScalarFractionalSubproblem, t: float) -> float:
     """max over the disk of numerator - t * denominator (strictly decreasing in t)."""
     A = s.a1 - t * s.a2
     Babs = abs(s.b1 - t * s.b2)
-    C = s.c1 - t * s.c2
-    if A >= 0:
-        r = s.beta
-    else:
-        r = min(Babs / (-A), s.beta)
-    return A * r * r + 2.0 * Babs * r + C
+    r = s.beta if A >= 0 else min(Babs / (-A), s.beta)
+    return A * r * r + 2.0 * Babs * r + s.c1 - t * s.c2
 
 
 def solve_scalar_subproblem(s: ScalarFractionalSubproblem):
@@ -115,17 +119,8 @@ def solve_scalar_subproblem(s: ScalarFractionalSubproblem):
             and abs(b1 * c2 - b2 * c1) <= prop_tol
             and abs(a1 * b2 - a2 * b1) <= prop_tol):
         return 0.0 + 0.0j, c1 / c2, True
-
-    def y_boundary(t):
-        return beta * np.exp(-1j * np.angle(b1 - t * b2))
-
-    def y_interior(t):
-        bt = b1 - t * b2
-        denom = t * a2 - a1
-        return (abs(bt) / denom) * np.exp(-1j * np.angle(bt))
-
     B0 = abs(b1) ** 2
-    B1 = 2.0 * np.real(b1 * np.conj(b2))
+    B1 = 2.0 * (b1 * b2.conjugate()).real
     B2 = abs(b2) ** 2
     ys = []
     # boundary: 2 beta |b1 - t b2| = -[(a1 - t a2) beta^2 + (c1 - t c2)], squared
@@ -136,13 +131,14 @@ def solve_scalar_subproblem(s: ScalarFractionalSubproblem):
                          4 * beta ** 2 * B0 - u0 ** 2):
         if (a1 - t * a2) * beta ** 2 + (c1 - t * c2) <= 1e-11 * scale and \
                 abs(b1 - t * b2) >= (t * a2 - a1) * beta - 1e-11 * scale:
-            ys.append(y_boundary(t))
+            ys.append(cmath.rect(beta, -cmath.phase(b1 - t * b2)))
     # interior: |b1 - t b2|^2 = (a1 - t a2)(c1 - t c2); the strict margin on
     # t a2 - a1 keeps roundoff-level denominators on the boundary branch
     for t in _real_roots(B2 - a2 * c2, -B1 + a1 * c2 + a2 * c1, B0 - a1 * c1):
+        bt = b1 - t * b2
         if t * a2 - a1 > 1e-11 * scale and \
-                abs(b1 - t * b2) < (t * a2 - a1) * beta + 1e-11 * scale:
-            ys.append(y_interior(t))
+                abs(bt) < (t * a2 - a1) * beta + 1e-11 * scale:
+            ys.append(cmath.rect(abs(bt) / (t * a2 - a1), -cmath.phase(bt)))
 
     y = max(ys, key=lambda yv: subproblem_value(s, yv), default=0.0 + 0.0j)
     val = subproblem_value(s, y)
@@ -158,9 +154,9 @@ def solve_scalar_subproblem(s: ScalarFractionalSubproblem):
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if _aux_F(s, mid) > 0 else (lo, mid)
         t = 0.5 * (lo + hi)
-        y_alt = y_interior(t) if t * a2 - a1 > 1e-11 * scale else y_boundary(t)
-        if abs(y_alt) > beta:
-            y_alt = y_boundary(t)
+        # the interior point when it lies in the disk, else the boundary one
+        r = abs(b1 - t * b2) / (t * a2 - a1) if t * a2 - a1 > 1e-11 * scale else beta
+        y_alt = cmath.rect(min(r, beta), -cmath.phase(b1 - t * b2))
         if subproblem_value(s, y_alt) > val:
             y = y_alt
             val = subproblem_value(s, y)
@@ -191,27 +187,28 @@ def coordinate_descent(p: IndivPowerProblem, w0, eps: float = 1e-3,
                        max_sweeps: int = 500):
     """Cyclic coordinate ascent on the SNR ratio.
 
-    Sweeps slots 1..N applying the closed-form scalar update; stops when
-    the relative iterate change over a sweep drops below ``eps``.  An
-    infeasible start is scaled down to the tightest cap.  Returns
-    ``(BeamformingSolution, SolverTrace)`` with trace rows
-    (sweep, slot, objective).
+    Sweeps slots 1..N applying the closed-form scalar update, O(n) per
+    slot; stops when the relative iterate change over a sweep drops below
+    ``eps`` (positive and finite).  An infeasible start is scaled down to
+    the tightest cap.  Returns ``(BeamformingSolution, SolverTrace)`` with
+    trace rows (sweep, slot, objective).
     """
+    if not 0.0 < eps < math.inf:
+        raise InputError(f"eps must be a positive finite number, got {eps!r}")
     w = np.asarray(w0, dtype=complex).ravel().copy()
     if w.size != p.n:
         raise InputError(f"w0 has length {w.size}, expected {p.n}")
-    caps = p.caps()
-    over = (np.abs(w) / caps).max()
+    if not np.isfinite(w).all():
+        raise InputError("w0 contains non-finite entries")
+    over = (np.abs(w) / p.caps()).max()
     if over > 1.0:
         w = w / over
+    data = _slot_data(p)
     trace = SolverTrace(columns=CDM_TRACE_COLUMNS)
     sig_ratio = p.Ps / p.stats.sigma2
     for sweep in range(max_sweeps):
         w_prev = w.copy()
-        for k in range(p.n):
-            sub = extract_coefficients(p, w, k)
-            y, t, _ = solve_scalar_subproblem(sub)
-            w[k] = y
+        for k, t in enumerate(_sweep(data, w)):
             trace.append(sweep, k, sig_ratio * t)
         denom = np.linalg.norm(w_prev)
         if denom > 0 and np.linalg.norm(w - w_prev) / denom < eps:
@@ -223,6 +220,33 @@ def coordinate_descent(p: IndivPowerProblem, w0, eps: float = 1e-3,
         best=BeamformingSolution(w=w, Ps=p.Ps, snr=snr(p.stats, p.Ps, w),
                                  feasibility=p.slacks(w)),
         trace=trace)
+
+
+def _slot_data(p: IndivPowerProblem):
+    """Per-solve constants: cols[k] = column k of R and Q side by side, the diagonals, the caps."""
+    R, Q = p.stats.R, p.stats.Q
+    return (np.stack([R.T, Q.T], axis=2), R.diagonal().real.tolist(),
+            Q.diagonal().real.tolist(), p.caps().tolist())
+
+
+def _sweep(data, w):
+    """One cyclic pass of slot updates on ``w``, in place; returns each slot's t.
+    R w, Q w and the forms start afresh each pass, so round-off cannot build up."""
+    cols, a1s, a2s, caps = data
+    P, wRw, wQw = _products(cols, w)
+    ws = w.tolist()
+    ts = []
+    for k, (wk, a1, a2, beta) in enumerate(zip(ws, a1s, a2s, caps)):
+        rw, qw = P[k].tolist()
+        y, t, _ = solve_scalar_subproblem(_slot_coefficients(a1, a2, beta, wk, rw, qw, wRw, wQw))
+        d = y - wk
+        wRw += 2.0 * (d.conjugate() * rw).real + a1 * abs(d) ** 2
+        wQw += 2.0 * (d.conjugate() * qw).real + a2 * abs(d) ** 2
+        P += cols[k] * d
+        ws[k] = y
+        ts.append(t)
+    w[:] = ws
+    return ts
 
 
 def stationarity_improvement(p: IndivPowerProblem, w) -> float:

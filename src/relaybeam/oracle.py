@@ -47,39 +47,35 @@ def brute_force_indiv(p: IndivPowerProblem, g: GridSpec | None = None,
         raise InputError(
             f"grid of {total} evaluations exceeds the {EVAL_GUARD} guard; "
             "use a coarser GridSpec")
-    caps = p.caps()
     n = p.n
-    axes = []
-    for k in range(n):
-        radii = np.linspace(0.0, caps[k], g.radial_points)
-        if k == 0:
-            axes.append(radii.astype(complex))
-        else:
-            phases = np.exp(2j * np.pi * np.arange(g.angular_points) / g.angular_points)
-            axes.append(np.outer(radii, phases).ravel())
-    R, Q = p.stats.R, p.stats.Q
-    scale = p.Ps / p.stats.sigma2
-    best_val = -np.inf
-    best_w = None
-    sizes = [a.size for a in axes]
-    grid_total = int(np.prod(sizes))
-    for start in range(0, grid_total, batch):
-        stop = min(start + batch, grid_total)
-        idx = np.unravel_index(np.arange(start, stop), sizes)
-        W = np.stack([axes[k][idx[k]] for k in range(n)], axis=1)
-        num = np.einsum("bi,ij,bj->b", W.conj(), R, W).real
-        den = 1.0 + np.einsum("bi,ij,bj->b", W.conj(), Q, W).real
-        vals = scale * num / den
+    phases = np.exp(2j * np.pi * np.arange(g.angular_points) / g.angular_points)
+    axes = [np.outer(np.linspace(0.0, cap, g.radial_points), phases if k else [1.0 + 0j]).ravel()
+            for k, cap in enumerate(p.caps())]
+    # in C order the grid is (leading relays) x (last relay).  On the leading
+    # relays' broadcast grid a form is diagonal terms plus one cross term per
+    # pair, A; the last relay at x adds M_ll |x|^2 + 2 Re(u x), u = sum_i
+    # conj(w_i) M_il.  Blocks of whole rows keep grid order for the tie rule
+    *lead, last = axes
+    shape = [a.size for a in lead]
+    grids = [a.reshape([-1 if i == k else 1 for i in range(n - 1)]) for k, a in enumerate(lead)]
+    forms = []
+    for M, noise in ((p.stats.R, 0.0), (p.stats.Q, 1.0)):
+        A = sum(((1.0 if i == j else 2.0) * (gi.conj() * M[i, j] * grids[j]).real
+                 for i, gi in enumerate(grids) for j in range(i, n - 1)), np.full(shape, noise))
+        u = sum((gi.conj() * M[i, -1] for i, gi in enumerate(grids)), np.zeros(shape, complex))
+        forms.append((A.reshape(-1, 1), u.reshape(-1, 1), M[-1, -1].real * np.abs(last) ** 2))
+    rows = max(1, batch // last.size)
+    best_val, best = -np.inf, 0
+    for r0 in range(0, int(np.prod(shape)), rows):
+        num, den = (A[r0:r0 + rows] + d + 2.0 * (u[r0:r0 + rows] * last).real
+                    for A, u, d in forms)
+        vals = num / den
         i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val = float(vals[i])
-            best_w = W[i].copy()
+        if vals.flat[i] > best_val:
+            best_val, best = vals.flat[i], r0 * last.size + i
+    w = np.array([a[i] for a, i in zip(axes, np.unravel_index(best, [a.size for a in axes]))])
     # one polish sweep with the closed-form slot update
-    w = best_w
-    for k in range(n):
-        sub = indiv_search.extract_coefficients(p, w, k)
-        y, _, _ = indiv_search.solve_scalar_subproblem(sub)
-        w[k] = y
+    indiv_search._sweep(indiv_search._slot_data(p), w)
     return w, snr(p.stats, p.Ps, w)
 
 

@@ -241,17 +241,28 @@ class TestMain:
         assert main(["solve", str(path)]) == 3
 
     def test_nonconvergence_exit_2(self, tmp_path):
-        # eps = 0 can never satisfy the relative-change test
+        # coordinate descent creeps on this 16-relay Wishart instance: from
+        # the all-ones start, eps = 1e-6 takes 657 sweeps, past the 500 limit
+        rng = np.random.default_rng(4)
+        n = 16
+        D = rng.uniform(0.5, 2.0, n)
+        R, Q = (A @ A.conj().T / n for A in
+                (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                 for _ in range(2)))
         payload = {
             "mode": "individual", "sigma2": 1.0,
-            "channel": {"stats": {"D": [1.0] * 4,
-                                  "R": cmat(fixtures.indiv_fixture(4)[0]),
-                                  "Q": cmat(fixtures.indiv_fixture(4)[1])}},
-            "budget": {"Ps": 1.0, "P": [2.0] * 4},
-            "solver": {"name": "cdm", "options": {"eps": 0.0}},
+            "channel": {"stats": {"D": D.tolist(), "R": cmat(R), "Q": cmat(Q)}},
+            "budget": {"Ps": 1.0, "P": rng.uniform(1.0, 3.0, n).tolist()},
+            "solver": {"name": "cdm", "options": {"eps": 1e-6}},
         }
         path = write_scenario(tmp_path / "stall.json", payload)
         assert main(["solve", str(path)]) == 2
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0])
+    def test_non_positive_eps_exit_3(self, tmp_path, capsys, eps):
+        path, _ = fixture_scenario(tmp_path, solver="cdm", options={"eps": eps})
+        assert main(["solve", path]) == 3
+        assert "eps must be a positive finite number" in capsys.readouterr().err
 
     def test_pure_line_of_sight_solves(self, tmp_path, capsys):
         # every variance 0 makes R rank one, which the total-power

@@ -26,6 +26,50 @@ def fixture_problem(n):
     return IndivPowerProblem(stats=stats, Ps=1.0, P=np.full(n, 2.0))
 
 
+def wishart_problem(seed, n):
+    """Complex Wishart R and Q, D in [0.5, 2], caps P in [1, 3], Ps = sigma^2 = 1."""
+    rng = np.random.default_rng(seed)
+    D = rng.uniform(0.5, 2.0, n)
+    R, Q = (A @ A.conj().T / n for A in
+            (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+             for _ in range(2)))
+    stats = ChannelStats(D=D, R=R, Q=Q, sigma2=1.0)
+    return IndivPowerProblem(stats=stats, Ps=1.0, P=rng.uniform(1.0, 3.0, n)), rng
+
+
+def dense_coefficients(p, w, k):
+    """Slot k's subproblem from explicit sub-blocks of the frozen entries."""
+    R, Q = p.stats.R, p.stats.Q
+    idx = [i for i in range(p.n) if i != k]
+    wt = w[idx]
+    return ScalarFractionalSubproblem(
+        a1=float(R[k, k].real), a2=float(Q[k, k].real),
+        b1=complex(wt.conj() @ R[idx, k]), b2=complex(wt.conj() @ Q[idx, k]),
+        c1=float(np.real(wt.conj() @ R[np.ix_(idx, idx)] @ wt)),
+        c2=1.0 + float(np.real(wt.conj() @ Q[np.ix_(idx, idx)] @ wt)),
+        beta=float(p.caps()[k]))
+
+
+def dense_coordinate_descent(p, w0, eps=1e-3, max_sweeps=500):
+    """Reference CDM: dense coefficients for every slot, same stop test.
+    Returns (w, trace objectives)."""
+    w = np.asarray(w0, dtype=complex).ravel().copy()
+    over = (np.abs(w) / p.caps()).max()
+    if over > 1.0:
+        w = w / over
+    objs = []
+    for _ in range(max_sweeps):
+        w_prev = w.copy()
+        for k in range(p.n):
+            y, t, _ = solve_scalar_subproblem(dense_coefficients(p, w, k))
+            w[k] = y
+            objs.append(p.Ps / p.stats.sigma2 * t)
+        denom = np.linalg.norm(w_prev)
+        if denom > 0 and np.linalg.norm(w - w_prev) / denom < eps:
+            return w, objs
+    raise AssertionError("reference did not converge")
+
+
 def grid_maximum(s, radial=400, angular=720):
     rr = np.linspace(0.0, s.beta, radial)
     th = np.linspace(0.0, 2 * np.pi, angular, endpoint=False)
@@ -65,6 +109,18 @@ class TestExtractCoefficients:
                 w2[k] = y
                 expected = snr(p.stats, p.Ps, w2) * p.stats.sigma2 / p.Ps
                 assert subproblem_value(s, y) == pytest.approx(expected, rel=1e-10)
+
+
+    def test_matches_dense_sub_blocks(self):
+        for seed in range(20):
+            n = 2 + seed % 7
+            p, rng = wishart_problem(seed, n)
+            w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            k = int(rng.integers(0, n))
+            got, ref = extract_coefficients(p, w, k), dense_coefficients(p, w, k)
+            for name in ("a1", "a2", "b1", "b2", "c1", "c2", "beta"):
+                assert abs(getattr(got, name) - getattr(ref, name)) <= \
+                    1e-12 * max(1.0, abs(getattr(ref, name))), (seed, name)
 
 
 class TestScalarSubproblem:
@@ -166,6 +222,32 @@ class TestCoordinateDescent:
         w0 = np.ones(4, dtype=complex)
         sol, _ = coordinate_descent(p, w0, eps=1e-6)
         assert stationarity_improvement(p, sol.w) <= 1e-6
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 16, 32])
+    @pytest.mark.parametrize("start", ["random", "infeasible", "zero entries"])
+    def test_matches_dense_reference(self, n, start):
+        p, rng = wishart_problem(n, n)
+        w0 = {"random": rng.standard_normal(n) + 1j * rng.standard_normal(n),
+              "infeasible": 100.0 * np.ones(n, dtype=complex),
+              "zero entries": np.where(np.arange(n) % 2 == 0, 0.3 - 0.2j, 0.0)}[start]
+        w_ref, objs_ref = dense_coordinate_descent(p, w0)
+        sol, trace = coordinate_descent(p, w0)
+        assert len(trace) == len(objs_ref)
+        objs = np.array([row[2] for row in trace.rows])
+        assert np.all(np.abs(objs - objs_ref) <= 1e-10 * np.abs(objs_ref))
+        assert np.abs(sol.w - w_ref).max() <= 1e-10
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_eps_rejected(self, eps):
+        with pytest.raises(InputError, match="eps must be a positive finite number"):
+            coordinate_descent(fixture_problem(4), np.ones(4), eps=eps)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_w0_rejected(self, bad):
+        w0 = np.ones(4, dtype=complex)
+        w0[2] = bad
+        with pytest.raises(InputError, match="non-finite"):
+            coordinate_descent(fixture_problem(4), w0)
 
     def test_infeasible_start_projected(self, rng):
         p = rand_indiv_problem(rng, 3)
