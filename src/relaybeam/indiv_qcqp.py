@@ -13,6 +13,8 @@ points back to budget-feasible weight vectors.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,12 +151,13 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
     column-major: with E(M) = [[Re M, -Im M], [Im M, Re M]] and L L^H = X,
     the columns of WT = E(L/sqrt 2) [a; b]^T, shape (2n, cols), are the
     samples [Re w; Im w], and w^H M w is the column sum of WT * E(M) WT.
-    Each batch runs in column chunks of _GRP_CHUNK samples so that the
-    temporaries stay in cache; the first maximum wins.
+    Column chunks keep the temporaries in cache.  For n <= 16 the batches
+    run on one thread per usable CPU, each with a (GRP_BATCH, n) float64
+    buffer (0.5 MiB per relay); the first maximum wins at any thread count.
     """
-    if samples < 1:
-        raise InputError("samples must be >= 1")
-    if not 0 <= seed < 2 ** 64:
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise InputError("samples must be >= 1 and an integer")
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
         raise InputError("seed must be a non-negative integer below 2**64")
     wv, U = np.linalg.eigh(symmetrize(X))
     wv = np.maximum(wv, 0.0)
@@ -168,26 +171,53 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
     Qmat[0, 0] -= q.scale_coeffs[0]
     K = np.vstack([_real_embed(q.R), _real_embed(Qmat)])
     c = q.scale_coeffs[:, None]
-    best_val, best_w = -np.inf, None
-    for batch_idx, done in enumerate(range(0, samples, GRP_BATCH)):
-        take = min(GRP_BATCH, samples - done)
-        rng = np.random.Generator(
-            np.random.Philox(key=[np.uint64(seed), np.uint64(batch_idx)]))
-        a = rng.standard_normal((GRP_BATCH, n))   # in full: positions the stream for b
-        b = rng.standard_normal((take, n))        # = the first take rows of a full draw
-        for c0 in range(0, take, _GRP_CHUNK):
-            cols = slice(c0, min(c0 + _GRP_CHUNK, take))
-            WT = La @ a[cols].T + Lb @ b[cols].T
-            KW = (K @ WT).reshape(2, 2 * n, -1)
-            robj, quad_Q = (KW * WT).sum(axis=1)
-            P = WT * WT
-            worst = quad_Q + (c * (P[:n] + P[n:])).max(axis=0)
-            vals = robj / worst
-            i = int(np.argmax(vals))
-            if vals[i] > best_val:
-                best_val = float(vals[i])
-                best_w = (WT[:n, i] + 1j * WT[n:, i]) / np.sqrt(worst[i])
-    return best_w
+    # GEMMs that OpenBLAS threads (K @ WT: 8 n^2 chunk > 2**18 multiply-adds)
+    # lose when several workers issue them: chunks shrink to stay under, n <= 16
+    n_batches = -(-samples // GRP_BATCH)
+    workers, chunk = min(_usable_cpus(), n_batches) if n <= 16 else 1, _GRP_CHUNK
+    while n <= 16 and 8 * n * n * chunk > 2 ** 18:
+        chunk //= 2
+    bests, errors = [(-np.inf, None)] * n_batches, []
+
+    def run(w0):
+        try:
+            a, b = np.empty((GRP_BATCH, n)), np.empty((chunk, n))
+            for batch_idx in range(w0, n_batches, workers):
+                take = min(GRP_BATCH, samples - batch_idx * GRP_BATCH)
+                rng = np.random.Generator(
+                    np.random.Philox(key=[np.uint64(seed), np.uint64(batch_idx)]))
+                rng.standard_normal(out=a)   # in full: positions the stream for b
+                best_val, best_w = -np.inf, None
+                for c0 in range(0, take, chunk):
+                    bc = b[:min(chunk, take - c0)]
+                    rng.standard_normal(out=bc)   # the next rows of one full draw
+                    WT = La @ a[c0:c0 + len(bc)].T + Lb @ bc.T
+                    KW = (K @ WT).reshape(2, 2 * n, -1)
+                    robj, quad_Q = (KW * WT).sum(axis=1)
+                    worst = quad_Q + (c * (WT[:n] ** 2 + WT[n:] ** 2)).max(axis=0)
+                    vals = robj / worst
+                    i = int(np.argmax(vals))
+                    if vals[i] > best_val:
+                        best_val = float(vals[i])
+                        best_w = (WT[:n, i] + 1j * WT[n:, i]) / np.sqrt(worst[i])
+                bests[batch_idx] = best_val, best_w
+        except BaseException as exc:   # re-raised in the calling thread
+            errors.append(exc)
+    threads = [threading.Thread(target=run, args=(w0,)) for w0 in range(1, workers)]
+    for t in threads:
+        t.start()
+    run(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return max(bests, key=lambda best: best[0])[1]   # the first maximum
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):   # not on macOS or Windows
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _vech(H) -> np.ndarray:

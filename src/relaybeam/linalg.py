@@ -5,9 +5,9 @@ search, the SDP relaxation) manipulates small Hermitian matrices; this
 module owns their construction, eigendecomposition, inverse square roots
 and PSD tests.  ``hermitian`` validates a matrix where it enters from a
 caller; ``symmetrize`` only cleans the round-off asymmetry of a matrix the
-library computed itself.  Matrix sizes equal the relay count (<= ~16), so
-dense LAPACK routines via numpy are used throughout; the contracts here are
-accuracy bounds, not a particular algorithm.
+library computed itself.  Matrices are n x n or 2n x 2n for relay counts
+up to n = 128, so dense LAPACK routines via numpy are used throughout; the
+contracts here are accuracy bounds, not a particular algorithm.
 """
 
 from __future__ import annotations

@@ -1,7 +1,11 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from relaybeam import fixtures
+from relaybeam import fixtures, indiv_qcqp
 from relaybeam.channel import ChannelStats
 from relaybeam.errors import InputError, ScopeError
 from relaybeam.indiv_diag import solve_diagonal
@@ -10,7 +14,7 @@ from relaybeam.indiv_qcqp import (GRP_BATCH, build_qcqp, grp_extract, qcqp_objec
                                   solve_via_sdp)
 from relaybeam.linalg import qform, symmetrize
 from relaybeam.problems import IndivPowerProblem
-from conftest import degenerate_qcqp_instance, rand_indiv_problem
+from conftest import degenerate_qcqp_instance, rand_indiv_problem, rand_pd
 
 
 def grp_reference(X, q, samples, seed):
@@ -71,6 +75,31 @@ class TestBuildQcqp:
         p = IndivPowerProblem(stats=stats, Ps=1.0, P=np.array([5.0]))
         q = build_qcqp(p)
         assert q.A[0][0, 0].real == pytest.approx((1.0 * 2.0 + 0.5) / 5.0 + 1.0)
+
+
+class TestUsableCpus:
+    @pytest.mark.parametrize("count,expected", [(7, 7), (None, 1)])
+    def test_falls_back_without_affinity(self, count, expected, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert indiv_qcqp._usable_cpus() == expected
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="no CPU affinity on this platform")
+    def test_follows_narrowed_affinity(self):
+        # on Linux pid 0 names the calling thread, so narrowing it inside a
+        # thread leaves the test process as it was
+        seen = []
+
+        def narrowed():
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            seen.append(indiv_qcqp._usable_cpus())
+
+        t = threading.Thread(target=narrowed)
+        t.start()
+        t.join(timeout=10)
+        assert not t.is_alive()
+        assert seen == [1]
 
 
 class TestRescale:
@@ -239,6 +268,77 @@ class TestGrp:
         q, sol, _ = solve_via_sdp(fixture_problem(4))
         with pytest.raises(InputError, match="seed must be a non-negative integer"):
             grp_extract(sol.X, q, samples=10, seed=-1)
+
+    @pytest.mark.parametrize("samples,seed", [(1000.0, 1), (10, 1.7), ("10", 1),
+                                              (10, None)])
+    def test_non_integral_samples_or_seed_rejected(self, samples, seed):
+        q, sol, _ = solve_via_sdp(fixture_problem(4))
+        with pytest.raises(InputError, match="must be .*integer"):
+            grp_extract(sol.X, q, samples=samples, seed=seed)
+
+    def test_numpy_integers_accepted(self):
+        q, sol, _ = solve_via_sdp(fixture_problem(4))
+        assert np.array_equal(grp_extract(sol.X, q, np.int64(500), np.uint64(3)),
+                              grp_extract(sol.X, q, 500, 3))
+
+    @pytest.mark.parametrize("case", ["random-n3", "fixture-n6", "rank-one", "random-n17"])
+    def test_independent_of_worker_count(self, case, monkeypatch):
+        # uneven strides over four batches, the last one partial; n = 17 takes
+        # the one-thread path whatever the CPU count
+        rng = np.random.default_rng(17)
+        if case == "fixture-n6":
+            p = fixture_problem(6)
+            X = solve_via_sdp(p)[1].X
+        elif case.startswith("random"):
+            n = int(case.removeprefix("random-n"))
+            p = rand_indiv_problem(rng, n)
+            V = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            X = V @ V.conj().T
+        else:
+            # X = e_0 e_0^H with R_00 = Q_00 = c_0 = 1: every sample value is
+            # exactly R_00 / (Q_00 + c_0) = 1/2, so the first sample must win
+            R, Q = rand_pd(rng, 3), rand_pd(rng, 3)
+            stats = ChannelStats(D=np.ones(3), R=R / R[0, 0].real, Q=Q / Q[0, 0].real,
+                                 sigma2=1.0)
+            p = IndivPowerProblem(stats=stats, Ps=1.0, P=np.full(3, 2.0))
+            X = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        q = build_qcqp(p)
+        samples = 3 * GRP_BATCH + 17
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # more workers than cores, switching often
+        try:
+            for workers in (1, 2, 3, 5):
+                monkeypatch.setattr(indiv_qcqp, "_usable_cpus", lambda: workers)
+                results[workers] = grp_extract(X, q, samples, seed=11)
+        finally:
+            sys.setswitchinterval(interval)
+        for w in results.values():
+            assert np.array_equal(w, results[1])
+        # on the rank-one case the complex reference's values are not exact
+        # ties, but the first sample of the stream is its one-sample answer
+        w_ref = grp_reference(X, q, 1 if case == "rank-one" else samples, seed=11)
+        assert np.abs(results[1] - w_ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_worker_exception_propagates(self, workers, monkeypatch):
+        class Boom(RuntimeError):
+            pass
+
+        philox = np.random.Philox
+
+        def failing_philox(*args, key, **kwargs):
+            if int(key[1]) == 1:
+                raise Boom("batch 1")
+            return philox(*args, key=key, **kwargs)
+
+        q, sol, _ = solve_via_sdp(fixture_problem(4))
+        monkeypatch.setattr(indiv_qcqp, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(np.random, "Philox", failing_philox)
+        before = threading.active_count()
+        with pytest.raises(Boom):
+            grp_extract(sol.X, q, 3 * GRP_BATCH, seed=2)
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("rank", [None, 2, 1])      # None: full rank
     @pytest.mark.parametrize("n", [3, 4, 6, 16])
