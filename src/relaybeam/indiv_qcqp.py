@@ -27,6 +27,7 @@ from .sdp import SdpProblem, _traces, solve_relaxation
 
 GRP_BATCH = 65536   # fixed batch so the sample stream is a prefix-stable counter
 _GRP_CHUNK = 4096   # GRP samples per column chunk: its temporaries stay in L2
+_GRP_CHUNK_MIN = 256   # narrower, numpy's per-call cost outweighs extra threads
 
 
 @dataclass
@@ -151,7 +152,7 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
     column-major: with E(M) = [[Re M, -Im M], [Im M, Re M]] and L L^H = X,
     the columns of WT = E(L/sqrt 2) [a; b]^T, shape (2n, cols), are the
     samples [Re w; Im w], and w^H M w is the column sum of WT * E(M) WT.
-    Column chunks keep the temporaries in cache.  For n <= 16 the batches
+    Column chunks keep the temporaries in cache.  For n <= 11 the batches
     run on one thread per usable CPU, each with a (GRP_BATCH, n) float64
     buffer (0.5 MiB per relay); the first maximum wins at any thread count.
     """
@@ -160,11 +161,10 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
         raise InputError("seed must be a non-negative integer below 2**64")
     wv, U = np.linalg.eigh(symmetrize(X))
-    wv = np.maximum(wv, 0.0)
     if wv.max() <= 0:
         raise InputError("X is numerically zero; nothing to sample")
     n = q.n
-    La, Lb = np.hsplit(_real_embed(U * np.sqrt(wv / 2.0)), 2)
+    La, Lb = np.hsplit(_real_embed(U * np.sqrt(np.maximum(wv, 0.0) / 2.0)), 2)
     # A_k = c_k J_k + Q: evaluate the shared Q form once per sample and add
     # the per-relay diagonal bump
     Qmat = q.A[0].copy()
@@ -172,22 +172,24 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
     K = np.vstack([_real_embed(q.R), _real_embed(Qmat)])
     c = q.scale_coeffs[:, None]
     # GEMMs that OpenBLAS threads (K @ WT: 8 n^2 chunk > 2**18 multiply-adds)
-    # lose when several workers issue them: chunks shrink to stay under, n <= 16
+    # lose when several workers issue them: their chunks halve to stay under,
+    # and where that would go below _GRP_CHUNK_MIN (n > 11) one worker runs
     n_batches = -(-samples // GRP_BATCH)
-    workers, chunk = min(_usable_cpus(), n_batches) if n <= 16 else 1, _GRP_CHUNK
-    while n <= 16 and 8 * n * n * chunk > 2 ** 18:
-        chunk //= 2
+    workers, chunk = min(_usable_cpus(), n_batches), _GRP_CHUNK
+    while workers > 1 and 8 * n * n * chunk > 2 ** 18:
+        workers, chunk = (workers, chunk // 2) if chunk > _GRP_CHUNK_MIN else (1, _GRP_CHUNK)
     bests, errors = [(-np.inf, None)] * n_batches, []
 
     def run(w0):
         try:
             a, b = np.empty((GRP_BATCH, n)), np.empty((chunk, n))
             for batch_idx in range(w0, n_batches, workers):
+                if errors:   # another worker failed: stop after this batch
+                    break
                 take = min(GRP_BATCH, samples - batch_idx * GRP_BATCH)
                 rng = np.random.Generator(
                     np.random.Philox(key=[np.uint64(seed), np.uint64(batch_idx)]))
                 rng.standard_normal(out=a)   # in full: positions the stream for b
-                best_val, best_w = -np.inf, None
                 for c0 in range(0, take, chunk):
                     bc = b[:min(chunk, take - c0)]
                     rng.standard_normal(out=bc)   # the next rows of one full draw
@@ -197,10 +199,9 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
                     worst = quad_Q + (c * (WT[:n] ** 2 + WT[n:] ** 2)).max(axis=0)
                     vals = robj / worst
                     i = int(np.argmax(vals))
-                    if vals[i] > best_val:
-                        best_val = float(vals[i])
-                        best_w = (WT[:n, i] + 1j * WT[n:, i]) / np.sqrt(worst[i])
-                bests[batch_idx] = best_val, best_w
+                    if vals[i] > bests[batch_idx][0]:
+                        w = (WT[:n, i] + 1j * WT[n:, i]) / np.sqrt(worst[i])
+                        bests[batch_idx] = float(vals[i]), w
         except BaseException as exc:   # re-raised in the calling thread
             errors.append(exc)
     threads = [threading.Thread(target=run, args=(w0,)) for w0 in range(1, workers)]
@@ -215,9 +216,8 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
 
 
 def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):   # not on macOS or Windows
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    affinity = getattr(os, "sched_getaffinity", None)   # not on macOS or Windows
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _vech(H) -> np.ndarray:

@@ -281,10 +281,9 @@ class TestGrp:
         assert np.array_equal(grp_extract(sol.X, q, np.int64(500), np.uint64(3)),
                               grp_extract(sol.X, q, 500, 3))
 
-    @pytest.mark.parametrize("case", ["random-n3", "fixture-n6", "rank-one", "random-n17"])
+    @pytest.mark.parametrize("case", ["random-n3", "fixture-n6", "rank-one"])
     def test_independent_of_worker_count(self, case, monkeypatch):
-        # uneven strides over four batches, the last one partial; n = 17 takes
-        # the one-thread path whatever the CPU count
+        # uneven strides over four batches, the last one partial
         rng = np.random.default_rng(17)
         if case == "fixture-n6":
             p = fixture_problem(6)
@@ -325,11 +324,20 @@ class TestGrp:
         class Boom(RuntimeError):
             pass
 
-        philox = np.random.Philox
+        philox, drawn, failed = np.random.Philox, [], []
+        boom = threading.Event()
 
         def failing_philox(*args, key, **kwargs):
+            drawn.append(int(key[1]))
             if int(key[1]) == 1:
+                failed.append(threading.current_thread())
+                boom.set()
                 raise Boom("batch 1")
+            if int(key[1]) > 1:
+                # later batches start only once the failing worker has
+                # recorded its error and ended
+                assert boom.wait(timeout=10)
+                failed[0].join(timeout=10)
             return philox(*args, key=key, **kwargs)
 
         q, sol, _ = solve_via_sdp(fixture_problem(4))
@@ -337,11 +345,13 @@ class TestGrp:
         monkeypatch.setattr(np.random, "Philox", failing_philox)
         before = threading.active_count()
         with pytest.raises(Boom):
-            grp_extract(sol.X, q, 3 * GRP_BATCH, seed=2)
+            grp_extract(sol.X, q, 8 * GRP_BATCH, seed=2)
         assert threading.active_count() == before
+        # each other worker finishes the batch it is in and draws no further
+        assert 1 in drawn and set(drawn) <= set(range(workers + 1))
 
     @pytest.mark.parametrize("rank", [None, 2, 1])      # None: full rank
-    @pytest.mark.parametrize("n", [3, 4, 6, 16])
+    @pytest.mark.parametrize("n", [3, 4, 6, 11, 12, 16])
     def test_matches_complex_reference(self, n, rank):
         # the sample counts cover a single sample, a partial first batch, the
         # batch edge on both sides and a partial second batch (the b prefix)
