@@ -13,8 +13,6 @@ points back to budget-feasible weight vectors.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +25,6 @@ from .sdp import SdpProblem, _traces, solve_relaxation
 
 GRP_BATCH = 65536   # fixed batch so the sample stream is a prefix-stable counter
 _GRP_CHUNK = 4096   # GRP samples per column chunk: its temporaries stay in L2
-_GRP_CHUNK_MIN = 256   # narrower, numpy's per-call cost outweighs extra threads
 
 
 @dataclass
@@ -146,15 +143,19 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
     the feasible boundary, keep the best objective.
 
     Samples are generated in fixed-size batches keyed by (seed, batch
-    index) through a counter-based generator, so results for a given seed
-    are independent of batching/parallel order and growing ``samples``
-    only extends the stream (prefix property).  The kernel is real and
-    column-major: with E(M) = [[Re M, -Im M], [Im M, Re M]] and L L^H = X,
-    the columns of WT = E(L/sqrt 2) [a; b]^T, shape (2n, cols), are the
-    samples [Re w; Im w], and w^H M w is the column sum of WT * E(M) WT.
-    Column chunks keep the temporaries in cache.  For n <= 11 the batches
-    run on one thread per usable CPU, each with a (GRP_BATCH, n) float64
-    buffer (0.5 MiB per relay); the first maximum wins at any thread count.
+    index) through a counter-based generator, so w is a pure function of
+    (X, q, samples, seed) and growing ``samples`` only extends the stream
+    (prefix property).  The samples lie in the range of X: with the
+    eigenpairs of X above 1e-6 lambda_max (the rule behind
+    ``SdpSolution.rank_estimate``) L = U_r sqrt(lambda_r), and each sample
+    is w = L (a + i b) for z = [a; b] ~ N(0, I_2r).  That w is CN(0, 2X);
+    the factor 2 is immaterial because every sample is rescaled.  A sample
+    therefore costs 2r normals, and GRP's cost follows the rank r rather
+    than n.  With E(M) = [[Re M, -Im M], [Im M, Re M]], both quadratic
+    forms are z^T E(L^H M L) z in 2r dimensions; only the per-relay term
+    max_k c_k |w_k|^2 forms E(sqrt(c) L) z, 2n rows per sample.  The
+    kernel runs on the calling thread in column chunks that keep its
+    temporaries in cache, and the first maximum wins.
     """
     if not isinstance(samples, (int, np.integer)) or samples < 1:
         raise InputError("samples must be >= 1 and an integer")
@@ -163,61 +164,39 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
     wv, U = np.linalg.eigh(symmetrize(X))
     if wv.max() <= 0:
         raise InputError("X is numerically zero; nothing to sample")
-    n = q.n
-    La, Lb = np.hsplit(_real_embed(U * np.sqrt(np.maximum(wv, 0.0) / 2.0)), 2)
+    keep = wv > 1e-6 * wv.max()
+    L = U[:, keep] * np.sqrt(wv[keep])
+    r, n = L.shape[1], q.n
     # A_k = c_k J_k + Q: evaluate the shared Q form once per sample and add
     # the per-relay diagonal bump
     Qmat = q.A[0].copy()
     Qmat[0, 0] -= q.scale_coeffs[0]
-    K = np.vstack([_real_embed(q.R), _real_embed(Qmat)])
-    c = q.scale_coeffs[:, None]
-    # GEMMs that OpenBLAS threads (K @ WT: 8 n^2 chunk > 2**18 multiply-adds)
-    # lose when several workers issue them: their chunks halve to stay under,
-    # and where that would go below _GRP_CHUNK_MIN (n > 11) one worker runs
-    n_batches = -(-samples // GRP_BATCH)
-    workers, chunk = min(_usable_cpus(), n_batches), _GRP_CHUNK
-    while workers > 1 and 8 * n * n * chunk > 2 ** 18:
-        workers, chunk = (workers, chunk // 2) if chunk > _GRP_CHUNK_MIN else (1, _GRP_CHUNK)
-    bests, errors = [(-np.inf, None)] * n_batches, []
-
-    def run(w0):
-        try:
-            a, b = np.empty((GRP_BATCH, n)), np.empty((chunk, n))
-            for batch_idx in range(w0, n_batches, workers):
-                if errors:   # another worker failed: stop after this batch
-                    break
-                take = min(GRP_BATCH, samples - batch_idx * GRP_BATCH)
-                rng = np.random.Generator(
-                    np.random.Philox(key=[np.uint64(seed), np.uint64(batch_idx)]))
-                rng.standard_normal(out=a)   # in full: positions the stream for b
-                for c0 in range(0, take, chunk):
-                    bc = b[:min(chunk, take - c0)]
-                    rng.standard_normal(out=bc)   # the next rows of one full draw
-                    WT = La @ a[c0:c0 + len(bc)].T + Lb @ bc.T
-                    KW = (K @ WT).reshape(2, 2 * n, -1)
-                    robj, quad_Q = (KW * WT).sum(axis=1)
-                    worst = quad_Q + (c * (WT[:n] ** 2 + WT[n:] ** 2)).max(axis=0)
-                    vals = robj / worst
-                    i = int(np.argmax(vals))
-                    if vals[i] > bests[batch_idx][0]:
-                        w = (WT[:n, i] + 1j * WT[n:, i]) / np.sqrt(worst[i])
-                        bests[batch_idx] = float(vals[i]), w
-        except BaseException as exc:   # re-raised in the calling thread
-            errors.append(exc)
-    threads = [threading.Thread(target=run, args=(w0,)) for w0 in range(1, workers)]
-    for t in threads:
-        t.start()
-    run(0)
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    return max(bests, key=lambda best: best[0])[1]   # the first maximum
-
-
-def _usable_cpus() -> int:
-    affinity = getattr(os, "sched_getaffinity", None)   # not on macOS or Windows
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
+    LH = L.conj().T
+    K = np.vstack([_real_embed(LH @ q.R @ L), _real_embed(LH @ Qmat @ L)])
+    EL = _real_embed(np.sqrt(q.scale_coeffs)[:, None] * L)
+    best_val, best_w = -np.inf, None
+    for batch_idx in range(-(-samples // GRP_BATCH)):
+        take = min(GRP_BATCH, samples - batch_idx * GRP_BATCH)
+        rng = np.random.Generator(
+            np.random.Philox(key=[np.uint64(seed), np.uint64(batch_idx)]))
+        for c0 in range(0, take, _GRP_CHUNK):
+            # rows z = [a; b]: the next rows of one (GRP_BATCH, 2r) draw,
+            # copied to columns so the products below run on contiguous rows
+            ZT = np.ascontiguousarray(
+                rng.standard_normal((min(_GRP_CHUNK, take - c0), 2 * r)).T)
+            KZ = (K @ ZT).reshape(2, 2 * r, -1)
+            KZ *= ZT
+            robj, quad_Q = KZ.sum(axis=1)
+            WT = EL @ ZT
+            WT *= WT
+            worst = quad_Q + (WT[:n] + WT[n:]).max(axis=0)
+            vals = robj / worst
+            i = int(np.argmax(vals))
+            if vals[i] > best_val:
+                z = ZT[:, i]
+                best_val = float(vals[i])
+                best_w = L @ (z[:r] + 1j * z[r:]) / np.sqrt(worst[i])
+    return best_w
 
 
 def _vech(H) -> np.ndarray:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, InputError, ModelError
-from .linalg import hermitian, is_psd, symmetrize
+from .linalg import hermitian, symmetrize
 
 
 @dataclass
@@ -45,11 +45,16 @@ class SdpProblem:
                 raise InputError(f"A_{k+1} has shape {Ak.shape}, expected {(n, n)}")
         if not A:
             raise InputError("at least one constraint matrix is required")
-        if not is_psd(self.objective, tol=1e-9):
+        # relative PSD test, lambda_min >= -1e-9 max(1, |lambda|_max): at
+        # c_k ~ 1e8 an absolute one rejects Q + c_k e_k e_k^H on round-off
+        stack = np.stack([self.objective, *A])
+        lam = np.linalg.eigvalsh(stack)
+        neg = lam[:, 0] < -1e-9 * np.maximum(1.0, np.abs(lam).max(axis=1))
+        if neg[0]:
             warnings.warn("objective matrix R is not PSD; relaxation may be unbounded",
                           stacklevel=2)
-        self.constraints = np.stack(A)
-        bad = np.flatnonzero(np.linalg.eigvalsh(self.constraints)[:, 0] < -1e-9)
+        self.constraints = stack[1:]
+        bad = np.flatnonzero(neg[1:])
         if bad.size:
             raise ModelError(f"constraint matrix A_{bad[0] + 1} is not PSD")
 

@@ -280,6 +280,27 @@ class TestMain:
         assert np.linalg.matrix_rank(stats.R, tol=1e-10) == 1
         assert rep["snr"] >= (1.0 - 1e-6) * scan_snr(stats, 10.0)
 
+    @pytest.mark.parametrize("solver", ["sdp", "grp"])
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_rank_one_q_at_large_ps_solves(self, tmp_path, capsys, n, solver):
+        # c_k ~ 1e8 leaves round-off far above 1e-9 on lambda_min of the
+        # PSD A_k = Q + c_k e_k e_k^H, which an absolute test rejected
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        payload = {"mode": "individual", "sigma2": 1.0,
+                   "channel": {"stats": {"D": rng.uniform(0.5, 2.0, n).tolist(),
+                                         "R": cmat(A @ A.conj().T / n),
+                                         "Q": cmat(np.outer(g, g.conj()))}},
+                   "budget": {"Ps": 1e8, "P": rng.uniform(1.0, 3.0, n).tolist()},
+                   "solver": {"name": solver},
+                   "seed": 3}
+        path = write_scenario(tmp_path / "rank_one_q.json", payload)
+        assert main(["solve", path]) == 0
+        rep = strict_json(capsys.readouterr().out)
+        assert rep["snr"] > 0
+        assert min(rep["feasibility"]) >= -1e-9
+
     def test_zero_r_total_exit_4(self, tmp_path, capsys):
         # no signal path is a model failure, not an input error
         payload = {"mode": "total", "sigma2": 1.0,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,18 @@ class TestSolveRelaxation:
     def test_non_psd_constraint_rejected(self):
         with pytest.raises(ModelError):
             SdpProblem(objective=np.eye(2), constraints=[np.diag([1.0, -1.0])])
+
+    def test_psd_test_is_relative(self):
+        # lambda_min = -1e-2 beside lambda_max = 1e8 is round-off (1e-10
+        # relative); -1e-8 beside 1 is not
+        M = np.diag([1e8, -1e-2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            SdpProblem(objective=M, constraints=[np.eye(2), M])
+        with pytest.warns(UserWarning):
+            SdpProblem(objective=np.diag([1.0, -1e-8]), constraints=[np.eye(2)])
+        with pytest.raises(ModelError, match="A_2"):
+            SdpProblem(objective=np.eye(2), constraints=[np.eye(2), np.diag([1.0, -1e-8])])
 
 
 class TestCertificateResiduals:
