@@ -9,8 +9,7 @@ from .channel import (BeamformingSolution, ChannelStats, RicianParams,
                       build_stats, monte_carlo_stats, powers, snr)
 from .errors import (ConvergenceError, DispatchError, InputError, ModelError,
                      RelayBeamError, ScopeError, SingularityError)
-from .linalg import (EigenDecomposition, hermitian, hermitian_eig, is_psd,
-                     psd_inv_sqrt)
+from .linalg import EigenDecomposition, hermitian, hermitian_eig, is_psd
 from .problems import IndivPowerProblem, TotalPowerProblem
 from .sdp import (CertificateReport, SdpProblem, SdpSolution,
                   dual_certificate_residuals, solve_relaxation)
@@ -22,7 +21,6 @@ __all__ = [
     "ConvergenceError", "DispatchError", "InputError", "ModelError",
     "RelayBeamError", "ScopeError", "SingularityError",
     "EigenDecomposition", "hermitian", "hermitian_eig", "is_psd",
-    "psd_inv_sqrt",
     "IndivPowerProblem", "TotalPowerProblem",
     "CertificateReport", "SdpProblem", "SdpSolution",
     "dual_certificate_residuals", "solve_relaxation",

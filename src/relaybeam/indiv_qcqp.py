@@ -23,7 +23,7 @@ from .linalg import _real_embed, principal_factor, qform, symmetrize
 from .problems import IndivPowerProblem
 from .sdp import SdpProblem, _traces, solve_relaxation
 
-GRP_BATCH = 65536   # fixed batch so the sample stream is a prefix-stable counter
+GRP_BATCH = 65536   # fixed batch so the sample stream is prefix-stable
 _GRP_CHUNK = 4096   # GRP samples per column chunk: its temporaries stay in L2
 
 
@@ -142,20 +142,22 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
     """Gaussian random procedure: draw w ~ CN(0, X), rescale each sample to
     the feasible boundary, keep the best objective.
 
-    Samples are generated in fixed-size batches keyed by (seed, batch
-    index) through a counter-based generator, so w is a pure function of
-    (X, q, samples, seed) and growing ``samples`` only extends the stream
-    (prefix property).  The samples lie in the range of X: with the
-    eigenpairs of X above 1e-6 lambda_max (the rule behind
+    Samples are generated in fixed-size batches, each drawn by an SFC64
+    generator seeded with ``SeedSequence([seed, batch index])``, so w is a
+    pure function of (X, q, samples, seed) and growing ``samples`` only
+    extends the stream (prefix property).  The samples lie in the range of
+    X: with the eigenpairs of X above 1e-6 lambda_max (the rule behind
     ``SdpSolution.rank_estimate``) L = U_r sqrt(lambda_r), and each sample
     is w = L (a + i b) for z = [a; b] ~ N(0, I_2r).  That w is CN(0, 2X);
     the factor 2 is immaterial because every sample is rescaled.  A sample
     therefore costs 2r normals, and GRP's cost follows the rank r rather
-    than n.  With E(M) = [[Re M, -Im M], [Im M, Re M]], both quadratic
-    forms are z^T E(L^H M L) z in 2r dimensions; only the per-relay term
-    max_k c_k |w_k|^2 forms E(sqrt(c) L) z, 2n rows per sample.  The
-    kernel runs on the calling thread in column chunks that keep its
-    temporaries in cache, and the first maximum wins.
+    than n.  When X has rank one (the report's ``rank_estimate`` is 1),
+    every sample has the same value, so one sample is drawn whatever
+    ``samples`` says.  With E(M) = [[Re M, -Im M], [Im M, Re M]], both
+    quadratic forms are z^T E(L^H M L) z in 2r dimensions; only the
+    per-relay term max_k c_k |w_k|^2 forms E(sqrt(c) L) z, 2n rows per
+    sample.  The kernel runs on the calling thread in column chunks that
+    keep its temporaries in cache, and the first maximum wins.
     """
     if not isinstance(samples, (int, np.integer)) or samples < 1:
         raise InputError("samples must be >= 1 and an integer")
@@ -167,6 +169,10 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
     keep = wv > 1e-6 * wv.max()
     L = U[:, keep] * np.sqrt(wv[keep])
     r, n = L.shape[1], q.n
+    if r == 1:
+        # every sample lies on the ray of L, so rescaling gives every sample
+        # the same value, and the first sample wins the tie
+        samples = 1
     # A_k = c_k J_k + Q: evaluate the shared Q form once per sample and add
     # the per-relay diagonal bump
     Qmat = q.A[0].copy()
@@ -178,7 +184,7 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
     for batch_idx in range(-(-samples // GRP_BATCH)):
         take = min(GRP_BATCH, samples - batch_idx * GRP_BATCH)
         rng = np.random.Generator(
-            np.random.Philox(key=[np.uint64(seed), np.uint64(batch_idx)]))
+            np.random.SFC64(np.random.SeedSequence([int(seed), batch_idx])))
         for c0 in range(0, take, _GRP_CHUNK):
             # rows z = [a; b]: the next rows of one (GRP_BATCH, 2r) draw,
             # copied to columns so the products below run on contiguous rows

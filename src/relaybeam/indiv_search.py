@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import BeamformingSolution, snr
-from .errors import ConvergenceError, InputError, SingularityError
-from .linalg import _real_embed, psd_inv_sqrt, symmetrize
+from .errors import ConvergenceError, InputError, ModelError, SingularityError
+from .linalg import _real_embed, symmetrize
 from .problems import IndivPowerProblem
 from .trace import SolverTrace
 
@@ -311,8 +311,8 @@ def build_pnorm_embedding(p: IndivPowerProblem, pexp: int) -> PnormEmbedding:
     Dinv = np.diag(1.0 / d1)
     Q1 = symmetrize(Dinv @ p.stats.Q @ Dinv)
     R1 = symmetrize(Dinv @ p.stats.R @ Dinv)
-    if np.linalg.eigvalsh(R1)[0] <= 1e-12:
-        raise SingularityError("R must be positive definite for the p-norm route")
+    if not np.abs(R1).max() > 0:
+        raise ModelError("R = 0: no signal reaches the destination, the SNR is 0 for every w")
     return PnormEmbedding(D1=d1, Q1=Q1, R1=R1, F=_real_embed(Q1),
                           K=_real_embed(R1), p=int(pexp))
 
@@ -362,11 +362,14 @@ def phi_p_grad_hess(e: PnormEmbedding, z):
 
 
 def initial_multiplier(e: PnormEmbedding) -> float:
-    """lambda_min(K^{-1/2} F K^{-1/2} + K^{-1}): the exact multiplier of
-    the p = 1 problem, used to warm-start the outer loop."""
-    Kis = psd_inv_sqrt(e.K, eps=1e-14)
-    M = Kis @ e.F @ Kis + Kis @ Kis
-    return float(np.linalg.eigvalsh(symmetrize(M))[0])
+    """1/lambda_max(K, F + I): the exact multiplier of the p = 1 problem,
+    used to warm-start the outer loop.
+
+    F + I is positive definite, so with its Cholesky factor C the pencil
+    is lambda_max(C^{-1} K C^{-T}) and K may be singular (rank-deficient R).
+    """
+    Ci = np.linalg.inv(np.linalg.cholesky(e.F + np.eye(2 * e.n)))
+    return 1.0 / float(np.linalg.eigvalsh(symmetrize(Ci @ e.K @ Ci.T))[-1])
 
 
 def augmented_lagrangian_solve(e: PnormEmbedding, prob: IndivPowerProblem,

@@ -2,11 +2,11 @@
 
 Everything downstream (channel statistics, the total-power eigenvalue
 search, the SDP relaxation) manipulates small Hermitian matrices; this
-module owns their construction, eigendecomposition, inverse square roots
-and PSD tests.  ``hermitian`` validates a matrix where it enters from a
-caller; ``symmetrize`` only cleans the round-off asymmetry of a matrix the
-library computed itself.  Matrices are n x n or 2n x 2n for relay counts
-up to n = 128, so dense LAPACK routines via numpy are used throughout; the
+module owns their construction, eigendecomposition and PSD tests.
+``hermitian`` validates a matrix where it enters from a caller;
+``symmetrize`` only cleans the round-off asymmetry of a matrix the library
+computed itself.  Matrices are n x n or 2n x 2n for relay counts up to
+n = 128, so dense LAPACK routines via numpy are used throughout; the
 contracts here are accuracy bounds, not a particular algorithm.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, SingularityError
+from .errors import InputError
 
 HERMITIAN_ATOL = 1e-12
 
@@ -111,23 +111,6 @@ def is_psd(H, tol: float = 1e-9) -> bool:
     """True iff lambda_min(H) >= -tol."""
     H = hermitian(H)
     return bool(np.linalg.eigvalsh(H)[0] >= -tol)
-
-
-def psd_inv_sqrt(H, eps: float = 1e-12) -> np.ndarray:
-    """Inverse square root M of a positive definite Hermitian H: M H M = I.
-
-    Raises SingularityError naming the offending eigenvalue when
-    lambda_min(H) <= eps.
-    """
-    H = hermitian(H)
-    w, U = np.linalg.eigh(H)
-    if w[0] <= eps:
-        raise SingularityError(
-            f"matrix not positive definite: lambda_min = {w[0]:.6e} <= {eps:.1e}",
-            eigenvalue=float(w[0]),
-        )
-    M = (U * (1.0 / np.sqrt(w))) @ U.conj().T
-    return symmetrize(M)
 
 
 def principal_factor(X) -> np.ndarray:

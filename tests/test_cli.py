@@ -301,6 +301,30 @@ class TestMain:
         assert rep["snr"] > 0
         assert min(rep["feasibility"]) >= -1e-9
 
+    def test_rank_one_grp_matches_sdp(self, tmp_path, capsys):
+        # a generic n = 4 instance whose relaxation is rank one: every GRP
+        # sample lies on the ray of X, so GRP returns the SDP answer up to
+        # one global phase
+        rng = np.random.default_rng(12)
+        G = (rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))) / 2
+        reports = {}
+        for solver in ("grp", "sdp"):
+            payload = {"mode": "individual", "sigma2": 1.3,
+                       "channel": {"stats": {"D": [0.6, 1.9, 1.1, 0.8],
+                                             "R": cmat(G[0] @ G[0].conj().T),
+                                             "Q": cmat(G[1] @ G[1].conj().T)}},
+                       "budget": {"Ps": 1.7, "P": [0.9, 2.4, 1.5, 2.8]},
+                       "solver": {"name": solver}, "seed": 5}
+            path = write_scenario(tmp_path / f"{solver}.json", payload)
+            assert main(["solve", path]) == 0
+            reports[solver] = strict_json(capsys.readouterr().out)
+        grp, sdp = reports["grp"], reports["sdp"]
+        assert grp["metadata"]["rank_estimate"] == sdp["metadata"]["rank_estimate"] == 1
+        assert grp["snr"] == pytest.approx(sdp["snr"], rel=1e-12)
+        w_grp, w_sdp = (np.array([complex(a, b) for a, b in r["w"]]) for r in (grp, sdp))
+        phase = np.vdot(w_sdp, w_grp) / abs(np.vdot(w_sdp, w_grp))
+        assert np.abs(w_grp - phase * w_sdp).max() <= 1e-12 * np.abs(w_sdp).max()
+
     def test_zero_r_total_exit_4(self, tmp_path, capsys):
         # no signal path is a model failure, not an input error
         payload = {"mode": "total", "sigma2": 1.0,

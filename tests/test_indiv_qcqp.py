@@ -8,7 +8,7 @@ from relaybeam.indiv_diag import solve_diagonal
 from relaybeam.indiv_qcqp import (GRP_BATCH, build_qcqp, grp_extract, qcqp_objective,
                                   rank_one_decompose, rescale_to_original,
                                   solve_via_sdp)
-from relaybeam.linalg import qform, symmetrize
+from relaybeam.linalg import principal_factor, qform, symmetrize
 from relaybeam.problems import IndivPowerProblem
 from conftest import degenerate_qcqp_instance, rand_indiv_problem, rand_pd
 
@@ -16,8 +16,9 @@ from conftest import degenerate_qcqp_instance, rand_indiv_problem, rand_pd
 def grp_reference(X, q, samples, seed):
     """GRP in complex (samples, n) arithmetic, drawn in the range of X: w =
     L (a + i b) / sqrt 2 ~ CN(0, X) with L L^H = X on the eigenpairs above
-    1e-6 lambda_max, and one (take, 2r) draw per batch.  The real
-    2r-dimensional chunked kernel must agree with it."""
+    1e-6 lambda_max, and one (take, 2r) draw per batch from SFC64 seeded
+    by SeedSequence([seed, batch]).  It draws every sample at every rank.
+    The real 2r-dimensional chunked kernel must agree with it."""
     wv, U = np.linalg.eigh(symmetrize(X))
     keep = wv > 1e-6 * wv.max()
     L = U[:, keep] * np.sqrt(wv[keep])
@@ -28,7 +29,7 @@ def grp_reference(X, q, samples, seed):
     for batch_idx, done in enumerate(range(0, samples, GRP_BATCH)):
         take = min(GRP_BATCH, samples - done)
         rng = np.random.Generator(
-            np.random.Philox(key=[np.uint64(seed), np.uint64(batch_idx)]))
+            np.random.SFC64(np.random.SeedSequence([seed, batch_idx])))
         z = rng.standard_normal((take, 2 * r))
         W = ((z[:, :r] + 1j * z[:, r:]) / np.sqrt(2.0)) @ L.T
         quad_Q = ((W @ Qmat.T) * W.conj()).sum(axis=1).real
@@ -290,7 +291,20 @@ class TestGrp:
         monkeypatch.setattr(np.random, "Generator", Counting)
         samples = 2 * GRP_BATCH + 17
         grp_extract(V @ V.conj().T, build_qcqp(p), samples, seed=4)
-        assert sum(drawn) == 2 * rank * samples
+        # at rank one every sample ties, so only the first one is drawn
+        assert sum(drawn) == 2 * rank * (1 if rank == 1 else samples)
+
+    def test_rank_one_draws_first_sample(self, rng):
+        # a generic rank-one X: the values tie only up to round-off, and the
+        # answer is the first sample, which is the principal factor's ray
+        p = rand_indiv_problem(rng, 5)
+        q = build_qcqp(p)
+        v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        X = np.outer(v, v.conj())
+        w = grp_extract(X, q, 10 ** 6, seed=8)
+        assert np.array_equal(w, grp_extract(X, q, 1, seed=8))
+        assert qcqp_objective(q, w) == pytest.approx(
+            qcqp_objective(q, principal_factor(X)), rel=1e-12)
 
     @pytest.mark.parametrize("rank", [None, 2, 1])      # None: full rank
     @pytest.mark.parametrize("n", [3, 4, 6, 11, 12, 16])

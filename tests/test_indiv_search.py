@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from relaybeam import fixtures
 from relaybeam.channel import ChannelStats, snr
-from relaybeam.errors import InputError, SingularityError
+from relaybeam.errors import InputError, ModelError, SingularityError
 from relaybeam.indiv_diag import solve_diagonal
 from relaybeam.indiv_qcqp import build_qcqp, qcqp_objective
 from relaybeam.indiv_search import (ScalarFractionalSubproblem,
@@ -390,6 +390,36 @@ class TestAugmentedLagrangian:
         assert abs(state.constraint_residual) <= 1e-8
         # solution is feasible with an active cap
         assert sol.feasibility.min() >= -1e-9
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_rank_deficient_r_near_sdp_bound(self, n, rank, seed):
+        # line-of-sight-like R of rank 1 or 2: the multiplier comes from the
+        # pencil (K, F + I), so no R^{-1} is needed
+        from relaybeam.sdp import SdpProblem, solve_relaxation
+        rng = np.random.default_rng(seed)
+        V, A = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+                for m in (rank, n))
+        stats = ChannelStats(D=rng.uniform(0.5, 2.0, n), R=V @ V.conj().T / n,
+                             Q=A @ A.conj().T / n, sigma2=1.0)
+        p = IndivPowerProblem(stats=stats, Ps=1.0, P=rng.uniform(1.0, 3.0, n))
+        q = build_qcqp(p)
+        bound = solve_relaxation(SdpProblem(objective=q.R, constraints=q.A)).primal_obj
+        sol, _, _ = augmented_lagrangian_solve(
+            build_pnorm_embedding(p, choose_p(n, 0.01)), p)
+        assert sol.feasibility.min() >= -1e-12
+        obj = qcqp_objective(q, sol.w)
+        assert 0.99 * bound <= obj <= (1.0 + 1e-6) * bound
+
+    def test_zero_r_is_a_model_error(self):
+        # no signal: a model failure (exit 4), not a division by zero in
+        # the initial multiplier
+        stats = ChannelStats(D=np.ones(4), R=np.zeros((4, 4)),
+                             Q=fixtures.indiv_fixture(4)[1], sigma2=1.0)
+        p = IndivPowerProblem(stats=stats, Ps=1.0, P=np.full(4, 2.0))
+        with pytest.raises(ModelError, match="R = 0"):
+            build_pnorm_embedding(p, 8)
 
     def test_inner_descent_and_outer_residuals(self):
         p = fixture_problem(4)

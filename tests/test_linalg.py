@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from relaybeam.errors import InputError, SingularityError
-from relaybeam.linalg import (hermitian, hermitian_eig, is_psd, psd_inv_sqrt,
-                              qform)
+from relaybeam.errors import InputError
+from relaybeam.linalg import hermitian, hermitian_eig, is_psd, qform
 from conftest import rand_pd, rand_psd
 
 
@@ -71,29 +70,6 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(InputError):
             hermitian(np.array([[1.0, 2.0], [3.0, 1.0]]))
-
-
-class TestPsdInvSqrt:
-    def test_identity(self):
-        assert np.allclose(psd_inv_sqrt(np.eye(3)), np.eye(3))
-
-    def test_diagonal(self):
-        M = psd_inv_sqrt(np.diag([4.0, 9.0]))
-        assert np.allclose(M, np.diag([0.5, 1.0 / 3.0]))
-
-    def test_multiply_back(self, rng):
-        H = rand_pd(rng, 3)
-        M = psd_inv_sqrt(H)
-        scale = np.linalg.norm(H)
-        assert np.abs(M @ H @ M - np.eye(3)).max() <= 1e-9 * scale
-        # associativity both orders: M^2 H = I = H M^2
-        assert np.abs(M @ M @ H - np.eye(3)).max() <= 1e-8 * scale
-        assert np.abs(H @ M @ M - np.eye(3)).max() <= 1e-8 * scale
-
-    def test_singular_raises_with_eigenvalue(self):
-        with pytest.raises(SingularityError) as exc:
-            psd_inv_sqrt(np.diag([1.0, 0.0]), eps=1e-12)
-        assert exc.value.eigenvalue == pytest.approx(0.0, abs=1e-15)
 
 
 class TestIsPsd:
