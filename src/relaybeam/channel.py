@@ -62,10 +62,10 @@ class ChannelStats:
         n = self.D.size
         if self.R.shape != (n, n) or self.Q.shape != (n, n):
             raise InputError("D, R, Q dimensions disagree")
-        if (self.D < 0).any():
-            raise InputError("D must be nonnegative")
-        if self.sigma2 <= 0:
-            raise InputError("sigma2 must be positive")
+        if not ((self.D >= 0) & (self.D < np.inf)).all():
+            raise InputError("D must be nonnegative and finite")
+        if not 0 < self.sigma2 < np.inf:
+            raise InputError(f"sigma2 must be positive and finite, got {self.sigma2}")
         for name, M in (("R", self.R), ("Q", self.Q)):
             lam = np.linalg.eigvalsh(M)[0]
             if lam < -1e-9 * max(1.0, np.abs(M).max()):

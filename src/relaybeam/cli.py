@@ -35,7 +35,8 @@ from .channel import ChannelStats, RicianParams, build_stats
 from .errors import ConvergenceError, InputError, RelayBeamError
 from .linalg import principal_factor
 from .problems import IndivPowerProblem, TotalPowerProblem
-from .sdp import SdpProblem, solve_relaxation
+# unused here: bench/selftest.py checks that its tracer rebinds this copy
+from .sdp import solve_relaxation  # noqa: F401
 
 TOTAL_SOLVERS = ("auto",)
 INDIV_SOLVERS = ("auto", "indiv-diag", "sdp", "cdm", "pnorm", "grp")
@@ -118,7 +119,6 @@ class Report:
     snr_db: float | None         # null when the SNR is 0
     feasibility: list
     metadata: dict
-    assumptions: list
     trace_file: str | None = None
 
     def to_json(self) -> str:
@@ -132,7 +132,6 @@ def run(s: Scenario, tol: float | None = None, samples: int | None = None,
     prob, stats = s.problem, s.problem.stats
     seed = s.seed if seed is None else seed
     meta: dict = {"seed": seed}
-    assumptions: list[str] = []
     trace_obj = None
 
     if s.mode == "total":
@@ -164,7 +163,7 @@ def run(s: Scenario, tol: float | None = None, samples: int | None = None,
                   Ps=float(bsol.Ps), snr=float(bsol.snr),
                   snr_db=float(bsol.snr_db) if bsol.snr > 0 else None,
                   feasibility=[float(v) for v in np.atleast_1d(bsol.feasibility)],
-                  metadata=meta, assumptions=assumptions, trace_file=trace_file)
+                  metadata=meta, trace_file=trace_file)
 
 
 def _run_indiv(prob: IndivPowerProblem, solver: str, options: dict,
@@ -278,8 +277,7 @@ def _reproduce_indiv(n: int, reports: dict, seed: int):
     R, Q = fixtures.indiv_fixture(n)
     stats = ChannelStats(D=np.ones(n), R=R, Q=Q, sigma2=1.0)
     prob = IndivPowerProblem(stats=stats, Ps=1.0, P=np.full(n, 2.0))
-    q = indiv_qcqp.build_qcqp(prob)
-    sdp_sol = solve_relaxation(SdpProblem(objective=q.R, constraints=q.A), tol=1e-8)
+    q, sdp_sol, _ = indiv_qcqp.solve_via_sdp(prob, tol=1e-8)
     name = f"indiv-n{n}"
     rows = []
 

@@ -33,7 +33,7 @@ def _diag_parts(p: IndivPowerProblem):
         raise DispatchError("R or Q is not diagonal; use the QCQP/search solvers")
     r = np.diag(p.stats.R).real
     q = np.diag(p.stats.Q).real
-    coef = p.P / (p.Ps * p.stats.D + p.stats.sigma2)   # full-cap |w_k|^2
+    coef = 1.0 / p.c   # full-cap |w_k|^2
     return r, q, coef
 
 

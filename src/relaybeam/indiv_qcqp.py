@@ -2,13 +2,15 @@
 
 The per-relay problem is equivalent (up to scaling) to
 
-    max w^H R w   s.t.   w^H A_k w <= 1,   A_k = c_k J_k + Q,
+    max w^H R w   s.t.   w^H Q w + c_k |w_k|^2 <= 1   (k = 1..n),
 
-with c_k = (Ps D_kk + sigma^2)/P_k and J_k the k-th diagonal selector.
-This module builds that instance, drives the SDP relaxation, extracts
-rank-one solutions (exactly for n <= 3 via iterative rank reduction on the
-optimal face), runs the Gaussian-random-procedure baseline, and maps QCQP
-points back to budget-feasible weight vectors.
+with c_k = (Ps D_kk + sigma^2)/P_k, so every constraint matrix is
+A_k = Q + c_k e_k e_k^H.  A ``QcqpInstance`` keeps that structure as
+(R, Q, c); the (n, n, n) stack of the A_k is formed only for the generic
+SDP solver, inside ``solve_via_sdp``.  This module drives the SDP
+relaxation, extracts rank-one solutions (exactly for n <= 3 via iterative
+rank reduction on the optimal face), runs the Gaussian-random-procedure
+baseline, and maps QCQP points back to budget-feasible weight vectors.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import BeamformingSolution, snr
-from .errors import InputError, ScopeError
+from .errors import ConvergenceError, InputError, ScopeError
 from .linalg import _real_embed, principal_factor, qform, symmetrize
 from .problems import IndivPowerProblem
-from .sdp import SdpProblem, _traces, solve_relaxation
+from .sdp import SdpProblem, solve_relaxation
 
 GRP_BATCH = 65536   # fixed batch so the sample stream is prefix-stable
 _GRP_CHUNK = 4096   # GRP samples per column chunk: its temporaries stay in L2
@@ -29,29 +31,32 @@ _GRP_CHUNK = 4096   # GRP samples per column chunk: its temporaries stay in L2
 
 @dataclass
 class QcqpInstance:
+    """max w^H R w s.t. w^H Q w + c_k |w_k|^2 <= 1 for every relay k."""
+
     R: np.ndarray
-    A: np.ndarray                # (n, n, n) stack of the constraint matrices A_k
-    scale_coeffs: np.ndarray     # c_k = (Ps D_kk + sigma^2)/P_k
+    Q: np.ndarray
+    c: np.ndarray       # c_k = (Ps D_kk + sigma^2)/P_k
 
     @property
     def n(self) -> int:
         return self.R.shape[0]
 
     def constraint_values(self, w) -> np.ndarray:
+        """w^H Q w + c_k |w_k|^2 for every k."""
         w = np.asarray(w, dtype=complex).ravel()
-        return (self.A @ w @ w.conj()).real
+        return qform(self.Q, w) + self.c * np.abs(w) ** 2
+
+    def traces(self, X) -> np.ndarray:
+        """Tr(Q X) + c_k X_kk for every k: the constraint values of a matrix X."""
+        return np.einsum("ab,ba->", self.Q, X).real + self.c * np.diagonal(X).real
 
 
 def build_qcqp(p: IndivPowerProblem) -> QcqpInstance:
-    coeffs = (p.Ps * p.stats.D + p.stats.sigma2) / p.P
-    n = coeffs.size
-    A = np.broadcast_to(p.stats.Q, (n, n, n)).copy()
-    A[np.arange(n), np.arange(n), np.arange(n)] += coeffs
-    return QcqpInstance(R=p.stats.R, A=A, scale_coeffs=coeffs)
+    return QcqpInstance(R=p.stats.R, Q=p.stats.Q, c=p.c)
 
 
 def qcqp_objective(q: QcqpInstance, w) -> float:
-    """w^H R w / max_k w^H A_k w: the QCQP value of w's ray."""
+    """w^H R w / max_k (w^H Q w + c_k |w_k|^2): the QCQP value of w's ray."""
     return qform(q.R, w) / float(q.constraint_values(w).max())
 
 
@@ -64,21 +69,25 @@ def rescale_to_original(w_qcqp, q: QcqpInstance, p: IndivPowerProblem) -> Beamfo
     w = np.asarray(w_qcqp, dtype=complex).ravel()
     if not np.abs(w).max() > 0:
         raise InputError("cannot rescale the zero vector")
-    eta = float((q.scale_coeffs * np.abs(w) ** 2).max())
+    eta = float((q.c * np.abs(w) ** 2).max())
     w = w / np.sqrt(eta)
     return BeamformingSolution(w=w, Ps=p.Ps, snr=snr(p.stats, p.Ps, w),
                                feasibility=p.slacks(w))
 
 
 def solve_via_sdp(p: IndivPowerProblem, tol: float = 1e-8):
-    """Solve the relaxation; return (sdp_solution, w or None).
+    """Solve the relaxation; return (qcqp_instance, sdp_solution, w or None).
 
     w is populated only when the relaxation comes back (numerically)
     rank one, in which case sqrt(lambda_max) times the top eigenvector is
-    already optimal for the QCQP.
+    already optimal for the QCQP.  The generic SDP solver takes the
+    constraints as an (n, n, n) stack; this is the one place it is formed.
     """
     q = build_qcqp(p)
-    sol = solve_relaxation(SdpProblem(objective=q.R, constraints=q.A), tol=tol)
+    n = q.n
+    A = np.broadcast_to(q.Q, (n, n, n)).copy()
+    A[np.arange(n), np.arange(n), np.arange(n)] += q.c
+    sol = solve_relaxation(SdpProblem(objective=q.R, constraints=A), tol=tol)
     w = principal_factor(sol.X) if sol.rank_estimate == 1 else None
     return q, sol, w
 
@@ -96,13 +105,11 @@ def rank_one_decompose(X, q: QcqpInstance, rank_tol: float = 1e-7,
     and, by complementary slackness, the objective are invariant along
     the path.
     """
-    n = q.n
-    if n > 3:
+    if q.n > 3:
         raise ScopeError(
             "rank-one decomposition is only guaranteed for n <= 3; "
             "use coordinate descent or the p-norm solver")
     X = symmetrize(X)
-    A = q.A
     for _ in range(max_rounds):
         w, U = np.linalg.eigh(X)
         w = np.maximum(w, 0.0)
@@ -115,9 +122,10 @@ def rank_one_decompose(X, q: QcqpInstance, rank_tol: float = 1e-7,
                 v = v * (np.abs(v[j]) / v[j])
             return v
         V = U[:, keep] * np.sqrt(w[keep])
-        vals = _traces(A, X)
+        vals = q.traces(X)
         active = np.flatnonzero(vals >= 1.0 - active_tol)
-        rows = [_vech(V.conj().T @ A[k] @ V) for k in active]
+        VQV = V.conj().T @ q.Q @ V      # V^H A_k V = VQV + c_k V[k]^H V[k]
+        rows = [_vech(VQV + q.c[k] * np.outer(V[k].conj(), V[k])) for k in active]
         M = _null_direction(rows, r)
         if M is None:
             raise InputError(
@@ -125,17 +133,18 @@ def rank_one_decompose(X, q: QcqpInstance, rank_tol: float = 1e-7,
                 f"face point (rank {r}, {len(active)} active constraints)")
         for Ms in (M, -M):
             lmax = float(np.linalg.eigvalsh(Ms).max())
-            if lmax > 1e-12 and 1.0 / lmax <= _blocking_step(V, A, vals, active, Ms):
+            if lmax > 1e-12 and 1.0 / lmax <= _blocking_step(V, q, vals, active, Ms):
                 tau = 1.0 / lmax
                 break
         else:
             # both signs blocked: walk to the blocking point, growing the active set
             Ms = M if np.linalg.eigvalsh(M).max() > 1e-12 else -M
-            tau = _blocking_step(V, A, vals, active, Ms)
+            tau = _blocking_step(V, q, vals, active, Ms)
             if not np.isfinite(tau):
-                raise InputError("rank reduction stalled without a blocking constraint")
+                raise ConvergenceError(
+                    "rank reduction stalled without a blocking constraint")
         X = symmetrize(V @ (np.eye(r) - tau * Ms) @ V.conj().T)
-    raise InputError(f"rank reduction did not reach rank one in {max_rounds} rounds")
+    raise ConvergenceError(f"rank reduction did not reach rank one in {max_rounds} rounds")
 
 
 def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
@@ -173,13 +182,11 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
         # every sample lies on the ray of L, so rescaling gives every sample
         # the same value, and the first sample wins the tie
         samples = 1
-    # A_k = c_k J_k + Q: evaluate the shared Q form once per sample and add
-    # the per-relay diagonal bump
-    Qmat = q.A[0].copy()
-    Qmat[0, 0] -= q.scale_coeffs[0]
+    # the Q form is shared by every constraint: take it once per sample and
+    # add the per-relay term c_k |w_k|^2
     LH = L.conj().T
-    K = np.vstack([_real_embed(LH @ q.R @ L), _real_embed(LH @ Qmat @ L)])
-    EL = _real_embed(np.sqrt(q.scale_coeffs)[:, None] * L)
+    K = np.vstack([_real_embed(LH @ q.R @ L), _real_embed(LH @ q.Q @ L)])
+    EL = _real_embed(np.sqrt(q.c)[:, None] * L)
     best_val, best_w = -np.inf, None
     for batch_idx in range(-(-samples // GRP_BATCH)):
         take = min(GRP_BATCH, samples - batch_idx * GRP_BATCH)
@@ -206,28 +213,19 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
 
 
 def _vech(H) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix in an orthonormal basis."""
-    r = H.shape[0]
-    out = [H[i, i].real for i in range(r)]
-    rt2 = np.sqrt(2.0)
-    for i in range(r):
-        for j in range(i + 1, r):
-            out.append(rt2 * H[i, j].real)
-            out.append(rt2 * H[i, j].imag)
-    return np.array(out)
+    """Real coordinates of a Hermitian matrix in an orthonormal basis: the
+    diagonal, then sqrt 2 (Re, Im) of each entry above it, row by row."""
+    off = H[np.triu_indices(H.shape[0], 1)]
+    return np.concatenate([H.diagonal().real,
+                           np.sqrt(2.0) * np.column_stack([off.real, off.imag]).ravel()])
 
 
 def _unvech(v, r) -> np.ndarray:
-    H = np.zeros((r, r), dtype=complex)
-    for i in range(r):
-        H[i, i] = v[i]
-    idx = r
-    rt2 = np.sqrt(2.0)
-    for i in range(r):
-        for j in range(i + 1, r):
-            H[i, j] = (v[idx] + 1j * v[idx + 1]) / rt2
-            H[j, i] = H[i, j].conjugate()
-            idx += 2
+    """The Hermitian r x r matrix with coordinates v (inverse of _vech)."""
+    i, j = np.triu_indices(r, 1)
+    H = np.diag(v[:r]).astype(complex)
+    H[i, j] = (v[r::2] + 1j * v[r + 1::2]) / np.sqrt(2.0)
+    H[j, i] = H[i, j].conj()
     return H
 
 
@@ -246,10 +244,10 @@ def _null_direction(rows, r):
     return M / np.abs(np.linalg.eigvalsh(M)).max()
 
 
-def _blocking_step(V, A, vals, active, Ms) -> float:
+def _blocking_step(V, q, vals, active, Ms) -> float:
     """Largest tau before X(tau) = V (I - tau Ms) V^H makes an inactive
     constraint active; inf when none ever does."""
-    rates = _traces(A, V @ Ms @ V.conj().T)
+    rates = q.traces(V @ Ms @ V.conj().T)
     hit = rates < -1e-14
     hit[active] = False
     return float(((1.0 - vals[hit]) / -rates[hit]).min(initial=np.inf))

@@ -307,7 +307,7 @@ def build_pnorm_embedding(p: IndivPowerProblem, pexp: int) -> PnormEmbedding:
     """Scale weights by D1, then embed complex u into z = [Re u; Im u]."""
     if pexp < 1:
         raise InputError("p must be >= 1")
-    d1 = np.sqrt((p.Ps * p.stats.D + p.stats.sigma2) / p.P)
+    d1 = np.sqrt(p.c)
     Dinv = np.diag(1.0 / d1)
     Q1 = symmetrize(Dinv @ p.stats.Q @ Dinv)
     R1 = symmetrize(Dinv @ p.stats.R @ Dinv)

@@ -18,8 +18,6 @@ import numpy as np
 
 from .errors import InputError
 
-HERMITIAN_ATOL = 1e-12
-
 
 def hermitian(a, *, atol: float = 1e-9, name: str = "matrix") -> np.ndarray:
     """Validate and symmetrize a square array into an exact Hermitian matrix.

@@ -18,8 +18,8 @@ class TotalPowerProblem:
     P0: float
 
     def __post_init__(self):
-        if self.P0 <= 0:
-            raise InputError("P0 must be positive")
+        if not 0 < self.P0 < np.inf:
+            raise InputError(f"P0 must be positive and finite, got {self.P0}")
 
 
 @dataclass
@@ -32,25 +32,30 @@ class IndivPowerProblem:
     P: np.ndarray
 
     def __post_init__(self):
-        if self.Ps <= 0:
-            raise InputError("Ps must be positive")
+        if not 0 < self.Ps < np.inf:
+            raise InputError(f"Ps must be positive and finite, got {self.Ps}")
         self.P = np.asarray(self.P, dtype=float).ravel()
         if self.P.size != self.stats.n:
             raise InputError(
                 f"need one power cap per relay: got {self.P.size} for n={self.stats.n}"
             )
-        if (self.P <= 0).any():
-            raise InputError("relay power caps must be positive")
+        if not ((self.P > 0) & (self.P < np.inf)).all():
+            raise InputError("P must hold positive and finite relay power caps")
 
     @property
     def n(self) -> int:
         return self.stats.n
 
+    @property
+    def c(self) -> np.ndarray:
+        """c_k = (Ps D_kk + sigma^2)/P_k: relay k's cap reads c_k |w_k|^2 <= 1."""
+        return (self.Ps * self.stats.D + self.stats.sigma2) / self.P
+
     def caps(self) -> np.ndarray:
-        """Per-relay magnitude bounds beta_k = sqrt(P_k/(Ps D_kk + sigma^2))."""
-        return np.sqrt(self.P / (self.Ps * self.stats.D + self.stats.sigma2))
+        """Per-relay magnitude bounds beta_k = c_k^{-1/2}."""
+        return 1.0 / np.sqrt(self.c)
 
     def slacks(self, w) -> np.ndarray:
-        """P_k - (Ps D_kk + sigma^2)|w_k|^2, nonnegative iff w feasible."""
+        """P_k (1 - c_k |w_k|^2), nonnegative iff w feasible."""
         w = np.asarray(w, dtype=complex).ravel()
-        return self.P - (self.Ps * self.stats.D + self.stats.sigma2) * np.abs(w) ** 2
+        return self.P * (1.0 - self.c * np.abs(w) ** 2)

@@ -57,6 +57,21 @@ def scan_snr(stats, P0, points=1001, zooms=2):
     return best
 
 
+def constraint_stack(prob):
+    """The (n, n, n) stack of the QCQP constraint matrices A_k = Q + c_k
+    e_k e_k^H of an individual-power problem, with c_k = (Ps D_kk +
+    sigma^2)/P_k computed here: a reference independent of the library's
+    (R, Q, c) form."""
+    s = prob.stats
+    c = (prob.Ps * s.D + s.sigma2) / prob.P
+    A = np.empty((s.n, s.n, s.n), dtype=complex)
+    for k in range(s.n):
+        E = np.zeros((s.n, s.n))
+        E[k, k] = 1.0
+        A[k] = s.Q + c[k] * E
+    return A
+
+
 def degenerate_qcqp_instance(rng, n):
     """An individual-power instance whose SDP relaxation has a non-unique
     optimal face: R is a positive combination of the constraint matrices,

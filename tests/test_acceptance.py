@@ -24,7 +24,8 @@ from relaybeam.oracle import (GridSpec, brute_force_indiv, finite_diff,
 from relaybeam.problems import IndivPowerProblem
 from relaybeam.sdp import SdpProblem, solve_relaxation
 from relaybeam import total_power
-from conftest import degenerate_qcqp_instance, rand_indiv_problem, rand_total_problem
+from conftest import (constraint_stack, degenerate_qcqp_instance, rand_indiv_problem,
+                      rand_total_problem)
 
 GRP_SEED = 20111
 
@@ -45,7 +46,8 @@ def solve_indiv_fixture(n):
     p = fixture_problem(n)
     q = build_qcqp(p)
     t0 = time.perf_counter()
-    sol = solve_relaxation(SdpProblem(objective=q.R, constraints=q.A), tol=1e-8)
+    sol = solve_relaxation(SdpProblem(objective=q.R, constraints=constraint_stack(p)),
+                           tol=1e-8)
     vals, vecs = np.linalg.eigh(sol.X)
     w0 = np.sqrt(max(vals[-1], 0.0)) * vecs[:, -1]
     cdm_sol, _ = coordinate_descent(p, w0.copy())

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaybeam import fixtures
-from relaybeam.channel import (BeamformingSolution, RicianParams, build_stats,
-                               monte_carlo_stats, powers, snr)
+from relaybeam.channel import (BeamformingSolution, ChannelStats, RicianParams,
+                               build_stats, monte_carlo_stats, powers, snr)
 from relaybeam.errors import InputError
 from relaybeam.linalg import is_psd, qform
+from relaybeam.problems import IndivPowerProblem, TotalPowerProblem
 from conftest import rand_stats
 
 
@@ -125,3 +126,18 @@ class TestMonteCarlo:
 def test_beamforming_solution_snr_db():
     sol = BeamformingSolution(w=np.ones(2, dtype=complex), Ps=1.0, snr=100.0)
     assert sol.snr_db == pytest.approx(20.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["Ps", "P", "P0", "D", "sigma2"])
+def test_non_finite_budget_or_statistic_names_field(field, bad):
+    def stats(D=(1.0, 1.0), sigma2=1.0):
+        return ChannelStats(D=np.array(D), R=np.eye(2), Q=np.eye(2), sigma2=sigma2)
+
+    build = {"Ps": lambda: IndivPowerProblem(stats=stats(), Ps=bad, P=[1.0, 1.0]),
+             "P": lambda: IndivPowerProblem(stats=stats(), Ps=1.0, P=[bad, 1.0]),
+             "P0": lambda: TotalPowerProblem(stats=stats(), P0=bad),
+             "D": lambda: stats(D=(bad, 1.0)),
+             "sigma2": lambda: stats(sigma2=bad)}
+    with pytest.raises(InputError, match=rf"^{field} must"):
+        build[field]()

@@ -3,14 +3,14 @@ import pytest
 
 from relaybeam import fixtures
 from relaybeam.channel import ChannelStats
-from relaybeam.errors import InputError, ScopeError
+from relaybeam.errors import ConvergenceError, InputError, ScopeError
 from relaybeam.indiv_diag import solve_diagonal
-from relaybeam.indiv_qcqp import (GRP_BATCH, build_qcqp, grp_extract, qcqp_objective,
-                                  rank_one_decompose, rescale_to_original,
-                                  solve_via_sdp)
+from relaybeam.indiv_qcqp import (GRP_BATCH, _unvech, _vech, build_qcqp, grp_extract,
+                                  qcqp_objective, rank_one_decompose,
+                                  rescale_to_original, solve_via_sdp)
 from relaybeam.linalg import principal_factor, qform, symmetrize
 from relaybeam.problems import IndivPowerProblem
-from conftest import degenerate_qcqp_instance, rand_indiv_problem, rand_pd
+from conftest import constraint_stack, degenerate_qcqp_instance, rand_indiv_problem, rand_pd
 
 
 def grp_reference(X, q, samples, seed):
@@ -23,8 +23,6 @@ def grp_reference(X, q, samples, seed):
     keep = wv > 1e-6 * wv.max()
     L = U[:, keep] * np.sqrt(wv[keep])
     r = L.shape[1]
-    Qmat = q.A[0].copy()
-    Qmat[0, 0] -= q.scale_coeffs[0]
     best_val, best_w = -np.inf, None
     for batch_idx, done in enumerate(range(0, samples, GRP_BATCH)):
         take = min(GRP_BATCH, samples - done)
@@ -32,8 +30,8 @@ def grp_reference(X, q, samples, seed):
             np.random.SFC64(np.random.SeedSequence([seed, batch_idx])))
         z = rng.standard_normal((take, 2 * r))
         W = ((z[:, :r] + 1j * z[:, r:]) / np.sqrt(2.0)) @ L.T
-        quad_Q = ((W @ Qmat.T) * W.conj()).sum(axis=1).real
-        worst = (quad_Q[:, None] + np.abs(W) ** 2 * q.scale_coeffs[None, :]).max(axis=1)
+        quad_Q = ((W @ q.Q.T) * W.conj()).sum(axis=1).real
+        worst = (quad_Q[:, None] + np.abs(W) ** 2 * q.c[None, :]).max(axis=1)
         vals = ((W @ q.R.T) * W.conj()).sum(axis=1).real / worst
         i = int(np.argmax(vals))
         if vals[i] > best_val:
@@ -51,31 +49,62 @@ class TestBuildQcqp:
     def test_fixture_unit_coeffs(self):
         p = fixture_problem(4)
         q = build_qcqp(p)
-        assert np.allclose(q.scale_coeffs, 1.0)
-        for k, Ak in enumerate(q.A):
-            J = np.zeros((4, 4))
-            J[k, k] = 1.0
-            assert np.allclose(Ak, J + p.stats.Q)
+        assert np.allclose(q.c, 1.0)
+        assert np.array_equal(q.Q, p.stats.Q)
         w = np.arange(1.0, 5.0) + 1j
-        assert np.allclose(q.constraint_values(w), [qform(Ak, w) for Ak in q.A],
-                           rtol=1e-14, atol=0)
+        assert np.allclose(q.constraint_values(w),
+                           [qform(Ak, w) for Ak in constraint_stack(p)], rtol=1e-14, atol=0)
 
     def test_zero_q_unit_box(self):
         stats = ChannelStats(D=np.ones(3), R=np.eye(3), Q=np.zeros((3, 3)),
                              sigma2=1.0)
         p = IndivPowerProblem(stats=stats, Ps=1.0, P=np.full(3, 2.0))
         q = build_qcqp(p)
-        for k, Ak in enumerate(q.A):
-            J = np.zeros((3, 3))
-            J[k, k] = 1.0
-            assert np.allclose(Ak, J)
+        w = np.array([1.0, 2.0j, -3.0])
+        assert np.allclose(q.constraint_values(w), np.abs(w) ** 2, rtol=1e-15, atol=0)
+        assert np.allclose(q.traces(np.outer(w, w.conj())), np.abs(w) ** 2,
+                           rtol=1e-15, atol=0)
 
     def test_single_relay(self):
         stats = ChannelStats(D=np.array([2.0]), R=np.eye(1), Q=np.eye(1),
                              sigma2=0.5)
         p = IndivPowerProblem(stats=stats, Ps=1.0, P=np.array([5.0]))
         q = build_qcqp(p)
-        assert q.A[0][0, 0].real == pytest.approx((1.0 * 2.0 + 0.5) / 5.0 + 1.0)
+        assert q.constraint_values([1.0])[0] == pytest.approx((1.0 * 2.0 + 0.5) / 5.0 + 1.0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 16, 32])
+def test_forms_match_stacked_reference(n):
+    # both methods of the (R, Q, c) form against the stacked A_k, at a
+    # random point and a random PSD matrix of rank min(n, 3)
+    rng = np.random.default_rng(n)
+    p = rand_indiv_problem(rng, n)
+    q, A = build_qcqp(p), constraint_stack(p)
+    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    np.testing.assert_allclose(q.constraint_values(w), [qform(Ak, w) for Ak in A],
+                               rtol=1e-12, atol=0)
+    V = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    X = V @ V.conj().T
+    np.testing.assert_allclose(q.traces(X), [np.trace(Ak @ X).real for Ak in A],
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_vech_matches_loop_reference(r):
+    # coordinates: the diagonal, then sqrt 2 (Re, Im) of each entry above it
+    rng = np.random.default_rng(r)
+    A = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+    H = A + A.conj().T
+    ref = [H[i, i].real for i in range(r)]
+    H_ref = np.diag(ref).astype(complex)
+    for i in range(r):
+        for j in range(i + 1, r):
+            ref += [np.sqrt(2.0) * H[i, j].real, np.sqrt(2.0) * H[i, j].imag]
+            H_ref[i, j] = (ref[-2] + 1j * ref[-1]) / np.sqrt(2.0)
+            H_ref[j, i] = H_ref[i, j].conjugate()
+    assert np.array_equal(_vech(H), ref)
+    assert np.array_equal(_unvech(np.array(ref), r), H_ref)
+    assert np.allclose(H_ref, H, rtol=1e-15, atol=0)
 
 
 class TestRescale:
@@ -83,7 +112,7 @@ class TestRescale:
         p = rand_indiv_problem(rng, 4)
         q = build_qcqp(p)
         w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        eta = (q.scale_coeffs * np.abs(w) ** 2).max()
+        eta = (q.c * np.abs(w) ** 2).max()
         w = w / np.sqrt(eta)      # now the tightest cap is active
         sol = rescale_to_original(w, q, p)
         assert np.allclose(sol.w, w)
@@ -150,7 +179,7 @@ class TestRankOneDecompose:
         p = rand_indiv_problem(rng, 3)
         q = build_qcqp(p)
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        v = v / np.sqrt(max(qform(Ak, v) for Ak in q.A))
+        v = v / np.sqrt(max(qform(Ak, v) for Ak in constraint_stack(p)))
         w = rank_one_decompose(np.outer(v, v.conj()), q)
         phase = np.vdot(w, v)
         align = abs(phase) / (np.linalg.norm(w) * np.linalg.norm(v))
@@ -190,6 +219,13 @@ class TestRankOneDecompose:
         assert qcqp_objective(q, w) == pytest.approx(sol.primal_obj, rel=1e-8)
         assert q.constraint_values(w).max() <= 1.0 + 1e-9
 
+    def test_round_budget_exhausted_is_a_convergence_error(self, rng):
+        # a numerical failure, not an input error (exit 2, not 3)
+        prob, q = degenerate_qcqp_instance(rng, 3)
+        _, sol, _ = solve_via_sdp(prob)
+        with pytest.raises(ConvergenceError, match="did not reach rank one in 0 rounds"):
+            rank_one_decompose(sol.X, q, max_rounds=0)
+
     def test_scope_error_above_three(self):
         p = fixture_problem(4)
         q, sol, _ = solve_via_sdp(p)
@@ -219,7 +255,7 @@ class TestGrp:
         X = np.outer(v, v.conj())
         w = grp_extract(X, q, samples=50, seed=1)
         # every sample is a scalar multiple of v, so the output is v rescaled
-        vn = v / np.sqrt(max(qform(Ak, v) for Ak in q.A))
+        vn = v / np.sqrt(max(qform(Ak, v) for Ak in constraint_stack(p)))
         align = abs(np.vdot(w, vn)) / (np.linalg.norm(w) * np.linalg.norm(vn))
         assert align == pytest.approx(1.0, abs=1e-12)
         # the samples stay on the range of X, so no spurious eigenvalue

@@ -17,7 +17,7 @@ from relaybeam.indiv_search import (ScalarFractionalSubproblem,
                                     stationarity_improvement, subproblem_value)
 from relaybeam.oracle import finite_diff, finite_diff_second
 from relaybeam.problems import IndivPowerProblem
-from conftest import rand_indiv_problem
+from conftest import constraint_stack, rand_indiv_problem
 
 
 def fixture_problem(n):
@@ -194,7 +194,7 @@ class TestCoordinateDescent:
         from relaybeam.sdp import SdpProblem, solve_relaxation
         p = fixture_problem(n)
         q = build_qcqp(p)
-        sol = solve_relaxation(SdpProblem(objective=q.R, constraints=q.A))
+        sol = solve_relaxation(SdpProblem(objective=q.R, constraints=constraint_stack(p)))
         vals, vecs = np.linalg.eigh(sol.X)
         w0 = np.sqrt(vals[-1]) * vecs[:, -1]
         best, trace = coordinate_descent(p, w0)
@@ -379,7 +379,7 @@ class TestAugmentedLagrangian:
         from relaybeam.sdp import SdpProblem, solve_relaxation
         p = fixture_problem(n)
         q = build_qcqp(p)
-        rel = solve_relaxation(SdpProblem(objective=q.R, constraints=q.A))
+        rel = solve_relaxation(SdpProblem(objective=q.R, constraints=constraint_stack(p)))
         vals, vecs = np.linalg.eigh(rel.X)
         w0 = np.sqrt(vals[-1]) * vecs[:, -1]
         e = build_pnorm_embedding(p, fixtures.PNORM_P)
@@ -405,7 +405,7 @@ class TestAugmentedLagrangian:
                              Q=A @ A.conj().T / n, sigma2=1.0)
         p = IndivPowerProblem(stats=stats, Ps=1.0, P=rng.uniform(1.0, 3.0, n))
         q = build_qcqp(p)
-        bound = solve_relaxation(SdpProblem(objective=q.R, constraints=q.A)).primal_obj
+        bound = solve_relaxation(SdpProblem(objective=q.R, constraints=constraint_stack(p))).primal_obj
         sol, _, _ = augmented_lagrangian_solve(
             build_pnorm_embedding(p, choose_p(n, 0.01)), p)
         assert sol.feasibility.min() >= -1e-12

@@ -5,21 +5,19 @@ import pytest
 
 from relaybeam import fixtures
 from relaybeam.errors import ModelError
-from relaybeam.indiv_qcqp import build_qcqp
 from relaybeam.linalg import qform
 from relaybeam.channel import ChannelStats
 from relaybeam.problems import IndivPowerProblem
 from relaybeam.sdp import (SdpProblem, dual_certificate_residuals,
                            solve_relaxation)
-from conftest import rand_psd
+from conftest import constraint_stack, rand_psd
 
 
 def fixture_problem(n):
     R, Q = fixtures.indiv_fixture(n)
     stats = ChannelStats(D=np.ones(n), R=R, Q=Q, sigma2=1.0)
     prob = IndivPowerProblem(stats=stats, Ps=1.0, P=np.full(n, 2.0))
-    q = build_qcqp(prob)
-    return SdpProblem(objective=q.R, constraints=q.A)
+    return SdpProblem(objective=stats.R, constraints=constraint_stack(prob))
 
 
 def random_problem(rng, n):
@@ -42,8 +40,8 @@ def n64_problem(index):
         R, Q = rand_psd(rng, 64), rand_psd(rng, 64)
         D, P = rng.uniform(0.5, 2.0, 64), rng.uniform(1.0, 3.0, 64)
     stats = ChannelStats(D=D, R=R, Q=Q, sigma2=1.0)
-    q = build_qcqp(IndivPowerProblem(stats=stats, Ps=1.0, P=P))
-    return SdpProblem(objective=q.R, constraints=q.A)
+    prob = IndivPowerProblem(stats=stats, Ps=1.0, P=P)
+    return SdpProblem(objective=stats.R, constraints=constraint_stack(prob))
 
 
 class TestSolveRelaxation:
