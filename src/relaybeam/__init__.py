@@ -9,7 +9,7 @@ from .channel import (BeamformingSolution, ChannelStats, RicianParams,
                       build_stats, monte_carlo_stats, powers, snr)
 from .errors import (ConvergenceError, DispatchError, InputError, ModelError,
                      RelayBeamError, ScopeError, SingularityError)
-from .linalg import EigenDecomposition, hermitian, hermitian_eig, is_psd
+from .linalg import hermitian, is_psd
 from .problems import IndivPowerProblem, TotalPowerProblem
 from .sdp import (CertificateReport, SdpProblem, SdpSolution,
                   dual_certificate_residuals, solve_relaxation)
@@ -20,7 +20,7 @@ __all__ = [
     "monte_carlo_stats", "powers", "snr",
     "ConvergenceError", "DispatchError", "InputError", "ModelError",
     "RelayBeamError", "ScopeError", "SingularityError",
-    "EigenDecomposition", "hermitian", "hermitian_eig", "is_psd",
+    "hermitian", "is_psd",
     "IndivPowerProblem", "TotalPowerProblem",
     "CertificateReport", "SdpProblem", "SdpSolution",
     "dual_certificate_residuals", "solve_relaxation",

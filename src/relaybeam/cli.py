@@ -58,7 +58,7 @@ _CHANNEL_KINDS = {"stats": {"D": "numbers", "R": "matrix", "Q": "matrix"},
                   "rician": {"f_mean": "vector", "f_var": "numbers",
                              "g_mean": "vector", "g_var": "numbers"}}
 _OPTION_KINDS = {"samples": "integer", "eps": "number", "p": "integer",
-                 "w0": "vector", "z0": "numbers", "fallback": ("cdm", "pnorm")}
+                 "w0": "vector", "fallback": ("cdm", "pnorm")}
 
 
 def parse_scenario(path: str) -> Scenario:
@@ -125,40 +125,34 @@ class Report:
         return json.dumps(self.__dict__, indent=2, sort_keys=True)
 
 
-def run(s: Scenario, tol: float | None = None, samples: int | None = None,
-        pexp: int | None = None, trace_dir: str | None = None,
-        seed: int | None = None) -> Report:
-    """Dispatch a scenario to its solver and package a report."""
-    prob, stats = s.problem, s.problem.stats
-    seed = s.seed if seed is None else seed
-    meta: dict = {"seed": seed}
-    trace_obj = None
-
+def run(s: Scenario, trace_dir: str | None = None) -> Report:
+    """Route a scenario to its solver and package a report.  Every setting
+    comes from the scenario; ``trace_dir`` receives the iteration table."""
+    prob = s.problem
+    meta: dict = {"seed": s.seed}
     if s.mode == "total":
         sol = total_power.solve(prob)
-        meta.update(solver="total-diagonal" if stats.is_diagonal() else "total-newton",
+        meta.update(solver="total-diagonal" if prob.stats.is_diagonal() else "total-newton",
                     iterations=sol.iterations, x=sol.x, lambda_min=sol.lambda_min)
-        bsol = total_power.as_beamforming_solution(prob, sol)
-        trace_obj = sol.trace
-        solver_name = meta["solver"]
+        bsol, trace_obj = total_power.as_beamforming_solution(prob, sol), sol.trace
     else:
-        solver_name = s.solver
-        if solver_name == "auto":
-            solver_name = "indiv-diag" if stats.is_diagonal() else "sdp"
-        bsol, meta2, trace_obj = _run_indiv(prob, solver_name, s.solver_options,
-                                            tol=tol, samples=samples, pexp=pexp,
-                                            seed=seed)
-        meta.update(meta2)
+        solver = s.solver
+        if solver == "auto":
+            solver = "indiv-diag" if prob.stats.is_diagonal() else "sdp"
+        relaxation = indiv_qcqp.solve_via_sdp(prob) if solver in ("sdp", "grp") else None
+        bsol, route_meta, trace_obj = _route(prob, solver, s.solver_options, s.seed,
+                                             relaxation)
+        meta.update(route_meta)
 
     trace_file = None
     if trace_dir is not None and trace_obj is not None and len(trace_obj):
         os.makedirs(trace_dir, exist_ok=True)
-        fd, trace_file = tempfile.mkstemp(prefix=f"trace-{meta.get('solver', 'run')}-",
+        fd, trace_file = tempfile.mkstemp(prefix=f"trace-{meta['solver']}-",
                                           suffix=".csv", dir=trace_dir)
         with os.fdopen(fd, "w") as fh:
             fh.write(trace_obj.to_csv())
 
-    return Report(scenario_mode=s.mode, solver=meta.get("solver", solver_name),
+    return Report(scenario_mode=s.mode, solver=meta["solver"],
                   w=[[float(v.real), float(v.imag)] for v in bsol.w],
                   Ps=float(bsol.Ps), snr=float(bsol.snr),
                   snr_db=float(bsol.snr_db) if bsol.snr > 0 else None,
@@ -166,27 +160,27 @@ def run(s: Scenario, tol: float | None = None, samples: int | None = None,
                   metadata=meta, trace_file=trace_file)
 
 
-def _run_indiv(prob: IndivPowerProblem, solver: str, options: dict,
-               tol=None, samples=None, pexp=None, seed=0):
-    tol = 1e-8 if tol is None else tol
+def _route(prob: IndivPowerProblem, solver: str, options: dict, seed: int,
+           relaxation=None):
+    """Run the per-relay route ``solver``: ``indiv-diag``, ``grp``, ``sdp``
+    (rank one, rank-one decomposition or its fallback), ``cdm`` or ``pnorm``.
+
+    ``relaxation`` is the ``(q, sdp_sol, w)`` of ``solve_via_sdp``, which
+    ``sdp`` and ``grp`` read; ``options`` are the scenario's solver options.
+    Returns ``(solution, metadata, trace or None)``.
+    """
     meta = {"solver": solver}
-    start = None
     if solver == "indiv-diag":
         return indiv_diag.solve_diagonal(prob), meta, None
-    if solver == "grp":
-        n_samples = options.get("samples", 10 ** 6) if samples is None else samples
-        q, sdp_sol, _ = indiv_qcqp.solve_via_sdp(prob, tol=tol)
-        w = indiv_qcqp.grp_extract(sdp_sol.X, q, n_samples, seed)
-        sol = indiv_qcqp.rescale_to_original(w, q, prob)
-        meta.update(samples=n_samples, sdp_obj=sdp_sol.primal_obj,
-                    rank_estimate=sdp_sol.rank_estimate)
-        return sol, meta, None
-    if solver == "sdp":
-        q, sdp_sol, w = indiv_qcqp.solve_via_sdp(prob, tol=tol)
+    start = options.get("w0")
+    if solver in ("sdp", "grp"):
+        q, sdp_sol, w = relaxation
         meta.update(sdp_obj=sdp_sol.primal_obj, sdp_gap=sdp_sol.gap,
-                    rank_estimate=sdp_sol.rank_estimate,
-                    iterations=sdp_sol.iterations)
-        if w is None and prob.n <= 3:
+                    rank_estimate=sdp_sol.rank_estimate, iterations=sdp_sol.iterations)
+        if solver == "grp":
+            meta["samples"] = options.get("samples", 10 ** 6)
+            w = indiv_qcqp.grp_extract(sdp_sol.X, q, meta["samples"], seed)
+        elif w is None and prob.n <= 3:
             meta["fallback"] = "rank-one-decomposition"
             w = indiv_qcqp.rank_one_decompose(sdp_sol.X, q)
         if w is not None:
@@ -196,20 +190,16 @@ def _run_indiv(prob: IndivPowerProblem, solver: str, options: dict,
         solver = meta["fallback"] = options.get("fallback", "cdm")
         start = principal_factor(sdp_sol.X)
     if solver == "cdm":
-        w0 = start if start is not None else options.get("w0", np.ones(prob.n))
-        sol, trace = indiv_search.coordinate_descent(prob, w0, eps=options.get("eps", 1e-3))
+        sol, trace = indiv_search.coordinate_descent(
+            prob, np.ones(prob.n) if start is None else start, eps=options.get("eps", 1e-3))
         meta["sweeps"] = int(trace.rows[-1][0]) + 1 if len(trace) else 0
         return sol, meta, trace
-    if solver == "pnorm":
-        p_val = options.get("p", 0) if pexp is None else pexp
-        p_val = p_val or indiv_search.choose_p(prob.n, 0.01)
-        emb = indiv_search.build_pnorm_embedding(prob, p_val)
-        z0 = options.get("z0") if start is None else np.concatenate([start.real, start.imag])
-        sol, trace, state = indiv_search.augmented_lagrangian_solve(emb, prob, z0=z0)
-        meta.update(p=p_val, multiplier=state.lam,
-                    constraint_residual=state.constraint_residual)
-        return sol, meta, trace
-    raise InputError(f"unknown solver {solver!r}")
+    # pnorm
+    p_val = options.get("p", 0) or indiv_search.choose_p(prob.n, 0.01)
+    emb = indiv_search.build_pnorm_embedding(prob, p_val)
+    sol, trace, state = indiv_search.augmented_lagrangian_solve(emb, prob, w0=start)
+    meta.update(p=p_val, multiplier=state.lam, constraint_residual=state.constraint_residual)
+    return sol, meta, trace
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +267,18 @@ def _reproduce_indiv(n: int, reports: dict, seed: int):
     R, Q = fixtures.indiv_fixture(n)
     stats = ChannelStats(D=np.ones(n), R=R, Q=Q, sigma2=1.0)
     prob = IndivPowerProblem(stats=stats, Ps=1.0, P=np.full(n, 2.0))
-    q, sdp_sol, _ = indiv_qcqp.solve_via_sdp(prob, tol=1e-8)
+    relaxation = indiv_qcqp.solve_via_sdp(prob)
+    q, sdp_sol, _ = relaxation
     name = f"indiv-n{n}"
     rows = []
 
     def rel(quan, expv, act, tol=rtol):
         rows.append((name, quan, expv, act, tol, abs(act - expv) <= tol * abs(expv)))
+
+    def objective(solver, options):
+        """The QCQP value of the answer of ``solve``'s route, which no rescaling moves."""
+        sol, _, _ = _route(prob, solver, options, seed, relaxation)
+        return indiv_qcqp.qcqp_objective(q, sol.w)
 
     rel("sdp_objective", exp["sdp"], sdp_sol.primal_obj)
     wX = np.linalg.eigvalsh(sdp_sol.X)
@@ -293,19 +289,12 @@ def _reproduce_indiv(n: int, reports: dict, seed: int):
     rows.append((name, "rank_estimate", 2, sdp_sol.rank_estimate, 0,
                  sdp_sol.rank_estimate == 2))
 
-    w0 = principal_factor(sdp_sol.X)
-    cdm_sol, _ = indiv_search.coordinate_descent(prob, w0)
-    cdm_obj = indiv_qcqp.qcqp_objective(q, cdm_sol.w)
+    # the sdp route falls back to cdm (by default) or pnorm from X's principal factor
+    cdm_obj = objective("sdp", {})
     rel("cdm_objective", exp["cdm"], cdm_obj)
-
-    emb = indiv_search.build_pnorm_embedding(prob, fixtures.PNORM_P)
-    z0 = np.concatenate([w0.real, w0.imag])
-    pn_sol, _, _ = indiv_search.augmented_lagrangian_solve(emb, prob, z0=z0)
-    pn_obj = indiv_qcqp.qcqp_objective(q, pn_sol.w)
+    pn_obj = objective("sdp", {"fallback": "pnorm", "p": fixtures.PNORM_P})
     rel("pnorm_objective", exp["pnorm"], pn_obj)
-
-    w_grp = indiv_qcqp.grp_extract(sdp_sol.X, q, fixtures.GRP_SAMPLES, seed)
-    grp_obj = indiv_qcqp.qcqp_objective(q, w_grp)
+    grp_obj = objective("grp", {"samples": fixtures.GRP_SAMPLES})
     rel("grp_objective", exp["grp"], grp_obj, tol=exp["grp_tol"])
     rows.append((name, "ordering grp<=pnorm/cdm<=sdp", "-",
                  f"{grp_obj:.4f}<={max(pn_obj, cdm_obj):.4f}<={sdp_sol.primal_obj:.4f}",
@@ -352,10 +341,6 @@ def main(argv=None) -> int:
 
     for p in (p_solve, p_repro, p_trace):
         p.add_argument("--out", default=None, help="directory for report files")
-    p_solve.add_argument("--tol", type=float, default=None)
-    p_solve.add_argument("--seed", type=int, default=None)
-    p_solve.add_argument("--samples", type=int, default=None)
-    p_solve.add_argument("--p", type=int, default=None, dest="pexp")
     p_solve.add_argument("--trace", action="store_true")
     p_repro.add_argument("--seed", type=int, default=20111)
 
@@ -376,8 +361,7 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "solve":
         s = parse_scenario(args.scenario)
-        rep = run(s, tol=args.tol, samples=args.samples, pexp=args.pexp,
-                  trace_dir=(args.out or ".") if args.trace else None, seed=args.seed)
+        rep = run(s, trace_dir=(args.out or ".") if args.trace else None)
         body = rep.to_json()
         if args.out:
             os.makedirs(args.out, exist_ok=True)

@@ -210,8 +210,8 @@ def coordinate_descent(p: IndivPowerProblem, w0, eps: float = 1e-3,
         w_prev = w.copy()
         for k, t in enumerate(_sweep(data, w)):
             trace.append(sweep, k, sig_ratio * t)
-        denom = np.linalg.norm(w_prev)
-        if denom > 0 and np.linalg.norm(w - w_prev) / denom < eps:
+        # a zero iterate stays zero (R = 0 sends every slot there) and stops
+        if np.linalg.norm(w - w_prev) <= eps * np.linalg.norm(w_prev):
             sol = BeamformingSolution(w=w, Ps=p.Ps, snr=snr(p.stats, p.Ps, w),
                                       feasibility=p.slacks(w))
             return sol, trace
@@ -303,18 +303,18 @@ def choose_p(n: int, eps: float) -> int:
     return 1 << max(0, (p_min - 1).bit_length())
 
 
-def build_pnorm_embedding(p: IndivPowerProblem, pexp: int) -> PnormEmbedding:
+def build_pnorm_embedding(prob: IndivPowerProblem, p: int) -> PnormEmbedding:
     """Scale weights by D1, then embed complex u into z = [Re u; Im u]."""
-    if pexp < 1:
+    if p < 1:
         raise InputError("p must be >= 1")
-    d1 = np.sqrt(p.c)
+    d1 = np.sqrt(prob.c)
     Dinv = np.diag(1.0 / d1)
-    Q1 = symmetrize(Dinv @ p.stats.Q @ Dinv)
-    R1 = symmetrize(Dinv @ p.stats.R @ Dinv)
+    Q1 = symmetrize(Dinv @ prob.stats.Q @ Dinv)
+    R1 = symmetrize(Dinv @ prob.stats.R @ Dinv)
     if not np.abs(R1).max() > 0:
         raise ModelError("R = 0: no signal reaches the destination, the SNR is 0 for every w")
     return PnormEmbedding(D1=d1, Q1=Q1, R1=R1, F=_real_embed(Q1),
-                          K=_real_embed(R1), p=int(pexp))
+                          K=_real_embed(R1), p=int(p))
 
 
 def phi_p_value(e: PnormEmbedding, z) -> float:
@@ -348,32 +348,38 @@ def phi_p_grad_hess(e: PnormEmbedding, z):
     g = np.empty(2 * n)
     g[:n] = 2.0 * rp1 * z[:n]
     g[n:] = 2.0 * rp1 * z[n:]
-    H = np.zeros((2 * n, 2 * n))
-    H[np.arange(2 * n), np.arange(2 * n)] = 2.0 * np.concatenate([rp1, rp1])
-    H += ((1.0 - p) / val) * np.outer(g, g)
+    H = ((1.0 - p) / val) * np.outer(g, g)
+    kr, ki = np.arange(n), np.arange(n, 2 * n)    # rows of Re u_k and Im u_k
+    H[kr, kr] += 2.0 * rp1
+    H[ki, ki] += 2.0 * rp1
     if p >= 2:
-        rp2 = ratio ** (p - 2)
-        for k in range(n):
-            jz = np.zeros(2 * n)
-            jz[k] = z[k]
-            jz[n + k] = z[n + k]
-            H += (4.0 * (p - 1) / val) * rp2[k] * np.outer(jz, jz)
+        # J~_k z has only the entries z_k and z_{n+k}: four entries per relay
+        coef = (4.0 * (p - 1) / val) * ratio ** (p - 2)
+        x, y = z[:n], z[n:]
+        H[kr, kr] += coef * (x * x)
+        H[ki, ki] += coef * (y * y)
+        H[kr, ki] += coef * (x * y)
+        H[ki, kr] += coef * (x * y)
     return val, g, H
 
 
-def initial_multiplier(e: PnormEmbedding) -> float:
-    """1/lambda_max(K, F + I): the exact multiplier of the p = 1 problem,
-    used to warm-start the outer loop.
+def p1_solution(e: PnormEmbedding):
+    """``(lam, z)``: the value lam = 1/lambda_max(K, F + I) and a minimizer z
+    of the p = 1 problem, min z^T (F + I) z s.t. z^T K z = 1.  lam is the
+    exact multiplier there and z the top eigenvector of the pencil; both
+    warm-start the augmented Lagrangian.
 
     F + I is positive definite, so with its Cholesky factor C the pencil
-    is lambda_max(C^{-1} K C^{-T}) and K may be singular (rank-deficient R).
+    is C^{-1} K C^{-T} and K may be singular (rank-deficient R).
     """
     Ci = np.linalg.inv(np.linalg.cholesky(e.F + np.eye(2 * e.n)))
-    return 1.0 / float(np.linalg.eigvalsh(symmetrize(Ci @ e.K @ Ci.T))[-1])
+    vals, vecs = np.linalg.eigh(symmetrize(Ci @ e.K @ Ci.T))
+    z = Ci.T @ vecs[:, -1]
+    return 1.0 / float(vals[-1]), z / np.sqrt(z @ e.K @ z)
 
 
 def augmented_lagrangian_solve(e: PnormEmbedding, prob: IndivPowerProblem,
-                               z0=None, mu: float = 0.001,
+                               w0=None, mu: float = 0.001,
                                constraint_tol: float = 1e-8,
                                grad_tol: float = 1e-6,
                                max_outer: int = 100,
@@ -383,7 +389,9 @@ def augmented_lagrangian_solve(e: PnormEmbedding, prob: IndivPowerProblem,
     L(z; lam; mu) = z^T F z + phi_p(z) - lam (z^T K z - 1)
                     + (z^T K z - 1)^2 / (2 mu),
     lam starts at the p = 1 closed form and updates by
-    lam <- lam - (z^T K z - 1)/mu with mu fixed.  Inner steps are Newton
+    lam <- lam - (z^T K z - 1)/mu with mu fixed.  z starts at [Re u; Im u]
+    for the weight vector ``w0`` (u = D1 w0), or at the p = 1 minimizer
+    when ``w0`` is None.  Inner steps are Newton
     with the Hessian shifted to positive definite when needed and Armijo
     backtracking (alpha = 1, c1 = 1e-4, rho = 0.5).  Terminates when
     |z^T K z - 1| <= constraint_tol and ||grad L|| <= grad_tol.
@@ -392,16 +400,15 @@ def augmented_lagrangian_solve(e: PnormEmbedding, prob: IndivPowerProblem,
     solution is scaled so that its largest per-relay cap is active.
     """
     n = e.n
-    if z0 is None:
-        u0 = np.ones(n, dtype=complex)
-        z0 = np.concatenate([u0.real, u0.imag])
-    z = np.asarray(z0, dtype=float).ravel().copy()
-    if z.size != 2 * n:
-        raise InputError(f"z0 has length {z.size}, expected {2 * n}")
-    nrm = float(z @ e.K @ z)
-    if nrm <= 0:
-        raise InputError("z0 must be nonzero")
-    lam = initial_multiplier(e)
+    lam, z = p1_solution(e)
+    if w0 is not None:
+        w0 = np.asarray(w0, dtype=complex).ravel()
+        if w0.size != n:
+            raise InputError(f"w0 has length {w0.size}, expected {n}")
+        u = e.D1 * w0
+        z = np.concatenate([u.real, u.imag])
+        if not z @ e.K @ z > 0:      # z^T K z = w0^H R w0
+            raise InputError("w0 must have w0^H R w0 > 0")
     trace = SolverTrace(columns=AL_TRACE_COLUMNS)
     mu = float(mu)
     F, K, p = e.F, e.K, e.p

@@ -2,7 +2,7 @@
 
 Everything downstream (channel statistics, the total-power eigenvalue
 search, the SDP relaxation) manipulates small Hermitian matrices; this
-module owns their construction, eigendecomposition and PSD tests.
+module owns their construction, principal factor and PSD tests.
 ``hermitian`` validates a matrix where it enters from a caller;
 ``symmetrize`` only cleans the round-off asymmetry of a matrix the library
 computed itself.  Matrices are n x n or 2n x 2n for relay counts up to
@@ -11,8 +11,6 @@ contracts here are accuracy bounds, not a particular algorithm.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,39 +68,6 @@ def check_vector(v, *, name: str = "vector") -> np.ndarray:
     if not np.isfinite(v).all():
         raise InputError(f"{name} contains non-finite entries")
     return v
-
-
-@dataclass
-class EigenDecomposition:
-    """Full spectrum of a Hermitian matrix.
-
-    ``eigenvalues`` ascending; ``eigenvectors[:, i]`` is the unit
-    eigenvector for ``eigenvalues[i]``; ``spectral_gap`` is the smallest
-    difference of adjacent eigenvalues (0.0 for a 1x1 matrix), exported so
-    callers can detect near-degeneracy themselves.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    spectral_gap: float
-
-
-def hermitian_eig(H) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Deterministic for identical input (LAPACK ``eigh`` is); eigenvector
-    phases are fixed by making the largest-magnitude component of each
-    column real positive so repeated calls and round-trips compare equal.
-    """
-    H = hermitian(H)
-    w, U = np.linalg.eigh(H)
-    for i in range(U.shape[1]):
-        j = np.argmax(np.abs(U[:, i]))
-        ph = U[j, i]
-        if np.abs(ph) > 0:
-            U[:, i] *= np.abs(ph) / ph
-    gap = float(np.diff(w).min()) if w.size > 1 else 0.0
-    return EigenDecomposition(eigenvalues=w, eigenvectors=U, spectral_gap=gap)
 
 
 def is_psd(H, tol: float = 1e-9) -> bool:

@@ -53,8 +53,7 @@ def solve_indiv_fixture(n):
     cdm_sol, _ = coordinate_descent(p, w0.copy())
     cdm = qcqp_objective(q, cdm_sol.w)
     emb = build_pnorm_embedding(p, fixtures.PNORM_P)
-    pn_sol, _, _ = augmented_lagrangian_solve(
-        emb, p, z0=np.concatenate([w0.real, w0.imag]))
+    pn_sol, _, _ = augmented_lagrangian_solve(emb, p, w0=w0)
     pnorm = qcqp_objective(q, pn_sol.w)
     core_time = time.perf_counter() - t0
     t0 = time.perf_counter()

@@ -46,7 +46,7 @@ def diagonal_scenario(tmp_path, solver="indiv-diag"):
     return write_scenario(tmp_path / "scenario.json", payload), payload
 
 
-def fixture_scenario(tmp_path, solver="sdp", options=None):
+def fixture_scenario(tmp_path, solver="sdp", options=None, seed=11):
     R, Q = fixtures.indiv_fixture(4)
     payload = {
         "mode": "individual",
@@ -54,7 +54,7 @@ def fixture_scenario(tmp_path, solver="sdp", options=None):
         "channel": {"stats": {"D": [1.0] * 4, "R": cmat(R), "Q": cmat(Q)}},
         "budget": {"Ps": 1.0, "P": [2.0] * 4},
         "solver": {"name": solver, **({"options": options} if options else {})},
-        "seed": 11,
+        "seed": seed,
     }
     return write_scenario(tmp_path / "n4.json", payload), payload
 
@@ -119,7 +119,7 @@ class TestParseScenario:
 
     def test_problem_carries_the_payload(self, tmp_path):
         options = {"samples": 1e4, "eps": 1e-4, "p": 64, "fallback": "pnorm",
-                   "w0": [[1.0, 0.5]] * 4, "z0": [1.0] * 8}
+                   "w0": [[1.0, 0.5]] * 4}
         path, payload = fixture_scenario(tmp_path, options=options)
         s = parse_scenario(path)
         R, Q = fixtures.indiv_fixture(4)
@@ -137,7 +137,6 @@ class TestParseScenario:
         assert type(opts["p"]) is int and opts["p"] == 64
         assert (opts["eps"], opts["fallback"]) == (1e-4, "pnorm")
         assert np.array_equal(opts["w0"], np.full(4, 1.0 + 0.5j))
-        assert np.array_equal(opts["z0"], np.ones(8))
 
     def test_total_problem_carries_p0(self):
         s = parse_scenario(str(SCENARIOS / "total_rayleigh_n4.json"))
@@ -199,10 +198,10 @@ class TestRun:
         assert rep.snr > 0
 
     def test_determinism(self, tmp_path):
-        path, _ = fixture_scenario(tmp_path, solver="grp")
+        path, _ = fixture_scenario(tmp_path, solver="grp", options={"samples": 20000})
         s = parse_scenario(path)
-        r1 = run(s, samples=20000)
-        r2 = run(s, samples=20000)
+        r1 = run(s)
+        r2 = run(s)
         assert r1.to_json() == r2.to_json()
 
     def test_snr_db_consistent(self, tmp_path):
@@ -223,6 +222,11 @@ class TestRun:
                                         rel=fixtures.INDIV_TOL)
         assert rep.snr <= fixtures.INDIV_EXPECT[4]["sdp"] * (1 + fixtures.INDIV_TOL)
         assert min(rep.feasibility) >= -1e-12
+
+
+@pytest.fixture(scope="module")
+def reproduced_n4():
+    return reproduce("indiv-n4")[1]["indiv-n4"]
 
 
 class TestMain:
@@ -335,6 +339,44 @@ class TestMain:
         assert main(["solve", path]) == 4
         assert "R = 0" in capsys.readouterr().err
 
+    def test_zero_r_general_q_solves_at_snr_0(self, tmp_path, capsys):
+        # with R = 0 coordinate descent sends every slot to w = 0, where it
+        # must stop rather than sweep to its limit
+        rng = np.random.default_rng(2)
+        A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        payload = {"mode": "individual", "sigma2": 1.0,
+                   "channel": {"stats": {"D": [1.0] * 4, "R": cmat(np.zeros((4, 4))),
+                                         "Q": cmat(A @ A.conj().T / 4)}},
+                   "budget": {"Ps": 1.0, "P": [1.0] * 4}}
+        path = write_scenario(tmp_path / "dark.json", payload)
+        assert main(["solve", path]) == 0
+        rep = strict_json(capsys.readouterr().out)
+        assert rep["metadata"]["fallback"] == "cdm"
+        assert rep["snr"] == 0.0
+        assert rep["snr_db"] is None
+
+    def test_pnorm_rank_one_r_solves(self, tmp_path, capsys):
+        # equal caps and v = [1, -1, 0, 0]: the all-ones vector is in the
+        # null space of R = v v^H, so it cannot start the p-norm route
+        rng = np.random.default_rng(8)
+        A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        v = np.array([1.0, -1.0, 0.0, 0.0])
+        payload = {"mode": "individual", "sigma2": 1.0,
+                   "channel": {"stats": {"D": [1.0] * 4, "R": cmat(np.outer(v, v)),
+                                         "Q": cmat(A @ A.conj().T / 4)}},
+                   "budget": {"Ps": 1.0, "P": [2.0] * 4},
+                   "solver": {"name": "pnorm"}}
+        path = write_scenario(tmp_path / "los.json", payload)
+        assert main(["solve", path]) == 0
+        rep = strict_json(capsys.readouterr().out)
+        assert rep["snr"] > 0
+        assert min(rep["feasibility"]) >= -1e-12
+        # w0 starts pnorm too: a start that R does not see is rejected
+        payload["solver"]["options"] = {"w0": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0]]}
+        path = write_scenario(tmp_path / "los.json", payload)
+        assert main(["solve", path]) == 3
+        assert "w0" in capsys.readouterr().err
+
     def test_zero_snr_report_is_strict_json(self, tmp_path, capsys):
         payload = {"mode": "individual", "sigma2": 1.0,
                    "channel": {"stats": {"D": [1.0] * 3,
@@ -386,18 +428,21 @@ class TestMain:
             assert Path(f).read_text().splitlines()[0] == "sweep,slot,objective"
 
     def test_samples_zero_exit_3(self, tmp_path, capsys):
-        path, _ = fixture_scenario(tmp_path, solver="grp")
-        assert main(["solve", path, "--samples", "0"]) == 3
+        path, _ = fixture_scenario(tmp_path, solver="grp", options={"samples": 0})
+        assert main(["solve", path]) == 3
         assert "samples must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("where", ["field", "flag"])
     def test_negative_seed_exit_3(self, tmp_path, capsys, where):
-        payload = json.loads((SCENARIOS / "individual_rician_n3.json").read_text())
-        payload["solver"] = {"name": "grp", "options": {"samples": 100}}
-        payload["seed"] = -1 if where == "field" else 7
-        path = write_scenario(tmp_path / "seed.json", payload)
-        flags = ["--seed", "-1"] if where == "flag" else []
-        assert main(["solve", path, *flags]) == 3
+        # the scenario's seed field for solve, the --seed flag for reproduce
+        if where == "field":
+            payload = json.loads((SCENARIOS / "individual_rician_n3.json").read_text())
+            payload["solver"] = {"name": "grp", "options": {"samples": 100}}
+            payload["seed"] = -1
+            argv = ["solve", write_scenario(tmp_path / "seed.json", payload)]
+        else:
+            argv = ["reproduce", "indiv-n4", "--seed", "-1"]
+        assert main(argv) == 3
         assert "seed must be a non-negative integer" in capsys.readouterr().err
 
     def test_unknown_option_exit_3(self, tmp_path, capsys):
@@ -405,7 +450,7 @@ class TestMain:
         assert main(["solve", path]) == 3
         err = capsys.readouterr().err
         assert "'solver.options.sample'" in err
-        assert "samples, eps, p, w0, z0, fallback" in err
+        assert "samples, eps, p, w0, fallback" in err
 
     @pytest.mark.parametrize("solver,key", [("grp", "samples"), ("cdm", "eps"),
                                             ("pnorm", "p")])
@@ -426,7 +471,7 @@ class TestMain:
         ("total", "channel.rician.f_var", "wide"),
         ("cdm", "solver.options", "fast"),
         ("cdm", "solver.options.w0", "ones"),
-        ("pnorm", "solver.options.z0", "ones"),
+        ("pnorm", "solver.options.z0", "ones"),      # not an option at all
         ("sdp", "solver.options.fallback", "bogus"),
     ])
     def test_malformed_field_exit_3(self, tmp_path, capsys, base, field, value):
@@ -475,6 +520,12 @@ class TestMain:
         assert main(["--help"]) == 0
         assert "usage:" in capsys.readouterr().out
 
+    def test_solve_flags_are_trace_and_out(self, capsys):
+        # every solver setting comes from the scenario file
+        assert main(["solve", "--help"]) == 0
+        flags = {w.strip("[],") for w in capsys.readouterr().out.split() if w.startswith(("--", "[--"))}
+        assert flags == {"--help", "--out", "--trace"}
+
     def test_oracle_subcommand(self, tmp_path, capsys):
         path, _ = diagonal_scenario(tmp_path)
         assert main(["oracle", path]) == 0
@@ -495,6 +546,19 @@ class TestReproduce:
         quantities = {r[1] for r in rows}
         assert {"sdp_objective", "cdm_objective", "pnorm_objective",
                 "grp_objective"} <= quantities
+
+    @pytest.mark.parametrize("solver,options,key", [
+        ("sdp", None, "cdm"),
+        ("sdp", {"fallback": "pnorm", "p": fixtures.PNORM_P}, "pnorm"),
+        ("grp", {"samples": fixtures.GRP_SAMPLES}, "grp"),
+    ])
+    def test_solve_runs_the_reproduced_routes(self, tmp_path, reproduced_n4, solver,
+                                              options, key):
+        # reproduce runs solve's routes: with Ps = sigma2 = 1 the SNR is the
+        # QCQP value that reproduce reports
+        path, _ = fixture_scenario(tmp_path, solver=solver, options=options, seed=20111)
+        rep = run(parse_scenario(path))
+        assert rep.snr == pytest.approx(reproduced_n4[key], rel=1e-9)
 
     def test_unknown_case_rejected(self):
         with pytest.raises(InputError):

@@ -12,7 +12,7 @@ from relaybeam.indiv_search import (ScalarFractionalSubproblem,
                                     augmented_lagrangian_solve,
                                     build_pnorm_embedding, choose_p,
                                     coordinate_descent, extract_coefficients,
-                                    initial_multiplier, phi_p_grad_hess,
+                                    p1_solution, phi_p_grad_hess,
                                     phi_p_value, solve_scalar_subproblem,
                                     stationarity_improvement, subproblem_value)
 from relaybeam.oracle import finite_diff, finite_diff_second
@@ -330,6 +330,24 @@ class TestPhiP:
             fd_H = finite_diff_second(lambda zv: phi_p_value(e, zv), z, h=1e-4)
             assert np.allclose(H, fd_H, rtol=1e-4, atol=5e-3)
 
+    @pytest.mark.parametrize("p", [1, 2, 8, 1024])
+    def test_hessian_matches_outer_product_loop(self, p, rng):
+        # the Hessian adds four entries per relay; the reference adds the
+        # whole outer product (J~_k z)(J~_k z)^T, in the same order
+        n = 16
+        e = self.make(rng, n, p)
+        z = rng.standard_normal(2 * n)
+        val, g, H = phi_p_grad_hess(e, z)
+        ratio = (z[:n] ** 2 + z[n:] ** 2) / val
+        ref = np.zeros((2 * n, 2 * n))
+        ref[np.arange(2 * n), np.arange(2 * n)] = 2.0 * np.tile(ratio ** (p - 1), 2)
+        ref += ((1.0 - p) / val) * np.outer(g, g)
+        for k in range(n if p >= 2 else 0):
+            jz = np.zeros(2 * n)
+            jz[[k, n + k]] = z[[k, n + k]]
+            ref += (4.0 * (p - 1) / val) * ratio[k] ** (p - 2) * np.outer(jz, jz)
+        assert np.array_equal(H, ref)
+
     def test_one_hot_exact(self, rng):
         for p in (1, 2, 8, 1024):
             e = self.make(rng, 4, p)
@@ -350,18 +368,22 @@ class TestInitialMultiplier:
         e = build_pnorm_embedding(p, 2)
         e.F = np.zeros((6, 6))
         e.K = np.eye(6)
-        assert initial_multiplier(e) == pytest.approx(1.0)
+        assert p1_solution(e)[0] == pytest.approx(1.0)
 
     def test_identity_pair(self, rng):
         p = rand_indiv_problem(rng, 3)
         e = build_pnorm_embedding(p, 2)
         e.F = np.eye(6)
         e.K = np.eye(6)
-        assert initial_multiplier(e) == pytest.approx(2.0)
+        assert p1_solution(e)[0] == pytest.approx(2.0)
 
     def test_fixture_positive(self):
         e = build_pnorm_embedding(fixture_problem(4), 1024)
-        assert initial_multiplier(e) > 0
+        lam, z = p1_solution(e)
+        assert lam > 0
+        # z is the p = 1 minimizer: on the constraint, at the value lam
+        assert z @ e.K @ z == pytest.approx(1.0, rel=1e-12)
+        assert z @ (e.F + np.eye(8)) @ z == pytest.approx(lam, rel=1e-12)
 
 
 class TestAugmentedLagrangian:
@@ -372,7 +394,7 @@ class TestAugmentedLagrangian:
         # at p = 1 the constrained optimum value is the initial multiplier
         z = state.z
         achieved = z @ e.F @ z + phi_p_value(e, z)
-        assert achieved == pytest.approx(initial_multiplier(e), rel=1e-6)
+        assert achieved == pytest.approx(p1_solution(e)[0], rel=1e-6)
 
     @pytest.mark.parametrize("n,key", [(4, "pnorm")])
     def test_fixture_objective(self, n, key):
@@ -383,8 +405,7 @@ class TestAugmentedLagrangian:
         vals, vecs = np.linalg.eigh(rel.X)
         w0 = np.sqrt(vals[-1]) * vecs[:, -1]
         e = build_pnorm_embedding(p, fixtures.PNORM_P)
-        sol, trace, state = augmented_lagrangian_solve(
-            e, p, z0=np.concatenate([w0.real, w0.imag]))
+        sol, trace, state = augmented_lagrangian_solve(e, p, w0=w0)
         obj = qcqp_objective(q, sol.w)
         assert obj == pytest.approx(fixtures.INDIV_EXPECT[n][key], rel=2e-2)
         assert abs(state.constraint_residual) <= 1e-8
@@ -446,7 +467,26 @@ class TestAugmentedLagrangian:
                                  "constraint_residual", "grad_norm", "alpha")
 
     def test_bad_z0_rejected(self, rng):
+        # a start z = [Re u; Im u] off the constraint's reach, z^T K z = 0
         p = rand_indiv_problem(rng, 3)
         e = build_pnorm_embedding(p, 4)
-        with pytest.raises(InputError):
-            augmented_lagrangian_solve(e, p, z0=np.zeros(6))
+        with pytest.raises(InputError, match="w0"):
+            augmented_lagrangian_solve(e, p, w0=np.zeros(3))
+        with pytest.raises(InputError, match="w0 has length 4"):
+            augmented_lagrangian_solve(e, p, w0=np.ones(4))
+
+    def test_rank_one_r_default_start(self):
+        # with equal c_k, v = [1, -1, 0, 0] puts the all-ones vector in the
+        # null space of R = v v^H; the p = 1 minimizer starts on the constraint
+        from relaybeam.sdp import SdpProblem, solve_relaxation
+        rng = np.random.default_rng(8)
+        A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        v = np.array([1.0, -1.0, 0.0, 0.0])
+        stats = ChannelStats(D=np.ones(4), R=np.outer(v, v).astype(complex),
+                             Q=A @ A.conj().T / 4, sigma2=1.0)
+        p = IndivPowerProblem(stats=stats, Ps=1.0, P=np.full(4, 2.0))
+        q = build_qcqp(p)
+        bound = solve_relaxation(SdpProblem(objective=q.R, constraints=constraint_stack(p))).primal_obj
+        sol, _, _ = augmented_lagrangian_solve(build_pnorm_embedding(p, choose_p(4, 0.01)), p)
+        assert sol.feasibility.min() >= -1e-12
+        assert 0.99 * bound <= qcqp_objective(q, sol.w) <= (1.0 + 1e-6) * bound
