@@ -18,6 +18,8 @@ import numpy as np
 from .errors import InputError
 from .linalg import check_vector, hermitian, is_diagonal, qform, symmetrize
 
+MC_BATCH = 20000   # draws per monte_carlo_stats batch
+
 
 @dataclass
 class RicianParams:
@@ -77,9 +79,9 @@ class ChannelStats:
     def n(self) -> int:
         return self.D.size
 
-    def is_diagonal(self, rtol: float = 1e-12) -> bool:
+    def is_diagonal(self) -> bool:
         """True when R and Q carry negligible off-diagonal mass."""
-        return is_diagonal(self.R, rtol) and is_diagonal(self.Q, rtol)
+        return is_diagonal(self.R) and is_diagonal(self.Q)
 
 
 @dataclass
@@ -131,8 +133,7 @@ def powers(stats: ChannelStats, Ps: float, w):
     return float(P_ri.sum()), P_ri
 
 
-def monte_carlo_stats(p: RicianParams, samples: int, seed: int,
-                      batch: int = 20000):
+def monte_carlo_stats(p: RicianParams, samples: int, seed: int):
     """Empirical (D, R, Q) from circularly-symmetric Gaussian draws.
 
     Deterministic given ``seed``.  Returns ``(D_hat, R_hat, Q_hat)``.
@@ -148,7 +149,7 @@ def monte_carlo_stats(p: RicianParams, samples: int, seed: int,
     sf = np.sqrt(p.f_var)
     sg = np.sqrt(p.g_var)
     while done < samples:
-        b = min(batch, samples - done)
+        b = min(MC_BATCH, samples - done)
         ft = (rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))) / np.sqrt(2)
         gt = (rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))) / np.sqrt(2)
         f = p.f_mean + sf * ft

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fixtures, indiv_diag, indiv_qcqp, indiv_search, oracle, total_power
+from . import fixtures, indiv_diag, indiv_qcqp, indiv_search, oracle, sdp, total_power
 from .channel import ChannelStats, RicianParams, build_stats
 from .errors import ConvergenceError, InputError, RelayBeamError
 from .linalg import principal_factor
@@ -57,7 +57,7 @@ class Scenario:
 _CHANNEL_KINDS = {"stats": {"D": "numbers", "R": "matrix", "Q": "matrix"},
                   "rician": {"f_mean": "vector", "f_var": "numbers",
                              "g_mean": "vector", "g_var": "numbers"}}
-_OPTION_KINDS = {"samples": "integer", "eps": "number", "p": "integer",
+_OPTION_KINDS = {"samples": "count", "eps": "positive", "p": "count",
                  "w0": "vector", "fallback": ("cdm", "pnorm")}
 
 
@@ -105,8 +105,11 @@ def parse_scenario(path: str) -> Scenario:
                          f"known options: {', '.join(_OPTION_KINDS)}")
     options = {key: _field(given, f"solver.options.{key}", kind)
                for key, kind in _OPTION_KINDS.items() if key in given}
+    if "w0" in options and options["w0"].size != stats.n:
+        raise InputError(f"field 'solver.options.w0' has {options['w0'].size} pairs, "
+                         f"expected one per relay ({stats.n})")
     return Scenario(mode=mode, problem=problem, solver=name, solver_options=options,
-                    seed=_field(raw, "seed", "integer", 0))
+                    seed=_field(raw, "seed", "seed", 0))
 
 
 @dataclass
@@ -195,7 +198,7 @@ def _route(prob: IndivPowerProblem, solver: str, options: dict, seed: int,
         meta["sweeps"] = int(trace.rows[-1][0]) + 1 if len(trace) else 0
         return sol, meta, trace
     # pnorm
-    p_val = options.get("p", 0) or indiv_search.choose_p(prob.n, 0.01)
+    p_val = options.get("p") or indiv_search.choose_p(prob.n)
     emb = indiv_search.build_pnorm_embedding(prob, p_val)
     sol, trace, state = indiv_search.augmented_lagrangian_solve(emb, prob, w0=start)
     meta.update(p=p_val, multiplier=state.lam, constraint_residual=state.constraint_residual)
@@ -282,7 +285,7 @@ def _reproduce_indiv(n: int, reports: dict, seed: int):
 
     rel("sdp_objective", exp["sdp"], sdp_sol.primal_obj)
     wX = np.linalg.eigvalsh(sdp_sol.X)
-    nonzero = wX[wX > sdp_sol.rank_tol * wX.max()]
+    nonzero, _ = sdp.range_eigh(sdp_sol.X)
     for i, ev in enumerate(exp["x_eigs"]):
         act = float(nonzero[i]) if i < nonzero.size else 0.0
         rel(f"x_eigenvalue_{i + 1}", ev, act)
@@ -415,9 +418,15 @@ def _dispatch(args) -> int:
 
 _MISSING = object()
 # numeric field kind: (array rank, description); ranks 2 and 3 hold [re, im] pairs
-_NUMERIC = {"number": (0, "a number"), "integer": (0, "an integer"),
+_NUMERIC = {"number": (0, "a number"), "positive": (0, "a positive number"),
+            "count": (0, "an integer >= 1"),
+            "seed": (0, "a non-negative integer below 2**64"),
             "numbers": (1, "a list of numbers"), "vector": (2, "a list of [re, im] pairs"),
             "matrix": (3, "a square matrix of [re, im] pairs")}
+_INTEGER = ("count", "seed")
+# the test each ranged kind's value must pass
+_IN_RANGE = {"positive": lambda v: v > 0, "count": lambda v: v >= 1,
+             "seed": lambda v: 0 <= v < 2 ** 64}
 
 
 def _field(block: dict, path: str, kind, default=_MISSING):
@@ -425,7 +434,8 @@ def _field(block: dict, path: str, kind, default=_MISSING):
     converted to ``kind``: "object", a tuple of the allowed strings, or a kind
     of ``_NUMERIC``, which gives a float, an int, a float array, a complex
     vector or a Hermitian matrix.  A missing field without a default, or a
-    value of another kind, raises an InputError that names ``path``."""
+    value of another kind or out of the kind's range, raises an InputError
+    that names ``path``."""
     key = path.rpartition(".")[2]
     if key not in block:
         if default is _MISSING:
@@ -449,9 +459,10 @@ def _field(block: dict, path: str, kind, default=_MISSING):
         if (arr.dtype.kind in "iuf" and arr.ndim == ndim and np.isfinite(arr).all()
                 and (ndim < 2 or arr.shape[-1] == 2)
                 and (ndim < 3 or arr.shape[0] == arr.shape[1])
-                and (kind != "integer" or arr == np.round(arr))):
+                and (kind not in _INTEGER or arr == np.round(arr))
+                and (kind not in _IN_RANGE or _IN_RANGE[kind](arr.item()))):
             if ndim == 0:
-                return int(arr) if kind == "integer" else float(arr)
+                return int(arr) if kind in _INTEGER else float(arr)
             if ndim == 1:
                 return arr.astype(float)
             z = arr[..., 0] + 1j * arr[..., 1]

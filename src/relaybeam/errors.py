@@ -28,10 +28,6 @@ class ScopeError(InputError):
 class SingularityError(RelayBeamError):
     """A matrix that must be positive definite is numerically singular."""
 
-    def __init__(self, message, eigenvalue=None):
-        super().__init__(message)
-        self.eigenvalue = eigenvalue
-
 
 class ConvergenceError(RelayBeamError):
     """Iteration budget exhausted or a line search stalled.

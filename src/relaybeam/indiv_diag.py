@@ -7,7 +7,7 @@ Dinkelbach's method closes: the auxiliary function
 
 is strictly decreasing with a unique root t*, which equals the optimal SNR
 exactly, and the root is available in closed form after sorting the
-breakpoints t_k = Ps r_k / (sigma^2 q_k).
+breakpoints t_k = Ps r_k / (sigma^2 q_k) in descending order.
 """
 
 from __future__ import annotations
@@ -49,46 +49,24 @@ def dinkelbach_F(p: IndivPowerProblem, t: float) -> DinkelbachState:
 def solve_diagonal(p: IndivPowerProblem) -> BeamformingSolution:
     """Closed-form root of F(t) = 0 and the associated weights.
 
-    Sorts the breakpoints ascending; k0 is the first index with
-    F(t~_k0) < 0 (or the exact-zero index), then
+    F(t) is the largest over relay sets S of -t + sum_S coef_k (a_k - t q~_k),
+    a_k = Ps r~_k / sigma^2; each is strictly decreasing with the root
+    t_S = sum_S coef_k a_k / (1 + sum_S coef_k q~_k), so t* is the largest
+    t_S.  The best S is a prefix of the relays in descending breakpoint
+    order (the empty set gives t = 0), hence
 
-        t* = [sum_{k>=k0} coef_k Ps r~_k / sigma^2] / [1 + sum_{k>=k0} coef_k q~_k].
+        t* = max(0, max_m [sum_{i<=m} coef a] / [1 + sum_{i<=m} coef q~])
 
-    Relays with t_k > t* transmit at full cap; the rest stay silent.
-    Phases are set to zero: with diagonal R, Q the objective depends only
-    on the magnitudes.
+    over that order.  Relays with t_k > t* transmit at full cap; the rest
+    stay silent.  Phases are set to zero: with diagonal R, Q the objective
+    depends only on the magnitudes.
     """
     r, q, coef = _diag_parts(p)
-    if not (r > 0).any():
-        # SNR is identically zero; every feasible w is optimal
-        w = np.zeros(p.n, dtype=complex)
-        return BeamformingSolution(w=w, Ps=p.Ps, snr=0.0, feasibility=p.slacks(w))
-
-    with np.errstate(divide="ignore"):
-        tk = np.where(q > 0, p.Ps * r / (p.stats.sigma2 * q), np.inf)
-    order = np.argsort(tk, kind="stable")
-    ts = tk[order]
-
-    k0 = None
-    tstar = None
-    for i, tv in enumerate(ts):
-        if not np.isfinite(tv):
-            k0 = i          # root lies beyond every finite breakpoint
-            break
-        F = dinkelbach_F(p, tv).F_value
-        if F == 0.0:
-            tstar = float(tv)
-            break
-        if F < 0.0:
-            k0 = i
-            break
-    if tstar is None:
-        if k0 is None:      # F still positive at the largest finite breakpoint
-            k0 = len(ts) - 1
-        sel = order[k0:]
-        csel = coef[sel]
-        tstar = float((csel * p.Ps * r[sel] / p.stats.sigma2).sum()
-                      / (1.0 + (csel * q[sel]).sum()))
+    a = (p.Ps / p.stats.sigma2) * r
+    tk = np.divide(a, q, out=np.full(p.n, np.inf), where=q > 0)
+    order = np.argsort(-tk, kind="stable")
+    ratios = np.cumsum(coef[order] * a[order]) / (1.0 + np.cumsum(coef[order] * q[order]))
+    tstar = max(0.0, float(ratios.max()))
 
     w2 = dinkelbach_F(p, tstar).w_squared
     w = np.sqrt(w2).astype(complex)

@@ -23,10 +23,12 @@ from .channel import BeamformingSolution, snr
 from .errors import ConvergenceError, InputError, ScopeError
 from .linalg import _real_embed, principal_factor, qform, symmetrize
 from .problems import IndivPowerProblem
-from .sdp import SdpProblem, solve_relaxation
+from .sdp import SdpProblem, range_eigh, solve_relaxation
 
 GRP_BATCH = 65536   # fixed batch so the sample stream is prefix-stable
 _GRP_CHUNK = 4096   # GRP samples per column chunk: its temporaries stay in L2
+ACTIVE_TOL = 1e-7   # rank reduction counts cap k active when Tr(A_k X) >= 1 - ACTIVE_TOL
+MAX_ROUNDS = 64     # rank-reduction rounds before ConvergenceError
 
 
 @dataclass
@@ -75,7 +77,7 @@ def rescale_to_original(w_qcqp, q: QcqpInstance, p: IndivPowerProblem) -> Beamfo
                                feasibility=p.slacks(w))
 
 
-def solve_via_sdp(p: IndivPowerProblem, tol: float = 1e-8):
+def solve_via_sdp(p: IndivPowerProblem):
     """Solve the relaxation; return (qcqp_instance, sdp_solution, w or None).
 
     w is populated only when the relaxation comes back (numerically)
@@ -87,18 +89,17 @@ def solve_via_sdp(p: IndivPowerProblem, tol: float = 1e-8):
     n = q.n
     A = np.broadcast_to(q.Q, (n, n, n)).copy()
     A[np.arange(n), np.arange(n), np.arange(n)] += q.c
-    sol = solve_relaxation(SdpProblem(objective=q.R, constraints=A), tol=tol)
+    sol = solve_relaxation(SdpProblem(objective=q.R, constraints=A))
     w = principal_factor(sol.X) if sol.rank_estimate == 1 else None
     return q, sol, w
 
 
-def rank_one_decompose(X, q: QcqpInstance, rank_tol: float = 1e-7,
-                       active_tol: float = 1e-7, max_rounds: int = 64) -> np.ndarray:
+def rank_one_decompose(X, q: QcqpInstance) -> np.ndarray:
     """Extract an objective-preserving feasible rank-one solution (n <= 3).
 
     Iterative rank reduction on the optimal face: write X = V V^H, find a
     nonzero Hermitian M with Tr(V^H A_k V M) = 0 for every active
-    constraint (possible since the active count <= 3 < rank^2), and move
+    constraint (one exists: the active count <= 3 < 4 <= rank^2), and move
     X(tau) = V (I - tau M) V^H until either an eigenvalue of I - tau M
     hits zero (rank drops) or an inactive constraint becomes active (the
     active set grows); both events are finite.  Active constraint values
@@ -110,27 +111,21 @@ def rank_one_decompose(X, q: QcqpInstance, rank_tol: float = 1e-7,
             "rank-one decomposition is only guaranteed for n <= 3; "
             "use coordinate descent or the p-norm solver")
     X = symmetrize(X)
-    for _ in range(max_rounds):
-        w, U = np.linalg.eigh(X)
-        w = np.maximum(w, 0.0)
-        keep = w > rank_tol * max(w.max(), 1e-300)
-        r = int(keep.sum())
+    for _ in range(MAX_ROUNDS):
+        lam, U = range_eigh(X)
+        V = U * np.sqrt(lam)
+        r = lam.size
         if r <= 1:
-            v = U[:, -1] * np.sqrt(w[-1])
+            v = V[:, 0] if r else np.zeros(q.n, dtype=complex)
             j = int(np.argmax(np.abs(v)))
             if np.abs(v[j]) > 0:
                 v = v * (np.abs(v[j]) / v[j])
             return v
-        V = U[:, keep] * np.sqrt(w[keep])
         vals = q.traces(X)
-        active = np.flatnonzero(vals >= 1.0 - active_tol)
+        active = np.flatnonzero(vals >= 1.0 - ACTIVE_TOL)
         VQV = V.conj().T @ q.Q @ V      # V^H A_k V = VQV + c_k V[k]^H V[k]
         rows = [_vech(VQV + q.c[k] * np.outer(V[k].conj(), V[k])) for k in active]
         M = _null_direction(rows, r)
-        if M is None:
-            raise InputError(
-                "no reduction direction found; X is likely not an optimal "
-                f"face point (rank {r}, {len(active)} active constraints)")
         for Ms in (M, -M):
             lmax = float(np.linalg.eigvalsh(Ms).max())
             if lmax > 1e-12 and 1.0 / lmax <= _blocking_step(V, q, vals, active, Ms):
@@ -144,7 +139,7 @@ def rank_one_decompose(X, q: QcqpInstance, rank_tol: float = 1e-7,
                 raise ConvergenceError(
                     "rank reduction stalled without a blocking constraint")
         X = symmetrize(V @ (np.eye(r) - tau * Ms) @ V.conj().T)
-    raise ConvergenceError(f"rank reduction did not reach rank one in {max_rounds} rounds")
+    raise ConvergenceError(f"rank reduction did not reach rank one in {MAX_ROUNDS} rounds")
 
 
 def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
@@ -155,7 +150,7 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
     generator seeded with ``SeedSequence([seed, batch index])``, so w is a
     pure function of (X, q, samples, seed) and growing ``samples`` only
     extends the stream (prefix property).  The samples lie in the range of
-    X: with the eigenpairs of X above 1e-6 lambda_max (the rule behind
+    X: with the eigenpairs of X that ``range_eigh`` keeps (the rule behind
     ``SdpSolution.rank_estimate``) L = U_r sqrt(lambda_r), and each sample
     is w = L (a + i b) for z = [a; b] ~ N(0, I_2r).  That w is CN(0, 2X);
     the factor 2 is immaterial because every sample is rescaled.  A sample
@@ -172,12 +167,11 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
         raise InputError("samples must be >= 1 and an integer")
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
         raise InputError("seed must be a non-negative integer below 2**64")
-    wv, U = np.linalg.eigh(symmetrize(X))
-    if wv.max() <= 0:
+    lam, U = range_eigh(symmetrize(X))
+    if lam.size == 0:
         raise InputError("X is numerically zero; nothing to sample")
-    keep = wv > 1e-6 * wv.max()
-    L = U[:, keep] * np.sqrt(wv[keep])
-    r, n = L.shape[1], q.n
+    L = U * np.sqrt(lam)
+    r, n = lam.size, q.n
     if r == 1:
         # every sample lies on the ray of L, so rescaling gives every sample
         # the same value, and the first sample wins the tie
@@ -230,17 +224,14 @@ def _unvech(v, r) -> np.ndarray:
 
 
 def _null_direction(rows, r):
-    """A unit-normalized Hermitian r x r matrix orthogonal to all rows."""
+    """A unit-normalized Hermitian r x r matrix orthogonal to all rows; at
+    most 3 rows in r^2 >= 4 coordinates leave a null vector."""
     if rows:
-        Arows = np.array(rows)
-        _, sv, Vt = np.linalg.svd(Arows, full_matrices=True)
-        cut = (sv > 1e-10 * max(1.0, sv.max())).sum()
-        null = Vt[cut:]
+        _, sv, Vt = np.linalg.svd(np.array(rows), full_matrices=True)
+        null = Vt[(sv > 1e-10 * max(1.0, sv.max())).sum()]
     else:
-        null = np.eye(r * r)
-    if null.shape[0] == 0:
-        return None
-    M = _unvech(null[0], r)
+        null = np.eye(r * r)[0]
+    M = _unvech(null, r)
     return M / np.abs(np.linalg.eigvalsh(M)).max()
 
 

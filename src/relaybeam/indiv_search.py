@@ -34,6 +34,13 @@ from .trace import SolverTrace
 CDM_TRACE_COLUMNS = ("sweep", "slot", "objective")
 AL_TRACE_COLUMNS = ("outer_k", "inner_i", "L", "constraint_residual",
                     "grad_norm", "alpha")
+MAX_SWEEPS = 500           # coordinate-descent sweeps before ConvergenceError
+SMOOTHING_EPS = 0.01       # relative error of ||.||_2p against ||.||_inf that choose_p allows
+AL_MU = 0.001              # fixed penalty weight of the augmented Lagrangian
+AL_CONSTRAINT_TOL = 1e-8   # stop: |z^T K z - 1| <= AL_CONSTRAINT_TOL ...
+AL_GRAD_TOL = 1e-6         # ... and ||grad L|| <= AL_GRAD_TOL
+AL_MAX_OUTER = 100         # multiplier updates before ConvergenceError
+AL_MAX_INNER = 400         # Newton steps per inner minimization
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +190,15 @@ def _real_roots(qa, qb, qc):
 # coordinate descent (cyclic, closed-form slot updates)
 # ---------------------------------------------------------------------------
 
-def coordinate_descent(p: IndivPowerProblem, w0, eps: float = 1e-3,
-                       max_sweeps: int = 500):
+def coordinate_descent(p: IndivPowerProblem, w0, eps: float = 1e-3):
     """Cyclic coordinate ascent on the SNR ratio.
 
     Sweeps slots 1..N applying the closed-form scalar update, O(n) per
     slot; stops when the relative iterate change over a sweep drops below
-    ``eps`` (positive and finite).  An infeasible start is scaled down to
-    the tightest cap.  Returns ``(BeamformingSolution, SolverTrace)`` with
-    trace rows (sweep, slot, objective).
+    ``eps`` (positive and finite), or raises ConvergenceError after
+    MAX_SWEEPS sweeps.  An infeasible start is scaled down to the tightest
+    cap.  Returns ``(BeamformingSolution, SolverTrace)`` with trace rows
+    (sweep, slot, objective).
     """
     if not 0.0 < eps < math.inf:
         raise InputError(f"eps must be a positive finite number, got {eps!r}")
@@ -206,7 +213,7 @@ def coordinate_descent(p: IndivPowerProblem, w0, eps: float = 1e-3,
     data = _slot_data(p)
     trace = SolverTrace(columns=CDM_TRACE_COLUMNS)
     sig_ratio = p.Ps / p.stats.sigma2
-    for sweep in range(max_sweeps):
+    for sweep in range(MAX_SWEEPS):
         w_prev = w.copy()
         for k, t in enumerate(_sweep(data, w)):
             trace.append(sweep, k, sig_ratio * t)
@@ -216,7 +223,7 @@ def coordinate_descent(p: IndivPowerProblem, w0, eps: float = 1e-3,
                                       feasibility=p.slacks(w))
             return sol, trace
     raise ConvergenceError(
-        f"coordinate descent did not converge in {max_sweeps} sweeps",
+        f"coordinate descent did not converge in {MAX_SWEEPS} sweeps",
         best=BeamformingSolution(w=w, Ps=p.Ps, snr=snr(p.stats, p.Ps, w),
                                  feasibility=p.slacks(w)),
         trace=trace)
@@ -288,18 +295,15 @@ class PnormEmbedding:
 class AugLagState:
     z: np.ndarray
     lam: float
-    mu: float
     constraint_residual: float
 
 
-def choose_p(n: int, eps: float) -> int:
-    """Smallest p with relative smoothing error <= eps, rounded up to a
-    power of two: p >= log(n)/log(1+eps)."""
-    if eps <= 0:
-        raise InputError("eps must be positive")
+def choose_p(n: int) -> int:
+    """Smallest p with relative smoothing error <= SMOOTHING_EPS, rounded up
+    to a power of two: p >= log(n)/log(1 + SMOOTHING_EPS)."""
     if n <= 1:
         return 1
-    p_min = math.ceil(math.log(n) / math.log1p(eps))
+    p_min = math.ceil(math.log(n) / math.log1p(SMOOTHING_EPS))
     return 1 << max(0, (p_min - 1).bit_length())
 
 
@@ -378,23 +382,19 @@ def p1_solution(e: PnormEmbedding):
     return 1.0 / float(vals[-1]), z / np.sqrt(z @ e.K @ z)
 
 
-def augmented_lagrangian_solve(e: PnormEmbedding, prob: IndivPowerProblem,
-                               w0=None, mu: float = 0.001,
-                               constraint_tol: float = 1e-8,
-                               grad_tol: float = 1e-6,
-                               max_outer: int = 100,
-                               max_inner: int = 400):
+def augmented_lagrangian_solve(e: PnormEmbedding, prob: IndivPowerProblem, w0=None):
     """Outer multiplier updates around inner modified-Newton minimizations.
 
     L(z; lam; mu) = z^T F z + phi_p(z) - lam (z^T K z - 1)
                     + (z^T K z - 1)^2 / (2 mu),
     lam starts at the p = 1 closed form and updates by
-    lam <- lam - (z^T K z - 1)/mu with mu fixed.  z starts at [Re u; Im u]
+    lam <- lam - (z^T K z - 1)/mu with mu = AL_MU fixed.  z starts at [Re u; Im u]
     for the weight vector ``w0`` (u = D1 w0), or at the p = 1 minimizer
     when ``w0`` is None.  Inner steps are Newton
     with the Hessian shifted to positive definite when needed and Armijo
     backtracking (alpha = 1, c1 = 1e-4, rho = 0.5).  Terminates when
-    |z^T K z - 1| <= constraint_tol and ||grad L|| <= grad_tol.
+    |z^T K z - 1| <= AL_CONSTRAINT_TOL and ||grad L|| <= AL_GRAD_TOL, or
+    raises ConvergenceError after AL_MAX_OUTER multiplier updates.
 
     Returns ``(BeamformingSolution, SolverTrace, AugLagState)``; the
     solution is scaled so that its largest per-relay cap is active.
@@ -410,7 +410,7 @@ def augmented_lagrangian_solve(e: PnormEmbedding, prob: IndivPowerProblem,
         if not z @ e.K @ z > 0:      # z^T K z = w0^H R w0
             raise InputError("w0 must have w0^H R w0 > 0")
     trace = SolverTrace(columns=AL_TRACE_COLUMNS)
-    mu = float(mu)
+    mu = AL_MU
     F, K, p = e.F, e.K, e.p
 
     def lagrangian(zv):
@@ -418,16 +418,16 @@ def augmented_lagrangian_solve(e: PnormEmbedding, prob: IndivPowerProblem,
         return zv @ F @ zv + phi_p_value(e, zv) - lam * c + c * c / (2.0 * mu), c
 
     converged = False
-    for outer in range(max_outer):
+    for outer in range(AL_MAX_OUTER):
         g_norm = np.inf
-        for inner in range(max_inner):
+        for inner in range(AL_MAX_INNER):
             val, g_phi, H_phi = phi_p_grad_hess(e, z)
             c = z @ K @ z - 1.0
             Kz = K @ z
             L = z @ F @ z + val - lam * c + c * c / (2.0 * mu)
             gL = 2.0 * F @ z + g_phi - 2.0 * lam * Kz + (2.0 / mu) * c * Kz
             g_norm = float(np.linalg.norm(gL))
-            if g_norm <= grad_tol:
+            if g_norm <= AL_GRAD_TOL:
                 break
             HL = 2.0 * F + H_phi - 2.0 * lam * K + (2.0 / mu) * c * K \
                 + (4.0 / mu) * np.outer(Kz, Kz)
@@ -450,13 +450,13 @@ def augmented_lagrangian_solve(e: PnormEmbedding, prob: IndivPowerProblem,
             trace.append(outer, inner, float(L), float(c), g_norm, float(alpha))
         c = float(z @ K @ z - 1.0)
         trace.append(outer, -1, float(lagrangian(z)[0]), c, g_norm, 0.0)
-        if abs(c) <= constraint_tol and g_norm <= grad_tol:
+        if abs(c) <= AL_CONSTRAINT_TOL and g_norm <= AL_GRAD_TOL:
             converged = True
             break
         lam = lam - c / mu
     if not converged:
         raise ConvergenceError(
-            f"augmented Lagrangian did not converge in {max_outer} outer rounds",
+            f"augmented Lagrangian did not converge in {AL_MAX_OUTER} outer rounds",
             trace=trace)
 
     u = z[:n] + 1j * z[n:]
@@ -464,5 +464,5 @@ def augmented_lagrangian_solve(e: PnormEmbedding, prob: IndivPowerProblem,
     w = u / (e.D1 * np.abs(u).max())
     sol = BeamformingSolution(w=w, Ps=prob.Ps, snr=snr(prob.stats, prob.Ps, w),
                               feasibility=prob.slacks(w))
-    state = AugLagState(z=z, lam=float(lam), mu=mu, constraint_residual=c)
+    state = AugLagState(z=z, lam=float(lam), constraint_residual=c)
     return sol, trace, state

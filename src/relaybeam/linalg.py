@@ -16,13 +16,17 @@ import numpy as np
 
 from .errors import InputError
 
+HERMITIAN_TOL = 1e-9   # largest asymmetry hermitian() absorbs, relative to max(1, max |H_ij|)
+PSD_TOL = 1e-9         # is_psd: lambda_min >= -PSD_TOL
+DIAGONAL_RTOL = 1e-12  # is_diagonal: off-diagonal mass <= DIAGONAL_RTOL |trace|
 
-def hermitian(a, *, atol: float = 1e-9, name: str = "matrix") -> np.ndarray:
+
+def hermitian(a, *, name: str = "matrix") -> np.ndarray:
     """Validate and symmetrize a square array into an exact Hermitian matrix.
 
     Stores (H + H^dagger)/2, which silently absorbs round-off in the input
-    without changing already-Hermitian matrices.  Asymmetry beyond ``atol``
-    raises; any non-finite entry raises.
+    without changing already-Hermitian matrices.  Asymmetry beyond
+    HERMITIAN_TOL raises; any non-finite entry raises.
     """
     H = np.asarray(a, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -31,9 +35,9 @@ def hermitian(a, *, atol: float = 1e-9, name: str = "matrix") -> np.ndarray:
         raise InputError(f"{name} contains non-finite entries")
     asym = np.abs(H - H.conj().T).max()
     scale = max(1.0, np.abs(H).max())
-    if asym > atol * scale:
+    if asym > HERMITIAN_TOL * scale:
         raise InputError(
-            f"{name} is not Hermitian: max asymmetry {asym:.3e} exceeds {atol:.1e}"
+            f"{name} is not Hermitian: max asymmetry {asym:.3e} exceeds {HERMITIAN_TOL:.1e}"
         )
     return symmetrize(H)
 
@@ -55,10 +59,10 @@ def _real_embed(M):
     return np.block([[M.real, -M.imag], [M.imag, M.real]])
 
 
-def is_diagonal(M, rtol: float = 1e-12) -> bool:
+def is_diagonal(M) -> bool:
     """True when M's off-diagonal mass is negligible against its trace."""
     off = M - np.diag(np.diag(M))
-    return bool(np.abs(off).sum() <= rtol * max(np.abs(np.trace(M)), 1e-300))
+    return bool(np.abs(off).sum() <= DIAGONAL_RTOL * max(np.abs(np.trace(M)), 1e-300))
 
 
 def check_vector(v, *, name: str = "vector") -> np.ndarray:
@@ -70,10 +74,10 @@ def check_vector(v, *, name: str = "vector") -> np.ndarray:
     return v
 
 
-def is_psd(H, tol: float = 1e-9) -> bool:
-    """True iff lambda_min(H) >= -tol."""
+def is_psd(H) -> bool:
+    """True iff lambda_min(H) >= -PSD_TOL."""
     H = hermitian(H)
-    return bool(np.linalg.eigvalsh(H)[0] >= -tol)
+    return bool(np.linalg.eigvalsh(H)[0] >= -PSD_TOL)
 
 
 def principal_factor(X) -> np.ndarray:

@@ -11,7 +11,7 @@ inside their cones, so the returned dual multipliers certify the reported
 gap without post-hoc cleanup; a pure primal log-barrier was tried first and
 could not certify gaps below ~3e-8 in double precision on the target
 problems.  The stop is SDPT3's relative gap,
-|gap| <= tol max(1, |primal|); an absolute 1e-8 stalled on round-off at
+|gap| <= GAP_TOL max(1, |primal|); an absolute 1e-8 stalled on round-off at
 objectives near 70.  The constraints are one (N, n, n) stack, so the Schur
 matrix Re Tr(A_k X A_j Z^-1) is a batched product X A_j Z^-1 and one
 (N, n^2) x (n^2, N) GEMM: O(N n^3 + N^2 n^2) per iteration, plus one
@@ -21,12 +21,17 @@ stacked [X, Z] eigh and one stacked step-length eigvalsh per direction.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, InputError, ModelError
 from .linalg import hermitian, symmetrize
+
+GAP_TOL = 1e-8    # certified relative duality gap, |gap| <= GAP_TOL max(1, |primal|)
+FEAS_TOL = 1e-8   # primal and dual residual norms at the stop
+MAX_ITER = 200    # interior-point Newton steps before ConvergenceError
+RANK_TOL = 1e-6   # eigenvalues of X above RANK_TOL lambda_max count toward its rank
 
 
 @dataclass
@@ -74,10 +79,8 @@ class SdpSolution:
     primal_obj: float        # Tr(R X), the maximization-form objective
     dual_obj: float          # sum_k y_k
     gap: float
-    rank_estimate: int
+    rank_estimate: int       # eigenvalues of X counted by range_eigh
     iterations: int
-    rank_tol: float = 1e-6
-    slacks: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 @dataclass
@@ -87,14 +90,13 @@ class CertificateReport:
     comp_slack: float    # |Tr((sum y_k A_k - R) X)| + sum y_k (1 - Tr(A_k X))
 
 
-def solve_relaxation(p: SdpProblem, tol: float = 1e-8, feas_tol: float = 1e-8,
-                     rank_tol: float = 1e-6, max_iter: int = 200) -> SdpSolution:
-    """Solve the relaxation to a certified duality gap <= tol * max(1, |primal|).
+def solve_relaxation(p: SdpProblem) -> SdpSolution:
+    """Solve the relaxation to a certified duality gap <= GAP_TOL * max(1, |primal|).
 
     Initial point ``X0 = eps I`` with ``eps = 0.5 / max_k Tr(A_k)`` is
-    strictly feasible because every A_k is PSD.  Raises ConvergenceError
-    (carrying the best iterate) when the gap target is not certified
-    within ``max_iter`` Newton steps.
+    strictly feasible because every A_k is PSD: every slack is at least
+    0.5.  Raises ConvergenceError (carrying the best iterate) when the gap
+    target is not certified within MAX_ITER Newton steps.
     """
     R = p.objective
     A = p.constraints
@@ -105,14 +107,12 @@ def solve_relaxation(p: SdpProblem, tol: float = 1e-8, feas_tol: float = 1e-8,
 
     X = (0.5 / tr_cap) * np.eye(n, dtype=complex)
     s = 1.0 - _traces(A, X)
-    if s.min() <= 0:
-        raise ModelError("initial point not strictly feasible")  # unreachable for PSD A_k
     y = np.ones(N)
     Z = (np.linalg.eigvalsh(R).max() + 1.0) * np.eye(n, dtype=complex)
 
     best = None
     it = 0
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         rp = (1.0 - _traces(A, X)) - s
         Rd = Z - (_combine(y, A) - R)
         mu = (np.trace(Z @ X).real + y @ s) / (n + N)
@@ -122,7 +122,7 @@ def solve_relaxation(p: SdpProblem, tol: float = 1e-8, feas_tol: float = 1e-8,
         feas = max(np.abs(rp).max(), np.linalg.norm(Rd))
         if best is None or abs(gap) + feas < best[0]:
             best = (abs(gap) + feas, X.copy(), y.copy(), primal, dual, it)
-        if feas <= feas_tol and abs(gap) <= tol * max(1.0, abs(primal)):
+        if feas <= FEAS_TOL and abs(gap) <= GAP_TOL * max(1.0, abs(primal)):
             break
         if mu > 1e14 or not np.isfinite(mu):
             raise ModelError("iterates diverged; problem may be unbounded")
@@ -163,12 +163,12 @@ def solve_relaxation(p: SdpProblem, tol: float = 1e-8, feas_tol: float = 1e-8,
     else:
         _, Xb, yb, pb, db, _ = best
         raise ConvergenceError(
-            f"interior-point method did not certify relative gap <= {tol:.1e} "
-            f"in {max_iter} iterations",
-            best=_package(Xb, yb, A, pb, db, rank_tol, max_iter),
+            f"interior-point method did not certify relative gap <= {GAP_TOL:.1e} "
+            f"in {MAX_ITER} iterations",
+            best=_package(Xb, yb, pb, db, MAX_ITER),
         )
 
-    return _package(X, y, A, np.trace(R @ X).real, float(y.sum()), rank_tol, it)
+    return _package(X, y, np.trace(R @ X).real, float(y.sum()), it)
 
 
 def dual_certificate_residuals(p: SdpProblem, sol: SdpSolution) -> CertificateReport:
@@ -209,12 +209,19 @@ def _max_steps(Pmh, dX, dZ, vs, dvs, tau):
     return steps
 
 
-def _package(X, y, A, primal, dual, rank_tol, iterations):
+def range_eigh(X):
+    """``(lam, U)``: the eigenpairs of the Hermitian X that count toward its
+    rank, those with eigenvalue above RANK_TOL lambda_max, ascending.  The
+    one rank rule of the package: the SDP rank estimate, rank-one
+    decomposition, GRP and ``reproduce`` all read X through it."""
+    lam, U = np.linalg.eigh(X)
+    keep = lam > RANK_TOL * max(lam[-1], 1e-300)
+    return lam[keep], U[:, keep]
+
+
+def _package(X, y, primal, dual, iterations):
     X = symmetrize(X)
-    wX = np.linalg.eigvalsh(X)
-    rank_est = int((wX > rank_tol * max(wX.max(), 1e-300)).sum())
-    slacks = 1.0 - _traces(A, X)
     return SdpSolution(X=X, dual_y=np.maximum(y, 0.0),
                        primal_obj=float(primal), dual_obj=float(dual),
-                       gap=float(dual - primal), rank_estimate=rank_est,
-                       iterations=iterations, rank_tol=rank_tol, slacks=slacks)
+                       gap=float(dual - primal), rank_estimate=range_eigh(X)[0].size,
+                       iterations=iterations)

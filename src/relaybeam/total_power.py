@@ -29,7 +29,11 @@ from .problems import TotalPowerProblem
 from .trace import SolverTrace
 
 TRACE_COLUMNS = ("k", "x", "lambda_min", "d1", "d2", "step")
-GAP_TOL = 1e-8   # relative spectral gap below which Newton's derivatives are not trusted
+GAP_TOL = 1e-8     # relative spectral gap below which Newton's derivatives are not trusted
+MAX_ITER = 100     # Newton steps before ConvergenceError
+STEP_TOL = 1e-3    # stop: |dx/x| < STEP_TOL ...
+DERIV_TOL = 1e-3   # ... and |d lambda_min/dx| < DERIV_TOL
+GOLDEN_GRID = 100  # grid points of the scan that seeds the golden-section fallback
 
 
 @dataclass
@@ -137,16 +141,15 @@ def solve_diagonal(p: TotalPowerProblem) -> TotalPowerSolution:
     return _package(p, x, lam, np.eye(stats.n)[:, k0] + 0j, 0, trace)
 
 
-def newton_solve(p: TotalPowerProblem, x0: float, max_iter: int = 100,
-                 rel_step_tol: float = 1e-3, deriv_tol: float = 1e-3,
-                 s: SPair | None = None) -> TotalPowerSolution:
+def newton_solve(p: TotalPowerProblem, x0: float, s: SPair | None = None) -> TotalPowerSolution:
     """Bracketed Newton search for a stationary x starting from x0.
 
     The step is -d1/d2 with the step size halved until the iterate stays
-    inside [x_l, x_u]; stops when both |dx/x| < rel_step_tol and
-    |d1| < deriv_tol.  A degenerate spectrum anywhere on the path (relative
-    gap at most GAP_TOL) or nonconvex local curvature (d2 <= 0) abandons
-    Newton for a golden-section scan of the bracket, documented in the trace.
+    inside [x_l, x_u]; stops when both |dx/x| < STEP_TOL and
+    |d1| < DERIV_TOL, or raises ConvergenceError after MAX_ITER steps.  A
+    degenerate spectrum anywhere on the path (relative gap at most GAP_TOL)
+    or nonconvex local curvature (d2 <= 0) abandons Newton for a
+    golden-section scan of the bracket, documented in the trace.
     Each iterate takes one eigendecomposition.
     """
     if s is None:
@@ -157,7 +160,7 @@ def newton_solve(p: TotalPowerProblem, x0: float, max_iter: int = 100,
     trace = SolverTrace(columns=TRACE_COLUMNS)
     x = float(x0)
     lam, d1, d2, w_dir, gap = lambda_min_g(s, x)
-    for k in range(max_iter):
+    for k in range(MAX_ITER):
         if gap <= GAP_TOL:
             trace.note(f"degenerate spectrum at x={x:.6f} (relative gap {gap:.3e}); "
                        "golden-section fallback")
@@ -173,14 +176,14 @@ def newton_solve(p: TotalPowerProblem, x0: float, max_iter: int = 100,
                 break
         x_new = min(max(x + alpha * step, xl), xu)
         trace.append(k, x, lam, d1, d2, alpha * step)
-        converged = abs((x_new - x) / x) < rel_step_tol
+        converged = abs((x_new - x) / x) < STEP_TOL
         x = x_new
         lam, d1, d2, w_dir, gap = lambda_min_g(s, x)
-        if converged and gap > GAP_TOL and abs(d1) < deriv_tol:
+        if converged and gap > GAP_TOL and abs(d1) < DERIV_TOL:
             return _package(p, x, lam, w_dir, k + 1, trace)
     raise ConvergenceError(
-        f"Newton did not meet the stopping test in {max_iter} iterations",
-        best=_package(p, x, lam, w_dir, max_iter, trace), trace=trace)
+        f"Newton did not meet the stopping test in {MAX_ITER} iterations",
+        best=_package(p, x, lam, w_dir, MAX_ITER, trace), trace=trace)
 
 
 def solve(p: TotalPowerProblem) -> TotalPowerSolution:
@@ -196,25 +199,19 @@ def solve(p: TotalPowerProblem) -> TotalPowerSolution:
     return run_u if run_u.snr > run_l.snr * (1.0 + 1e-12) else run_l
 
 
-def objective_value(p: TotalPowerProblem, x: float, lam: float) -> float:
-    """SNR achieved at normalized source power x with lambda_min(G(x)) = lam,
-    that is (P0/sigma^2) mu(x)."""
-    return (p.P0 / p.stats.sigma2) / lam
-
-
-def _golden_fallback(p, s, xl, xu, trace, grid_points: int = 100):
-    xs = np.linspace(xl, xu, grid_points)
+def _golden_fallback(p, s, xl, xu, trace):
+    xs = np.linspace(xl, xu, GOLDEN_GRID)
     vals = [lambda_min_g(s, x)[0] for x in xs]
     i = int(np.argmin(vals))
     lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, grid_points - 1)]
+    hi = xs[min(i + 1, GOLDEN_GRID - 1)]
     phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc = lambda_min_g(s, c)[0]
     fd = lambda_min_g(s, d)[0]
-    iters = grid_points
+    iters = GOLDEN_GRID
     while b - a > 1e-10:
         iters += 1
         if fc < fd:

@@ -22,7 +22,7 @@ from relaybeam.linalg import qform
 from relaybeam.oracle import (GridSpec, brute_force_indiv, finite_diff,
                               finite_diff_second)
 from relaybeam.problems import IndivPowerProblem
-from relaybeam.sdp import SdpProblem, solve_relaxation
+from relaybeam.sdp import SdpProblem, range_eigh, solve_relaxation
 from relaybeam import total_power
 from conftest import (constraint_stack, degenerate_qcqp_instance, rand_indiv_problem,
                       rand_total_problem)
@@ -46,8 +46,7 @@ def solve_indiv_fixture(n):
     p = fixture_problem(n)
     q = build_qcqp(p)
     t0 = time.perf_counter()
-    sol = solve_relaxation(SdpProblem(objective=q.R, constraints=constraint_stack(p)),
-                           tol=1e-8)
+    sol = solve_relaxation(SdpProblem(objective=q.R, constraints=constraint_stack(p)))
     vals, vecs = np.linalg.eigh(sol.X)
     w0 = np.sqrt(max(vals[-1], 0.0)) * vecs[:, -1]
     cdm_sol, _ = coordinate_descent(p, w0.copy())
@@ -60,7 +59,7 @@ def solve_indiv_fixture(n):
     w_grp = grp_extract(sol.X, q, fixtures.GRP_SAMPLES, GRP_SEED)
     grp_time = time.perf_counter() - t0
     grp = qcqp_objective(q, w_grp)
-    nz = vals[vals > sol.rank_tol * vals.max()]
+    nz, _ = range_eigh(sol.X)
     return dict(p=p, q=q, sdp=sol, eigs=nz, cdm=cdm, pnorm=pnorm, grp=grp,
                 cdm_w=cdm_sol.w, pnorm_w=pn_sol.w, grp_w=w_grp,
                 core_time=core_time, grp_time=grp_time)

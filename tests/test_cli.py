@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 import relaybeam
-from relaybeam import cli, fixtures
+from relaybeam import cli, fixtures, indiv_search, sdp, total_power
 from relaybeam.cli import main, parse_scenario, reproduce, run
 from relaybeam.errors import InputError
 from relaybeam.indiv_diag import solve_diagonal
+from relaybeam.indiv_qcqp import build_qcqp, qcqp_objective
 from relaybeam.oracle import brute_force_indiv
 from relaybeam.problems import IndivPowerProblem, TotalPowerProblem
-from conftest import scan_snr
+from conftest import degenerate_qcqp_instance, scan_snr
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -262,11 +263,50 @@ class TestMain:
         path = write_scenario(tmp_path / "stall.json", payload)
         assert main(["solve", str(path)]) == 2
 
+    @pytest.mark.parametrize("module,limit,value", [
+        (sdp, "MAX_ITER", 2), (indiv_search, "AL_MAX_OUTER", 1), (total_power, "MAX_ITER", 1)],
+        ids=["sdp", "pnorm", "newton"])
+    def test_iteration_budget_exhausted_exit_2(self, tmp_path, capsys, monkeypatch,
+                                               module, limit, value):
+        # each solver's ConvergenceError reaches main as exit 2
+        monkeypatch.setattr(module, limit, value)
+        if module is total_power:
+            payload = {"mode": "total", "sigma2": 1.0,
+                       "channel": {"rician": {"f_mean": [[0.7, 0.2], [-0.4, 0.9], [1.1, -0.3]],
+                                              "f_var": [0.5, 1.0, 0.3],
+                                              "g_mean": [[-0.3, 0.9], [0.5, 0.5], [0.8, -0.6]],
+                                              "g_var": [0.4, 0.9, 1.2]}},
+                       "budget": {"P0": 10.0}}
+            path = write_scenario(tmp_path / "total.json", payload)
+        else:
+            path, _ = fixture_scenario(tmp_path, solver="sdp" if module is sdp else "pnorm")
+        assert main(["solve", path]) == 2
+        assert "did not" in capsys.readouterr().err
+
+    def test_sdp_route_decomposes_a_relaxation_above_rank_one(self, tmp_path, capsys, rng):
+        # n <= 3 and a relaxation of rank >= 2: the sdp route's exact
+        # rank-one decomposition keeps the relaxation's value
+        prob, _ = degenerate_qcqp_instance(rng, 3)
+        st = prob.stats
+        payload = {"mode": "individual", "sigma2": st.sigma2,
+                   "channel": {"stats": {"D": st.D.tolist(), "R": cmat(st.R), "Q": cmat(st.Q)}},
+                   "budget": {"Ps": prob.Ps, "P": prob.P.tolist()},
+                   "solver": {"name": "sdp"}}
+        path = write_scenario(tmp_path / "face.json", payload)
+        assert main(["solve", path]) == 0
+        rep = strict_json(capsys.readouterr().out)
+        meta = rep["metadata"]
+        assert meta["rank_estimate"] >= 2
+        assert meta["fallback"] == "rank-one-decomposition"
+        q = build_qcqp(parse_scenario(path).problem)
+        w = [complex(*v) for v in rep["w"]]
+        assert qcqp_objective(q, w) == pytest.approx(meta["sdp_obj"], rel=1e-6)
+
     @pytest.mark.parametrize("eps", [0.0, -1.0])
     def test_non_positive_eps_exit_3(self, tmp_path, capsys, eps):
         path, _ = fixture_scenario(tmp_path, solver="cdm", options={"eps": eps})
         assert main(["solve", path]) == 3
-        assert "eps must be a positive finite number" in capsys.readouterr().err
+        assert "'solver.options.eps' must be a positive number" in capsys.readouterr().err
 
     def test_pure_line_of_sight_solves(self, tmp_path, capsys):
         # every variance 0 makes R rank one, which the total-power
@@ -404,7 +444,8 @@ class TestMain:
         out_dir = tmp_path / "out"
         assert main(["solve", path, "--trace", "--out", str(out_dir)]) == 0
         report_path = capsys.readouterr().out.strip()
-        rep = json.loads(open(report_path).read())
+        with open(report_path) as fh:
+            rep = json.load(fh)
         assert rep["trace_file"] is not None
         assert main(["trace-export", report_path]) == 0
         csv = capsys.readouterr().out
@@ -430,7 +471,7 @@ class TestMain:
     def test_samples_zero_exit_3(self, tmp_path, capsys):
         path, _ = fixture_scenario(tmp_path, solver="grp", options={"samples": 0})
         assert main(["solve", path]) == 3
-        assert "samples must be >= 1" in capsys.readouterr().err
+        assert "'solver.options.samples' must be an integer >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("where", ["field", "flag"])
     def test_negative_seed_exit_3(self, tmp_path, capsys, where):
@@ -443,7 +484,26 @@ class TestMain:
         else:
             argv = ["reproduce", "indiv-n4", "--seed", "-1"]
         assert main(argv) == 3
-        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "non-negative integer below 2**64" in err
+        assert ("'seed'" in err) == (where == "field")
+
+    @pytest.mark.parametrize("solver,options,seed,field", [
+        ("grp", {"w0": [[1.0, 0.0]]}, 0, "solver.options.w0"),
+        ("cdm", {"samples": 0}, 0, "solver.options.samples"),
+        ("cdm", {"p": -3}, 0, "solver.options.p"),
+        ("cdm", {}, -1, "seed"),
+        ("grp", {"eps": -1}, 0, "solver.options.eps"),
+        ("pnorm", {"p": 0}, 0, "solver.options.p"),
+    ])
+    def test_option_out_of_range_exit_3(self, tmp_path, capsys, solver, options, seed, field):
+        # every option is checked when the file is read, whether or not the
+        # chosen route uses it, and the error names the field
+        payload = json.loads((SCENARIOS / "individual_rician_n3.json").read_text())
+        payload["solver"] = {"name": solver, "options": options}
+        payload["seed"] = seed
+        assert main(["solve", write_scenario(tmp_path / "range.json", payload)]) == 3
+        assert f"field '{field}'" in capsys.readouterr().err
 
     def test_unknown_option_exit_3(self, tmp_path, capsys):
         path, _ = fixture_scenario(tmp_path, solver="grp", options={"sample": 100})

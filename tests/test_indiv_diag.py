@@ -104,6 +104,17 @@ class TestSolveDiagonal:
         assert sol.snr == 0.0
         assert np.allclose(sol.w, 0.0)
 
+    def test_relay_without_signal_or_noise_stays_silent(self):
+        # R_kk = Q_kk = 0 puts no finite breakpoint on relay 2 and adds
+        # nothing to either sum: it stays silent, with no 0/0 on the way
+        stats = ChannelStats(D=np.ones(2), R=np.diag([1.0, 0.0]).astype(complex),
+                             Q=np.diag([1.0, 0.0]).astype(complex), sigma2=1.0)
+        p = IndivPowerProblem(stats=stats, Ps=1.0, P=np.array([2.0, 2.0]))
+        sol = solve_diagonal(p)
+        assert sol.snr == pytest.approx(0.5, rel=1e-12)
+        assert sol.w[1] == 0
+        assert abs(dinkelbach_F(p, sol.snr).F_value) <= 1e-12
+
     def test_zero_q_row_handled(self):
         # q_k = 0 with r_k > 0: breakpoint at infinity, root beyond the
         # finite breakpoints

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relaybeam import fixtures
+from relaybeam import fixtures, indiv_qcqp
 from relaybeam.channel import ChannelStats
 from relaybeam.errors import ConvergenceError, InputError, ScopeError
 from relaybeam.indiv_diag import solve_diagonal
@@ -219,12 +219,13 @@ class TestRankOneDecompose:
         assert qcqp_objective(q, w) == pytest.approx(sol.primal_obj, rel=1e-8)
         assert q.constraint_values(w).max() <= 1.0 + 1e-9
 
-    def test_round_budget_exhausted_is_a_convergence_error(self, rng):
+    def test_round_budget_exhausted_is_a_convergence_error(self, rng, monkeypatch):
         # a numerical failure, not an input error (exit 2, not 3)
         prob, q = degenerate_qcqp_instance(rng, 3)
         _, sol, _ = solve_via_sdp(prob)
+        monkeypatch.setattr(indiv_qcqp, "MAX_ROUNDS", 0)
         with pytest.raises(ConvergenceError, match="did not reach rank one in 0 rounds"):
-            rank_one_decompose(sol.X, q, max_rounds=0)
+            rank_one_decompose(sol.X, q)
 
     def test_scope_error_above_three(self):
         p = fixture_problem(4)

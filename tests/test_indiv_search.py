@@ -258,15 +258,16 @@ class TestCoordinateDescent:
 
 class TestChooseP:
     def test_examples(self):
-        assert choose_p(10, 0.01) == 256
-        assert choose_p(40, 0.005) == 1024
-        assert choose_p(1, 0.37) == 1
+        # log(10)/log(1.01) = 231.4 and log(40)/log(1.01) = 370.7
+        assert choose_p(10) == 256
+        assert choose_p(40) == 512
+        assert choose_p(1) == 1
 
     def test_bound_holds(self):
-        # chosen p satisfies p >= log(n)/log(1+eps)
-        for n, eps in ((5, 0.02), (12, 0.01), (30, 0.004)):
-            p = choose_p(n, eps)
-            assert p >= np.log(n) / np.log1p(eps)
+        # chosen p satisfies p >= log(n)/log(1+eps) at eps = 0.01
+        for n in (5, 12, 30, 64):
+            p = choose_p(n)
+            assert p >= np.log(n) / np.log1p(0.01)
             assert p & (p - 1) == 0   # power of two
 
 
@@ -428,7 +429,7 @@ class TestAugmentedLagrangian:
         q = build_qcqp(p)
         bound = solve_relaxation(SdpProblem(objective=q.R, constraints=constraint_stack(p))).primal_obj
         sol, _, _ = augmented_lagrangian_solve(
-            build_pnorm_embedding(p, choose_p(n, 0.01)), p)
+            build_pnorm_embedding(p, choose_p(n)), p)
         assert sol.feasibility.min() >= -1e-12
         obj = qcqp_objective(q, sol.w)
         assert 0.99 * bound <= obj <= (1.0 + 1e-6) * bound
@@ -487,6 +488,6 @@ class TestAugmentedLagrangian:
         p = IndivPowerProblem(stats=stats, Ps=1.0, P=np.full(4, 2.0))
         q = build_qcqp(p)
         bound = solve_relaxation(SdpProblem(objective=q.R, constraints=constraint_stack(p))).primal_obj
-        sol, _, _ = augmented_lagrangian_solve(build_pnorm_embedding(p, choose_p(4, 0.01)), p)
+        sol, _, _ = augmented_lagrangian_solve(build_pnorm_embedding(p, choose_p(4)), p)
         assert sol.feasibility.min() >= -1e-12
         assert 0.99 * bound <= qcqp_objective(q, sol.w) <= (1.0 + 1e-6) * bound

@@ -10,8 +10,8 @@ from relaybeam.problems import TotalPowerProblem
 from relaybeam.linalg import is_psd
 from relaybeam.oracle import finite_diff, finite_diff_second
 from relaybeam.total_power import (GAP_TOL, bracket_x, build_s_pair,
-                                   lambda_min_g, newton_solve,
-                                   objective_value, solve, solve_diagonal)
+                                   lambda_min_g, newton_solve, solve,
+                                   solve_diagonal)
 from conftest import rand_pd, rand_stats, rand_total_problem, scan_snr
 
 
@@ -269,9 +269,19 @@ class TestNewton:
         for _ in range(10):
             p = rand_total_problem(rng, 5)
             sol = solve(p)
+            # (P0/sigma^2) mu(x) with mu = 1/lambda_min(G(x))
             assert sol.snr == pytest.approx(
-                objective_value(p, sol.x, sol.lambda_min), rel=1e-8)
+                p.P0 / p.stats.sigma2 / sol.lambda_min, rel=1e-8)
             assert sol.snr == pytest.approx(snr(p.stats, sol.Ps, sol.w), rel=1e-12)
+
+    def test_nonconvex_curvature_takes_golden_section(self):
+        # pinned by a seeded search: from x_l Newton meets d2 <= 0 on this
+        # instance and hands over to the golden-section scan of the bracket
+        p = rand_total_problem(np.random.default_rng(196), 2)
+        s = build_s_pair(p)
+        sol = newton_solve(p, bracket_x(s)[0], s=s)
+        assert any("nonconvex curvature" in note for note in sol.trace.notes)
+        assert sol.snr >= (1.0 - 1e-6) * scan_snr(p.stats, p.P0)
 
     def test_trace_columns(self):
         p = fixture_problem(1)
