@@ -6,10 +6,10 @@ power caps, driven entirely by the channel covariance triple (D, R, Q).
 """
 
 from .channel import (BeamformingSolution, ChannelStats, RicianParams,
-                      build_stats, monte_carlo_stats, powers, snr)
+                      build_stats, powers, snr)
 from .errors import (ConvergenceError, DispatchError, InputError, ModelError,
                      RelayBeamError, ScopeError, SingularityError)
-from .linalg import hermitian, is_psd
+from .linalg import hermitian
 from .problems import IndivPowerProblem, TotalPowerProblem
 from .sdp import (CertificateReport, SdpProblem, SdpSolution,
                   dual_certificate_residuals, solve_relaxation)
@@ -17,10 +17,10 @@ from .trace import SolverTrace
 
 __all__ = [
     "BeamformingSolution", "ChannelStats", "RicianParams", "build_stats",
-    "monte_carlo_stats", "powers", "snr",
+    "powers", "snr",
     "ConvergenceError", "DispatchError", "InputError", "ModelError",
     "RelayBeamError", "ScopeError", "SingularityError",
-    "hermitian", "is_psd",
+    "hermitian",
     "IndivPowerProblem", "TotalPowerProblem",
     "CertificateReport", "SdpProblem", "SdpSolution",
     "dual_certificate_residuals", "solve_relaxation",

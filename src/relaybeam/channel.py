@@ -6,7 +6,8 @@ R = E[h h^dagger] of the compound gains h_i = f_i g_i, and the covariance
 Q = E[g g^dagger] of the relay-to-destination gains.  Under the Rician
 model f_i = fbar_i + sqrt(psi_i) ftilde_i, g_j = gbar_j + sqrt(phi_j)
 gtilde_j with independent zero-mean unit-variance perturbations, all three
-have closed forms; ``monte_carlo_stats`` validates them empirically.
+have closed forms.  ``powers`` is the one relay-power formula of the
+package.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import numpy as np
 
 from .errors import InputError
 from .linalg import check_vector, hermitian, is_diagonal, qform, symmetrize
-
-MC_BATCH = 20000   # draws per monte_carlo_stats batch
 
 
 @dataclass
@@ -131,35 +130,3 @@ def powers(stats: ChannelStats, Ps: float, w):
     w = np.asarray(w, dtype=complex).ravel()
     P_ri = (Ps * stats.D + stats.sigma2) * np.abs(w) ** 2
     return float(P_ri.sum()), P_ri
-
-
-def monte_carlo_stats(p: RicianParams, samples: int, seed: int):
-    """Empirical (D, R, Q) from circularly-symmetric Gaussian draws.
-
-    Deterministic given ``seed``.  Returns ``(D_hat, R_hat, Q_hat)``.
-    """
-    if samples < 1:
-        raise InputError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    n = p.n
-    D_acc = np.zeros(n)
-    R_acc = np.zeros((n, n), dtype=complex)
-    Q_acc = np.zeros((n, n), dtype=complex)
-    done = 0
-    sf = np.sqrt(p.f_var)
-    sg = np.sqrt(p.g_var)
-    while done < samples:
-        b = min(MC_BATCH, samples - done)
-        ft = (rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))) / np.sqrt(2)
-        gt = (rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))) / np.sqrt(2)
-        f = p.f_mean + sf * ft
-        g = p.g_mean + sg * gt
-        h = f * g
-        D_acc += (np.abs(f) ** 2).sum(axis=0)
-        R_acc += h.conj().T @ h
-        Q_acc += g.conj().T @ g
-        done += b
-    # accumulators hold sum of conj-outer products transposed; fix orientation
-    R_hat = (R_acc / samples).conj()
-    Q_hat = (Q_acc / samples).conj()
-    return D_acc / samples, symmetrize(R_hat), symmetrize(Q_hat)

@@ -7,14 +7,15 @@ Subcommands:
   trace-export <report>     print the trace CSV referenced by a report
 
 Scenario files are JSON with complex numbers encoded as [re, im] pairs and
-matrices row-major.  ``parse_scenario`` is the one place a file is read: it
-converts and checks every field and builds the problem, so the solvers never
-see raw JSON.  ``solve --out DIR`` writes a new
+matrices row-major.  ``_read_json`` reads every scenario and report, and
+``parse_scenario`` converts and checks every field and builds the problem,
+so the solvers never see raw JSON.  ``solve --out DIR`` writes a new
 ``report-<solver>-<random>.json`` per run, so reports never overwrite each
 other.  Exit codes: 0 success (and ``--help``), 1 a ``reproduce`` row outside
 its tolerance, 2 solver non-convergence, 3 input error (a malformed field,
-named in the message, or a command-line usage error), 4 any other library
-failure (a singular matrix, an infeasible or unbounded model, R = 0).
+an unreadable input file or an ``--out`` path that is no directory, named
+in the message, or a command-line usage error), 4 any other library failure
+(a singular matrix, an infeasible or unbounded model, R = 0).
 """
 
 from __future__ import annotations
@@ -67,15 +68,7 @@ def parse_scenario(path: str) -> Scenario:
     The only place a scenario file is read: every error is an InputError,
     and one in a field names that field.
     """
-    if not os.path.exists(path):
-        raise InputError(f"scenario file not found: {path}")
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"scenario is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise InputError("scenario must be a JSON object")
+    raw = _read_json(path, "scenario")
     mode = _field(raw, "mode", ("total", "individual"))
     sigma2 = _field(raw, "sigma2", "number", 1.0)
     channel = _field(raw, "channel", "object")
@@ -149,7 +142,7 @@ def run(s: Scenario, trace_dir: str | None = None) -> Report:
 
     trace_file = None
     if trace_dir is not None and trace_obj is not None and len(trace_obj):
-        os.makedirs(trace_dir, exist_ok=True)
+        _make_dir(trace_dir)
         fd, trace_file = tempfile.mkstemp(prefix=f"trace-{meta['solver']}-",
                                           suffix=".csv", dir=trace_dir)
         with os.fdopen(fd, "w") as fh:
@@ -227,7 +220,7 @@ def reproduce(case: str, out_dir: str | None = None, seed: int = 20111):
         else:
             rows += _reproduce_indiv(int(c[-1]), reports, seed)
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+        _make_dir(out_dir)
         for name, rep in reports.items():
             with open(os.path.join(out_dir, f"{name}.json"), "w") as fh:
                 fh.write(json.dumps(rep, indent=2, sort_keys=True))
@@ -367,7 +360,7 @@ def _dispatch(args) -> int:
         rep = run(s, trace_dir=(args.out or ".") if args.trace else None)
         body = rep.to_json()
         if args.out:
-            os.makedirs(args.out, exist_ok=True)
+            _make_dir(args.out)
             fd, path = tempfile.mkstemp(prefix=f"report-{rep.solver}-", suffix=".json",
                                         dir=args.out)
             with os.fdopen(fd, "w") as fh:
@@ -391,17 +384,13 @@ def _dispatch(args) -> int:
                               "w": [[v.real, v.imag] for v in w]}, indent=2))
         return 0
     if args.command == "trace-export":
-        if not os.path.exists(args.report):
-            raise InputError(f"report file not found: {args.report}")
-        with open(args.report) as fh:
-            rep = json.load(fh)
-        trace_file = rep.get("trace_file")
-        if not trace_file or not os.path.exists(trace_file):
-            raise InputError("report has no trace file (re-run solve with --trace)")
-        with open(trace_file) as fh:
-            content = fh.read()
+        trace_file = _read_json(args.report, "report").get("trace_file")
+        if not (isinstance(trace_file, str) and trace_file):
+            raise InputError(f"report {args.report} names no trace file "
+                             "(re-run solve with --trace)")
+        content = _read_text(trace_file, "trace")
         if args.out:
-            os.makedirs(args.out, exist_ok=True)
+            _make_dir(args.out)
             dest = os.path.join(args.out, os.path.basename(trace_file))
             with open(dest, "w") as fh:
                 fh.write(content)
@@ -413,8 +402,39 @@ def _dispatch(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# field decoding helpers
+# file and field decoding helpers
 # ---------------------------------------------------------------------------
+
+def _read_json(path: str, what: str) -> dict:
+    """The JSON object in the ``what`` file at ``path``.  A file that cannot
+    be read, or holds no JSON object, is an InputError that names ``path``."""
+    try:
+        raw = json.loads(_read_text(path, what))
+    except (json.JSONDecodeError, RecursionError) as exc:   # too deeply nested
+        raise InputError(f"cannot parse {what} file {path} as JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise InputError(f"{what} file {path} must hold a JSON object")
+    return raw
+
+
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of the ``what`` file at ``path``, else an InputError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"{what} file {path} is not UTF-8 text") from None
+
+
+def _make_dir(path: str):
+    """Create the output directory ``path`` unless it exists, else an InputError naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot use {path} as an output directory: {exc.strerror}") from None
+
 
 _MISSING = object()
 # numeric field kind: (array rank, description); ranks 2 and 3 hold [re, im] pairs

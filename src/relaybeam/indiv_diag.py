@@ -12,20 +12,11 @@ breakpoints t_k = Ps r_k / (sigma^2 q_k) in descending order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import BeamformingSolution, snr
 from .errors import DispatchError
 from .problems import IndivPowerProblem
-
-
-@dataclass
-class DinkelbachState:
-    t: float
-    F_value: float
-    w_squared: np.ndarray   # the maximizing |w_k|^2 at this t
 
 
 def _diag_parts(p: IndivPowerProblem):
@@ -35,15 +26,6 @@ def _diag_parts(p: IndivPowerProblem):
     q = np.diag(p.stats.Q).real
     coef = 1.0 / p.c   # full-cap |w_k|^2
     return r, q, coef
-
-
-def dinkelbach_F(p: IndivPowerProblem, t: float) -> DinkelbachState:
-    """Evaluate F(t) and the per-relay maximizer at this t."""
-    r, q, coef = _diag_parts(p)
-    margin = (p.Ps / p.stats.sigma2) * r - t * q
-    w2 = np.where(margin > 0, coef, 0.0)
-    F = -t + float((coef * np.maximum(margin, 0.0)).sum())
-    return DinkelbachState(t=float(t), F_value=F, w_squared=w2)
 
 
 def solve_diagonal(p: IndivPowerProblem) -> BeamformingSolution:
@@ -67,8 +49,7 @@ def solve_diagonal(p: IndivPowerProblem) -> BeamformingSolution:
     order = np.argsort(-tk, kind="stable")
     ratios = np.cumsum(coef[order] * a[order]) / (1.0 + np.cumsum(coef[order] * q[order]))
     tstar = max(0.0, float(ratios.max()))
-
-    w2 = dinkelbach_F(p, tstar).w_squared
-    w = np.sqrt(w2).astype(complex)
+    # F(t*)'s maximizer: full cap where the margin a_k - t* q~_k is positive
+    w = np.sqrt(np.where(a - tstar * q > 0, coef, 0.0)).astype(complex)
     return BeamformingSolution(w=w, Ps=p.Ps, snr=snr(p.stats, p.Ps, w),
                                feasibility=p.slacks(w))

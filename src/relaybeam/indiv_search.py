@@ -62,21 +62,6 @@ class ScalarFractionalSubproblem:
     beta: float
 
 
-def extract_coefficients(p: IndivPowerProblem, w, k: int) -> ScalarFractionalSubproblem:
-    """Coefficients of the SNR ratio as a function of w_k alone.
-
-    Numerator coefficients come from R (a1 = R_kk, b1 from R's k-th
-    column against the frozen entries, c1 the frozen R-form) and the
-    denominator from Q with the +1 noise term in c2.
-    """
-    w = np.asarray(w, dtype=complex).ravel()
-    if not 0 <= k < p.n:
-        raise InputError(f"slot index {k} out of range for n={p.n}")
-    cols, a1s, a2s, caps = _slot_data(p)
-    P, wRw, wQw = _products(cols, w)
-    return _slot_coefficients(a1s[k], a2s[k], caps[k], complex(w[k]), *P[k].tolist(), wRw, wQw)
-
-
 def _products(cols, w):
     """R w and Q w as the columns of one (n, 2) array, then w^H R w, w^H Q w."""
     P = (w @ cols.reshape(w.size, -1)).reshape(w.size, 2)
@@ -254,21 +239,6 @@ def _sweep(data, w):
         ts.append(t)
     w[:] = ws
     return ts
-
-
-def stationarity_improvement(p: IndivPowerProblem, w) -> float:
-    """Largest single-slot objective improvement available at w.
-
-    Zero (up to tolerance) at a coordinate-wise stationary point; used to
-    audit the coordinate-descent limit.
-    """
-    w = np.asarray(w, dtype=complex).ravel()
-    worst = 0.0
-    for k in range(p.n):
-        sub = extract_coefficients(p, w, k)
-        _, t, _ = solve_scalar_subproblem(sub)
-        worst = max(worst, t - subproblem_value(sub, w[k]))
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Everything downstream (channel statistics, the total-power eigenvalue
 search, the SDP relaxation) manipulates small Hermitian matrices; this
-module owns their construction, principal factor and PSD tests.
+module owns their construction, validation and principal factor.
 ``hermitian`` validates a matrix where it enters from a caller;
 ``symmetrize`` only cleans the round-off asymmetry of a matrix the library
 computed itself.  Matrices are n x n or 2n x 2n for relay counts up to
@@ -17,7 +17,6 @@ import numpy as np
 from .errors import InputError
 
 HERMITIAN_TOL = 1e-9   # largest asymmetry hermitian() absorbs, relative to max(1, max |H_ij|)
-PSD_TOL = 1e-9         # is_psd: lambda_min >= -PSD_TOL
 DIAGONAL_RTOL = 1e-12  # is_diagonal: off-diagonal mass <= DIAGONAL_RTOL |trace|
 
 
@@ -72,12 +71,6 @@ def check_vector(v, *, name: str = "vector") -> np.ndarray:
     if not np.isfinite(v).all():
         raise InputError(f"{name} contains non-finite entries")
     return v
-
-
-def is_psd(H) -> bool:
-    """True iff lambda_min(H) >= -PSD_TOL."""
-    H = hermitian(H)
-    return bool(np.linalg.eigvalsh(H)[0] >= -PSD_TOL)
 
 
 def principal_factor(X) -> np.ndarray:

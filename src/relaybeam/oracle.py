@@ -1,10 +1,9 @@
-"""Independent brute-force and finite-difference verifiers.
+"""Brute-force verifiers, run by the ``oracle`` subcommand.
 
-These back the derived expected values in the test suite: exhaustive
-polar-grid search for the per-relay problem (n <= 3), a dense scan of the
-scalar total-power objective, and central finite differences for
-derivative checks.  Results are feasibility-audited through the channel
-formulas before being trusted.
+An exhaustive polar-grid search for the per-relay problem (n <= 3) and a
+dense scan of the scalar total-power objective.  Neither runs a solver's
+search, so the test suite also reads them as the reference for the
+solvers' optima.
 """
 
 from __future__ import annotations
@@ -103,36 +102,3 @@ def brute_force_total(p: TotalPowerProblem, points: int = 100):
     vals = xs * p.P0 / stats.sigma2 * lam
     i = int(np.argmax(vals))
     return float(xs[i]), float(vals[i])
-
-
-def finite_diff(fn, x, h: float = 1e-5):
-    """Central-difference first derivative (scalar) or gradient (vector)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return (fn(float(x) + h) - fn(float(x) - h)) / (2.0 * h)
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (fn(x + e) - fn(x - e)) / (2.0 * h)
-    return g
-
-
-def finite_diff_second(fn, x, h: float = 1e-4):
-    """Central-difference second derivative (scalar) or Hessian (vector)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = float(x)
-        return (fn(x + h) - 2.0 * fn(x) + fn(x - h)) / (h * h)
-    m = x.size
-    H = np.zeros((m, m))
-    for i in range(m):
-        ei = np.zeros(m)
-        ei[i] = h
-        for j in range(i, m):
-            ej = np.zeros(m)
-            ej[j] = h
-            H[i, j] = (fn(x + ei + ej) - fn(x + ei - ej)
-                       - fn(x - ei + ej) + fn(x - ei - ej)) / (4.0 * h * h)
-            H[j, i] = H[i, j]
-    return H

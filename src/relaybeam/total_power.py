@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BeamformingSolution, snr
+from .channel import BeamformingSolution, powers, snr
 from .errors import ConvergenceError, DispatchError, ModelError
 from .problems import TotalPowerProblem
 from .trace import SolverTrace
@@ -231,10 +231,8 @@ def _golden_fallback(p, s, xl, xu, trace):
 def _package(p, x, lam, w_dir, iterations, trace) -> TotalPowerSolution:
     stats = p.stats
     Ps = x * p.P0
-    # saturate the budget: Ps + Ps w^H D w + sigma^2 w^H w = P0
-    relay_power = Ps * float(stats.D @ np.abs(w_dir) ** 2) \
-        + stats.sigma2 * float(np.vdot(w_dir, w_dir).real)
-    w = w_dir * np.sqrt((p.P0 - Ps) / relay_power)
+    # saturate the budget: Ps + P_r = P0
+    w = w_dir * np.sqrt((p.P0 - Ps) / powers(stats, Ps, w_dir)[0])
     # deterministic phase: largest-magnitude entry real positive
     j = int(np.argmax(np.abs(w)))
     if np.abs(w[j]) > 0:
@@ -246,7 +244,6 @@ def _package(p, x, lam, w_dir, iterations, trace) -> TotalPowerSolution:
 
 def as_beamforming_solution(p: TotalPowerProblem, sol: TotalPowerSolution) -> BeamformingSolution:
     """Repackage with the budget slack as the single feasibility entry."""
-    used = sol.Ps + sol.Ps * float(p.stats.D @ np.abs(sol.w) ** 2) \
-        + p.stats.sigma2 * float(np.vdot(sol.w, sol.w).real)
+    used = sol.Ps + powers(p.stats, sol.Ps, sol.w)[0]
     return BeamformingSolution(w=sol.w, Ps=sol.Ps, snr=sol.snr,
                                feasibility=np.array([p.P0 - used]))

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
+from relaybeam import indiv_diag, indiv_search
 from relaybeam.channel import ChannelStats
+from relaybeam.errors import InputError
+from relaybeam.linalg import hermitian, symmetrize
 from relaybeam.problems import IndivPowerProblem, TotalPowerProblem
+
+MC_BATCH = 20000   # draws per monte_carlo_stats batch
+PSD_TOL = 1e-9     # is_psd: lambda_min >= -PSD_TOL
 
 
 def rand_psd(rng, n, scale=1.0):
@@ -89,6 +95,104 @@ def degenerate_qcqp_instance(rng, n):
     stats = ChannelStats(D=D, R=R, Q=Q, sigma2=sigma2)
     prob = IndivPowerProblem(stats=stats, Ps=Ps, P=P)
     return prob, build_qcqp(prob)
+
+
+def is_psd(H) -> bool:
+    """True iff lambda_min(H) >= -PSD_TOL."""
+    H = hermitian(H)
+    return bool(np.linalg.eigvalsh(H)[0] >= -PSD_TOL)
+
+
+def finite_diff(fn, x, h: float = 1e-5):
+    """Central-difference first derivative (scalar) or gradient (vector)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return (fn(float(x) + h) - fn(float(x) - h)) / (2.0 * h)
+    g = np.zeros_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = h
+        g[i] = (fn(x + e) - fn(x - e)) / (2.0 * h)
+    return g
+
+
+def finite_diff_second(fn, x, h: float = 1e-4):
+    """Central-difference second derivative (scalar) or Hessian (vector)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        x = float(x)
+        return (fn(x + h) - 2.0 * fn(x) + fn(x - h)) / (h * h)
+    m = x.size
+    H = np.zeros((m, m))
+    for i in range(m):
+        ei = np.zeros(m)
+        ei[i] = h
+        for j in range(i, m):
+            ej = np.zeros(m)
+            ej[j] = h
+            H[i, j] = (fn(x + ei + ej) - fn(x + ei - ej)
+                       - fn(x - ei + ej) + fn(x - ei - ej)) / (4.0 * h * h)
+            H[j, i] = H[i, j]
+    return H
+
+
+def monte_carlo_stats(p, samples: int, seed: int):
+    """Empirical (D, R, Q) of the Rician parameters ``p`` from circularly
+    symmetric Gaussian draws, the check on ``build_stats``'s closed forms.
+
+    Deterministic given ``seed``.  Returns ``(D_hat, R_hat, Q_hat)``.
+    """
+    if samples < 1:
+        raise InputError("samples must be >= 1")
+    rng = np.random.default_rng(seed)
+    n = p.n
+    D_acc = np.zeros(n)
+    R_acc = np.zeros((n, n), dtype=complex)
+    Q_acc = np.zeros((n, n), dtype=complex)
+    done = 0
+    sf = np.sqrt(p.f_var)
+    sg = np.sqrt(p.g_var)
+    while done < samples:
+        b = min(MC_BATCH, samples - done)
+        ft = (rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))) / np.sqrt(2)
+        gt = (rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))) / np.sqrt(2)
+        f = p.f_mean + sf * ft
+        g = p.g_mean + sg * gt
+        h = f * g
+        D_acc += (np.abs(f) ** 2).sum(axis=0)
+        R_acc += h.conj().T @ h
+        Q_acc += g.conj().T @ g
+        done += b
+    # accumulators hold sum of conj-outer products transposed; fix orientation
+    R_hat = (R_acc / samples).conj()
+    Q_hat = (Q_acc / samples).conj()
+    return D_acc / samples, symmetrize(R_hat), symmetrize(Q_hat)
+
+
+def extract_coefficients(p, w, k: int):
+    """The ``ScalarFractionalSubproblem`` of the SNR ratio as a function of
+    w_k alone, built as coordinate descent builds it for slot k.
+
+    Numerator coefficients come from R (a1 = R_kk, b1 from R's k-th
+    column against the frozen entries, c1 the frozen R-form) and the
+    denominator from Q with the +1 noise term in c2.
+    """
+    w = np.asarray(w, dtype=complex).ravel()
+    if not 0 <= k < p.n:
+        raise InputError(f"slot index {k} out of range for n={p.n}")
+    cols, a1s, a2s, caps = indiv_search._slot_data(p)
+    P, wRw, wQw = indiv_search._products(cols, w)
+    return indiv_search._slot_coefficients(a1s[k], a2s[k], caps[k], complex(w[k]),
+                                           *P[k].tolist(), wRw, wQw)
+
+
+def dinkelbach_F(p, t: float) -> float:
+    """Dinkelbach's auxiliary function F(t) of a diagonal per-relay problem
+    (see ``relaybeam.indiv_diag``), whose unique root is the optimal SNR.
+    Raises DispatchError when R or Q is not diagonal."""
+    r, q, coef = indiv_diag._diag_parts(p)
+    margin = (p.Ps / p.stats.sigma2) * r - t * q
+    return -t + float((coef * np.maximum(margin, 0.0)).sum())
 
 
 @pytest.fixture

@@ -9,22 +9,23 @@ import numpy as np
 import pytest
 
 from relaybeam import fixtures
-from relaybeam.channel import ChannelStats, build_stats, monte_carlo_stats
-from relaybeam.indiv_diag import dinkelbach_F, solve_diagonal
+from relaybeam.channel import ChannelStats, build_stats
+from relaybeam.indiv_diag import solve_diagonal
 from relaybeam.indiv_qcqp import (build_qcqp, grp_extract, qcqp_objective,
                                   rank_one_decompose, rescale_to_original,
                                   solve_via_sdp)
 from relaybeam.indiv_search import (augmented_lagrangian_solve,
                                     build_pnorm_embedding, coordinate_descent,
-                                    extract_coefficients, phi_p_grad_hess,
-                                    phi_p_value, solve_scalar_subproblem)
+                                    phi_p_grad_hess, phi_p_value,
+                                    solve_scalar_subproblem)
 from relaybeam.linalg import qform
-from relaybeam.oracle import (GridSpec, brute_force_indiv, finite_diff,
-                              finite_diff_second)
+from relaybeam.oracle import GridSpec, brute_force_indiv
 from relaybeam.problems import IndivPowerProblem
 from relaybeam.sdp import SdpProblem, range_eigh, solve_relaxation
 from relaybeam import total_power
-from conftest import (constraint_stack, degenerate_qcqp_instance, rand_indiv_problem,
+from conftest import (constraint_stack, degenerate_qcqp_instance, dinkelbach_F,
+                      extract_coefficients, finite_diff, finite_diff_second,
+                      monte_carlo_stats, rand_indiv_problem,
                       rand_total_problem)
 
 GRP_SEED = 20111
@@ -275,12 +276,11 @@ def test_criterion_9_dinkelbach():
         ip = rand_indiv_problem(rng, n, diagonal=True)
         sol = solve_diagonal(ip)
         t_star = sol.snr
-        if abs(dinkelbach_F(ip, t_star).F_value) > 1e-9:
+        if abs(dinkelbach_F(ip, t_star)) > 1e-9:
             bad += 1
             continue
         t1, t2 = sorted(rng.uniform(0.0, 2.0 * t_star + 1.0, 2))
-        if t2 - t1 > 1e-9 and not (dinkelbach_F(ip, t1).F_value
-                                   > dinkelbach_F(ip, t2).F_value):
+        if t2 - t1 > 1e-9 and not dinkelbach_F(ip, t1) > dinkelbach_F(ip, t2):
             bad += 1
             continue
         # active set at the root matches the closed-form partition

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from relaybeam import fixtures
 from relaybeam.channel import (BeamformingSolution, ChannelStats, RicianParams,
-                               build_stats, monte_carlo_stats, powers, snr)
+                               build_stats, powers, snr)
 from relaybeam.errors import InputError
-from relaybeam.linalg import is_psd, qform
+from relaybeam.linalg import qform
 from relaybeam.problems import IndivPowerProblem, TotalPowerProblem
-from conftest import rand_stats
+from conftest import is_psd, monte_carlo_stats, rand_stats
 
 
 class TestBuildStats:

@@ -429,6 +429,29 @@ class TestMain:
         assert rep["snr"] == 0.0
         assert rep["snr_db"] is None
 
+    @pytest.mark.parametrize("solver,n,diagonal", [
+        (solver, n, diagonal) for n, diagonal in ((3, True), (3, False), (5, False))
+        for solver in cli.INDIV_SOLVERS if diagonal or solver != "indiv-diag"])
+    def test_zero_r_on_every_route(self, tmp_path, capsys, solver, n, diagonal):
+        # R = 0 leaves every w at SNR 0: each route reports that point, apart
+        # from p-norm, whose embedding needs a signal (ModelError, exit 4)
+        A = np.random.default_rng(n).standard_normal((n, n, 2)) @ [1.0, 1j]
+        payload = {"mode": "individual", "sigma2": 1.0,
+                   "channel": {"stats": {"D": [1.0] * n, "R": cmat(np.zeros((n, n))),
+                                         "Q": cmat(np.eye(n) if diagonal
+                                                   else A @ A.conj().T / n)}},
+                   "budget": {"Ps": 1.0, "P": [1.0] * n},
+                   "solver": {"name": solver}}
+        path = write_scenario(tmp_path / "dark.json", payload)
+        if solver == "pnorm":
+            assert main(["solve", path]) == 4
+            assert "R = 0" in capsys.readouterr().err
+            return
+        assert main(["solve", path]) == 0
+        rep = strict_json(capsys.readouterr().out)
+        assert rep["snr"] == 0.0
+        assert rep["snr_db"] is None
+
     def test_sample_rician_scenario(self, capsys):
         path = SCENARIOS / "individual_rician_n3.json"
         assert main(["solve", str(path)]) == 0
@@ -575,6 +598,36 @@ class TestMain:
         argv = [str(SCENARIOS / a) if a.endswith(".json") else a for a in argv]
         assert main(argv) == 3
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,named", [
+        (["solve", "{dir}"], "{dir}"),
+        (["oracle", "{dir}"], "{dir}"),
+        (["trace-export", "{dir}"], "{dir}"),
+        (["solve", "{latin1}"], "{latin1}"),
+        (["trace-export", "{invalid}"], "{invalid}"),
+        (["solve", "{deep}"], "{deep}"),
+        (["trace-export", "{list}"], "{list}"),
+        (["trace-export", "{int_trace}"], "{int_trace}"),
+        (["solve", "{scenario}", "--out", "{file}"], "{file}"),
+        (["reproduce", "total-1", "--out", "{file}"], "{file}"),
+    ], ids=["solve-directory", "oracle-directory", "trace-export-directory",
+            "non-utf8-scenario", "invalid-json-report", "too-deep-json-scenario", "list-report",
+            "integer-trace-file", "solve-out-is-a-file", "reproduce-out-is-a-file"])
+    def test_unreadable_input_or_out_path_exit_3(self, tmp_path, capsys, argv, named):
+        paths = {key: tmp_path / key
+                 for key in ("dir", "latin1", "invalid", "deep", "list", "int_trace", "file")}
+        paths["dir"].mkdir()
+        paths["latin1"].write_bytes('{"mode": "total", "note": "\u00e9"}'.encode("latin-1"))
+        paths["invalid"].write_text("{not json")
+        paths["deep"].write_text("[" * 10 ** 5 + "]" * 10 ** 5)
+        paths["list"].write_text("[]")
+        # an integer path would name an open file descriptor to open()
+        paths["int_trace"].write_text('{"trace_file": 1}')
+        paths["file"].write_text("")
+        names = {key: str(path) for key, path in paths.items()}
+        names["scenario"] = diagonal_scenario(tmp_path)[0]
+        assert main([a.format(**names) for a in argv]) == 3
+        assert named.format(**names) in capsys.readouterr().err
 
     def test_help_exit_0(self, capsys):
         assert main(["--help"]) == 0

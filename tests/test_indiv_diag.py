@@ -4,9 +4,9 @@ from scipy.optimize import brentq
 
 from relaybeam.channel import ChannelStats, snr
 from relaybeam.errors import DispatchError
-from relaybeam.indiv_diag import dinkelbach_F, solve_diagonal
+from relaybeam.indiv_diag import solve_diagonal
 from relaybeam.problems import IndivPowerProblem
-from conftest import rand_indiv_problem
+from conftest import dinkelbach_F, rand_indiv_problem
 
 
 def scalar_problem():
@@ -19,7 +19,7 @@ class TestDinkelbachF:
     def test_positive_at_zero(self, rng):
         for _ in range(10):
             p = rand_indiv_problem(rng, 4, diagonal=True)
-            assert dinkelbach_F(p, 0.0).F_value > 0
+            assert dinkelbach_F(p, 0.0) > 0
 
     def test_negative_at_largest_breakpoint(self, rng):
         for _ in range(10):
@@ -27,13 +27,12 @@ class TestDinkelbachF:
             r = np.diag(p.stats.R).real
             q = np.diag(p.stats.Q).real
             t_max = (p.Ps * r / (p.stats.sigma2 * q)).max()
-            state = dinkelbach_F(p, t_max)
-            assert state.F_value == pytest.approx(-t_max, rel=1e-9)
+            assert dinkelbach_F(p, t_max) == pytest.approx(-t_max, rel=1e-9)
 
     def test_scalar_instance(self):
         p = scalar_problem()
-        assert dinkelbach_F(p, 0.25).F_value == pytest.approx(0.5)
-        assert dinkelbach_F(p, 0.5).F_value == pytest.approx(0.0, abs=1e-15)
+        assert dinkelbach_F(p, 0.25) == pytest.approx(0.5)
+        assert dinkelbach_F(p, 0.5) == pytest.approx(0.0, abs=1e-15)
 
     def test_strictly_decreasing(self, rng):
         for _ in range(20):
@@ -41,7 +40,7 @@ class TestDinkelbachF:
             t1, t2 = sorted(rng.uniform(0.0, 3.0, 2))
             if t2 - t1 < 1e-9:
                 continue
-            assert dinkelbach_F(p, t1).F_value > dinkelbach_F(p, t2).F_value
+            assert dinkelbach_F(p, t1) > dinkelbach_F(p, t2)
 
     def test_dispatch_error_for_dense(self, rng):
         p = rand_indiv_problem(rng, 3, diagonal=False)
@@ -63,7 +62,7 @@ class TestSolveDiagonal:
             r = np.diag(p.stats.R).real
             q = np.diag(p.stats.Q).real
             hi = float((p.Ps * r / (p.stats.sigma2 * q)).max())
-            t_star = brentq(lambda t: dinkelbach_F(p, t).F_value, 0.0, hi,
+            t_star = brentq(lambda t: dinkelbach_F(p, t), 0.0, hi,
                             xtol=1e-14)
             assert sol.snr == pytest.approx(t_star, rel=1e-9, abs=1e-12)
 
@@ -77,7 +76,7 @@ class TestSolveDiagonal:
             t_max = (p.Ps * r / (p.stats.sigma2 * q)).max()
             # root bracketing and residual
             assert 0 < sol.snr < t_max
-            assert abs(dinkelbach_F(p, sol.snr).F_value) <= 1e-9
+            assert abs(dinkelbach_F(p, sol.snr)) <= 1e-9
             # active set: full cap above the root's breakpoint, silent below
             tk = p.Ps * r / (p.stats.sigma2 * q)
             cap2 = p.P / (p.Ps * p.stats.D + p.stats.sigma2)
@@ -113,7 +112,7 @@ class TestSolveDiagonal:
         sol = solve_diagonal(p)
         assert sol.snr == pytest.approx(0.5, rel=1e-12)
         assert sol.w[1] == 0
-        assert abs(dinkelbach_F(p, sol.snr).F_value) <= 1e-12
+        assert abs(dinkelbach_F(p, sol.snr)) <= 1e-12
 
     def test_zero_q_row_handled(self):
         # q_k = 0 with r_k > 0: breakpoint at infinity, root beyond the
@@ -122,5 +121,5 @@ class TestSolveDiagonal:
                              Q=np.diag([1.0, 0.0]).astype(complex), sigma2=1.0)
         p = IndivPowerProblem(stats=stats, Ps=1.0, P=np.array([2.0, 2.0]))
         sol = solve_diagonal(p)
-        assert abs(dinkelbach_F(p, sol.snr).F_value) <= 1e-12
+        assert abs(dinkelbach_F(p, sol.snr)) <= 1e-12
         assert sol.snr == pytest.approx(snr(p.stats, p.Ps, sol.w), rel=1e-12)

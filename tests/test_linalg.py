@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from relaybeam.errors import InputError
-from relaybeam.linalg import hermitian, is_psd, qform
-from conftest import rand_psd
+from relaybeam.linalg import hermitian, qform
+from conftest import is_psd, rand_psd
 
 
 class TestHermitian:

@@ -3,10 +3,9 @@ import pytest
 
 from relaybeam.errors import InputError, ScopeError
 from relaybeam.indiv_diag import solve_diagonal
-from relaybeam.oracle import (GridSpec, brute_force_indiv, brute_force_total,
-                              finite_diff)
+from relaybeam.oracle import GridSpec, brute_force_indiv, brute_force_total
 from relaybeam.total_power import solve as total_solve
-from conftest import rand_indiv_problem, rand_total_problem
+from conftest import finite_diff, rand_indiv_problem, rand_total_problem
 
 
 class TestBruteForceIndiv:

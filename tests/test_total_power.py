@@ -7,12 +7,11 @@ from relaybeam import fixtures
 from relaybeam.channel import ChannelStats, RicianParams, build_stats, snr
 from relaybeam.errors import DispatchError, ModelError
 from relaybeam.problems import TotalPowerProblem
-from relaybeam.linalg import is_psd
-from relaybeam.oracle import finite_diff, finite_diff_second
 from relaybeam.total_power import (GAP_TOL, bracket_x, build_s_pair,
                                    lambda_min_g, newton_solve, solve,
                                    solve_diagonal)
-from conftest import rand_pd, rand_stats, rand_total_problem, scan_snr
+from conftest import (finite_diff, finite_diff_second, is_psd, rand_pd, rand_stats,
+                      rand_total_problem, scan_snr)
 
 
 def fixture_problem(case):
