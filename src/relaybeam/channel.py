@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .linalg import check_vector, hermitian, is_diagonal, qform, symmetrize
+from .linalg import check_vector, hermitian, is_diagonal, psd_violation, qform, symmetrize
 
 
 @dataclass
@@ -68,8 +68,8 @@ class ChannelStats:
         if not 0 < self.sigma2 < np.inf:
             raise InputError(f"sigma2 must be positive and finite, got {self.sigma2}")
         for name, M in (("R", self.R), ("Q", self.Q)):
-            lam = np.linalg.eigvalsh(M)[0]
-            if lam < -1e-9 * max(1.0, np.abs(M).max()):
+            lam = psd_violation(M)
+            if lam:
                 raise InputError(
                     f"{name} is not PSD (lambda_min = {lam:.3e}); covariance "
                     "matrices must be positive semidefinite")

@@ -12,10 +12,10 @@ matrices row-major.  ``_read_json`` reads every scenario and report, and
 so the solvers never see raw JSON.  ``solve --out DIR`` writes a new
 ``report-<solver>-<random>.json`` per run, so reports never overwrite each
 other.  Exit codes: 0 success (and ``--help``), 1 a ``reproduce`` row outside
-its tolerance, 2 solver non-convergence, 3 input error (a malformed field,
-an unreadable input file or an ``--out`` path that is no directory, named
-in the message, or a command-line usage error), 4 any other library failure
-(a singular matrix, an infeasible or unbounded model, R = 0).
+its tolerance, 2 solver non-convergence, 3 input error (a malformed field, an
+unreadable input or unwritable output file or an ``--out`` path that is no
+directory, named in the message, or a command-line usage error), 4 any other
+library failure (a singular matrix, an infeasible or unbounded model, R = 0).
 """
 
 from __future__ import annotations
@@ -222,8 +222,8 @@ def reproduce(case: str, out_dir: str | None = None, seed: int = 20111):
     if out_dir:
         _make_dir(out_dir)
         for name, rep in reports.items():
-            with open(os.path.join(out_dir, f"{name}.json"), "w") as fh:
-                fh.write(json.dumps(rep, indent=2, sort_keys=True))
+            _write_text(os.path.join(out_dir, f"{name}.json"),
+                        json.dumps(rep, indent=2, sort_keys=True))
     return rows, reports
 
 
@@ -392,8 +392,7 @@ def _dispatch(args) -> int:
         if args.out:
             _make_dir(args.out)
             dest = os.path.join(args.out, os.path.basename(trace_file))
-            with open(dest, "w") as fh:
-                fh.write(content)
+            _write_text(dest, content)
             print(dest)
         else:
             sys.stdout.write(content)
@@ -426,6 +425,15 @@ def _read_text(path: str, what: str) -> str:
         raise InputError(f"cannot read {what} file {path}: {exc.strerror}") from None
     except UnicodeDecodeError:
         raise InputError(f"{what} file {path} is not UTF-8 text") from None
+
+
+def _write_text(path: str, text: str):
+    """Write ``text`` to the output file ``path``, else an InputError naming it."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write output file {path}: {exc.strerror}") from None
 
 
 def _make_dir(path: str):

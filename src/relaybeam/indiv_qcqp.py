@@ -5,17 +5,15 @@ The per-relay problem is equivalent (up to scaling) to
     max w^H R w   s.t.   w^H Q w + c_k |w_k|^2 <= 1   (k = 1..n),
 
 with c_k = (Ps D_kk + sigma^2)/P_k, so every constraint matrix is
-A_k = Q + c_k e_k e_k^H.  A ``QcqpInstance`` keeps that structure as
-(R, Q, c); the (n, n, n) stack of the A_k is formed only for the generic
-SDP solver, inside ``solve_via_sdp``.  This module drives the SDP
-relaxation, extracts rank-one solutions (exactly for n <= 3 via iterative
-rank reduction on the optimal face), runs the Gaussian-random-procedure
-baseline, and maps QCQP points back to budget-feasible weight vectors.
+A_k = Q + c_k e_k e_k^H.  A ``QcqpInstance`` (defined with the relaxation
+in ``sdp``) keeps that structure as (R, Q, c), and no A_k is ever formed.
+This module drives the SDP relaxation, extracts rank-one solutions
+(exactly for n <= 3 via iterative rank reduction on the optimal face), runs
+the Gaussian-random-procedure baseline, and maps QCQP points back to
+budget-feasible weight vectors.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,34 +21,12 @@ from .channel import BeamformingSolution, snr
 from .errors import ConvergenceError, InputError, ScopeError
 from .linalg import _real_embed, principal_factor, qform, symmetrize
 from .problems import IndivPowerProblem
-from .sdp import SdpProblem, range_eigh, solve_relaxation
+from .sdp import QcqpInstance, range_eigh, solve_relaxation
 
 GRP_BATCH = 65536   # fixed batch so the sample stream is prefix-stable
 _GRP_CHUNK = 4096   # GRP samples per column chunk: its temporaries stay in L2
 ACTIVE_TOL = 1e-7   # rank reduction counts cap k active when Tr(A_k X) >= 1 - ACTIVE_TOL
 MAX_ROUNDS = 64     # rank-reduction rounds before ConvergenceError
-
-
-@dataclass
-class QcqpInstance:
-    """max w^H R w s.t. w^H Q w + c_k |w_k|^2 <= 1 for every relay k."""
-
-    R: np.ndarray
-    Q: np.ndarray
-    c: np.ndarray       # c_k = (Ps D_kk + sigma^2)/P_k
-
-    @property
-    def n(self) -> int:
-        return self.R.shape[0]
-
-    def constraint_values(self, w) -> np.ndarray:
-        """w^H Q w + c_k |w_k|^2 for every k."""
-        w = np.asarray(w, dtype=complex).ravel()
-        return qform(self.Q, w) + self.c * np.abs(w) ** 2
-
-    def traces(self, X) -> np.ndarray:
-        """Tr(Q X) + c_k X_kk for every k: the constraint values of a matrix X."""
-        return np.einsum("ab,ba->", self.Q, X).real + self.c * np.diagonal(X).real
 
 
 def build_qcqp(p: IndivPowerProblem) -> QcqpInstance:
@@ -82,14 +58,10 @@ def solve_via_sdp(p: IndivPowerProblem):
 
     w is populated only when the relaxation comes back (numerically)
     rank one, in which case sqrt(lambda_max) times the top eigenvector is
-    already optimal for the QCQP.  The generic SDP solver takes the
-    constraints as an (n, n, n) stack; this is the one place it is formed.
+    already optimal for the QCQP.
     """
     q = build_qcqp(p)
-    n = q.n
-    A = np.broadcast_to(q.Q, (n, n, n)).copy()
-    A[np.arange(n), np.arange(n), np.arange(n)] += q.c
-    sol = solve_relaxation(SdpProblem(objective=q.R, constraints=A))
+    sol = solve_relaxation(q)
     w = principal_factor(sol.X) if sol.rank_estimate == 1 else None
     return q, sol, w
 

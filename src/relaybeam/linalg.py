@@ -18,6 +18,7 @@ from .errors import InputError
 
 HERMITIAN_TOL = 1e-9   # largest asymmetry hermitian() absorbs, relative to max(1, max |H_ij|)
 DIAGONAL_RTOL = 1e-12  # is_diagonal: off-diagonal mass <= DIAGONAL_RTOL |trace|
+PSD_RTOL = 1e-9        # psd_violation: lambda_min >= -PSD_RTOL max(1, max |M_ij|) is PSD
 
 
 def hermitian(a, *, name: str = "matrix") -> np.ndarray:
@@ -62,6 +63,13 @@ def is_diagonal(M) -> bool:
     """True when M's off-diagonal mass is negligible against its trace."""
     off = M - np.diag(np.diag(M))
     return bool(np.abs(off).sum() <= DIAGONAL_RTOL * max(np.abs(np.trace(M)), 1e-300))
+
+
+def psd_violation(M) -> float:
+    """lambda_min(M) when the Hermitian M fails the package's PSD test, else 0.0.
+    The test is relative: at entries near 1e8 an absolute one rejects round-off."""
+    lam = float(np.linalg.eigvalsh(M)[0])
+    return lam if lam < -PSD_RTOL * max(1.0, np.abs(M).max()) else 0.0
 
 
 def check_vector(v, *, name: str = "vector") -> np.ndarray:

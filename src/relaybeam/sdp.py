@@ -1,32 +1,30 @@
-"""Small dense SDP relaxation solver with dual certificates.
+"""The per-relay QCQP in relay form and its SDP relaxation, with dual certificates.
 
-Solves  min -Tr(R X)  s.t.  Tr(A_k X) <= 1 (k = 1..N),  X >= 0
-for Hermitian R and PSD A_k, together with the dual
-           max -sum_k y_k  s.t.  sum_k y_k A_k - R >= 0,  y >= 0.
-
-The engine is an infeasible primal-dual interior-point method (HKM
-direction, Mehrotra predictor-corrector: the corrector reuses the Schur
-matrix and targets sigma mu I - dX_a dZ_a).  Iterates keep X, Z strictly
-inside their cones, so the returned dual multipliers certify the reported
-gap without post-hoc cleanup; a pure primal log-barrier was tried first and
-could not certify gaps below ~3e-8 in double precision on the target
-problems.  The stop is SDPT3's relative gap,
-|gap| <= GAP_TOL max(1, |primal|); an absolute 1e-8 stalled on round-off at
-objectives near 70.  The constraints are one (N, n, n) stack, so the Schur
-matrix Re Tr(A_k X A_j Z^-1) is a batched product X A_j Z^-1 and one
-(N, n^2) x (n^2, N) GEMM: O(N n^3 + N^2 n^2) per iteration, plus one
-stacked [X, Z] eigh and one stacked step-length eigvalsh per direction.
+Solves  min -Tr(R X)  s.t.  Tr(A_k X) <= 1 (k = 1..n),  X >= 0,  and the dual
+max -sum_k y_k  s.t.  sum_k y_k A_k - R >= 0,  y >= 0,  for constraints in the
+relay form A_k = Q + c_k e_k e_k^H (Q PSD, c_k > 0), held as (R, Q, c) by a
+``QcqpInstance``; no A_k is ever formed.  The engine is an infeasible
+primal-dual interior-point method (HKM direction, Mehrotra predictor-corrector:
+the corrector reuses the Schur matrix and targets sigma mu I - dX_a dZ_a).
+Iterates keep X, Z strictly inside their cones, so the returned dual
+multipliers certify the reported gap without post-hoc cleanup; a pure primal
+log-barrier could not certify gaps below ~3e-8.  The stop is SDPT3's relative
+gap, |gap| <= GAP_TOL max(1, |primal|); an absolute 1e-8 stalled on round-off
+at objectives near 70.  With W = Z^-1 the Schur matrix Re Tr(A_k X A_j W) is
+Re[Tr(QXQW) + c_j (WQX)_jj + c_k (XQW)_kk + c_k c_j X_kj W_jk] (Benson, Ye and
+Zhang, SIAM J. Optim. 10 (2000)), so an iteration costs a few n x n products,
+O(n^3), plus one stacked [X, Z] eigh (step scalings and W) and one stacked
+eigvalsh per direction (step lengths).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, InputError, ModelError
-from .linalg import hermitian, symmetrize
+from .linalg import HERMITIAN_TOL, hermitian, psd_violation, qform, symmetrize
 
 GAP_TOL = 1e-8    # certified relative duality gap, |gap| <= GAP_TOL max(1, |primal|)
 FEAS_TOL = 1e-8   # primal and dual residual norms at the stop
@@ -35,41 +33,57 @@ RANK_TOL = 1e-6   # eigenvalues of X above RANK_TOL lambda_max count toward its 
 
 
 @dataclass
-class SdpProblem:
-    """Objective R and constraints A_1..A_N (Hermitian), stored as an (N, n, n) stack."""
+class QcqpInstance:
+    """max w^H R w s.t. w^H Q w + c_k |w_k|^2 <= 1 for every relay k, and
+    its relaxation: the constraint matrices are A_k = Q + c_k e_k e_k^H."""
 
-    objective: np.ndarray
-    constraints: np.ndarray
-
-    def __post_init__(self):
-        self.objective = hermitian(self.objective, name="R")
-        A = [hermitian(Ak, name=f"A_{k+1}") for k, Ak in enumerate(self.constraints)]
-        n = self.objective.shape[0]
-        for k, Ak in enumerate(A):
-            if Ak.shape != (n, n):
-                raise InputError(f"A_{k+1} has shape {Ak.shape}, expected {(n, n)}")
-        if not A:
-            raise InputError("at least one constraint matrix is required")
-        # relative PSD test, lambda_min >= -1e-9 max(1, |lambda|_max): at
-        # c_k ~ 1e8 an absolute one rejects Q + c_k e_k e_k^H on round-off
-        stack = np.stack([self.objective, *A])
-        lam = np.linalg.eigvalsh(stack)
-        neg = lam[:, 0] < -1e-9 * np.maximum(1.0, np.abs(lam).max(axis=1))
-        if neg[0]:
-            warnings.warn("objective matrix R is not PSD; relaxation may be unbounded",
-                          stacklevel=2)
-        self.constraints = stack[1:]
-        bad = np.flatnonzero(neg[1:])
-        if bad.size:
-            raise ModelError(f"constraint matrix A_{bad[0] + 1} is not PSD")
+    R: np.ndarray
+    Q: np.ndarray
+    c: np.ndarray       # c_k = (Ps D_kk + sigma^2)/P_k
 
     @property
     def n(self) -> int:
-        return self.objective.shape[0]
+        return self.R.shape[0]
 
-    @property
-    def m(self) -> int:
-        return len(self.constraints)
+    def constraint_values(self, w) -> np.ndarray:
+        """w^H Q w + c_k |w_k|^2 for every k."""
+        w = np.asarray(w, dtype=complex).ravel()
+        return qform(self.Q, w) + self.c * np.abs(w) ** 2
+
+    def traces(self, X) -> np.ndarray:
+        """Re Tr(A_k X) = Re Tr(Q X) + c_k Re X_kk for every k, for any square X."""
+        # Tr(Q X) = sum_ab conj(Q_ab) X_ab because Q is Hermitian
+        return np.vdot(self.Q, X).real + self.c * np.diagonal(X).real
+
+    def weighted_sum(self, y) -> np.ndarray:
+        """sum_k y_k A_k = (sum_k y_k) Q + diag(c y)."""
+        return y.sum() * self.Q + np.diag(self.c * y)
+
+
+class SdpProblem(QcqpInstance):
+    """The (R, Q, c) of an objective R and n constraint matrices in relay form,
+    A_k = Q + c_k e_k e_k^H.  Any other list is an InputError; Q not PSD or
+    some c_k <= 0 is a ModelError."""
+
+    def __init__(self, objective, constraints):
+        R = hermitian(objective, name="R")
+        n = R.shape[0]
+        A = [hermitian(Ak, name=f"A_{k+1}") for k, Ak in enumerate(constraints)]
+        if len(A) != n or any(Ak.shape != (n, n) for Ak in A):
+            raise InputError(f"the relay form has {n} constraint matrices of shape {(n, n)}")
+        Q = A[0].copy()                          # A_1, but for Q_11, which A_2 carries
+        Q[0, 0] = A[1][0, 0] if n > 1 else 0.0
+        c = np.array([(Ak[k, k] - Q[k, k]).real for k, Ak in enumerate(A)])
+        for k, Ak in enumerate(A):
+            Dk = Ak - Q
+            Dk[k, k] -= c[k]
+            if np.abs(Dk).max() > HERMITIAN_TOL * max(1.0, np.abs(Ak).max()):
+                raise InputError(f"A_{k+1} is not Q + c_k e_k e_k^H for the Q of the others")
+        lam = psd_violation(Q)
+        if lam or c.min() <= 0:
+            raise ModelError(f"the relay form needs Q PSD (lambda_min(Q) = {lam:.3e}) "
+                             f"and every c_k > 0 (min c_k = {c.min():.3e})")
+        super().__init__(R=R, Q=Q, c=c)
 
 
 @dataclass
@@ -90,33 +104,29 @@ class CertificateReport:
     comp_slack: float    # |Tr((sum y_k A_k - R) X)| + sum y_k (1 - Tr(A_k X))
 
 
-def solve_relaxation(p: SdpProblem) -> SdpSolution:
+def solve_relaxation(q: QcqpInstance) -> SdpSolution:
     """Solve the relaxation to a certified duality gap <= GAP_TOL * max(1, |primal|).
 
     Initial point ``X0 = eps I`` with ``eps = 0.5 / max_k Tr(A_k)`` is
-    strictly feasible because every A_k is PSD: every slack is at least
-    0.5.  Raises ConvergenceError (carrying the best iterate) when the gap
-    target is not certified within MAX_ITER Newton steps.
+    strictly feasible because Q is PSD and every c_k > 0: every slack is at
+    least 0.5.  Raises ConvergenceError (carrying the best iterate) when the
+    gap target is not certified within MAX_ITER Newton steps.
     """
-    R = p.objective
-    A = p.constraints
-    n, N = p.n, p.m
-    tr_cap = np.trace(A, axis1=1, axis2=2).real.max()
-    if tr_cap <= 0:
-        raise ModelError("all constraint matrices have zero trace; no interior")
-
-    X = (0.5 / tr_cap) * np.eye(n, dtype=complex)
-    s = 1.0 - _traces(A, X)
-    y = np.ones(N)
+    R, Q, c = q.R, q.Q, q.c
+    n = q.n
+    X = (0.5 / (np.trace(Q).real + c.max())) * np.eye(n, dtype=complex)
+    s = 1.0 - q.traces(X)
+    y = np.ones(n)
     Z = (np.linalg.eigvalsh(R).max() + 1.0) * np.eye(n, dtype=complex)
+    cc = np.outer(c, c)
 
     best = None
     it = 0
     for it in range(MAX_ITER):
-        rp = (1.0 - _traces(A, X)) - s
-        Rd = Z - (_combine(y, A) - R)
-        mu = (np.trace(Z @ X).real + y @ s) / (n + N)
-        primal = np.trace(R @ X).real
+        rp = (1.0 - q.traces(X)) - s
+        Rd = Z - (q.weighted_sum(y) - R)
+        mu = (np.vdot(Z, X).real + y @ s) / (2 * n)
+        primal = np.vdot(R, X).real
         dual = float(y.sum())
         gap = dual - primal
         feas = max(np.abs(rp).max(), np.linalg.norm(Rd))
@@ -127,23 +137,26 @@ def solve_relaxation(p: SdpProblem) -> SdpSolution:
         if mu > 1e14 or not np.isfinite(mu):
             raise ModelError("iterates diverged; problem may be unbounded")
 
-        Zinv = symmetrize(np.linalg.inv(Z))
-        XA = X @ A @ Zinv
-        # M_kj = Re Tr(A_k XA_j) = Re sum_ab A_k[a, b] XA_j[b, a]
-        M = (A.reshape(N, -1) @ XA.transpose(0, 2, 1).reshape(N, -1).T).real
-        M += np.diag(s / y)
-        trAZ = _traces(A, Zinv)
-        trAXRdZ = _traces(A, X @ Rd @ Zinv)
-        # [X^{-1/2}, Z^{-1/2}], shared by the predictor and corrector step lengths
+        # [X^{-1/2}, Z^{-1/2}], shared by the predictor and corrector step
+        # lengths, and W = Z^{-1} from the same eigenpairs
         w, U = np.linalg.eigh(np.stack([X, Z]))
         Pmh = (U / np.sqrt(np.maximum(w, 1e-300))[:, None, :]) @ U.conj().transpose(0, 2, 1)
+        W = symmetrize(Pmh[1] @ Pmh[1])
+        XQW = X @ Q @ W
+        # M_kj = Re[Tr(QXQW) + c_j (WQX)_jj + c_k (XQW)_kk + c_k c_j X_kj W_jk];
+        # (WQX)_jj is the conjugate of (XQW)_jj
+        b = c * np.diagonal(XQW).real
+        M = np.vdot(Q, XQW).real + b[:, None] + b + cc * (X * W.T).real
+        M += np.diag(s / y)
+        trAZ = q.traces(W)
+        trAXRdZ = q.traces(X @ Rd @ W)
 
         def directions(sig, C, cs):
             # HKM step toward X Z = sig mu I - C Z and y s = sig mu - cs
-            rhs = sig * mu * (trAZ + 1.0 / y) - 1.0 + trAXRdZ - _traces(A, C) - cs / y
+            rhs = sig * mu * (trAZ + 1.0 / y) - 1.0 + trAXRdZ - q.traces(C) - cs / y
             dy = np.linalg.solve(M, rhs)
-            dZ = _combine(dy, A) - Rd
-            dX = symmetrize(sig * mu * Zinv - X - X @ dZ @ Zinv - C)
+            dZ = q.weighted_sum(dy) - Rd
+            dX = symmetrize(sig * mu * W - X - X @ dZ @ W - C)
             ds = (sig * mu - cs - y * s - s * dy) / y
             return dX, ds, dy, dZ
 
@@ -151,10 +164,10 @@ def solve_relaxation(p: SdpProblem) -> SdpSolution:
         # then also cancels its second-order term dX_a dZ_a
         dX, ds, dy, dZ = directions(0.0, np.zeros_like(X), 0.0)
         ap, ad = _max_steps(Pmh, dX, dZ, (s, y), (ds, dy), 1.0)
-        mu_aff = (np.trace((Z + ad * dZ) @ (X + ap * dX)).real
-                  + (y + ad * dy) @ (s + ap * ds)) / (n + N)
+        mu_aff = (np.vdot(Z + ad * dZ, X + ap * dX).real
+                  + (y + ad * dy) @ (s + ap * ds)) / (2 * n)
         sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-4, 0.8))
-        dX, ds, dy, dZ = directions(sigma, dX @ dZ @ Zinv, ds * dy)
+        dX, ds, dy, dZ = directions(sigma, dX @ dZ @ W, ds * dy)
         ap, ad = (0.98 * a for a in _max_steps(Pmh, dX, dZ, (s, y), (ds, dy), 0.99))
         X = symmetrize(X + ap * dX)
         s = s + ap * ds
@@ -168,31 +181,20 @@ def solve_relaxation(p: SdpProblem) -> SdpSolution:
             best=_package(Xb, yb, pb, db, MAX_ITER),
         )
 
-    return _package(X, y, np.trace(R @ X).real, float(y.sum()), it)
+    return _package(X, y, primal, dual, it)
 
 
-def dual_certificate_residuals(p: SdpProblem, sol: SdpSolution) -> CertificateReport:
+def dual_certificate_residuals(q: QcqpInstance, sol: SdpSolution) -> CertificateReport:
     """KKT residuals of a candidate solution; all ~0 on a valid optimum."""
-    R, A = p.objective, p.constraints
     X, y = sol.X, sol.dual_y
-    vals = _traces(A, X)
+    vals = q.traces(X)
     lam_x = np.linalg.eigvalsh(symmetrize(X))[0]
     primal_feas = float(max((vals - 1.0).max(), -min(lam_x, 0.0), 0.0))
-    Zbar = _combine(y, A) - R
+    Zbar = q.weighted_sum(y) - q.R
     dual_feas = float(np.linalg.eigvalsh(symmetrize(Zbar))[0])
     comp = abs(np.trace(Zbar @ X).real) + float(y @ (1.0 - vals))
     return CertificateReport(primal_feas=primal_feas, dual_feas=dual_feas,
                              comp_slack=float(comp))
-
-
-def _traces(A, X):
-    """Tr(A_k X) for every matrix of the stack A."""
-    return np.einsum("kab,ba->k", A, X).real
-
-
-def _combine(y, A):
-    """sum_k y_k A_k over the stack A."""
-    return np.tensordot(y, A, 1)
 
 
 def _max_steps(Pmh, dX, dZ, vs, dvs, tau):

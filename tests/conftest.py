@@ -3,8 +3,9 @@ import pytest
 
 from relaybeam import indiv_diag, indiv_search
 from relaybeam.channel import ChannelStats
-from relaybeam.errors import InputError
+from relaybeam.errors import ConvergenceError, InputError
 from relaybeam.linalg import hermitian, symmetrize
+from relaybeam.sdp import FEAS_TOL, GAP_TOL, MAX_ITER, SdpSolution, range_eigh
 from relaybeam.problems import IndivPowerProblem, TotalPowerProblem
 
 MC_BATCH = 20000   # draws per monte_carlo_stats batch
@@ -76,6 +77,94 @@ def constraint_stack(prob):
         E[k, k] = 1.0
         A[k] = s.Q + c[k] * E
     return A
+
+
+def stacked_relaxation(R, A):
+    """Reference for ``sdp.solve_relaxation``: the same interior-point method
+    (HKM direction, Mehrotra corrector, start, stop test and constants) on a
+    generic (N, n, n) stack of PSD constraint matrices, with the Schur matrix
+    Re Tr(A_k X A_j Z^-1) formed through the stack at O(N n^3 + N^2 n^2)."""
+    A = np.asarray(A, dtype=complex)
+    R = np.asarray(R, dtype=complex)
+    N, n = A.shape[0], R.shape[0]
+
+    def traces(X):
+        return np.einsum("kab,ba->k", A, X).real
+
+    def combine(y):
+        return np.tensordot(y, A, 1)
+
+    X = (0.5 / np.trace(A, axis1=1, axis2=2).real.max()) * np.eye(n, dtype=complex)
+    s = 1.0 - traces(X)
+    y = np.ones(N)
+    Z = (np.linalg.eigvalsh(R).max() + 1.0) * np.eye(n, dtype=complex)
+    for it in range(MAX_ITER):
+        rp = (1.0 - traces(X)) - s
+        Rd = Z - (combine(y) - R)
+        mu = (np.trace(Z @ X).real + y @ s) / (n + N)
+        primal = np.trace(R @ X).real
+        gap = y.sum() - primal
+        if (max(np.abs(rp).max(), np.linalg.norm(Rd)) <= FEAS_TOL
+                and abs(gap) <= GAP_TOL * max(1.0, abs(primal))):
+            break
+        Zinv = symmetrize(np.linalg.inv(Z))
+        XA = X @ A @ Zinv
+        M = (A.reshape(N, -1) @ XA.transpose(0, 2, 1).reshape(N, -1).T).real
+        M += np.diag(s / y)
+        trAZ = traces(Zinv)
+        trAXRdZ = traces(X @ Rd @ Zinv)
+        w, U = np.linalg.eigh(np.stack([X, Z]))
+        Pmh = (U / np.sqrt(np.maximum(w, 1e-300))[:, None, :]) @ U.conj().transpose(0, 2, 1)
+
+        def directions(sig, C, cs):
+            rhs = sig * mu * (trAZ + 1.0 / y) - 1.0 + trAXRdZ - traces(C) - cs / y
+            dy = np.linalg.solve(M, rhs)
+            dZ = combine(dy) - Rd
+            dX = symmetrize(sig * mu * Zinv - X - X @ dZ @ Zinv - C)
+            ds = (sig * mu - cs - y * s - s * dy) / y
+            return dX, ds, dy, dZ
+
+        def steps(dX, dZ, ds, dy, tau):
+            lams = np.linalg.eigvalsh(Pmh @ np.stack([dX, dZ]) @ Pmh).min(axis=1)
+            out = []
+            for lam, v, dv in zip(lams, (s, y), (ds, dy)):
+                a = 1.0 if lam >= 0 else min(1.0, -tau / lam)
+                neg = dv < 0
+                if neg.any():
+                    a = min(a, float((-tau * v[neg] / dv[neg]).min()))
+                out.append(a)
+            return out
+
+        dX, ds, dy, dZ = directions(0.0, np.zeros_like(X), 0.0)
+        ap, ad = steps(dX, dZ, ds, dy, 1.0)
+        mu_aff = (np.trace((Z + ad * dZ) @ (X + ap * dX)).real
+                  + (y + ad * dy) @ (s + ap * ds)) / (n + N)
+        sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-4, 0.8))
+        dX, ds, dy, dZ = directions(sigma, dX @ dZ @ Zinv, ds * dy)
+        ap, ad = (0.98 * a for a in steps(dX, dZ, ds, dy, 0.99))
+        X = symmetrize(X + ap * dX)
+        s = s + ap * ds
+        y = y + ad * dy
+        Z = symmetrize(Z + ad * dZ)
+    else:
+        raise ConvergenceError(f"reference IPM did not converge in {MAX_ITER} iterations")
+    X = symmetrize(X)
+    primal = float(np.trace(R @ X).real)
+    return SdpSolution(X=X, dual_y=np.maximum(y, 0.0), primal_obj=primal,
+                       dual_obj=float(y.sum()), gap=float(y.sum()) - primal,
+                       rank_estimate=range_eigh(X)[0].size, iterations=it)
+
+
+def stacked_residuals(R, A, sol):
+    """(primal_feas, dual_feas, comp_slack) of ``sol`` against the stack A,
+    as ``sdp.dual_certificate_residuals`` defines them."""
+    A = np.asarray(A, dtype=complex)
+    X, y = sol.X, sol.dual_y
+    vals = np.array([np.trace(Ak @ X).real for Ak in A])
+    primal_feas = max((vals - 1.0).max(), -min(np.linalg.eigvalsh(X)[0], 0.0), 0.0)
+    Zbar = symmetrize(np.tensordot(y, A, 1) - R)
+    comp = abs(np.trace(Zbar @ X).real) + float(y @ (1.0 - vals))
+    return primal_feas, float(np.linalg.eigvalsh(Zbar)[0]), comp
 
 
 def degenerate_qcqp_instance(rng, n):

@@ -21,9 +21,9 @@ from relaybeam.indiv_search import (augmented_lagrangian_solve,
 from relaybeam.linalg import qform
 from relaybeam.oracle import GridSpec, brute_force_indiv
 from relaybeam.problems import IndivPowerProblem
-from relaybeam.sdp import SdpProblem, range_eigh, solve_relaxation
+from relaybeam.sdp import range_eigh, solve_relaxation
 from relaybeam import total_power
-from conftest import (constraint_stack, degenerate_qcqp_instance, dinkelbach_F,
+from conftest import (degenerate_qcqp_instance, dinkelbach_F,
                       extract_coefficients, finite_diff, finite_diff_second,
                       monte_carlo_stats, rand_indiv_problem,
                       rand_total_problem)
@@ -47,7 +47,7 @@ def solve_indiv_fixture(n):
     p = fixture_problem(n)
     q = build_qcqp(p)
     t0 = time.perf_counter()
-    sol = solve_relaxation(SdpProblem(objective=q.R, constraints=constraint_stack(p)))
+    sol = solve_relaxation(q)
     vals, vecs = np.linalg.eigh(sol.X)
     w0 = np.sqrt(max(vals[-1], 0.0)) * vecs[:, -1]
     cdm_sol, _ = coordinate_descent(p, w0.copy())

@@ -610,12 +610,17 @@ class TestMain:
         (["trace-export", "{int_trace}"], "{int_trace}"),
         (["solve", "{scenario}", "--out", "{file}"], "{file}"),
         (["reproduce", "total-1", "--out", "{file}"], "{file}"),
+        # an output file name taken by a directory
+        (["reproduce", "total-1", "--out", "{out}"], "{out}/total-1.json"),
+        (["trace-export", "{report}", "--out", "{out}"], "{out}/trace.csv"),
     ], ids=["solve-directory", "oracle-directory", "trace-export-directory",
             "non-utf8-scenario", "invalid-json-report", "too-deep-json-scenario", "list-report",
-            "integer-trace-file", "solve-out-is-a-file", "reproduce-out-is-a-file"])
+            "integer-trace-file", "solve-out-is-a-file", "reproduce-out-is-a-file",
+            "reproduce-out-name-is-a-directory", "trace-export-out-name-is-a-directory"])
     def test_unreadable_input_or_out_path_exit_3(self, tmp_path, capsys, argv, named):
         paths = {key: tmp_path / key
-                 for key in ("dir", "latin1", "invalid", "deep", "list", "int_trace", "file")}
+                 for key in ("dir", "latin1", "invalid", "deep", "list", "int_trace", "file",
+                             "out", "report")}
         paths["dir"].mkdir()
         paths["latin1"].write_bytes('{"mode": "total", "note": "\u00e9"}'.encode("latin-1"))
         paths["invalid"].write_text("{not json")
@@ -624,6 +629,10 @@ class TestMain:
         # an integer path would name an open file descriptor to open()
         paths["int_trace"].write_text('{"trace_file": 1}')
         paths["file"].write_text("")
+        for name in ("total-1.json", "trace.csv"):
+            (paths["out"] / name).mkdir(parents=True)
+        (tmp_path / "trace.csv").write_text("k,mu\n0,1.0\n")
+        paths["report"].write_text(json.dumps({"trace_file": str(tmp_path / "trace.csv")}))
         names = {key: str(path) for key, path in paths.items()}
         names["scenario"] = diagonal_scenario(tmp_path)[0]
         assert main([a.format(**names) for a in argv]) == 3

@@ -15,7 +15,7 @@ from relaybeam.indiv_search import (ScalarFractionalSubproblem,
                                     phi_p_grad_hess, phi_p_value,
                                     solve_scalar_subproblem, subproblem_value)
 from relaybeam.problems import IndivPowerProblem
-from conftest import (constraint_stack, extract_coefficients, finite_diff,
+from conftest import (extract_coefficients, finite_diff,
                       finite_diff_second, rand_indiv_problem)
 
 
@@ -205,10 +205,10 @@ class TestScalarSubproblem:
 class TestCoordinateDescent:
     @pytest.mark.parametrize("n,key", [(4, "cdm")])
     def test_fixture_objective(self, n, key):
-        from relaybeam.sdp import SdpProblem, solve_relaxation
+        from relaybeam.sdp import solve_relaxation
         p = fixture_problem(n)
         q = build_qcqp(p)
-        sol = solve_relaxation(SdpProblem(objective=q.R, constraints=constraint_stack(p)))
+        sol = solve_relaxation(q)
         vals, vecs = np.linalg.eigh(sol.X)
         w0 = np.sqrt(vals[-1]) * vecs[:, -1]
         best, trace = coordinate_descent(p, w0)
@@ -413,10 +413,10 @@ class TestAugmentedLagrangian:
 
     @pytest.mark.parametrize("n,key", [(4, "pnorm")])
     def test_fixture_objective(self, n, key):
-        from relaybeam.sdp import SdpProblem, solve_relaxation
+        from relaybeam.sdp import solve_relaxation
         p = fixture_problem(n)
         q = build_qcqp(p)
-        rel = solve_relaxation(SdpProblem(objective=q.R, constraints=constraint_stack(p)))
+        rel = solve_relaxation(q)
         vals, vecs = np.linalg.eigh(rel.X)
         w0 = np.sqrt(vals[-1]) * vecs[:, -1]
         e = build_pnorm_embedding(p, fixtures.PNORM_P)
@@ -433,7 +433,7 @@ class TestAugmentedLagrangian:
     def test_rank_deficient_r_near_sdp_bound(self, n, rank, seed):
         # line-of-sight-like R of rank 1 or 2: the multiplier comes from the
         # pencil (K, F + I), so no R^{-1} is needed
-        from relaybeam.sdp import SdpProblem, solve_relaxation
+        from relaybeam.sdp import solve_relaxation
         rng = np.random.default_rng(seed)
         V, A = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
                 for m in (rank, n))
@@ -441,7 +441,7 @@ class TestAugmentedLagrangian:
                              Q=A @ A.conj().T / n, sigma2=1.0)
         p = IndivPowerProblem(stats=stats, Ps=1.0, P=rng.uniform(1.0, 3.0, n))
         q = build_qcqp(p)
-        bound = solve_relaxation(SdpProblem(objective=q.R, constraints=constraint_stack(p))).primal_obj
+        bound = solve_relaxation(q).primal_obj
         sol, _, _ = augmented_lagrangian_solve(
             build_pnorm_embedding(p, choose_p(n)), p)
         assert sol.feasibility.min() >= -1e-12
@@ -493,7 +493,7 @@ class TestAugmentedLagrangian:
     def test_rank_one_r_default_start(self):
         # with equal c_k, v = [1, -1, 0, 0] puts the all-ones vector in the
         # null space of R = v v^H; the p = 1 minimizer starts on the constraint
-        from relaybeam.sdp import SdpProblem, solve_relaxation
+        from relaybeam.sdp import solve_relaxation
         rng = np.random.default_rng(8)
         A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         v = np.array([1.0, -1.0, 0.0, 0.0])
@@ -501,7 +501,7 @@ class TestAugmentedLagrangian:
                              Q=A @ A.conj().T / 4, sigma2=1.0)
         p = IndivPowerProblem(stats=stats, Ps=1.0, P=np.full(4, 2.0))
         q = build_qcqp(p)
-        bound = solve_relaxation(SdpProblem(objective=q.R, constraints=constraint_stack(p))).primal_obj
+        bound = solve_relaxation(q).primal_obj
         sol, _, _ = augmented_lagrangian_solve(build_pnorm_embedding(p, choose_p(4)), p)
         assert sol.feasibility.min() >= -1e-12
         assert 0.99 * bound <= qcqp_objective(q, sol.w) <= (1.0 + 1e-6) * bound
