@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import BeamformingSolution, snr
+from .channel import BeamformingSolution
 from .errors import DispatchError
 from .problems import IndivPowerProblem
 
@@ -51,5 +51,4 @@ def solve_diagonal(p: IndivPowerProblem) -> BeamformingSolution:
     tstar = max(0.0, float(ratios.max()))
     # F(t*)'s maximizer: full cap where the margin a_k - t* q~_k is positive
     w = np.sqrt(np.where(a - tstar * q > 0, coef, 0.0)).astype(complex)
-    return BeamformingSolution(w=w, Ps=p.Ps, snr=snr(p.stats, p.Ps, w),
-                               feasibility=p.slacks(w))
+    return p.solution(w)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import BeamformingSolution, snr
+from .channel import BeamformingSolution
 from .errors import ConvergenceError, InputError, ScopeError
 from .linalg import _real_embed, principal_factor, qform, symmetrize
 from .problems import IndivPowerProblem
@@ -48,9 +48,7 @@ def rescale_to_original(w_qcqp, q: QcqpInstance, p: IndivPowerProblem) -> Beamfo
     if not np.abs(w).max() > 0:
         raise InputError("cannot rescale the zero vector")
     eta = float((q.c * np.abs(w) ** 2).max())
-    w = w / np.sqrt(eta)
-    return BeamformingSolution(w=w, Ps=p.Ps, snr=snr(p.stats, p.Ps, w),
-                               feasibility=p.slacks(w))
+    return p.solution(w / np.sqrt(eta))
 
 
 def solve_via_sdp(p: IndivPowerProblem):

@@ -4,11 +4,11 @@ Two routes when the SDP relaxation is not rank one:
 
 * Cyclic coordinate descent on the SNR ratio, one complex weight at a
   time, O(n) per weight: each sweep forms R w and Q w once and moves them
-  by one column per update.  Each scalar subproblem is a constrained
-  fractional program whose optimal value is the unique root of a strictly
-  decreasing auxiliary function; the root and maximizer are closed-form
-  (two quadratics in t, filtered by the unsquared case conditions).  The
-  stop tolerance eps must be positive.
+  by one column per update.  Each scalar subproblem is a ratio of two
+  quadratic forms in [y; 1] over the disk |y| <= beta, solved exactly: the
+  pencil's top eigenpair when it lies inside the disk, else the circle's
+  maximum, each the larger root of one quadratic in t.  The stop
+  tolerance eps must be positive.
 
 * Smoothed minimax: the QCQP is equivalent (up to scaling) to minimizing
   u^H Q1 u + ||u||_inf^2 on the ellipsoid u^H R1 u = 1; the infinity norm
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BeamformingSolution, snr
 from .errors import ConvergenceError, InputError, ModelError, SingularityError
 from .linalg import _real_embed, symmetrize
 from .problems import IndivPowerProblem
@@ -83,30 +82,29 @@ def subproblem_value(s: ScalarFractionalSubproblem, y: complex) -> float:
     return (s.a1 * m + 2.0 * (s.b1 * y).real + s.c1) / (s.a2 * m + 2.0 * (s.b2 * y).real + s.c2)
 
 
-def _aux_F(s: ScalarFractionalSubproblem, t: float) -> float:
-    """max over the disk of numerator - t * denominator (strictly decreasing in t)."""
-    A = s.a1 - t * s.a2
-    Babs = abs(s.b1 - t * s.b2)
-    r = s.beta if A >= 0 else min(Babs / (-A), s.beta)
-    return A * r * r + 2.0 * Babs * r + s.c1 - t * s.c2
-
-
 def solve_scalar_subproblem(s: ScalarFractionalSubproblem):
     """Global maximizer and value of the scalar fractional subproblem.
 
     Returns ``(y, t, constant)``; ``constant`` flags the degenerate case
-    where the ratio does not depend on y (y = 0 is returned).  The value t
-    is the root of the auxiliary function; candidates come from squaring
-    the boundary equation
-        (a1 - t a2) beta^2 + 2|b1 - t b2| beta + c1 - t c2 = 0
-    and the interior equation |b1 - t b2|^2 = (a1 - t a2)(c1 - t c2) into
-    quadratics, filtered by the unsquared sign conditions; an optimal y on
-    the boundary has magnitude beta, an interior one |b1-t b2|/(t a2 - a1),
-    both with phase -arg(b1 - t b2).
+    where the ratio does not depend on y (y = 0 is returned).  With
+    v = [y; 1] the ratio is v^H A v / v^H B v, B >= e2 e2^T, and the
+    maximum is one of two candidates:
+
+    * on the circle |y| = beta: t is the larger root of
+        ((a1 - t a2) beta^2 + c1 - t c2)^2 = 4 beta^2 |b1 - t b2|^2,
+      whose two roots are the circle's largest and smallest ratio, and
+      y = beta e^{-i arg(b1 - t b2)};
+    * inside the disk, only when a2 > 0: the pencil's top eigenpair, t the
+      larger root of det(A - t B) = 0 and y = conj(b1 - t b2)/(t a2 - a1).
+      A stationary point inside the disk is the top or the bottom
+      eigenvector, and only the top one can be a maximum, so when it lies
+      outside the disk the maximum is on the circle.
+
+    t is returned as the ratio at the chosen y.
     """
     a1, a2, b1, b2, c1, c2, beta = s.a1, s.a2, s.b1, s.b2, s.c1, s.c2, s.beta
-    scale = max(1.0, abs(a1), abs(a2), abs(b1), abs(b2), abs(c1), abs(c2))
-    prop_tol = 1e-13 * scale * scale
+    # numerator and denominator proportional, relative to each one's own size
+    prop_tol = 1e-13 * max(abs(a1), abs(b1), abs(c1)) * max(abs(a2), abs(b2), abs(c2))
     if (abs(a1 * c2 - a2 * c1) <= prop_tol
             and abs(b1 * c2 - b2 * c1) <= prop_tol
             and abs(a1 * b2 - a2 * b1) <= prop_tol):
@@ -114,61 +112,26 @@ def solve_scalar_subproblem(s: ScalarFractionalSubproblem):
     B0 = abs(b1) ** 2
     B1 = 2.0 * (b1 * b2.conjugate()).real
     B2 = abs(b2) ** 2
-    ys = []
-    # boundary: 2 beta |b1 - t b2| = -[(a1 - t a2) beta^2 + (c1 - t c2)], squared
-    u0 = a1 * beta ** 2 + c1
-    u1 = a2 * beta ** 2 + c2
-    for t in _real_roots(4 * beta ** 2 * B2 - u1 ** 2,
-                         -4 * beta ** 2 * B1 + 2 * u0 * u1,
-                         4 * beta ** 2 * B0 - u0 ** 2):
-        if (a1 - t * a2) * beta ** 2 + (c1 - t * c2) <= 1e-11 * scale and \
-                abs(b1 - t * b2) >= (t * a2 - a1) * beta - 1e-11 * scale:
-            ys.append(cmath.rect(beta, -cmath.phase(b1 - t * b2)))
-    # interior: |b1 - t b2|^2 = (a1 - t a2)(c1 - t c2); the strict margin on
-    # t a2 - a1 keeps roundoff-level denominators on the boundary branch
-    for t in _real_roots(B2 - a2 * c2, -B1 + a1 * c2 + a2 * c1, B0 - a1 * c1):
-        bt = b1 - t * b2
-        if t * a2 - a1 > 1e-11 * scale and \
-                abs(bt) < (t * a2 - a1) * beta + 1e-11 * scale:
-            ys.append(cmath.rect(abs(bt) / (t * a2 - a1), -cmath.phase(bt)))
-
-    y = max(ys, key=lambda yv: subproblem_value(s, yv), default=0.0 + 0.0j)
+    # |b1 - t b2|^2 = B0 - B1 t + B2 t^2; the leading coefficient is positive
+    # because the denominator is at least 1 on the circle
+    u0, u1, bb = a1 * beta ** 2 + c1, a2 * beta ** 2 + c2, 4.0 * beta ** 2
+    t = _top_root(u1 * u1 - bb * B2, bb * B1 - 2.0 * u0 * u1, u0 * u0 - bb * B0)
+    y = cmath.rect(beta, -cmath.phase(b1 - t * b2))
     val = subproblem_value(s, y)
-    # the optimal value is the unique zero of the decreasing auxiliary
-    # function, so F(val) > 0 exposes a missed candidate; recover by bisection
-    if _aux_F(s, val) > 1e-9 * scale:
-        lo, hi = val, max(val, 1.0)
-        while _aux_F(s, hi) > 0:
-            lo, hi = hi, 2.0 * hi
-            if hi > 1e18:
-                raise ConvergenceError("auxiliary function has no sign change")
-        while hi - lo > 1e-14 + 1e-15 * hi:
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if _aux_F(s, mid) > 0 else (lo, mid)
-        t = 0.5 * (lo + hi)
-        # the interior point when it lies in the disk, else the boundary one
-        r = abs(b1 - t * b2) / (t * a2 - a1) if t * a2 - a1 > 1e-11 * scale else beta
-        y_alt = cmath.rect(min(r, beta), -cmath.phase(b1 - t * b2))
-        if subproblem_value(s, y_alt) > val:
-            y = y_alt
-            val = subproblem_value(s, y)
+    if a2 > 0:
+        t = _top_root(a2 * c2 - B2, B1 - a1 * c2 - a2 * c1, a1 * c1 - B0)
+        bt, d = b1 - t * b2, t * a2 - a1
+        if abs(bt) < d * beta:
+            y_in = bt.conjugate() / d
+            if (v := subproblem_value(s, y_in)) > val:
+                y, val = y_in, v
     return complex(y), float(val), False
 
 
-def _real_roots(qa, qb, qc):
-    if abs(qa) > 1e-300:
-        disc = qb * qb - 4 * qa * qc
-        if disc < 0:
-            # a double root computes as a tiny negative discriminant
-            if disc >= -1e-12 * (qb * qb + abs(4 * qa * qc)):
-                disc = 0.0
-            else:
-                return []
-        sq = math.sqrt(disc)
-        return [(-qb - sq) / (2 * qa), (-qb + sq) / (2 * qa)]
-    if abs(qb) > 1e-300:
-        return [-qc / qb]
-    return []
+def _top_root(qa, qb, qc):
+    """Larger root of qa t^2 + qb t + qc = 0, qa > 0, without cancellation."""
+    sq = math.sqrt(max(qb * qb - 4.0 * qa * qc, 0.0))
+    return (sq - qb) / (2.0 * qa) if qb <= 0 else 2.0 * qc / (-qb - sq)
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +167,10 @@ def coordinate_descent(p: IndivPowerProblem, w0, eps: float = 1e-3):
             trace.append(sweep, k, sig_ratio * t)
         # a zero iterate stays zero (R = 0 sends every slot there) and stops
         if np.linalg.norm(w - w_prev) <= eps * np.linalg.norm(w_prev):
-            sol = BeamformingSolution(w=w, Ps=p.Ps, snr=snr(p.stats, p.Ps, w),
-                                      feasibility=p.slacks(w))
-            return sol, trace
+            return p.solution(w), trace
     raise ConvergenceError(
         f"coordinate descent did not converge in {MAX_SWEEPS} sweeps",
-        best=BeamformingSolution(w=w, Ps=p.Ps, snr=snr(p.stats, p.Ps, w),
-                                 feasibility=p.slacks(w)),
+        best=p.solution(w),
         trace=trace)
 
 
@@ -432,7 +392,5 @@ def augmented_lagrangian_solve(e: PnormEmbedding, prob: IndivPowerProblem, w0=No
     u = z[:n] + 1j * z[n:]
     # cap k reads |u_k| <= 1: the largest |u_k| is the active cap
     w = u / (e.D1 * np.abs(u).max())
-    sol = BeamformingSolution(w=w, Ps=prob.Ps, snr=snr(prob.stats, prob.Ps, w),
-                              feasibility=prob.slacks(w))
     state = AugLagState(z=z, lam=float(lam), constraint_residual=c)
-    return sol, trace, state
+    return prob.solution(w), trace, state

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelStats
+from .channel import BeamformingSolution, ChannelStats, snr
 from .errors import InputError
 
 
@@ -59,3 +59,8 @@ class IndivPowerProblem:
         """P_k (1 - c_k |w_k|^2), nonnegative iff w feasible."""
         w = np.asarray(w, dtype=complex).ravel()
         return self.P * (1.0 - self.c * np.abs(w) ** 2)
+
+    def solution(self, w) -> BeamformingSolution:
+        """``w`` with its SNR and per-relay slacks."""
+        return BeamformingSolution(w=w, Ps=self.Ps, snr=snr(self.stats, self.Ps, w),
+                                   feasibility=self.slacks(w))

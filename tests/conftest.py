@@ -167,6 +167,19 @@ def stacked_residuals(R, A, sol):
     return primal_feas, float(np.linalg.eigvalsh(Zbar)[0]), comp
 
 
+def grid_maximum(s, radial=400, angular=720):
+    """Largest ratio of the scalar subproblem ``s`` on a polar grid of the
+    disk |y| <= beta, and the grid point that attains it."""
+    rr = np.linspace(0.0, s.beta, radial)
+    th = np.linspace(0.0, 2 * np.pi, angular, endpoint=False)
+    Y = rr[:, None] * np.exp(1j * th[None, :])
+    num = s.a1 * np.abs(Y) ** 2 + 2 * np.real(s.b1 * Y) + s.c1
+    den = s.a2 * np.abs(Y) ** 2 + 2 * np.real(s.b2 * Y) + s.c2
+    vals = num / den
+    i = np.unravel_index(np.argmax(vals), vals.shape)
+    return float(vals[i]), Y[i]
+
+
 def degenerate_qcqp_instance(rng, n):
     """An individual-power instance whose SDP relaxation has a non-unique
     optimal face: R is a positive combination of the constraint matrices,

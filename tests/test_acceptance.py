@@ -25,7 +25,7 @@ from relaybeam.sdp import range_eigh, solve_relaxation
 from relaybeam import total_power
 from conftest import (degenerate_qcqp_instance, dinkelbach_F,
                       extract_coefficients, finite_diff, finite_diff_second,
-                      monte_carlo_stats, rand_indiv_problem,
+                      grid_maximum, monte_carlo_stats, rand_indiv_problem,
                       rand_total_problem)
 
 GRP_SEED = 20111
@@ -230,12 +230,7 @@ def test_criterion_7_scalar_subproblem():
         k = int(rng.integers(0, n))
         s = extract_coefficients(ip, w, k)
         y, t, const = solve_scalar_subproblem(s)
-        rr = np.linspace(0.0, s.beta, 400)
-        th = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
-        Y = rr[:, None] * np.exp(1j * th[None, :])
-        num = s.a1 * np.abs(Y) ** 2 + 2 * np.real(s.b1 * Y) + s.c1
-        den = s.a2 * np.abs(Y) ** 2 + 2 * np.real(s.b2 * Y) + s.c2
-        t_grid = float((num / den).max())
+        t_grid, _ = grid_maximum(s)
         if abs(t - t_grid) > 1e-4 * max(1.0, abs(t_grid)):
             bad += 1
         if const:

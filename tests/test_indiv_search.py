@@ -16,7 +16,7 @@ from relaybeam.indiv_search import (ScalarFractionalSubproblem,
                                     solve_scalar_subproblem, subproblem_value)
 from relaybeam.problems import IndivPowerProblem
 from conftest import (extract_coefficients, finite_diff,
-                      finite_diff_second, rand_indiv_problem)
+                      finite_diff_second, grid_maximum, rand_indiv_problem)
 
 
 def fixture_problem(n):
@@ -84,17 +84,6 @@ def stationarity_improvement(p, w) -> float:
     return worst
 
 
-def grid_maximum(s, radial=400, angular=720):
-    rr = np.linspace(0.0, s.beta, radial)
-    th = np.linspace(0.0, 2 * np.pi, angular, endpoint=False)
-    Y = rr[:, None] * np.exp(1j * th[None, :])
-    num = s.a1 * np.abs(Y) ** 2 + 2 * np.real(s.b1 * Y) + s.c1
-    den = s.a2 * np.abs(Y) ** 2 + 2 * np.real(s.b2 * Y) + s.c2
-    vals = num / den
-    i = np.unravel_index(np.argmax(vals), vals.shape)
-    return float(vals[i]), Y[i]
-
-
 class TestExtractCoefficients:
     def test_frozen_part_zero(self, rng):
         p = rand_indiv_problem(rng, 4)
@@ -155,21 +144,56 @@ class TestScalarSubproblem:
         assert abs(y) == pytest.approx(0.8, rel=1e-12)
         assert t == pytest.approx(subproblem_value(s, y), rel=1e-12)
 
-    def test_bisection_recovers_missed_candidate(self):
-        # the squared candidate equations miss this optimum and leave y = 0
-        # (value c1/c2 ~ 2e-10); F(c1/c2) > 0 sends the solver into its
-        # bisection on the decreasing auxiliary function
-        s = ScalarFractionalSubproblem(
+    @staticmethod
+    def assert_feasible_maximum(s, y, t, radial=400, angular=720):
+        assert abs(y) <= s.beta * (1.0 + 1e-12)
+        assert t == pytest.approx(subproblem_value(s, y), rel=1e-12)
+        t_grid = grid_maximum(s, radial, angular)[0]
+        assert t >= t_grid - 1e-9 * abs(t_grid)
+
+    @pytest.mark.parametrize("s, t_max", [
+        # a boundary optimum that root filters with absolute sign margins miss
+        (ScalarFractionalSubproblem(
             a1=0.5292279301347068, a2=4.319937227016552e-05,
             b1=5.064139848037656e-07 - 4.145966114436969e-06j,
             b2=-2.112074393972352e-10 - 7.252912528899636e-10j,
             c1=1.9593655289424063e-10, c2=1.0000000000000144,
-            beta=5778.812138186871)
+            beta=5778.812138186871), 12242.33845806319),
+        # an interior root just outside the disk that such margins accept
+        (ScalarFractionalSubproblem(
+            a1=4.6363518852872877e-07, a2=298.3038389493982,
+            b1=-2.228672469680796e-09 - 9.999690053697283e-10j,
+            b2=-0.0019176998509088873 - 0.004797199812443993j,
+            c1=9.879670715805064e-10, c2=1.000000171333543,
+            beta=0.0011415649645183485), 9.9375343006471e-10),
+        # an interior optimum at a scale those margins cannot resolve
+        (ScalarFractionalSubproblem(
+            a1=1.1544437484797912e-10, a2=35.436989513699835,
+            b1=-1.4170223764177e-11 - 4.393946068507409e-11j,
+            b2=-4.584369233316775 + 0.6009287125832833j,
+            c1=3.563825005429447e-11, c2=4.844649774245868,
+            beta=694.3121801938354), 1.0333956874823e-11),
+    ], ids=["boundary-fuzz", "interior-outside-disk", "interior-tiny-scale"])
+    def test_extreme_scale_cases(self, s, t_max):
         y, t, const = solve_scalar_subproblem(s)
         assert not const
-        assert t == pytest.approx(12242.33845806319, rel=1e-9)
-        assert abs(y) == s.beta
-        assert t == pytest.approx(grid_maximum(s)[0], rel=1e-6)
+        self.assert_feasible_maximum(s, y, t)
+        assert t == pytest.approx(t_max, rel=1e-9)
+
+    def test_seeded_extreme_scales(self):
+        # coefficients over 13-18 decades, with A >= 0 and B >= e2 e2^T
+        rng = np.random.default_rng(2024)
+        m = 300
+        a1, a2 = 10.0 ** rng.uniform(-10, 3, (2, m))
+        c1 = 10.0 ** rng.uniform(-12, 3, m)
+        c2 = 1.0 + 10.0 ** rng.uniform(-14, 4, m)
+        b1, b2 = (np.sqrt(q) * rng.uniform(0, 1, m) * np.exp(2j * np.pi * rng.uniform(0, 1, m))
+                  for q in (a1 * c1, a2 * (c2 - 1.0)))
+        beta = 10.0 ** rng.uniform(-3, 5, m)
+        for case in zip(*(v.tolist() for v in (a1, a2, b1, b2, c1, c2, beta))):
+            s = ScalarFractionalSubproblem(*case)
+            y, t, _ = solve_scalar_subproblem(s)
+            self.assert_feasible_maximum(s, y, t, radial=200, angular=360)
 
     def test_matches_grid_oracle(self, rng):
         branches = {"boundary": 0, "interior": 0, "constant": 0}
