@@ -26,7 +26,6 @@ import os
 import reprlib
 import sys
 import tempfile
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,7 @@ import numpy as np
 from . import fixtures, indiv_diag, indiv_qcqp, indiv_search, oracle, sdp, total_power
 from .channel import ChannelStats, RicianParams, build_stats
 from .errors import ConvergenceError, InputError, RelayBeamError
-from .linalg import principal_factor
+from .linalg import hermitian, principal_factor
 from .problems import IndivPowerProblem, TotalPowerProblem
 # unused here: bench/selftest.py checks that its tracer rebinds this copy
 from .sdp import solve_relaxation  # noqa: F401
@@ -494,21 +493,8 @@ def _field(block: dict, path: str, kind, default=_MISSING):
             if ndim == 1:
                 return arr.astype(float)
             z = arr[..., 0] + 1j * arr[..., 1]
-            return z if ndim == 2 else _mat_c(z, path)
+            return z if ndim == 2 else hermitian(z, name=f"field '{path}'")
     raise InputError(f"field '{path}' must be {what}, got {reprlib.repr(value)}")
-
-
-def _mat_c(M: np.ndarray, field_name: str) -> np.ndarray:
-    """The Hermitian part of the complex matrix ``M`` read from ``field_name``."""
-    asym = np.abs(M - M.conj().T).max()
-    scale = max(1.0, np.abs(M).max())
-    if asym > 1e-6 * scale:
-        raise InputError(
-            f"field '{field_name}' is not Hermitian (asymmetry {asym:.2e})")
-    if asym > 1e-9 * scale:
-        warnings.warn(f"{field_name}: symmetrizing asymmetry of {asym:.2e}",
-                      stacklevel=2)
-    return 0.5 * (M + M.conj().T)
 
 
 if __name__ == "__main__":

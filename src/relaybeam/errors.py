@@ -30,16 +30,7 @@ class SingularityError(RelayBeamError):
 
 
 class ConvergenceError(RelayBeamError):
-    """Iteration budget exhausted or a line search stalled.
-
-    ``best`` carries the most recent iterate so callers can inspect or
-    salvage it.
-    """
-
-    def __init__(self, message, best=None, trace=None):
-        super().__init__(message)
-        self.best = best
-        self.trace = trace
+    """Iteration budget exhausted or a line search stalled."""
 
 
 class ModelError(RelayBeamError):

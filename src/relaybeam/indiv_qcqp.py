@@ -8,8 +8,10 @@ with c_k = (Ps D_kk + sigma^2)/P_k, so every constraint matrix is
 A_k = Q + c_k e_k e_k^H.  A ``QcqpInstance`` (defined with the relaxation
 in ``sdp``) keeps that structure as (R, Q, c), and no A_k is ever formed.
 This module drives the SDP relaxation, extracts rank-one solutions
-(exactly for n <= 3 via iterative rank reduction on the optimal face), runs
-the Gaussian-random-procedure baseline, and maps QCQP points back to
+(exactly for n <= 3, by rank reduction that holds every cap: at most n <= 3
+constraints cannot pin the r^2 >= 4 real directions of a rank-r >= 2 X, so
+each round lowers the rank and at most two rounds are needed), runs the
+Gaussian-random-procedure baseline, and maps QCQP points back to
 budget-feasible weight vectors.
 """
 
@@ -18,15 +20,13 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import BeamformingSolution
-from .errors import ConvergenceError, InputError, ScopeError
+from .errors import InputError, ScopeError
 from .linalg import _real_embed, principal_factor, qform, symmetrize
 from .problems import IndivPowerProblem
 from .sdp import QcqpInstance, range_eigh, solve_relaxation
 
 GRP_BATCH = 65536   # fixed batch so the sample stream is prefix-stable
 _GRP_CHUNK = 4096   # GRP samples per column chunk: its temporaries stay in L2
-ACTIVE_TOL = 1e-7   # rank reduction counts cap k active when Tr(A_k X) >= 1 - ACTIVE_TOL
-MAX_ROUNDS = 64     # rank-reduction rounds before ConvergenceError
 
 
 def build_qcqp(p: IndivPowerProblem) -> QcqpInstance:
@@ -67,49 +67,31 @@ def solve_via_sdp(p: IndivPowerProblem):
 def rank_one_decompose(X, q: QcqpInstance) -> np.ndarray:
     """Extract an objective-preserving feasible rank-one solution (n <= 3).
 
-    Iterative rank reduction on the optimal face: write X = V V^H, find a
-    nonzero Hermitian M with Tr(V^H A_k V M) = 0 for every active
-    constraint (one exists: the active count <= 3 < 4 <= rank^2), and move
-    X(tau) = V (I - tau M) V^H until either an eigenvalue of I - tau M
-    hits zero (rank drops) or an inactive constraint becomes active (the
-    active set grows); both events are finite.  Active constraint values
-    and, by complementary slackness, the objective are invariant along
-    the path.
+    Rank reduction that holds every constraint: write X = V V^H with r >= 2
+    columns, find a nonzero Hermitian M with Tr(V^H A_k V M) = 0 for all n
+    constraints (one exists: n <= 3 < 4 <= r^2), scaled so that
+    lambda_max(M) = 1, and set X <- V (I - M) V^H.  Every constraint value
+    is unchanged, X stays PSD and its rank drops, so r <= 3 ends in at most
+    two rounds.  The range of X only shrinks, and the dual slack
+    Z = sum y_k A_k - R vanishes on it (complementary slackness), so the
+    objective Tr(R X) = sum y_k Tr(A_k X) is unchanged too.
     """
     if q.n > 3:
         raise ScopeError(
             "rank-one decomposition is only guaranteed for n <= 3; "
             "use coordinate descent or the p-norm solver")
-    X = symmetrize(X)
-    for _ in range(MAX_ROUNDS):
-        lam, U = range_eigh(X)
+    lam, U = range_eigh(symmetrize(X))
+    while lam.size >= 2:
         V = U * np.sqrt(lam)
-        r = lam.size
-        if r <= 1:
-            v = V[:, 0] if r else np.zeros(q.n, dtype=complex)
-            j = int(np.argmax(np.abs(v)))
-            if np.abs(v[j]) > 0:
-                v = v * (np.abs(v[j]) / v[j])
-            return v
-        vals = q.traces(X)
-        active = np.flatnonzero(vals >= 1.0 - ACTIVE_TOL)
         VQV = V.conj().T @ q.Q @ V      # V^H A_k V = VQV + c_k V[k]^H V[k]
-        rows = [_vech(VQV + q.c[k] * np.outer(V[k].conj(), V[k])) for k in active]
-        M = _null_direction(rows, r)
-        for Ms in (M, -M):
-            lmax = float(np.linalg.eigvalsh(Ms).max())
-            if lmax > 1e-12 and 1.0 / lmax <= _blocking_step(V, q, vals, active, Ms):
-                tau = 1.0 / lmax
-                break
-        else:
-            # both signs blocked: walk to the blocking point, growing the active set
-            Ms = M if np.linalg.eigvalsh(M).max() > 1e-12 else -M
-            tau = _blocking_step(V, q, vals, active, Ms)
-            if not np.isfinite(tau):
-                raise ConvergenceError(
-                    "rank reduction stalled without a blocking constraint")
-        X = symmetrize(V @ (np.eye(r) - tau * Ms) @ V.conj().T)
-    raise ConvergenceError(f"rank reduction did not reach rank one in {MAX_ROUNDS} rounds")
+        M = _null_direction([_vech(VQV + q.c[k] * np.outer(V[k].conj(), V[k]))
+                             for k in range(q.n)], lam.size)
+        lam, U = range_eigh(symmetrize(V @ (np.eye(lam.size) - M) @ V.conj().T))
+    v = U[:, 0] * np.sqrt(lam[0]) if lam.size else np.zeros(q.n, dtype=complex)
+    j = int(np.argmax(np.abs(v)))
+    if np.abs(v[j]) > 0:
+        v = v * (np.abs(v[j]) / v[j])
+    return v
 
 
 def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
@@ -194,21 +176,11 @@ def _unvech(v, r) -> np.ndarray:
 
 
 def _null_direction(rows, r):
-    """A unit-normalized Hermitian r x r matrix orthogonal to all rows; at
-    most 3 rows in r^2 >= 4 coordinates leave a null vector."""
-    if rows:
-        _, sv, Vt = np.linalg.svd(np.array(rows), full_matrices=True)
-        null = Vt[(sv > 1e-10 * max(1.0, sv.max())).sum()]
-    else:
-        null = np.eye(r * r)[0]
-    M = _unvech(null, r)
-    return M / np.abs(np.linalg.eigvalsh(M)).max()
-
-
-def _blocking_step(V, q, vals, active, Ms) -> float:
-    """Largest tau before X(tau) = V (I - tau Ms) V^H makes an inactive
-    constraint active; inf when none ever does."""
-    rates = q.traces(V @ Ms @ V.conj().T)
-    hit = rates < -1e-14
-    hit[active] = False
-    return float(((1.0 - vals[hit]) / -rates[hit]).min(initial=np.inf))
+    """A Hermitian r x r matrix orthogonal to all rows, scaled so that its
+    largest eigenvalue is 1.  The n <= 3 rows span fewer than the r^2 >= 4
+    coordinates, so the last right singular vector is orthogonal to them
+    all; of M and -M the one whose top eigenvalue is larger in magnitude
+    is returned, so I - M is PSD with a zero eigenvalue and norm <= 2."""
+    M = _unvech(np.linalg.svd(np.array(rows))[2][-1], r)
+    lam = np.linalg.eigvalsh(M)
+    return M / (lam[-1] if lam[-1] >= -lam[0] else lam[0])

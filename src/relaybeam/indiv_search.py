@@ -168,10 +168,7 @@ def coordinate_descent(p: IndivPowerProblem, w0, eps: float = 1e-3):
         # a zero iterate stays zero (R = 0 sends every slot there) and stops
         if np.linalg.norm(w - w_prev) <= eps * np.linalg.norm(w_prev):
             return p.solution(w), trace
-    raise ConvergenceError(
-        f"coordinate descent did not converge in {MAX_SWEEPS} sweeps",
-        best=p.solution(w),
-        trace=trace)
+    raise ConvergenceError(f"coordinate descent did not converge in {MAX_SWEEPS} sweeps")
 
 
 def _slot_data(p: IndivPowerProblem):
@@ -374,8 +371,7 @@ def augmented_lagrangian_solve(e: PnormEmbedding, prob: IndivPowerProblem, w0=No
                     break
                 alpha *= 0.5
                 if alpha < 1e-18:
-                    raise ConvergenceError(
-                        "inner Newton line search stalled", trace=trace)
+                    raise ConvergenceError("inner Newton line search stalled")
             z = z + alpha * step
             trace.append(outer, inner, float(L), float(c), g_norm, float(alpha))
         c = float(z @ K @ z - 1.0)
@@ -386,8 +382,7 @@ def augmented_lagrangian_solve(e: PnormEmbedding, prob: IndivPowerProblem, w0=No
         lam = lam - c / mu
     if not converged:
         raise ConvergenceError(
-            f"augmented Lagrangian did not converge in {AL_MAX_OUTER} outer rounds",
-            trace=trace)
+            f"augmented Lagrangian did not converge in {AL_MAX_OUTER} outer rounds")
 
     u = z[:n] + 1j * z[n:]
     # cap k reads |u_k| <= 1: the largest |u_k| is the active cap

@@ -109,8 +109,8 @@ def solve_relaxation(q: QcqpInstance) -> SdpSolution:
 
     Initial point ``X0 = eps I`` with ``eps = 0.5 / max_k Tr(A_k)`` is
     strictly feasible because Q is PSD and every c_k > 0: every slack is at
-    least 0.5.  Raises ConvergenceError (carrying the best iterate) when the
-    gap target is not certified within MAX_ITER Newton steps.
+    least 0.5.  Raises ConvergenceError when the gap target is not certified
+    within MAX_ITER Newton steps.
     """
     R, Q, c = q.R, q.Q, q.c
     n = q.n
@@ -120,8 +120,6 @@ def solve_relaxation(q: QcqpInstance) -> SdpSolution:
     Z = (np.linalg.eigvalsh(R).max() + 1.0) * np.eye(n, dtype=complex)
     cc = np.outer(c, c)
 
-    best = None
-    it = 0
     for it in range(MAX_ITER):
         rp = (1.0 - q.traces(X)) - s
         Rd = Z - (q.weighted_sum(y) - R)
@@ -130,8 +128,6 @@ def solve_relaxation(q: QcqpInstance) -> SdpSolution:
         dual = float(y.sum())
         gap = dual - primal
         feas = max(np.abs(rp).max(), np.linalg.norm(Rd))
-        if best is None or abs(gap) + feas < best[0]:
-            best = (abs(gap) + feas, X.copy(), y.copy(), primal, dual, it)
         if feas <= FEAS_TOL and abs(gap) <= GAP_TOL * max(1.0, abs(primal)):
             break
         if mu > 1e14 or not np.isfinite(mu):
@@ -174,12 +170,9 @@ def solve_relaxation(q: QcqpInstance) -> SdpSolution:
         y = y + ad * dy
         Z = symmetrize(Z + ad * dZ)
     else:
-        _, Xb, yb, pb, db, _ = best
         raise ConvergenceError(
             f"interior-point method did not certify relative gap <= {GAP_TOL:.1e} "
-            f"in {MAX_ITER} iterations",
-            best=_package(Xb, yb, pb, db, MAX_ITER),
-        )
+            f"in {MAX_ITER} iterations")
 
     return _package(X, y, primal, dual, it)
 

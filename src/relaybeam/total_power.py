@@ -181,9 +181,7 @@ def newton_solve(p: TotalPowerProblem, x0: float, s: SPair | None = None) -> Tot
         lam, d1, d2, w_dir, gap = lambda_min_g(s, x)
         if converged and gap > GAP_TOL and abs(d1) < DERIV_TOL:
             return _package(p, x, lam, w_dir, k + 1, trace)
-    raise ConvergenceError(
-        f"Newton did not meet the stopping test in {MAX_ITER} iterations",
-        best=_package(p, x, lam, w_dir, MAX_ITER, trace), trace=trace)
+    raise ConvergenceError(f"Newton did not meet the stopping test in {MAX_ITER} iterations")
 
 
 def solve(p: TotalPowerProblem) -> TotalPowerSolution:

@@ -35,11 +35,5 @@ class SolverTrace:
         buf = io.StringIO()
         buf.write(",".join(self.columns) + "\n")
         for row in self.rows:
-            buf.write(",".join(_fmt(v) for v in row) + "\n")
+            buf.write(",".join(map(str, row)) + "\n")
         return buf.getvalue()
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)

@@ -180,11 +180,13 @@ def grid_maximum(s, radial=400, angular=720):
     return float(vals[i]), Y[i]
 
 
-def degenerate_qcqp_instance(rng, n):
+def degenerate_qcqp_instance(rng, n, inactive=False):
     """An individual-power instance whose SDP relaxation has a non-unique
-    optimal face: R is a positive combination of the constraint matrices,
-    so every fully-active feasible X is optimal and the interior-point
-    limit has rank >= 2."""
+    optimal face: R is a nonnegative combination sum_k y_k A_k of the
+    constraint matrices, so every feasible X on which the caps with y_k > 0
+    are active is optimal and the interior-point limit has rank >= 2.
+    Every y_k is positive, unless ``inactive``, which sets one random y_j
+    to 0 so that cap j may stay slack at the optimum."""
     from relaybeam.indiv_qcqp import build_qcqp
     Q = rand_psd(rng, n)
     D = rng.uniform(0.1, 2.0, n)
@@ -193,6 +195,8 @@ def degenerate_qcqp_instance(rng, n):
     P = rng.uniform(0.5, 2.0, n)
     coeffs = (Ps * D + sigma2) / P
     y = rng.uniform(0.3, 1.5, n)
+    if inactive:
+        y[rng.integers(n)] = 0.0
     R = y.sum() * Q + np.diag(y * coeffs)
     stats = ChannelStats(D=D, R=R, Q=Q, sigma2=sigma2)
     prob = IndivPowerProblem(stats=stats, Ps=Ps, P=P)

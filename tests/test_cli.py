@@ -83,21 +83,21 @@ class TestParseScenario:
         assert np.array_equal(stats.R, R)
         assert np.array_equal(stats.Q, Q)
 
-    def test_non_hermitian_rejected(self, tmp_path):
-        bad = np.eye(3, dtype=complex)
-        bad = bad.tolist()
-        bad[0][1] = 5.0  # asymmetric entry
+    @pytest.mark.parametrize("asym", [5.0, 1e-7])
+    def test_non_hermitian_rejected(self, tmp_path, asym, capsys):
+        # the same rule as ChannelStats: asymmetry beyond 1e-9 is an input error
+        Q = np.eye(3)
+        Q[0, 1] = asym
         payload = {
             "mode": "individual", "sigma2": 1.0,
-            "channel": {"stats": {"D": [1, 1, 1],
-                                  "R": cmat(np.eye(3)),
-                                  "Q": [[cpair(v) for v in row] for row in
-                                        [[1, 5, 0], [0, 1, 0], [0, 0, 1]]]}},
+            "channel": {"stats": {"D": [1, 1, 1], "R": cmat(np.eye(3)), "Q": cmat(Q)}},
             "budget": {"Ps": 1.0, "P": [1, 1, 1]},
         }
         path = write_scenario(tmp_path / "bad.json", payload)
-        with pytest.raises(InputError, match="Hermitian"):
+        with pytest.raises(InputError, match="field 'channel.stats.Q' is not Hermitian"):
             parse_scenario(path)
+        assert main(["solve", path]) == 3
+        assert "field 'channel.stats.Q' is not Hermitian" in capsys.readouterr().err
 
     def test_missing_field_named(self, tmp_path):
         payload = {"mode": "individual", "sigma2": 1.0,
@@ -582,10 +582,11 @@ class TestMain:
     def test_each_matrix_parsed_once_per_solve(self, tmp_path, monkeypatch, capsys):
         path, _ = fixture_scenario(tmp_path, solver="cdm")
         seen = []
-        parse_matrix = cli._mat_c
-        monkeypatch.setattr(cli, "_mat_c", lambda M, name: seen.append(name) or parse_matrix(M, name))
+        parse_matrix = cli.hermitian
+        monkeypatch.setattr(cli, "hermitian",
+                            lambda M, name: seen.append(name) or parse_matrix(M, name=name))
         assert main(["solve", path]) == 0
-        assert sorted(seen) == ["channel.stats.Q", "channel.stats.R"]
+        assert sorted(seen) == ["field 'channel.stats.Q'", "field 'channel.stats.R'"]
 
     @pytest.mark.parametrize("argv", [
         ["solve", "total_rayleigh_n4.json", "--samples", "abc"],

@@ -3,13 +3,14 @@ import pytest
 
 from relaybeam import fixtures, indiv_qcqp
 from relaybeam.channel import ChannelStats
-from relaybeam.errors import ConvergenceError, InputError, ScopeError
+from relaybeam.errors import InputError, ScopeError
 from relaybeam.indiv_diag import solve_diagonal
 from relaybeam.indiv_qcqp import (GRP_BATCH, _unvech, _vech, build_qcqp, grp_extract,
                                   qcqp_objective, rank_one_decompose,
                                   rescale_to_original, solve_via_sdp)
 from relaybeam.linalg import principal_factor, qform, symmetrize
 from relaybeam.problems import IndivPowerProblem
+from relaybeam.sdp import range_eigh
 from conftest import constraint_stack, degenerate_qcqp_instance, rand_indiv_problem, rand_pd
 
 
@@ -185,23 +186,60 @@ class TestRankOneDecompose:
         align = abs(phase) / (np.linalg.norm(w) * np.linalg.norm(v))
         assert align == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_degenerate_instances_audit(self, n, rng):
+    @pytest.mark.parametrize("n,inactive", [(2, False), (3, False), (2, True), (3, True)],
+                             ids=["2", "3", "2-one-inactive", "3-one-inactive"])
+    def test_degenerate_instances_audit(self, n, inactive, rng, monkeypatch):
+        # every constraint value of the range part of X is held, a cap with
+        # y_k = 0 included, in at most two rounds (one range_eigh call each)
+        calls = []
+        monkeypatch.setattr(indiv_qcqp, "range_eigh",
+                            lambda X: calls.append(1) or range_eigh(X))
         count = 0
         while count < 25:
-            prob, q = degenerate_qcqp_instance(rng, n)
+            prob, q = degenerate_qcqp_instance(rng, n, inactive=inactive)
             _, sol, _ = solve_via_sdp(prob)
             if sol.rank_estimate < 2:
                 continue
             count += 1
+            lam, U = range_eigh(sol.X)
+            calls.clear()
             w = rank_one_decompose(sol.X, q)
-            vals = q.constraint_values(w)
-            assert vals.max() <= 1.0 + 1e-8
-            assert qform(q.R, w) >= sol.primal_obj - 1e-6 * abs(sol.primal_obj)
+            assert len(calls) <= 3
+            traces = q.traces((U * lam) @ U.conj().T)
+            np.testing.assert_allclose(q.constraint_values(w), traces, rtol=1e-9, atol=0)
+            assert qform(q.R, w) >= sol.primal_obj - 1e-8 * abs(sol.primal_obj)
 
-    def test_both_signs_blocked_walks_to_blocking_point(self):
-        # fuzz-found rank-3 relaxation where neither M nor -M reaches a rank
-        # drop before an inactive constraint becomes active
+    def test_positive_multiplier_below_one_is_held(self):
+        # rank-3 relaxation with y = [1.9e-3, 2.6e-8, 0.951] and traces
+        # [1 - 3.9e-7, 0.960, 1 - 1.0e-9]: cap 1 is slack by more than 1e-7
+        # although its multiplier is positive, and moving it costs objective
+        def hermitian3(diag, h12, h13, h23):
+            H = np.diag(diag).astype(complex)
+            H[0, 1], H[0, 2], H[1, 2] = h12, h13, h23
+            return H + np.triu(H, 1).conj().T
+
+        Q = hermitian3([2.1953832659926866, 0.48044269473107215, 1.8874067342506111],
+                       0.46092922969336914 + 0.2686907884465631j,
+                       -0.6253140500437256 + 0.16639549717851143j,
+                       -0.4389156021952552 - 0.37355817576692885j)
+        R = hermitian3([2.0952733148137264, 0.4577802721309839, 1.8818172887741826],
+                       0.4391872548301832 + 0.25601667712526316j,
+                       -0.5958180634978256 + 0.1585466421180302j,
+                       -0.4182120074235856 - 0.3559374827315464j)
+        D = np.array([0.5945825523082486, 0.43766805499124795, 1.7774494860768792])
+        P = np.array([1.1436985787066647, 18.98307180661253, 39.72756458956248])
+        stats = ChannelStats(D=D, R=R, Q=Q, sigma2=1.3133230876826956)
+        prob = IndivPowerProblem(stats=stats, Ps=1.2223616187410093, P=P)
+        q, sol, _ = solve_via_sdp(prob)
+        assert sol.rank_estimate == 3
+        assert sol.dual_y[0] > 1e-3 and q.traces(sol.X)[0] < 1.0 - 1e-7
+        w = rank_one_decompose(sol.X, q)
+        assert qcqp_objective(q, w) >= sol.primal_obj * (1.0 - 1e-8)
+        assert q.constraint_values(w).max() <= 1.0 + 1e-9
+
+    def test_rank_three_with_a_zero_multiplier(self):
+        # fuzz-found rank-3 relaxation with y_2 = 0, on which an active-set
+        # reduction had to walk to a blocking constraint
         D = np.array([1.3023126450061204, 1.9343948885924642, 1.6516180401909857])
         P = np.array([0.9122066091200027, 1.2593291445610737, 2.4464756993495307])
         Q = np.diag([1.2860534326030995, 1.1971039844946225, 0.2545901623873574]).astype(complex)
@@ -218,14 +256,6 @@ class TestRankOneDecompose:
         w = rank_one_decompose(sol.X, q)
         assert qcqp_objective(q, w) == pytest.approx(sol.primal_obj, rel=1e-8)
         assert q.constraint_values(w).max() <= 1.0 + 1e-9
-
-    def test_round_budget_exhausted_is_a_convergence_error(self, rng, monkeypatch):
-        # a numerical failure, not an input error (exit 2, not 3)
-        prob, q = degenerate_qcqp_instance(rng, 3)
-        _, sol, _ = solve_via_sdp(prob)
-        monkeypatch.setattr(indiv_qcqp, "MAX_ROUNDS", 0)
-        with pytest.raises(ConvergenceError, match="did not reach rank one in 0 rounds"):
-            rank_one_decompose(sol.X, q)
 
     def test_scope_error_above_three(self):
         p = fixture_problem(4)

@@ -293,6 +293,18 @@ class TestCoordinateDescent:
         sol, _ = coordinate_descent(p, w0)
         assert p.slacks(sol.w).min() >= -1e-9
 
+    def test_trace_csv_fields_are_numbers(self):
+        # numpy scalar budgets make every objective an np.float64, whose
+        # repr is "np.float64(...)"; the CSV must still hold plain numbers
+        R, Q = fixtures.indiv_fixture(4)
+        stats = ChannelStats(D=np.ones(4), R=R, Q=Q, sigma2=np.float64(1.3))
+        p = IndivPowerProblem(stats=stats, Ps=np.float64(0.7), P=np.full(4, 2.0))
+        _, trace = coordinate_descent(p, np.ones(4))
+        header, *rows = trace.to_csv().splitlines()
+        assert header == "sweep,slot,objective" and len(rows) == len(trace)
+        for line, row in zip(rows, trace.rows):
+            assert [float(v) for v in line.split(",")] == [float(v) for v in row]
+
 
 class TestChooseP:
     def test_examples(self):
