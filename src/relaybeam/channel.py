@@ -36,11 +36,11 @@ class RicianParams:
         self.g_var = np.asarray(self.g_var, dtype=float).ravel()
         n = self.f_mean.size
         if not (self.f_var.size == self.g_mean.size == self.g_var.size == n):
-            raise InputError("Rician parameter lists must share one length")
+            raise InputError("f_mean, f_var, g_mean and g_var must share one length")
         if (self.f_var < 0).any() or (self.g_var < 0).any():
             raise InputError("variances must be nonnegative")
         if np.all(np.abs(self.f_mean) ** 2 + self.f_var == 0):
-            raise InputError("all source-relay channels have zero power")
+            raise InputError("f_mean and f_var give every source-relay channel zero power")
 
     @property
     def n(self) -> int:

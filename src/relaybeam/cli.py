@@ -8,14 +8,15 @@ Subcommands:
 
 Scenario files are JSON with complex numbers encoded as [re, im] pairs and
 matrices row-major.  ``_read_json`` reads every scenario and report, and
-``parse_scenario`` converts and checks every field and builds the problem,
-so the solvers never see raw JSON.  ``solve --out DIR`` writes a new
-``report-<solver>-<random>.json`` per run, so reports never overwrite each
-other.  Exit codes: 0 success (and ``--help``), 1 a ``reproduce`` row outside
-its tolerance, 2 solver non-convergence, 3 input error (a malformed field, an
-unreadable input or unwritable output file or an ``--out`` path that is no
-directory, named in the message, or a command-line usage error), 4 any other
-library failure (a singular matrix, an infeasible or unbounded model, R = 0).
+``parse_scenario`` converts and checks every field and builds the problem, so
+the solvers never see raw JSON.  ``run`` then calls ``total_power.solve`` or
+``indiv_qcqp.solve``, the one per-relay route, and serializes the answer.
+``solve --out DIR`` writes a new ``report-<solver>-<random>.json`` per run, so
+reports never overwrite each other.  Exit codes: 0 success (and ``--help``), 1
+a ``reproduce`` row outside its tolerance, 2 solver non-convergence, 3 input
+error (a malformed field, an unreadable or unwritable file or directory, named
+in the message, or a command-line usage error), 4 any other library failure
+(a singular matrix, an infeasible or unbounded model, R = 0).
 """
 
 from __future__ import annotations
@@ -30,16 +31,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fixtures, indiv_diag, indiv_qcqp, indiv_search, oracle, sdp, total_power
+from . import fixtures, indiv_qcqp, oracle, sdp, total_power
 from .channel import ChannelStats, RicianParams, build_stats
 from .errors import ConvergenceError, InputError, RelayBeamError
-from .linalg import hermitian, principal_factor
+from .linalg import hermitian
 from .problems import IndivPowerProblem, TotalPowerProblem
 # unused here: bench/selftest.py checks that its tracer rebinds this copy
 from .sdp import solve_relaxation  # noqa: F401
 
-TOTAL_SOLVERS = ("auto",)
-INDIV_SOLVERS = ("auto", "indiv-diag", "sdp", "cdm", "pnorm", "grp")
+CASES = ("total-1", "total-2", "indiv-n4", "indiv-n6")   # reproduce's cases
 
 
 @dataclass
@@ -89,7 +89,7 @@ def parse_scenario(path: str) -> Scenario:
         problem = IndivPowerProblem(stats=stats, Ps=_field(budget, "budget.Ps", "number"),
                                     P=_field(budget, "budget.P", "numbers"))
     solver = _field(raw, "solver", "object", {"name": "auto"})
-    name = _field(solver, "solver.name", TOTAL_SOLVERS if mode == "total" else INDIV_SOLVERS)
+    name = _field(solver, "solver.name", ("auto",) if mode == "total" else indiv_qcqp.ROUTES)
     given = _field(solver, "solver.options", "object", {})
     unknown = sorted(given.keys() - _OPTION_KINDS.keys())
     if unknown:
@@ -121,31 +121,23 @@ class Report:
 
 
 def run(s: Scenario, trace_dir: str | None = None) -> Report:
-    """Route a scenario to its solver and package a report.  Every setting
-    comes from the scenario; ``trace_dir`` receives the iteration table."""
+    """Solve a scenario and package a report.  Every setting comes from the
+    scenario; ``trace_dir`` receives the iteration table."""
     prob = s.problem
     meta: dict = {"seed": s.seed}
     if s.mode == "total":
         sol = total_power.solve(prob)
-        meta.update(solver="total-diagonal" if prob.stats.is_diagonal() else "total-newton",
+        # only the closed form takes no iteration
+        meta.update(solver="total-newton" if sol.iterations else "total-diagonal",
                     iterations=sol.iterations, x=sol.x, lambda_min=sol.lambda_min)
         bsol, trace_obj = total_power.as_beamforming_solution(prob, sol), sol.trace
     else:
-        solver = s.solver
-        if solver == "auto":
-            solver = "indiv-diag" if prob.stats.is_diagonal() else "sdp"
-        relaxation = indiv_qcqp.solve_via_sdp(prob) if solver in ("sdp", "grp") else None
-        bsol, route_meta, trace_obj = _route(prob, solver, s.solver_options, s.seed,
-                                             relaxation)
-        meta.update(route_meta)
+        bsol, more, trace_obj = indiv_qcqp.solve(prob, s.solver, s.solver_options, s.seed)
+        meta.update(more)
 
     trace_file = None
-    if trace_dir is not None and trace_obj is not None and len(trace_obj):
-        _make_dir(trace_dir)
-        fd, trace_file = tempfile.mkstemp(prefix=f"trace-{meta['solver']}-",
-                                          suffix=".csv", dir=trace_dir)
-        with os.fdopen(fd, "w") as fh:
-            fh.write(trace_obj.to_csv())
+    if trace_dir is not None and trace_obj:      # None, or a trace with no row
+        trace_file = _write_new(trace_dir, f"trace-{meta['solver']}-", ".csv", trace_obj.to_csv())
 
     return Report(scenario_mode=s.mode, solver=meta["solver"],
                   w=[[float(v.real), float(v.imag)] for v in bsol.w],
@@ -153,48 +145,6 @@ def run(s: Scenario, trace_dir: str | None = None) -> Report:
                   snr_db=float(bsol.snr_db) if bsol.snr > 0 else None,
                   feasibility=[float(v) for v in np.atleast_1d(bsol.feasibility)],
                   metadata=meta, trace_file=trace_file)
-
-
-def _route(prob: IndivPowerProblem, solver: str, options: dict, seed: int,
-           relaxation=None):
-    """Run the per-relay route ``solver``: ``indiv-diag``, ``grp``, ``sdp``
-    (rank one, rank-one decomposition or its fallback), ``cdm`` or ``pnorm``.
-
-    ``relaxation`` is the ``(q, sdp_sol, w)`` of ``solve_via_sdp``, which
-    ``sdp`` and ``grp`` read; ``options`` are the scenario's solver options.
-    Returns ``(solution, metadata, trace or None)``.
-    """
-    meta = {"solver": solver}
-    if solver == "indiv-diag":
-        return indiv_diag.solve_diagonal(prob), meta, None
-    start = options.get("w0")
-    if solver in ("sdp", "grp"):
-        q, sdp_sol, w = relaxation
-        meta.update(sdp_obj=sdp_sol.primal_obj, sdp_gap=sdp_sol.gap,
-                    rank_estimate=sdp_sol.rank_estimate, iterations=sdp_sol.iterations)
-        if solver == "grp":
-            meta["samples"] = options.get("samples", 10 ** 6)
-            w = indiv_qcqp.grp_extract(sdp_sol.X, q, meta["samples"], seed)
-        elif w is None and prob.n <= 3:
-            meta["fallback"] = "rank-one-decomposition"
-            w = indiv_qcqp.rank_one_decompose(sdp_sol.X, q)
-        if w is not None:
-            return indiv_qcqp.rescale_to_original(w, q, prob), meta, None
-        # relaxation is not rank one and n > 3: the configured search solver
-        # (coordinate descent by default) from the relaxation's principal factor
-        solver = meta["fallback"] = options.get("fallback", "cdm")
-        start = principal_factor(sdp_sol.X)
-    if solver == "cdm":
-        sol, trace = indiv_search.coordinate_descent(
-            prob, np.ones(prob.n) if start is None else start, eps=options.get("eps", 1e-3))
-        meta["sweeps"] = int(trace.rows[-1][0]) + 1 if len(trace) else 0
-        return sol, meta, trace
-    # pnorm
-    p_val = options.get("p") or indiv_search.choose_p(prob.n)
-    emb = indiv_search.build_pnorm_embedding(prob, p_val)
-    sol, trace, state = indiv_search.augmented_lagrangian_solve(emb, prob, w0=start)
-    meta.update(p=p_val, multiplier=state.lam, constraint_residual=state.constraint_residual)
-    return sol, meta, trace
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +157,10 @@ def reproduce(case: str, out_dir: str | None = None, seed: int = 20111):
     Returns ``(rows, reports)`` where each row is
     (case, quantity, expected, actual, tolerance, passed).
     """
-    known = ("total-1", "total-2", "indiv-n4", "indiv-n6")
-    cases = known if case == "all" else (case,)
-    rows = []
-    reports = {}
-    for c in cases:
-        if c not in known:
-            raise InputError(f"unknown case {c!r}; choose one of {known} or 'all'")
+    rows, reports = [], {}
+    for c in CASES if case == "all" else (case,):
+        if c not in CASES:
+            raise InputError(f"unknown case {c!r}; choose one of {CASES} or 'all'")
         if c.startswith("total-"):
             rows += _reproduce_total(int(c[-1]), reports)
         else:
@@ -262,8 +209,7 @@ def _reproduce_indiv(n: int, reports: dict, seed: int):
     R, Q = fixtures.indiv_fixture(n)
     stats = ChannelStats(D=np.ones(n), R=R, Q=Q, sigma2=1.0)
     prob = IndivPowerProblem(stats=stats, Ps=1.0, P=np.full(n, 2.0))
-    relaxation = indiv_qcqp.solve_via_sdp(prob)
-    q, sdp_sol, _ = relaxation
+    q, sdp_sol, _ = relaxation = indiv_qcqp.solve_via_sdp(prob)
     name = f"indiv-n{n}"
     rows = []
 
@@ -272,7 +218,7 @@ def _reproduce_indiv(n: int, reports: dict, seed: int):
 
     def objective(solver, options):
         """The QCQP value of the answer of ``solve``'s route, which no rescaling moves."""
-        sol, _, _ = _route(prob, solver, options, seed, relaxation)
+        sol, _, _ = indiv_qcqp.solve(prob, solver, options, seed, relaxation)
         return indiv_qcqp.qcqp_objective(q, sol.w)
 
     rel("sdp_objective", exp["sdp"], sdp_sol.primal_obj)
@@ -327,8 +273,7 @@ def main(argv=None) -> int:
     p_solve = sub.add_parser("solve", help="solve a scenario file")
     p_solve.add_argument("scenario")
     p_repro = sub.add_parser("reproduce", help="re-run embedded benchmarks")
-    p_repro.add_argument("case", choices=["total-1", "total-2", "indiv-n4",
-                                          "indiv-n6", "all"])
+    p_repro.add_argument("case", choices=CASES + ("all",))
     p_oracle = sub.add_parser("oracle", help="brute-force a scenario")
     p_oracle.add_argument("scenario")
     p_trace = sub.add_parser("trace-export", help="print a report's trace CSV")
@@ -359,12 +304,7 @@ def _dispatch(args) -> int:
         rep = run(s, trace_dir=(args.out or ".") if args.trace else None)
         body = rep.to_json()
         if args.out:
-            _make_dir(args.out)
-            fd, path = tempfile.mkstemp(prefix=f"report-{rep.solver}-", suffix=".json",
-                                        dir=args.out)
-            with os.fdopen(fd, "w") as fh:
-                fh.write(body)
-            print(path)
+            print(_write_new(args.out, f"report-{rep.solver}-", ".json", body))
         else:
             print(body)
         return 0
@@ -396,7 +336,6 @@ def _dispatch(args) -> int:
         else:
             sys.stdout.write(content)
         return 0
-    raise InputError(f"unknown command {args.command!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +372,15 @@ def _write_text(path: str, text: str):
             fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write output file {path}: {exc.strerror}") from None
+
+
+def _write_new(out_dir: str, prefix: str, suffix: str, text: str) -> str:
+    """The path of a new file ``<prefix><random><suffix>`` in ``out_dir`` holding ``text``."""
+    _make_dir(out_dir)
+    fd, path = tempfile.mkstemp(prefix=prefix, suffix=suffix, dir=out_dir)
+    with os.fdopen(fd, "w") as fh:
+        fh.write(text)
+    return path
 
 
 def _make_dir(path: str):

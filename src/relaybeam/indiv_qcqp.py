@@ -12,18 +12,22 @@ This module drives the SDP relaxation, extracts rank-one solutions
 constraints cannot pin the r^2 >= 4 real directions of a rank-r >= 2 X, so
 each round lowers the rank and at most two rounds are needed), runs the
 Gaussian-random-procedure baseline, and maps QCQP points back to
-budget-feasible weight vectors.
+budget-feasible weight vectors.  ``solve`` is the one per-relay route, which
+the CLI's ``solve`` and ``reproduce`` and library callers all run.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import indiv_diag, indiv_search
 from .channel import BeamformingSolution
 from .errors import InputError, ScopeError
-from .linalg import _real_embed, principal_factor, qform, symmetrize
+from .linalg import _real_embed, qform, symmetrize
 from .problems import IndivPowerProblem
 from .sdp import QcqpInstance, range_eigh, solve_relaxation
+
+ROUTES = ("auto", "indiv-diag", "sdp", "cdm", "pnorm", "grp")
 
 GRP_BATCH = 65536   # fixed batch so the sample stream is prefix-stable
 _GRP_CHUNK = 4096   # GRP samples per column chunk: its temporaries stay in L2
@@ -60,8 +64,52 @@ def solve_via_sdp(p: IndivPowerProblem):
     """
     q = build_qcqp(p)
     sol = solve_relaxation(q)
-    w = principal_factor(sol.X) if sol.rank_estimate == 1 else None
+    w = _top_factor(*range_eigh(sol.X)) if sol.rank_estimate == 1 else None
     return q, sol, w
+
+
+def solve(p: IndivPowerProblem, solver: str = "auto", options: dict | None = None,
+          seed: int = 0, relaxation=None):
+    """Run the route ``solver`` of ``ROUTES`` with a scenario's solver
+    ``options``; returns ``(solution, metadata, trace or None)``.  ``auto`` is
+    ``indiv-diag`` for diagonal statistics, else ``sdp``: the relaxation's
+    rank-one point, else its rank-one decomposition (n <= 3), else the
+    ``fallback`` search (``cdm`` or ``pnorm``) from X's top factor.  ``sdp``
+    and ``grp`` solve the relaxation unless given ``solve_via_sdp``'s triple."""
+    if solver not in ROUTES:
+        raise InputError(f"unknown per-relay solver {solver!r}; choose one of {ROUTES}")
+    options = options or {}
+    if solver == "auto":
+        solver = "indiv-diag" if p.stats.is_diagonal() else "sdp"
+    meta = {"solver": solver}
+    if solver == "indiv-diag":
+        return indiv_diag.solve_diagonal(p), meta, None
+    start = options.get("w0")
+    if solver in ("sdp", "grp"):
+        q, sdp_sol, w = solve_via_sdp(p) if relaxation is None else relaxation
+        meta.update(sdp_obj=sdp_sol.primal_obj, sdp_gap=sdp_sol.gap,
+                    rank_estimate=sdp_sol.rank_estimate, iterations=sdp_sol.iterations)
+        if solver == "grp":
+            meta["samples"] = options.get("samples", 10 ** 6)
+            w = grp_extract(sdp_sol.X, q, meta["samples"], seed)
+        elif w is None and p.n <= 3:
+            meta["fallback"] = "rank-one-decomposition"
+            w = rank_one_decompose(sdp_sol.X, q)
+        if w is not None:
+            return rescale_to_original(w, q, p), meta, None
+        solver = meta["fallback"] = options.get("fallback", "cdm")
+        start = _top_factor(*range_eigh(sdp_sol.X))
+    if solver == "cdm":
+        sol, trace = indiv_search.coordinate_descent(
+            p, np.ones(p.n) if start is None else start, eps=options.get("eps", 1e-3))
+        meta["sweeps"] = int(trace.rows[-1][0]) + 1 if len(trace) else 0
+        return sol, meta, trace
+    # pnorm
+    p_val = options.get("p") or indiv_search.choose_p(p.n)
+    emb = indiv_search.build_pnorm_embedding(p, p_val)
+    sol, trace, state = indiv_search.augmented_lagrangian_solve(emb, p, w0=start)
+    meta.update(p=p_val, multiplier=state.lam, constraint_residual=state.constraint_residual)
+    return sol, meta, trace
 
 
 def rank_one_decompose(X, q: QcqpInstance) -> np.ndarray:
@@ -87,7 +135,7 @@ def rank_one_decompose(X, q: QcqpInstance) -> np.ndarray:
         M = _null_direction([_vech(VQV + q.c[k] * np.outer(V[k].conj(), V[k]))
                              for k in range(q.n)], lam.size)
         lam, U = range_eigh(symmetrize(V @ (np.eye(lam.size) - M) @ V.conj().T))
-    v = U[:, 0] * np.sqrt(lam[0]) if lam.size else np.zeros(q.n, dtype=complex)
+    v = _top_factor(lam, U)
     j = int(np.argmax(np.abs(v)))
     if np.abs(v[j]) > 0:
         v = v * (np.abs(v[j]) / v[j])
@@ -156,6 +204,11 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
                 best_val = float(vals[i])
                 best_w = L @ (z[:r] + 1j * z[r:]) / np.sqrt(worst[i])
     return best_w
+
+
+def _top_factor(lam, U) -> np.ndarray:
+    """sqrt(lambda) u of the top pair of ``range_eigh``'s (lam, U), else zero."""
+    return U[:, -1] * np.sqrt(lam[-1]) if lam.size else np.zeros(U.shape[0], dtype=complex)
 
 
 def _vech(H) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Everything downstream (channel statistics, the total-power eigenvalue
 search, the SDP relaxation) manipulates small Hermitian matrices; this
-module owns their construction, validation and principal factor.
+module owns their construction and validation.
 ``hermitian`` validates a matrix where it enters from a caller;
 ``symmetrize`` only cleans the round-off asymmetry of a matrix the library
 computed itself.  Matrices are n x n or 2n x 2n for relay counts up to
@@ -79,13 +79,6 @@ def check_vector(v, *, name: str = "vector") -> np.ndarray:
     if not np.isfinite(v).all():
         raise InputError(f"{name} contains non-finite entries")
     return v
-
-
-def principal_factor(X) -> np.ndarray:
-    """sqrt(lambda_max) times the top unit eigenvector of a Hermitian X:
-    the factor of X's best rank-one approximation."""
-    vals, vecs = np.linalg.eigh(X)
-    return np.sqrt(max(vals[-1], 0.0)) * vecs[:, -1]
 
 
 def qform(H, v) -> float:

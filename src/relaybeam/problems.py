@@ -37,7 +37,7 @@ class IndivPowerProblem:
         self.P = np.asarray(self.P, dtype=float).ravel()
         if self.P.size != self.stats.n:
             raise InputError(
-                f"need one power cap per relay: got {self.P.size} for n={self.stats.n}"
+                f"P must hold one power cap per relay: got {self.P.size} for n={self.stats.n}"
             )
         if not ((self.P > 0) & (self.P < np.inf)).all():
             raise InputError("P must hold positive and finite relay power caps")

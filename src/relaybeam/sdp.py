@@ -110,7 +110,8 @@ def solve_relaxation(q: QcqpInstance) -> SdpSolution:
     Initial point ``X0 = eps I`` with ``eps = 0.5 / max_k Tr(A_k)`` is
     strictly feasible because Q is PSD and every c_k > 0: every slack is at
     least 0.5.  Raises ConvergenceError when the gap target is not certified
-    within MAX_ITER Newton steps.
+    within MAX_ITER Newton steps, or when the Schur matrix is singular (nearly
+    parallel constraints, as at c_k ~ 1e-8) or the iterates diverge.
     """
     R, Q, c = q.R, q.Q, q.c
     n = q.n
@@ -130,8 +131,8 @@ def solve_relaxation(q: QcqpInstance) -> SdpSolution:
         feas = max(np.abs(rp).max(), np.linalg.norm(Rd))
         if feas <= FEAS_TOL and abs(gap) <= GAP_TOL * max(1.0, abs(primal)):
             break
-        if mu > 1e14 or not np.isfinite(mu):
-            raise ModelError("iterates diverged; problem may be unbounded")
+        if mu > 1e14 or not np.isfinite(mu):    # a relay-form relaxation is bounded
+            raise ConvergenceError(f"interior point diverged at iteration {it} (mu = {mu:.1e})")
 
         # [X^{-1/2}, Z^{-1/2}], shared by the predictor and corrector step
         # lengths, and W = Z^{-1} from the same eigenpairs
@@ -150,7 +151,11 @@ def solve_relaxation(q: QcqpInstance) -> SdpSolution:
         def directions(sig, C, cs):
             # HKM step toward X Z = sig mu I - C Z and y s = sig mu - cs
             rhs = sig * mu * (trAZ + 1.0 / y) - 1.0 + trAXRdZ - q.traces(C) - cs / y
-            dy = np.linalg.solve(M, rhs)
+            try:
+                dy = np.linalg.solve(M, rhs)
+            except np.linalg.LinAlgError:
+                raise ConvergenceError(
+                    f"interior point: singular Schur matrix at iteration {it}") from None
             dZ = q.weighted_sum(dy) - Rd
             dX = symmetrize(sig * mu * W - X - X @ dZ @ W - C)
             ds = (sig * mu - cs - y * s - s * dy) / y

@@ -5,7 +5,7 @@ from relaybeam import indiv_diag, indiv_search
 from relaybeam.channel import ChannelStats
 from relaybeam.errors import ConvergenceError, InputError
 from relaybeam.linalg import hermitian, symmetrize
-from relaybeam.sdp import FEAS_TOL, GAP_TOL, MAX_ITER, SdpSolution, range_eigh
+from relaybeam.sdp import FEAS_TOL, GAP_TOL, MAX_ITER, QcqpInstance, SdpSolution, range_eigh
 from relaybeam.problems import IndivPowerProblem, TotalPowerProblem
 
 MC_BATCH = 20000   # draws per monte_carlo_stats batch
@@ -178,6 +178,16 @@ def grid_maximum(s, radial=400, angular=720):
     vals = num / den
     i = np.unravel_index(np.argmax(vals), vals.shape)
     return float(vals[i]), Y[i]
+
+
+def loose_cap_problem(seed, n, r_scale=1.0, q_scale=1.0):
+    """Wishart R then Q from ``default_rng([seed, n])`` under caps so loose
+    that every c_k = (Ps D_kk + sigma^2)/P_k = 2/2e8 = 1e-8: the n
+    constraints A_k = Q + c_k e_k e_k^H are nearly parallel."""
+    rng = np.random.default_rng([seed, n])
+    R, Q = (A @ A.conj().T / n for A in
+            (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2)))
+    return QcqpInstance(R=r_scale * R, Q=q_scale * Q, c=np.full(n, 1e-8))
 
 
 def degenerate_qcqp_instance(rng, n, inactive=False):

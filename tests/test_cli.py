@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 import relaybeam
-from relaybeam import cli, fixtures, indiv_search, sdp, total_power
+from relaybeam import cli, fixtures, indiv_qcqp, indiv_search, sdp, total_power
 from relaybeam.cli import main, parse_scenario, reproduce, run
 from relaybeam.errors import InputError
 from relaybeam.indiv_diag import solve_diagonal
 from relaybeam.indiv_qcqp import build_qcqp, qcqp_objective
 from relaybeam.oracle import brute_force_indiv
 from relaybeam.problems import IndivPowerProblem, TotalPowerProblem
-from conftest import degenerate_qcqp_instance, scan_snr
+from conftest import degenerate_qcqp_instance, loose_cap_problem, scan_snr
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -263,6 +263,33 @@ class TestMain:
         path = write_scenario(tmp_path / "stall.json", payload)
         assert main(["solve", str(path)]) == 2
 
+    def test_loose_caps_exit_2(self, tmp_path, capsys):
+        # P_k = 2e8 gives c_k = 1e-8: the interior point's Schur matrix is
+        # singular, which is a non-convergence, not a crash
+        q = loose_cap_problem(0, 4)
+        payload = {"mode": "individual", "sigma2": 1.0,
+                   "channel": {"stats": {"D": [1.0] * 4, "R": cmat(q.R), "Q": cmat(q.Q)}},
+                   "budget": {"Ps": 1.0, "P": [2e8] * 4}}
+        path = write_scenario(tmp_path / "loose.json", payload)
+        assert main(["solve", path]) == 2
+        assert "singular Schur matrix" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("channel.stats.R", [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]),
+        ("budget.P", [1.0, [1.0, 2.0]]),
+        ("channel.stats.D", [[1.0], 1.0, 1.0]),
+    ])
+    def test_ragged_list_exit_3(self, tmp_path, capsys, field, value):
+        payload = diagonal_scenario(tmp_path)[1]
+        *parents, key = field.split(".")
+        block = payload
+        for part in parents:
+            block = block[part]
+        block[key] = value
+        path = write_scenario(tmp_path / "ragged.json", payload)
+        assert main(["solve", path]) == 3
+        assert f"field '{field}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("module,limit,value", [
         (sdp, "MAX_ITER", 2), (indiv_search, "AL_MAX_OUTER", 1), (total_power, "MAX_ITER", 1)],
         ids=["sdp", "pnorm", "newton"])
@@ -431,7 +458,7 @@ class TestMain:
 
     @pytest.mark.parametrize("solver,n,diagonal", [
         (solver, n, diagonal) for n, diagonal in ((3, True), (3, False), (5, False))
-        for solver in cli.INDIV_SOLVERS if diagonal or solver != "indiv-diag"])
+        for solver in indiv_qcqp.ROUTES if diagonal or solver != "indiv-diag"])
     def test_zero_r_on_every_route(self, tmp_path, capsys, solver, n, diagonal):
         # R = 0 leaves every w at SNR 0: each route reports that point, apart
         # from p-norm, whose embedding needs a signal (ModelError, exit 4)

@@ -8,7 +8,7 @@ from relaybeam.indiv_diag import solve_diagonal
 from relaybeam.indiv_qcqp import (GRP_BATCH, _unvech, _vech, build_qcqp, grp_extract,
                                   qcqp_objective, rank_one_decompose,
                                   rescale_to_original, solve_via_sdp)
-from relaybeam.linalg import principal_factor, qform, symmetrize
+from relaybeam.linalg import qform, symmetrize
 from relaybeam.problems import IndivPowerProblem
 from relaybeam.sdp import range_eigh
 from conftest import constraint_stack, degenerate_qcqp_instance, rand_indiv_problem, rand_pd
@@ -173,6 +173,43 @@ class TestSolveViaSdp:
             got = rescale_to_original(w, q, p)
             ref = solve_diagonal(p)
             assert got.snr == pytest.approx(ref.snr, rel=1e-6)
+
+
+class TestSolve:
+    def test_auto_picks_by_diagonality(self, rng):
+        p = fixture_problem(4)
+        diag = IndivPowerProblem(stats=ChannelStats(D=np.ones(3), R=np.diag([2.0, 1.0, 0.5]),
+                                                    Q=np.eye(3), sigma2=1.0),
+                                 Ps=1.0, P=np.ones(3))
+        assert indiv_qcqp.solve(diag)[1] == {"solver": "indiv-diag"}
+        sol, meta, trace = indiv_qcqp.solve(p)
+        assert (meta["solver"], meta["fallback"], meta["rank_estimate"]) == ("sdp", "cdm", 2)
+        assert len(trace) > 0
+
+    @pytest.mark.parametrize("solver", ["sdp", "grp"])
+    def test_given_relaxation_is_used(self, solver, monkeypatch):
+        # a passed relaxation gives the same answer as the one solved inside,
+        # and no second relaxation is solved
+        p = fixture_problem(4)
+        options = {"samples": 100}
+        sol, meta, _ = indiv_qcqp.solve(p, solver, options)
+        relaxation = solve_via_sdp(p)
+        monkeypatch.setattr(indiv_qcqp, "solve_via_sdp", None)
+        again, meta_again, _ = indiv_qcqp.solve(p, solver, options, relaxation=relaxation)
+        assert np.array_equal(sol.w, again.w)
+        assert meta == meta_again
+
+    def test_sdp_at_three_relays_decomposes(self, rng):
+        prob, q = degenerate_qcqp_instance(rng, 3)
+        sol, meta, trace = indiv_qcqp.solve(prob, "sdp")
+        assert meta["rank_estimate"] >= 2 and trace is None
+        assert meta["fallback"] == "rank-one-decomposition"
+        assert qcqp_objective(q, sol.w) == pytest.approx(meta["sdp_obj"], rel=1e-8)
+
+    @pytest.mark.parametrize("solver", ["bogus", "total-newton", "SDP"])
+    def test_unknown_route_rejected(self, solver):
+        with pytest.raises(InputError, match="unknown per-relay solver"):
+            indiv_qcqp.solve(fixture_problem(4), solver)
 
 
 class TestRankOneDecompose:
@@ -370,8 +407,9 @@ class TestGrp:
         X = np.outer(v, v.conj())
         w = grp_extract(X, q, 10 ** 6, seed=8)
         assert np.array_equal(w, grp_extract(X, q, 1, seed=8))
+        lam, U = np.linalg.eigh(X)
         assert qcqp_objective(q, w) == pytest.approx(
-            qcqp_objective(q, principal_factor(X)), rel=1e-12)
+            qcqp_objective(q, np.sqrt(lam[-1]) * U[:, -1]), rel=1e-12)
 
     @pytest.mark.parametrize("rank", [None, 2, 1])      # None: full rank
     @pytest.mark.parametrize("n", [3, 4, 6, 11, 12, 16])

@@ -6,13 +6,13 @@ import pytest
 
 from relaybeam import fixtures
 from relaybeam.channel import ChannelStats, RicianParams, build_stats
-from relaybeam.errors import InputError, ModelError
+from relaybeam.errors import ConvergenceError, InputError, ModelError
 from relaybeam.indiv_qcqp import build_qcqp, solve_via_sdp
 from relaybeam.problems import IndivPowerProblem
 from relaybeam.sdp import (QcqpInstance, SdpProblem, dual_certificate_residuals, range_eigh,
                            solve_relaxation)
-from conftest import (constraint_stack, degenerate_qcqp_instance, rand_indiv_problem, rand_psd,
-                      stacked_relaxation, stacked_residuals)
+from conftest import (constraint_stack, degenerate_qcqp_instance, loose_cap_problem,
+                      rand_indiv_problem, rand_psd, stacked_relaxation, stacked_residuals)
 
 
 def fixture_problem(n):
@@ -154,6 +154,23 @@ class TestSolveRelaxation:
             else:
                 with pytest.raises(ModelError, match="needs Q PSD"):
                     SdpProblem(objective=np.eye(2), constraints=A)
+
+
+class TestBreakdownIsConvergenceError:
+    # the failures of the interior point on bounded relaxations are
+    # ConvergenceErrors (exit 2) that name the iteration; making these
+    # instances solve is left to a scale-free interior point
+
+    def test_singular_schur_matrix(self):
+        # the Schur matrix reaches condition ~1e17 and numpy's solve raises
+        with pytest.raises(ConvergenceError, match=r"singular Schur matrix at iteration \d+"):
+            solve_relaxation(loose_cap_problem(0, 4))
+
+    def test_divergence_guard(self):
+        # R 1e8 and Q 1e-8 put mu above the 1e14 guard; a relay-form
+        # relaxation is bounded, so this is no ModelError
+        with pytest.raises(ConvergenceError, match=r"diverged at iteration \d+"):
+            solve_relaxation(loose_cap_problem(0, 4, r_scale=1e8, q_scale=1e-8))
 
 
 class TestCertificateResiduals:
