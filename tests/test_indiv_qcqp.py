@@ -176,7 +176,7 @@ class TestSolveViaSdp:
 
 
 class TestSolve:
-    def test_auto_picks_by_diagonality(self, rng):
+    def test_auto_picks_by_diagonality(self):
         p = fixture_problem(4)
         diag = IndivPowerProblem(stats=ChannelStats(D=np.ones(3), R=np.diag([2.0, 1.0, 0.5]),
                                                     Q=np.eye(3), sigma2=1.0),
