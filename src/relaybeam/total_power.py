@@ -10,11 +10,15 @@ diag(beta(x)) with beta = 1/(1-x) + lam/x, and mu(x) is the top eigenvalue
 of H(x) = beta^{-1/2} Rt beta^{-1/2} for the fixed Rt = V^H d^{-1/2} R d^{-1/2} V.
 Only the positive vector d is inverted, so rank-deficient R (line-of-sight
 links) needs no special case.  The bracket [x_l, x_u] follows from lam_1
-and lam_n.  Newton's method runs on analytic first and second derivatives
-(Hadamard variation formulas) from one eigendecomposition of H per
-iterate; for diagonal statistics the minimizer is in closed form.  The
-weight direction d^{-1/2} V beta^{-1/2} h, for H's top eigenvector h, is
-rescaled so the power budget holds with equality.
+and lam_n.  Each iterate takes one eigendecomposition of H, which gives
+analytic first and second derivatives (Hadamard variation formulas).  For
+a fixed weight direction the objective is exactly a/(1-x) + b/x, and
+lambda_min(G(x)) is the minimum of such terms, so each step goes to the
+minimizer of the term fitted to the two derivatives: unlike Newton's
+parabola (used where the fit has no interior minimum) it follows the poles
+at x = 0 and 1.  For diagonal statistics the minimizer is in closed form.
+The weight direction d^{-1/2} V beta^{-1/2} h, for H's top eigenvector h,
+is rescaled so the power budget holds with equality.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import BeamformingSolution, powers, snr
-from .errors import ConvergenceError, DispatchError, ModelError
+from .errors import ConvergenceError, DispatchError, InputError, ModelError
 from .problems import TotalPowerProblem
 from .trace import SolverTrace
 
@@ -92,7 +96,7 @@ def lambda_min_g(s: SPair, x: float):
            + 2 sum_{j>1} (mu + mu_j)^2 |c_j|^2 / (mu - mu_j).
     """
     if not 0.0 < x < 1.0:
-        raise ValueError(f"x must lie in (0,1), got {x}")
+        raise InputError(f"x must lie in (0,1), got {x}")
     beta = 1.0 / (1.0 - x) + s.lam / x
     db = 1.0 / (1.0 - x) ** 2 - s.lam / x ** 2
     ddb = 2.0 / (1.0 - x) ** 3 + 2.0 * s.lam / x ** 3
@@ -144,19 +148,21 @@ def solve_diagonal(p: TotalPowerProblem) -> TotalPowerSolution:
 def newton_solve(p: TotalPowerProblem, x0: float, s: SPair | None = None) -> TotalPowerSolution:
     """Bracketed Newton search for a stationary x starting from x0.
 
-    The step is -d1/d2 with the step size halved until the iterate stays
-    inside [x_l, x_u]; stops when both |dx/x| < STEP_TOL and
-    |d1| < DERIV_TOL, or raises ConvergenceError after MAX_ITER steps.  A
-    degenerate spectrum anywhere on the path (relative gap at most GAP_TOL)
-    or nonconvex local curvature (d2 <= 0) abandons Newton for a
-    golden-section scan of the bracket, documented in the trace.
-    Each iterate takes one eigendecomposition.
+    Each step goes to the minimizer sqrt(b)/(sqrt(a)+sqrt(b)) of the model
+    a/(1-x) + b/x + C with derivatives d1, d2 at x (lambda_min is a minimum
+    of such terms, one per weight direction), or is -d1/d2 where a <= 0 or
+    b <= 0, and is halved until the iterate stays inside [x_l, x_u]; stops
+    when both |dx/x| < STEP_TOL and |d1| < DERIV_TOL, or raises
+    ConvergenceError after MAX_ITER steps.  A degenerate spectrum anywhere
+    on the path (relative gap at most GAP_TOL) or nonconvex local curvature
+    (d2 <= 0) abandons Newton for a golden-section scan of the bracket,
+    documented in the trace.  Each iterate takes one eigendecomposition.
     """
     if s is None:
         s = build_s_pair(p)
     xl, xu = bracket_x(s)
     if not xl <= x0 <= xu:
-        raise ValueError(f"x0={x0} outside bracket [{xl:.6f}, {xu:.6f}]")
+        raise InputError(f"x0={x0} outside bracket [{xl:.6f}, {xu:.6f}]")
     trace = SolverTrace(columns=TRACE_COLUMNS)
     x = float(x0)
     lam, d1, d2, w_dir, gap = lambda_min_g(s, x)
@@ -169,7 +175,7 @@ def newton_solve(p: TotalPowerProblem, x0: float, s: SPair | None = None) -> Tot
             trace.note(f"nonconvex curvature d2={d2:.3e} at x={x:.6f}; golden-section fallback")
             return _golden_fallback(p, s, xl, xu, trace)
         alpha = 1.0
-        step = -d1 / d2
+        step = _model_step(x, d1, d2)
         while not (xl <= x + alpha * step <= xu):
             alpha *= 0.5
             if alpha < 1e-16:
@@ -195,6 +201,14 @@ def solve(p: TotalPowerProblem) -> TotalPowerSolution:
     xl, xu = bracket_x(s)
     run_l, run_u = (newton_solve(p, x0, s=s) for x0 in (xl, xu))
     return run_u if run_u.snr > run_l.snr * (1.0 + 1e-12) else run_l
+
+
+def _model_step(x, d1, d2):
+    a = (d2 + 2.0 * d1 / x) * (1.0 - x) ** 3 * x / 2.0
+    b = (d2 - 2.0 * d1 / (1.0 - x)) * x ** 3 * (1.0 - x) / 2.0
+    if a <= 0 or b <= 0:
+        return -d1 / d2
+    return b ** 0.5 / (a ** 0.5 + b ** 0.5) - x
 
 
 def _golden_fallback(p, s, xl, xu, trace):

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from relaybeam import fixtures
 from relaybeam.channel import ChannelStats, RicianParams, build_stats, snr
-from relaybeam.errors import DispatchError, ModelError
+from relaybeam.errors import DispatchError, InputError, ModelError
 from relaybeam.problems import TotalPowerProblem
-from relaybeam.total_power import (GAP_TOL, bracket_x, build_s_pair,
+from relaybeam.total_power import (GAP_TOL, _model_step, bracket_x, build_s_pair,
                                    lambda_min_g, newton_solve, solve,
                                    solve_diagonal)
 from conftest import (finite_diff, finite_diff_second, is_psd, rand_pd, rand_stats,
@@ -276,7 +276,7 @@ class TestNewton:
     def test_nonconvex_curvature_takes_golden_section(self):
         # pinned by a seeded search: from x_l Newton meets d2 <= 0 on this
         # instance and hands over to the golden-section scan of the bracket
-        p = rand_total_problem(np.random.default_rng(196), 2)
+        p = rand_total_problem(np.random.default_rng(352), 3)
         s = build_s_pair(p)
         sol = newton_solve(p, bracket_x(s)[0], s=s)
         assert any("nonconvex curvature" in note for note in sol.trace.notes)
@@ -294,8 +294,37 @@ class TestNewton:
 
     def test_rejects_start_outside_bracket(self):
         p = fixture_problem(1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             newton_solve(p, 0.999)
+
+    @pytest.mark.parametrize("x", [0.0, 1.0])
+    def test_lambda_min_g_rejects_x_outside_unit_interval(self, x):
+        with pytest.raises(InputError):
+            lambda_min_g(build_s_pair(fixture_problem(1)), x)
+
+
+class TestModelStep:
+    @pytest.mark.parametrize("a, b, x", [(1.0, 1.0, 0.3), (4.0, 0.5, 0.8), (0.2, 7.0, 0.1),
+                                         (1e-3, 2.0, 0.6), (3.0, 3e-2, 0.05)])
+    def test_one_step_reaches_the_minimizer_of_an_exact_model(self, a, b, x):
+        # d1, d2 of a/(1-x) + b/x: the fit recovers (a, b) and steps to its minimizer
+        d1 = a / (1.0 - x) ** 2 - b / x ** 2
+        d2 = 2.0 * a / (1.0 - x) ** 3 + 2.0 * b / x ** 3
+        x_star = np.sqrt(b) / (np.sqrt(a) + np.sqrt(b))
+        assert x + _model_step(x, d1, d2) == pytest.approx(x_star, rel=1e-12)
+
+    @pytest.mark.parametrize("x, d1, d2", [(0.5, -1.0, 1.0),   # fitted a < 0
+                                           (0.5, 1.0, 1.0),    # fitted b < 0
+                                           (0.25, -0.125, 1.0)])  # fitted a = 0
+    def test_newton_step_without_interior_minimum(self, x, d1, d2):
+        assert _model_step(x, d1, d2) == -d1 / d2
+
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_fixtures_converge_in_three_iterations(self, case):
+        p = fixture_problem(case)
+        s = build_s_pair(p)
+        for x0 in bracket_x(s):
+            assert newton_solve(p, x0, s=s).iterations == 3
 
 
 class TestDiagonal:
