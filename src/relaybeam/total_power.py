@@ -14,11 +14,15 @@ and lam_n.  Each iterate takes one eigendecomposition of H, which gives
 analytic first and second derivatives (Hadamard variation formulas).  For
 a fixed weight direction the objective is exactly a/(1-x) + b/x, and
 lambda_min(G(x)) is the minimum of such terms, so each step goes to the
-minimizer of the term fitted to the two derivatives: unlike Newton's
-parabola (used where the fit has no interior minimum) it follows the poles
-at x = 0 and 1.  For diagonal statistics the minimizer is in closed form.
-The weight direction d^{-1/2} V beta^{-1/2} h, for H's top eigenvector h,
-is rescaled so the power budget holds with equality.
+minimizer sqrt(b)/(sqrt(a) + sqrt(b)) of one.  It is the term fitted to the
+two derivatives, which follows the poles at x = 0 and 1 that Newton's
+parabola (used where the fit has no interior minimum) misses; or, at a
+repeated top eigenvalue, at d2 <= 0 or for a target outside the bracket,
+the top direction's own term, which lies above lambda_min and touches it
+at x (a majorize-minimize step, valid everywhere).  For diagonal
+statistics the minimizer is in closed form.  The weight direction
+d^{-1/2} V beta^{-1/2} h, for H's top eigenvector h, is rescaled so the
+power budget holds with equality.
 """
 
 from __future__ import annotations
@@ -33,11 +37,10 @@ from .problems import TotalPowerProblem
 from .trace import SolverTrace
 
 TRACE_COLUMNS = ("k", "x", "lambda_min", "d1", "d2", "step")
-GAP_TOL = 1e-8     # relative spectral gap below which Newton's derivatives are not trusted
+GAP_TOL = 1e-8     # relative spectral gap at or below which d2 is not trusted
 MAX_ITER = 100     # Newton steps before ConvergenceError
 STEP_TOL = 1e-3    # stop: |dx/x| < STEP_TOL ...
 DERIV_TOL = 1e-3   # ... and |d lambda_min/dx| < DERIV_TOL
-GOLDEN_GRID = 100  # grid points of the scan that seeds the golden-section fallback
 
 
 @dataclass
@@ -86,8 +89,9 @@ def bracket_x(s: SPair) -> tuple[float, float]:
 def lambda_min_g(s: SPair, x: float):
     """lambda_min(G(x)) = 1/mu(x), its first and second derivatives in x,
     the weight direction, and the relative gap (mu_1 - mu_2)/mu_1 below H's
-    top eigenvalue (0 at a repeated eigenvalue, where the derivatives do
-    not exist).
+    top eigenvalue.  At a zero gap (a repeated eigenvalue) the derivatives
+    of lambda_min do not exist and d2 is meaningless, but d1 is still the
+    slope of the returned direction's own term a/(1-x) + b/x.
 
     With D1 = diag(-beta'/2beta) and D2 = diag(3beta'^2/4beta^2 - beta''/2beta),
     H' = D1 H + H D1 and H'' = D2 H + 2 D1 H D1 + H D2, so in H's eigenbasis
@@ -108,7 +112,7 @@ def lambda_min_g(s: SPair, x: float):
     hh = np.abs(h) ** 2
     cc = np.abs(U.conj().T @ (D1 * h)) ** 2
     dmu = 2.0 * mu * (D1 @ hh)
-    # at a zero gap d2 is meaningless, and Newton reads the gap before d2
+    # at a zero gap d2 is meaningless, and _target reads the gap before d2
     with np.errstate(divide="ignore", invalid="ignore"):
         ddmu = 2.0 * (mu * (D2 @ hh) + mus @ cc
                       + ((mu + rest) ** 2 * cc[:-1] / (mu - rest)).sum())
@@ -146,17 +150,15 @@ def solve_diagonal(p: TotalPowerProblem) -> TotalPowerSolution:
 
 
 def newton_solve(p: TotalPowerProblem, x0: float, s: SPair | None = None) -> TotalPowerSolution:
-    """Bracketed Newton search for a stationary x starting from x0.
+    """Bracketed Newton-type search for a stationary x starting from x0.
 
-    Each step goes to the minimizer sqrt(b)/(sqrt(a)+sqrt(b)) of the model
-    a/(1-x) + b/x + C with derivatives d1, d2 at x (lambda_min is a minimum
-    of such terms, one per weight direction), or is -d1/d2 where a <= 0 or
-    b <= 0, and is halved until the iterate stays inside [x_l, x_u]; stops
-    when both |dx/x| < STEP_TOL and |d1| < DERIV_TOL, or raises
-    ConvergenceError after MAX_ITER steps.  A degenerate spectrum anywhere
-    on the path (relative gap at most GAP_TOL) or nonconvex local curvature
-    (d2 <= 0) abandons Newton for a golden-section scan of the bracket,
-    documented in the trace.  Each iterate takes one eigendecomposition.
+    Every step goes where ``_target`` says: to the minimizer of a term
+    a/(1-x) + b/x, fitted to (d1, d2) where the gap and d2 can be trusted and
+    otherwise the top direction's own, which cannot raise lambda_min.  Stops
+    when |dx/x| < STEP_TOL and |d1| < DERIV_TOL (the step test alone at a
+    gap of at most GAP_TOL, where d1 is one direction's slope at a kink), or
+    raises ConvergenceError after MAX_ITER steps.  Each iterate takes one
+    eigendecomposition.
     """
     if s is None:
         s = build_s_pair(p)
@@ -167,25 +169,12 @@ def newton_solve(p: TotalPowerProblem, x0: float, s: SPair | None = None) -> Tot
     x = float(x0)
     lam, d1, d2, w_dir, gap = lambda_min_g(s, x)
     for k in range(MAX_ITER):
-        if gap <= GAP_TOL:
-            trace.note(f"degenerate spectrum at x={x:.6f} (relative gap {gap:.3e}); "
-                       "golden-section fallback")
-            return _golden_fallback(p, s, xl, xu, trace)
-        if d2 <= 0:
-            trace.note(f"nonconvex curvature d2={d2:.3e} at x={x:.6f}; golden-section fallback")
-            return _golden_fallback(p, s, xl, xu, trace)
-        alpha = 1.0
-        step = _model_step(x, d1, d2)
-        while not (xl <= x + alpha * step <= xu):
-            alpha *= 0.5
-            if alpha < 1e-16:
-                break
-        x_new = min(max(x + alpha * step, xl), xu)
-        trace.append(k, x, lam, d1, d2, alpha * step)
+        x_new = _target(x, lam, d1, d2, gap, xl, xu)
+        trace.append(k, x, lam, d1, d2, x_new - x)
         converged = abs((x_new - x) / x) < STEP_TOL
         x = x_new
         lam, d1, d2, w_dir, gap = lambda_min_g(s, x)
-        if converged and gap > GAP_TOL and abs(d1) < DERIV_TOL:
+        if converged and (gap <= GAP_TOL or abs(d1) < DERIV_TOL):
             return _package(p, x, lam, w_dir, k + 1, trace)
     raise ConvergenceError(f"Newton did not meet the stopping test in {MAX_ITER} iterations")
 
@@ -203,41 +192,27 @@ def solve(p: TotalPowerProblem) -> TotalPowerSolution:
     return run_u if run_u.snr > run_l.snr * (1.0 + 1e-12) else run_l
 
 
-def _model_step(x, d1, d2):
-    a = (d2 + 2.0 * d1 / x) * (1.0 - x) ** 3 * x / 2.0
-    b = (d2 - 2.0 * d1 / (1.0 - x)) * x ** 3 * (1.0 - x) / 2.0
-    if a <= 0 or b <= 0:
-        return -d1 / d2
-    return b ** 0.5 / (a ** 0.5 + b ** 0.5) - x
+def _target(x, lam, d1, d2, gap, xl, xu):
+    """The next iterate from x: the minimizer of a term a/(1-x) + b/x.
+
+    The term is fitted to (d1, d2) where the gap exceeds GAP_TOL and d2 > 0
+    (Newton's x - d1/d2 where that fit has a <= 0 or b <= 0).  Otherwise, or
+    where that target leaves [xl, xu], it is the top direction's own term
+    through (lam, d1): it lies above lambda_min and touches it at x, and b/a
+    is a Rayleigh quotient of (Q + rI, D + rI), so its minimizer lies in
+    [xl, xu] and cannot raise lambda_min.
+    """
+    if gap > GAP_TOL and d2 > 0:
+        a = (d2 + 2.0 * d1 / x) * (1.0 - x) ** 3 * x / 2.0
+        b = (d2 - 2.0 * d1 / (1.0 - x)) * x ** 3 * (1.0 - x) / 2.0
+        t = x - d1 / d2 if a <= 0 or b <= 0 else _argmin(a, b)
+        if xl <= t <= xu:
+            return t
+    return _argmin((1.0 - x) ** 2 * (lam + x * d1), x ** 2 * (lam - (1.0 - x) * d1))
 
 
-def _golden_fallback(p, s, xl, xu, trace):
-    xs = np.linspace(xl, xu, GOLDEN_GRID)
-    vals = [lambda_min_g(s, x)[0] for x in xs]
-    i = int(np.argmin(vals))
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, GOLDEN_GRID - 1)]
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc = lambda_min_g(s, c)[0]
-    fd = lambda_min_g(s, d)[0]
-    iters = GOLDEN_GRID
-    while b - a > 1e-10:
-        iters += 1
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = lambda_min_g(s, c)[0]
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = lambda_min_g(s, d)[0]
-    x = 0.5 * (a + b)
-    lam, _, _, w_dir, _ = lambda_min_g(s, x)
-    trace.append(iters, x, lam, np.nan, np.nan, 0.0)
-    return _package(p, x, lam, w_dir, iters, trace)
+def _argmin(a, b):
+    return b ** 0.5 / (a ** 0.5 + b ** 0.5)
 
 
 def _package(p, x, lam, w_dir, iterations, trace) -> TotalPowerSolution:

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relaybeam import fixtures
+from relaybeam import fixtures, total_power
 from relaybeam.channel import ChannelStats, RicianParams, build_stats, snr
 from relaybeam.errors import DispatchError, InputError, ModelError
 from relaybeam.problems import TotalPowerProblem
-from relaybeam.total_power import (GAP_TOL, _model_step, bracket_x, build_s_pair,
+from relaybeam.total_power import (GAP_TOL, _target, bracket_x, build_s_pair,
                                    lambda_min_g, newton_solve, solve,
                                    solve_diagonal)
 from conftest import (finite_diff, finite_diff_second, is_psd, rand_pd, rand_stats,
@@ -45,6 +45,41 @@ def los_problem(n, var, P0, seed):
     params = RicianParams(f_mean=los(), f_var=np.full(n, var),
                           g_mean=los(), g_var=np.full(n, var))
     return TotalPowerProblem(stats=build_stats(params, 1.0), P0=P0)
+
+
+def identical_relays_problem(n, P0):
+    """n relays with the same Rician parameters: lambda_min(G(x)) has
+    repeated eigenvalues, so the gap reads 0 wherever the top one repeats."""
+    params = RicianParams(f_mean=np.full(n, 0.7 + 0.2j), f_var=np.full(n, 0.8),
+                          g_mean=np.full(n, -0.3 + 0.9j), g_var=np.full(n, 1.3))
+    return TotalPowerProblem(stats=build_stats(params, 1.0), P0=P0)
+
+
+def count_lambda_min_g(monkeypatch):
+    """Count the solver's lambda_min_g calls; a bracket scan would make
+    about a hundred per run."""
+    calls = []
+    inner = total_power.lambda_min_g
+    monkeypatch.setattr(total_power, "lambda_min_g",
+                        lambda s, x: calls.append(x) or inner(s, x))
+    return calls
+
+
+def term_minimizer(x, lam, d1):
+    """Minimizer of the term a/(1-x) + b/x with value lam and slope d1 at x."""
+    a = (1.0 - x) ** 2 * (lam + x * d1)
+    b = x ** 2 * (lam - (1.0 - x) * d1)
+    return np.sqrt(b) / (np.sqrt(a) + np.sqrt(b))
+
+
+def fitted_target(x, d1, d2):
+    """Minimizer of a/(1-x) + b/x + C fitted to (d1, d2) at x, or Newton's
+    x - d1/d2 where the fit has a <= 0 or b <= 0."""
+    a = (d2 + 2.0 * d1 / x) * (1.0 - x) ** 3 * x / 2.0
+    b = (d2 - 2.0 * d1 / (1.0 - x)) * x ** 3 * (1.0 - x) / 2.0
+    if a <= 0 or b <= 0:
+        return x - d1 / d2
+    return np.sqrt(b) / (np.sqrt(a) + np.sqrt(b))
 
 
 def assert_whitens(p, s):
@@ -187,12 +222,13 @@ class TestEigDerivatives:
             hits += 1
         assert hits >= 50
 
-    def test_degenerate_start_takes_golden_section(self):
-        # at a repeated eigenvalue the derivatives do not exist: Newton reads
-        # the zero gap and hands over to the golden-section scan
+    def test_degenerate_start_steps_to_the_term_minimizer(self, monkeypatch):
+        # at a repeated eigenvalue d2 does not exist: the step goes to the
+        # minimizer of the returned direction's term, here 1/(1-x) + 1/x
         p = identity_problem()
+        calls = count_lambda_min_g(monkeypatch)
         sol = newton_solve(p, 0.5)
-        assert any("degenerate" in note and "golden" in note for note in sol.trace.notes)
+        assert len(calls) <= 30
         assert sol.x == pytest.approx(0.5)
         assert sol.lambda_min == pytest.approx(4.0)
 
@@ -273,13 +309,45 @@ class TestNewton:
                 p.P0 / p.stats.sigma2 / sol.lambda_min, rel=1e-8)
             assert sol.snr == pytest.approx(snr(p.stats, sol.Ps, sol.w), rel=1e-12)
 
-    def test_nonconvex_curvature_takes_golden_section(self):
-        # pinned by a seeded search: from x_l Newton meets d2 <= 0 on this
-        # instance and hands over to the golden-section scan of the bracket
+    def test_nonconvex_curvature_steps_to_the_term_minimizer(self, monkeypatch):
+        # pinned by a seeded search: from x_l the path meets d2 <= 0 on this
+        # instance, and those steps go to the top direction's term minimizer
         p = rand_total_problem(np.random.default_rng(352), 3)
         s = build_s_pair(p)
+        calls = count_lambda_min_g(monkeypatch)
         sol = newton_solve(p, bracket_x(s)[0], s=s)
-        assert any("nonconvex curvature" in note for note in sol.trace.notes)
+        assert len(calls) <= 30
+        bent = [(x, lam, d1, step) for _, x, lam, d1, d2, step in sol.trace.rows if d2 <= 0]
+        assert bent
+        for x, lam, d1, step in bent:
+            assert x + step == pytest.approx(term_minimizer(x, lam, d1), rel=1e-12)
+        assert sol.snr >= (1.0 - 1e-6) * scan_snr(p.stats, p.P0)
+
+    def test_target_outside_bracket_takes_the_term_minimizer(self):
+        # pinned by a seeded search: from x_l the first fitted target of this
+        # instance lies outside [x_l, x_u]
+        p = rand_total_problem(np.random.default_rng(7), 2)
+        s = build_s_pair(p)
+        xl, xu = bracket_x(s)
+        sol = newton_solve(p, xl, s=s)
+        _, x, lam, d1, d2, step = sol.trace.rows[0]
+        assert d2 > 0 and lambda_min_g(s, x)[4] > GAP_TOL
+        assert not xl <= fitted_target(x, d1, d2) <= xu
+        assert x + step == pytest.approx(term_minimizer(x, lam, d1), rel=1e-12)
+        assert sol.snr >= (1.0 - 1e-6) * scan_snr(p.stats, p.P0)
+
+    def test_fit_without_interior_minimum_takes_newtons_step(self):
+        # pinned by a seeded search: from x_u the first fit of this instance
+        # has a <= 0 or b <= 0, and the step is Newton's -d1/d2
+        p = rand_total_problem(np.random.default_rng(15), 2)
+        s = build_s_pair(p)
+        xl, xu = bracket_x(s)
+        sol = newton_solve(p, xu, s=s)
+        _, x, lam, d1, d2, step = sol.trace.rows[0]
+        assert d2 > 0 and lambda_min_g(s, x)[4] > GAP_TOL
+        assert fitted_target(x, d1, d2) == x - d1 / d2
+        assert xl <= x - d1 / d2 <= xu
+        assert x + step == pytest.approx(x - d1 / d2, rel=1e-14)
         assert sol.snr >= (1.0 - 1e-6) * scan_snr(p.stats, p.P0)
 
     def test_trace_columns(self):
@@ -308,16 +376,55 @@ class TestModelStep:
                                          (1e-3, 2.0, 0.6), (3.0, 3e-2, 0.05)])
     def test_one_step_reaches_the_minimizer_of_an_exact_model(self, a, b, x):
         # d1, d2 of a/(1-x) + b/x: the fit recovers (a, b) and steps to its minimizer
+        lam = a / (1.0 - x) + b / x
         d1 = a / (1.0 - x) ** 2 - b / x ** 2
         d2 = 2.0 * a / (1.0 - x) ** 3 + 2.0 * b / x ** 3
         x_star = np.sqrt(b) / (np.sqrt(a) + np.sqrt(b))
-        assert x + _model_step(x, d1, d2) == pytest.approx(x_star, rel=1e-12)
+        assert _target(x, lam, d1, d2, 1.0, 0.0, 1.0) == pytest.approx(x_star, rel=1e-12)
 
     @pytest.mark.parametrize("x, d1, d2", [(0.5, -1.0, 1.0),   # fitted a < 0
                                            (0.5, 1.0, 1.0),    # fitted b < 0
                                            (0.25, -0.125, 1.0)])  # fitted a = 0
     def test_newton_step_without_interior_minimum(self, x, d1, d2):
-        assert _model_step(x, d1, d2) == -d1 / d2
+        # an unbounded bracket, so only the fit decides
+        assert _target(x, 2.0, d1, d2, 1.0, -np.inf, np.inf) == x - d1 / d2
+
+    @pytest.mark.parametrize("x, d1, d2", [(0.5, -1.0, 1.0), (0.5, 1.0, 1.0)])
+    def test_newton_target_outside_bracket_takes_the_term_minimizer(self, x, d1, d2):
+        # x - d1/d2 is 1.5 and -0.5, outside [0.1, 0.9]
+        assert _target(x, 2.0, d1, d2, 1.0, 0.1, 0.9) == pytest.approx(
+            term_minimizer(x, 2.0, d1), rel=1e-12)
+
+    @pytest.mark.parametrize("gap, d2", [(0.0, 5.0), (GAP_TOL, -2.0), (0.0, np.nan),
+                                         (1.0, 0.0), (1.0, -7.0)])
+    @pytest.mark.parametrize("a, b, x", [(1.0, 1.0, 0.3), (4.0, 0.5, 0.8), (3.0, 3e-2, 0.05)])
+    def test_untrusted_curvature_steps_to_the_term_through_lam_and_d1(self, a, b, x, gap, d2):
+        # the term through (lam, d1) is a/(1-x) + b/x itself, whatever d2 says
+        lam = a / (1.0 - x) + b / x
+        d1 = a / (1.0 - x) ** 2 - b / x ** 2
+        x_star = np.sqrt(b) / (np.sqrt(a) + np.sqrt(b))
+        assert _target(x, lam, d1, d2, gap, 0.0, 1.0) == pytest.approx(x_star, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["random", "near-los", "identical"]), n=st.integers(2, 8),
+           log_ratio=st.floats(-2.0, 4.0), u=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_term_minimizer_stays_in_bracket_and_never_raises_lambda_min(
+            self, kind, n, log_ratio, u, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            p = TotalPowerProblem(stats=rand_stats(rng, n), P0=10.0 ** log_ratio)
+        elif kind == "near-los":
+            p = los_problem(n, 1e-6, 10.0 ** log_ratio, seed)
+        else:
+            p = identical_relays_problem(n, 10.0 ** log_ratio)
+        s = build_s_pair(p)
+        xl, xu = bracket_x(s)
+        x = xl + u * (xu - xl)
+        lam, d1, _, _, gap = lambda_min_g(s, x)
+        t = _target(x, lam, d1, 0.0, gap, xl, xu)   # d2 = 0 selects the term minimizer
+        assert xl * (1.0 - 1e-12) <= t <= xu * (1.0 + 1e-12)
+        assert lambda_min_g(s, t)[0] <= lam * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("case", [1, 2])
     def test_fixtures_converge_in_three_iterations(self, case):
@@ -411,12 +518,20 @@ class TestLineOfSight:
         sol = solve(p)
         assert sol.snr >= (1.0 - 1e-6) * scan_snr(p.stats, p.P0)
 
-    def test_identical_relays_take_golden_section(self):
-        # identical relays make lambda_min(G(x)) degenerate, so Newton hands
-        # over to the golden-section scan of the bracket
-        params = RicianParams(f_mean=np.full(3, 0.7 + 0.2j), f_var=np.full(3, 0.8),
-                              g_mean=np.full(3, -0.3 + 0.9j), g_var=np.full(3, 1.3))
-        p = TotalPowerProblem(stats=build_stats(params, 1.0), P0=10.0)
+    def test_identical_relays_solve_without_a_scan(self, monkeypatch):
+        # identical relays make lambda_min(G(x)) degenerate; the term
+        # minimizer steps need no scan of the bracket
+        p = identical_relays_problem(3, 10.0)
+        calls = count_lambda_min_g(monkeypatch)
         sol = solve(p)
-        assert any("golden" in note for note in sol.trace.notes)
+        assert len(calls) <= 30
         assert sol.snr == pytest.approx(scan_snr(p.stats, p.P0), rel=1e-6)
+
+    @pytest.mark.parametrize("P0", [1e-2, 1.0, 1e4])
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_identical_relays_reach_the_dense_scan(self, n, P0):
+        p = identical_relays_problem(n, P0)
+        s = build_s_pair(p)
+        for x0 in bracket_x(s):
+            assert newton_solve(p, x0, s=s).iterations <= 10
+        assert solve(p).snr >= (1.0 - 1e-9) * scan_snr(p.stats, p.P0)
