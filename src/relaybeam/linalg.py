@@ -43,15 +43,13 @@ def hermitian(a, *, name: str = "matrix") -> np.ndarray:
 
 
 def symmetrize(H) -> np.ndarray:
-    """(H + H^dagger)/2 with a real diagonal, without validation.
+    """(H + H^dagger)/2, exactly Hermitian, without validation.
 
     For matrices the library computed itself, whose round-off asymmetry is
-    not an input error however badly conditioned the product.
+    not an input error however badly conditioned the product.  The diagonal
+    of H + H^dagger is exactly real in IEEE arithmetic: b + (-b) = +0.
     """
-    H = 0.5 * (H + H.conj().T)
-    # exact symmetry: real diagonal, conjugate off-diagonal pairs
-    np.fill_diagonal(H, H.diagonal().real)
-    return H
+    return 0.5 * (H + H.conj().T)
 
 
 def _real_embed(M):

@@ -13,12 +13,14 @@ gap, |gap| <= GAP_TOL max(1, |primal|); an absolute 1e-8 stalled on round-off
 at objectives near 70.  With W = Z^-1 the Schur matrix Re Tr(A_k X A_j W) is
 Re[Tr(QXQW) + c_j (WQX)_jj + c_k (XQW)_kk + c_k c_j X_kj W_jk] (Benson, Ye and
 Zhang, SIAM J. Optim. 10 (2000)), so an iteration costs a few n x n products,
-O(n^3), plus one stacked [X, Z] eigh (step scalings and W) and one stacked
-eigvalsh per direction (step lengths).
+O(n^3), plus one stacked [X, Z] Cholesky and its inverse (step scalings and
+W), one stacked eigvalsh per direction (step lengths, as in SDPT3) and two
+Schur solves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,11 +55,13 @@ class QcqpInstance:
     def traces(self, X) -> np.ndarray:
         """Re Tr(A_k X) = Re Tr(Q X) + c_k Re X_kk for every k, for any square X."""
         # Tr(Q X) = sum_ab conj(Q_ab) X_ab because Q is Hermitian
-        return np.vdot(self.Q, X).real + self.c * np.diagonal(X).real
+        return np.vdot(self.Q, X).real + self.c * X.diagonal().real
 
     def weighted_sum(self, y) -> np.ndarray:
         """sum_k y_k A_k = (sum_k y_k) Q + diag(c y)."""
-        return y.sum() * self.Q + np.diag(self.c * y)
+        S = y.sum() * self.Q
+        S.flat[::self.n + 1] += self.c * y
+        return S
 
 
 class SdpProblem(QcqpInstance):
@@ -111,73 +115,85 @@ def solve_relaxation(q: QcqpInstance) -> SdpSolution:
     strictly feasible because Q is PSD and every c_k > 0: every slack is at
     least 0.5.  Raises ConvergenceError when the gap target is not certified
     within MAX_ITER Newton steps, or when the Schur matrix is singular (nearly
-    parallel constraints, as at c_k ~ 1e-8) or the iterates diverge.
+    parallel constraints, as at c_k ~ 1e-8), the iterates diverge, or any
+    other LAPACK kernel of an iteration breaks down.
     """
     R, Q, c = q.R, q.Q, q.c
     n = q.n
+    tr = q.traces
     X = (0.5 / (np.trace(Q).real + c.max())) * np.eye(n, dtype=complex)
-    s = 1.0 - q.traces(X)
+    s = 1.0 - tr(X)
     y = np.ones(n)
     Z = (np.linalg.eigvalsh(R).max() + 1.0) * np.eye(n, dtype=complex)
     cc = np.outer(c, c)
 
-    for it in range(MAX_ITER):
-        rp = (1.0 - q.traces(X)) - s
-        Rd = Z - (q.weighted_sum(y) - R)
-        mu = (np.vdot(Z, X).real + y @ s) / (2 * n)
-        primal = np.vdot(R, X).real
-        dual = float(y.sum())
-        gap = dual - primal
-        feas = max(np.abs(rp).max(), np.linalg.norm(Rd))
-        if feas <= FEAS_TOL and abs(gap) <= GAP_TOL * max(1.0, abs(primal)):
-            break
-        if mu > 1e14 or not np.isfinite(mu):    # a relay-form relaxation is bounded
-            raise ConvergenceError(f"interior point diverged at iteration {it} (mu = {mu:.1e})")
+    def directions(rhs, dX0, ds0):
+        # HKM step: M dy = rhs, dX = dX0 - X dZ W, ds = (ds0 - s dy)/y
+        try:
+            dy = np.linalg.solve(M, rhs)
+        except np.linalg.LinAlgError:
+            raise ConvergenceError(
+                f"interior point: singular Schur matrix at iteration {it}") from None
+        dZ = q.weighted_sum(dy) - Rd
+        return symmetrize(dX0 - X @ dZ @ W), (ds0 - s * dy) / y, dy, dZ
 
-        # [X^{-1/2}, Z^{-1/2}], shared by the predictor and corrector step
-        # lengths, and W = Z^{-1} from the same eigenpairs
-        w, U = np.linalg.eigh(np.stack([X, Z]))
-        Pmh = (U / np.sqrt(np.maximum(w, 1e-300))[:, None, :]) @ U.conj().transpose(0, 2, 1)
-        W = symmetrize(Pmh[1] @ Pmh[1])
-        XQW = X @ Q @ W
-        # M_kj = Re[Tr(QXQW) + c_j (WQX)_jj + c_k (XQW)_kk + c_k c_j X_kj W_jk];
-        # (WQX)_jj is the conjugate of (XQW)_jj
-        b = c * np.diagonal(XQW).real
-        M = np.vdot(Q, XQW).real + b[:, None] + b + cc * (X * W.T).real
-        M += np.diag(s / y)
-        trAZ = q.traces(W)
-        trAXRdZ = q.traces(X @ Rd @ W)
+    def steps(dX, dZ, ds, dy, tau):
+        # largest a <= 1 keeping X + a dX, Z + a dZ (1-tau)-ish inside the cone and
+        # v + a dv > 0; L^-1 dX L^-H (X = L L^H) has the eigenvalues of X^-1/2 dX X^-1/2
+        lx, lz = np.linalg.eigvalsh(Li @ np.array([dX, dZ]) @ LiH)[:, 0]
+        return [1.0 if m >= 0 else min(1.0, -tau / m)
+                for m in (min(lx, (ds / s).min()), min(lz, (dy / y).min()))]
 
-        def directions(sig, C, cs):
-            # HKM step toward X Z = sig mu I - C Z and y s = sig mu - cs
-            rhs = sig * mu * (trAZ + 1.0 / y) - 1.0 + trAXRdZ - q.traces(C) - cs / y
-            try:
-                dy = np.linalg.solve(M, rhs)
-            except np.linalg.LinAlgError:
+    try:
+        for it in range(MAX_ITER):
+            Rd = Z - (q.weighted_sum(y) - R)
+            mu = (np.vdot(Z, X).real + y @ s) / (2 * n)
+            primal = np.vdot(R, X).real
+            dual = float(y.sum())
+            gap = dual - primal
+            if (abs(gap) <= GAP_TOL * max(1.0, abs(primal))
+                    and max(np.abs(1.0 - tr(X) - s).max(), np.linalg.norm(Rd)) <= FEAS_TOL):
+                break
+            if mu > 1e14 or not math.isfinite(mu):    # a relay-form relaxation is bounded
                 raise ConvergenceError(
-                    f"interior point: singular Schur matrix at iteration {it}") from None
-            dZ = q.weighted_sum(dy) - Rd
-            dX = symmetrize(sig * mu * W - X - X @ dZ @ W - C)
-            ds = (sig * mu - cs - y * s - s * dy) / y
-            return dX, ds, dy, dZ
+                    f"interior point diverged at iteration {it} (mu = {mu:.1e})")
 
-        # the affine predictor fixes the centering weight; Mehrotra's corrector
-        # then also cancels its second-order term dX_a dZ_a
-        dX, ds, dy, dZ = directions(0.0, np.zeros_like(X), 0.0)
-        ap, ad = _max_steps(Pmh, dX, dZ, (s, y), (ds, dy), 1.0)
-        mu_aff = (np.vdot(Z + ad * dZ, X + ap * dX).real
-                  + (y + ad * dy) @ (s + ap * ds)) / (2 * n)
-        sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-4, 0.8))
-        dX, ds, dy, dZ = directions(sigma, dX @ dZ @ W, ds * dy)
-        ap, ad = (0.98 * a for a in _max_steps(Pmh, dX, dZ, (s, y), (ds, dy), 0.99))
-        X = symmetrize(X + ap * dX)
-        s = s + ap * ds
-        y = y + ad * dy
-        Z = symmetrize(Z + ad * dZ)
-    else:
-        raise ConvergenceError(
-            f"interior-point method did not certify relative gap <= {GAP_TOL:.1e} "
-            f"in {MAX_ITER} iterations")
+            # Cholesky factors X = L L^H, Z = L_Z L_Z^H, shared by the predictor
+            # and corrector step lengths, and W = Z^-1 = L_Z^-H L_Z^-1
+            Li = np.linalg.inv(np.linalg.cholesky(np.array([X, Z])))
+            LiH = Li.conj().transpose(0, 2, 1)
+            W = symmetrize(LiH[1] @ Li[1])
+            XQW = X @ Q @ W
+            # M_kj = Re[Tr(QXQW) + c_j (WQX)_jj + c_k (XQW)_kk + c_k c_j X_kj W_jk];
+            # (WQX)_jj is the conjugate of (XQW)_jj
+            b = c * XQW.diagonal().real
+            M = np.vdot(Q, XQW).real + b[:, None] + b + cc * (X * W.T).real
+            M.flat[::n + 1] += s / y
+            trXRdW = tr(X @ Rd @ W)
+
+            # the affine predictor (X Z = 0, y s = 0) fixes the centering
+            # weight; Mehrotra's corrector then targets X Z = sigma mu I - C Z,
+            # y s = sigma mu - ds dy, cancelling the second-order C = dX dZ W
+            dX, ds, dy, dZ = directions(trXRdW - 1.0, -X, -y * s)
+            ap, ad = steps(dX, dZ, ds, dy, 1.0)
+            mu_aff = (np.vdot(Z + ad * dZ, X + ap * dX).real
+                      + (y + ad * dy) @ (s + ap * ds)) / (2 * n)
+            sm = min(max((max(mu_aff, 0.0) / mu) ** 3, 1e-4), 0.8) * mu
+            C, cs = dX @ dZ @ W, ds * dy
+            dX, ds, dy, dZ = directions(sm * (tr(W) + 1.0 / y) - 1.0 + trXRdW - tr(C) - cs / y,
+                                        sm * W - X - C, sm - cs - y * s)
+            ap, ad = (0.98 * a for a in steps(dX, dZ, ds, dy, 0.99))
+            X = symmetrize(X + ap * dX)
+            s = s + ap * ds
+            y = y + ad * dy
+            Z = symmetrize(Z + ad * dZ)
+        else:
+            raise ConvergenceError(
+                f"interior-point method did not certify relative gap <= {GAP_TOL:.1e} "
+                f"in {MAX_ITER} iterations")
+    except np.linalg.LinAlgError as err:
+        # a Cholesky factor, its inverse or a step-length eigvalsh broke down
+        raise ConvergenceError(f"interior point broke down at iteration {it}: {err}") from None
 
     return _package(X, y, primal, dual, it)
 
@@ -193,20 +209,6 @@ def dual_certificate_residuals(q: QcqpInstance, sol: SdpSolution) -> Certificate
     comp = abs(np.trace(Zbar @ X).real) + float(y @ (1.0 - vals))
     return CertificateReport(primal_feas=primal_feas, dual_feas=dual_feas,
                              comp_slack=float(comp))
-
-
-def _max_steps(Pmh, dX, dZ, vs, dvs, tau):
-    """Largest steps a <= 1 (primal, dual) keeping X + a dX and Z + a dZ
-    (1-tau)-ish inside the cone and v + a dv > 0; Pmh = [X^{-1/2}, Z^{-1/2}]."""
-    lams = np.linalg.eigvalsh(Pmh @ np.stack([dX, dZ]) @ Pmh).min(axis=1)
-    steps = []
-    for lam, v, dv in zip(lams, vs, dvs):
-        a = 1.0 if lam >= 0 else min(1.0, -tau / lam)
-        neg = dv < 0
-        if neg.any():
-            a = min(a, float((-tau * v[neg] / dv[neg]).min()))
-        steps.append(a)
-    return steps
 
 
 def range_eigh(X):

@@ -190,6 +190,20 @@ def loose_cap_problem(seed, n, r_scale=1.0, q_scale=1.0):
     return QcqpInstance(R=r_scale * R, Q=q_scale * Q, c=np.full(n, 1e-8))
 
 
+def break_stacked_kernel(monkeypatch, name, after=0):
+    """Make ``np.linalg.<name>`` raise LinAlgError on stacked (batch) input
+    after ``after`` such calls; 2-D calls run as usual."""
+    real, calls = getattr(np.linalg, name), []
+
+    def broken(a, *args):
+        if np.ndim(a) == 3:
+            calls.append(name)
+            if len(calls) > after:
+                raise np.linalg.LinAlgError(f"{name} forced to fail")
+        return real(a, *args)
+    monkeypatch.setattr(np.linalg, name, broken)
+
+
 def degenerate_qcqp_instance(rng, n, inactive=False):
     """An individual-power instance whose SDP relaxation has a non-unique
     optimal face: R is a nonnegative combination sum_k y_k A_k of the

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from relaybeam.indiv_diag import solve_diagonal
 from relaybeam.indiv_qcqp import build_qcqp, qcqp_objective
 from relaybeam.oracle import brute_force_indiv
 from relaybeam.problems import IndivPowerProblem, TotalPowerProblem
-from conftest import degenerate_qcqp_instance, loose_cap_problem, scan_snr
+from conftest import break_stacked_kernel, degenerate_qcqp_instance, loose_cap_problem, scan_snr
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -273,6 +274,14 @@ class TestMain:
         path = write_scenario(tmp_path / "loose.json", payload)
         assert main(["solve", path]) == 2
         assert "singular Schur matrix" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kernel", ["cholesky", "inv", "eigvalsh"])
+    def test_interior_point_breakdown_exit_2(self, tmp_path, capsys, monkeypatch, kernel):
+        # a LinAlgError inside the interior point is a non-convergence, not a crash
+        path, _ = fixture_scenario(tmp_path, solver="sdp")
+        break_stacked_kernel(monkeypatch, kernel)
+        assert main(["solve", path]) == 2
+        assert re.search(r"broke down at iteration \d+", capsys.readouterr().err)
 
     @pytest.mark.parametrize("field,value", [
         ("channel.stats.R", [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]),

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from relaybeam.errors import InputError
-from relaybeam.linalg import hermitian, qform
+from relaybeam.linalg import hermitian, qform, symmetrize
 from conftest import is_psd, rand_psd
 
 
@@ -34,3 +37,13 @@ def test_qform_real(rng):
     H = rand_psd(rng, 3)
     v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     assert qform(H, v) == pytest.approx(np.real(v.conj() @ H @ v))
+
+
+@given(st.integers(1, 6).flatmap(lambda n: arrays(
+    complex, (n, n), elements=st.complex_numbers(max_magnitude=1e300, allow_infinity=False,
+                                                 allow_nan=False))))
+def test_symmetrize_is_exactly_hermitian(H):
+    # the diagonal of H + H^H is exactly real without a fix-up: b + (-b) = +0
+    S = symmetrize(H)
+    assert np.array_equal(S, S.conj().T)
+    assert not S.diagonal().imag.any()

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from relaybeam.indiv_qcqp import build_qcqp, solve_via_sdp
 from relaybeam.problems import IndivPowerProblem
 from relaybeam.sdp import (QcqpInstance, SdpProblem, dual_certificate_residuals, range_eigh,
                            solve_relaxation)
-from conftest import (constraint_stack, degenerate_qcqp_instance, loose_cap_problem,
-                      rand_indiv_problem, rand_psd, stacked_relaxation, stacked_residuals)
+from conftest import (break_stacked_kernel, constraint_stack, degenerate_qcqp_instance,
+                      loose_cap_problem, rand_indiv_problem, rand_psd, stacked_relaxation,
+                      stacked_residuals)
 
 
 def fixture_problem(n):
@@ -172,6 +174,28 @@ class TestBreakdownIsConvergenceError:
         with pytest.raises(ConvergenceError, match=r"diverged at iteration \d+"):
             solve_relaxation(loose_cap_problem(0, 4, r_scale=1e8, q_scale=1e-8))
 
+    @pytest.mark.parametrize("kernel", ["cholesky", "inv", "eigvalsh"])
+    def test_kernel_breakdown(self, monkeypatch, kernel):
+        # a LinAlgError of the scalings or step lengths names its iteration
+        break_stacked_kernel(monkeypatch, kernel, after=3)
+        with pytest.raises(ConvergenceError, match=r"broke down at iteration \d+"):
+            solve_relaxation(fixture_problem(4))
+
+
+def test_kernel_budget_per_iteration(monkeypatch):
+    # one stacked Cholesky and its inverse, two Schur solves and one stacked
+    # eigvalsh per direction; then Z0's eigvalsh and _package's range_eigh
+    q = fixture_problem(6)
+    calls = Counter()
+    for name in ("cholesky", "inv", "solve", "eigvalsh", "eigh"):
+        def counted(*args, _name=name, _real=getattr(np.linalg, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    k = solve_relaxation(q).iterations
+    assert k > 0
+    assert calls == {"cholesky": k, "inv": k, "solve": 2 * k, "eigvalsh": 2 * k + 1, "eigh": 1}
+
 
 class TestCertificateResiduals:
     @pytest.mark.parametrize("n", [4, 24])
@@ -204,8 +228,10 @@ class TestAgreesWithStackedReference:
     """The relay-form IPM against the stacked reference IPM of conftest on
     the same instance: the same iterates up to round-off."""
 
-    @pytest.mark.parametrize("kind", ["general", "rician", "degenerate"])
-    @pytest.mark.parametrize("n", [3, 4, 6, 8, 12, 16, 32])
+    # n = 64 checks the Cholesky scalings where X is worst conditioned
+    @pytest.mark.parametrize("n,kind", [(n, kind) for n in (3, 4, 6, 8, 12, 16, 32)
+                                        for kind in ("general", "rician", "degenerate")]
+                             + [(64, "general")])
     def test_same_iterates(self, n, kind):
         rng = np.random.default_rng(n)
         if kind == "degenerate":
