@@ -37,9 +37,10 @@ class RicianParams:
         n = self.f_mean.size
         if not (self.f_var.size == self.g_mean.size == self.g_var.size == n):
             raise InputError("f_mean, f_var, g_mean and g_var must share one length")
-        if (self.f_var < 0).any() or (self.g_var < 0).any():
-            raise InputError("variances must be nonnegative")
-        if np.all(np.abs(self.f_mean) ** 2 + self.f_var == 0):
+        for name, var in (("f_var", self.f_var), ("g_var", self.g_var)):
+            if not ((var >= 0) & (var < np.inf)).all():
+                raise InputError(f"{name} must be nonnegative and finite")
+        if np.all((self.f_mean == 0) & (self.f_var == 0)):
             raise InputError("f_mean and f_var give every source-relay channel zero power")
 
     @property
@@ -65,8 +66,7 @@ class ChannelStats:
             raise InputError("D, R, Q dimensions disagree")
         if not ((self.D >= 0) & (self.D < np.inf)).all():
             raise InputError("D must be nonnegative and finite")
-        if not 0 < self.sigma2 < np.inf:
-            raise InputError(f"sigma2 must be positive and finite, got {self.sigma2}")
+        _check_sigma2(self.sigma2)
         for name, M in (("R", self.R), ("Q", self.Q)):
             lam = psd_violation(M)
             if lam:
@@ -81,6 +81,11 @@ class ChannelStats:
     def is_diagonal(self) -> bool:
         """True when R and Q carry negligible off-diagonal mass."""
         return is_diagonal(self.R) and is_diagonal(self.Q)
+
+
+def _check_sigma2(sigma2):
+    if not 0 < sigma2 < np.inf:
+        raise InputError(f"sigma2 must be positive and finite, got {sigma2}")
 
 
 @dataclass
@@ -102,13 +107,23 @@ def build_stats(p: RicianParams, sigma2: float = 1.0) -> ChannelStats:
 
     D_ii = |fbar_i|^2 + psi_i;  Q_ij = gbar_i gbar_j^* + sqrt(phi_i phi_j) delta_ij;
     R_ij is the entrywise product of the f- and g-covariances because f and g
-    are independent and h_i = f_i g_i.
+    are independent and h_i = f_i g_i.  ``RicianParams`` has checked every
+    input, and Q and R (a Schur product of PSD matrices) are Hermitian PSD by
+    construction, so ChannelStats' checks of caller input are skipped and
+    only sigma^2 is checked.
     """
-    D = np.abs(p.f_mean) ** 2 + p.f_var
-    Q = np.outer(p.g_mean, p.g_mean.conj()) + np.diag(p.g_var)
-    Rf = np.outer(p.f_mean, p.f_mean.conj()) + np.diag(p.f_var)
-    R = Rf * Q
-    return ChannelStats(D=D, R=symmetrize(R), Q=symmetrize(Q), sigma2=float(sigma2))
+    sigma2 = float(sigma2)
+    _check_sigma2(sigma2)
+    with np.errstate(over="ignore", invalid="ignore"):   # overflow is raised below
+        D = np.abs(p.f_mean) ** 2 + p.f_var
+        Q = np.outer(p.g_mean, p.g_mean.conj()) + np.diag(p.g_var)
+        Rf = np.outer(p.f_mean, p.f_mean.conj()) + np.diag(p.f_var)
+        R = symmetrize(Rf * Q)
+    if not np.isfinite(R).all():      # large finite parameters can still overflow
+        raise InputError("the Rician parameters overflow R")
+    stats = object.__new__(ChannelStats)
+    stats.D, stats.R, stats.Q, stats.sigma2 = D, R, symmetrize(Q), sigma2
+    return stats
 
 
 def snr(stats: ChannelStats, Ps: float, w) -> float:

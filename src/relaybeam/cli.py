@@ -22,6 +22,7 @@ in the message, or a command-line usage error), 4 any other library failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import reprlib
@@ -265,7 +266,10 @@ def _print_rows(rows):
 # entry point
 # ---------------------------------------------------------------------------
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state on it."""
     parser = argparse.ArgumentParser(prog="relaybeam",
                                      description="Relay beamforming solvers")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -283,9 +287,12 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="directory for report files")
     p_solve.add_argument("--trace", action="store_true")
     p_repro.add_argument("--seed", type=int, default=20111)
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:      # argparse exits 0 after --help, 2 on a usage error
         return 3 if exc.code else 0
     try:

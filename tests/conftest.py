@@ -5,7 +5,8 @@ from relaybeam import indiv_diag, indiv_search
 from relaybeam.channel import ChannelStats
 from relaybeam.errors import ConvergenceError, InputError
 from relaybeam.linalg import hermitian, symmetrize
-from relaybeam.sdp import FEAS_TOL, GAP_TOL, MAX_ITER, QcqpInstance, SdpSolution, range_eigh
+from relaybeam.sdp import (_EXIT_GAP, _EXIT_RANK, _EXIT_STEPS, FEAS_TOL, GAP_TOL, MAX_ITER,
+                           QcqpInstance, SdpSolution, range_eigh)
 from relaybeam.problems import IndivPowerProblem, TotalPowerProblem
 
 MC_BATCH = 20000   # draws per monte_carlo_stats batch
@@ -81,9 +82,10 @@ def constraint_stack(prob):
 
 def stacked_relaxation(R, A):
     """Reference for ``sdp.solve_relaxation``: the same interior-point method
-    (HKM direction, Mehrotra corrector, start, stop test and constants) on a
-    generic (N, n, n) stack of PSD constraint matrices, with the Schur matrix
-    Re Tr(A_k X A_j Z^-1) formed through the stack at O(N n^3 + N^2 n^2)."""
+    (HKM direction, Mehrotra corrector, start, stop test, rank-one exit and
+    constants) on a generic (N, n, n) stack of PSD constraint matrices, with
+    the Schur matrix Re Tr(A_k X A_j Z^-1) formed through the stack at
+    O(N n^3 + N^2 n^2)."""
     A = np.asarray(A, dtype=complex)
     R = np.asarray(R, dtype=complex)
     N, n = A.shape[0], R.shape[0]
@@ -104,6 +106,11 @@ def stacked_relaxation(R, A):
         mu = (np.trace(Z @ X).real + y @ s) / (n + N)
         primal = np.trace(R @ X).real
         gap = y.sum() - primal
+        if (it and abs(gap) <= _EXIT_GAP * max(1.0, abs(primal))
+                and np.vdot(X, X).real >= _EXIT_RANK * np.trace(X).real ** 2):
+            sol = stacked_rank_one_exit(R, A, X, y, s, it)
+            if sol is not None:
+                return sol
         if (max(np.abs(rp).max(), np.linalg.norm(Rd)) <= FEAS_TOL
                 and abs(gap) <= GAP_TOL * max(1.0, abs(primal))):
             break
@@ -153,6 +160,49 @@ def stacked_relaxation(R, A):
     return SdpSolution(X=X, dual_y=np.maximum(y, 0.0), primal_obj=primal,
                        dual_obj=float(y.sum()), gap=float(y.sum()) - primal,
                        rank_estimate=range_eigh(X)[0].size, iterations=it)
+
+
+def stacked_rank_one_exit(R, A, X, y, s, it):
+    """``sdp._rank_one_exit`` on the stack A: Newton steps on (sum_A y_k A_k
+    - R) w = 0, (w^H A_k w - 1)/2 = 0 bordered by i w from X's top factor,
+    then the same certificate, with Tr X <= N / lambda_min(sum_k A_k) (every
+    Tr(A_k X) <= 1) in place of the relay form's sum_k 1/c_k."""
+    N, n = A.shape[0], R.shape[0]
+    act = np.flatnonzero(y > s)
+    m, yk = act.size, np.where(y > s, y, 0.0)
+    try:
+        with np.errstate(all="ignore"):
+            lam, U = np.linalg.eigh(X)
+            w = U[:, -1] * np.sqrt(lam[-1])
+            for _ in range(_EXIT_STEPS):
+                Z = np.tensordot(yk, A, 1) - R
+                G = (A[act] @ w).T
+                # real unknowns [Re dw, Im dw, dy_A, t]; dw enters as Z dw,
+                # i.e. Z Re dw + i Z Im dw, and t along the phase i w
+                top = np.hstack([Z, 1j * Z, G, 1j * w[:, None]])
+                top = np.vstack([top.real, top.imag])
+                K = np.vstack([top, np.hstack([top[:, 2 * n:].T, np.zeros((m + 1, m + 1))])])
+                Zw = Z @ w
+                caps = (w.conj() @ G).real
+                d = np.linalg.solve(K, np.concatenate([-Zw.real, -Zw.imag,
+                                                       0.5 * (1.0 - caps), [0.0]]))
+                w = w + d[:n] + 1j * d[n:2 * n]
+                yk[act] += d[2 * n:-1]
+            peak = np.einsum("a,kab,b->k", w.conj(), A, w).real.max()
+            if not (np.isfinite(yk).all() and yk.min() >= 0 and peak > 0):
+                return None
+            w = w / np.sqrt(peak)
+            lam_z = np.linalg.eigvalsh(np.tensordot(yk, A, 1) - R)[0]
+            trace_cap = N / np.linalg.eigvalsh(A.sum(axis=0))[0]
+    except np.linalg.LinAlgError:
+        return None
+    bound = yk.sum() + max(0.0, -lam_z) * trace_cap
+    primal = float(np.vdot(w, R @ w).real)
+    if not bound - primal <= GAP_TOL * bound:
+        return None
+    return SdpSolution(X=np.outer(w, w.conj()), dual_y=yk, primal_obj=primal,
+                       dual_obj=float(bound), gap=float(bound - primal), rank_estimate=1,
+                       iterations=it)
 
 
 def stacked_residuals(R, A, sol):

@@ -38,6 +38,21 @@ class TestBuildStats:
             # R_ii factorizes as D_ii * Q_ii in the Rician construction
             assert np.allclose(np.diag(s.R).real, s.D * np.diag(s.Q).real)
 
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_as_checked_by_channel_stats(self, case):
+        # build_stats skips ChannelStats' caller-input checks; running them
+        # would change no bit of D, R or Q
+        s = build_stats(fixtures.total_fixture(case), 0.7)
+        checked = ChannelStats(D=s.D, R=s.R, Q=s.Q, sigma2=s.sigma2)
+        for name in ("D", "R", "Q"):
+            assert np.array_equal(getattr(s, name), getattr(checked, name))
+        assert s.sigma2 == checked.sigma2 == 0.7
+
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_sigma2_rejected(self, sigma2):
+        with pytest.raises(InputError, match="sigma2 must be positive and finite"):
+            build_stats(fixtures.total_fixture(1), sigma2)
+
     def test_negative_variance_rejected(self):
         with pytest.raises(InputError):
             RicianParams(f_mean=[1.0], f_var=[-0.1], g_mean=[1.0], g_var=[0.0])

@@ -497,6 +497,15 @@ class TestMain:
         assert min(rep["feasibility"]) >= -1e-12
         prob = parse_scenario(str(path)).problem
         assert rep["snr"] >= brute_force_indiv(prob)[1] * (1 - 1e-9)
+        # the relaxation is rank one and the interior point stops at its
+        # certified rank-one KKT point: every cap active, a round-off gap,
+        # and a bound (Ps = sigma2 = 1) that covers the achieved SNR
+        meta = rep["metadata"]
+        assert (meta["rank_estimate"], meta["iterations"]) == (1, 5)
+        assert 0.0 <= meta["sdp_gap"] <= 1e-12
+        assert max(rep["feasibility"]) <= 1e-12
+        assert rep["snr"] == pytest.approx(2.0948368126, rel=1e-10)
+        assert rep["snr"] <= (meta["sdp_obj"] + meta["sdp_gap"]) * (1 + 1e-12)
 
     def test_trace_and_export(self, tmp_path, capsys):
         path, _ = diagonal_scenario(tmp_path, solver="cdm")
@@ -674,6 +683,24 @@ class TestMain:
         names["scenario"] = diagonal_scenario(tmp_path)[0]
         assert main([a.format(**names) for a in argv]) == 3
         assert named.format(**names) in capsys.readouterr().err
+
+    def test_parser_reuse_matches_fresh_calls(self, capsys):
+        # main builds its parser once per process; a usage error followed by
+        # a valid command prints and returns as two calls on fresh parsers
+        argv = (["solve", "--no-such-flag"], ["solve", str(SCENARIOS / "total_rayleigh_n4.json")])
+
+        def calls(fresh):
+            results = []
+            for a in argv:
+                if fresh:
+                    cli._parser.cache_clear()
+                results.append((main(a), capsys.readouterr()))
+            return results
+
+        reused = calls(fresh=False)
+        assert [code for code, _ in reused] == [3, 0]
+        assert reused == calls(fresh=True)
+        assert cli._parser() is cli._parser()
 
     def test_help_exit_0(self, capsys):
         assert main(["--help"]) == 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from relaybeam.channel import ChannelStats, RicianParams
+from relaybeam.channel import ChannelStats, RicianParams, build_stats
 from relaybeam.errors import InputError
 from relaybeam.indiv_search import build_pnorm_embedding, coordinate_descent
 from relaybeam.linalg import check_vector, hermitian
@@ -22,6 +22,15 @@ CASES = {
                                             g_var=[1, 1, 1]), "g_var"),
     "rician-no-power": (lambda: RicianParams(f_mean=[0, 0], f_var=[0, 0], g_mean=[1, 1],
                                              g_var=[1, 1]), "f_mean"),
+    "rician-nan-var": (lambda: RicianParams(f_mean=[1, 1], f_var=[1, np.nan], g_mean=[1, 1],
+                                            g_var=[1, 1]), "f_var must be nonnegative and finite"),
+    "rician-inf-var": (lambda: RicianParams(f_mean=[1, 1], f_var=[1, 1], g_mean=[1, 1],
+                                            g_var=[np.inf, 1]), "g_var must be nonnegative and finite"),
+    "rician-negative-var": (lambda: RicianParams(f_mean=[1, 1], f_var=[1, 1], g_mean=[1, 1],
+                                                 g_var=[1, -0.5]), "g_var must be nonnegative"),
+    "rician-overflow": (lambda: build_stats(RicianParams(f_mean=[1e160, 1], f_var=[1, 1],
+                                                         g_mean=[1, 1], g_var=[1, 1])),
+                        "overflow R"),
     "stats-sizes": (lambda: ChannelStats(D=np.ones(3), R=I2, Q=I2, sigma2=1.0), "D, R, Q"),
     "stats-r-not-psd": (lambda: ChannelStats(D=np.ones(2), R=np.diag([1.0, -1.0]), Q=I2,
                                              sigma2=1.0), "R is not PSD"),

@@ -4,11 +4,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from relaybeam import fixtures
+from relaybeam import fixtures, indiv_qcqp, sdp
 from relaybeam.channel import ChannelStats, RicianParams, build_stats
 from relaybeam.errors import ConvergenceError, InputError, ModelError
-from relaybeam.indiv_qcqp import build_qcqp, solve_via_sdp
+from relaybeam.indiv_qcqp import build_qcqp, qcqp_objective, solve_via_sdp
 from relaybeam.problems import IndivPowerProblem
 from relaybeam.sdp import (QcqpInstance, SdpProblem, dual_certificate_residuals, range_eigh,
                            solve_relaxation)
@@ -250,6 +252,140 @@ class TestAgreesWithStackedReference:
         xtol = 1e-5 if kind == "degenerate" else 1e-6
         assert np.abs(sol.X - ref.X).max() <= xtol * np.abs(ref.X).max()
         assert_certified(q, sol)
+
+
+def exits(monkeypatch):
+    """Record the result of every rank-one exit attempt: a list of
+    ``SdpSolution`` or None (declined)."""
+    seen, attempt = [], sdp._rank_one_exit
+    monkeypatch.setattr(sdp, "_rank_one_exit", lambda *a: seen.append(attempt(*a)) or seen[-1])
+    return seen
+
+
+def without_exit(q):
+    """``solve_relaxation`` with the rank-one exit switched off: the plain
+    interior point, stopped at its own gap target."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdp, "_EXIT_GAP", -1.0)
+        return solve_relaxation(q)
+
+
+def assert_same_solution(got, ref):
+    for name in ("X", "dual_y"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name))
+    for name in ("primal_obj", "dual_obj", "gap", "rank_estimate", "iterations"):
+        assert getattr(got, name) == getattr(ref, name)
+
+
+def rank_one_problem(n):
+    """A general instance whose relaxation is rank one (checked by the tests)."""
+    return build_qcqp(rand_indiv_problem(np.random.default_rng(n), n))
+
+
+class TestRankOneExit:
+    """The exit at a certified rank-one KKT point: taken only on a
+    certificate, and otherwise leaving the interior point's iterates alone."""
+
+    @pytest.mark.parametrize("n", [3, 6, 12])
+    def test_taken_on_rank_one(self, monkeypatch, n):
+        q = rank_one_problem(n)
+        seen = exits(monkeypatch)
+        sol = solve_relaxation(q)
+        ref = without_exit(q)
+        assert seen[-1] is sol and sol.rank_estimate == ref.rank_estimate == 1
+        assert sol.iterations < ref.iterations
+        assert sol.primal_obj == pytest.approx(ref.primal_obj, rel=1e-8)
+        assert q.traces(sol.X).max() <= 1.0 + 1e-12
+        assert 0.0 <= sol.gap <= sdp.GAP_TOL * sol.dual_obj
+        assert_certified(q, sol)
+
+    @pytest.mark.parametrize("case", ["fixture-4", "fixture-6", "degenerate-4", "degenerate-8",
+                                      "degenerate-inactive-6"])
+    def test_rank_two_never_exits(self, monkeypatch, case):
+        kind, *_, n = case.split("-")
+        rng = np.random.default_rng(int(n))
+        q = (fixture_problem(int(n)) if kind == "fixture"
+             else degenerate_qcqp_instance(rng, int(n), inactive="inactive" in case)[1])
+        seen = exits(monkeypatch)
+        sol = solve_relaxation(q)
+        assert sol.rank_estimate >= 2
+        assert all(attempt is None for attempt in seen)
+        assert_same_solution(sol, without_exit(q))
+
+    def test_linalg_error_declines(self, monkeypatch):
+        # the exit's bordered Newton system is the only solve larger than n x n
+        q = rank_one_problem(6)
+        ref = without_exit(q)
+        real, raised = np.linalg.solve, []
+
+        def solve(a, b):
+            if a.shape[0] > q.n:
+                raised.append(a.shape)
+                raise np.linalg.LinAlgError("forced")
+            return real(a, b)
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        seen = exits(monkeypatch)
+        sol = solve_relaxation(q)
+        assert raised and seen and all(attempt is None for attempt in seen)
+        assert_same_solution(sol, ref)
+
+    def test_negative_multiplier_declines(self, monkeypatch):
+        # max w^H R w s.t. |w_1|^2, |w_2|^2 <= 1 peaks at w = (1, 1/4), 3.125;
+        # with cap 2 taken as active the KKT point is w = (1, 1), value 2,
+        # y = (3.5, -1.5), where Z = diag(y) - R is PSD: only y >= 0 keeps
+        # sum y = 2 from certifying it
+        toy = QcqpInstance(R=np.array([[3.0, 0.5], [0.5, -2.0]], dtype=complex),
+                           Q=np.zeros((2, 2), dtype=complex), c=np.ones(2))
+        w0 = np.array([1.0, 0.9], dtype=complex)
+        assert sdp._rank_one_exit(toy, np.outer(w0, w0), np.array([3.5, 1.0]),
+                                  np.zeros(2), 1) is None
+        assert solve_relaxation(toy).primal_obj == pytest.approx(3.125, rel=1e-9)
+        # every Newton step pushes the active multipliers far below zero
+        q = rank_one_problem(6)
+        ref = without_exit(q)
+        real = np.linalg.solve
+
+        def solve(a, b):
+            d = real(a, b)
+            if a.shape[0] > q.n:
+                d[2 * q.n:-1] -= 1e6
+            return d
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        seen = exits(monkeypatch)
+        sol = solve_relaxation(q)
+        assert seen and all(attempt is None for attempt in seen)
+        assert_same_solution(sol, ref)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_zero_objective_declines(self, monkeypatch, n):
+        # R = 0: every multiplier tends to zero, no cap is active and the
+        # bordered Newton system is singular; a 1 x 1 X is rank one, so n = 1
+        # tries the exit at every iteration
+        q = rank_one_problem(n)
+        q = QcqpInstance(R=np.zeros_like(q.R), Q=q.Q, c=q.c)
+        seen = exits(monkeypatch)
+        sol = solve_relaxation(q)
+        assert all(attempt is None for attempt in seen) and (n > 1 or seen)
+        assert sol.primal_obj == 0.0
+        assert_same_solution(sol, without_exit(q))
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8),
+           kind=st.sampled_from(["general", "rician"]))
+    @settings(deadline=None, max_examples=30)
+    def test_certificate_bounds_every_route(self, seed, n, kind):
+        rng = np.random.default_rng(seed)
+        p = rand_indiv_problem(rng, n) if kind == "general" else rician_problem(rng, n)
+        q = build_qcqp(p)
+        ref = without_exit(q)
+        assume(ref.rank_estimate == 1)
+        relaxation = solve_via_sdp(p)
+        sol = relaxation[1]
+        assert sol.iterations < ref.iterations     # the exit was taken
+        assert q.traces(sol.X).max() <= 1.0 + 1e-12
+        assert_certified(q, sol)
+        for route, options in (("sdp", {}), ("cdm", {}), ("grp", {"samples": 64})):
+            w = indiv_qcqp.solve(p, route, options, seed, relaxation)[0].w
+            assert qcqp_objective(q, w) <= sol.dual_obj * (1 + 1e-12)
 
 
 class TestSdpProblemAdapter:
