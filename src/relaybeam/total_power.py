@@ -19,8 +19,10 @@ two derivatives, which follows the poles at x = 0 and 1 that Newton's
 parabola (used where the fit has no interior minimum) misses; or, at a
 repeated top eigenvalue, at d2 <= 0 or for a target outside the bracket,
 the top direction's own term, which lies above lambda_min and touches it
-at x (a majorize-minimize step, valid everywhere).  For diagonal
-statistics the minimizer is in closed form.  The weight direction
+at x (a majorize-minimize step, valid everywhere).  ``solve`` searches
+from both bracket ends, and stops the run from x_u where a target lands
+within STEP_TOL of the x_l run's x, since it could only tie there.  For
+diagonal statistics the minimizer is in closed form.  The weight direction
 d^{-1/2} V beta^{-1/2} h, for H's top eigenvector h, is rescaled so the
 power budget holds with equality.
 """
@@ -112,12 +114,13 @@ def lambda_min_g(s: SPair, x: float):
     hh = np.abs(h) ** 2
     cc = np.abs(U.conj().T @ (D1 * h)) ** 2
     dmu = 2.0 * mu * (D1 @ hh)
-    # at a zero gap d2 is meaningless, and _target reads the gap before d2
+    # at a zero gap d2 is meaningless, and _target reads the gap before d2;
+    # where mu^2 underflows, newton_solve rejects the non-finite target
     with np.errstate(divide="ignore", invalid="ignore"):
         ddmu = 2.0 * (mu * (D2 @ hh) + mus @ cc
                       + ((mu + rest) ** 2 * cc[:-1] / (mu - rest)).sum())
-    d1 = -dmu / mu ** 2
-    d2 = -ddmu / mu ** 2 + 2.0 * dmu ** 2 / mu ** 3
+        d1 = -dmu / mu ** 2
+        d2 = -ddmu / mu ** 2 + 2.0 * dmu ** 2 / mu ** 3
     gap = float((mu - rest[-1]) / mu) if rest.size else np.inf
     return float(1.0 / mu), float(d1), float(d2), s.basis @ (bis * h), gap
 
@@ -149,7 +152,8 @@ def solve_diagonal(p: TotalPowerProblem) -> TotalPowerSolution:
     return _package(p, x, lam, np.eye(stats.n)[:, k0] + 0j, 0, trace)
 
 
-def newton_solve(p: TotalPowerProblem, x0: float, s: SPair | None = None) -> TotalPowerSolution:
+def newton_solve(p: TotalPowerProblem, x0: float, s: SPair | None = None,
+                 meet: float | None = None) -> TotalPowerSolution:
     """Bracketed Newton-type search for a stationary x starting from x0.
 
     Every step goes where ``_target`` says: to the minimizer of a term
@@ -157,8 +161,11 @@ def newton_solve(p: TotalPowerProblem, x0: float, s: SPair | None = None) -> Tot
     otherwise the top direction's own, which cannot raise lambda_min.  Stops
     when |dx/x| < STEP_TOL and |d1| < DERIV_TOL (the step test alone at a
     gap of at most GAP_TOL, where d1 is one direction's slope at a kink), or
-    raises ConvergenceError after MAX_ITER steps.  Each iterate takes one
-    eigendecomposition.
+    raises ConvergenceError after MAX_ITER steps or at a target outside
+    (0, 1) (mu^2 underflows at P0/sigma^2 ~ 1e-200).  Each iterate takes
+    one eigendecomposition.  Given ``meet``, another run's x, it stops once
+    a target lands within STEP_TOL of it, where it could only end at that
+    point: it returns the current iterate and its steps, with a trace note.
     """
     if s is None:
         s = build_s_pair(p)
@@ -170,6 +177,11 @@ def newton_solve(p: TotalPowerProblem, x0: float, s: SPair | None = None) -> Tot
     lam, d1, d2, w_dir, gap = lambda_min_g(s, x)
     for k in range(MAX_ITER):
         x_new = _target(x, lam, d1, d2, gap, xl, xu)
+        if not 0.0 < x_new < 1.0:
+            raise ConvergenceError(f"Newton broke down at iteration {k}: x={x} has target {x_new}")
+        if meet is not None and abs((x_new - meet) / meet) < STEP_TOL:
+            trace.note(f"met x={meet} after {k} steps")
+            return _package(p, x, lam, w_dir, k, trace)
         trace.append(k, x, lam, d1, d2, x_new - x)
         converged = abs((x_new - x) / x) < STEP_TOL
         x = x_new
@@ -183,13 +195,16 @@ def solve(p: TotalPowerProblem) -> TotalPowerSolution:
     """Dispatch: diagonal instances in closed form, otherwise Newton from
     both bracket endpoints.  The run from x_l is kept unless the run from
     x_u reaches an SNR larger by more than 1e-12 relative, so two runs that
-    end at the same optimum never compete on round-off."""
+    end at the same optimum never compete on round-off.  A run from x_u
+    that meets the x_l run (see newton_solve; its trace notes it) would end
+    there and tie, so it never competes either."""
     if p.stats.is_diagonal():
         return solve_diagonal(p)
     s = build_s_pair(p)
     xl, xu = bracket_x(s)
-    run_l, run_u = (newton_solve(p, x0, s=s) for x0 in (xl, xu))
-    return run_u if run_u.snr > run_l.snr * (1.0 + 1e-12) else run_l
+    run_l = newton_solve(p, xl, s=s)
+    run_u = newton_solve(p, xu, s=s, meet=run_l.x)
+    return run_u if not run_u.trace.notes and run_u.snr > run_l.snr * (1.0 + 1e-12) else run_l
 
 
 def _target(x, lam, d1, d2, gap, xl, xu):

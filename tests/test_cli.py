@@ -319,6 +319,22 @@ class TestMain:
         assert main(["solve", path]) == 2
         assert "did not" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("P0", [1e-200, 1e-300])
+    def test_underflowing_total_power_newton_exit_2(self, tmp_path, capsys, P0):
+        # at P0/sigma^2 this small mu^2 underflows in lambda_min_g and the
+        # Newton target is NaN: a non-convergence, not an input error
+        payload = {"mode": "total", "sigma2": 1.0,
+                   "channel": {"rician": {"f_mean": [[0.7, 0.2], [-0.4, 0.9], [1.1, -0.3],
+                                                     [0.2, 0.5], [-0.6, -0.1]],
+                                          "f_var": [0.5, 1.0, 0.3, 1.4, 0.8],
+                                          "g_mean": [[-0.3, 0.9], [0.5, 0.5], [0.8, -0.6],
+                                                     [0.1, -1.0], [0.4, 0.3]],
+                                          "g_var": [0.4, 0.9, 1.2, 0.6, 1.7]}},
+                   "budget": {"P0": P0}}
+        path = write_scenario(tmp_path / "faint.json", payload)
+        assert main(["solve", path]) == 2
+        assert "broke down at iteration 0" in capsys.readouterr().err
+
     def test_sdp_route_decomposes_a_relaxation_above_rank_one(self, tmp_path, capsys, rng):
         # n <= 3 and a relaxation of rank >= 2: the sdp route's exact
         # rank-one decomposition keeps the relaxation's value

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from relaybeam import fixtures, total_power
 from relaybeam.channel import ChannelStats, RicianParams, build_stats, snr
-from relaybeam.errors import DispatchError, InputError, ModelError
+from relaybeam.errors import ConvergenceError, DispatchError, InputError, ModelError
 from relaybeam.problems import TotalPowerProblem
 from relaybeam.total_power import (GAP_TOL, _target, bracket_x, build_s_pair,
                                    lambda_min_g, newton_solve, solve,
@@ -53,6 +55,41 @@ def identical_relays_problem(n, P0):
     params = RicianParams(f_mean=np.full(n, 0.7 + 0.2j), f_var=np.full(n, 0.8),
                           g_mean=np.full(n, -0.3 + 0.9j), g_var=np.full(n, 1.3))
     return TotalPowerProblem(stats=build_stats(params, 1.0), P0=P0)
+
+
+def rician_problem(n, P0, seed):
+    """n Rician relays with CN(0, 1) mean gains and per-link variances
+    U(0.2, 2); sigma^2 = 1."""
+    rng = np.random.default_rng(seed)
+
+    def mean():
+        return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+
+    params = RicianParams(f_mean=mean(), f_var=rng.uniform(0.2, 2.0, n),
+                          g_mean=mean(), g_var=rng.uniform(0.2, 2.0, n))
+    return TotalPowerProblem(stats=build_stats(params, 1.0), P0=P0)
+
+
+def near_diagonal_two_relay_problem(seed):
+    """Two relays, each strong on one hop, whose objective has a stationary
+    point near each bracket end: R = I plus real coupling U(1e-3, 1e-1),
+    D = (10a, U(20, 200)), Q = diag(U(20, 200), 10a), a ~ U(0.5, 2),
+    sigma^2 = 1, P0 = 10."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.5, 2.0)
+    c = rng.uniform(1e-3, 1e-1)
+    D = np.array([10.0 * a, rng.uniform(20.0, 200.0)])
+    Q = np.diag([rng.uniform(20.0, 200.0), 10.0 * a]).astype(complex)
+    R = np.array([[1.0, c], [c, 1.0]], dtype=complex)
+    return TotalPowerProblem(stats=ChannelStats(D=D, R=R, Q=Q, sigma2=1.0), P0=10.0)
+
+
+def two_full_runs(p):
+    """The rule before the meeting stop: both endpoint runs to convergence,
+    the x_u run kept only where its SNR is larger by more than 1e-12."""
+    s = build_s_pair(p)
+    run_l, run_u = (newton_solve(p, x0, s=s) for x0 in bracket_x(s))
+    return run_u if run_u.snr > run_l.snr * (1.0 + 1e-12) else run_l
 
 
 def count_lambda_min_g(monkeypatch):
@@ -501,6 +538,94 @@ class TestDiagonal:
             best = max(runs, key=lambda r: r.snr)
             assert best.x == pytest.approx(ref.x, abs=1e-6)
             assert best.snr == pytest.approx(ref.snr, rel=1e-6)
+
+
+class TestMeetingStop:
+    @pytest.mark.parametrize("kind", ["rician", "near-los", "los", "identical"])
+    def test_solve_equals_two_full_runs(self, kind):
+        # stopping the x_u run where it meets the x_l run changes no output
+        for seed in range(20):
+            rng = np.random.default_rng([seed, 25])
+            n, P0 = int(rng.integers(2, 17)), float(10.0 ** rng.uniform(-2.0, 4.0))
+            if kind == "rician":
+                p = rician_problem(n, P0, [seed, 26])
+            elif kind == "identical":
+                p = identical_relays_problem(n, P0)
+            else:
+                var = 0.0 if kind == "los" else float(10.0 ** rng.uniform(-6.0, -1.0))
+                p = los_problem(n, var, P0, [seed, 27])
+            got, ref = solve(p), two_full_runs(p)
+            assert (got.x, got.snr, got.lambda_min, got.iterations) == \
+                (ref.x, ref.snr, ref.lambda_min, ref.iterations), (kind, seed)
+            assert np.array_equal(got.w, ref.w), (kind, seed)
+
+    def test_one_basin_fixture_stops_the_x_u_run_where_it_meets(self, monkeypatch):
+        # total-2: both runs end at x = 0.4087; the x_u run stops after one
+        # step, whose successor lands on the x_l run's x (8 calls before)
+        p = fixture_problem(2)
+        s = build_s_pair(p)
+        xl, xu = bracket_x(s)
+        run_l = newton_solve(p, xl, s=s)
+        met = newton_solve(p, xu, s=s, meet=run_l.x)
+        assert met.iterations == len(met.trace) == 1
+        assert met.trace.notes == [f"met x={run_l.x} after 1 steps"]
+        calls = count_lambda_min_g(monkeypatch)
+        sol = solve(p)
+        assert len(calls) == 6
+        assert sol.x == run_l.x and sol.iterations == 3
+
+    def test_a_met_run_never_competes(self, monkeypatch):
+        # the met x_u run stopped short of its end, so its SNR is not
+        # compared: even a larger one leaves the x_l run returned
+        inner = total_power.newton_solve
+
+        def inflated(p, x0, s=None, meet=None):
+            sol = inner(p, x0, s=s, meet=meet)
+            return dataclasses.replace(sol, snr=2.0 * sol.snr) if sol.trace.notes else sol
+
+        p = fixture_problem(2)
+        s = build_s_pair(p)
+        run_l = newton_solve(p, bracket_x(s)[0], s=s)
+        monkeypatch.setattr(total_power, "newton_solve", inflated)
+        sol = solve(p)
+        assert (sol.x, sol.snr, sol.iterations) == (run_l.x, run_l.snr, run_l.iterations)
+
+    def test_two_basin_fixture_runs_both_to_convergence(self, monkeypatch):
+        # total-1: the x_u run heads into the other basin (x = 0.5844) and
+        # is not cut short; the x_l basin's larger SNR wins
+        p = fixture_problem(1)
+        s = build_s_pair(p)
+        xl, xu = bracket_x(s)
+        run_l = newton_solve(p, xl, s=s)
+        run_u = newton_solve(p, xu, s=s, meet=run_l.x)
+        assert not run_u.trace.notes and run_u.x == newton_solve(p, xu, s=s).x
+        assert run_u.x == pytest.approx(0.5844, abs=5e-3)
+        calls = count_lambda_min_g(monkeypatch)
+        sol = solve(p)
+        assert len(calls) == 8
+        assert sol.x == run_l.x and sol.snr > run_u.snr
+
+    def test_x_u_basin_wins_on_a_near_diagonal_two_relay_instance(self, monkeypatch):
+        # pinned by a seeded search over near_diagonal_two_relay_problem:
+        # the x_u run ends in its own basin with a larger SNR and is returned
+        p = near_diagonal_two_relay_problem(23)
+        s = build_s_pair(p)
+        xl, xu = bracket_x(s)
+        run_l, run_u = (newton_solve(p, x0, s=s) for x0 in (xl, xu))
+        assert run_u.x - run_l.x > 0.1 and run_u.snr > run_l.snr * 1.01
+        calls = count_lambda_min_g(monkeypatch)
+        sol = solve(p)
+        assert len(calls) == run_l.iterations + run_u.iterations + 2
+        assert not sol.trace.notes
+        assert (sol.x, sol.snr, sol.iterations) == (run_u.x, run_u.snr, run_u.iterations)
+        assert sol.snr >= (1.0 - 1e-6) * scan_snr(p.stats, p.P0)
+
+    @pytest.mark.parametrize("P0", [1e-200, 1e-300])
+    def test_underflowing_curvature_is_a_convergence_error(self, P0):
+        # mu ~ P0/sigma^2, so mu^2 underflows: d1 = -inf and the target is
+        # NaN, a numerical failure rather than bad input
+        with pytest.raises(ConvergenceError, match="broke down at iteration 0"):
+            solve(rician_problem(5, P0, 5))
 
 
 class TestLineOfSight:
