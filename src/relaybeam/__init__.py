@@ -3,28 +3,18 @@
 Solvers for destination-SNR maximization in amplify-and-forward relay
 networks under either a joint source+relay power budget or per-relay
 power caps, driven entirely by the channel covariance triple (D, R, Q).
+The package namespace holds the problem inputs and the error classes
+behind the CLI's exit codes; the solvers are its modules.
 """
 
-from .channel import (BeamformingSolution, ChannelStats, RicianParams,
-                      build_stats, powers, snr)
-from .errors import (ConvergenceError, DispatchError, InputError, ModelError,
-                     RelayBeamError, ScopeError, SingularityError)
-from .linalg import hermitian
+from .channel import ChannelStats, RicianParams, build_stats
+from .errors import ConvergenceError, InputError, ModelError, RelayBeamError
 from .problems import IndivPowerProblem, TotalPowerProblem
-from .sdp import (CertificateReport, SdpProblem, SdpSolution,
-                  dual_certificate_residuals, solve_relaxation)
-from .trace import SolverTrace
 
 __all__ = [
-    "BeamformingSolution", "ChannelStats", "RicianParams", "build_stats",
-    "powers", "snr",
-    "ConvergenceError", "DispatchError", "InputError", "ModelError",
-    "RelayBeamError", "ScopeError", "SingularityError",
-    "hermitian",
+    "ChannelStats", "RicianParams", "build_stats",
     "IndivPowerProblem", "TotalPowerProblem",
-    "CertificateReport", "SdpProblem", "SdpSolution",
-    "dual_certificate_residuals", "solve_relaxation",
-    "SolverTrace",
+    "RelayBeamError", "InputError", "ConvergenceError", "ModelError",
 ]
 
 __version__ = "0.1.0"

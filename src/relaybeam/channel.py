@@ -88,6 +88,11 @@ def _check_sigma2(sigma2):
         raise InputError(f"sigma2 must be positive and finite, got {sigma2}")
 
 
+def _check_Ps(Ps):
+    if not 0 < Ps < np.inf:
+        raise InputError(f"Ps must be positive and finite, got {Ps}")
+
+
 @dataclass
 class BeamformingSolution:
     """A weight vector with its achieved SNR and per-constraint slacks."""
@@ -128,8 +133,7 @@ def build_stats(p: RicianParams, sigma2: float = 1.0) -> ChannelStats:
 
 def snr(stats: ChannelStats, Ps: float, w) -> float:
     """Destination SNR (Ps/sigma^2) * (w^H R w) / (1 + w^H Q w)."""
-    if Ps <= 0:
-        raise InputError("Ps must be positive")
+    _check_Ps(Ps)
     w = np.asarray(w, dtype=complex).ravel()
     return (Ps / stats.sigma2) * qform(stats.R, w) / (1.0 + qform(stats.Q, w))
 
@@ -140,8 +144,7 @@ def powers(stats: ChannelStats, Ps: float, w):
     Returns ``(P_r, P_ri)`` with P_r = Ps w^H D w + sigma^2 w^H w and
     P_ri = (Ps D_ii + sigma^2) |w_i|^2; the per-relay values sum to P_r.
     """
-    if Ps <= 0:
-        raise InputError("Ps must be positive")
+    _check_Ps(Ps)
     w = np.asarray(w, dtype=complex).ravel()
     P_ri = (Ps * stats.D + stats.sigma2) * np.abs(w) ** 2
     return float(P_ri.sum()), P_ri

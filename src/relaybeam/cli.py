@@ -15,8 +15,8 @@ the solvers never see raw JSON.  ``run`` then calls ``total_power.solve`` or
 reports never overwrite each other.  Exit codes: 0 success (and ``--help``), 1
 a ``reproduce`` row outside its tolerance, 2 solver non-convergence, 3 input
 error (a malformed field, an unreadable or unwritable file or directory, named
-in the message, or a command-line usage error), 4 any other library failure
-(a singular matrix, an infeasible or unbounded model, R = 0).
+in the message, an instance outside a solver's scope, or a command-line usage
+error), 4 any other library failure (an infeasible or unbounded model, R = 0).
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """Exception hierarchy shared across the solvers.
 
-The CLI maps ConvergenceError to exit code 2, InputError (with its
-subclasses DispatchError and ScopeError) to exit code 3, and every other
-RelayBeamError (SingularityError, ModelError) to exit code 4.
+The CLI maps ConvergenceError to exit code 2, InputError to exit code 3,
+and ModelError (and any other RelayBeamError) to exit code 4.
 """
 
 
@@ -12,21 +11,9 @@ class RelayBeamError(Exception):
 
 class InputError(RelayBeamError):
     """Invalid user-supplied data: bad shapes, non-Hermitian matrices,
-    negative variances, malformed scenario files."""
-
-
-class DispatchError(InputError):
-    """A solver restricted to a structural subclass (e.g. diagonal R, Q)
-    received an instance outside it."""
-
-
-class ScopeError(InputError):
-    """Operation invoked outside its proven scope (e.g. rank-one
-    decomposition with more than three relays)."""
-
-
-class SingularityError(RelayBeamError):
-    """A matrix that must be positive definite is numerically singular."""
+    negative variances, malformed scenario files, or an instance outside a
+    solver's scope (non-diagonal R, Q for a diagonal solver; n > 3 where
+    only n <= 3 is proven)."""
 
 
 class ConvergenceError(RelayBeamError):

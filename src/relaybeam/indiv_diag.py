@@ -15,13 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import BeamformingSolution
-from .errors import DispatchError
+from .errors import InputError
 from .problems import IndivPowerProblem
 
 
 def _diag_parts(p: IndivPowerProblem):
     if not p.stats.is_diagonal():
-        raise DispatchError("R or Q is not diagonal; use the QCQP/search solvers")
+        raise InputError("R or Q is not diagonal; use the QCQP/search solvers")
     r = np.diag(p.stats.R).real
     q = np.diag(p.stats.Q).real
     coef = 1.0 / p.c   # full-cap |w_k|^2

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import indiv_diag, indiv_search
 from .channel import BeamformingSolution
-from .errors import InputError, ScopeError
+from .errors import InputError
 from .linalg import _real_embed, qform, symmetrize
 from .problems import IndivPowerProblem
 from .sdp import QcqpInstance, range_eigh, solve_relaxation
@@ -125,7 +125,7 @@ def rank_one_decompose(X, q: QcqpInstance) -> np.ndarray:
     objective Tr(R X) = sum y_k Tr(A_k X) is unchanged too.
     """
     if q.n > 3:
-        raise ScopeError(
+        raise InputError(
             "rank-one decomposition is only guaranteed for n <= 3; "
             "use coordinate descent or the p-norm solver")
     lam, U = range_eigh(symmetrize(X))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InputError, ModelError, SingularityError
+from .errors import ConvergenceError, InputError, ModelError
 from .linalg import _real_embed, symmetrize
 from .problems import IndivPowerProblem
 from .trace import SolverTrace
@@ -236,8 +236,10 @@ def choose_p(n: int) -> int:
 
 def build_pnorm_embedding(prob: IndivPowerProblem, p: int) -> PnormEmbedding:
     """Scale weights by D1, then embed complex u into z = [Re u; Im u]."""
-    if p < 1:
+    if not p >= 1:
         raise InputError("p must be >= 1")
+    if not float(p).is_integer():
+        raise InputError(f"p must be an integer, got {p!r}")
     d1 = np.sqrt(prob.c)
     Dinv = np.diag(1.0 / d1)
     Q1 = symmetrize(Dinv @ prob.stats.Q @ Dinv)
@@ -252,7 +254,7 @@ def phi_p_value(e: PnormEmbedding, z) -> float:
     s = _slot_powers(e, z)
     smax = s.max()
     if smax <= 0:
-        raise SingularityError("phi_p is not smooth at z = 0")
+        return 0.0      # the norm's value at z = 0, where it is not smooth
     return float(smax * (np.sum((s / smax) ** e.p)) ** (1.0 / e.p))
 
 

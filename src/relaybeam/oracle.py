@@ -13,11 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import snr
-from .errors import InputError, ScopeError
+from .errors import InputError
 from .problems import IndivPowerProblem, TotalPowerProblem
 from . import indiv_search
 
 EVAL_GUARD = 10 ** 8
+BATCH = 2 ** 20            # grid points evaluated per block
 
 
 @dataclass
@@ -30,8 +31,7 @@ class GridSpec:
         return self.radial_points ** n * self.angular_points ** (n - 1)
 
 
-def brute_force_indiv(p: IndivPowerProblem, g: GridSpec | None = None,
-                      batch: int = 2 ** 20):
+def brute_force_indiv(p: IndivPowerProblem, g: GridSpec | None = None):
     """Exhaustive polar-grid search over the per-relay feasible box.
 
     The first weight's phase is fixed to zero (SNR is phase invariant);
@@ -39,7 +39,7 @@ def brute_force_indiv(p: IndivPowerProblem, g: GridSpec | None = None,
     subproblem.  Returns ``(w, snr)``.
     """
     if p.n > 3:
-        raise ScopeError("brute force is limited to n <= 3")
+        raise InputError("brute force is limited to n <= 3")
     g = g or GridSpec()
     total = g.evaluations(p.n)
     if total > EVAL_GUARD:
@@ -63,7 +63,7 @@ def brute_force_indiv(p: IndivPowerProblem, g: GridSpec | None = None,
                  for i, gi in enumerate(grids) for j in range(i, n - 1)), np.full(shape, noise))
         u = sum((gi.conj() * M[i, -1] for i, gi in enumerate(grids)), np.zeros(shape, complex))
         forms.append((A.reshape(-1, 1), u.reshape(-1, 1), M[-1, -1].real * np.abs(last) ** 2))
-    rows = max(1, batch // last.size)
+    rows = max(1, BATCH // last.size)
     best_val, best = -np.inf, 0
     for r0 in range(0, int(np.prod(shape)), rows):
         num, den = (A[r0:r0 + rows] + d + 2.0 * (u[r0:r0 + rows] * last).real

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BeamformingSolution, ChannelStats, snr
+from .channel import BeamformingSolution, ChannelStats, _check_Ps, snr
 from .errors import InputError
 
 
@@ -32,8 +32,7 @@ class IndivPowerProblem:
     P: np.ndarray
 
     def __post_init__(self):
-        if not 0 < self.Ps < np.inf:
-            raise InputError(f"Ps must be positive and finite, got {self.Ps}")
+        _check_Ps(self.Ps)
         self.P = np.asarray(self.P, dtype=float).ravel()
         if self.P.size != self.stats.n:
             raise InputError(

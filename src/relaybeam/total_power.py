@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import BeamformingSolution, powers, snr
-from .errors import ConvergenceError, DispatchError, InputError, ModelError
+from .errors import ConvergenceError, InputError, ModelError
 from .problems import TotalPowerProblem
 from .trace import SolverTrace
 
@@ -136,7 +136,7 @@ def solve_diagonal(p: TotalPowerProblem) -> TotalPowerSolution:
     """
     stats = p.stats
     if not stats.is_diagonal():
-        raise DispatchError("R, Q are not diagonal; use newton_solve or solve")
+        raise InputError("R, Q are not diagonal; use newton_solve or solve")
     r = stats.sigma2 / p.P0
     sa = np.sqrt(stats.D + r)
     sb = np.sqrt(np.diag(stats.Q).real + r)

@@ -369,7 +369,7 @@ def extract_coefficients(p, w, k: int):
 def dinkelbach_F(p, t: float) -> float:
     """Dinkelbach's auxiliary function F(t) of a diagonal per-relay problem
     (see ``relaybeam.indiv_diag``), whose unique root is the optimal SNR.
-    Raises DispatchError when R or Q is not diagonal."""
+    Raises InputError when R or Q is not diagonal."""
     r, q, coef = indiv_diag._diag_parts(p)
     margin = (p.Ps / p.stats.sigma2) * r - t * q
     return -t + float((coef * np.maximum(margin, 0.0)).sum())

@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import brentq
 
 from relaybeam.channel import ChannelStats, snr
-from relaybeam.errors import DispatchError
+from relaybeam.errors import InputError
 from relaybeam.indiv_diag import solve_diagonal
 from relaybeam.problems import IndivPowerProblem
 from conftest import dinkelbach_F, rand_indiv_problem
@@ -44,7 +44,7 @@ class TestDinkelbachF:
 
     def test_dispatch_error_for_dense(self, rng):
         p = rand_indiv_problem(rng, 3, diagonal=False)
-        with pytest.raises(DispatchError):
+        with pytest.raises(InputError, match="R or Q is not diagonal"):
             dinkelbach_F(p, 1.0)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from relaybeam import fixtures, indiv_qcqp
 from relaybeam.channel import ChannelStats
-from relaybeam.errors import InputError, ScopeError
+from relaybeam.errors import InputError
 from relaybeam.indiv_diag import solve_diagonal
 from relaybeam.indiv_qcqp import (GRP_BATCH, _unvech, _vech, build_qcqp, grp_extract,
                                   qcqp_objective, rank_one_decompose,
@@ -297,7 +297,7 @@ class TestRankOneDecompose:
     def test_scope_error_above_three(self):
         p = fixture_problem(4)
         q, sol, _ = solve_via_sdp(p)
-        with pytest.raises(ScopeError):
+        with pytest.raises(InputError, match="rank-one decomposition is only guaranteed for n <= 3"):
             rank_one_decompose(sol.X, q)
 
 

@@ -1,10 +1,12 @@
-"""Every input check of the library raises InputError naming the field."""
+"""Every input check of the library raises InputError naming the field,
+and the package namespace holds the problem inputs and the error classes."""
 
 import numpy as np
 import pytest
 
-from relaybeam.channel import ChannelStats, RicianParams, build_stats
-from relaybeam.errors import InputError
+import relaybeam
+from relaybeam.channel import ChannelStats, RicianParams, build_stats, powers, snr
+from relaybeam.errors import ConvergenceError, InputError, ModelError, RelayBeamError
 from relaybeam.indiv_search import build_pnorm_embedding, coordinate_descent
 from relaybeam.linalg import check_vector, hermitian
 from relaybeam.problems import IndivPowerProblem
@@ -44,6 +46,14 @@ CASES = {
                           "g_mean contains non-finite"),
     "cdm-w0-length": (lambda: coordinate_descent(problem(), np.ones(3)), "w0 has length 3"),
     "pnorm-p": (lambda: build_pnorm_embedding(problem(), 0), "p must be >= 1"),
+    "pnorm-p-fraction": (lambda: build_pnorm_embedding(problem(), 2.5),
+                         "p must be an integer, got 2.5"),
+    "snr-ps-nan": (lambda: snr(problem().stats, np.nan, np.ones(2)), "Ps must be positive and finite"),
+    "snr-ps-inf": (lambda: snr(problem().stats, np.inf, np.ones(2)), "Ps must be positive and finite"),
+    "powers-ps-nan": (lambda: powers(problem().stats, np.nan, np.ones(2)),
+                      "Ps must be positive and finite"),
+    "powers-ps-inf": (lambda: powers(problem().stats, np.inf, np.ones(2)),
+                      "Ps must be positive and finite"),
 }
 
 
@@ -51,3 +61,14 @@ CASES = {
 def test_input_check_names_the_field(call, named):
     with pytest.raises(InputError, match=named):
         call()
+
+
+def test_package_namespace():
+    assert sorted(relaybeam.__all__) == sorted([
+        "ChannelStats", "RicianParams", "build_stats", "IndivPowerProblem",
+        "TotalPowerProblem", "RelayBeamError", "InputError", "ConvergenceError",
+        "ModelError"])
+    for name in relaybeam.__all__:
+        assert getattr(relaybeam, name).__name__ == name
+    # the CLI's exit codes: 2, 3 and 4 (any other RelayBeamError)
+    assert set(RelayBeamError.__subclasses__()) == {InputError, ConvergenceError, ModelError}

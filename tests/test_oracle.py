@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relaybeam.errors import InputError, ScopeError
+from relaybeam.errors import InputError
 from relaybeam.indiv_diag import solve_diagonal
 from relaybeam.oracle import GridSpec, brute_force_indiv, brute_force_total
 from relaybeam.total_power import solve as total_solve
@@ -36,7 +36,7 @@ class TestBruteForceIndiv:
 
     def test_scope_error(self, rng):
         p = rand_indiv_problem(rng, 4)
-        with pytest.raises(ScopeError):
+        with pytest.raises(InputError, match="brute force is limited to n <= 3"):
             brute_force_indiv(p)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from relaybeam import fixtures, total_power
 from relaybeam.channel import ChannelStats, RicianParams, build_stats, snr
-from relaybeam.errors import ConvergenceError, DispatchError, InputError, ModelError
+from relaybeam.errors import ConvergenceError, InputError, ModelError
 from relaybeam.problems import TotalPowerProblem
 from relaybeam.total_power import (GAP_TOL, _target, bracket_x, build_s_pair,
                                    lambda_min_g, newton_solve, solve,
@@ -496,7 +496,7 @@ class TestDiagonal:
         assert np.abs(sol.w[0]) == 0.0 and sol.snr > 0
 
     def test_dispatch_error_for_dense(self):
-        with pytest.raises(DispatchError):
+        with pytest.raises(InputError, match="R, Q are not diagonal"):
             solve_diagonal(fixture_problem(1))
 
     def test_solve_routes_diagonal(self, rng):
