@@ -384,9 +384,12 @@ def _write_text(path: str, text: str):
 def _write_new(out_dir: str, prefix: str, suffix: str, text: str) -> str:
     """The path of a new file ``<prefix><random><suffix>`` in ``out_dir`` holding ``text``."""
     _make_dir(out_dir)
-    fd, path = tempfile.mkstemp(prefix=prefix, suffix=suffix, dir=out_dir)
-    with os.fdopen(fd, "w") as fh:
-        fh.write(text)
+    try:
+        fd, path = tempfile.mkstemp(prefix=prefix, suffix=suffix, dir=out_dir)
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write an output file in {out_dir}: {exc.strerror}") from None
     return path
 
 

@@ -276,6 +276,8 @@ def phi_p_grad_hess(e: PnormEmbedding, z):
     p = e.p
     s = _slot_powers(e, z)
     val = phi_p_value(e, z)
+    if val == 0:
+        raise InputError("phi_p is not twice differentiable at z = 0")
     ratio = s / val
     rp1 = ratio ** (p - 1)
     g = np.empty(2 * n)

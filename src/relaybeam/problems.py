@@ -20,6 +20,8 @@ class TotalPowerProblem:
     def __post_init__(self):
         if not 0 < self.P0 < np.inf:
             raise InputError(f"P0 must be positive and finite, got {self.P0}")
+        if not 0 < float(self.stats.sigma2) / float(self.P0) < np.inf:
+            raise InputError(f"sigma2/P0 = {self.stats.sigma2}/{self.P0} is not positive and finite")
 
 
 @dataclass

@@ -167,7 +167,7 @@ def solve_relaxation(q: QcqpInstance) -> SdpSolution:
             if (abs(gap) <= GAP_TOL * max(1.0, abs(primal))
                     and max(np.abs(1.0 - tr(X) - s).max(), np.linalg.norm(Rd)) <= FEAS_TOL):
                 break
-            if mu > 1e14 or not math.isfinite(mu):    # a relay-form relaxation is bounded
+            if not math.isfinite(mu):    # bounded relaxation; mu's scale follows R's
                 raise ConvergenceError(
                     f"interior point diverged at iteration {it} (mu = {mu:.1e})")
 

@@ -19,12 +19,13 @@ two derivatives, which follows the poles at x = 0 and 1 that Newton's
 parabola (used where the fit has no interior minimum) misses; or, at a
 repeated top eigenvalue, at d2 <= 0 or for a target outside the bracket,
 the top direction's own term, which lies above lambda_min and touches it
-at x (a majorize-minimize step, valid everywhere).  ``solve`` searches
-from both bracket ends, and stops the run from x_u where a target lands
-within STEP_TOL of the x_l run's x, since it could only tie there.  For
-diagonal statistics the minimizer is in closed form.  The weight direction
-d^{-1/2} V beta^{-1/2} h, for H's top eigenvector h, is rescaled so the
-power budget holds with equality.
+at x (a majorize-minimize step, valid everywhere).  A run stops on the
+step test |dx/x| < STEP_TOL alone.  ``solve`` searches from both bracket
+ends, stops the run from x_u where a target lands within STEP_TOL of the
+x_l run's x (it could only tie there), and keeps it only at a strictly
+smaller lambda_min.  For diagonal statistics the minimizer is in closed
+form.  The weight direction d^{-1/2} V beta^{-1/2} h, for H's top
+eigenvector h, is rescaled so the power budget holds with equality.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ from .trace import SolverTrace
 TRACE_COLUMNS = ("k", "x", "lambda_min", "d1", "d2", "step")
 GAP_TOL = 1e-8     # relative spectral gap at or below which d2 is not trusted
 MAX_ITER = 100     # Newton steps before ConvergenceError
-STEP_TOL = 1e-3    # stop: |dx/x| < STEP_TOL ...
-DERIV_TOL = 1e-3   # ... and |d lambda_min/dx| < DERIV_TOL
+STEP_TOL = 1e-3    # stop: |dx/x| < STEP_TOL
 
 
 @dataclass
@@ -159,12 +159,11 @@ def newton_solve(p: TotalPowerProblem, x0: float, s: SPair | None = None,
     Every step goes where ``_target`` says: to the minimizer of a term
     a/(1-x) + b/x, fitted to (d1, d2) where the gap and d2 can be trusted and
     otherwise the top direction's own, which cannot raise lambda_min.  Stops
-    when |dx/x| < STEP_TOL and |d1| < DERIV_TOL (the step test alone at a
-    gap of at most GAP_TOL, where d1 is one direction's slope at a kink), or
-    raises ConvergenceError after MAX_ITER steps or at a target outside
-    (0, 1) (mu^2 underflows at P0/sigma^2 ~ 1e-200).  Each iterate takes
-    one eigendecomposition.  Given ``meet``, another run's x, it stops once
-    a target lands within STEP_TOL of it, where it could only end at that
+    when |dx/x| < STEP_TOL, a test free of the problem's units, or raises
+    ConvergenceError after MAX_ITER steps or at a target outside (0, 1)
+    (mu^2 underflows below P0/sigma^2 ~ 1e-160).  Each iterate takes one
+    eigendecomposition.  Given ``meet``, another run's x, it stops once a
+    target lands within STEP_TOL of it, where it could only end at that
     point: it returns the current iterate and its steps, with a trace note.
     """
     if s is None:
@@ -186,25 +185,24 @@ def newton_solve(p: TotalPowerProblem, x0: float, s: SPair | None = None,
         converged = abs((x_new - x) / x) < STEP_TOL
         x = x_new
         lam, d1, d2, w_dir, gap = lambda_min_g(s, x)
-        if converged and (gap <= GAP_TOL or abs(d1) < DERIV_TOL):
+        if converged:
             return _package(p, x, lam, w_dir, k + 1, trace)
     raise ConvergenceError(f"Newton did not meet the stopping test in {MAX_ITER} iterations")
 
 
 def solve(p: TotalPowerProblem) -> TotalPowerSolution:
     """Dispatch: diagonal instances in closed form, otherwise Newton from
-    both bracket endpoints.  The run from x_l is kept unless the run from
-    x_u reaches an SNR larger by more than 1e-12 relative, so two runs that
-    end at the same optimum never compete on round-off.  A run from x_u
-    that meets the x_l run (see newton_solve; its trace notes it) would end
-    there and tie, so it never competes either."""
+    both bracket endpoints.  A run from x_u that meets the x_l run (see
+    newton_solve; its trace notes it) would end there and tie, so the x_l
+    run is kept.  Otherwise the run from x_u is kept only where it reaches
+    a strictly smaller lambda_min, the quantity both runs minimize."""
     if p.stats.is_diagonal():
         return solve_diagonal(p)
     s = build_s_pair(p)
     xl, xu = bracket_x(s)
     run_l = newton_solve(p, xl, s=s)
     run_u = newton_solve(p, xu, s=s, meet=run_l.x)
-    return run_u if not run_u.trace.notes and run_u.snr > run_l.snr * (1.0 + 1e-12) else run_l
+    return run_u if not run_u.trace.notes and run_u.lambda_min < run_l.lambda_min else run_l
 
 
 def _target(x, lam, d1, d2, gap, xl, xu):

@@ -335,6 +335,23 @@ class TestMain:
         assert main(["solve", path]) == 2
         assert "broke down at iteration 0" in capsys.readouterr().err
 
+    def test_denormal_p0_exit_3(self, tmp_path, capsys):
+        # sigma2/P0 overflows to inf, which no solver can use
+        payload = json.loads((SCENARIOS / "total_rician_n6.json").read_text())
+        payload["budget"]["P0"] = 1e-310
+        path = write_scenario(tmp_path / "denormal.json", payload)
+        assert main(["solve", path]) == 3
+        err = capsys.readouterr().err
+        assert "sigma2/P0" in err and "1e-310" in err
+
+    def test_unwritable_out_directory_exit_3(self, tmp_path, capsys, monkeypatch):
+        def denied(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+        monkeypatch.setattr(cli.tempfile, "mkstemp", denied)
+        out = tmp_path / "out"
+        assert main(["solve", str(SCENARIOS / "total_rayleigh_n4.json"), "--out", str(out)]) == 3
+        assert str(out) in capsys.readouterr().err
+
     def test_sdp_route_decomposes_a_relaxation_above_rank_one(self, tmp_path, capsys, rng):
         # n <= 3 and a relaxation of rank >= 2: the sdp route's exact
         # rank-one decomposition keeps the relaxation's value

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from relaybeam import fixtures
 from relaybeam.channel import ChannelStats, snr
-from relaybeam.errors import InputError, ModelError
+from relaybeam.errors import ConvergenceError, InputError, ModelError
 from relaybeam.indiv_diag import solve_diagonal
 from relaybeam.indiv_qcqp import build_qcqp, qcqp_objective
 from relaybeam.indiv_search import (ScalarFractionalSubproblem,
@@ -492,6 +492,15 @@ class TestAugmentedLagrangian:
         p = IndivPowerProblem(stats=stats, Ps=1.0, P=np.full(4, 2.0))
         with pytest.raises(ModelError, match="R = 0"):
             build_pnorm_embedding(p, 8)
+
+    def test_ascent_direction_stalls_the_line_search(self, monkeypatch):
+        # a solve that returns the negated Newton direction makes every inner
+        # step an ascent direction, where no Armijo step length exists
+        e = build_pnorm_embedding(fixture_problem(4), 8)
+        real = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: -real(a, b))
+        with pytest.raises(ConvergenceError, match="inner Newton line search stalled"):
+            augmented_lagrangian_solve(e, fixture_problem(4))
 
     def test_inner_descent_and_outer_residuals(self):
         p = fixture_problem(4)

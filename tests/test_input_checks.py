@@ -7,9 +7,9 @@ import pytest
 import relaybeam
 from relaybeam.channel import ChannelStats, RicianParams, build_stats, powers, snr
 from relaybeam.errors import ConvergenceError, InputError, ModelError, RelayBeamError
-from relaybeam.indiv_search import build_pnorm_embedding, coordinate_descent
+from relaybeam.indiv_search import build_pnorm_embedding, coordinate_descent, phi_p_grad_hess
 from relaybeam.linalg import check_vector, hermitian
-from relaybeam.problems import IndivPowerProblem
+from relaybeam.problems import IndivPowerProblem, TotalPowerProblem
 
 I2 = np.eye(2)
 
@@ -40,6 +40,9 @@ CASES = {
                                              sigma2=1.0), "Q is not PSD"),
     "cap-count": (lambda: IndivPowerProblem(stats=problem().stats, Ps=1.0, P=np.ones(3)),
                   "P must hold one power cap per relay"),
+    # r = sigma2/P0 overflows at a denormal P0
+    "total-p0-denormal": (lambda: TotalPowerProblem(stats=problem().stats, P0=1e-310),
+                          r"sigma2/P0 = 1.0/1e-310 is not positive"),
     "hermitian-not-square": (lambda: hermitian(np.ones((2, 3)), name="Q"), "Q must be square"),
     "vector-empty": (lambda: check_vector([], name="f_mean"), "f_mean must have length"),
     "vector-non-finite": (lambda: check_vector([1.0, np.nan], name="g_mean"),
@@ -48,6 +51,9 @@ CASES = {
     "pnorm-p": (lambda: build_pnorm_embedding(problem(), 0), "p must be >= 1"),
     "pnorm-p-fraction": (lambda: build_pnorm_embedding(problem(), 2.5),
                          "p must be an integer, got 2.5"),
+    "pnorm-hessian-at-zero": (lambda: phi_p_grad_hess(build_pnorm_embedding(problem(), 8),
+                                                      np.zeros(4)),
+                              "not twice differentiable at z = 0"),
     "snr-ps-nan": (lambda: snr(problem().stats, np.nan, np.ones(2)), "Ps must be positive and finite"),
     "snr-ps-inf": (lambda: snr(problem().stats, np.inf, np.ones(2)), "Ps must be positive and finite"),
     "powers-ps-nan": (lambda: powers(problem().stats, np.nan, np.ones(2)),

@@ -12,8 +12,8 @@ from relaybeam.channel import ChannelStats, RicianParams, build_stats
 from relaybeam.errors import ConvergenceError, InputError, ModelError
 from relaybeam.indiv_qcqp import build_qcqp, qcqp_objective, solve_via_sdp
 from relaybeam.problems import IndivPowerProblem
-from relaybeam.sdp import (QcqpInstance, SdpProblem, dual_certificate_residuals, range_eigh,
-                           solve_relaxation)
+from relaybeam.sdp import (GAP_TOL, QcqpInstance, SdpProblem, dual_certificate_residuals,
+                           range_eigh, solve_relaxation)
 from conftest import (break_stacked_kernel, constraint_stack, degenerate_qcqp_instance,
                       loose_cap_problem, rand_indiv_problem, rand_psd, stacked_relaxation,
                       stacked_residuals)
@@ -170,10 +170,11 @@ class TestBreakdownIsConvergenceError:
         with pytest.raises(ConvergenceError, match=r"singular Schur matrix at iteration \d+"):
             solve_relaxation(loose_cap_problem(0, 4))
 
-    def test_divergence_guard(self):
-        # R 1e8 and Q 1e-8 put mu above the 1e14 guard; a relay-form
-        # relaxation is bounded, so this is no ModelError
-        with pytest.raises(ConvergenceError, match=r"diverged at iteration \d+"):
+    def test_scaled_loose_caps_name_the_iteration(self):
+        # R 1e8 and Q 1e-8 start mu near 2e15, a size set by the units; the
+        # iterates break down later, and a relay-form relaxation is bounded,
+        # so this is no ModelError
+        with pytest.raises(ConvergenceError, match=r"at iteration \d+"):
             solve_relaxation(loose_cap_problem(0, 4, r_scale=1e8, q_scale=1e-8))
 
     @pytest.mark.parametrize("kernel", ["cholesky", "inv", "eigvalsh"])
@@ -182,6 +183,14 @@ class TestBreakdownIsConvergenceError:
         break_stacked_kernel(monkeypatch, kernel, after=3)
         with pytest.raises(ConvergenceError, match=r"broke down at iteration \d+"):
             solve_relaxation(fixture_problem(4))
+
+
+def test_scaled_loose_caps_certify_at_a_large_mu():
+    # the same scaling starts mu near 2e15 here too: no bound on its size
+    # holds in every unit, and this instance certifies a rank-one optimum
+    sol = solve_relaxation(loose_cap_problem(9, 4, r_scale=1e8, q_scale=1e-8))
+    assert sol.rank_estimate == 1
+    assert sol.gap <= GAP_TOL * sol.dual_obj
 
 
 def test_kernel_budget_per_iteration(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from relaybeam import fixtures, total_power
 from relaybeam.channel import ChannelStats, RicianParams, build_stats, snr
 from relaybeam.errors import ConvergenceError, InputError, ModelError
+from relaybeam.oracle import brute_force_total
 from relaybeam.problems import TotalPowerProblem
 from relaybeam.total_power import (GAP_TOL, _target, bracket_x, build_s_pair,
                                    lambda_min_g, newton_solve, solve,
@@ -619,6 +620,16 @@ class TestMeetingStop:
         assert not sol.trace.notes
         assert (sol.x, sol.snr, sol.iterations) == (run_u.x, run_u.snr, run_u.iterations)
         assert sol.snr >= (1.0 - 1e-6) * scan_snr(p.stats, p.P0)
+
+    @pytest.mark.parametrize("P0", [1e-13, 1e-100, 1e-150])
+    def test_tiny_p0_stops_on_the_step_test(self, P0):
+        # lambda_min ~ sigma^2/P0, so d1 carries round-off of that size at
+        # the optimum and no absolute bound on it holds there; the noise
+        # terms dominate B(x), whose optimum tends to x = 1/2
+        p = los_problem(5, 0.5, P0, 5)
+        sol = solve(p)
+        assert sol.x == pytest.approx(0.5, abs=1e-6)
+        assert sol.snr >= (1.0 - 1e-9) * brute_force_total(p)[1]
 
     @pytest.mark.parametrize("P0", [1e-200, 1e-300])
     def test_underflowing_curvature_is_a_convergence_error(self, P0):
