@@ -10,21 +10,18 @@ diag(beta(x)) with beta = 1/(1-x) + lam/x, and mu(x) is the top eigenvalue
 of H(x) = beta^{-1/2} Rt beta^{-1/2} for the fixed Rt = V^H d^{-1/2} R d^{-1/2} V.
 Only the positive vector d is inverted, so rank-deficient R (line-of-sight
 links) needs no special case.  The bracket [x_l, x_u] follows from lam_1
-and lam_n.  Each iterate takes one eigendecomposition of H, which gives
-analytic first and second derivatives (Hadamard variation formulas).  For
-a fixed weight direction the objective is exactly a/(1-x) + b/x, and
+and lam_n.  Each iterate needs only H's top eigenpair, which gives analytic
+first and second derivatives (Hadamard variation formulas): from one
+eigendecomposition, or, from POWER_MIN_N relays, from a power iteration
+certified to reach the simple top eigenvalue (``_power_top``).  For a
+fixed weight direction the objective is exactly a/(1-x) + b/x, and
 lambda_min(G(x)) is the minimum of such terms, so each step goes to the
-minimizer sqrt(b)/(sqrt(a) + sqrt(b)) of one.  It is the term fitted to the
-two derivatives, which follows the poles at x = 0 and 1 that Newton's
-parabola (used where the fit has no interior minimum) misses; or, at a
-repeated top eigenvalue, at d2 <= 0 or for a target outside the bracket,
-the top direction's own term, which lies above lambda_min and touches it
-at x (a majorize-minimize step, valid everywhere).  A run stops on the
-step test |dx/x| < STEP_TOL alone.  ``solve`` searches from both bracket
-ends, stops the run from x_u where a target lands within STEP_TOL of the
-x_l run's x (it could only tie there), and keeps it only at a strictly
-smaller lambda_min.  For diagonal statistics the minimizer is in closed
-form.  The weight direction d^{-1/2} V beta^{-1/2} h, for H's top
+minimizer sqrt(b)/(sqrt(a) + sqrt(b)) of one (see ``_target``).  A run
+stops on the step test |dx/x| < STEP_TOL alone.  ``solve`` searches from
+both bracket ends, stops the run from x_u where a target lands within
+STEP_TOL of the x_l run's x (it could only tie there), and keeps it only at
+a strictly smaller lambda_min.  For diagonal statistics the minimizer is in
+closed form.  The weight direction d^{-1/2} V beta^{-1/2} h, for H's top
 eigenvector h, is rescaled so the power budget holds with equality.
 """
 
@@ -43,6 +40,9 @@ TRACE_COLUMNS = ("k", "x", "lambda_min", "d1", "d2", "step")
 GAP_TOL = 1e-8     # relative spectral gap at or below which d2 is not trusted
 MAX_ITER = 100     # Newton steps before ConvergenceError
 STEP_TOL = 1e-3    # stop: |dx/x| < STEP_TOL
+POWER_MIN_N = 48   # relay count from which lambda_min_g tries the power iteration
+POWER_MATVECS = 30  # power iteration's matvec budget before the eigh fallback
+POWER_STRIDE = 4   # matvecs between its residual tests
 
 
 @dataclass
@@ -71,6 +71,8 @@ def build_s_pair(p: TotalPowerProblem) -> SPair:
     r = stats.sigma2 / p.P0
     dis = 1.0 / np.sqrt(stats.D + r)
     lam, V = np.linalg.eigh(dis[:, None] * (stats.Q + r * np.eye(stats.n)) * dis)
+    # Q is PSD, so lam >= r/(max D + r), but at r below Q's round-off eigh can give lam <= 0
+    lam = np.where(lam > 0, lam, r / (stats.D.max() + r))
     T = dis[:, None] * V
     Rt = T.conj().T @ stats.R @ T
     if not np.trace(Rt).real > 0:
@@ -100,6 +102,7 @@ def lambda_min_g(s: SPair, x: float):
     with c = U^H D1 h: mu' = 2 mu h^H D1 h and
     mu'' = 2 mu h^H D2 h + 2 sum_j mu_j |c_j|^2
            + 2 sum_{j>1} (mu + mu_j)^2 |c_j|^2 / (mu - mu_j).
+    Where ``_power_top`` certifies them (n >= POWER_MIN_N) the gap is a lower bound.
     """
     if not 0.0 < x < 1.0:
         raise InputError(f"x must lie in (0,1), got {x}")
@@ -107,22 +110,69 @@ def lambda_min_g(s: SPair, x: float):
     db = 1.0 / (1.0 - x) ** 2 - s.lam / x ** 2
     ddb = 2.0 / (1.0 - x) ** 3 + 2.0 * s.lam / x ** 3
     bis = 1.0 / np.sqrt(beta)
-    mus, U = np.linalg.eigh(bis[:, None] * s.Rt * bis)
-    mu, h, rest = mus[-1], U[:, -1], mus[:-1]
+    H = bis[:, None] * s.Rt * bis
     D1 = -db / (2.0 * beta)
     D2 = 0.75 * (db / beta) ** 2 - ddb / (2.0 * beta)
+    top = _power_top(H, D1) if s.lam.size >= POWER_MIN_N else None
+    if top is None:
+        mus, U = np.linalg.eigh(H)
+        mu, h, rest = mus[-1], U[:, -1], mus[:-1]
+        cc = np.abs(U.conj().T @ (D1 * h)) ** 2
+        gap = float((mu - rest[-1]) / mu) if rest.size else np.inf
+    else:
+        mu, h, near, far, gap = top
     hh = np.abs(h) ** 2
-    cc = np.abs(U.conj().T @ (D1 * h)) ** 2
     dmu = 2.0 * mu * (D1 @ hh)
     # at a zero gap d2 is meaningless, and _target reads the gap before d2;
     # where mu^2 underflows, newton_solve rejects the non-finite target
     with np.errstate(divide="ignore", invalid="ignore"):
-        ddmu = 2.0 * (mu * (D2 @ hh) + mus @ cc
-                      + ((mu + rest) ** 2 * cc[:-1] / (mu - rest)).sum())
+        if top is None:
+            near, far = mus @ cc, ((mu + rest) ** 2 * cc[:-1] / (mu - rest)).sum()
+        ddmu = 2.0 * (mu * (D2 @ hh) + near + far)
         d1 = -dmu / mu ** 2
         d2 = -ddmu / mu ** 2 + 2.0 * dmu ** 2 / mu ** 3
-    gap = float((mu - rest[-1]) / mu) if rest.size else np.inf
     return float(1.0 / mu), float(d1), float(d2), s.basis @ (bis * h), gap
+
+
+def _power_top(H, D1):
+    """mu, h, lambda_min_g's two sums and a gap bound by power iteration, or None.
+
+    On H/H_kk, from its largest-diagonal column k, no test reads units or
+    denormal values.  A unit v with Rayleigh quotient t and residual r has an
+    eigenvalue in [t - r, t + r]; once (t - r)^2 > ||H||_F^2/2 it is the simple
+    top one, and no other exceeds sqrt(||H||_F^2 - (t - r)^2).  It stops at a
+    gap bound above GAP_TOL and r <= n eps t (eigh's backward error), and gives
+    up while ||H v||^2 <= ||H||_F^2/2 or after POWER_MATVECS matvecs.  With
+    g = D1 h and z = g - h (h^H g), sum_j mu_j |c_j|^2 = g^H H g, and as
+    (mu + m)^2/(mu - m) = 4 mu^2/(mu - m) - m - 3 mu, the sum over j > 1 is
+    4 mu^2 z^H (mu (I + h h^H) - H)^-1 z - z^H H z - 3 mu ||z||^2.
+    """
+    n, k = H.shape[0], int(np.argmax(H.diagonal().real))
+    scale = H[k, k].real
+    if not scale >= np.finfo(float).tiny:
+        return None
+    Hs = H * (1.0 / scale)
+    fro, v, used = np.vdot(Hs, Hs).real, Hs @ Hs[:, k], 2
+    while True:
+        v = v / np.sqrt(np.vdot(v, v).real)
+        Hv = Hs @ v
+        t = np.vdot(v, Hv).real
+        res = np.sqrt(np.vdot(Hv - t * v, Hv - t * v).real)
+        gap = (t - res - np.sqrt(max(fro - (t - res) ** 2, 0.0))) / t
+        if (t - res) ** 2 > fro / 2.0 and gap > GAP_TOL and res <= n * np.finfo(float).eps * t:
+            break
+        if not np.vdot(Hv, Hv).real > fro / 2.0 or used >= POWER_MATVECS:
+            return None
+        for _ in range(POWER_STRIDE - 1):
+            Hv = Hs @ Hv
+        v, used = Hv, used + POWER_STRIDE
+    g = D1 * v
+    z = g - v * np.vdot(v, g)
+    M = np.outer(t * v, v.conj()) - Hs
+    M.flat[::n + 1] += t
+    far = (4.0 * t * t * np.vdot(z, np.linalg.solve(M, z)) - np.vdot(z, Hs @ z)
+           - 3.0 * t * np.vdot(z, z)).real
+    return t * scale, v, np.vdot(g, Hs @ g).real * scale, far * scale, float(gap)
 
 
 def solve_diagonal(p: TotalPowerProblem) -> TotalPowerSolution:
@@ -161,10 +211,10 @@ def newton_solve(p: TotalPowerProblem, x0: float, s: SPair | None = None,
     otherwise the top direction's own, which cannot raise lambda_min.  Stops
     when |dx/x| < STEP_TOL, a test free of the problem's units, or raises
     ConvergenceError after MAX_ITER steps or at a target outside (0, 1)
-    (mu^2 underflows below P0/sigma^2 ~ 1e-160).  Each iterate takes one
-    eigendecomposition.  Given ``meet``, another run's x, it stops once a
-    target lands within STEP_TOL of it, where it could only end at that
-    point: it returns the current iterate and its steps, with a trace note.
+    (mu^2 underflows below P0/sigma^2 ~ 1e-160).  Given ``meet``, another
+    run's x, it stops once a target lands within STEP_TOL of it, where it
+    could only end there: it returns the current iterate and its steps, with
+    a trace note.
     """
     if s is None:
         s = build_s_pair(p)

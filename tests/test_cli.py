@@ -14,7 +14,7 @@ from relaybeam.cli import main, parse_scenario, reproduce, run
 from relaybeam.errors import InputError
 from relaybeam.indiv_diag import solve_diagonal
 from relaybeam.indiv_qcqp import build_qcqp, qcqp_objective
-from relaybeam.oracle import brute_force_indiv
+from relaybeam.oracle import brute_force_indiv, brute_force_total
 from relaybeam.problems import IndivPowerProblem, TotalPowerProblem
 from conftest import break_stacked_kernel, degenerate_qcqp_instance, loose_cap_problem, scan_snr
 
@@ -539,6 +539,18 @@ class TestMain:
         assert max(rep["feasibility"]) <= 1e-12
         assert rep["snr"] == pytest.approx(2.0948368126, rel=1e-10)
         assert rep["snr"] <= (meta["sdp_obj"] + meta["sdp_gap"]) * (1 + 1e-12)
+
+    def test_sample_64_relay_scenario(self, capsys, monkeypatch):
+        # every Newton iterate takes the certified power iteration, so the
+        # only eigendecomposition is build_s_pair's
+        path = SCENARIOS / "total_rician_n64.json"
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(len(M)) or eigh(M))
+        assert main(["solve", str(path)]) == 0
+        assert calls == [64]
+        rep = strict_json(capsys.readouterr().out)
+        assert rep["scenario_mode"] == "total" and len(rep["w"]) == 64
+        assert rep["snr"] >= brute_force_total(parse_scenario(str(path)).problem)[1] * (1 - 1e-9)
 
     def test_trace_and_export(self, tmp_path, capsys):
         path, _ = diagonal_scenario(tmp_path, solver="cdm")

@@ -671,3 +671,144 @@ class TestLineOfSight:
         for x0 in bracket_x(s):
             assert newton_solve(p, x0, s=s).iterations <= 10
         assert solve(p).snr >= (1.0 - 1e-9) * scan_snr(p.stats, p.P0)
+
+
+def weak_rician_problem(n, P0, seed, mean_scale, var_lo, var_hi):
+    """``rician_problem`` with the mean gains scaled by ``mean_scale`` and
+    per-link variances U(var_lo, var_hi): weak line of sight or strong
+    scattering, where H's top eigenvalue need not dominate."""
+    rng = np.random.default_rng(seed)
+
+    def mean():
+        return mean_scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+
+    params = RicianParams(f_mean=mean(), f_var=rng.uniform(var_lo, var_hi, n),
+                          g_mean=mean(), g_var=rng.uniform(var_lo, var_hi, n))
+    return TotalPowerProblem(stats=build_stats(params, 1.0), P0=P0)
+
+
+def count_eigh(monkeypatch):
+    """Record the size of every np.linalg.eigh call."""
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(len(M)) or eigh(M))
+    return calls
+
+
+def dense_solve(p, monkeypatch):
+    """``solve`` with the power iteration switched off: one eigh per iterate."""
+    with monkeypatch.context() as m:
+        m.setattr(total_power, "POWER_MIN_N", 10 ** 9)
+        return solve(p)
+
+
+def power_kind_problem(kind, n, seed):
+    P0 = 10.0 ** (seed - 1)
+    if kind == "rician":
+        return rician_problem(n, P0, [seed, n])
+    return los_problem(n, 1e-3 if kind == "near-los" else 0.0, P0, [seed, n])
+
+
+class TestPowerIteration:
+    @pytest.mark.parametrize("kind", ["rician", "near-los", "los"])
+    @pytest.mark.parametrize("n", [48, 64, 96])
+    def test_agrees_with_eigh(self, n, kind, monkeypatch):
+        # 5 seeds x 5 interior x: the certified power path against eigh
+        for seed in range(5):
+            s = build_s_pair(power_kind_problem(kind, n, seed))
+            xs = np.linspace(*bracket_x(s), 7)[1:-1]
+            calls = count_eigh(monkeypatch)
+            power = [lambda_min_g(s, x) for x in xs]
+            assert calls == []
+            with monkeypatch.context() as m:
+                m.setattr(total_power, "POWER_MIN_N", 10 ** 9)
+                dense = [lambda_min_g(s, x) for x in xs]
+            assert calls == [n] * len(xs)
+            for (lam, d1, d2, w, gap), (rl, r1, r2, rw, rgap) in zip(power, dense):
+                assert lam == pytest.approx(rl, rel=1e-13)
+                assert d1 == pytest.approx(r1, rel=1e-12, abs=1e-12 * rl)
+                assert d2 == pytest.approx(r2, rel=1e-12)
+                assert 1.0 - abs(np.vdot(w, rw)) / (np.linalg.norm(w) * np.linalg.norm(rw)) <= 1e-14
+                # a certified lower bound on the gap
+                assert GAP_TOL < gap <= rgap + 1e-12
+
+    def test_derivatives_match_finite_differences(self, monkeypatch):
+        s = build_s_pair(rician_problem(64, 10.0, 64))
+        calls = count_eigh(monkeypatch)
+        f = lambda xv: lambda_min_g(s, float(xv))[0]
+        for x in np.linspace(*bracket_x(s), 5)[1:-1]:
+            _, d1, d2, _, _ = lambda_min_g(s, x)
+            assert d1 == pytest.approx(finite_diff(f, x, h=1e-5), rel=1e-6, abs=1e-9)
+            assert d2 == pytest.approx(finite_diff_second(f, x, h=1e-4), rel=1e-4, abs=1e-6)
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["rician", "near-los", "los"])
+    def test_solve_matches_the_dense_path(self, kind, monkeypatch):
+        p = power_kind_problem(kind, 64, 2)
+        ref = dense_solve(p, monkeypatch)
+        calls = count_eigh(monkeypatch)
+        sol = solve(p)
+        assert calls == [64]       # build_s_pair's only
+        assert sol.iterations == ref.iterations
+        assert sol.x == pytest.approx(ref.x, rel=1e-12)
+        assert sol.snr == pytest.approx(ref.snr, rel=1e-12)
+
+    def test_crossover(self, monkeypatch):
+        # from POWER_MIN_N relays a Rician H is certified; below, eigh runs
+        for n, eighs in ((total_power.POWER_MIN_N, 0), (total_power.POWER_MIN_N - 1, 1)):
+            s = build_s_pair(rician_problem(n, 10.0, n))
+            calls = count_eigh(monkeypatch)
+            lambda_min_g(s, float(np.mean(bracket_x(s))))
+            assert calls == [n] * eighs
+
+
+class TestPowerFallback:
+    # RuntimeWarnings are errors under the suite's filterwarnings setting,
+    # so each case also checks that no fallback warns
+    @pytest.mark.parametrize("p", [
+        weak_rician_problem(64, 10.0, 1, 0.05, 0.2, 2.0),
+        weak_rician_problem(64, 10.0, 2, 0.3, 1.0, 5.0),
+        identical_relays_problem(64, 10.0),
+    ], ids=["weak-los", "strong-scattering", "identical-relays"])
+    def test_uncertified_evaluations_take_eigh(self, p, monkeypatch):
+        ref = dense_solve(p, monkeypatch)
+        # with no matvec budget to run out, only the certificate declines
+        monkeypatch.setattr(total_power, "POWER_MATVECS", 10 ** 4)
+        evals = count_lambda_min_g(monkeypatch)
+        calls = count_eigh(monkeypatch)
+        sol = solve(p)
+        # build_s_pair's, then one per evaluation: the certificate never holds
+        assert calls == [64] * (len(evals) + 1)
+        assert (sol.x, sol.snr, sol.iterations) == (ref.x, ref.snr, ref.iterations)
+        assert np.array_equal(sol.w, ref.w)
+
+    @pytest.mark.parametrize("P0", [1e-150, 10.0])
+    @pytest.mark.parametrize("var", [0.5, 0.0], ids=["rician", "pure-los"])
+    def test_scale_free_certificate(self, var, P0, monkeypatch):
+        # at P0/sigma^2 = 1e-150 ||H||_F^2 is near underflow, and on a rank-one
+        # H ||H||_F^2 - theta^2 rounds below 0; both still certify, unwarned
+        p = los_problem(64, var, P0, 64)
+        ref = dense_solve(p, monkeypatch)
+        calls = count_eigh(monkeypatch)
+        sol = solve(p)
+        assert calls == [64]
+        assert sol.iterations == ref.iterations
+        assert sol.snr == pytest.approx(ref.snr, rel=1e-12)
+
+    def test_denormal_diagonal_gives_up(self):
+        H = 1e-310 * np.outer([1.0, 0.5, 0.25], [1.0, 0.5, 0.25]).astype(complex)
+        assert total_power._power_top(H, np.ones(3)) is None
+
+
+class TestLineOfSightAtLargeP0:
+    @pytest.mark.parametrize("P0", [1e16, 1e100])
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_pure_los_solves(self, n, P0):
+        # r = sigma^2/P0 is below Q's round-off, where eigh returned
+        # eigenvalues <= 0 and the bracket a NaN (InputError, exit 3)
+        p = los_problem(n, 0.0, P0, [0, n])
+        assert build_s_pair(p).lam.min() > 0
+        sol = solve(p)
+        assert sol.snr >= (1.0 - 1e-9) * scan_snr(p.stats, p.P0, points=201)
+        used = total_power.as_beamforming_solution(p, sol).feasibility[0]
+        assert abs(used) <= 1e-12 * P0
