@@ -17,7 +17,7 @@ class InputError(RelayBeamError):
 
 
 class ConvergenceError(RelayBeamError):
-    """Iteration budget exhausted or a line search stalled."""
+    """Iteration budget exhausted, a line search stalled, or a quantity below round-off."""
 
 
 class ModelError(RelayBeamError):

@@ -29,7 +29,6 @@ from .sdp import QcqpInstance, range_eigh, solve_relaxation
 
 ROUTES = ("auto", "indiv-diag", "sdp", "cdm", "pnorm", "grp")
 
-GRP_BATCH = 65536   # fixed batch so the sample stream is prefix-stable
 _GRP_CHUNK = 4096   # GRP samples per column chunk: its temporaries stay in L2
 
 
@@ -146,11 +145,10 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
     """Gaussian random procedure: draw w ~ CN(0, X), rescale each sample to
     the feasible boundary, keep the best objective.
 
-    Samples are generated in fixed-size batches, each drawn by an SFC64
-    generator seeded with ``SeedSequence([seed, batch index])``, so w is a
-    pure function of (X, q, samples, seed) and growing ``samples`` only
-    extends the stream (prefix property).  The samples lie in the range of
-    X: with the eigenpairs of X that ``range_eigh`` keeps (the rule behind
+    One SFC64 stream seeded with ``SeedSequence(seed)`` draws every sample,
+    so w is a pure function of (X, q, samples, seed) and growing ``samples``
+    only extends the stream (prefix property).  The samples lie in the range
+    of X: with the eigenpairs of X that ``range_eigh`` keeps (the rule behind
     ``SdpSolution.rank_estimate``) L = U_r sqrt(lambda_r), and each sample
     is w = L (a + i b) for z = [a; b] ~ N(0, I_2r).  That w is CN(0, 2X);
     the factor 2 is immaterial because every sample is rescaled.  A sample
@@ -182,27 +180,24 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
     K = np.vstack([_real_embed(LH @ q.R @ L), _real_embed(LH @ q.Q @ L)])
     EL = _real_embed(np.sqrt(q.c)[:, None] * L)
     best_val, best_w = -np.inf, None
-    for batch_idx in range(-(-samples // GRP_BATCH)):
-        take = min(GRP_BATCH, samples - batch_idx * GRP_BATCH)
-        rng = np.random.Generator(
-            np.random.SFC64(np.random.SeedSequence([int(seed), batch_idx])))
-        for c0 in range(0, take, _GRP_CHUNK):
-            # rows z = [a; b]: the next rows of one (GRP_BATCH, 2r) draw,
-            # copied to columns so the products below run on contiguous rows
-            ZT = np.ascontiguousarray(
-                rng.standard_normal((min(_GRP_CHUNK, take - c0), 2 * r)).T)
-            KZ = (K @ ZT).reshape(2, 2 * r, -1)
-            KZ *= ZT
-            robj, quad_Q = KZ.sum(axis=1)
-            WT = EL @ ZT
-            WT *= WT
-            worst = quad_Q + (WT[:n] + WT[n:]).max(axis=0)
-            vals = robj / worst
-            i = int(np.argmax(vals))
-            if vals[i] > best_val:
-                z = ZT[:, i]
-                best_val = float(vals[i])
-                best_w = L @ (z[:r] + 1j * z[r:]) / np.sqrt(worst[i])
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
+    for c0 in range(0, samples, _GRP_CHUNK):
+        # rows z = [a; b]: the next rows of one (samples, 2r) draw, copied to
+        # columns so the products below run on contiguous rows
+        ZT = np.ascontiguousarray(
+            rng.standard_normal((min(_GRP_CHUNK, samples - c0), 2 * r)).T)
+        KZ = (K @ ZT).reshape(2, 2 * r, -1)
+        KZ *= ZT
+        robj, quad_Q = KZ.sum(axis=1)
+        WT = EL @ ZT
+        WT *= WT
+        worst = quad_Q + (WT[:n] + WT[n:]).max(axis=0)
+        vals = robj / worst
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            z = ZT[:, i]
+            best_val = float(vals[i])
+            best_w = L @ (z[:r] + 1j * z[r:]) / np.sqrt(worst[i])
     return best_w
 
 

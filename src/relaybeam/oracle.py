@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import snr
-from .errors import InputError
+from .errors import ConvergenceError, InputError
 from .problems import IndivPowerProblem, TotalPowerProblem
 from . import indiv_search
 
@@ -87,14 +87,21 @@ def brute_force_total(p: TotalPowerProblem, points: int = 100):
     (Q + rI, D + rI), r = sigma^2/P0, as x = sqrt(c)/(1+sqrt(c)), and at
     each x the relays spend (1-x) P0, so the best weights give
     (x P0/sigma^2) lambda_max(R, Q + (x D + r I)/(1-x)), evaluated through a
-    Cholesky factor of the second matrix.
+    Cholesky factor of the second matrix.  Where c <= n eps d, below what
+    eigvalsh resolves (line of sight at large P0/sigma^2), it raises ConvergenceError.
     """
     if points < 10:
         raise InputError("points must be >= 10")
     stats = p.stats
     r = stats.sigma2 / p.P0
     dis = 1.0 / np.sqrt(stats.D + r)
-    ev = np.sqrt(np.linalg.eigvalsh(dis[:, None] * (stats.Q + r * np.eye(stats.n)) * dis))
+    ev = np.linalg.eigvalsh(dis[:, None] * (stats.Q + r * np.eye(stats.n)) * dis)
+    tol = stats.n * np.finfo(float).eps * ev[-1]
+    if not ev[0] > tol:
+        raise ConvergenceError(
+            f"the pencil's smallest eigenvalue {ev[0]:.3g} is below what eigvalsh resolves "
+            f"(n eps lambda_max = {tol:.3g}): sigma^2/P0 is below Q's round-off")
+    ev = np.sqrt(ev)
     xs = np.linspace(ev[0] / (1.0 + ev[0]), ev[-1] / (1.0 + ev[-1]), points)
     bump = (xs[:, None] * stats.D + r) / (1.0 - xs)[:, None]
     Li = np.linalg.inv(np.linalg.cholesky(stats.Q + bump[:, :, None] * np.eye(stats.n)))

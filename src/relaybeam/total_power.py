@@ -108,11 +108,9 @@ def lambda_min_g(s: SPair, x: float):
         raise InputError(f"x must lie in (0,1), got {x}")
     beta = 1.0 / (1.0 - x) + s.lam / x
     db = 1.0 / (1.0 - x) ** 2 - s.lam / x ** 2
-    ddb = 2.0 / (1.0 - x) ** 3 + 2.0 * s.lam / x ** 3
     bis = 1.0 / np.sqrt(beta)
     H = bis[:, None] * s.Rt * bis
     D1 = -db / (2.0 * beta)
-    D2 = 0.75 * (db / beta) ** 2 - ddb / (2.0 * beta)
     top = _power_top(H, D1) if s.lam.size >= POWER_MIN_N else None
     if top is None:
         mus, U = np.linalg.eigh(H)
@@ -123,9 +121,11 @@ def lambda_min_g(s: SPair, x: float):
         mu, h, near, far, gap = top
     hh = np.abs(h) ** 2
     dmu = 2.0 * mu * (D1 @ hh)
-    # at a zero gap d2 is meaningless, and _target reads the gap before d2;
-    # where mu^2 underflows, newton_solve rejects the non-finite target
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # at a zero gap d2 is meaningless, and _target reads the gap before d2; where
+    # x^3 or mu^2 underflows, _target drops the non-finite d2 or newton_solve the target
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ddb = 2.0 / (1.0 - x) ** 3 + 2.0 * s.lam / x ** 3
+        D2 = 0.75 * (db / beta) ** 2 - ddb / (2.0 * beta)
         if top is None:
             near, far = mus @ cc, ((mu + rest) ** 2 * cc[:-1] / (mu - rest)).sum()
         ddmu = 2.0 * (mu * (D2 @ hh) + near + far)

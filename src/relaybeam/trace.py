@@ -19,11 +19,7 @@ class SolverTrace:
     notes: list[str] = field(default_factory=list)
 
     def append(self, *values):
-        if len(values) != len(self.columns):
-            raise ValueError(
-                f"trace row has {len(values)} fields, expected {len(self.columns)}"
-            )
-        self.rows.append(tuple(values))
+        self.rows.append(values)
 
     def note(self, message: str):
         self.notes.append(message)

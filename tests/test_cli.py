@@ -563,6 +563,12 @@ class TestMain:
         assert main(["trace-export", report_path]) == 0
         csv = capsys.readouterr().out
         assert csv.splitlines()[0] == "sweep,slot,objective"
+        # with --out the CSV is copied there and its path printed
+        export_dir = tmp_path / "export"
+        assert main(["trace-export", report_path, "--out", str(export_dir)]) == 0
+        dest = capsys.readouterr().out.strip()
+        assert dest == str(export_dir / os.path.basename(rep["trace_file"]))
+        assert Path(dest).read_text() == csv
 
     def test_two_traced_solves_keep_two_files(self, tmp_path, capsys):
         path, _ = diagonal_scenario(tmp_path, solver="cdm")
@@ -763,6 +769,31 @@ class TestMain:
         out = json.loads(capsys.readouterr().out)
         assert out["snr"] > 0
 
+    def test_oracle_on_the_line_of_sight_sample(self, capsys):
+        # rank-one R and Q at P0/sigma^2 = 1e12: solve reaches the scan
+        path = str(SCENARIOS / "total_los_n4.json")
+        assert main(["oracle", path]) == 0
+        out = strict_json(capsys.readouterr().out)
+        assert 0.0 < out["x"] < 1.0
+        assert main(["solve", path]) == 0
+        rep = strict_json(capsys.readouterr().out)
+        assert rep["metadata"]["iterations"] == 2
+        assert out["objective"] * (1 - 1e-9) <= rep["snr"] <= out["objective"] * (1 + 1e-6)
+
+    @pytest.mark.parametrize("P0", [1e16, 1e100])
+    def test_line_of_sight_oracle_below_round_off_exit_2(self, tmp_path, capsys, P0):
+        # the pencil's smallest eigenvalue is below eigvalsh's resolution: the
+        # scan's bracket would be NaN at 1e16, and a floored grid would read
+        # above the true objective, so the oracle stops; solve still solves
+        payload = json.loads((SCENARIOS / "total_los_n4.json").read_text())
+        payload["budget"]["P0"] = P0
+        path = write_scenario(tmp_path / "los.json", payload)
+        assert main(["oracle", path]) == 2
+        err = capsys.readouterr().err
+        assert "smallest eigenvalue" in err and "below what eigvalsh resolves" in err
+        assert "Traceback" not in err
+        assert main(["solve", path]) == 0
+
 
 class TestReproduce:
     def test_total_cases_pass(self):
@@ -794,6 +825,21 @@ class TestReproduce:
     def test_unknown_case_rejected(self):
         with pytest.raises(InputError):
             reproduce("total-9")
+
+    def test_out_writes_one_strict_json_report_per_case(self, tmp_path, capsys):
+        out_dir = tmp_path / "reports"
+        assert main(["reproduce", "total-1", "--out", str(out_dir)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert os.listdir(out_dir) == ["total-1.json"]
+        rep = strict_json((out_dir / "total-1.json").read_text())
+        assert rep["case"] == "total-1" and len(rep["bracket"]) == 2
+
+    def test_n6_case_passes_with_the_cdm_over_grp_row(self, capsys):
+        # 10^6 GRP samples at rank two, the only case with the cdm/grp row;
+        # exit 0 means no row failed
+        assert main(["reproduce", "indiv-n6"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [r for r in rows if "cdm/grp>=1.07" in r and r.endswith("PASS")]
 
     def test_exit_1_when_a_row_fails(self, monkeypatch, capsys):
         assert main(["reproduce", "total-1"]) == 0

@@ -5,7 +5,7 @@ from relaybeam import fixtures, indiv_qcqp
 from relaybeam.channel import ChannelStats
 from relaybeam.errors import InputError
 from relaybeam.indiv_diag import solve_diagonal
-from relaybeam.indiv_qcqp import (GRP_BATCH, _unvech, _vech, build_qcqp, grp_extract,
+from relaybeam.indiv_qcqp import (_GRP_CHUNK, _unvech, _vech, build_qcqp, grp_extract,
                                   qcqp_objective, rank_one_decompose,
                                   rescale_to_original, solve_via_sdp)
 from relaybeam.linalg import qform, symmetrize
@@ -17,27 +17,21 @@ from conftest import constraint_stack, degenerate_qcqp_instance, rand_indiv_prob
 def grp_reference(X, q, samples, seed):
     """GRP in complex (samples, n) arithmetic, drawn in the range of X: w =
     L (a + i b) / sqrt 2 ~ CN(0, X) with L L^H = X on the eigenpairs above
-    1e-6 lambda_max, and one (take, 2r) draw per batch from SFC64 seeded
-    by SeedSequence([seed, batch]).  It draws every sample at every rank.
-    The real 2r-dimensional chunked kernel must agree with it."""
+    1e-6 lambda_max, and one (samples, 2r) draw from SFC64 seeded by
+    SeedSequence(seed).  It draws every sample at every rank.  The real
+    2r-dimensional chunked kernel must agree with it."""
     wv, U = np.linalg.eigh(symmetrize(X))
     keep = wv > 1e-6 * wv.max()
     L = U[:, keep] * np.sqrt(wv[keep])
     r = L.shape[1]
-    best_val, best_w = -np.inf, None
-    for batch_idx, done in enumerate(range(0, samples, GRP_BATCH)):
-        take = min(GRP_BATCH, samples - done)
-        rng = np.random.Generator(
-            np.random.SFC64(np.random.SeedSequence([seed, batch_idx])))
-        z = rng.standard_normal((take, 2 * r))
-        W = ((z[:, :r] + 1j * z[:, r:]) / np.sqrt(2.0)) @ L.T
-        quad_Q = ((W @ q.Q.T) * W.conj()).sum(axis=1).real
-        worst = (quad_Q[:, None] + np.abs(W) ** 2 * q.c[None, :]).max(axis=1)
-        vals = ((W @ q.R.T) * W.conj()).sum(axis=1).real / worst
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val, best_w = float(vals[i]), W[i] / np.sqrt(worst[i])
-    return best_w
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
+    z = rng.standard_normal((samples, 2 * r))
+    W = ((z[:, :r] + 1j * z[:, r:]) / np.sqrt(2.0)) @ L.T
+    quad_Q = ((W @ q.Q.T) * W.conj()).sum(axis=1).real
+    worst = (quad_Q[:, None] + np.abs(W) ** 2 * q.c[None, :]).max(axis=1)
+    vals = ((W @ q.R.T) * W.conj()).sum(axis=1).real / worst
+    i = int(np.argmax(vals))
+    return W[i] / np.sqrt(worst[i])
 
 
 def fixture_problem(n):
@@ -364,13 +358,13 @@ class TestGrp:
     def test_rank_one_tie_first_sample_wins(self, rng):
         # X = e_0 e_0^H with R_00 = Q_00 = c_0 = 1: every sample value is
         # exactly R_00 / (Q_00 + c_0) = 1/2, so the first sample of the
-        # stream must win over four batches, the last one partial
+        # stream must win over four chunks, the last one partial
         R, Q = rand_pd(rng, 3), rand_pd(rng, 3)
         stats = ChannelStats(D=np.ones(3), R=R / R[0, 0].real, Q=Q / Q[0, 0].real,
                              sigma2=1.0)
         q = build_qcqp(IndivPowerProblem(stats=stats, Ps=1.0, P=np.full(3, 2.0)))
         X = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        w = grp_extract(X, q, 3 * GRP_BATCH + 17, seed=11)
+        w = grp_extract(X, q, 3 * _GRP_CHUNK + 17, seed=11)
         assert np.array_equal(w, grp_extract(X, q, 1, seed=11))
         # the complex reference's values are not exact ties, but the first
         # sample of the stream is its one-sample answer
@@ -381,11 +375,12 @@ class TestGrp:
         rng = np.random.default_rng(rank)
         p = rand_indiv_problem(rng, 5)
         V = rng.standard_normal((5, rank)) + 1j * rng.standard_normal((5, rank))
-        generator, drawn = np.random.Generator, []
+        generator, made, drawn = np.random.Generator, [], []
 
         class Counting:
             def __init__(self, bit_generator):
                 self.rng = generator(bit_generator)
+                made.append(self)
 
             def standard_normal(self, *args, **kwargs):
                 out = self.rng.standard_normal(*args, **kwargs)
@@ -393,9 +388,11 @@ class TestGrp:
                 return out
 
         monkeypatch.setattr(np.random, "Generator", Counting)
-        samples = 2 * GRP_BATCH + 17
+        samples = 2 * _GRP_CHUNK + 17
         grp_extract(V @ V.conj().T, build_qcqp(p), samples, seed=4)
-        # at rank one every sample ties, so only the first one is drawn
+        # one stream per call; at rank one every sample ties, so only the
+        # first one is drawn
+        assert len(made) == 1
         assert sum(drawn) == 2 * rank * (1 if rank == 1 else samples)
 
     def test_rank_one_draws_first_sample(self, rng):
@@ -414,8 +411,8 @@ class TestGrp:
     @pytest.mark.parametrize("rank", [None, 2, 1])      # None: full rank
     @pytest.mark.parametrize("n", [3, 4, 6, 11, 12, 16])
     def test_matches_complex_reference(self, n, rank):
-        # the sample counts cover a single sample, a partial first batch and
-        # chunk, the batch edge on both sides and a partial second batch
+        # the sample counts cover a single sample, a partial first chunk, the
+        # chunk edge on both sides and a partial last chunk
         rng = np.random.default_rng([n, rank or n])
         if rank == 2 and n in fixtures.INDIV_EXPECT:
             p = fixture_problem(n)
@@ -425,7 +422,7 @@ class TestGrp:
             V = rng.standard_normal((n, rank or n)) + 1j * rng.standard_normal((n, rank or n))
             X = V @ V.conj().T
         q = build_qcqp(p)
-        for samples in (1, 7, GRP_BATCH - 1, GRP_BATCH, GRP_BATCH + 1, 100000):
+        for samples in (1, 7, _GRP_CHUNK - 1, _GRP_CHUNK, _GRP_CHUNK + 1, 100000):
             w = grp_extract(X, q, samples, seed=samples + n)
             w_ref = grp_reference(X, q, samples, seed=samples + n)
             if rank == 1:

@@ -177,6 +177,16 @@ class TestBreakdownIsConvergenceError:
         with pytest.raises(ConvergenceError, match=r"at iteration \d+"):
             solve_relaxation(loose_cap_problem(0, 4, r_scale=1e8, q_scale=1e-8))
 
+    def test_overflowing_mu(self):
+        # X0 = eps I with eps = 0.5/(Tr Q + max c) = 3.57 and Z0 = (lambda_max(R)
+        # + 1) I: Tr(R X0) = 1e308 stays finite, so the gap test fails without
+        # an overflow warning, but Tr(Z0 X0) = 4e308 makes mu inf
+        v = np.exp(1j * np.arange(4.0)) / 2.0
+        q = QcqpInstance(R=2.8e307 * np.outer(v, v.conj()), Q=0.01 * np.eye(4),
+                         c=np.full(4, 0.1))
+        with pytest.raises(ConvergenceError, match=r"diverged at iteration 0 \(mu = inf\)"):
+            solve_relaxation(q)
+
     @pytest.mark.parametrize("kernel", ["cholesky", "inv", "eigvalsh"])
     def test_kernel_breakdown(self, monkeypatch, kernel):
         # a LinAlgError of the scalings or step lengths names its iteration

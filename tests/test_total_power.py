@@ -801,11 +801,12 @@ class TestPowerFallback:
 
 
 class TestLineOfSightAtLargeP0:
-    @pytest.mark.parametrize("P0", [1e16, 1e100])
+    @pytest.mark.parametrize("P0", [1e16, 1e100, 1e300])
     @pytest.mark.parametrize("n", [4, 64])
     def test_pure_los_solves(self, n, P0):
         # r = sigma^2/P0 is below Q's round-off, where eigh returned
-        # eigenvalues <= 0 and the bracket a NaN (InputError, exit 3)
+        # eigenvalues <= 0 and the bracket a NaN (InputError, exit 3); at
+        # 1e300, x_l ~ 1e-150 and x^3 underflows in beta'' without a warning
         p = los_problem(n, 0.0, P0, [0, n])
         assert build_s_pair(p).lam.min() > 0
         sol = solve(p)
