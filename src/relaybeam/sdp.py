@@ -3,14 +3,15 @@
 Solves  min -Tr(R X)  s.t.  Tr(A_k X) <= 1 (k = 1..n),  X >= 0,  and the dual
 max -sum_k y_k  s.t.  sum_k y_k A_k - R >= 0,  y >= 0,  for constraints in the
 relay form A_k = Q + c_k e_k e_k^H (Q PSD, c_k > 0), held as (R, Q, c) by a
-``QcqpInstance``; no A_k is ever formed.  The engine is an infeasible
+``QcqpInstance``; no A_k is ever formed.  The engine is a dual-feasible
 primal-dual interior-point method (HKM direction, Mehrotra predictor-corrector:
 the corrector reuses the Schur matrix and targets sigma mu I - dX_a dZ_a).
-Iterates keep X, Z strictly inside their cones, so the returned dual
-multipliers certify the reported gap without post-hoc cleanup; a pure primal
-log-barrier could not certify gaps below ~3e-8.  The stop is SDPT3's relative
-gap, |gap| <= GAP_TOL max(1, |primal|); an absolute 1e-8 stalled on round-off
-at objectives near 70.  With W = Z^-1 the Schur matrix Re Tr(A_k X A_j W) is
+Its start, y = (1 + 1/n) rho 1 with rho the spectral radius of the pencil
+(R, sum_k A_k), scales with R; Z = sum_k y_k A_k - R stays positive definite
+under the step rule, so sum_k y_k certifies a bound at every iterate.  The
+stop is SDPT3's relative gap, |gap| <= GAP_TOL max(1, |primal|); an absolute
+1e-8 stalled on round-off at objectives near 70.  With W = Z^-1 the Schur
+matrix Re Tr(A_k X A_j W) is
 Re[Tr(QXQW) + c_j (WQX)_jj + c_k (XQW)_kk + c_k c_j X_kj W_jk] (Benson, Ye and
 Zhang, SIAM J. Optim. 10 (2000)), so an iteration costs a few n x n products,
 O(n^3), plus one stacked [X, Z] Cholesky and its inverse (step scalings and
@@ -21,7 +22,6 @@ which is then the QCQP's optimum (Luo et al., IEEE SPM 27(3) (2010)).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +30,12 @@ from .errors import ConvergenceError, InputError, ModelError
 from .linalg import HERMITIAN_TOL, hermitian, psd_violation, qform, symmetrize
 
 GAP_TOL = 1e-8    # certified relative duality gap, |gap| <= GAP_TOL max(1, |primal|)
-FEAS_TOL = 1e-8   # primal and dual residual norms at the stop
+FEAS_TOL = 1e-8   # primal residual max_k |1 - Tr(A_k X) - s_k| at the stop; no units
 MAX_ITER = 200    # interior-point Newton steps before ConvergenceError
 RANK_TOL = 1e-6   # eigenvalues of X above RANK_TOL lambda_max count toward its rank
 # The exit is tried at relative gaps <= _EXIT_GAP where ||X||_F^2 >= _EXIT_RANK
 # Tr(X)^2 (no LAPACK call); rank-one relaxations certify near 1e-3.  Two Newton
-# steps leave y ~1e-8 off, past the 1e-8 dual tolerance; three reach round-off.
+# steps leave y ~1e-8 off; three reach round-off.
 _EXIT_GAP = 1e-2
 _EXIT_RANK = 0.99
 _EXIT_STEPS = 3
@@ -115,25 +115,23 @@ class CertificateReport:
     comp_slack: float    # |Tr((sum y_k A_k - R) X)| + sum y_k (1 - Tr(A_k X))
 
 
+@np.errstate(over="raise", invalid="raise")
 def solve_relaxation(q: QcqpInstance) -> SdpSolution:
     """Solve the relaxation to a certified duality gap <= GAP_TOL * max(1, |primal|),
     or to a rank-one point w w^H whose ``dual_obj`` is its certified bound.
 
     Initial point ``X0 = eps I`` with ``eps = 0.5 / max_k Tr(A_k)`` is
     strictly feasible because Q is PSD and every c_k > 0: every slack is at
-    least 0.5.  Raises ConvergenceError when the gap target is not certified
-    within MAX_ITER Newton steps, or when the Schur matrix is singular (nearly
-    parallel constraints, as at c_k ~ 1e-8), the iterates diverge, or any
-    other LAPACK kernel of an iteration breaks down.
+    least 0.5.  ``y0 = t 1`` is strictly dual feasible: with S = sum_k A_k =
+    L L^H, t S - R = L (t I - L^-1 R L^-H) L^H (t = 1 at R = 0).  Raises
+    ConvergenceError when the gap is not certified within MAX_ITER Newton steps,
+    or when the Schur matrix is singular (nearly parallel constraints, as at
+    c_k ~ 1e-8), a LAPACK kernel breaks down, or any step overflows (as the
+    start does near the float64 limit).
     """
-    R, Q, c = q.R, q.Q, q.c
-    n = q.n
+    R, Q, c, n = q.R, q.Q, q.c, q.n
     tr = q.traces
-    X = (0.5 / (np.trace(Q).real + c.max())) * np.eye(n, dtype=complex)
-    s = 1.0 - tr(X)
-    y = np.ones(n)
-    Z = (np.linalg.eigvalsh(R).max() + 1.0) * np.eye(n, dtype=complex)
-    cc = np.outer(c, c)
+    it = 0
 
     def directions(rhs, dX0, ds0):
         # HKM step: M dy = rhs, dX = dX0 - X dZ W, ds = (ds0 - s dy)/y
@@ -142,7 +140,7 @@ def solve_relaxation(q: QcqpInstance) -> SdpSolution:
         except np.linalg.LinAlgError:
             raise ConvergenceError(
                 f"interior point: singular Schur matrix at iteration {it}") from None
-        dZ = q.weighted_sum(dy) - Rd
+        dZ = q.weighted_sum(dy)
         return symmetrize(dX0 - X @ dZ @ W), (ds0 - s * dy) / y, dy, dZ
 
     def steps(dX, dZ, ds, dy, tau):
@@ -153,8 +151,14 @@ def solve_relaxation(q: QcqpInstance) -> SdpSolution:
                 for m in (min(lx, (ds / s).min()), min(lz, (dy / y).min()))]
 
     try:
+        X = (0.5 / (np.trace(Q).real + c.max())) * np.eye(n, dtype=complex)
+        s = 1.0 - tr(X)
+        cc = np.outer(c, c)
+        Li = np.linalg.inv(np.linalg.cholesky(q.weighted_sum(np.ones(n))))
+        lam = np.linalg.eigvalsh(Li @ R @ Li.conj().T)
+        y = np.full(n, (1.0 + 1.0 / n) * max(lam[-1], -lam[0]) or 1.0)
+        Z = q.weighted_sum(y) - R
         for it in range(MAX_ITER):
-            Rd = Z - (q.weighted_sum(y) - R)
             mu = (np.vdot(Z, X).real + y @ s) / (2 * n)
             primal = np.vdot(R, X).real
             dual = float(y.sum())
@@ -165,11 +169,8 @@ def solve_relaxation(q: QcqpInstance) -> SdpSolution:
                 if sol is not None:
                     return sol
             if (abs(gap) <= GAP_TOL * max(1.0, abs(primal))
-                    and max(np.abs(1.0 - tr(X) - s).max(), np.linalg.norm(Rd)) <= FEAS_TOL):
+                    and np.abs(1.0 - tr(X) - s).max() <= FEAS_TOL):
                 break
-            if not math.isfinite(mu):    # bounded relaxation; mu's scale follows R's
-                raise ConvergenceError(
-                    f"interior point diverged at iteration {it} (mu = {mu:.1e})")
 
             # Cholesky factors X = L L^H, Z = L_Z L_Z^H, shared by the predictor
             # and corrector step lengths, and W = Z^-1 = L_Z^-H L_Z^-1
@@ -182,33 +183,34 @@ def solve_relaxation(q: QcqpInstance) -> SdpSolution:
             b = c * XQW.diagonal().real
             M = np.vdot(Q, XQW).real + b[:, None] + b + cc * (X * W.T).real
             M.flat[::n + 1] += s / y
-            trXRdW = tr(X @ Rd @ W)
 
             # the affine predictor (X Z = 0, y s = 0) fixes the centering
             # weight; Mehrotra's corrector then targets X Z = sigma mu I - C Z,
             # y s = sigma mu - ds dy, cancelling the second-order C = dX dZ W
-            dX, ds, dy, dZ = directions(trXRdW - 1.0, -X, -y * s)
+            dX, ds, dy, dZ = directions(np.full(n, -1.0), -X, -y * s)
             ap, ad = steps(dX, dZ, ds, dy, 1.0)
             mu_aff = (np.vdot(Z + ad * dZ, X + ap * dX).real
                       + (y + ad * dy) @ (s + ap * ds)) / (2 * n)
             sm = min(max((max(mu_aff, 0.0) / mu) ** 3, 1e-4), 0.8) * mu
             C, cs = dX @ dZ @ W, ds * dy
-            dX, ds, dy, dZ = directions(sm * (tr(W) + 1.0 / y) - 1.0 + trXRdW - tr(C) - cs / y,
+            dX, ds, dy, dZ = directions(sm * (tr(W) + 1.0 / y) - 1.0 - tr(C) - cs / y,
                                         sm * W - X - C, sm - cs - y * s)
             ap, ad = (0.98 * a for a in steps(dX, dZ, ds, dy, 0.99))
             X = symmetrize(X + ap * dX)
             s = s + ap * ds
             y = y + ad * dy
-            Z = symmetrize(Z + ad * dZ)
+            Z = q.weighted_sum(y) - R
         else:
             raise ConvergenceError(
                 f"interior-point method did not certify relative gap <= {GAP_TOL:.1e} "
                 f"in {MAX_ITER} iterations")
-    except np.linalg.LinAlgError as err:
-        # a Cholesky factor, its inverse or a step-length eigvalsh broke down
+    except (np.linalg.LinAlgError, FloatingPointError) as err:
+        # a step overflowed, or a Cholesky factor, its inverse or an eigvalsh broke down
         raise ConvergenceError(f"interior point broke down at iteration {it}: {err}") from None
 
-    return _package(X, y, primal, dual, it)
+    return SdpSolution(X=X, dual_y=y, primal_obj=float(primal), dual_obj=dual,
+                       gap=float(dual - primal), rank_estimate=range_eigh(X)[0].size,
+                       iterations=it)
 
 
 def _rank_one_exit(q: QcqpInstance, X, y, s, it):
@@ -216,11 +218,11 @@ def _rank_one_exit(q: QcqpInstance, X, y, s, it):
 
     From X's top factor w and the caps A = {k : y_k > s_k}, Newton steps on the
     real system (sum_A y_k A_k - R) w = 0, (w^H A_k w - 1)/2 = 0, symmetric and
-    singular only along the phase i w, which borders it.  w, scaled to its
-    tightest cap, is accepted when y_A >= 0 and bound = sum y + max(0,
-    -lambda_min(sum y_k A_k - R)) sum_k 1/c_k is within GAP_TOL bound of
-    w^H R w (c_k X_kk <= Tr(A_k X) <= 1 gives Tr X <= sum_k 1/c_k).  Anything
-    else, a LinAlgError included, declines and the interior point goes on."""
+    singular only along the phase i w, which borders it.  y_A >= 0 is lifted
+    by max(0, -lambda_min(sum y_k A_k - R))/c_k, which adds at least that times
+    I to sum y_k A_k, so bound = sum y is certified; w, scaled to its tightest
+    cap, is accepted within GAP_TOL bound of it.  Anything else, a LinAlgError
+    included, declines and the interior point goes on."""
     R, Q, c, n = q.R, q.Q, q.c, q.n
     act = np.flatnonzero(y > s)
     m, yk = act.size, np.where(y > s, y, 0.0)
@@ -248,7 +250,8 @@ def _rank_one_exit(q: QcqpInstance, X, y, s, it):
             lam_z = np.linalg.eigvalsh(q.weighted_sum(yk) - R)[0]
     except np.linalg.LinAlgError:
         return None
-    bound = yk.sum() + max(0.0, -lam_z) * (1.0 / c).sum()
+    yk = yk + max(0.0, -lam_z) / c
+    bound = yk.sum()
     primal = qform(R, w)
     if not bound - primal <= GAP_TOL * bound:
         return None
@@ -278,11 +281,3 @@ def range_eigh(X):
     lam, U = np.linalg.eigh(X)
     keep = lam > RANK_TOL * max(lam[-1], 1e-300)
     return lam[keep], U[:, keep]
-
-
-def _package(X, y, primal, dual, iterations):
-    X = symmetrize(X)
-    return SdpSolution(X=X, dual_y=np.maximum(y, 0.0),
-                       primal_obj=float(primal), dual_obj=float(dual),
-                       gap=float(dual - primal), rank_estimate=range_eigh(X)[0].size,
-                       iterations=iterations)

@@ -107,7 +107,10 @@ def lambda_min_g(s: SPair, x: float):
     if not 0.0 < x < 1.0:
         raise InputError(f"x must lie in (0,1), got {x}")
     beta = 1.0 / (1.0 - x) + s.lam / x
-    db = 1.0 / (1.0 - x) ** 2 - s.lam / x ** 2
+    with np.errstate(divide="ignore", over="ignore"):
+        db = 1.0 / (1.0 - x) ** 2 - s.lam / x ** 2
+    if not np.isfinite(db).all():    # lam/x^2 past float64, as at x ~ 1e-154
+        raise ConvergenceError(f"beta'(x) overflows float64 at x={x}")
     bis = 1.0 / np.sqrt(beta)
     H = bis[:, None] * s.Rt * bis
     D1 = -db / (2.0 * beta)
@@ -210,8 +213,9 @@ def newton_solve(p: TotalPowerProblem, x0: float, s: SPair | None = None,
     a/(1-x) + b/x, fitted to (d1, d2) where the gap and d2 can be trusted and
     otherwise the top direction's own, which cannot raise lambda_min.  Stops
     when |dx/x| < STEP_TOL, a test free of the problem's units, or raises
-    ConvergenceError after MAX_ITER steps or at a target outside (0, 1)
-    (mu^2 underflows below P0/sigma^2 ~ 1e-160).  Given ``meet``, another
+    ConvergenceError after MAX_ITER steps, at a target outside (0, 1)
+    (mu^2 underflows below P0/sigma^2 ~ 1e-160), or where beta'(x) overflows
+    (pure line of sight from P0/sigma^2 ~ 1e305).  Given ``meet``, another
     run's x, it stops once a target lands within STEP_TOL of it, where it
     could only end there: it returns the current iterate and its steps, with
     a trace note.

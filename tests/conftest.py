@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from relaybeam import indiv_diag, indiv_search
 from relaybeam.channel import ChannelStats
@@ -98,11 +99,13 @@ def stacked_relaxation(R, A):
 
     X = (0.5 / np.trace(A, axis1=1, axis2=2).real.max()) * np.eye(n, dtype=complex)
     s = 1.0 - traces(X)
-    y = np.ones(N)
-    Z = (np.linalg.eigvalsh(R).max() + 1.0) * np.eye(n, dtype=complex)
+    # dual-feasible start: y = (1 + 1/n) rho 1, with rho the spectral radius of
+    # the pencil (R, sum_k A_k), then Z = sum_k y_k A_k - R at every iterate
+    lam = scipy.linalg.eigvalsh(R, A.sum(axis=0))
+    y = np.full(N, (1.0 + 1.0 / n) * max(lam[-1], -lam[0]) or 1.0)
     for it in range(MAX_ITER):
         rp = (1.0 - traces(X)) - s
-        Rd = Z - (combine(y) - R)
+        Z = combine(y) - R
         mu = (np.trace(Z @ X).real + y @ s) / (n + N)
         primal = np.trace(R @ X).real
         gap = y.sum() - primal
@@ -111,7 +114,7 @@ def stacked_relaxation(R, A):
             sol = stacked_rank_one_exit(R, A, X, y, s, it)
             if sol is not None:
                 return sol
-        if (max(np.abs(rp).max(), np.linalg.norm(Rd)) <= FEAS_TOL
+        if (np.abs(rp).max() <= FEAS_TOL
                 and abs(gap) <= GAP_TOL * max(1.0, abs(primal))):
             break
         Zinv = symmetrize(np.linalg.inv(Z))
@@ -119,14 +122,13 @@ def stacked_relaxation(R, A):
         M = (A.reshape(N, -1) @ XA.transpose(0, 2, 1).reshape(N, -1).T).real
         M += np.diag(s / y)
         trAZ = traces(Zinv)
-        trAXRdZ = traces(X @ Rd @ Zinv)
         w, U = np.linalg.eigh(np.stack([X, Z]))
         Pmh = (U / np.sqrt(np.maximum(w, 1e-300))[:, None, :]) @ U.conj().transpose(0, 2, 1)
 
         def directions(sig, C, cs):
-            rhs = sig * mu * (trAZ + 1.0 / y) - 1.0 + trAXRdZ - traces(C) - cs / y
+            rhs = sig * mu * (trAZ + 1.0 / y) - 1.0 - traces(C) - cs / y
             dy = np.linalg.solve(M, rhs)
-            dZ = combine(dy) - Rd
+            dZ = combine(dy)
             dX = symmetrize(sig * mu * Zinv - X - X @ dZ @ Zinv - C)
             ds = (sig * mu - cs - y * s - s * dy) / y
             return dX, ds, dy, dZ
@@ -152,7 +154,6 @@ def stacked_relaxation(R, A):
         X = symmetrize(X + ap * dX)
         s = s + ap * ds
         y = y + ad * dy
-        Z = symmetrize(Z + ad * dZ)
     else:
         raise ConvergenceError(f"reference IPM did not converge in {MAX_ITER} iterations")
     X = symmetrize(X)

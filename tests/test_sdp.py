@@ -15,8 +15,8 @@ from relaybeam.problems import IndivPowerProblem
 from relaybeam.sdp import (GAP_TOL, QcqpInstance, SdpProblem, dual_certificate_residuals,
                            range_eigh, solve_relaxation)
 from conftest import (break_stacked_kernel, constraint_stack, degenerate_qcqp_instance,
-                      loose_cap_problem, rand_indiv_problem, rand_psd, stacked_relaxation,
-                      stacked_residuals)
+                      loose_cap_problem, rand_indiv_problem, rand_pd, rand_psd,
+                      stacked_relaxation, stacked_residuals)
 
 
 def fixture_problem(n):
@@ -80,7 +80,8 @@ class TestSolveRelaxation:
         assert nz.size == 2
         for got, expv in zip(nz, exp["x_eigs"]):
             assert got == pytest.approx(expv, rel=2e-2)
-        assert sol.gap <= 1e-8
+        # the documented stop, relative to the objective (3.74 and 9.34)
+        assert abs(sol.gap) <= GAP_TOL * max(1.0, abs(sol.primal_obj))
         # dual certificate: y >= 0 and sum y_k A_k - R >= -tol I
         assert_certified(q, sol)
 
@@ -163,29 +164,24 @@ class TestSolveRelaxation:
 class TestBreakdownIsConvergenceError:
     # the failures of the interior point on bounded relaxations are
     # ConvergenceErrors (exit 2) that name the iteration; making these
-    # instances solve is left to a scale-free interior point
+    # instances solve is left to ROADMAP item 9's bordered Schur solve
 
     def test_singular_schur_matrix(self):
-        # the Schur matrix reaches condition ~1e17 and numpy's solve raises
+        # c_k = 1e-8: the Schur matrix reaches condition ~1e17 and numpy's
+        # solve raises
         with pytest.raises(ConvergenceError, match=r"singular Schur matrix at iteration \d+"):
-            solve_relaxation(loose_cap_problem(0, 4))
-
-    def test_scaled_loose_caps_name_the_iteration(self):
-        # R 1e8 and Q 1e-8 start mu near 2e15, a size set by the units; the
-        # iterates break down later, and a relay-form relaxation is bounded,
-        # so this is no ModelError
-        with pytest.raises(ConvergenceError, match=r"at iteration \d+"):
-            solve_relaxation(loose_cap_problem(0, 4, r_scale=1e8, q_scale=1e-8))
+            solve_relaxation(loose_cap_problem(1, 4))
 
     def test_overflowing_mu(self):
-        # X0 = eps I with eps = 0.5/(Tr Q + max c) = 3.57 and Z0 = (lambda_max(R)
-        # + 1) I: Tr(R X0) = 1e308 stays finite, so the gap test fails without
-        # an overflow warning, but Tr(Z0 X0) = 4e308 makes mu inf
+        # the start's spectral radius lambda_max(R, sum_k A_k) = 2.8e307/0.14
+        # overflows float64; at R = -4e306 I, y0 = 1.25 * 4e306/0.14 = 3.6e307 and
+        # Z0 = 9e306 I are finite, but mu0's Tr(Z0 X0) + y0^T s0 = 1.3e308 +
+        # 7.1e307 overflows: typed errors at iteration 0, not RuntimeWarnings
         v = np.exp(1j * np.arange(4.0)) / 2.0
-        q = QcqpInstance(R=2.8e307 * np.outer(v, v.conj()), Q=0.01 * np.eye(4),
-                         c=np.full(4, 0.1))
-        with pytest.raises(ConvergenceError, match=r"diverged at iteration 0 \(mu = inf\)"):
-            solve_relaxation(q)
+        for R in (2.8e307 * np.outer(v, v.conj()), -4e306 * np.eye(4, dtype=complex)):
+            q = QcqpInstance(R=R, Q=0.01 * np.eye(4), c=np.full(4, 0.1))
+            with pytest.raises(ConvergenceError, match=r"broke down at iteration 0: "):
+                solve_relaxation(q)
 
     @pytest.mark.parametrize("kernel", ["cholesky", "inv", "eigvalsh"])
     def test_kernel_breakdown(self, monkeypatch, kernel):
@@ -195,17 +191,90 @@ class TestBreakdownIsConvergenceError:
             solve_relaxation(fixture_problem(4))
 
 
+def assert_relative_certificate(q, sol):
+    """The stop's certificate in the problem's own units: y >= 0 with sum_k
+    y_k A_k - R PSD to round-off in R's units, the relative gap of the stop,
+    and X within 1e-7 of every cap (a rank-one exit scales w to its tightest
+    cap; Tr(A_k w w^H) recomputed at c_k = 1e-8 rounds to 2.9e-8)."""
+    rep = dual_certificate_residuals(q, sol)
+    assert sol.dual_y.min() >= 0 and rep.primal_feas <= 1e-7
+    assert rep.dual_feas >= -q.n * np.finfo(float).eps * np.linalg.norm(q.R, 2)
+    assert sol.dual_obj == pytest.approx(sol.dual_y.sum(), rel=1e-15)
+    assert abs(sol.gap) <= GAP_TOL * max(1.0, abs(sol.primal_obj))
+
+
 def test_scaled_loose_caps_certify_at_a_large_mu():
-    # the same scaling starts mu near 2e15 here too: no bound on its size
-    # holds in every unit, and this instance certifies a rank-one optimum
-    sol = solve_relaxation(loose_cap_problem(9, 4, r_scale=1e8, q_scale=1e-8))
-    assert sol.rank_estimate == 1
-    assert sol.gap <= GAP_TOL * sol.dual_obj
+    # R 1e8 and Q 1e-8 start mu near 2e15, a size set by the units; the start
+    # scales with R, and both instances certify a rank-one optimum
+    for seed in (0, 9):
+        q = loose_cap_problem(seed, 4, r_scale=1e8, q_scale=1e-8)
+        sol = solve_relaxation(q)
+        assert sol.rank_estimate == 1
+        assert sol.gap <= GAP_TOL * sol.dual_obj
+        assert_relative_certificate(q, sol)
+
+
+def test_scaled_loose_caps_certify():
+    # R 1e8 and Q 1e-8 at c_k = 1e-8 start mu at 2e15-3e16: the start scales with
+    # R, so these certify like unscaled data (80 of 80; 75 is the floor)
+    outcomes = []
+    for n in (3, 4, 6, 8):
+        for seed in range(20):
+            q = loose_cap_problem(seed, n, r_scale=1e8, q_scale=1e-8)
+            try:
+                sol = solve_relaxation(q)
+            except ConvergenceError:
+                outcomes.append(False)
+                continue
+            assert_relative_certificate(q, sol)
+            outcomes.append(True)
+    assert sum(outcomes) >= 75
+
+
+def test_loose_caps():
+    # c_k = 1e-8 leaves the n constraints nearly parallel: at least 32 of 80
+    # certify, and every other instance is a ConvergenceError
+    certified = 0
+    for n in (3, 4, 6, 8):
+        for seed in range(20):
+            q = loose_cap_problem(seed, n)
+            try:
+                sol = solve_relaxation(q)
+            except ConvergenceError as err:
+                assert "singular Schur matrix" in str(err)
+                continue
+            assert_relative_certificate(q, sol)
+            certified += 1
+    assert certified >= 32
+    q = loose_cap_problem(0, 4)
+    assert_relative_certificate(q, solve_relaxation(q))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_relaxation_at_a_large_r_scale(seed):
+    # R scaled by 4^10 beside unit Q and c: the start scales with R, so the
+    # iterates do too, and the value is 4^10 times the unscaled one
+    rng = np.random.default_rng([seed, 12])
+    R, Q = rand_psd(rng, 12), rand_psd(rng, 12)
+    q = QcqpInstance(R=4.0 ** 10 * R, Q=Q, c=rng.uniform(0.5, 2.0, 12))
+    sol = solve_relaxation(q)
+    assert_relative_certificate(q, sol)
+    ref = solve_relaxation(QcqpInstance(R=R, Q=Q, c=q.c))
+    assert sol.primal_obj == pytest.approx(4.0 ** 10 * ref.primal_obj, rel=1e-7)
+
+
+def test_relaxation_near_the_float_limit():
+    # R ~ 1e300 at c_k = 1e-10: Z = sum_k y_k A_k - R leaves no dual residual
+    # whose norm would square R's entries, so nothing warns
+    rng = np.random.default_rng([1, 3])
+    q = QcqpInstance(R=1e300 * rand_pd(rng, 3), Q=rand_pd(rng, 3), c=np.full(3, 1e-10))
+    assert_relative_certificate(q, solve_relaxation(q))
 
 
 def test_kernel_budget_per_iteration(monkeypatch):
     # one stacked Cholesky and its inverse, two Schur solves and one stacked
-    # eigvalsh per direction; then Z0's eigvalsh and _package's range_eigh
+    # eigvalsh per direction; then the start's Cholesky, inverse and pencil
+    # eigvalsh, and the returned rank's range_eigh
     q = fixture_problem(6)
     calls = Counter()
     for name in ("cholesky", "inv", "solve", "eigvalsh", "eigh"):
@@ -215,7 +284,8 @@ def test_kernel_budget_per_iteration(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     k = solve_relaxation(q).iterations
     assert k > 0
-    assert calls == {"cholesky": k, "inv": k, "solve": 2 * k, "eigvalsh": 2 * k + 1, "eigh": 1}
+    assert calls == {"cholesky": k + 1, "inv": k + 1, "solve": 2 * k, "eigvalsh": 2 * k + 1,
+                     "eigh": 1}
 
 
 class TestCertificateResiduals:

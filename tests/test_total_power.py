@@ -813,3 +813,10 @@ class TestLineOfSightAtLargeP0:
         assert sol.snr >= (1.0 - 1e-9) * scan_snr(p.stats, p.P0, points=201)
         used = total_power.as_beamforming_solution(p, sol).feasibility[0]
         assert abs(used) <= 1e-12 * P0
+
+    @pytest.mark.parametrize("n,P0", [(64, 1e305), (16, 1e307)])
+    def test_overflowing_slope_is_a_convergence_error(self, n, P0):
+        # at x ~ 1e-153, lam/x^2 in beta' overflows: a typed error (exit 2),
+        # not a RuntimeWarning
+        with pytest.raises(ConvergenceError, match=r"beta'\(x\) overflows float64 at x="):
+            solve(los_problem(n, 0.0, P0, [0, n]))
