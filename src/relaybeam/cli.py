@@ -247,6 +247,7 @@ def _reproduce_indiv(n: int, reports: dict, seed: int):
         rows.append((name, "cdm/grp>=1.07", 1.07, cdm_obj / grp_obj, 0,
                      cdm_obj / grp_obj >= fixtures.CDM_OVER_GRP_MIN))
     reports[name] = {"case": name, "sdp": sdp_sol.primal_obj,
+                     "dual_y": sdp_sol.dual_y.tolist(),
                      "x_eigenvalues": [float(v) for v in wX],
                      "cdm": cdm_obj, "pnorm": pn_obj, "grp": grp_obj,
                      "grp_samples": fixtures.GRP_SAMPLES, "grp_seed": seed}

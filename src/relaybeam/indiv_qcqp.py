@@ -58,12 +58,14 @@ def solve_via_sdp(p: IndivPowerProblem):
     """Solve the relaxation; return (qcqp_instance, sdp_solution, w or None).
 
     w is populated only when the relaxation comes back (numerically)
-    rank one, in which case sqrt(lambda_max) times the top eigenvector is
-    already optimal for the QCQP.
+    rank one, in which case its factor w (X = w w^H) is already optimal for
+    the QCQP: the exit's, else sqrt(lambda_max) times X's top eigenvector.
     """
     q = build_qcqp(p)
     sol = solve_relaxation(q)
-    w = _top_factor(*range_eigh(sol.X)) if sol.rank_estimate == 1 else None
+    w = None
+    if sol.rank_estimate == 1:
+        w = _top_factor(*range_eigh(sol.X)) if sol.factor is None else sol.factor[:, 0]
     return q, sol, w
 
 
@@ -87,6 +89,7 @@ def solve(p: IndivPowerProblem, solver: str = "auto", options: dict | None = Non
     if solver in ("sdp", "grp"):
         q, sdp_sol, w = solve_via_sdp(p) if relaxation is None else relaxation
         meta.update(sdp_obj=sdp_sol.primal_obj, sdp_gap=sdp_sol.gap,
+                    dual_y=sdp_sol.dual_y.tolist(),
                     rank_estimate=sdp_sol.rank_estimate, iterations=sdp_sol.iterations)
         if solver == "grp":
             meta["samples"] = options.get("samples", 10 ** 6)

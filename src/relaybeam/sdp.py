@@ -16,28 +16,41 @@ Re[Tr(QXQW) + c_j (WQX)_jj + c_k (XQW)_kk + c_k c_j X_kj W_jk] (Benson, Ye and
 Zhang, SIAM J. Optim. 10 (2000)), so an iteration costs a few n x n products,
 O(n^3), plus one stacked [X, Z] Cholesky and its inverse (step scalings and
 W), one stacked eigvalsh per direction (step lengths, as in SDPT3) and two
-Schur solves.  ``_rank_one_exit`` stops early at a certified rank-one point,
-which is then the QCQP's optimum (Luo et al., IEEE SPM 27(3) (2010)).
+Schur solves.  ``_kkt_exit`` stops early at a certified point X = V V^H of
+any rank r with r^2 <= |active caps| (Pataki, Math. Oper. Res. 23 (1998)):
+Newton steps on the KKT system Z V = 0, Tr(V^H A_k V) = 1, bordered by the
+r^2 gauge directions (Alizadeh, Haeberly and Overton, Math. Program. 77
+(1997)).  A rank-one point is the QCQP's optimum (Luo et al., IEEE SPM 27(3)
+(2010)); a rank-two one is the fallback's start, certified in about half the
+iterations.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, InputError, ModelError
-from .linalg import HERMITIAN_TOL, hermitian, psd_violation, qform, symmetrize
+from .linalg import HERMITIAN_TOL, hermitian, psd_violation, symmetrize
 
 GAP_TOL = 1e-8    # certified relative duality gap, |gap| <= GAP_TOL max(1, |primal|)
 FEAS_TOL = 1e-8   # primal residual max_k |1 - Tr(A_k X) - s_k| at the stop; no units
 MAX_ITER = 200    # interior-point Newton steps before ConvergenceError
 RANK_TOL = 1e-6   # eigenvalues of X above RANK_TOL lambda_max count toward its rank
-# The exit is tried at relative gaps <= _EXIT_GAP where ||X||_F^2 >= _EXIT_RANK
-# Tr(X)^2 (no LAPACK call); rank-one relaxations certify near 1e-3.  Two Newton
-# steps leave y ~1e-8 off; three reach round-off.
+# The exit is tried at relative gaps <= _EXIT_GAP: at r = 1 where ||X||_F^2 >=
+# _EXIT_RANK Tr(X)^2 (no LAPACK call); else, up to _EXIT_MAX_N relays, at the r
+# eigenvalues of X above _EXIT_CUT lambda_max where 2 <= r and r^2 <= |active
+# caps| (Pataki's bound, so never at n <= 3).  Rank-one relaxations certify near
+# 1e-3.  The cut and the relay limit are measured (ROADMAP item 13): from 48
+# relays the eigh and the dense (2nr + |A| + r^2) solves cost more than the
+# iterations they save.  Two Newton steps leave y ~1e-8 off; three reach
+# round-off.
 _EXIT_GAP = 1e-2
 _EXIT_RANK = 0.99
+_EXIT_CUT = 2e-2
+_EXIT_MAX_N = 32
 _EXIT_STEPS = 3
 
 
@@ -55,9 +68,10 @@ class QcqpInstance:
         return self.R.shape[0]
 
     def constraint_values(self, w) -> np.ndarray:
-        """w^H Q w + c_k |w_k|^2 for every k."""
-        w = np.asarray(w, dtype=complex).ravel()
-        return qform(self.Q, w) + self.c * np.abs(w) ** 2
+        """w^H Q w + c_k |w_k|^2 for every k; for an n x r factor V of X = V V^H,
+        Tr(V^H A_k V) = Tr(A_k X)."""
+        V = np.asarray(w, dtype=complex).reshape(self.n, -1)
+        return np.trace(V.conj().T @ self.Q @ V).real + self.c * (np.abs(V) ** 2).sum(axis=1)
 
     def traces(self, X) -> np.ndarray:
         """Re Tr(A_k X) = Re Tr(Q X) + c_k Re X_kk for every k, for any square X."""
@@ -104,8 +118,9 @@ class SdpSolution:
     primal_obj: float        # Tr(R X), the maximization-form objective
     dual_obj: float          # sum_k y_k
     gap: float
-    rank_estimate: int       # eigenvalues of X counted by range_eigh
+    rank_estimate: int       # eigenvalues of X counted by range_eigh, or the exit's r
     iterations: int
+    factor: np.ndarray | None = None   # X = V V^H (n x r) from the exit; None from the gap stop
 
 
 @dataclass
@@ -163,9 +178,8 @@ def solve_relaxation(q: QcqpInstance) -> SdpSolution:
             primal = np.vdot(R, X).real
             dual = float(y.sum())
             gap = dual - primal
-            if (it and abs(gap) <= _EXIT_GAP * max(1.0, abs(primal))
-                    and np.vdot(X, X).real >= _EXIT_RANK * np.trace(X).real ** 2):
-                sol = _rank_one_exit(q, X, y, s, it)
+            if it and abs(gap) <= _EXIT_GAP * max(1.0, abs(primal)):
+                sol = _kkt_exit(q, X, y, s, it)
                 if sol is not None:
                     return sol
             if (abs(gap) <= GAP_TOL * max(1.0, abs(primal))
@@ -213,58 +227,101 @@ def solve_relaxation(q: QcqpInstance) -> SdpSolution:
                        iterations=it)
 
 
-def _rank_one_exit(q: QcqpInstance, X, y, s, it):
-    """The certified rank-one optimum near the iterate (X, y, s), else None.
+def _kkt_exit(q: QcqpInstance, X, y, s, it):
+    """The certified rank-r optimum X = V V^H near the iterate (X, y, s), else None.
 
-    From X's top factor w and the caps A = {k : y_k > s_k}, Newton steps on the
-    real system (sum_A y_k A_k - R) w = 0, (w^H A_k w - 1)/2 = 0, symmetric and
-    singular only along the phase i w, which borders it.  y_A >= 0 is lifted
-    by max(0, -lambda_min(sum y_k A_k - R))/c_k, which adds at least that times
-    I to sum y_k A_k, so bound = sum y is certified; w, scaled to its tightest
-    cap, is accepted within GAP_TOL bound of it.  Anything else, a LinAlgError
-    included, declines and the interior point goes on."""
+    r is 1 where ||X||_F^2 >= _EXIT_RANK Tr(X)^2, else (up to _EXIT_MAX_N
+    relays) the count of X's eigenvalues above _EXIT_CUT lambda_max, tried
+    only where 2 <= r and r^2 <= |A| for the caps A = {k : y_k > s_k}
+    (Pataki's bound).  From V, X's top r factors, Newton steps on the real
+    system Z V = 0, (Tr(V^H A_k V) - 1)/2 = 0 (k in A), with Z = sum_A y_k
+    A_k - R: it is symmetric and singular only along the gauge directions
+    V S, S skew-Hermitian r x r (i w at r = 1), which border it.  y_A >= 0
+    is lifted by max(0, -lambda_min(Z))/c_k, which adds at least that times
+    I to Z, so bound = sum y is certified; V, scaled to its tightest cap and
+    still of rank r, is accepted within GAP_TOL bound of it.  Anything else,
+    a LinAlgError included, declines and the interior point goes on."""
     R, Q, c, n = q.R, q.Q, q.c, q.n
     act = np.flatnonzero(y > s)
     m, yk = act.size, np.where(y > s, y, 0.0)
-    K = np.zeros((2 * n + m + 1,) * 2)     # unknowns [Re dw, Im dw, dy_A, phase]
+    one = np.vdot(X, X).real >= _EXIT_RANK * np.trace(X).real ** 2
+    if not (one or 4 <= m and n <= _EXIT_MAX_N):      # no LAPACK call where r >= 2 cannot run
+        return None
     try:
         with np.errstate(all="ignore"):
             lam, U = np.linalg.eigh(X)
-            w = U[:, -1] * np.sqrt(lam[-1])
+            r = 1 if one else int(np.count_nonzero(lam > _EXIT_CUT * lam[-1]))
+            if not (one or 2 <= r and r * r <= m):
+                return None
+            V = U[:, -r:] * np.sqrt(lam[-r:])
+            # rows and unknowns [Re, Im of column j of Z V, resp. dV, for each j; dy_A;
+            # gauge], as views of K and rhs: Z's real embedding on the diagonal blocks
+            N, S = 2 * n * r, _gauge_basis(r)
+            K, rhs = np.zeros((N + m + r * r,) * 2), np.zeros(N + m + r * r)
+            top, rtop = K[:N].reshape(r, 2, n, -1), rhs[:N].reshape(r, 2, n)
+            Zb = np.einsum("jpajqb->jpaqb", K[:N, :N].reshape(r, 2, n, r, 2, n))
+            C = np.empty((r, n, m + r * r), dtype=complex)   # (A_k V)_j for k in A, (V S)_j
             for _ in range(_EXIT_STEPS):
                 Z = q.weighted_sum(yk) - R
-                G = np.repeat((Q @ w)[:, None], m, axis=1)   # A_k w, k in A
-                G[act, np.arange(m)] += c[act] * w[act]
-                C = np.hstack([Z, 1j * Z, G, 1j * w[:, None]])
-                K[:2 * n] = np.vstack([C.real, C.imag])
-                K[2 * n:, :2 * n] = K[:2 * n, 2 * n:].T
-                Zw = Z @ w
-                d = np.linalg.solve(K, np.concatenate(
-                    [-Zw.real, -Zw.imag, 0.5 - 0.5 * (w.conj() @ G).real, [0.0]]))
-                w = w + d[:n] + 1j * d[n:2 * n]
-                yk[act] += d[2 * n:-1]
-            peak = q.constraint_values(w).max()
-            if not (np.isfinite(yk).all() and yk.min() >= 0 and peak > 0):
+                Zb[:, 0, :, 0] = Zb[:, 1, :, 1] = Z.real
+                Zb[:, 1, :, 0] = Z.imag
+                Zb[:, 0, :, 1] = -Z.imag
+                C[:, :, :m] = (Q @ V).T[:, :, None]
+                C[:, act, np.arange(m)] += c[act] * V[act].T
+                C[:, :, m:] = (V @ S).transpose(2, 1, 0)
+                top[:, 0, :, N:], top[:, 1, :, N:] = C.real, C.imag
+                K[N:, :N] = K[:N, N:].T
+                ZV = (Z @ V).T
+                rtop[:, 0], rtop[:, 1] = -ZV.real, -ZV.imag
+                caps = (V.conj().T.ravel() @ C[:, :, :m].reshape(r * n, m)).real
+                rhs[N:N + m] = 0.5 - 0.5 * caps
+                d = np.linalg.solve(K, rhs)
+                dV = d[:N].reshape(r, 2, n)
+                V.real += dV[:, 0].T
+                V.imag += dV[:, 1].T
+                yk[act] += d[N:N + m]
+            peak = q.constraint_values(V).max()
+            # X's nonzero eigenvalues are V^H V's; at r = 1, peak > 0 says V != 0
+            lam_v = np.linalg.eigvalsh(V.conj().T @ V) if r > 1 else [1.0]
+            if not (np.isfinite(yk).all() and yk.min() >= 0 and peak > 0
+                    and lam_v[0] > RANK_TOL * lam_v[-1]):
                 return None
-            w = w / np.sqrt(peak)
+            V = V / np.sqrt(peak)
             lam_z = np.linalg.eigvalsh(q.weighted_sum(yk) - R)[0]
     except np.linalg.LinAlgError:
         return None
     yk = yk + max(0.0, -lam_z) / c
     bound = yk.sum()
-    primal = qform(R, w)
+    primal = float(np.trace(V.conj().T @ R @ V).real)
     if not bound - primal <= GAP_TOL * bound:
         return None
-    return SdpSolution(X=np.outer(w, w.conj()), dual_y=yk, primal_obj=primal,
-                       dual_obj=float(bound), gap=float(bound - primal), rank_estimate=1,
-                       iterations=it)
+    return SdpSolution(X=(V[:, None] * V.conj()).sum(axis=2), dual_y=yk, primal_obj=primal,
+                       dual_obj=float(bound), gap=float(bound - primal), rank_estimate=r,
+                       iterations=it, factor=V)
+
+
+@functools.cache
+def _gauge_basis(r):
+    """The r^2 skew-Hermitian r x r matrices i E_aa, E_ab - E_ba and
+    i (E_ab + E_ba) (a < b), stacked; V V^H is constant along V S.  Cached:
+    building it was 5 % of a rank-one exit try."""
+    l = np.arange(r * r)
+    a, b = np.divmod(l, r)
+    S = np.zeros((r * r, r, r), dtype=complex)
+    S[l, a, b] = np.where(a < b, 1.0, 1j)
+    S[l, b, a] = np.where(a < b, -1.0, 1j)
+    return S
 
 
 def dual_certificate_residuals(q: QcqpInstance, sol: SdpSolution) -> CertificateReport:
     """KKT residuals of a candidate solution; all ~0 on a valid optimum."""
     X, y = sol.X, sol.dual_y
-    vals = q.traces(X)
-    lam_x = np.linalg.eigvalsh(symmetrize(X))[0]
+    # an exit's X = V V^H is PSD, and its caps are read from V: forming X
+    # rounds them, and lambda_min(X), by up to 3e-8 where Q ~ 1e-8 and X ~ 1e8
+    if sol.factor is None:
+        vals, lam_x = q.traces(X), np.linalg.eigvalsh(symmetrize(X))[0]
+    else:
+        vals, lam_x = q.constraint_values(sol.factor), 0.0
     primal_feas = float(max((vals - 1.0).max(), -min(lam_x, 0.0), 0.0))
     Zbar = q.weighted_sum(y) - q.R
     dual_feas = float(np.linalg.eigvalsh(symmetrize(Zbar))[0])

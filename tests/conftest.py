@@ -6,8 +6,8 @@ from relaybeam import indiv_diag, indiv_search
 from relaybeam.channel import ChannelStats
 from relaybeam.errors import ConvergenceError, InputError
 from relaybeam.linalg import hermitian, symmetrize
-from relaybeam.sdp import (_EXIT_GAP, _EXIT_RANK, _EXIT_STEPS, FEAS_TOL, GAP_TOL, MAX_ITER,
-                           QcqpInstance, SdpSolution, range_eigh)
+from relaybeam.sdp import (_EXIT_CUT, _EXIT_GAP, _EXIT_MAX_N, _EXIT_RANK, _EXIT_STEPS, FEAS_TOL,
+                           GAP_TOL, MAX_ITER, RANK_TOL, QcqpInstance, SdpSolution, range_eigh)
 from relaybeam.problems import IndivPowerProblem, TotalPowerProblem
 
 MC_BATCH = 20000   # draws per monte_carlo_stats batch
@@ -83,7 +83,7 @@ def constraint_stack(prob):
 
 def stacked_relaxation(R, A):
     """Reference for ``sdp.solve_relaxation``: the same interior-point method
-    (HKM direction, Mehrotra corrector, start, stop test, rank-one exit and
+    (HKM direction, Mehrotra corrector, start, stop test, KKT exit and
     constants) on a generic (N, n, n) stack of PSD constraint matrices, with
     the Schur matrix Re Tr(A_k X A_j Z^-1) formed through the stack at
     O(N n^3 + N^2 n^2)."""
@@ -109,9 +109,8 @@ def stacked_relaxation(R, A):
         mu = (np.trace(Z @ X).real + y @ s) / (n + N)
         primal = np.trace(R @ X).real
         gap = y.sum() - primal
-        if (it and abs(gap) <= _EXIT_GAP * max(1.0, abs(primal))
-                and np.vdot(X, X).real >= _EXIT_RANK * np.trace(X).real ** 2):
-            sol = stacked_rank_one_exit(R, A, X, y, s, it)
+        if it and abs(gap) <= _EXIT_GAP * max(1.0, abs(primal)):
+            sol = stacked_kkt_exit(R, A, X, y, s, it)
             if sol is not None:
                 return sol
         if (np.abs(rp).max() <= FEAS_TOL
@@ -163,47 +162,68 @@ def stacked_relaxation(R, A):
                        rank_estimate=range_eigh(X)[0].size, iterations=it)
 
 
-def stacked_rank_one_exit(R, A, X, y, s, it):
-    """``sdp._rank_one_exit`` on the stack A: Newton steps on (sum_A y_k A_k
-    - R) w = 0, (w^H A_k w - 1)/2 = 0 bordered by i w from X's top factor,
-    then the same certificate, with Tr X <= N / lambda_min(sum_k A_k) (every
-    Tr(A_k X) <= 1) in place of the relay form's sum_k 1/c_k."""
+def stacked_kkt_exit(R, A, X, y, s, it):
+    """``sdp._kkt_exit`` on the stack A: from X's top r factors V (r = 1 by
+    the Frobenius test, else the eigenvalues above the cut, if r^2 <= |A|
+    and n <= _EXIT_MAX_N),
+    Newton steps on (sum_A y_k A_k - R) V = 0, (Tr(V^H A_k V) - 1)/2 = 0
+    bordered by the r^2 directions V S, S skew-Hermitian, then the same
+    certificate, with Tr X <= N / lambda_min(sum_k A_k) (every Tr(A_k X) <=
+    1) in place of the relay form's sum_k 1/c_k."""
     N, n = A.shape[0], R.shape[0]
     act = np.flatnonzero(y > s)
     m, yk = act.size, np.where(y > s, y, 0.0)
+    one = np.vdot(X, X).real >= _EXIT_RANK * np.trace(X).real ** 2
+    if not (one or 4 <= m and n <= _EXIT_MAX_N):
+        return None
+
+    def real_columns(M):
+        # the real unknowns of an n x r complex M: [Re M_j, Im M_j] for each column j
+        return np.concatenate([np.concatenate([col.real, col.imag]) for col in M.T])
+
     try:
         with np.errstate(all="ignore"):
             lam, U = np.linalg.eigh(X)
-            w = U[:, -1] * np.sqrt(lam[-1])
+            r = 1 if one else int((lam > _EXIT_CUT * lam[-1]).sum())
+            if not (one or 2 <= r and r * r <= m):
+                return None
+            V = U[:, -r:] * np.sqrt(lam[-r:])
+            basis = []
+            for a in range(r):
+                for b in range(r):
+                    S = np.zeros((r, r), dtype=complex)
+                    S[a, b], S[b, a] = (1j, 1j) if a >= b else (1.0, -1.0)
+                    basis.append(S)
             for _ in range(_EXIT_STEPS):
                 Z = np.tensordot(yk, A, 1) - R
-                G = (A[act] @ w).T
-                # real unknowns [Re dw, Im dw, dy_A, t]; dw enters as Z dw,
-                # i.e. Z Re dw + i Z Im dw, and t along the phase i w
-                top = np.hstack([Z, 1j * Z, G, 1j * w[:, None]])
-                top = np.vstack([top.real, top.imag])
-                K = np.vstack([top, np.hstack([top[:, 2 * n:].T, np.zeros((m + 1, m + 1))])])
-                Zw = Z @ w
-                caps = (w.conj() @ G).real
-                d = np.linalg.solve(K, np.concatenate([-Zw.real, -Zw.imag,
-                                                       0.5 * (1.0 - caps), [0.0]]))
-                w = w + d[:n] + 1j * d[n:2 * n]
-                yk[act] += d[2 * n:-1]
-            peak = np.einsum("a,kab,b->k", w.conj(), A, w).real.max()
-            if not (np.isfinite(yk).all() and yk.min() >= 0 and peak > 0):
+                E = np.block([[Z.real, -Z.imag], [Z.imag, Z.real]])
+                B = np.array([real_columns(A[k] @ V) for k in act]
+                             + [real_columns(V @ S) for S in basis]).T
+                K = np.block([[scipy.linalg.block_diag(*[E] * r), B],
+                              [B.T, np.zeros((m + r * r, m + r * r))]])
+                caps = np.array([np.trace(V.conj().T @ A[k] @ V).real for k in act])
+                d = np.linalg.solve(K, np.concatenate([-real_columns(Z @ V), 0.5 * (1.0 - caps),
+                                                       np.zeros(r * r)]))
+                D = d[:2 * n * r].reshape(r, 2, n)
+                V = V + (D[:, 0] + 1j * D[:, 1]).T
+                yk[act] += d[2 * n * r:2 * n * r + m]
+            peak = np.einsum("aj,kab,bj->k", V.conj(), A, V).real.max()
+            lam_v = np.linalg.eigvalsh(V.conj().T @ V)
+            if not (np.isfinite(yk).all() and yk.min() >= 0 and peak > 0
+                    and lam_v[0] > RANK_TOL * lam_v[-1]):
                 return None
-            w = w / np.sqrt(peak)
+            V = V / np.sqrt(peak)
             lam_z = np.linalg.eigvalsh(np.tensordot(yk, A, 1) - R)[0]
             trace_cap = N / np.linalg.eigvalsh(A.sum(axis=0))[0]
     except np.linalg.LinAlgError:
         return None
     bound = yk.sum() + max(0.0, -lam_z) * trace_cap
-    primal = float(np.vdot(w, R @ w).real)
+    primal = float(np.trace(V.conj().T @ R @ V).real)
     if not bound - primal <= GAP_TOL * bound:
         return None
-    return SdpSolution(X=np.outer(w, w.conj()), dual_y=yk, primal_obj=primal,
-                       dual_obj=float(bound), gap=float(bound - primal), rank_estimate=1,
-                       iterations=it)
+    return SdpSolution(X=V @ V.conj().T, dual_y=yk, primal_obj=primal,
+                       dual_obj=float(bound), gap=float(bound - primal), rank_estimate=r,
+                       iterations=it, factor=V)
 
 
 def stacked_residuals(R, A, sol):

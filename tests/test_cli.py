@@ -48,17 +48,17 @@ def diagonal_scenario(tmp_path, solver="indiv-diag"):
     return write_scenario(tmp_path / "scenario.json", payload), payload
 
 
-def fixture_scenario(tmp_path, solver="sdp", options=None, seed=11):
-    R, Q = fixtures.indiv_fixture(4)
+def fixture_scenario(tmp_path, solver="sdp", options=None, seed=11, n=4):
+    R, Q = fixtures.indiv_fixture(n)
     payload = {
         "mode": "individual",
         "sigma2": 1.0,
-        "channel": {"stats": {"D": [1.0] * 4, "R": cmat(R), "Q": cmat(Q)}},
-        "budget": {"Ps": 1.0, "P": [2.0] * 4},
+        "channel": {"stats": {"D": [1.0] * n, "R": cmat(R), "Q": cmat(Q)}},
+        "budget": {"Ps": 1.0, "P": [2.0] * n},
         "solver": {"name": solver, **({"options": options} if options else {})},
         "seed": seed,
     }
-    return write_scenario(tmp_path / "n4.json", payload), payload
+    return write_scenario(tmp_path / f"n{n}.json", payload), payload
 
 
 def strict_json(text):
@@ -808,6 +808,56 @@ class TestMain:
         assert "smallest eigenvalue" in err and "below what eigvalsh resolves" in err
         assert "Traceback" not in err
         assert main(["solve", path]) == 0
+
+
+def dual_bound(prob, dual_y):
+    """sum y + max(0, -lambda_min(sum_k y_k A_k - R)) sum_k 1/c_k, which bounds
+    the QCQP value for any y >= 0 (the lift adds that times I to sum y_k A_k),
+    from the problem's own D, R, Q, P and one eigvalsh."""
+    y, s = np.asarray(dual_y, dtype=float), prob.stats
+    c = (prob.Ps * s.D + s.sigma2) / prob.P
+    lam = np.linalg.eigvalsh(y.sum() * s.Q + np.diag(c * y) - s.R)[0]
+    assert y.min() >= 0
+    return y.sum() + max(0.0, -lam) * (1.0 / c).sum()
+
+
+class TestDualCertificate:
+    """Every per-relay report whose route ran the relaxation carries its
+    dual_y, and that alone certifies the reported SNR after a JSON round
+    trip: snr sigma2/Ps <= bound (1 + 1e-9)."""
+
+    @pytest.mark.parametrize("path,solver,options,rank", [
+        (SCENARIOS / "individual_rician_n3.json", None, None, 1),
+        (SCENARIOS / "individual_loose_caps_n3.json", None, None, 1),
+        (4, "sdp", None, 2),          # the rank-two exit, then cdm
+        (6, "sdp", {"fallback": "pnorm", "p": fixtures.PNORM_P}, 2),
+        (6, "grp", {"samples": 64}, 2),
+    ], ids=["rician-n3", "loose-caps-n3", "fixture-4-cdm", "fixture-6-pnorm", "fixture-6-grp"])
+    def test_solve_reports(self, tmp_path, capsys, path, solver, options, rank):
+        if isinstance(path, int):
+            path = fixture_scenario(tmp_path, solver, options, n=path)[0]
+        assert main(["solve", str(path)]) == 0
+        rep = strict_json(capsys.readouterr().out)
+        prob = parse_scenario(str(path)).problem
+        meta = rep["metadata"]
+        assert meta["rank_estimate"] == rank and len(meta["dual_y"]) == prob.n
+        bound = dual_bound(prob, meta["dual_y"])
+        assert bound == pytest.approx(meta["sdp_obj"] + meta["sdp_gap"], rel=1e-12)
+        assert rep["snr"] * prob.stats.sigma2 / prob.Ps <= bound * (1 + 1e-9)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_reproduce_reports(self, tmp_path, capsys, n):
+        # with Ps = sigma2 = 1 every route's objective is its SNR
+        assert main(["reproduce", f"indiv-n{n}", "--out", str(tmp_path)]) == 0
+        rep = strict_json((tmp_path / f"indiv-n{n}.json").read_text())
+        bound = dual_bound(parse_scenario(fixture_scenario(tmp_path, n=n)[0]).problem,
+                           rep["dual_y"])
+        assert max(rep[key] for key in ("sdp", "cdm", "pnorm", "grp")) <= bound * (1 + 1e-9)
+
+    def test_total_power_and_diagonal_reports_carry_none(self, tmp_path, capsys):
+        for path in (SCENARIOS / "total_rayleigh_n4.json", diagonal_scenario(tmp_path)[0]):
+            assert main(["solve", str(path)]) == 0
+            assert "dual_y" not in strict_json(capsys.readouterr().out)["metadata"]
 
 
 class TestReproduce:

@@ -12,8 +12,8 @@ from relaybeam.channel import ChannelStats, RicianParams, build_stats
 from relaybeam.errors import ConvergenceError, InputError, ModelError
 from relaybeam.indiv_qcqp import build_qcqp, qcqp_objective, solve_via_sdp
 from relaybeam.problems import IndivPowerProblem
-from relaybeam.sdp import (GAP_TOL, QcqpInstance, SdpProblem, dual_certificate_residuals,
-                           range_eigh, solve_relaxation)
+from relaybeam.sdp import (FEAS_TOL, GAP_TOL, RANK_TOL, QcqpInstance, SdpProblem,
+                           dual_certificate_residuals, range_eigh, solve_relaxation)
 from conftest import (break_stacked_kernel, constraint_stack, degenerate_qcqp_instance,
                       loose_cap_problem, rand_indiv_problem, rand_pd, rand_psd,
                       stacked_relaxation, stacked_residuals)
@@ -194,10 +194,10 @@ class TestBreakdownIsConvergenceError:
 def assert_relative_certificate(q, sol):
     """The stop's certificate in the problem's own units: y >= 0 with sum_k
     y_k A_k - R PSD to round-off in R's units, the relative gap of the stop,
-    and X within 1e-7 of every cap (a rank-one exit scales w to its tightest
-    cap; Tr(A_k w w^H) recomputed at c_k = 1e-8 rounds to 2.9e-8)."""
+    and X within FEAS_TOL of every cap (an exit's caps are read from its
+    factor, which it scales to its tightest cap)."""
     rep = dual_certificate_residuals(q, sol)
-    assert sol.dual_y.min() >= 0 and rep.primal_feas <= 1e-7
+    assert sol.dual_y.min() >= 0 and rep.primal_feas <= FEAS_TOL
     assert rep.dual_feas >= -q.n * np.finfo(float).eps * np.linalg.norm(q.R, 2)
     assert sol.dual_obj == pytest.approx(sol.dual_y.sum(), rel=1e-15)
     assert abs(sol.gap) <= GAP_TOL * max(1.0, abs(sol.primal_obj))
@@ -274,7 +274,9 @@ def test_relaxation_near_the_float_limit():
 def test_kernel_budget_per_iteration(monkeypatch):
     # one stacked Cholesky and its inverse, two Schur solves and one stacked
     # eigvalsh per direction; then the start's Cholesky, inverse and pencil
-    # eigvalsh, and the returned rank's range_eigh
+    # eigvalsh, and the rank-two exit at the first iterate within _EXIT_GAP:
+    # one eigh of X, three bordered solves, the eigvalsh of V^H V and of the
+    # certificate's sum y_k A_k - R (so no range_eigh)
     q = fixture_problem(6)
     calls = Counter()
     for name in ("cholesky", "inv", "solve", "eigvalsh", "eigh"):
@@ -284,8 +286,8 @@ def test_kernel_budget_per_iteration(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     k = solve_relaxation(q).iterations
     assert k > 0
-    assert calls == {"cholesky": k + 1, "inv": k + 1, "solve": 2 * k, "eigvalsh": 2 * k + 1,
-                     "eigh": 1}
+    assert calls == {"cholesky": k + 1, "inv": k + 1, "solve": 2 * k + 3,
+                     "eigvalsh": 2 * k + 3, "eigh": 1}
 
 
 class TestCertificateResiduals:
@@ -344,15 +346,15 @@ class TestAgreesWithStackedReference:
 
 
 def exits(monkeypatch):
-    """Record the result of every rank-one exit attempt: a list of
-    ``SdpSolution`` or None (declined)."""
-    seen, attempt = [], sdp._rank_one_exit
-    monkeypatch.setattr(sdp, "_rank_one_exit", lambda *a: seen.append(attempt(*a)) or seen[-1])
+    """Record the result of every exit attempt: a list of ``SdpSolution`` or
+    None (declined)."""
+    seen, attempt = [], sdp._kkt_exit
+    monkeypatch.setattr(sdp, "_kkt_exit", lambda *a: seen.append(attempt(*a)) or seen[-1])
     return seen
 
 
 def without_exit(q):
-    """``solve_relaxation`` with the rank-one exit switched off: the plain
+    """``solve_relaxation`` with the KKT exit switched off: the plain
     interior point, stopped at its own gap target."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sdp, "_EXIT_GAP", -1.0)
@@ -371,8 +373,19 @@ def rank_one_problem(n):
     return build_qcqp(rand_indiv_problem(np.random.default_rng(n), n))
 
 
-class TestRankOneExit:
-    """The exit at a certified rank-one KKT point: taken only on a
+def force_solve(monkeypatch, n, change):
+    """Pass every solution of a system larger than n x n (the exit's
+    bordered Newton system) through ``change(a, d)``."""
+    real = np.linalg.solve
+
+    def solve(a, b):
+        d = real(a, b)
+        return change(a, d) if a.shape[0] > n else d
+    monkeypatch.setattr(np.linalg, "solve", solve)
+
+
+class TestKktExit:
+    """The exit at a certified KKT point X = V V^H: taken only on a
     certificate, and otherwise leaving the interior point's iterates alone."""
 
     @pytest.mark.parametrize("n", [3, 6, 12])
@@ -382,43 +395,106 @@ class TestRankOneExit:
         sol = solve_relaxation(q)
         ref = without_exit(q)
         assert seen[-1] is sol and sol.rank_estimate == ref.rank_estimate == 1
+        assert sol.factor.shape == (n, 1)
         assert sol.iterations < ref.iterations
         assert sol.primal_obj == pytest.approx(ref.primal_obj, rel=1e-8)
         assert q.traces(sol.X).max() <= 1.0 + 1e-12
         assert 0.0 <= sol.gap <= sdp.GAP_TOL * sol.dual_obj
         assert_certified(q, sol)
 
-    @pytest.mark.parametrize("case", ["fixture-4", "fixture-6", "degenerate-4", "degenerate-8",
-                                      "degenerate-inactive-6"])
-    def test_rank_two_never_exits(self, monkeypatch, case):
-        kind, *_, n = case.split("-")
-        rng = np.random.default_rng(int(n))
-        q = (fixture_problem(int(n)) if kind == "fixture"
-             else degenerate_qcqp_instance(rng, int(n), inactive="inactive" in case)[1])
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_taken_on_the_rank_two_fixtures(self, monkeypatch, n):
+        # at least four caps are active at both fixtures' optimum, so
+        # 2^2 <= |A|; the exit certifies in half the interior point's
+        # iterations, at the X it converges to (to the accuracy of its gap)
+        q = fixture_problem(n)
         seen = exits(monkeypatch)
         sol = solve_relaxation(q)
-        assert sol.rank_estimate >= 2
-        assert all(attempt is None for attempt in seen)
+        ref = without_exit(q)
+        assert seen == [sol] and sol.rank_estimate == ref.rank_estimate == 2
+        assert sol.factor.shape == (n, 2)
+        assert 2 * sol.iterations <= ref.iterations
+        assert sol.primal_obj == pytest.approx(ref.primal_obj, rel=2 * GAP_TOL)
+        assert np.abs(sol.X - ref.X).max() <= 1e-4 * np.abs(ref.X).max()
+        assert q.constraint_values(sol.factor).max() <= 1.0 + 1e-15
+        assert 0.0 <= sol.gap <= GAP_TOL * sol.dual_obj
+        assert_certified(q, sol)
+
+    @pytest.mark.parametrize("case", ["degenerate-4", "degenerate-8", "degenerate-inactive-6"])
+    def test_beyond_pataki_bound_declines(self, monkeypatch, case):
+        # R = sum_k y_k A_k: the IPM converges to a full-rank X, and r^2 > n
+        # caps cannot pin it, so no Newton step is taken
+        n = int(case.split("-")[-1])
+        q = degenerate_qcqp_instance(np.random.default_rng(n), n, inactive="inactive" in case)[1]
+        seen = exits(monkeypatch)
+        real, calls = np.linalg.solve, []
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a.shape) or real(a, b))
+        sol = solve_relaxation(q)
+        assert sol.rank_estimate == n and seen and all(attempt is None for attempt in seen)
+        assert all(shape[0] == n for shape in calls)
+        monkeypatch.undo()
         assert_same_solution(sol, without_exit(q))
 
-    def test_linalg_error_declines(self, monkeypatch):
-        # the exit's bordered Newton system is the only solve larger than n x n
-        q = rank_one_problem(6)
+    def test_size_gate_declines(self, monkeypatch):
+        # beyond _EXIT_MAX_N relays a rank-two X is not even decomposed
+        q = fixture_problem(6)
         ref = without_exit(q)
-        real, raised = np.linalg.solve, []
+        monkeypatch.setattr(sdp, "_EXIT_MAX_N", 5)
+        real, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or real(a))
+        seen = exits(monkeypatch)
+        sol = solve_relaxation(q)
+        assert seen and all(attempt is None for attempt in seen) and calls == [(6, 6)]
+        monkeypatch.undo()
+        assert_same_solution(sol, ref)
 
-        def solve(a, b):
-            if a.shape[0] > q.n:
-                raised.append(a.shape)
-                raise np.linalg.LinAlgError("forced")
-            return real(a, b)
-        monkeypatch.setattr(np.linalg, "solve", solve)
+    def test_no_rank_two_attempt_at_three_relays(self, monkeypatch):
+        # r >= 2 needs 4 active caps, so at n = 3 the exit takes no rank-two
+        # Newton step (its system has 4n + |A| + 4 > 3n + 1 rows), and
+        # rank_one_decompose keeps the relaxations of rank >= 2
+        real, sizes = np.linalg.solve, []
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: sizes.append(a.shape[0]) or real(a, b))
+        ranks = [solve_relaxation(degenerate_qcqp_instance(np.random.default_rng(seed), 3)[1])
+                 .rank_estimate for seed in range(4)]
+        assert min(ranks) >= 2 and max(sizes) <= 3 * 3 + 1
+
+    def test_rank_loss_declines(self, monkeypatch):
+        # with the rank-one test switched off and a cut of 1e-2, the rank-one
+        # relaxation at n = 8 counts two eigenvalues above the cut; Newton
+        # drives the second factor to zero, and the exit declines rather
+        # than report rank two
+        q = rank_one_problem(8)
+        ref = without_exit(q)
+        monkeypatch.setattr(sdp, "_EXIT_RANK", 2.0)
+        monkeypatch.setattr(sdp, "_EXIT_CUT", 1e-2)
+        real, grams = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: grams.append(real(a)) or grams[-1] if a.shape == (2, 2)
+                            else real(a))
+        seen = exits(monkeypatch)
+        sol = solve_relaxation(q)
+        assert grams and grams[0][0] <= RANK_TOL * grams[0][-1]
+        assert seen and all(attempt is None for attempt in seen)
+        assert_same_solution(sol, ref)
+
+    @pytest.mark.parametrize("n,make", [(6, rank_one_problem), (6, fixture_problem)])
+    def test_linalg_error_declines(self, monkeypatch, n, make):
+        # the exit's bordered Newton system is the only solve larger than n x n
+        q = make(n)
+        ref = without_exit(q)
+        raised = []
+
+        def fail(a, d):
+            raised.append(a.shape)
+            raise np.linalg.LinAlgError("forced")
+        force_solve(monkeypatch, n, fail)
         seen = exits(monkeypatch)
         sol = solve_relaxation(q)
         assert raised and seen and all(attempt is None for attempt in seen)
         assert_same_solution(sol, ref)
 
-    def test_negative_multiplier_declines(self, monkeypatch):
+    def test_negative_multiplier_declines(self):
         # max w^H R w s.t. |w_1|^2, |w_2|^2 <= 1 peaks at w = (1, 1/4), 3.125;
         # with cap 2 taken as active the KKT point is w = (1, 1), value 2,
         # y = (3.5, -1.5), where Z = diag(y) - R is PSD: only y >= 0 keeps
@@ -426,24 +502,34 @@ class TestRankOneExit:
         toy = QcqpInstance(R=np.array([[3.0, 0.5], [0.5, -2.0]], dtype=complex),
                            Q=np.zeros((2, 2), dtype=complex), c=np.ones(2))
         w0 = np.array([1.0, 0.9], dtype=complex)
-        assert sdp._rank_one_exit(toy, np.outer(w0, w0), np.array([3.5, 1.0]),
-                                  np.zeros(2), 1) is None
+        assert sdp._kkt_exit(toy, np.outer(w0, w0), np.array([3.5, 1.0]),
+                             np.zeros(2), 1) is None
         assert solve_relaxation(toy).primal_obj == pytest.approx(3.125, rel=1e-9)
-        # every Newton step pushes the active multipliers far below zero
-        q = rank_one_problem(6)
-        ref = without_exit(q)
-        real = np.linalg.solve
 
-        def solve(a, b):
-            d = real(a, b)
-            if a.shape[0] > q.n:
-                d[2 * q.n:-1] -= 1e6
+    @pytest.mark.parametrize("n,make,rank", [(6, rank_one_problem, 1), (6, fixture_problem, 2)])
+    def test_pushed_multipliers_decline(self, monkeypatch, n, make, rank):
+        # every Newton step pushes the active multipliers far below zero
+        q = make(n)
+        ref = without_exit(q)
+
+        def push(a, d):
+            d[2 * n * rank:] -= 1e6
             return d
-        monkeypatch.setattr(np.linalg, "solve", solve)
+        force_solve(monkeypatch, n, push)
         seen = exits(monkeypatch)
         sol = solve_relaxation(q)
         assert seen and all(attempt is None for attempt in seen)
         assert_same_solution(sol, ref)
+
+    def test_uncertified_gap_declines(self):
+        # max 3|w_1|^2 + |w_2|^2 s.t. |w_k|^2 <= 1 is 4 at w = (1, 1); with only
+        # cap 1 active, Newton stays at the KKT point w = (1, 0), y = (3, 0),
+        # where lambda_min(Z) = -1 lifts the bound to 5 against a value of 3
+        toy = QcqpInstance(R=np.diag([3.0, 1.0]).astype(complex),
+                           Q=np.zeros((2, 2), dtype=complex), c=np.ones(2))
+        w0 = np.array([1.0, 0.0], dtype=complex)
+        assert sdp._kkt_exit(toy, np.outer(w0, w0), np.array([3.0, 0.0]),
+                             np.array([0.0, 1.0]), 1) is None
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_zero_objective_declines(self, monkeypatch, n):
