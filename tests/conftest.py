@@ -165,11 +165,11 @@ def stacked_relaxation(R, A):
 def stacked_kkt_exit(R, A, X, y, s, it):
     """``sdp._kkt_exit`` on the stack A: from X's top r factors V (r = 1 by
     the Frobenius test, else the eigenvalues above the cut, if r^2 <= |A|
-    and n <= _EXIT_MAX_N),
-    Newton steps on (sum_A y_k A_k - R) V = 0, (Tr(V^H A_k V) - 1)/2 = 0
-    bordered by the r^2 directions V S, S skew-Hermitian, then the same
-    certificate, with Tr X <= N / lambda_min(sum_k A_k) (every Tr(A_k X) <=
-    1) in place of the relay form's sum_k 1/c_k."""
+    and n <= _EXIT_MAX_N), Newton steps on (sum_A y_k A_k - R) V = 0,
+    (Tr(V^H A_k V) - 1)/2 = 0 bordered by the r^2 directions V S, S
+    skew-Hermitian, then the same certificate, with Tr X <= N /
+    lambda_min(sum_k A_k) (every Tr(A_k X) <= 1) in place of the relay
+    form's sum_k 1/c_k."""
     N, n = A.shape[0], R.shape[0]
     act = np.flatnonzero(y > s)
     m, yk = act.size, np.where(y > s, y, 0.0)
