@@ -30,6 +30,10 @@ from .sdp import QcqpInstance, range_eigh, solve_relaxation
 ROUTES = ("auto", "indiv-diag", "sdp", "cdm", "pnorm", "grp")
 
 _GRP_CHUNK = 4096   # GRP samples per column chunk: its temporaries stay in L2
+# GRP's feature kernel up to this rank, the real embedding above it.  At 10^5
+# samples on one BLAS thread the features took 0.6x the embedding's time at
+# r = 4 (n = 6 to 64), but 1.5x at r = 5, n = 6 and 2.6x at r = 16, n = 16
+_GRP_FEATURE_MAX_RANK = 4
 
 
 def build_qcqp(p: IndivPowerProblem) -> QcqpInstance:
@@ -153,55 +157,115 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
     only extends the stream (prefix property).  The samples lie in the range
     of X: with the eigenpairs of X that ``range_eigh`` keeps (the rule behind
     ``SdpSolution.rank_estimate``) L = U_r sqrt(lambda_r), and each sample
-    is w = L (a + i b) for z = [a; b] ~ N(0, I_2r).  That w is CN(0, 2X);
-    the factor 2 is immaterial because every sample is rescaled.  A sample
-    therefore costs 2r normals, and GRP's cost follows the rank r rather
-    than n.  When X has rank one (the report's ``rank_estimate`` is 1),
-    every sample has the same value, so one sample is drawn whatever
-    ``samples`` says.  With E(M) = [[Re M, -Im M], [Im M, Re M]], both
-    quadratic forms are z^T E(L^H M L) z in 2r dimensions; only the
-    per-relay term max_k c_k |w_k|^2 forms E(sqrt(c) L) z, 2n rows per
-    sample.  The kernel runs on the calling thread in column chunks that
-    keep its temporaries in cache, and the first maximum wins.
+    is w = L zeta for zeta ~ CN(0, I_r).  A sample's value is unchanged by
+    w -> alpha w, so it depends only on the complex ray of zeta, and the
+    polar (Box-Muller) form draws that ray with its CN(0, I_r) law from
+    2r - 1 uniforms and no normal: row u of one (samples, 2r - 1) block
+    gives independent unit exponentials |zeta_k|^2 = -log(1 - u_k) and the
+    phases 2 pi u_{r+k} of zeta_{k+1} relative to zeta_1, which is real.
+    The phasors are taken in float32 and renormalized in float64, so every
+    value and the returned w come from one zeta.  When X has rank one (the
+    report's ``rank_estimate`` is 1), every sample has the same value, so
+    one sample is drawn whatever ``samples`` says.  Every quadratic form is
+    linear in zeta zeta^H: up to rank ``_GRP_FEATURE_MAX_RANK`` one (n + 2)
+    x r^2 product on its r^2 real features gives w^H R w, w^H Q w and each
+    c_k |w_k|^2, (n + 2) r^2 multiply-adds a sample; above it the forms are
+    taken in the real embedding of zeta, 8 r^2 + 4 n r.  So GRP's cost
+    follows r and n, and its draw only r.  The kernel runs on the calling
+    thread in column chunks that keep its temporaries in cache, and the
+    first maximum wins.
     """
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
         raise InputError("samples must be >= 1 and an integer")
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or not 0 <= seed < 2 ** 64):
         raise InputError("seed must be a non-negative integer below 2**64")
     lam, U = range_eigh(symmetrize(X))
     if lam.size == 0:
         raise InputError("X is numerically zero; nothing to sample")
     L = U * np.sqrt(lam)
-    r, n = lam.size, q.n
+    r = lam.size
     if r == 1:
         # every sample lies on the ray of L, so rescaling gives every sample
         # the same value, and the first sample wins the tie
         samples = 1
-    # the Q form is shared by every constraint: take it once per sample and
-    # add the per-relay term c_k |w_k|^2
-    LH = L.conj().T
-    K = np.vstack([_real_embed(LH @ q.R @ L), _real_embed(LH @ q.Q @ L)])
-    EL = _real_embed(np.sqrt(q.c)[:, None] * L)
+    forms = _grp_forms(L, q)
     best_val, best_w = -np.inf, None
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
     for c0 in range(0, samples, _GRP_CHUNK):
-        # rows z = [a; b]: the next rows of one (samples, 2r) draw, copied to
-        # columns so the products below run on contiguous rows
-        ZT = np.ascontiguousarray(
-            rng.standard_normal((min(_GRP_CHUNK, samples - c0), 2 * r)).T)
-        KZ = (K @ ZT).reshape(2, 2 * r, -1)
-        KZ *= ZT
-        robj, quad_Q = KZ.sum(axis=1)
-        WT = EL @ ZT
-        WT *= WT
-        worst = quad_Q + (WT[:n] + WT[n:]).max(axis=0)
+        e, Z = _polar_rays(rng, min(_GRP_CHUNK, samples - c0), r)
+        robj, worst = forms(e, Z)
         vals = robj / worst
         i = int(np.argmax(vals))
         if vals[i] > best_val:
-            z = ZT[:, i]
             best_val = float(vals[i])
-            best_w = L @ (z[:r] + 1j * z[r:]) / np.sqrt(worst[i])
+            best_w = L @ (Z[:r, i] + 1j * Z[r:, i]) / np.sqrt(worst[i])
     return best_w
+
+
+def _polar_rays(rng, m, r):
+    """The next m rows of GRP's (samples, 2r - 1) block of uniforms as rays
+    zeta in columns: |zeta|^2, shape (r, m), and [Re zeta; Im zeta], shape
+    (2r, m), with zeta_1 real and non-negative."""
+    U = np.ascontiguousarray(rng.random((m, 2 * r - 1)).T)
+    e = -np.log(1.0 - U[:r])
+    Z = np.empty((2 * r, m))
+    np.sqrt(e[0], out=Z[0])
+    Z[r] = 0.0
+    ang = np.multiply(U[r:], 2 * np.pi, dtype=np.float32)
+    cos, sin = np.cos(ang), np.sin(ang)
+    # |zeta_k| = sqrt(e_k) / |phasor|: the float32 phasor renormalized
+    np.sqrt(e[1:] / (np.square(cos, dtype=float) + np.square(sin, dtype=float)), out=Z[1:r])
+    np.multiply(Z[1:r], sin, out=Z[r + 1:])
+    Z[1:r] *= cos
+    return e, Z
+
+
+def _grp_forms(L, q: QcqpInstance):
+    """``grp_extract``'s chunk kernel: rays (e, Z) of ``_polar_rays`` to the
+    rows w^H R w and max_k (w^H Q w + c_k |w_k|^2), w = L zeta."""
+    r = L.shape[1]
+    RQ = L.conj().T @ np.stack([q.R, q.Q]) @ L
+    if r > _GRP_FEATURE_MAX_RANK:
+        # with E(M) = [[Re M, -Im M], [Im M, Re M]] and z = [Re zeta; Im
+        # zeta], both forms are z^T E(L^H M L) z, and w's real embedding is
+        # E(L) z (scaled by sqrt(c): 2n rows)
+        K = np.vstack([_real_embed(M) for M in RQ])
+        EL = _real_embed(np.sqrt(q.c)[:, None] * L)
+
+        def embedded(e, Z):
+            KZ = (K @ Z).reshape(2, 2 * r, -1)
+            KZ *= Z
+            robj, quad_Q = KZ.sum(axis=1)
+            W = EL @ Z
+            W *= W
+            return robj, quad_Q + (W[:q.n] + W[q.n:]).max(axis=0)
+        return embedded
+    # zeta^H A zeta = sum_k A_kk |zeta_k|^2 + 2 sum_{i<j} (Re A_ij Re P_ij
+    # - Im A_ij Im P_ij) with P_ij = conj(zeta_i) zeta_j, and c_k |w_k|^2
+    # has A = c_k l_k^H l_k, l_k the k-th row of L
+    A = np.concatenate([RQ, q.c[:, None, None] * (L.conj()[:, :, None] * L[:, None, :])])
+    iu, ju = np.triu_indices(r, 1)
+    C = np.hstack([A.diagonal(axis1=1, axis2=2).real,
+                   2 * A[:, iu, ju].real, -2 * A[:, iu, ju].imag])
+
+    def featured(e, Z):
+        # the features |zeta_k|^2, Re P_ij, Im P_ij (i < j, row-major)
+        F = np.empty((r * r, e.shape[1]))
+        F[:r] = e
+        re, im = np.split(F[r:], 2)
+        stop = 0
+        for i in range(r - 1):
+            pairs = slice(stop, stop + r - 1 - i)
+            stop = pairs.stop
+            np.multiply(Z[i], Z[i + 1:r], out=re[pairs])
+            np.multiply(Z[i], Z[r + i + 1:], out=im[pairs])
+            if i:       # Im zeta_1 = 0
+                re[pairs] += Z[r + i] * Z[r + i + 1:]
+                im[pairs] -= Z[r + i] * Z[i + 1:r]
+        V = C @ F
+        return V[0], V[1] + V[2:].max(axis=0)
+    return featured
 
 
 def _top_factor(lam, U) -> np.ndarray:

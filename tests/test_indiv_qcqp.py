@@ -15,18 +15,22 @@ from conftest import constraint_stack, degenerate_qcqp_instance, rand_indiv_prob
 
 
 def grp_reference(X, q, samples, seed):
-    """GRP in complex (samples, n) arithmetic, drawn in the range of X: w =
-    L (a + i b) / sqrt 2 ~ CN(0, X) with L L^H = X on the eigenpairs above
-    1e-6 lambda_max, and one (samples, 2r) draw from SFC64 seeded by
-    SeedSequence(seed).  It draws every sample at every rank.  The real
-    2r-dimensional chunked kernel must agree with it."""
+    """GRP in complex (samples, n) arithmetic on the same uniform draws: L
+    L^H = X on the eigenpairs above 1e-6 lambda_max, one (samples, 2r - 1)
+    block u from SFC64 seeded by SeedSequence(seed), zeta_k = sqrt(-log(1 -
+    u_k)) p_k / |p_k| with p_1 = 1 and p_k = exp(i a) for the float32 angle
+    a = 2 pi u_{r+k-1}, and w = L zeta.  It draws every sample at every
+    rank.  Both chunked kernels of ``grp_extract`` must agree with it."""
     wv, U = np.linalg.eigh(symmetrize(X))
     keep = wv > 1e-6 * wv.max()
     L = U[:, keep] * np.sqrt(wv[keep])
     r = L.shape[1]
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
-    z = rng.standard_normal((samples, 2 * r))
-    W = ((z[:, :r] + 1j * z[:, r:]) / np.sqrt(2.0)) @ L.T
+    u = rng.random((samples, 2 * r - 1))
+    a = u[:, r:].astype(np.float32) * np.float32(2 * np.pi)
+    p = np.ones((samples, r), dtype=complex)
+    p[:, 1:] = np.cos(a) + 1j * np.sin(a)
+    W = (np.sqrt(-np.log1p(-u[:, :r])) * p / np.abs(p)) @ L.T
     quad_Q = ((W @ q.Q.T) * W.conj()).sum(axis=1).real
     worst = (quad_Q[:, None] + np.abs(W) ** 2 * q.c[None, :]).max(axis=1)
     vals = ((W @ q.R.T) * W.conj()).sum(axis=1).real / worst
@@ -344,7 +348,8 @@ class TestGrp:
             grp_extract(sol.X, q, samples=10, seed=-1)
 
     @pytest.mark.parametrize("samples,seed", [(1000.0, 1), (10, 1.7), ("10", 1),
-                                              (10, None)])
+                                              (10, None), (True, 1), (10, True),
+                                              (True, True)])
     def test_non_integral_samples_or_seed_rejected(self, samples, seed):
         q, sol, _ = solve_via_sdp(fixture_problem(4))
         with pytest.raises(InputError, match="must be .*integer"):
@@ -371,29 +376,70 @@ class TestGrp:
         assert np.abs(w - grp_reference(X, q, 1, seed=11)).max() <= 1e-12
 
     @pytest.mark.parametrize("rank", [1, 2, 5])
-    def test_two_rank_normals_per_sample(self, rank, monkeypatch):
+    def test_uniforms_per_sample(self, rank, monkeypatch):
         rng = np.random.default_rng(rank)
         p = rand_indiv_problem(rng, 5)
         V = rng.standard_normal((5, rank)) + 1j * rng.standard_normal((5, rank))
         generator, made, drawn = np.random.Generator, [], []
 
         class Counting:
+            # only ``random``: a normal drawn anywhere is an AttributeError
             def __init__(self, bit_generator):
                 self.rng = generator(bit_generator)
                 made.append(self)
 
-            def standard_normal(self, *args, **kwargs):
-                out = self.rng.standard_normal(*args, **kwargs)
+            def random(self, *args, **kwargs):
+                out = self.rng.random(*args, **kwargs)
                 drawn.append(out.size)
                 return out
 
         monkeypatch.setattr(np.random, "Generator", Counting)
         samples = 2 * _GRP_CHUNK + 17
         grp_extract(V @ V.conj().T, build_qcqp(p), samples, seed=4)
-        # one stream per call; at rank one every sample ties, so only the
-        # first one is drawn
+        # one stream per call and 2r - 1 uniforms a sample; at rank one every
+        # sample ties, so only the first one is drawn
         assert len(made) == 1
-        assert sum(drawn) == 2 * rank * (1 if rank == 1 else samples)
+        assert sum(drawn) == (2 * rank - 1) * (1 if rank == 1 else samples)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_polar_rays_have_the_complex_normal_ray_law(self, r):
+        # under CN(0, I_r) a share |zeta_k|^2 / |zeta|^2 is Beta(1, r - 1), so
+        # it averages 1/r with second moment 2 / (r (r + 1)), and the relative
+        # phasors e^{i(phi_j - phi_i)} average 0: each within 4 standard
+        # errors over 10^5 rows
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([7, r])))
+        e, Z = indiv_qcqp._polar_rays(rng, 10 ** 5, r)
+        zeta = Z[:r] + 1j * Z[r:]
+        # the renormalized phasors: the magnitudes and the rays are one zeta
+        assert np.abs(np.abs(zeta) ** 2 - e).max() <= 1e-14 * e.max()
+        assert np.all(zeta[0].imag == 0) and np.all(zeta[0].real >= 0)
+
+        def within_4_se(x, mean):
+            se = x.std(axis=-1) / np.sqrt(x.shape[-1])
+            assert np.all(np.abs(x.mean(axis=-1) - mean) <= 4 * se)
+
+        shares = e / e.sum(axis=0)
+        within_4_se(shares, 1 / r)
+        within_4_se(shares ** 2, 2 / (r * (r + 1)))
+        i, j = np.triu_indices(r, 1)
+        rel = zeta[j] * zeta[i].conj()
+        rel /= np.abs(rel)
+        within_4_se(rel.real, 0.0)
+        within_4_se(rel.imag, 0.0)
+
+    @pytest.mark.parametrize("r", [1, 2, 4, 5, 8])
+    def test_kernels_agree_across_the_rank_gate(self, r, monkeypatch):
+        # the r^2-feature kernel and the real-embedded one give the same
+        # forms on the same rays, whichever side of the gate r is on
+        rng = np.random.default_rng([r, 8])
+        q = build_qcqp(rand_indiv_problem(rng, 8))
+        L = rng.standard_normal((8, r)) + 1j * rng.standard_normal((8, r))
+        e, Z = indiv_qcqp._polar_rays(np.random.default_rng(r), 1000, r)
+        out = []
+        for gate in (r, r - 1):
+            monkeypatch.setattr(indiv_qcqp, "_GRP_FEATURE_MAX_RANK", gate)
+            out.append(np.array(indiv_qcqp._grp_forms(L, q)(e, Z)))
+        assert np.abs(out[0] - out[1]).max() <= 1e-12 * np.abs(out[1]).max()
 
     def test_rank_one_draws_first_sample(self, rng):
         # a generic rank-one X: the values tie only up to round-off, and the
