@@ -59,7 +59,7 @@ _CHANNEL_KINDS = {"stats": {"D": "numbers", "R": "matrix", "Q": "matrix"},
                   "rician": {"f_mean": "vector", "f_var": "numbers",
                              "g_mean": "vector", "g_var": "numbers"}}
 _OPTION_KINDS = {"samples": "count", "eps": "positive", "p": "count",
-                 "w0": "vector", "fallback": ("cdm", "pnorm")}
+                 "w0": "vector", "fallback": indiv_qcqp.FALLBACKS}
 
 
 def parse_scenario(path: str) -> Scenario:

@@ -9,11 +9,13 @@ A_k = Q + c_k e_k e_k^H.  A ``QcqpInstance`` (defined with the relaxation
 in ``sdp``) keeps that structure as (R, Q, c), and no A_k is ever formed.
 This module drives the SDP relaxation, extracts rank-one solutions
 (exactly for n <= 3, by rank reduction that holds every cap: at most n <= 3
-constraints cannot pin the r^2 >= 4 real directions of a rank-r >= 2 X, so
-each round lowers the rank and at most two rounds are needed), runs the
-Gaussian-random-procedure baseline, and maps QCQP points back to
-budget-feasible weight vectors.  ``solve`` is the one per-relay route, which
-the CLI's ``solve`` and ``reproduce`` and library callers all run.
+constraints, read with ``QcqpInstance.traces``, cannot pin the r^2 >= 4 real
+directions V H V^H of a rank-r >= 2 X = V V^H, H over the Hermitian basis
+-i S of the KKT exit's ``_gauge_basis``, so each round lowers the rank and
+at most two rounds are needed), runs the Gaussian-random-procedure
+baseline, and maps QCQP points back to budget-feasible weight vectors.
+``solve`` is the one per-relay route, which the CLI's ``solve`` and
+``reproduce`` and library callers all run.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ from .channel import BeamformingSolution
 from .errors import InputError
 from .linalg import _real_embed, qform, symmetrize
 from .problems import IndivPowerProblem
-from .sdp import QcqpInstance, range_eigh, solve_relaxation
+from .sdp import QcqpInstance, _gauge_basis, range_eigh, solve_relaxation
 
-ROUTES = ("auto", "indiv-diag", "sdp", "cdm", "pnorm", "grp")
+FALLBACKS = ("cdm", "pnorm")     # the searches the sdp route falls back to
+ROUTES = ("auto", "indiv-diag", "sdp", *FALLBACKS, "grp")
 
 _GRP_CHUNK = 4096   # GRP samples per column chunk: its temporaries stay in L2
 # GRP's feature kernel up to this rank, the real embedding above it.  At 10^5
@@ -84,6 +87,8 @@ def solve(p: IndivPowerProblem, solver: str = "auto", options: dict | None = Non
     if solver not in ROUTES:
         raise InputError(f"unknown per-relay solver {solver!r}; choose one of {ROUTES}")
     options = options or {}
+    if options.get("fallback", "cdm") not in FALLBACKS:
+        raise InputError(f"unknown fallback {options['fallback']!r}; choose one of {FALLBACKS}")
     if solver == "auto":
         solver = "indiv-diag" if p.stats.is_diagonal() else "sdp"
     meta = {"solver": solver}
@@ -111,7 +116,7 @@ def solve(p: IndivPowerProblem, solver: str = "auto", options: dict | None = Non
         meta["sweeps"] = int(trace.rows[-1][0]) + 1 if len(trace) else 0
         return sol, meta, trace
     # pnorm
-    p_val = options.get("p") or indiv_search.choose_p(p.n)
+    p_val = indiv_search.choose_p(p.n) if options.get("p") is None else options["p"]
     emb = indiv_search.build_pnorm_embedding(p, p_val)
     sol, trace, state = indiv_search.augmented_lagrangian_solve(emb, p, w0=start)
     meta.update(p=p_val, multiplier=state.lam, constraint_residual=state.constraint_residual)
@@ -122,13 +127,18 @@ def rank_one_decompose(X, q: QcqpInstance) -> np.ndarray:
     """Extract an objective-preserving feasible rank-one solution (n <= 3).
 
     Rank reduction that holds every constraint: write X = V V^H with r >= 2
-    columns, find a nonzero Hermitian M with Tr(V^H A_k V M) = 0 for all n
-    constraints (one exists: n <= 3 < 4 <= r^2), scaled so that
-    lambda_max(M) = 1, and set X <- V (I - M) V^H.  Every constraint value
-    is unchanged, X stays PSD and its rank drops, so r <= 3 ends in at most
-    two rounds.  The range of X only shrinks, and the dual slack
-    Z = sum y_k A_k - R vanishes on it (complementary slackness), so the
-    objective Tr(R X) = sum y_k Tr(A_k X) is unchanged too.
+    columns.  The H_l = -i S_l over the r^2 skew-Hermitian S_l of the exit's
+    ``_gauge_basis(r)`` are a basis of the Hermitian r x r matrices, and row
+    k of the n x r^2 system is ``q.traces(V H_l V^H)`` = Tr(A_k V H_l V^H)
+    over l.  Its last right singular vector v is a null vector (n <= 3 < 4
+    <= r^2), so M = sum_l v_l H_l is a nonzero Hermitian matrix with
+    Tr(A_k V M V^H) = 0 for every k; scaled by whichever of lambda_max(M)
+    and lambda_min(M) is larger in magnitude, I - M is PSD and singular, and
+    X <- V (I - M) V^H.  Every constraint value is unchanged, X stays PSD
+    and its rank drops, so r <= 3 ends in at most two rounds.  The range of
+    X only shrinks, and the dual slack Z = sum y_k A_k - R vanishes on it
+    (complementary slackness), so the objective Tr(R X) = sum y_k Tr(A_k X)
+    is unchanged too.
     """
     if q.n > 3:
         raise InputError(
@@ -137,9 +147,11 @@ def rank_one_decompose(X, q: QcqpInstance) -> np.ndarray:
     lam, U = range_eigh(symmetrize(X))
     while lam.size >= 2:
         V = U * np.sqrt(lam)
-        VQV = V.conj().T @ q.Q @ V      # V^H A_k V = VQV + c_k V[k]^H V[k]
-        M = _null_direction([_vech(VQV + q.c[k] * np.outer(V[k].conj(), V[k]))
-                             for k in range(q.n)], lam.size)
+        H = -1j * _gauge_basis(lam.size)
+        rows = np.array([q.traces(V @ Hl @ V.conj().T) for Hl in H]).T
+        M = np.tensordot(np.linalg.svd(rows)[2][-1], H, 1)
+        mu = np.linalg.eigvalsh(M)
+        M /= mu[-1] if mu[-1] >= -mu[0] else mu[0]
         lam, U = range_eigh(symmetrize(V @ (np.eye(lam.size) - M) @ V.conj().T))
     v = _top_factor(lam, U)
     j = int(np.argmax(np.abs(v)))
@@ -272,30 +284,3 @@ def _top_factor(lam, U) -> np.ndarray:
     """sqrt(lambda) u of the top pair of ``range_eigh``'s (lam, U), else zero."""
     return U[:, -1] * np.sqrt(lam[-1]) if lam.size else np.zeros(U.shape[0], dtype=complex)
 
-
-def _vech(H) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix in an orthonormal basis: the
-    diagonal, then sqrt 2 (Re, Im) of each entry above it, row by row."""
-    off = H[np.triu_indices(H.shape[0], 1)]
-    return np.concatenate([H.diagonal().real,
-                           np.sqrt(2.0) * np.column_stack([off.real, off.imag]).ravel()])
-
-
-def _unvech(v, r) -> np.ndarray:
-    """The Hermitian r x r matrix with coordinates v (inverse of _vech)."""
-    i, j = np.triu_indices(r, 1)
-    H = np.diag(v[:r]).astype(complex)
-    H[i, j] = (v[r::2] + 1j * v[r + 1::2]) / np.sqrt(2.0)
-    H[j, i] = H[i, j].conj()
-    return H
-
-
-def _null_direction(rows, r):
-    """A Hermitian r x r matrix orthogonal to all rows, scaled so that its
-    largest eigenvalue is 1.  The n <= 3 rows span fewer than the r^2 >= 4
-    coordinates, so the last right singular vector is orthogonal to them
-    all; of M and -M the one whose top eigenvalue is larger in magnitude
-    is returned, so I - M is PSD with a zero eigenvalue and norm <= 2."""
-    M = _unvech(np.linalg.svd(np.array(rows))[2][-1], r)
-    lam = np.linalg.eigvalsh(M)
-    return M / (lam[-1] if lam[-1] >= -lam[0] else lam[0])

@@ -238,7 +238,7 @@ def build_pnorm_embedding(prob: IndivPowerProblem, p: int) -> PnormEmbedding:
     """Scale weights by D1, then embed complex u into z = [Re u; Im u]."""
     if not p >= 1:
         raise InputError("p must be >= 1")
-    if not float(p).is_integer():
+    if isinstance(p, bool) or not float(p).is_integer():
         raise InputError(f"p must be an integer, got {p!r}")
     d1 = np.sqrt(prob.c)
     Dinv = np.diag(1.0 / d1)

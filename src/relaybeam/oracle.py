@@ -1,9 +1,12 @@
 """Brute-force verifiers, run by the ``oracle`` subcommand.
 
 An exhaustive polar-grid search for the per-relay problem (n <= 3) and a
-dense scan of the scalar total-power objective.  Neither runs a solver's
-search, so the test suite also reads them as the reference for the
-solvers' optima.
+dense scan of the scalar total-power objective.  The test suite also reads
+them as the reference for the solvers' optima.  Neither runs a solver's
+search, but the grid search shares one piece with coordinate descent: it
+polishes its best point with one ``indiv_search._sweep``, CDM's own
+closed-form slot update, so a fault in that update would reach both the
+solver and its reference.
 """
 
 from __future__ import annotations

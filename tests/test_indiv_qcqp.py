@@ -5,12 +5,11 @@ from relaybeam import fixtures, indiv_qcqp
 from relaybeam.channel import ChannelStats
 from relaybeam.errors import InputError
 from relaybeam.indiv_diag import solve_diagonal
-from relaybeam.indiv_qcqp import (_GRP_CHUNK, _unvech, _vech, build_qcqp, grp_extract,
-                                  qcqp_objective, rank_one_decompose,
-                                  rescale_to_original, solve_via_sdp)
+from relaybeam.indiv_qcqp import (_GRP_CHUNK, build_qcqp, grp_extract, qcqp_objective,
+                                  rank_one_decompose, rescale_to_original, solve_via_sdp)
 from relaybeam.linalg import qform, symmetrize
 from relaybeam.problems import IndivPowerProblem
-from relaybeam.sdp import range_eigh
+from relaybeam.sdp import _gauge_basis, range_eigh
 from conftest import constraint_stack, degenerate_qcqp_instance, rand_indiv_problem, rand_pd
 
 
@@ -88,22 +87,14 @@ def test_forms_match_stacked_reference(n):
                                rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("r", [1, 2, 3])
-def test_vech_matches_loop_reference(r):
-    # coordinates: the diagonal, then sqrt 2 (Re, Im) of each entry above it
-    rng = np.random.default_rng(r)
-    A = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-    H = A + A.conj().T
-    ref = [H[i, i].real for i in range(r)]
-    H_ref = np.diag(ref).astype(complex)
-    for i in range(r):
-        for j in range(i + 1, r):
-            ref += [np.sqrt(2.0) * H[i, j].real, np.sqrt(2.0) * H[i, j].imag]
-            H_ref[i, j] = (ref[-2] + 1j * ref[-1]) / np.sqrt(2.0)
-            H_ref[j, i] = H_ref[i, j].conjugate()
-    assert np.array_equal(_vech(H), ref)
-    assert np.array_equal(_unvech(np.array(ref), r), H_ref)
-    assert np.allclose(H_ref, H, rtol=1e-15, atol=0)
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_gauge_basis_spans_the_hermitian_matrices(r):
+    # rank_one_decompose's directions: -i S_l over the KKT exit's
+    # skew-Hermitian S_l are Hermitian and span all r^2 real dimensions
+    H = -1j * _gauge_basis(r)
+    assert np.array_equal(H, H.conj().transpose(0, 2, 1))
+    flat = H.reshape(r * r, r * r)
+    assert np.linalg.matrix_rank(np.hstack([flat.real, flat.imag])) == r * r
 
 
 class TestRescale:
@@ -221,14 +212,31 @@ class TestRankOneDecompose:
         align = abs(phase) / (np.linalg.norm(w) * np.linalg.norm(v))
         assert align == pytest.approx(1.0, abs=1e-9)
 
+    @staticmethod
+    def decompose_by_rounds(X, q, monkeypatch):
+        """rank_one_decompose(X, q), checking that each round (one range_eigh
+        call) lowers the rank, that at most two rounds run, and that every
+        round and w w^H hold each cap value and Tr(R X) of X's range part to
+        1e-12 relative.  R = sum_k y_k A_k on every instance here, so Tr(R X)
+        follows the caps."""
+        seen = []
+        monkeypatch.setattr(indiv_qcqp, "range_eigh",
+                            lambda X: seen.append(range_eigh(X)) or seen[-1])
+        w = rank_one_decompose(X, q)
+        ranks = [lam.size for lam, _ in seen]
+        assert ranks[-1] == 1 and len(ranks) <= 3
+        assert all(a > b for a, b in zip(ranks, ranks[1:]))
+        first, *rounds = [(U * lam) @ U.conj().T for lam, U in seen] + [np.outer(w, w.conj())]
+        for Xi in rounds:
+            np.testing.assert_allclose(q.traces(Xi), q.traces(first), rtol=1e-12, atol=0)
+            assert np.vdot(q.R, Xi).real == pytest.approx(np.vdot(q.R, first).real, rel=1e-12)
+        return w
+
     @pytest.mark.parametrize("n,inactive", [(2, False), (3, False), (2, True), (3, True)],
                              ids=["2", "3", "2-one-inactive", "3-one-inactive"])
     def test_degenerate_instances_audit(self, n, inactive, rng, monkeypatch):
         # every constraint value of the range part of X is held, a cap with
-        # y_k = 0 included, in at most two rounds (one range_eigh call each)
-        calls = []
-        monkeypatch.setattr(indiv_qcqp, "range_eigh",
-                            lambda X: calls.append(1) or range_eigh(X))
+        # y_k = 0 included
         count = 0
         while count < 25:
             prob, q = degenerate_qcqp_instance(rng, n, inactive=inactive)
@@ -236,13 +244,18 @@ class TestRankOneDecompose:
             if sol.rank_estimate < 2:
                 continue
             count += 1
-            lam, U = range_eigh(sol.X)
-            calls.clear()
-            w = rank_one_decompose(sol.X, q)
-            assert len(calls) <= 3
-            traces = q.traces((U * lam) @ U.conj().T)
-            np.testing.assert_allclose(q.constraint_values(w), traces, rtol=1e-9, atol=0)
+            w = self.decompose_by_rounds(sol.X, q, monkeypatch)
             assert qform(q.R, w) >= sol.primal_obj - 1e-8 * abs(sol.primal_obj)
+
+    @pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (3, 3)])
+    def test_random_rank_r_inputs(self, n, r, rng, monkeypatch):
+        # a random rank-r X, optimal or not: at n = 2, r = 2 and n = 3, r = 3
+        # the null space has dimension r^2 - n >= 2, so the direction chosen
+        # in it is one of many
+        for _ in range(10):
+            _, q = degenerate_qcqp_instance(rng, n)
+            V = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+            self.decompose_by_rounds(V @ V.conj().T, q, monkeypatch)
 
     def test_positive_multiplier_below_one_is_held(self):
         # rank-3 relaxation with y = [1.9e-3, 2.6e-8, 0.951] and traces

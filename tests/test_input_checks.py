@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import relaybeam
+from relaybeam import indiv_qcqp
 from relaybeam.channel import ChannelStats, RicianParams, build_stats, powers, snr
 from relaybeam.errors import ConvergenceError, InputError, ModelError, RelayBeamError
 from relaybeam.indiv_search import build_pnorm_embedding, coordinate_descent, phi_p_grad_hess
@@ -51,6 +52,14 @@ CASES = {
     "pnorm-p": (lambda: build_pnorm_embedding(problem(), 0), "p must be >= 1"),
     "pnorm-p-fraction": (lambda: build_pnorm_embedding(problem(), 2.5),
                          "p must be an integer, got 2.5"),
+    "pnorm-p-bool": (lambda: build_pnorm_embedding(problem(), True),
+                     "p must be an integer, got True"),
+    # a per-relay option given to the library is checked, not replaced
+    "solve-p-zero": (lambda: indiv_qcqp.solve(problem(), "pnorm", {"p": 0}), "p must be >= 1"),
+    "solve-p-bool": (lambda: indiv_qcqp.solve(problem(), "pnorm", {"p": True}),
+                     "p must be an integer, got True"),
+    "solve-fallback": (lambda: indiv_qcqp.solve(problem(), "sdp", {"fallback": "bogus"}),
+                       r"unknown fallback 'bogus'; choose one of \('cdm', 'pnorm'\)"),
     "pnorm-hessian-at-zero": (lambda: phi_p_grad_hess(build_pnorm_embedding(problem(), 8),
                                                       np.zeros(4)),
                               "not twice differentiable at z = 0"),
