@@ -56,6 +56,7 @@ class ChannelStats:
     R: np.ndarray        # Hermitian PSD n x n
     Q: np.ndarray        # Hermitian PSD n x n
     sigma2: float = 1.0
+    _rician = None       # (h, delta, gbar, phi): set by build_stats alone, see there
 
     def __post_init__(self):
         self.D = np.asarray(self.D, dtype=float).ravel()
@@ -115,7 +116,11 @@ def build_stats(p: RicianParams, sigma2: float = 1.0) -> ChannelStats:
     are independent and h_i = f_i g_i.  ``RicianParams`` has checked every
     input, and Q and R (a Schur product of PSD matrices) are Hermitian PSD by
     construction, so ChannelStats' checks of caller input are skipped and
-    only sigma^2 is checked.
+    only sigma^2 is checked.  The statistics keep the structure as well:
+    R = h h^H + diag(delta) with h = fbar o gbar and
+    delta = psi |gbar|^2 + phi |fbar|^2 + psi phi, and Q = gbar gbar^H + diag(phi),
+    in the private ``_rician = (h, delta, gbar, phi)`` that total power's
+    secular pair reads; statistics built from matrices never carry it.
     """
     sigma2 = float(sigma2)
     _check_sigma2(sigma2)
@@ -128,6 +133,9 @@ def build_stats(p: RicianParams, sigma2: float = 1.0) -> ChannelStats:
         raise InputError("the Rician parameters overflow R")
     stats = object.__new__(ChannelStats)
     stats.D, stats.R, stats.Q, stats.sigma2 = D, R, symmetrize(Q), sigma2
+    h = p.f_mean * p.g_mean
+    delta = p.f_var * np.abs(p.g_mean) ** 2 + p.g_var * np.abs(p.f_mean) ** 2 + p.f_var * p.g_var
+    stats._rician = (h, delta, p.g_mean, p.g_var)
     return stats
 
 

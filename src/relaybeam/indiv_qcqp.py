@@ -87,8 +87,15 @@ def solve(p: IndivPowerProblem, solver: str = "auto", options: dict | None = Non
     if solver not in ROUTES:
         raise InputError(f"unknown per-relay solver {solver!r}; choose one of {ROUTES}")
     options = options or {}
+    # every option's value is checked here, whatever the route reads
     if options.get("fallback", "cdm") not in FALLBACKS:
         raise InputError(f"unknown fallback {options['fallback']!r}; choose one of {FALLBACKS}")
+    for key, check in (("eps", indiv_search._check_eps), ("samples", _check_samples),
+                       ("p", indiv_search._check_p)):
+        if options.get(key) is not None:
+            check(options[key])
+    if options.get("w0") is not None:
+        indiv_search._check_w0(options["w0"], p.n)
     if solver == "auto":
         solver = "indiv-diag" if p.stats.is_diagonal() else "sdp"
     meta = {"solver": solver}
@@ -121,6 +128,11 @@ def solve(p: IndivPowerProblem, solver: str = "auto", options: dict | None = Non
     sol, trace, state = indiv_search.augmented_lagrangian_solve(emb, p, w0=start)
     meta.update(p=p_val, multiplier=state.lam, constraint_residual=state.constraint_residual)
     return sol, meta, trace
+
+
+def _check_samples(samples):
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise InputError("samples must be >= 1 and an integer")
 
 
 def rank_one_decompose(X, q: QcqpInstance) -> np.ndarray:
@@ -187,8 +199,7 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
     thread in column chunks that keep its temporaries in cache, and the
     first maximum wins.
     """
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise InputError("samples must be >= 1 and an integer")
+    _check_samples(samples)
     if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
             or not 0 <= seed < 2 ** 64):
         raise InputError("seed must be a non-negative integer below 2**64")

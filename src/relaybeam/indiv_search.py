@@ -138,6 +138,20 @@ def _top_root(qa, qb, qc):
 # coordinate descent (cyclic, closed-form slot updates)
 # ---------------------------------------------------------------------------
 
+def _check_eps(eps):
+    if not 0.0 < eps < math.inf:
+        raise InputError(f"eps must be a positive finite number, got {eps!r}")
+
+
+def _check_w0(w0, n):
+    w = np.asarray(w0, dtype=complex).ravel()
+    if w.size != n:
+        raise InputError(f"w0 has length {w.size}, expected {n}")
+    if not np.isfinite(w).all():
+        raise InputError("w0 contains non-finite entries")
+    return w
+
+
 def coordinate_descent(p: IndivPowerProblem, w0, eps: float = 1e-3):
     """Cyclic coordinate ascent on the SNR ratio.
 
@@ -148,13 +162,8 @@ def coordinate_descent(p: IndivPowerProblem, w0, eps: float = 1e-3):
     cap.  Returns ``(BeamformingSolution, SolverTrace)`` with trace rows
     (sweep, slot, objective).
     """
-    if not 0.0 < eps < math.inf:
-        raise InputError(f"eps must be a positive finite number, got {eps!r}")
-    w = np.asarray(w0, dtype=complex).ravel().copy()
-    if w.size != p.n:
-        raise InputError(f"w0 has length {w.size}, expected {p.n}")
-    if not np.isfinite(w).all():
-        raise InputError("w0 contains non-finite entries")
+    _check_eps(eps)
+    w = _check_w0(w0, p.n).copy()
     over = (np.abs(w) / p.caps()).max()
     if over > 1.0:
         w = w / over
@@ -234,12 +243,16 @@ def choose_p(n: int) -> int:
     return 1 << max(0, (p_min - 1).bit_length())
 
 
-def build_pnorm_embedding(prob: IndivPowerProblem, p: int) -> PnormEmbedding:
-    """Scale weights by D1, then embed complex u into z = [Re u; Im u]."""
+def _check_p(p):
     if not p >= 1:
         raise InputError("p must be >= 1")
     if isinstance(p, bool) or not float(p).is_integer():
         raise InputError(f"p must be an integer, got {p!r}")
+
+
+def build_pnorm_embedding(prob: IndivPowerProblem, p: int) -> PnormEmbedding:
+    """Scale weights by D1, then embed complex u into z = [Re u; Im u]."""
+    _check_p(p)
     d1 = np.sqrt(prob.c)
     Dinv = np.diag(1.0 / d1)
     Q1 = symmetrize(Dinv @ prob.stats.Q @ Dinv)

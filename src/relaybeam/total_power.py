@@ -23,6 +23,16 @@ STEP_TOL of the x_l run's x (it could only tie there), and keeps it only at
 a strictly smaller lambda_min.  For diagonal statistics the minimizer is in
 closed form.  The weight direction d^{-1/2} V beta^{-1/2} h, for H's top
 eigenvector h, is rescaled so the power budget holds with equality.
+
+Statistics from ``build_stats`` keep the Rician model's structure,
+R = hh^H + diag(delta) and Q = gbar gbar^H + diag(phi), and from
+RICIAN_MIN_N relays they skip the eigendecomposition: the secular pair
+(``RicianPair``) takes mu(x) as the root of a secular equation of the
+diagonal-plus-rank-two R - mu B(x) (Bunch, Nielsen and Sorensen, Numer.
+Math. 31, 1978), certified to be the top eigenvalue, and its derivatives
+and the bracket's lam_1 and lam_n in O(n) per iterate with no n x n
+factorization.  An evaluation it cannot certify builds the dense pair once,
+notes it in the trace, and the solve finishes on it.
 """
 
 from __future__ import annotations
@@ -43,6 +53,9 @@ STEP_TOL = 1e-3    # stop: |dx/x| < STEP_TOL
 POWER_MIN_N = 48   # relay count from which lambda_min_g tries the power iteration
 POWER_MATVECS = 30  # power iteration's matvec budget before the eigh fallback
 POWER_STRIDE = 4   # matvecs between its residual tests
+RICIAN_MIN_N = 16  # relay count from which build_stats statistics take the secular pair
+SECULAR_STEPS = 40  # a secular root's steps before the dense pair takes over
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -52,6 +65,23 @@ class SPair:
     lam: np.ndarray     # ascending eigenvalues of d^{-1/2} (Q + rI) d^{-1/2}
     Rt: np.ndarray      # V^H d^{-1/2} R d^{-1/2} V
     basis: np.ndarray   # d^{-1/2} V, maps H's eigenvectors back to weight space
+
+
+@dataclass
+class RicianPair:
+    """Rician statistics as vectors: R = h h^H + diag(delta) and
+    B(x) = diag(b) + gbar gbar^H/x with b = d/(1-x) + e/x.  After one
+    evaluation it cannot certify, ``dense`` holds the dense pair that
+    finishes the solve."""
+
+    U: np.ndarray       # rows h = fbar o gbar and gbar
+    K: np.ndarray       # rows d = D + r, e = phi + r and delta, R's diagonal part
+    lam: np.ndarray     # lam_1 and lam_n of (Q + rI, D + rI), for bracket_x
+    p: TotalPowerProblem
+    v: np.ndarray | None = None     # the last direction, a warm start
+    gv: complex = 0j                # and g^H v
+    dense: SPair | None = None
+    trace: SolverTrace | None = None  # the running newton_solve's, for the fallback note
 
 
 @dataclass
@@ -65,7 +95,39 @@ class TotalPowerSolution:
     trace: SolverTrace
 
 
-def build_s_pair(p: TotalPowerProblem) -> SPair:
+def build_s_pair(p: TotalPowerProblem) -> SPair | RicianPair:
+    """The secular pair for ``build_stats`` statistics from RICIAN_MIN_N
+    relays, otherwise the dense pair.
+
+    The secular pair takes lam_1 and lam_n as the extreme eigenvalues of
+    diag(q) + u u^H, q = e/d and u = gbar/sqrt(d): the roots of
+    sum_i |u_i|^2/(lam - q_i) = 1 in (q_(1), q_(2)) and above q_(n).  Where
+    one does not converge, or where lam_1 <= n eps lam_n, the dense pair is
+    returned.  There Q + rI is singular to working precision against D + rI
+    (pure line of sight from P0/sigma^2 ~ 1e12): the optimum moves towards
+    x ~ sqrt(lam_1), where a weight vector in float64 no longer reads its own
+    SNR to working precision, and the dense pair, which resolves lam_1 no
+    finer than eps lam_n, keeps x there.
+    """
+    stats = p.stats
+    if stats._rician is None or stats.n < RICIAN_MIN_N:
+        return _dense_pair(p)
+    h, delta, g, phi = stats._rician
+    r = stats.sigma2 / p.P0
+    d, e = stats.D + r, phi + r
+    q, w = e / d, np.abs(g) ** 2 / d
+    top, dq = q.max(), q.max() - q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = _secular_top(lambda t: ((w / (t + dq)).sum(), -(w / (t + dq) ** 2).sum()),
+                           (w - dq).max(), top)
+    low = _secular_low(q, w)
+    if tau is None or low is None or not low > stats.n * _EPS * (top + tau):
+        return _dense_pair(p)
+    return RicianPair(U=np.stack((h, g)), K=np.stack((d, e, delta)),
+                      lam=np.array([low, top + tau]), p=p)
+
+
+def _dense_pair(p: TotalPowerProblem) -> SPair:
     """One eigendecomposition of d^{-1/2} (Q + rI) d^{-1/2}, d = D + r."""
     stats = p.stats
     r = stats.sigma2 / p.P0
@@ -90,7 +152,7 @@ def bracket_x(s: SPair) -> tuple[float, float]:
     return float(c / (1.0 + c)), float(d / (1.0 + d))
 
 
-def lambda_min_g(s: SPair, x: float):
+def lambda_min_g(s: SPair | RicianPair, x: float):
     """lambda_min(G(x)) = 1/mu(x), its first and second derivatives in x,
     the weight direction, and the relative gap (mu_1 - mu_2)/mu_1 below H's
     top eigenvalue.  At a zero gap (a repeated eigenvalue) the derivatives
@@ -103,9 +165,21 @@ def lambda_min_g(s: SPair, x: float):
     mu'' = 2 mu h^H D2 h + 2 sum_j mu_j |c_j|^2
            + 2 sum_{j>1} (mu + mu_j)^2 |c_j|^2 / (mu - mu_j).
     Where ``_power_top`` certifies them (n >= POWER_MIN_N) the gap is a lower bound.
+    On the secular pair the values come from ``_secular_eval``, with the
+    certified lower bound (mu_1 - mu_d)/mu_1 on the gap, until an evaluation
+    it cannot certify: that one and every later one run on the dense pair.
     """
     if not 0.0 < x < 1.0:
         raise InputError(f"x must lie in (0,1), got {x}")
+    if isinstance(s, RicianPair):
+        if s.dense is None:
+            out = _secular_eval(s, x)
+            if out is not None:
+                return out
+            s.dense = _dense_pair(s.p)
+            if s.trace is not None:
+                s.trace.note(f"dense pair from x={x}: the secular pair did not certify")
+        s = s.dense
     beta = 1.0 / (1.0 - x) + s.lam / x
     with np.errstate(divide="ignore", over="ignore"):
         db = 1.0 / (1.0 - x) ** 2 - s.lam / x ** 2
@@ -160,7 +234,8 @@ def _power_top(H, D1):
         v = v / np.sqrt(np.vdot(v, v).real)
         Hv = Hs @ v
         t = np.vdot(v, Hv).real
-        res = np.sqrt(np.vdot(Hv - t * v, Hv - t * v).real)
+        rv = Hv - t * v
+        res = np.sqrt(np.vdot(rv, rv).real)
         gap = (t - res - np.sqrt(max(fro - (t - res) ** 2, 0.0))) / t
         if (t - res) ** 2 > fro / 2.0 and gap > GAP_TOL and res <= n * np.finfo(float).eps * t:
             break
@@ -176,6 +251,133 @@ def _power_top(H, D1):
     far = (4.0 * t * t * np.vdot(z, np.linalg.solve(M, z)) - np.vdot(z, Hs @ z)
            - 3.0 * t * np.vdot(z, z)).real
     return t * scale, v, np.vdot(g, Hs @ g).real * scale, far * scale, float(gap)
+
+
+def _secular_eval(s: RicianPair, x: float):
+    """lambda_min_g on the secular pair in O(n), or None where it cannot certify.
+
+    With E = mu b - delta, s_ab = a^H E^-1 b and P = E + (mu/x) gg^H,
+    R - mu B = hh^H - P has a positive eigenvalue (exactly one) at
+    mu > mu_d = max delta/b iff phi(mu) = h^H P^-1 h exceeds 1, so mu_1 is the
+    root of phi = 1 above any Rayleigh quotient t > mu_d, and no other
+    eigenvalue exceeds mu_d.  Its direction is v = P^-1 h, scaled to
+    v^H B v = 1.  Write B = a D' + c Q' with a = 1/(1-x), c = 1/x, D' = diag(d),
+    Q' = diag(e) + gg^H, alpha = v^H D' v and beta = v^H Q' v (a alpha +
+    c beta = 1).  Then mu' = -mu v^H B' v = mu (beta c^2 - alpha a^2), and
+    y = (mu' B + mu B') v = k u with k = mu a c (a + c), u = (beta D' - alpha Q') v,
+    v^H u = 0, so mu'' = 2 mu'^2/mu - mu v^H B'' v + 2 k^2 u^H P^-1 u.  Its
+    terms in |g^H v|^2 c^3 cancel to leading order; they are combined
+    before rounding, and g^H v is read off the s_ab, so that x near 0 (pure
+    line of sight at large P0/sigma^2) loses no digits to them.
+    """
+    c, a = 1.0 / x, 1.0 / (1.0 - x)
+    (d, e, delta), (h, g) = s.K, s.U
+    last = []       # phi's last E, E^-1 [h; g], s_gh and s_gg
+
+    def phi(mu):    # phi and its slope, from the 2 x 2 [h g]^H E^-1 [h g] and its slope
+        E = mu * b - delta
+        W = s.U / E
+        Wc = W.conj()
+        (shh, _), (sgh, sgg) = (Wc @ s.U.T).tolist()
+        (dhh, _), (dgh, dgg) = (-(Wc * b) @ W.T).tolist()
+        cm, gh2 = mu * c, sgh.real * sgh.real + sgh.imag * sgh.imag
+        den = 1.0 + cm * sgg.real
+        num = cm * gh2
+        dnum = c * gh2 + 2.0 * cm * (sgh.conjugate() * dgh).real
+        last[:] = E, W, sgh, sgg.real
+        return (shh.real - num / den,
+                dhh.real - (dnum * den - num * (c * sgg.real + cm * dgg.real)) / (den * den))
+
+    def rayleigh(v, gv):    # v^H R v / v^H B v, given g^H v
+        dv, ev, delv = s.K @ (v.real ** 2 + v.imag ** 2)
+        return (abs(np.vdot(h, v)) ** 2 + delv) / (dv * a + (ev + abs(gv) ** 2) * c)
+
+    with np.errstate(all="ignore"):
+        b = d * a + e * c
+        mu_d = (delta / b).max()
+        t = -np.inf if s.v is None else rayleigh(s.v, s.gv)
+        if not t > mu_d:        # the last direction's, else B^-1 h's
+            hb, gb = s.U / b
+            sgh, sgg = np.vdot(gb, h), np.vdot(gb, g).real
+            t = rayleigh(hb - gb * (sgh / (x + sgg)), sgh * x / (x + sgg))
+        if not t > mu_d:
+            return None
+        mu = _secular_top(phi, t, 0.0)
+        if mu is None:
+            return None
+        E, (Eh, Eg), sgh, sgg = last
+        mu, c, a = np.float64(mu), np.float64(c), np.float64(a)
+        rho = 1.0 / (1.0 / (mu * c) + sgg)      # P^-1 = E^-1 - rho E^-1 g g^H E^-1
+        xi = rho / (mu * c)                      # 1/(1 + (mu/x) s_gg)
+        v, gv = Eh - Eg * (rho * sgh), xi * sgh
+        al, ep, _ = (s.K @ (v.real ** 2 + v.imag ** 2)).tolist()
+        gam = abs(gv) ** 2
+        scale = al * a + (ep + gam) * c
+        v, gv = v / np.sqrt(scale), gv / np.sqrt(scale)
+        al, ep, gam = al / scale, ep / scale, gam / scale
+        be = ep + gam
+        dmu = mu * (be * c * c - al * a * a)
+        s.v, s.gv = v, gv
+        k = mu * a * c * (a + c)
+        u0 = (be * d - al * e) * v              # u = u0 - alpha (g^H v) g
+        Eu = u0 / E
+        gEu = np.vdot(g, Eu)
+        uPu = (np.vdot(u0, Eu).real - rho * abs(gEu) ** 2
+               - 2.0 * al * xi * (gv.conjugate() * gEu).real)
+        ddmu = (2.0 * dmu ** 2 / mu - 2.0 * mu * (al * a ** 3 + ep * c ** 3) + 2.0 * k * k * uPu
+                + 2.0 * mu * gam * c * (a * (a + 2.0 * c) - be * c * (2.0 - be * c) * (a + c) ** 2
+                                        - xi * (al * a * (a + c)) ** 2))
+        d1 = -dmu / mu ** 2
+        d2 = -ddmu / mu ** 2 + 2.0 * dmu ** 2 / mu ** 3
+    return float(1.0 / mu), float(d1), float(d2), v, float((mu - mu_d) / mu)
+
+
+def _secular_top(f, t, base):
+    """The root above t of f = 1, for f decreasing and convex with f(t) >= 1,
+    or None after SECULAR_STEPS steps or at a non-finite step.
+
+    f(t) returns its value and slope.  Each step goes to the root of the
+    one-pole model k/(t - p) fitted to them (Newton's method on 1/f, which is
+    concave), so from the left every step stays left of the root.  The
+    stop is relative to base + t.
+    """
+    for _ in range(SECULAR_STEPS):
+        val, slope = f(t)
+        if not -np.inf < slope < 0:     # NaN, too, after a non-finite step
+            return None
+        step = val * (1.0 - val) / slope
+        if abs(step) <= 4.0 * _EPS * (base + t):
+            return t
+        t += step
+    return None
+
+
+def _secular_low(q, w):
+    """The smallest eigenvalue of diag(q) + diag(sqrt w) 1 1^T diag(sqrt w), or None.
+
+    In units of q_(1), lam = q_(1) (1 + sigma) for the root in (0, dq_(2)) of
+    F(sigma) = sigma (q_(1) - sum_{i>1} w_i/(sigma - dq_i)) - w_(1), with
+    dq = q/q_(1) - 1, which is increasing and convex there (so no scale of q
+    overflows): Newton's method, bisecting where a step leaves the bracket.
+    """
+    order = np.argsort(q)
+    low, w1 = q[order[0]], w[order[0]]
+    dq, wr = q[order[1:]] / low - 1.0, w[order[1:]]
+    lo, hi = 0.0, dq[0]
+    if not hi > 0:          # a repeated q_(1) is an eigenvalue
+        return float(low)
+    sigma = w1 / (low + (wr / dq).sum())      # Newton's step from 0
+    for _ in range(SECULAR_STEPS):
+        if not lo < sigma < hi:
+            sigma = 0.5 * (lo + hi)
+        S = (wr / (sigma - dq)).sum()
+        F = sigma * (low - S) - w1
+        lo, hi = (lo, sigma) if F > 0 else (sigma, hi)
+        step = F / (low - S + sigma * (wr / (sigma - dq) ** 2).sum())
+        if abs(step) <= 2.0 * _EPS * (1.0 + sigma):
+            return float(low * (1.0 + sigma - step))
+        sigma -= step
+    return None
 
 
 def solve_diagonal(p: TotalPowerProblem) -> TotalPowerSolution:
@@ -205,7 +407,7 @@ def solve_diagonal(p: TotalPowerProblem) -> TotalPowerSolution:
     return _package(p, x, lam, np.eye(stats.n)[:, k0] + 0j, 0, trace)
 
 
-def newton_solve(p: TotalPowerProblem, x0: float, s: SPair | None = None,
+def newton_solve(p: TotalPowerProblem, x0: float, s: SPair | RicianPair | None = None,
                  meet: float | None = None) -> TotalPowerSolution:
     """Bracketed Newton-type search for a stationary x starting from x0.
 
@@ -226,6 +428,8 @@ def newton_solve(p: TotalPowerProblem, x0: float, s: SPair | None = None,
     if not xl <= x0 <= xu:
         raise InputError(f"x0={x0} outside bracket [{xl:.6f}, {xu:.6f}]")
     trace = SolverTrace(columns=TRACE_COLUMNS)
+    if isinstance(s, RicianPair):
+        s.trace = trace
     x = float(x0)
     lam, d1, d2, w_dir, gap = lambda_min_g(s, x)
     for k in range(MAX_ITER):
@@ -256,7 +460,8 @@ def solve(p: TotalPowerProblem) -> TotalPowerSolution:
     xl, xu = bracket_x(s)
     run_l = newton_solve(p, xl, s=s)
     run_u = newton_solve(p, xu, s=s, meet=run_l.x)
-    return run_u if not run_u.trace.notes and run_u.lambda_min < run_l.lambda_min else run_l
+    met = any(note.startswith("met x=") for note in run_u.trace.notes)
+    return run_u if not met and run_u.lambda_min < run_l.lambda_min else run_l
 
 
 def _target(x, lam, d1, d2, gap, xl, xu):

@@ -60,6 +60,17 @@ CASES = {
                      "p must be an integer, got True"),
     "solve-fallback": (lambda: indiv_qcqp.solve(problem(), "sdp", {"fallback": "bogus"}),
                        r"unknown fallback 'bogus'; choose one of \('cdm', 'pnorm'\)"),
+    # ... whatever the route reads
+    "solve-pnorm-eps": (lambda: indiv_qcqp.solve(problem(), "pnorm", {"eps": -1.0}),
+                        "eps must be a positive finite number, got -1.0"),
+    "solve-grp-eps": (lambda: indiv_qcqp.solve(problem(), "grp", {"eps": 0}),
+                      "eps must be a positive finite number, got 0"),
+    "solve-cdm-samples": (lambda: indiv_qcqp.solve(problem(), "cdm", {"samples": 0}),
+                          "samples must be >= 1 and an integer"),
+    "solve-pnorm-samples": (lambda: indiv_qcqp.solve(problem(), "pnorm", {"samples": 0}),
+                            "samples must be >= 1 and an integer"),
+    "solve-sdp-w0": (lambda: indiv_qcqp.solve(problem(), "sdp", {"w0": np.ones(3)}),
+                     "w0 has length 3, expected 2"),
     "pnorm-hessian-at-zero": (lambda: phi_p_grad_hess(build_pnorm_embedding(problem(), 8),
                                                       np.zeros(4)),
                               "not twice differentiable at z = 0"),

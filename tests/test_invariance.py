@@ -2,6 +2,10 @@
 
 - (a) R -> 4^j R: total power keeps x and w and multiplies the SNR by 4^j,
   bitwise (every step scales by a power of two).
+- (b) (P0, sigma^2) -> 4^j (P0, sigma^2): total power keeps x, the SNR, the
+  iteration count and w bitwise, since r = sigma^2/P0 is unchanged and the
+  budget and the SNR read only ratios of the scaled powers; on both sides of
+  RICIAN_MIN_N, for statistics built from matrices and by ``build_stats``.
 - (c) a relay relabeling P, and (d) a per-relay phase rotation Phi, map
   (R, Q, c) to (P R P^T, P Q P^T, P c) and (Phi R Phi^H, Phi Q Phi^H, c):
   the relaxation's value agrees within GAP_TOL of its bound, and its rank
@@ -14,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaybeam import fixtures, total_power
-from relaybeam.channel import ChannelStats
+from relaybeam.channel import ChannelStats, RicianParams, build_stats
 from relaybeam.indiv_qcqp import build_qcqp
 from relaybeam.problems import IndivPowerProblem, TotalPowerProblem
 from relaybeam.sdp import GAP_TOL, QcqpInstance, solve_relaxation
@@ -93,3 +97,31 @@ def test_total_power_objective_scale(n, j):
         a, b = total_power.solve(p), total_power.solve(scaled)
         assert (b.x, b.Ps, b.iterations) == (a.x, a.Ps, a.iterations)
         assert np.array_equal(b.w, a.w) and b.snr == 4.0 ** j * a.snr
+
+
+def rician_stats(rng, n, sigma2):
+    mean = lambda: (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+    return build_stats(RicianParams(f_mean=mean(), f_var=rng.uniform(0.2, 2.0, n),
+                                    g_mean=mean(), g_var=rng.uniform(0.2, 2.0, n)), sigma2)
+
+
+@pytest.mark.parametrize("built", ["matrices", "build_stats"])
+@pytest.mark.parametrize("n", [4, 16, 64])
+@pytest.mark.parametrize("j", [-3, 2, 20])
+def test_total_power_noise_and_budget_scale(built, n, j):
+    for seed in range(3):
+        rng = np.random.default_rng([seed, n])
+        if built == "matrices":
+            p = rand_total_problem(rng, n)
+            s = p.stats
+            scaled = ChannelStats(D=s.D, R=s.R, Q=s.Q, sigma2=4.0 ** j * s.sigma2)
+        else:
+            sigma2 = float(rng.uniform(0.5, 2.0))
+            state = rng.bit_generator.state
+            p = TotalPowerProblem(stats=rician_stats(rng, n, sigma2), P0=float(rng.uniform(2.0, 20.0)))
+            rng.bit_generator.state = state
+            scaled = rician_stats(rng, n, 4.0 ** j * sigma2)
+        a = total_power.solve(p)
+        b = total_power.solve(TotalPowerProblem(stats=scaled, P0=4.0 ** j * p.P0))
+        assert (b.x, b.snr, b.iterations) == (a.x, a.snr, a.iterations)
+        assert np.array_equal(b.w, a.w) and b.Ps == 4.0 ** j * a.Ps

@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -631,12 +632,16 @@ class TestMeetingStop:
         assert sol.x == pytest.approx(0.5, abs=1e-6)
         assert sol.snr >= (1.0 - 1e-9) * brute_force_total(p)[1]
 
+    @pytest.mark.parametrize("n", [5, 16])
     @pytest.mark.parametrize("P0", [1e-200, 1e-300])
-    def test_underflowing_curvature_is_a_convergence_error(self, P0):
+    def test_underflowing_curvature_is_a_convergence_error(self, P0, n):
         # mu ~ P0/sigma^2, so mu^2 underflows: d1 = -inf and the target is
-        # NaN, a numerical failure rather than bad input
+        # NaN, a numerical failure rather than bad input; at n = 16 the
+        # secular bracket's slope underflows first, and the dense pair runs
+        if n >= total_power.RICIAN_MIN_N:
+            assert isinstance(build_s_pair(rician_problem(n, P0, 5)), total_power.SPair)
         with pytest.raises(ConvergenceError, match="broke down at iteration 0"):
-            solve(rician_problem(5, P0, 5))
+            solve(rician_problem(n, P0, 5))
 
 
 class TestLineOfSight:
@@ -702,11 +707,22 @@ def dense_solve(p, monkeypatch):
         return solve(p)
 
 
-def power_kind_problem(kind, n, seed):
-    P0 = 10.0 ** (seed - 1)
+def matrix_built(p):
+    """The same D, R and Q as matrices: ``build_s_pair`` gives the dense pair."""
+    st = p.stats
+    return TotalPowerProblem(stats=ChannelStats(D=st.D, R=st.R, Q=st.Q, sigma2=st.sigma2),
+                             P0=p.P0)
+
+
+def kind_problem(kind, n, seed, P0=None):
+    P0 = 10.0 ** (seed - 1) if P0 is None else P0
     if kind == "rician":
         return rician_problem(n, P0, [seed, n])
     return los_problem(n, 1e-3 if kind == "near-los" else 0.0, P0, [seed, n])
+
+
+def power_kind_problem(kind, n, seed):
+    return matrix_built(kind_problem(kind, n, seed))
 
 
 class TestPowerIteration:
@@ -733,7 +749,7 @@ class TestPowerIteration:
                 assert GAP_TOL < gap <= rgap + 1e-12
 
     def test_derivatives_match_finite_differences(self, monkeypatch):
-        s = build_s_pair(rician_problem(64, 10.0, 64))
+        s = build_s_pair(matrix_built(rician_problem(64, 10.0, 64)))
         calls = count_eigh(monkeypatch)
         f = lambda xv: lambda_min_g(s, float(xv))[0]
         for x in np.linspace(*bracket_x(s), 5)[1:-1]:
@@ -756,7 +772,7 @@ class TestPowerIteration:
     def test_crossover(self, monkeypatch):
         # from POWER_MIN_N relays a Rician H is certified; below, eigh runs
         for n, eighs in ((total_power.POWER_MIN_N, 0), (total_power.POWER_MIN_N - 1, 1)):
-            s = build_s_pair(rician_problem(n, 10.0, n))
+            s = build_s_pair(matrix_built(rician_problem(n, 10.0, n)))
             calls = count_eigh(monkeypatch)
             lambda_min_g(s, float(np.mean(bracket_x(s))))
             assert calls == [n] * eighs
@@ -766,9 +782,9 @@ class TestPowerFallback:
     # RuntimeWarnings are errors under the suite's filterwarnings setting,
     # so each case also checks that no fallback warns
     @pytest.mark.parametrize("p", [
-        weak_rician_problem(64, 10.0, 1, 0.05, 0.2, 2.0),
-        weak_rician_problem(64, 10.0, 2, 0.3, 1.0, 5.0),
-        identical_relays_problem(64, 10.0),
+        matrix_built(weak_rician_problem(64, 10.0, 1, 0.05, 0.2, 2.0)),
+        matrix_built(weak_rician_problem(64, 10.0, 2, 0.3, 1.0, 5.0)),
+        matrix_built(identical_relays_problem(64, 10.0)),
     ], ids=["weak-los", "strong-scattering", "identical-relays"])
     def test_uncertified_evaluations_take_eigh(self, p, monkeypatch):
         ref = dense_solve(p, monkeypatch)
@@ -787,7 +803,7 @@ class TestPowerFallback:
     def test_scale_free_certificate(self, var, P0, monkeypatch):
         # at P0/sigma^2 = 1e-150 ||H||_F^2 is near underflow, and on a rank-one
         # H ||H||_F^2 - theta^2 rounds below 0; both still certify, unwarned
-        p = los_problem(64, var, P0, 64)
+        p = matrix_built(los_problem(64, var, P0, 64))
         ref = dense_solve(p, monkeypatch)
         calls = count_eigh(monkeypatch)
         sol = solve(p)
@@ -798,6 +814,164 @@ class TestPowerFallback:
     def test_denormal_diagonal_gives_up(self):
         H = 1e-310 * np.outer([1.0, 0.5, 0.25], [1.0, 0.5, 0.25]).astype(complex)
         assert total_power._power_top(H, np.ones(3)) is None
+
+
+def eigh_reference(p, monkeypatch):
+    """lambda_min_g on the dense pair of matrix-built statistics, one eigh per call."""
+    s = build_s_pair(matrix_built(p))
+    monkeypatch.setattr(total_power, "POWER_MIN_N", 10 ** 9)
+    return lambda x: lambda_min_g(s, x)
+
+
+def rayleigh_first_hop_problem(n, seed):
+    """Rayleigh source links (fbar = 0) before line-of-sight relay links: h = 0,
+    so R = diag(delta) while Q is not diagonal."""
+    rng = np.random.default_rng(seed)
+    params = RicianParams(f_mean=np.zeros(n), f_var=rng.uniform(0.5, 2.0, n),
+                          g_mean=(rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0),
+                          g_var=rng.uniform(0.2, 2.0, n))
+    return TotalPowerProblem(stats=build_stats(params, 1.0), P0=10.0)
+
+
+class TestSecularPair:
+    # build_stats statistics from RICIAN_MIN_N relays; RuntimeWarnings are
+    # errors under the suite's filterwarnings setting, so no case warns
+    @pytest.mark.parametrize("P0", [1e-150, 10.0])
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("kind", ["rician", "near-los", "los"])
+    def test_agrees_with_the_dense_pair(self, kind, n, P0, monkeypatch):
+        for seed in range(3):
+            p = kind_problem(kind, n, seed, P0)
+            s = build_s_pair(p)
+            assert isinstance(s, total_power.RicianPair)
+            reference = eigh_reference(p, monkeypatch)
+            xs = np.linspace(*bracket_x(s), 7)[1:-1]
+            calls = count_eigh(monkeypatch)
+            secular = [lambda_min_g(s, x) for x in xs]
+            assert calls == [] and s.dense is None
+            for x, (lam, d1, d2, w, gap) in zip(xs, secular):
+                rl, r1, r2, rw, rgap = reference(x)
+                assert lam == pytest.approx(rl, rel=1e-12)
+                assert d1 == pytest.approx(r1, rel=1e-10, abs=1e-10 * rl)
+                # at P0/sigma^2 = 1e-150, mu^3 underflows on both pairs
+                assert d2 == pytest.approx(r2, rel=1e-10) or not np.isfinite([d2, r2]).any()
+                assert 1.0 - abs(np.vdot(w, rw)) / (np.linalg.norm(w) * np.linalg.norm(rw)) <= 1e-13
+                # (mu_1 - mu_d)/mu_1 is a certified lower bound on the gap
+                assert 0.0 < gap <= rgap + 1e-15
+            sol, ref = solve(p), dense_solve(matrix_built(p), monkeypatch)
+            assert sol.iterations == ref.iterations
+            assert sol.x == pytest.approx(ref.x, rel=1e-12)
+            assert sol.snr == pytest.approx(ref.snr, rel=1e-12)
+
+    def test_identical_relays(self, monkeypatch):
+        # every q_i is equal, so lam_1 is q_(1) itself, and h is parallel to gbar
+        p = identical_relays_problem(64, 10.0)
+        assert isinstance(build_s_pair(p), total_power.RicianPair)
+        sol, ref = solve(p), dense_solve(matrix_built(p), monkeypatch)
+        assert sol.iterations == ref.iterations
+        assert sol.x == pytest.approx(ref.x, rel=1e-12)
+        assert sol.snr == pytest.approx(ref.snr, rel=1e-12)
+
+    def test_derivatives_match_exact_differences_near_x_0(self):
+        # pure line of sight at P0/sigma^2 = 1e11, n = 16: x_l ~ 2e-6, where
+        # the terms of mu'' in |g^H v|^2 c^3 cancel to leading order; the
+        # reference differences 1/(h^H B(x)^-1 h) (R = h h^H) in exact
+        # rational arithmetic
+        p = los_problem(16, 0.0, 1e11, [0, 16])
+        s = build_s_pair(p)
+        assert isinstance(s, total_power.RicianPair)
+        h, _, g, phi = p.stats._rician
+        F = Fraction
+        r = F(p.stats.sigma2) / F(p.P0)
+
+        def lam(x):
+            b = [(F(Di) + r) / (1 - x) + (F(f) + r) / x for Di, f in zip(p.stats.D, phi)]
+            shh = sum((F(z.real) ** 2 + F(z.imag) ** 2) / bi for z, bi in zip(h, b))
+            sgg = sum((F(z.real) ** 2 + F(z.imag) ** 2) / bi for z, bi in zip(g, b))
+            re = sum((F(zg.real) * F(zh.real) + F(zg.imag) * F(zh.imag)) / bi
+                     for zg, zh, bi in zip(g, h, b))
+            im = sum((F(zg.real) * F(zh.imag) - F(zg.imag) * F(zh.real)) / bi
+                     for zg, zh, bi in zip(g, h, b))
+            return 1 / (shh - (re * re + im * im) / (x + sgg))
+
+        xl = bracket_x(s)[0]
+        for x in (xl, 3.0 * xl, 30.0 * xl):
+            X = F(x)
+            step = X / 10 ** 15
+            lo, mid, hi = lam(X - step), lam(X), lam(X + step)
+            ref = (mid, (hi - lo) / (2 * step), (hi - 2 * mid + lo) / step ** 2)
+            for got, want in zip(lambda_min_g(s, x)[:3], ref):
+                assert got == pytest.approx(float(want), rel=1e-12)
+
+    def test_no_certificate_falls_back_to_the_dense_pair(self, monkeypatch):
+        # h = 0: no Rayleigh quotient exceeds mu_d, so the first evaluation
+        # builds the dense pair, notes it in the x_l run's trace, and the
+        # solve finishes on it
+        p = rayleigh_first_hop_problem(16, 3)
+        s = build_s_pair(p)
+        assert isinstance(s, total_power.RicianPair) and not p.stats.is_diagonal()
+        builds, inner = [], total_power._dense_pair
+        monkeypatch.setattr(total_power, "_dense_pair", lambda q: builds.append(q) or inner(q))
+        xl, xu = bracket_x(s)
+        run_l = newton_solve(p, xl, s=s)
+        assert builds == [p] and isinstance(s.dense, total_power.SPair)
+        assert run_l.trace.notes == [f"dense pair from x={xl}: the secular pair did not certify"]
+        run_u = newton_solve(p, xu, s=s)
+        assert builds == [p] and not run_u.trace.notes
+        sol, ref = solve(p), dense_solve(matrix_built(p), monkeypatch)
+        assert sol.iterations == ref.iterations
+        assert sol.x == pytest.approx(ref.x, rel=1e-12)
+        assert sol.snr == pytest.approx(ref.snr, rel=1e-12)
+
+    def test_unconverged_roots_fall_back_to_the_dense_pair(self, monkeypatch):
+        p = rician_problem(16, 10.0, 16)
+        with monkeypatch.context() as m:
+            m.setattr(total_power, "SECULAR_STEPS", 1)
+            assert isinstance(build_s_pair(p), total_power.SPair)   # lam_1, lam_n
+        s = build_s_pair(p)
+        monkeypatch.setattr(total_power, "SECULAR_STEPS", 1)
+        lam = lambda_min_g(s, float(np.mean(bracket_x(s))))[0]      # mu_1
+        assert isinstance(s.dense, total_power.SPair)
+        monkeypatch.undo()
+        assert lam == pytest.approx(lambda_min_g(build_s_pair(p), float(np.mean(bracket_x(s))))[0],
+                                    rel=1e-12)
+
+    def test_a_fallback_note_leaves_the_x_u_run_competing(self, monkeypatch):
+        # only the meeting note stops the x_u run from being compared
+        inner = total_power.newton_solve
+
+        def noted(p, x0, s=None, meet=None):
+            sol = inner(p, x0, s=s, meet=meet)
+            if meet is not None:
+                sol.trace.note(f"dense pair from x={x0}: the secular pair did not certify")
+                sol = dataclasses.replace(sol, lambda_min=0.5 * sol.lambda_min)
+            return sol
+
+        p = fixture_problem(1)      # two basins: the x_u run is not met
+        monkeypatch.setattr(total_power, "newton_solve", noted)
+        sol = solve(p)
+        assert sol.trace.notes and sol.x == pytest.approx(0.5844, abs=5e-3)
+
+    @pytest.mark.parametrize("q, w", [
+        (np.array([1.0, 1.0009, 3.0, 2.0]), np.array([3.6, 0.009, 1.0, 0.5])),  # start past q_(2)
+        (np.array([0.5, 0.5, 2.0]), np.array([1.0, 2.0, 3.0])),                 # q_(1) repeated
+        (np.array([0.3, 1.7, 0.9, 2.5, 1.1]), np.array([0.2, 1.5, 0.7, 0.1, 2.0])),
+    ], ids=["bisects", "tied", "plain"])
+    def test_smallest_eigenvalue_of_the_bracket_pencil(self, q, w):
+        # lam_1 of diag(q) + u u^H with |u|^2 = w, the bracket's left end
+        ref = np.linalg.eigvalsh(np.diag(q) + np.outer(np.sqrt(w), np.sqrt(w)))[0]
+        assert total_power._secular_low(q, w) == pytest.approx(ref, rel=1e-13)
+
+    def test_which_statistics_take_the_secular_pair(self):
+        gate = total_power.RICIAN_MIN_N
+        for n, kind in ((gate - 1, total_power.SPair), (gate, total_power.RicianPair)):
+            assert isinstance(build_s_pair(rician_problem(n, 10.0, n)), kind)
+        p = rician_problem(64, 10.0, 64)
+        # statistics built from matrices never carry the Rician structure
+        assert dataclasses.replace(p.stats)._rician is None
+        assert isinstance(build_s_pair(matrix_built(p)), total_power.SPair)
+        # pure line of sight where Q + rI is singular to working precision
+        assert isinstance(build_s_pair(los_problem(64, 0.0, 1e16, 64)), total_power.SPair)
 
 
 class TestLineOfSightAtLargeP0:
