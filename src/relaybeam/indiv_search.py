@@ -254,9 +254,8 @@ def build_pnorm_embedding(prob: IndivPowerProblem, p: int) -> PnormEmbedding:
     """Scale weights by D1, then embed complex u into z = [Re u; Im u]."""
     _check_p(p)
     d1 = np.sqrt(prob.c)
-    Dinv = np.diag(1.0 / d1)
-    Q1 = symmetrize(Dinv @ prob.stats.Q @ Dinv)
-    R1 = symmetrize(Dinv @ prob.stats.R @ Dinv)
+    S = np.outer(1.0 / d1, 1.0 / d1)    # D1^-1 M D1^-1 entrywise, Hermitian as M is
+    Q1, R1 = prob.stats.Q * S, prob.stats.R * S
     if not np.abs(R1).max() > 0:
         raise ModelError("R = 0: no signal reaches the destination, the SNR is 0 for every w")
     return PnormEmbedding(D1=d1, Q1=Q1, R1=R1, F=_real_embed(Q1),
@@ -346,10 +345,7 @@ def augmented_lagrangian_solve(e: PnormEmbedding, prob: IndivPowerProblem, w0=No
     n = e.n
     lam, z = p1_solution(e)
     if w0 is not None:
-        w0 = np.asarray(w0, dtype=complex).ravel()
-        if w0.size != n:
-            raise InputError(f"w0 has length {w0.size}, expected {n}")
-        u = e.D1 * w0
+        u = e.D1 * _check_w0(w0, n)
         z = np.concatenate([u.real, u.imag])
         if not z @ e.K @ z > 0:      # z^T K z = w0^H R w0
             raise InputError("w0 must have w0^H R w0 > 0")

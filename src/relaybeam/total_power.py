@@ -78,8 +78,6 @@ class RicianPair:
     K: np.ndarray       # rows d = D + r, e = phi + r and delta, R's diagonal part
     lam: np.ndarray     # lam_1 and lam_n of (Q + rI, D + rI), for bracket_x
     p: TotalPowerProblem
-    v: np.ndarray | None = None     # the last direction, a warm start
-    gv: complex = 0j                # and g^H v
     dense: SPair | None = None
     trace: SolverTrace | None = None  # the running newton_solve's, for the fallback note
 
@@ -259,11 +257,12 @@ def _secular_eval(s: RicianPair, x: float):
     With E = mu b - delta, s_ab = a^H E^-1 b and P = E + (mu/x) gg^H,
     R - mu B = hh^H - P has a positive eigenvalue (exactly one) at
     mu > mu_d = max delta/b iff phi(mu) = h^H P^-1 h exceeds 1, so mu_1 is the
-    root of phi = 1 above any Rayleigh quotient t > mu_d, and no other
-    eigenvalue exceeds mu_d.  Its direction is v = P^-1 h, scaled to
-    v^H B v = 1.  Write B = a D' + c Q' with a = 1/(1-x), c = 1/x, D' = diag(d),
-    Q' = diag(e) + gg^H, alpha = v^H D' v and beta = v^H Q' v (a alpha +
-    c beta = 1).  Then mu' = -mu v^H B' v = mu (beta c^2 - alpha a^2), and
+    root of phi = 1 above any Rayleigh quotient t > mu_d (it starts from
+    B^-1 h's), and no other eigenvalue exceeds mu_d.  Its direction is
+    v = P^-1 h, scaled to v^H B v = 1.  Write B = a D' + c Q' with a = 1/(1-x),
+    c = 1/x, D' = diag(d), Q' = diag(e) + gg^H, alpha = v^H D' v and
+    beta = v^H Q' v (a alpha + c beta = 1).  Then mu' = -mu v^H B' v =
+    mu (beta c^2 - alpha a^2), and
     y = (mu' B + mu B') v = k u with k = mu a c (a + c), u = (beta D' - alpha Q') v,
     v^H u = 0, so mu'' = 2 mu'^2/mu - mu v^H B'' v + 2 k^2 u^H P^-1 u.  Its
     terms in |g^H v|^2 c^3 cancel to leading order; they are combined
@@ -288,18 +287,14 @@ def _secular_eval(s: RicianPair, x: float):
         return (shh.real - num / den,
                 dhh.real - (dnum * den - num * (c * sgg.real + cm * dgg.real)) / (den * den))
 
-    def rayleigh(v, gv):    # v^H R v / v^H B v, given g^H v
-        dv, ev, delv = s.K @ (v.real ** 2 + v.imag ** 2)
-        return (abs(np.vdot(h, v)) ** 2 + delv) / (dv * a + (ev + abs(gv) ** 2) * c)
-
     with np.errstate(all="ignore"):
         b = d * a + e * c
         mu_d = (delta / b).max()
-        t = -np.inf if s.v is None else rayleigh(s.v, s.gv)
-        if not t > mu_d:        # the last direction's, else B^-1 h's
-            hb, gb = s.U / b
-            sgh, sgg = np.vdot(gb, h), np.vdot(gb, g).real
-            t = rayleigh(hb - gb * (sgh / (x + sgg)), sgh * x / (x + sgg))
+        hb, gb = s.U / b        # v = B^-1 h and g^H v, then t = v^H R v / v^H B v
+        sgh, sgg = np.vdot(gb, h), np.vdot(gb, g).real
+        v, gv = hb - gb * (sgh / (x + sgg)), sgh * x / (x + sgg)
+        dv, ev, delv = s.K @ (v.real ** 2 + v.imag ** 2)
+        t = (abs(np.vdot(h, v)) ** 2 + delv) / (dv * a + (ev + abs(gv) ** 2) * c)
         if not t > mu_d:
             return None
         mu = _secular_top(phi, t, 0.0)
@@ -317,7 +312,6 @@ def _secular_eval(s: RicianPair, x: float):
         al, ep, gam = al / scale, ep / scale, gam / scale
         be = ep + gam
         dmu = mu * (be * c * c - al * a * a)
-        s.v, s.gv = v, gv
         k = mu * a * c * (a + c)
         u0 = (be * d - al * e) * v              # u = u0 - alpha (g^H v) g
         Eu = u0 / E
@@ -338,15 +332,17 @@ def _secular_top(f, t, base):
 
     f(t) returns its value and slope.  Each step goes to the root of the
     one-pole model k/(t - p) fitted to them (Newton's method on 1/f, which is
-    concave), so from the left every step stays left of the root.  The
-    stop is relative to base + t.
+    concave), so from the left every step stays left of the root and none
+    moves back.  It returns t at the first step that does not move t forward
+    by more than 4 eps (base + t): a step back is rounding, which near the
+    root can otherwise cycle between two neighbouring floats.
     """
     for _ in range(SECULAR_STEPS):
         val, slope = f(t)
         if not -np.inf < slope < 0:     # NaN, too, after a non-finite step
             return None
         step = val * (1.0 - val) / slope
-        if abs(step) <= 4.0 * _EPS * (base + t):
+        if step <= 4.0 * _EPS * (base + t):
             return t
         t += step
     return None

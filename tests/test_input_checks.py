@@ -8,7 +8,8 @@ import relaybeam
 from relaybeam import indiv_qcqp
 from relaybeam.channel import ChannelStats, RicianParams, build_stats, powers, snr
 from relaybeam.errors import ConvergenceError, InputError, ModelError, RelayBeamError
-from relaybeam.indiv_search import build_pnorm_embedding, coordinate_descent, phi_p_grad_hess
+from relaybeam.indiv_search import (augmented_lagrangian_solve, build_pnorm_embedding,
+                                    coordinate_descent, phi_p_grad_hess)
 from relaybeam.linalg import check_vector, hermitian
 from relaybeam.problems import IndivPowerProblem, TotalPowerProblem
 
@@ -49,6 +50,12 @@ CASES = {
     "vector-non-finite": (lambda: check_vector([1.0, np.nan], name="g_mean"),
                           "g_mean contains non-finite"),
     "cdm-w0-length": (lambda: coordinate_descent(problem(), np.ones(3)), "w0 has length 3"),
+    "al-w0-nan": (lambda: augmented_lagrangian_solve(build_pnorm_embedding(problem(), 8), problem(),
+                                                     w0=[np.nan, 1.0]),
+                  "w0 contains non-finite entries"),
+    "al-w0-inf": (lambda: augmented_lagrangian_solve(build_pnorm_embedding(problem(), 8), problem(),
+                                                     w0=[1.0, np.inf]),
+                  "w0 contains non-finite entries"),
     "pnorm-p": (lambda: build_pnorm_embedding(problem(), 0), "p must be >= 1"),
     "pnorm-p-fraction": (lambda: build_pnorm_embedding(problem(), 2.5),
                          "p must be an integer, got 2.5"),

@@ -936,6 +936,35 @@ class TestSecularPair:
         assert lam == pytest.approx(lambda_min_g(build_s_pair(p), float(np.mean(bracket_x(s))))[0],
                                     rel=1e-12)
 
+    def test_a_step_back_ends_the_root(self):
+        # near the root, rounding in f can turn the one-pole step around; from
+        # a lower bound a step back is rounding and ends the iteration, which
+        # otherwise cycles between two floats until SECULAR_STEPS run out
+        calls = []
+
+        def f(t):   # 1/t, whose root of f = 1 is 1, with relative noise of +-16 eps in turn
+            calls.append(t)
+            return (1.0 + 16.0 * total_power._EPS * (-1) ** len(calls)) / t, -1.0 / t ** 2
+
+        assert total_power._secular_top(f, 0.5, 0.0) == pytest.approx(1.0, rel=1e-14)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_a_run_does_not_depend_on_run_order(self, n):
+        # an evaluation reads nothing that an earlier run left on the pair, so
+        # solve's x_u run, made after the x_l run, is the run on a fresh pair
+        for kind in ("rician", "near-los", "los"):
+            for seed in range(4):
+                p = kind_problem(kind, n, seed)
+                fresh, s = build_s_pair(p), build_s_pair(p)
+                assert isinstance(s, total_power.RicianPair)
+                xl, xu = bracket_x(s)
+                newton_solve(p, xl, s=s)
+                a, b = newton_solve(p, xu, s=fresh), newton_solve(p, xu, s=s)
+                assert (b.x, b.lambda_min, b.snr, b.iterations) == (a.x, a.lambda_min, a.snr,
+                                                                    a.iterations)
+                assert b.trace.rows == a.trace.rows and np.array_equal(b.w, a.w)
+
     def test_a_fallback_note_leaves_the_x_u_run_competing(self, monkeypatch):
         # only the meeting note stops the x_u run from being compared
         inner = total_power.newton_solve
