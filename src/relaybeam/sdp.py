@@ -239,8 +239,11 @@ def _kkt_exit(q: QcqpInstance, X, y, s, it):
     V S, S skew-Hermitian r x r (i w at r = 1), which border it.  y_A >= 0
     is lifted by max(0, -lambda_min(Z))/c_k, which adds at least that times
     I to Z, so bound = sum y is certified; V, scaled to its tightest cap and
-    still of rank r, is accepted within GAP_TOL bound of it.  Anything else,
-    a LinAlgError included, declines and the interior point goes on."""
+    still of rank r, is accepted within GAP_TOL bound of it.  Where it is
+    not, the caps outside A that V exceeds are active too (a cap with a small
+    multiplier can keep y_k < s_k to the interior point's last iterations):
+    they join A and the exit starts again from X.  Anything else, a
+    LinAlgError included, declines and the interior point goes on."""
     R, Q, c, n = q.R, q.Q, q.c, q.n
     act = np.flatnonzero(y > s)
     m, yk = act.size, np.where(y > s, y, 0.0)
@@ -280,7 +283,8 @@ def _kkt_exit(q: QcqpInstance, X, y, s, it):
                 V.real += dV[:, 0].T
                 V.imag += dV[:, 1].T
                 yk[act] += d[N:N + m]
-            peak = q.constraint_values(V).max()
+            vals = q.constraint_values(V)
+            peak = vals.max()
             # X's nonzero eigenvalues are V^H V's; at r = 1, peak > 0 says V != 0
             lam_v = np.linalg.eigvalsh(V.conj().T @ V) if r > 1 else [1.0]
             if not (np.isfinite(yk).all() and yk.min() >= 0 and peak > 0
@@ -294,7 +298,9 @@ def _kkt_exit(q: QcqpInstance, X, y, s, it):
     bound = yk.sum()
     primal = float(np.trace(V.conj().T @ R @ V).real)
     if not bound - primal <= GAP_TOL * bound:
-        return None
+        # the caps V exceeds outside A join it, and the exit starts again from X
+        out = (vals > 1.0) & ~(y > s)
+        return _kkt_exit(q, X, y, np.where(out, -np.inf, s), it) if out.any() else None
     return SdpSolution(X=(V[:, None] * V.conj()).sum(axis=2), dual_y=yk, primal_obj=primal,
                        dual_obj=float(bound), gap=float(bound - primal), rank_estimate=r,
                        iterations=it, factor=V)

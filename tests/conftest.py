@@ -169,7 +169,7 @@ def stacked_kkt_exit(R, A, X, y, s, it):
     (Tr(V^H A_k V) - 1)/2 = 0 bordered by the r^2 directions V S, S
     skew-Hermitian, then the same certificate, with Tr X <= N /
     lambda_min(sum_k A_k) (every Tr(A_k X) <= 1) in place of the relay
-    form's sum_k 1/c_k."""
+    form's sum_k 1/c_k, and the same retry with the caps V exceeds."""
     N, n = A.shape[0], R.shape[0]
     act = np.flatnonzero(y > s)
     m, yk = act.size, np.where(y > s, y, 0.0)
@@ -207,7 +207,8 @@ def stacked_kkt_exit(R, A, X, y, s, it):
                 D = d[:2 * n * r].reshape(r, 2, n)
                 V = V + (D[:, 0] + 1j * D[:, 1]).T
                 yk[act] += d[2 * n * r:2 * n * r + m]
-            peak = np.einsum("aj,kab,bj->k", V.conj(), A, V).real.max()
+            vals = np.einsum("aj,kab,bj->k", V.conj(), A, V).real
+            peak = vals.max()
             lam_v = np.linalg.eigvalsh(V.conj().T @ V)
             if not (np.isfinite(yk).all() and yk.min() >= 0 and peak > 0
                     and lam_v[0] > RANK_TOL * lam_v[-1]):
@@ -220,7 +221,8 @@ def stacked_kkt_exit(R, A, X, y, s, it):
     bound = yk.sum() + max(0.0, -lam_z) * trace_cap
     primal = float(np.trace(V.conj().T @ R @ V).real)
     if not bound - primal <= GAP_TOL * bound:
-        return None
+        out = (vals > 1.0) & ~(y > s)     # the exceeded caps outside A join it
+        return stacked_kkt_exit(R, A, X, y, np.where(out, -np.inf, s), it) if out.any() else None
     return SdpSolution(X=V @ V.conj().T, dual_y=yk, primal_obj=primal,
                        dual_obj=float(bound), gap=float(bound - primal), rank_estimate=r,
                        iterations=it, factor=V)

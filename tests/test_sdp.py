@@ -547,7 +547,7 @@ class TestKktExit:
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8),
            kind=st.sampled_from(["general", "rician"]))
     @settings(deadline=None, max_examples=30)
-    @example(seed=150, n=2, kind="rician")    # the exit at the gap stop's own iteration
+    @example(seed=150, n=2, kind="rician")    # cap 0 active with y_0 ~ 9e-5 < s_0 to iteration 12
     def test_certificate_bounds_every_route(self, seed, n, kind):
         rng = np.random.default_rng(seed)
         p = rand_indiv_problem(rng, n) if kind == "general" else rician_problem(rng, n)
@@ -556,9 +556,7 @@ class TestKktExit:
         assume(ref.rank_estimate == 1)
         relaxation = solve_via_sdp(p)
         sol = relaxation[1]
-        # the exit was taken: it is tried before the gap stop, so it may end
-        # at the plain interior point's own last iteration (1 in ~1,800 draws)
-        assert sol.factor is not None and sol.iterations <= ref.iterations
+        assert sol.iterations < ref.iterations     # the exit was taken
         assert q.traces(sol.X).max() <= 1.0 + 1e-12
         assert_certified(q, sol)
         for route, options in (("sdp", {}), ("cdm", {}), ("grp", {"samples": 64})):
