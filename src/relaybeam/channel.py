@@ -6,18 +6,23 @@ R = E[h h^dagger] of the compound gains h_i = f_i g_i, and the covariance
 Q = E[g g^dagger] of the relay-to-destination gains.  Under the Rician
 model f_i = fbar_i + sqrt(psi_i) ftilde_i, g_j = gbar_j + sqrt(phi_j)
 gtilde_j with independent zero-mean unit-variance perturbations, all three
-have closed forms.  ``powers`` is the one relay-power formula of the
-package.
+have closed forms: R = hh^H + diag(delta) and Q = gbar gbar^H + diag(phi)
+are a diagonal plus rank one.  Statistics from ``build_stats`` are held as
+those vectors, so the SNR, the diagonal test and R's and Q's diagonals
+cost O(n), and R and Q are formed only where a caller reads them.
+``powers`` is the one relay-power formula of the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError
-from .linalg import check_vector, hermitian, is_diagonal, psd_violation, qform, symmetrize
+from .linalg import (_negligible, check_vector, hermitian, is_diagonal, psd_violation, qform,
+                     symmetrize)
 
 
 @dataclass
@@ -48,15 +53,33 @@ class RicianParams:
         return self.f_mean.size
 
 
+class _Rician(NamedTuple):
+    """Statistics from ``build_stats`` as vectors: R = h h^H + diag(delta) and
+    Q = g g^H + diag(phi), with the f-side means and variances that form R."""
+
+    h: np.ndarray       # fbar o gbar
+    delta: np.ndarray   # psi |gbar|^2 + phi |fbar|^2 + psi phi
+    g: np.ndarray       # gbar
+    phi: np.ndarray
+    f: np.ndarray       # fbar
+    psi: np.ndarray
+
+
 @dataclass
 class ChannelStats:
-    """The triple (D, R, Q) plus the common noise variance sigma^2."""
+    """The triple (D, R, Q) plus the common noise variance sigma^2.
+
+    Statistics from ``build_stats`` hold the Rician vectors in ``_rician``
+    instead of R and Q: the first read of R or Q forms both, by the closed
+    form, and keeps them.  ``_forms`` gives the quadratic forms and the
+    diagonals, in O(n) from the vectors where there are any.
+    """
 
     D: np.ndarray        # nonnegative, length n (diagonal entries)
     R: np.ndarray        # Hermitian PSD n x n
     Q: np.ndarray        # Hermitian PSD n x n
     sigma2: float = 1.0
-    _rician = None       # (h, delta, gbar, phi): set by build_stats alone, see there
+    _rician = None       # _Rician: set by build_stats alone, see there
 
     def __post_init__(self):
         self.D = np.asarray(self.D, dtype=float).ravel()
@@ -75,13 +98,50 @@ class ChannelStats:
                     f"{name} is not PSD (lambda_min = {lam:.3e}); covariance "
                     "matrices must be positive semidefinite")
 
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: R and Q not yet formed
+        if name not in ("R", "Q") or self._rician is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.R, self.Q = _form(self._rician)
+        return getattr(self, name)
+
     @property
     def n(self) -> int:
         return self.D.size
 
     def is_diagonal(self) -> bool:
         """True when R and Q carry negligible off-diagonal mass."""
-        return is_diagonal(self.R) and is_diagonal(self.Q)
+        v = self._rician
+        if v is None:
+            return is_diagonal(self.R) and is_diagonal(self.Q)
+        # the off-diagonal mass of u u^H is sum_{i != j} |u_i| |u_j|
+        return all(_negligible(2.0 * (a[1:] @ np.cumsum(a[:-1])), diag.sum())
+                   for a, diag in zip((np.abs(v.h), np.abs(v.g)), self._forms()))
+
+    def _forms(self, w=None):
+        """(w^H R w, w^H Q w), or without w R's and Q's diagonals (real
+        arrays).  On ``build_stats`` statistics they take O(n):
+        |h^H w|^2 + delta |w|^2, |g^H w|^2 + phi |w|^2, and
+        Q_ii = |g_i|^2 + phi_i with R_ii = D_i Q_ii."""
+        v = self._rician
+        if v is None:
+            if w is None:
+                return np.diag(self.R).real, np.diag(self.Q).real
+            return qform(self.R, w), qform(self.Q, w)
+        if w is None:
+            q = np.abs(v.g) ** 2 + v.phi
+            return self.D * q, q
+        aw = w.real ** 2 + w.imag ** 2
+        return (float(abs(np.vdot(v.h, w)) ** 2 + v.delta @ aw),
+                float(abs(np.vdot(v.g, w)) ** 2 + v.phi @ aw))
+
+
+def _form(v: _Rician):
+    """R and Q from the vectors: R is the entrywise product of the f- and
+    g-covariances because f and g are independent and h_i = f_i g_i."""
+    Q = np.outer(v.g, v.g.conj()) + np.diag(v.phi)
+    Rf = np.outer(v.f, v.f.conj()) + np.diag(v.psi)
+    return symmetrize(Rf * Q), symmetrize(Q)
 
 
 def _check_sigma2(sigma2):
@@ -109,41 +169,42 @@ class BeamformingSolution:
 
 
 def build_stats(p: RicianParams, sigma2: float = 1.0) -> ChannelStats:
-    """Closed-form (D, R, Q) for the Rician model.
+    """Closed-form statistics for the Rician model, held as vectors.
 
-    D_ii = |fbar_i|^2 + psi_i;  Q_ij = gbar_i gbar_j^* + sqrt(phi_i phi_j) delta_ij;
-    R_ij is the entrywise product of the f- and g-covariances because f and g
-    are independent and h_i = f_i g_i.  ``RicianParams`` has checked every
-    input, and Q and R (a Schur product of PSD matrices) are Hermitian PSD by
-    construction, so ChannelStats' checks of caller input are skipped and
-    only sigma^2 is checked.  The statistics keep the structure as well:
+    D_ii = |fbar_i|^2 + psi_i;  Q = gbar gbar^H + diag(phi);
     R = h h^H + diag(delta) with h = fbar o gbar and
-    delta = psi |gbar|^2 + phi |fbar|^2 + psi phi, and Q = gbar gbar^H + diag(phi),
-    in the private ``_rician = (h, delta, gbar, phi)`` that total power's
-    secular pair reads; statistics built from matrices never carry it.
+    delta = psi |gbar|^2 + phi |fbar|^2 + psi phi, which is the entrywise
+    product of the f- and g-covariances (R_ii = D_ii Q_ii).  The statistics
+    keep D and these vectors (copies, in the private ``_rician``), and form
+    R and Q as that product the first time either is read; statistics built
+    from matrices never carry them.  ``RicianParams`` has checked every
+    input, and Q and R (a Schur product of PSD matrices) are Hermitian PSD
+    by construction, so ChannelStats' checks of caller input are skipped
+    and only sigma^2 is checked.  Parameters whose R or Q overflows raise:
+    no entry exceeds R's or Q's largest diagonal entry, and symmetrizing
+    doubles it, so the test reads 2 Q_ii max(D_ii, 1) alone.
     """
     sigma2 = float(sigma2)
     _check_sigma2(sigma2)
+    f, psi, g, phi = p.f_mean.copy(), p.f_var.copy(), p.g_mean.copy(), p.g_var.copy()
     with np.errstate(over="ignore", invalid="ignore"):   # overflow is raised below
-        D = np.abs(p.f_mean) ** 2 + p.f_var
-        Q = np.outer(p.g_mean, p.g_mean.conj()) + np.diag(p.g_var)
-        Rf = np.outer(p.f_mean, p.f_mean.conj()) + np.diag(p.f_var)
-        R = symmetrize(Rf * Q)
-    if not np.isfinite(R).all():      # large finite parameters can still overflow
-        raise InputError("the Rician parameters overflow R")
+        f2, g2 = np.abs(f) ** 2, np.abs(g) ** 2
+        D = f2 + psi
+        bound = 2.0 * (g2 + phi) * np.maximum(D, 1.0)
+        h, delta = f * g, psi * g2 + phi * f2 + psi * phi
+    if not np.isfinite(bound).all():      # large finite parameters can still overflow
+        raise InputError("the Rician parameters overflow R or Q")
     stats = object.__new__(ChannelStats)
-    stats.D, stats.R, stats.Q, stats.sigma2 = D, R, symmetrize(Q), sigma2
-    h = p.f_mean * p.g_mean
-    delta = p.f_var * np.abs(p.g_mean) ** 2 + p.g_var * np.abs(p.f_mean) ** 2 + p.f_var * p.g_var
-    stats._rician = (h, delta, p.g_mean, p.g_var)
+    stats.D, stats.sigma2 = D, sigma2
+    stats._rician = _Rician(h=h, delta=delta, g=g, phi=phi, f=f, psi=psi)
     return stats
 
 
 def snr(stats: ChannelStats, Ps: float, w) -> float:
     """Destination SNR (Ps/sigma^2) * (w^H R w) / (1 + w^H Q w)."""
     _check_Ps(Ps)
-    w = np.asarray(w, dtype=complex).ravel()
-    return (Ps / stats.sigma2) * qform(stats.R, w) / (1.0 + qform(stats.Q, w))
+    rr, qq = stats._forms(np.asarray(w, dtype=complex).ravel())
+    return (Ps / stats.sigma2) * rr / (1.0 + qq)
 
 
 def powers(stats: ChannelStats, Ps: float, w):

@@ -22,8 +22,7 @@ from .problems import IndivPowerProblem
 def _diag_parts(p: IndivPowerProblem):
     if not p.stats.is_diagonal():
         raise InputError("R or Q is not diagonal; use the QCQP/search solvers")
-    r = np.diag(p.stats.R).real
-    q = np.diag(p.stats.Q).real
+    r, q = p.stats._forms()
     coef = 1.0 / p.c   # full-cap |w_k|^2
     return r, q, coef
 

@@ -60,7 +60,12 @@ def _real_embed(M):
 def is_diagonal(M) -> bool:
     """True when M's off-diagonal mass is negligible against its trace."""
     off = M - np.diag(np.diag(M))
-    return bool(np.abs(off).sum() <= DIAGONAL_RTOL * max(np.abs(np.trace(M)), 1e-300))
+    return _negligible(np.abs(off).sum(), np.trace(M))
+
+
+def _negligible(mass, trace) -> bool:
+    """is_diagonal's test of an off-diagonal mass against a trace."""
+    return bool(mass <= DIAGONAL_RTOL * max(np.abs(trace), 1e-300))
 
 
 def psd_violation(M) -> float:

@@ -20,19 +20,22 @@ minimizer sqrt(b)/(sqrt(a) + sqrt(b)) of one (see ``_target``).  A run
 stops on the step test |dx/x| < STEP_TOL alone.  ``solve`` searches from
 both bracket ends, stops the run from x_u where a target lands within
 STEP_TOL of the x_l run's x (it could only tie there), and keeps it only at
-a strictly smaller lambda_min.  For diagonal statistics the minimizer is in
-closed form.  The weight direction d^{-1/2} V beta^{-1/2} h, for H's top
+a strictly smaller lambda_min; only the run kept is packaged.  For
+diagonal statistics the minimizer is in closed form, read off R's and Q's
+diagonals.  The weight direction d^{-1/2} V beta^{-1/2} h, for H's top
 eigenvector h, is rescaled so the power budget holds with equality.
 
-Statistics from ``build_stats`` keep the Rician model's structure,
-R = hh^H + diag(delta) and Q = gbar gbar^H + diag(phi), and from
-RICIAN_MIN_N relays they skip the eigendecomposition: the secular pair
+Statistics from ``build_stats`` are the Rician model's vectors,
+R = hh^H + diag(delta) and Q = gbar gbar^H + diag(phi): the diagonal test,
+the closed form and the packaged SNR read them in O(n), and from
+RICIAN_MIN_N relays the search does too, so a solve forms no n x n
+matrix.  There it skips the eigendecomposition: the secular pair
 (``RicianPair``) takes mu(x) as the root of a secular equation of the
 diagonal-plus-rank-two R - mu B(x) (Bunch, Nielsen and Sorensen, Numer.
 Math. 31, 1978), certified to be the top eigenvalue, and its derivatives
 and the bracket's lam_1 and lam_n in O(n) per iterate with no n x n
-factorization.  An evaluation it cannot certify builds the dense pair once,
-notes it in the trace, and the solve finishes on it.
+factorization.  An evaluation it cannot certify builds the dense pair once
+(forming R and Q), notes it in the trace, and the solve finishes on it.
 """
 
 from __future__ import annotations
@@ -108,11 +111,11 @@ def build_s_pair(p: TotalPowerProblem) -> SPair | RicianPair:
     finer than eps lam_n, keeps x there.
     """
     stats = p.stats
-    if stats._rician is None or stats.n < RICIAN_MIN_N:
+    v = stats._rician
+    if v is None or stats.n < RICIAN_MIN_N:
         return _dense_pair(p)
-    h, delta, g, phi = stats._rician
-    r = stats.sigma2 / p.P0
-    d, e = stats.D + r, phi + r
+    g, r = v.g, stats.sigma2 / p.P0
+    d, e = stats.D + r, v.phi + r
     q, w = e / d, np.abs(g) ** 2 / d
     top, dq = q.max(), q.max() - q
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -121,7 +124,7 @@ def build_s_pair(p: TotalPowerProblem) -> SPair | RicianPair:
     low = _secular_low(q, w)
     if tau is None or low is None or not low > stats.n * _EPS * (top + tau):
         return _dense_pair(p)
-    return RicianPair(U=np.stack((h, g)), K=np.stack((d, e, delta)),
+    return RicianPair(U=np.stack((v.h, g)), K=np.stack((d, e, v.delta)),
                       lam=np.array([low, top + tau]), p=p)
 
 
@@ -389,9 +392,9 @@ def solve_diagonal(p: TotalPowerProblem) -> TotalPowerSolution:
     if not stats.is_diagonal():
         raise InputError("R, Q are not diagonal; use newton_solve or solve")
     r = stats.sigma2 / p.P0
-    sa = np.sqrt(stats.D + r)
-    sb = np.sqrt(np.diag(stats.Q).real + r)
-    mu = np.diag(stats.R).real / (sa + sb) ** 2
+    Rd, Qd = stats._forms()
+    sa, sb = np.sqrt(stats.D + r), np.sqrt(Qd + r)
+    mu = Rd / (sa + sb) ** 2
     k0 = int(np.argmax(mu))
     if not mu[k0] > 0:
         raise ModelError("R = 0: no signal reaches the destination, the SNR is 0 for every w")
@@ -400,7 +403,9 @@ def solve_diagonal(p: TotalPowerProblem) -> TotalPowerSolution:
     trace = SolverTrace(columns=TRACE_COLUMNS)
     trace.append(0, x, lam, 0.0, 0.0, 0.0)
     trace.note(f"closed form, k0={k0}")
-    return _package(p, x, lam, np.eye(stats.n)[:, k0] + 0j, 0, trace)
+    e = np.zeros(stats.n, dtype=complex)
+    e[k0] = 1.0
+    return _package(p, x, lam, e, 0, trace)
 
 
 def newton_solve(p: TotalPowerProblem, x0: float, s: SPair | RicianPair | None = None,
@@ -418,6 +423,11 @@ def newton_solve(p: TotalPowerProblem, x0: float, s: SPair | RicianPair | None =
     could only end there: it returns the current iterate and its steps, with
     a trace note.
     """
+    return _package(p, *_run(p, x0, s, meet))
+
+
+def _run(p, x0, s=None, meet=None):
+    """newton_solve's run, unpackaged: (x, lambda_min, direction, steps, trace)."""
     if s is None:
         s = build_s_pair(p)
     xl, xu = bracket_x(s)
@@ -434,13 +444,13 @@ def newton_solve(p: TotalPowerProblem, x0: float, s: SPair | RicianPair | None =
             raise ConvergenceError(f"Newton broke down at iteration {k}: x={x} has target {x_new}")
         if meet is not None and abs((x_new - meet) / meet) < STEP_TOL:
             trace.note(f"met x={meet} after {k} steps")
-            return _package(p, x, lam, w_dir, k, trace)
+            return x, lam, w_dir, k, trace
         trace.append(k, x, lam, d1, d2, x_new - x)
         converged = abs((x_new - x) / x) < STEP_TOL
         x = x_new
         lam, d1, d2, w_dir, gap = lambda_min_g(s, x)
         if converged:
-            return _package(p, x, lam, w_dir, k + 1, trace)
+            return x, lam, w_dir, k + 1, trace
     raise ConvergenceError(f"Newton did not meet the stopping test in {MAX_ITER} iterations")
 
 
@@ -449,15 +459,16 @@ def solve(p: TotalPowerProblem) -> TotalPowerSolution:
     both bracket endpoints.  A run from x_u that meets the x_l run (see
     newton_solve; its trace notes it) would end there and tie, so the x_l
     run is kept.  Otherwise the run from x_u is kept only where it reaches
-    a strictly smaller lambda_min, the quantity both runs minimize."""
+    a strictly smaller lambda_min, the quantity both runs minimize.  Only
+    the run kept is packaged."""
     if p.stats.is_diagonal():
         return solve_diagonal(p)
     s = build_s_pair(p)
     xl, xu = bracket_x(s)
-    run_l = newton_solve(p, xl, s=s)
-    run_u = newton_solve(p, xu, s=s, meet=run_l.x)
-    met = any(note.startswith("met x=") for note in run_u.trace.notes)
-    return run_u if not met and run_u.lambda_min < run_l.lambda_min else run_l
+    run_l = _run(p, xl, s)
+    run_u = _run(p, xu, s, meet=run_l[0])
+    met = any(note.startswith("met x=") for note in run_u[-1].notes)
+    return _package(p, *(run_u if not met and run_u[1] < run_l[1] else run_l))
 
 
 def _target(x, lam, d1, d2, gap, xl, xu):

@@ -7,7 +7,7 @@ from relaybeam import fixtures
 from relaybeam.channel import (BeamformingSolution, ChannelStats, RicianParams,
                                build_stats, powers, snr)
 from relaybeam.errors import InputError
-from relaybeam.linalg import qform
+from relaybeam.linalg import DIAGONAL_RTOL, is_diagonal, qform, symmetrize
 from relaybeam.problems import IndivPowerProblem, TotalPowerProblem
 from conftest import is_psd, monte_carlo_stats, rand_stats
 
@@ -56,6 +56,96 @@ class TestBuildStats:
     def test_negative_variance_rejected(self):
         with pytest.raises(InputError):
             RicianParams(f_mean=[1.0], f_var=[-0.1], g_mean=[1.0], g_var=[0.0])
+
+
+def kind_params(kind, n, seed, scale=1.0):
+    """Rician, Rayleigh, near line-of-sight (variances 1e-3) or pure
+    line-of-sight parameters, with CN(0, 1) means times ``scale``."""
+    rng = np.random.default_rng([seed, n])
+
+    def mean():
+        z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+        return scale * z if kind != "rayleigh" else 0.0 * z
+
+    def var():
+        u = rng.uniform(0.2, 2.0, n)
+        return {"near-los": 1e-3 + 0.0 * u, "los": 0.0 * u}.get(kind, u)
+
+    return RicianParams(f_mean=mean(), f_var=var(), g_mean=mean(), g_var=var())
+
+
+def closed_form(p):
+    """R and Q formed densely: R is the entrywise product of the f- and
+    g-covariances."""
+    Q = np.outer(p.g_mean, p.g_mean.conj()) + np.diag(p.g_var)
+    Rf = np.outer(p.f_mean, p.f_mean.conj()) + np.diag(p.f_var)
+    return symmetrize(Rf * Q), symmetrize(Q)
+
+
+def mass_ratio(M):
+    """M's off-diagonal mass over DIAGONAL_RTOL |trace M|."""
+    return np.abs(M - np.diag(np.diag(M))).sum() / (DIAGONAL_RTOL * abs(np.trace(M)))
+
+
+KINDS = ("rician", "rayleigh", "near-los", "los")
+
+
+class TestVectorStatistics:
+    """build_stats statistics as vectors against the matrices they stand for."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [3, 16, 64])
+    def test_forms_and_diagonals_match_the_matrices(self, n, kind):
+        p = kind_params(kind, n, 1)
+        s = build_stats(p)
+        R, Q = closed_form(p)
+        rng = np.random.default_rng(n)
+        for w in (rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))):
+            for got, M in zip(s._forms(w), (R, Q)):
+                assert got == pytest.approx(qform(M, w), rel=1e-13, abs=0.0)
+        for got, M in zip(s._forms(), (R, Q)):
+            assert np.allclose(got, np.diag(M).real, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [3, 16, 64])
+    def test_matrices_are_formed_on_first_read_as_the_closed_form(self, n, kind):
+        p = kind_params(kind, n, 2)
+        s = build_stats(p)
+        assert "R" not in vars(s) and "Q" not in vars(s)
+        R, Q = closed_form(p)
+        assert np.array_equal(s.Q, Q) and np.array_equal(s.R, R)
+        assert vars(s)["R"] is s.R       # formed once and kept
+        assert np.array_equal(s.D, np.abs(p.f_mean) ** 2 + p.f_var)
+        assert s.is_diagonal() == (is_diagonal(R) and is_diagonal(Q)) == (kind == "rayleigh")
+
+    def test_formed_from_copies_of_the_parameters(self):
+        p = kind_params("rician", 4, 3)
+        s = build_stats(p)
+        R, Q = closed_form(p)
+        p.f_mean[0] = p.g_var[1] = 7.0
+        assert np.array_equal(s.R, R) and np.array_equal(s.Q, Q)
+
+    def test_other_missing_attributes_still_raise(self):
+        with pytest.raises(AttributeError, match="'ChannelStats' object has no attribute 'P'"):
+            build_stats(kind_params("rician", 3, 0)).P
+
+    @pytest.mark.parametrize("factor", [1e-3, 1.0 - 1e-9, 1.0 + 1e-9, 1e3])
+    @pytest.mark.parametrize("n", [3, 16, 64])
+    def test_diagonal_verdict_at_the_tolerance(self, n, factor):
+        # means scaled by t so that the larger of R's and Q's off-diagonal
+        # mass is factor DIAGONAL_RTOL |trace|, in the dense matrices
+        def ratio(t):
+            return max(mass_ratio(M) for M in closed_form(kind_params("rician", n, 4, t)))
+
+        lo, hi = 0.0, 1.0
+        for _ in range(80):
+            t = 0.5 * (lo + hi)
+            lo, hi = (t, hi) if ratio(t) < factor else (lo, t)
+        p = kind_params("rician", n, 4, hi)
+        R, Q = closed_form(p)
+        dense = is_diagonal(R) and is_diagonal(Q)
+        assert dense == (factor < 1.0)
+        assert build_stats(p).is_diagonal() == dense
 
 
 class TestSnr:

@@ -35,6 +35,20 @@ CASES = {
     "rician-overflow": (lambda: build_stats(RicianParams(f_mean=[1e160, 1], f_var=[1, 1],
                                                          g_mean=[1, 1], g_var=[1, 1])),
                         "overflow R"),
+    "rician-overflow-g-mean": (lambda: build_stats(RicianParams(f_mean=[1, 1], f_var=[1, 1],
+                                                                g_mean=[1e160, 1], g_var=[1, 1])),
+                               "overflow R"),
+    "rician-overflow-g-var": (lambda: build_stats(RicianParams(f_mean=[1, 1], f_var=[1, 1],
+                                                               g_mean=[1, 1], g_var=[1e308, 1e308])),
+                              "overflow R"),
+    # relay 0 has no source link, and its R entry is 0 inf = NaN in the dense product
+    "rician-overflow-nan": (lambda: build_stats(RicianParams(f_mean=[0, 1], f_var=[0, 1],
+                                                             g_mean=[1e160, 1], g_var=[1, 1])),
+                            "overflow R"),
+    # R is finite, but symmetrizing Q doubles its first diagonal entry past float64
+    "rician-overflow-q": (lambda: build_stats(RicianParams(f_mean=[0, 1], f_var=[1e-10, 1],
+                                                           g_mean=[0, 1], g_var=[1e308, 1])),
+                          "overflow R or Q"),
     "stats-sizes": (lambda: ChannelStats(D=np.ones(3), R=I2, Q=I2, sigma2=1.0), "D, R, Q"),
     "stats-r-not-psd": (lambda: ChannelStats(D=np.ones(2), R=np.diag([1.0, -1.0]), Q=I2,
                                              sigma2=1.0), "R is not PSD"),

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relaybeam import fixtures, total_power
+from relaybeam import channel, fixtures, indiv_diag, total_power
 from relaybeam.channel import ChannelStats, RicianParams, build_stats, snr
 from relaybeam.errors import ConvergenceError, InputError, ModelError
 from relaybeam.oracle import brute_force_total
-from relaybeam.problems import TotalPowerProblem
+from relaybeam.problems import IndivPowerProblem, TotalPowerProblem
 from relaybeam.total_power import (GAP_TOL, _target, bracket_x, build_s_pair,
                                    lambda_min_g, newton_solve, solve,
                                    solve_diagonal)
@@ -577,18 +578,18 @@ class TestMeetingStop:
         assert sol.x == run_l.x and sol.iterations == 3
 
     def test_a_met_run_never_competes(self, monkeypatch):
-        # the met x_u run stopped short of its end, so its SNR is not
-        # compared: even a larger one leaves the x_l run returned
-        inner = total_power.newton_solve
+        # the met x_u run stopped short of its end, so its lambda_min is not
+        # compared: even a smaller one leaves the x_l run returned
+        inner = total_power._run
 
-        def inflated(p, x0, s=None, meet=None):
-            sol = inner(p, x0, s=s, meet=meet)
-            return dataclasses.replace(sol, snr=2.0 * sol.snr) if sol.trace.notes else sol
+        def deflated(p, x0, s=None, meet=None):
+            x, lam, w_dir, steps, trace = inner(p, x0, s, meet)
+            return x, 0.5 * lam if trace.notes else lam, w_dir, steps, trace
 
         p = fixture_problem(2)
         s = build_s_pair(p)
         run_l = newton_solve(p, bracket_x(s)[0], s=s)
-        monkeypatch.setattr(total_power, "newton_solve", inflated)
+        monkeypatch.setattr(total_power, "_run", deflated)
         sol = solve(p)
         assert (sol.x, sol.snr, sol.iterations) == (run_l.x, run_l.snr, run_l.iterations)
 
@@ -880,7 +881,8 @@ class TestSecularPair:
         p = los_problem(16, 0.0, 1e11, [0, 16])
         s = build_s_pair(p)
         assert isinstance(s, total_power.RicianPair)
-        h, _, g, phi = p.stats._rician
+        v = p.stats._rician
+        h, g, phi = v.h, v.g, v.phi
         F = Fraction
         r = F(p.stats.sigma2) / F(p.P0)
 
@@ -967,17 +969,17 @@ class TestSecularPair:
 
     def test_a_fallback_note_leaves_the_x_u_run_competing(self, monkeypatch):
         # only the meeting note stops the x_u run from being compared
-        inner = total_power.newton_solve
+        inner = total_power._run
 
         def noted(p, x0, s=None, meet=None):
-            sol = inner(p, x0, s=s, meet=meet)
+            x, lam, w_dir, steps, trace = inner(p, x0, s, meet)
             if meet is not None:
-                sol.trace.note(f"dense pair from x={x0}: the secular pair did not certify")
-                sol = dataclasses.replace(sol, lambda_min=0.5 * sol.lambda_min)
-            return sol
+                trace.note(f"dense pair from x={x0}: the secular pair did not certify")
+                lam = 0.5 * lam
+            return x, lam, w_dir, steps, trace
 
         p = fixture_problem(1)      # two basins: the x_u run is not met
-        monkeypatch.setattr(total_power, "newton_solve", noted)
+        monkeypatch.setattr(total_power, "_run", noted)
         sol = solve(p)
         assert sol.trace.notes and sol.x == pytest.approx(0.5844, abs=5e-3)
 
@@ -1001,6 +1003,47 @@ class TestSecularPair:
         assert isinstance(build_s_pair(matrix_built(p)), total_power.SPair)
         # pure line of sight where Q + rI is singular to working precision
         assert isinstance(build_s_pair(los_problem(64, 0.0, 1e16, 64)), total_power.SPair)
+
+
+@pytest.fixture
+def unformed(monkeypatch):
+    """Reading R or Q of build_stats statistics raises."""
+    def refuse(v):
+        raise AssertionError("R and Q formed")
+    monkeypatch.setattr(channel, "_form", refuse)
+
+
+class TestUnformedStatistics:
+    # solves on build_stats statistics that read only the vectors
+    @pytest.mark.parametrize("n", [total_power.RICIAN_MIN_N, 64, 4096])
+    def test_secular_solve(self, n, unformed):
+        p = rician_problem(n, 10.0, n)
+        sol = solve(p)
+        used = total_power.as_beamforming_solution(p, sol).feasibility[0]
+        assert sol.iterations > 0 and not sol.trace.notes
+        assert abs(used) <= 1e-12 * p.P0
+
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_rayleigh_closed_forms(self, n, unformed):
+        rng = np.random.default_rng(n)
+        stats = build_stats(RicianParams(f_mean=np.zeros(n), f_var=rng.uniform(0.2, 2.0, n),
+                                         g_mean=np.zeros(n), g_var=rng.uniform(0.2, 2.0, n)))
+        sol = solve(TotalPowerProblem(stats=stats, P0=10.0))
+        assert sol.iterations == 0 and np.count_nonzero(sol.w) == 1
+        indiv = indiv_diag.solve_diagonal(IndivPowerProblem(stats=stats, Ps=1.0, P=np.ones(n)))
+        assert indiv.snr > 0 and (indiv.feasibility >= -1e-12).all()
+
+    def test_large_n_in_linear_memory(self, unformed):
+        # n x n complex R at n = 1e5 would take 160 GB
+        p = rician_problem(10 ** 5, 10.0, 5)
+        tracemalloc.start()
+        try:
+            sol = solve(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.iterations > 0 and not sol.trace.notes
+        assert peak < 64 * 2 ** 20
 
 
 class TestLineOfSightAtLargeP0:
