@@ -65,14 +65,15 @@ class _Rician(NamedTuple):
     psi: np.ndarray
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class ChannelStats:
     """The triple (D, R, Q) plus the common noise variance sigma^2.
 
     Statistics from ``build_stats`` hold the Rician vectors in ``_rician``
     instead of R and Q: the first read of R or Q forms both, by the closed
     form, and keeps them.  ``_forms`` gives the quadratic forms and the
-    diagonals, in O(n) from the vectors where there are any.
+    diagonals, in O(n) from the vectors where there are any.  The repr shows
+    the data held, so it forms nothing, and equality is identity.
     """
 
     D: np.ndarray        # nonnegative, length n (diagonal entries)
@@ -104,6 +105,12 @@ class ChannelStats:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         self.R, self.Q = _form(self._rician)
         return getattr(self, name)
+
+    def __repr__(self):
+        v = self._rician
+        held = {"R": self.R, "Q": self.Q} if v is None else v._asdict()
+        fields = {"D": self.D, "sigma2": self.sigma2, **held}
+        return f"ChannelStats({', '.join(f'{k}={a!r}' for k, a in fields.items())})"
 
     @property
     def n(self) -> int:

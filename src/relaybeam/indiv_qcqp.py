@@ -182,22 +182,28 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
     of X: with the eigenpairs of X that ``range_eigh`` keeps (the rule behind
     ``SdpSolution.rank_estimate``) L = U_r sqrt(lambda_r), and each sample
     is w = L zeta for zeta ~ CN(0, I_r).  A sample's value is unchanged by
-    w -> alpha w, so it depends only on the complex ray of zeta, and the
-    polar (Box-Muller) form draws that ray with its CN(0, I_r) law from
-    2r - 1 uniforms and no normal: row u of one (samples, 2r - 1) block
-    gives independent unit exponentials |zeta_k|^2 = -log(1 - u_k) and the
-    phases 2 pi u_{r+k} of zeta_{k+1} relative to zeta_1, which is real.
-    The phasors are taken in float32 and renormalized in float64, so every
-    value and the returned w come from one zeta.  When X has rank one (the
-    report's ``rank_estimate`` is 1), every sample has the same value, so
-    one sample is drawn whatever ``samples`` says.  Every quadratic form is
-    linear in zeta zeta^H: up to rank ``_GRP_FEATURE_MAX_RANK`` one (n + 2)
-    x r^2 product on its r^2 real features gives w^H R w, w^H Q w and each
-    c_k |w_k|^2, (n + 2) r^2 multiply-adds a sample; above it the forms are
-    taken in the real embedding of zeta, 8 r^2 + 4 n r.  So GRP's cost
-    follows r and n, and its draw only r.  The kernel runs on the calling
-    thread in column chunks that keep its temporaries in cache, and the
-    first maximum wins.
+    w -> alpha w, so it depends only on the complex ray of zeta, which is
+    drawn with its CN(0, I_r) law from uniforms alone.  At rank two the
+    normalized ray is uniform on the Bloch sphere: the share t = |zeta_2|^2
+    / |zeta|^2 is U(0, 1) and independent of the relative phase, so row (t,
+    u) of one (samples, 2) block gives zeta = (sqrt(1 - t), sqrt(t) p), p
+    the float32 phasor of 2 pi u, with no logarithm and no normalization.
+    Above rank two the polar (Box-Muller) form takes 2r - 1 uniforms: row u
+    of one (samples, 2r - 1) block gives independent unit exponentials
+    |zeta_k|^2 = -log(1 - u_k) and the phases 2 pi u_{r+k} of zeta_{k+1}
+    relative to zeta_1, which is real; its float32 phasors are renormalized
+    in float64.  Either way every value and the returned w come from one
+    zeta.  When X has rank one (the report's ``rank_estimate`` is 1), every
+    sample has the same value, so one sample is drawn whatever ``samples``
+    says.  Every quadratic form is linear in zeta zeta^H: up to rank
+    ``_GRP_FEATURE_MAX_RANK`` one (n + 2) x r^2 product on its r^2 real
+    features gives w^H R w, w^H Q w and each c_k |w_k|^2, (n + 2) r^2
+    multiply-adds a sample, and at rank two the draw gives those features
+    directly; above it the forms are taken in the real embedding of zeta,
+    8 r^2 + 4 n r.
+    So GRP's cost follows r and n, and its draw only r.  The kernel runs on
+    the calling thread in column chunks that keep its temporaries in cache,
+    and the first maximum wins.
     """
     _check_samples(samples)
     if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
@@ -216,14 +222,39 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
     best_val, best_w = -np.inf, None
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
     for c0 in range(0, samples, _GRP_CHUNK):
-        e, Z = _polar_rays(rng, min(_GRP_CHUNK, samples - c0), r)
-        robj, worst = forms(e, Z)
+        m = min(_GRP_CHUNK, samples - c0)
+        if r == 2:
+            F = _bloch_features(rng, m)
+            robj, worst = forms(F)
+        else:
+            e, Z = _polar_rays(rng, m, r)
+            robj, worst = forms(e, Z)
         vals = robj / worst
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_val = float(vals[i])
-            best_w = L @ (Z[:r, i] + 1j * Z[r:, i]) / np.sqrt(worst[i])
+            # at rank two (F_0, F_2 + i F_3) = sqrt(1 - t) zeta
+            zeta = (np.array([F[0, i], F[2, i] + 1j * F[3, i]]) / np.sqrt(F[0, i]) if r == 2
+                    else Z[:r, i] + 1j * Z[r:, i])
+            best_w = L @ zeta / np.sqrt(worst[i])
     return best_w
+
+
+def _bloch_features(rng, m):
+    """The next m rows (t, u) of GRP's (samples, 2) block of uniforms at
+    rank two as the features of zeta = (sqrt(1 - t), sqrt(t) p), p the
+    float32 phasor of 2 pi u: (1 - t, t |p|^2, s Re p, s Im p) in rows,
+    shape (4, m), with s = sqrt(t (1 - t))."""
+    t, u = rng.random((m, 2)).T
+    ang = np.multiply(u, 2 * np.pi, dtype=np.float32)
+    cos, sin = np.cos(ang), np.sin(ang)
+    F = np.empty((4, m))
+    np.subtract(1.0, t, out=F[0])
+    np.multiply(t, np.square(cos, dtype=float) + np.square(sin, dtype=float), out=F[1])
+    s = np.sqrt(t * F[0])
+    np.multiply(s, cos, out=F[2])
+    np.multiply(s, sin, out=F[3])
+    return F
 
 
 def _polar_rays(rng, m, r):
@@ -245,8 +276,10 @@ def _polar_rays(rng, m, r):
 
 
 def _grp_forms(L, q: QcqpInstance):
-    """``grp_extract``'s chunk kernel: rays (e, Z) of ``_polar_rays`` to the
-    rows w^H R w and max_k (w^H Q w + c_k |w_k|^2), w = L zeta."""
+    """``grp_extract``'s chunk kernel: the rays of a chunk to the rows w^H R w
+    and max_k (w^H Q w + c_k |w_k|^2), w = L zeta.  The rays are the
+    features of ``_bloch_features`` at rank two, else (e, Z) of
+    ``_polar_rays``."""
     r = L.shape[1]
     RQ = L.conj().T @ np.stack([q.R, q.Q]) @ L
     if r > _GRP_FEATURE_MAX_RANK:
@@ -272,6 +305,12 @@ def _grp_forms(L, q: QcqpInstance):
     C = np.hstack([A.diagonal(axis1=1, axis2=2).real,
                    2 * A[:, iu, ju].real, -2 * A[:, iu, ju].imag])
 
+    def forms(F):
+        V = C @ F
+        return V[0], V[1] + V[2:].max(axis=0)
+    if r == 2:      # the features come from ``_bloch_features``
+        return forms
+
     def featured(e, Z):
         # the features |zeta_k|^2, Re P_ij, Im P_ij (i < j, row-major)
         F = np.empty((r * r, e.shape[1]))
@@ -286,8 +325,7 @@ def _grp_forms(L, q: QcqpInstance):
             if i:       # Im zeta_1 = 0
                 re[pairs] += Z[r + i] * Z[r + i + 1:]
                 im[pairs] -= Z[r + i] * Z[i + 1:r]
-        V = C @ F
-        return V[0], V[1] + V[2:].max(axis=0)
+        return forms(F)
     return featured
 
 

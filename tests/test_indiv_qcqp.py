@@ -13,26 +13,41 @@ from relaybeam.sdp import _gauge_basis, range_eigh
 from conftest import constraint_stack, degenerate_qcqp_instance, rand_indiv_problem, rand_pd
 
 
-def grp_reference(X, q, samples, seed):
+def grp_values(X, q, samples, seed):
     """GRP in complex (samples, n) arithmetic on the same uniform draws: L
-    L^H = X on the eigenpairs above 1e-6 lambda_max, one (samples, 2r - 1)
-    block u from SFC64 seeded by SeedSequence(seed), zeta_k = sqrt(-log(1 -
-    u_k)) p_k / |p_k| with p_1 = 1 and p_k = exp(i a) for the float32 angle
-    a = 2 pi u_{r+k-1}, and w = L zeta.  It draws every sample at every
-    rank.  Both chunked kernels of ``grp_extract`` must agree with it."""
+    L^H = X on the eigenpairs above 1e-6 lambda_max, and from SFC64 seeded
+    by SeedSequence(seed) one block u of uniforms and the rays zeta, w = L
+    zeta.  At rank two u is (samples, 2) and zeta = (sqrt(1 - t), sqrt(t) p)
+    with t = u_1 and p = exp(i a); at any other rank u is (samples, 2r - 1)
+    and zeta_k = sqrt(-log(1 - u_k)) p_k / |p_k| with p_1 = 1 and p_k =
+    exp(i a_k); a is the float32 angle 2 pi u of the phase column(s).  It
+    draws every sample at every rank.  Returns the samples w, their worst
+    constraint values and their objective values."""
     wv, U = np.linalg.eigh(symmetrize(X))
     keep = wv > 1e-6 * wv.max()
     L = U[:, keep] * np.sqrt(wv[keep])
     r = L.shape[1]
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
-    u = rng.random((samples, 2 * r - 1))
-    a = u[:, r:].astype(np.float32) * np.float32(2 * np.pi)
-    p = np.ones((samples, r), dtype=complex)
-    p[:, 1:] = np.cos(a) + 1j * np.sin(a)
-    W = (np.sqrt(-np.log1p(-u[:, :r])) * p / np.abs(p)) @ L.T
+    if r == 2:
+        t, u = rng.random((samples, 2)).T
+        a = u.astype(np.float32) * np.float32(2 * np.pi)
+        zeta = np.stack([np.sqrt(1.0 - t), np.sqrt(t) * (np.cos(a) + 1j * np.sin(a))], axis=1)
+    else:
+        u = rng.random((samples, 2 * r - 1))
+        a = u[:, r:].astype(np.float32) * np.float32(2 * np.pi)
+        p = np.ones((samples, r), dtype=complex)
+        p[:, 1:] = np.cos(a) + 1j * np.sin(a)
+        zeta = np.sqrt(-np.log1p(-u[:, :r])) * p / np.abs(p)
+    W = zeta @ L.T
     quad_Q = ((W @ q.Q.T) * W.conj()).sum(axis=1).real
     worst = (quad_Q[:, None] + np.abs(W) ** 2 * q.c[None, :]).max(axis=1)
-    vals = ((W @ q.R.T) * W.conj()).sum(axis=1).real / worst
+    return W, worst, ((W @ q.R.T) * W.conj()).sum(axis=1).real / worst
+
+
+def grp_reference(X, q, samples, seed):
+    """The best of ``grp_values``, rescaled to the feasible boundary.  Every
+    kernel of ``grp_extract`` must agree with it."""
+    W, worst, vals = grp_values(X, q, samples, seed)
     i = int(np.argmax(vals))
     return W[i] / np.sqrt(worst[i])
 
@@ -409,12 +424,13 @@ class TestGrp:
         monkeypatch.setattr(np.random, "Generator", Counting)
         samples = 2 * _GRP_CHUNK + 17
         grp_extract(V @ V.conj().T, build_qcqp(p), samples, seed=4)
-        # one stream per call and 2r - 1 uniforms a sample; at rank one every
-        # sample ties, so only the first one is drawn
+        # one stream per call and 2r - 1 uniforms a sample, 2 at rank two; at
+        # rank one every sample ties, so only the first one is drawn
         assert len(made) == 1
-        assert sum(drawn) == (2 * rank - 1) * (1 if rank == 1 else samples)
+        per_sample = 2 if rank == 2 else 2 * rank - 1
+        assert sum(drawn) == per_sample * (1 if rank == 1 else samples)
 
-    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("r", [3, 4])
     def test_polar_rays_have_the_complex_normal_ray_law(self, r):
         # under CN(0, I_r) a share |zeta_k|^2 / |zeta|^2 is Beta(1, r - 1), so
         # it averages 1/r with second moment 2 / (r (r + 1)), and the relative
@@ -440,7 +456,61 @@ class TestGrp:
         within_4_se(rel.real, 0.0)
         within_4_se(rel.imag, 0.0)
 
-    @pytest.mark.parametrize("r", [1, 2, 4, 5, 8])
+    def test_bloch_rays_have_the_complex_normal_ray_law(self):
+        # at rank two the share t = |zeta_2|^2 / |zeta|^2 is U(0, 1): it
+        # averages 1/2 with second moment 1/3, and the relative phasor
+        # averages 0, each within 4 standard errors over 10^5 rows
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([7, 2])))
+        F = indiv_qcqp._bloch_features(rng, 10 ** 5)
+        assert np.all(F[0] > 0) and np.all(F[1] >= 0)
+        t = F[1] / (F[0] + F[1])
+        rel = (F[2] + 1j * F[3]) / np.sqrt(F[0] * F[1])
+        # the features are those of one zeta: |zeta_1 zeta_2| = s |p|
+        assert np.abs(np.abs(rel) - 1.0).max() <= 1e-14
+
+        def within_4_se(x, mean):
+            se = x.std() / np.sqrt(x.size)
+            assert abs(x.mean() - mean) <= 4 * se
+
+        within_4_se(t, 1 / 2)
+        within_4_se(t ** 2, 1 / 3)
+        within_4_se(rel.real, 0.0)
+        within_4_se(rel.imag, 0.0)
+
+    def test_bloch_kernel_agrees_with_the_embedding(self, monkeypatch):
+        # the rank-two kernel on the features and the real-embedded one on
+        # the rays zeta = (F_0, F_2 + i F_3) / sqrt(F_0) give the same forms
+        rng = np.random.default_rng([2, 8])
+        q = build_qcqp(rand_indiv_problem(rng, 8))
+        L = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+        F = indiv_qcqp._bloch_features(np.random.default_rng(2), 1000)
+        zeta = np.stack([F[0], F[2] + 1j * F[3]]) / np.sqrt(F[0])
+        e, Z = np.abs(zeta) ** 2, np.vstack([zeta.real, zeta.imag])
+        got = np.array(indiv_qcqp._grp_forms(L, q)(F))
+        monkeypatch.setattr(indiv_qcqp, "_GRP_FEATURE_MAX_RANK", 1)
+        ref = np.array(indiv_qcqp._grp_forms(L, q)(e, Z))
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [4, 6, 9])
+    def test_rank_two_returns_the_ray_of_its_best_value(self, n):
+        # every value and the returned w come from one zeta: w's value is
+        # the best one and its tightest cap is met exactly
+        if n in fixtures.INDIV_EXPECT:
+            p = fixture_problem(n)
+            X = solve_via_sdp(p)[1].X
+        else:
+            rng = np.random.default_rng([n, 2])
+            p = rand_indiv_problem(rng, n)
+            V = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+            X = V @ V.conj().T
+        q = build_qcqp(p)
+        samples = 2 * _GRP_CHUNK + 5
+        w = grp_extract(X, q, samples, seed=n)
+        best = grp_values(X, q, samples, seed=n)[2].max()
+        assert qcqp_objective(q, w) == pytest.approx(best, rel=1e-12)
+        assert q.constraint_values(w).max() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("r", [1, 3, 4, 5, 8])
     def test_kernels_agree_across_the_rank_gate(self, r, monkeypatch):
         # the r^2-feature kernel and the real-embedded one give the same
         # forms on the same rays, whichever side of the gate r is on

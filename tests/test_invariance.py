@@ -10,7 +10,10 @@
   (R, Q, c) to (P R P^T, P Q P^T, P c) and (Phi R Phi^H, Phi Q Phi^H, c):
   the relaxation's value agrees within GAP_TOL of its bound, and its rank
   estimate is equal, at rank one and at rank two, where the KKT exit or the
-  gap stop ends the interior point.
+  gap stop ends the interior point.  For total power they map w to P w and
+  Phi w (on ``build_stats`` statistics the relays' parameters are relabeled,
+  and g_mean -> Phi g_mean): the SNR and w, up to a global phase, agree to
+  round-off, for statistics built from matrices and by ``build_stats``.
 """
 import numpy as np
 import pytest
@@ -99,10 +102,14 @@ def test_total_power_objective_scale(n, j):
         assert np.array_equal(b.w, a.w) and b.snr == 4.0 ** j * a.snr
 
 
-def rician_stats(rng, n, sigma2):
+def rician_params(rng, n):
     mean = lambda: (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-    return build_stats(RicianParams(f_mean=mean(), f_var=rng.uniform(0.2, 2.0, n),
-                                    g_mean=mean(), g_var=rng.uniform(0.2, 2.0, n)), sigma2)
+    return RicianParams(f_mean=mean(), f_var=rng.uniform(0.2, 2.0, n),
+                        g_mean=mean(), g_var=rng.uniform(0.2, 2.0, n))
+
+
+def rician_stats(rng, n, sigma2):
+    return build_stats(rician_params(rng, n), sigma2)
 
 
 @pytest.mark.parametrize("built", ["matrices", "build_stats"])
@@ -125,3 +132,29 @@ def test_total_power_noise_and_budget_scale(built, n, j):
         b = total_power.solve(TotalPowerProblem(stats=scaled, P0=4.0 ** j * p.P0))
         assert (b.x, b.snr, b.iterations) == (a.x, a.snr, a.iterations)
         assert np.array_equal(b.w, a.w) and b.Ps == 4.0 ** j * a.Ps
+
+
+@pytest.mark.parametrize("built", ["matrices", "build_stats"])
+@pytest.mark.parametrize("n", [4, 16, 64])
+@pytest.mark.parametrize("relation", ["relabel", "rotate"])
+def test_total_power_relabel_and_rotate(relation, n, built):
+    for seed in range(5):
+        rng = np.random.default_rng([seed, n, 18])
+        perm = rng.permutation(n) if relation == "relabel" else np.arange(n)
+        phi = (np.exp(1j * rng.uniform(0.0, 2 * np.pi, n)) if relation == "rotate"
+               else np.ones(n))
+        if built == "matrices":
+            p = rand_total_problem(rng, n)
+            s, turn, moved = p.stats, phi[:, None] * phi.conj(), np.ix_(perm, perm)
+            stats = ChannelStats(D=s.D[perm], R=turn * s.R[moved], Q=turn * s.Q[moved],
+                                 sigma2=s.sigma2)
+        else:
+            a = rician_params(rng, n)
+            p = TotalPowerProblem(stats=build_stats(a), P0=float(rng.uniform(2.0, 20.0)))
+            stats = build_stats(RicianParams(f_mean=a.f_mean[perm], f_var=a.f_var[perm],
+                                             g_mean=phi * a.g_mean[perm], g_var=a.g_var[perm]))
+        a, b = total_power.solve(p), total_power.solve(TotalPowerProblem(stats=stats, P0=p.P0))
+        assert b.snr == pytest.approx(a.snr, rel=1e-12, abs=0.0)
+        want = phi * a.w[perm]
+        turn = np.vdot(want, b.w)
+        assert np.abs(b.w - turn / abs(turn) * want).max() <= 1e-12 * np.abs(want).max()

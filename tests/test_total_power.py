@@ -1033,6 +1033,18 @@ class TestUnformedStatistics:
         indiv = indiv_diag.solve_diagonal(IndivPowerProblem(stats=stats, Ps=1.0, P=np.ones(n)))
         assert indiv.snr > 0 and (indiv.feasibility >= -1e-12).all()
 
+    def test_repr_and_equality_form_nothing(self, unformed):
+        # the repr shows the vectors held, and equality is identity, where a
+        # field-wise comparison formed R and Q and then raised ValueError
+        s, t = rician_problem(64, 10.0, 1).stats, rician_problem(64, 10.0, 1).stats
+        text = repr(s)
+        assert text.startswith("ChannelStats(D=array([") and ", sigma2=1.0, h=array([" in text
+        assert all(f", {name}=array([" in text for name in ("delta", "g", "phi", "f", "psi"))
+        assert s == s and s != t
+        assert "R" not in vars(s) and "Q" not in vars(s)
+        dense = ChannelStats(D=np.ones(2), R=np.eye(2), Q=np.eye(2))
+        assert ", sigma2=1.0, R=array([[" in repr(dense) and ", Q=array([[" in repr(dense)
+
     def test_large_n_in_linear_memory(self, unformed):
         # n x n complex R at n = 1e5 would take 160 GB
         p = rician_problem(10 ** 5, 10.0, 5)
