@@ -25,7 +25,7 @@ import numpy as np
 from . import indiv_diag, indiv_search
 from .channel import BeamformingSolution
 from .errors import InputError
-from .linalg import _real_embed, qform, symmetrize
+from .linalg import qform, symmetrize
 from .problems import IndivPowerProblem
 from .sdp import QcqpInstance, _gauge_basis, range_eigh, solve_relaxation
 
@@ -33,10 +33,6 @@ FALLBACKS = ("cdm", "pnorm")     # the searches the sdp route falls back to
 ROUTES = ("auto", "indiv-diag", "sdp", *FALLBACKS, "grp")
 
 _GRP_CHUNK = 4096   # GRP samples per column chunk: its temporaries stay in L2
-# GRP's feature kernel up to this rank, the real embedding above it.  At 10^5
-# samples on one BLAS thread the features took 0.6x the embedding's time at
-# r = 4 (n = 6 to 64), but 1.5x at r = 5, n = 6 and 2.6x at r = 16, n = 16
-_GRP_FEATURE_MAX_RANK = 4
 
 
 def build_qcqp(p: IndivPowerProblem) -> QcqpInstance:
@@ -195,13 +191,11 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
     in float64.  Either way every value and the returned w come from one
     zeta.  When X has rank one (the report's ``rank_estimate`` is 1), every
     sample has the same value, so one sample is drawn whatever ``samples``
-    says.  Every quadratic form is linear in zeta zeta^H: up to rank
-    ``_GRP_FEATURE_MAX_RANK`` one (n + 2) x r^2 product on its r^2 real
-    features gives w^H R w, w^H Q w and each c_k |w_k|^2, (n + 2) r^2
-    multiply-adds a sample, and at rank two the draw gives those features
-    directly; above it the forms are taken in the real embedding of zeta,
-    8 r^2 + 4 n r.
-    So GRP's cost follows r and n, and its draw only r.  The kernel runs on
+    says.  Every quadratic form is linear in zeta zeta^H, so at every rank
+    one (n + 2) x r^2 product on its r^2 real features (``_grp_forms``)
+    gives w^H R w, w^H Q w and each c_k |w_k|^2, (n + 2) r^2 multiply-adds
+    a sample; at rank two the draw gives those features directly.  So
+    GRP's cost follows r^2 and n, and its draw only r.  The kernel runs on
     the calling thread in column chunks that keep its temporaries in cache,
     and the first maximum wins.
     """
@@ -218,18 +212,19 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
         # every sample lies on the ray of L, so rescaling gives every sample
         # the same value, and the first sample wins the tie
         samples = 1
-    forms = _grp_forms(L, q)
+    C = _grp_forms(L, q)
     best_val, best_w = -np.inf, None
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
     for c0 in range(0, samples, _GRP_CHUNK):
         m = min(_GRP_CHUNK, samples - c0)
         if r == 2:
             F = _bloch_features(rng, m)
-            robj, worst = forms(F)
         else:
             e, Z = _polar_rays(rng, m, r)
-            robj, worst = forms(e, Z)
-        vals = robj / worst
+            F = _polar_features(e, Z)
+        V = C @ F
+        worst = V[1] + V[2:].max(axis=0)
+        vals = V[0] / worst
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_val = float(vals[i])
@@ -276,57 +271,38 @@ def _polar_rays(rng, m, r):
 
 
 def _grp_forms(L, q: QcqpInstance):
-    """``grp_extract``'s chunk kernel: the rays of a chunk to the rows w^H R w
-    and max_k (w^H Q w + c_k |w_k|^2), w = L zeta.  The rays are the
-    features of ``_bloch_features`` at rank two, else (e, Z) of
-    ``_polar_rays``."""
+    """``grp_extract``'s (n + 2) x r^2 matrix C of the quadratic forms of w =
+    L zeta in the r^2 real features F of zeta zeta^H: the rows of C @ F are
+    w^H R w, w^H Q w and each c_k |w_k|^2.  The features are those of
+    ``_bloch_features`` at rank two, else of ``_polar_features``."""
     r = L.shape[1]
     RQ = L.conj().T @ np.stack([q.R, q.Q]) @ L
-    if r > _GRP_FEATURE_MAX_RANK:
-        # with E(M) = [[Re M, -Im M], [Im M, Re M]] and z = [Re zeta; Im
-        # zeta], both forms are z^T E(L^H M L) z, and w's real embedding is
-        # E(L) z (scaled by sqrt(c): 2n rows)
-        K = np.vstack([_real_embed(M) for M in RQ])
-        EL = _real_embed(np.sqrt(q.c)[:, None] * L)
-
-        def embedded(e, Z):
-            KZ = (K @ Z).reshape(2, 2 * r, -1)
-            KZ *= Z
-            robj, quad_Q = KZ.sum(axis=1)
-            W = EL @ Z
-            W *= W
-            return robj, quad_Q + (W[:q.n] + W[q.n:]).max(axis=0)
-        return embedded
     # zeta^H A zeta = sum_k A_kk |zeta_k|^2 + 2 sum_{i<j} (Re A_ij Re P_ij
     # - Im A_ij Im P_ij) with P_ij = conj(zeta_i) zeta_j, and c_k |w_k|^2
     # has A = c_k l_k^H l_k, l_k the k-th row of L
     A = np.concatenate([RQ, q.c[:, None, None] * (L.conj()[:, :, None] * L[:, None, :])])
     iu, ju = np.triu_indices(r, 1)
-    C = np.hstack([A.diagonal(axis1=1, axis2=2).real,
-                   2 * A[:, iu, ju].real, -2 * A[:, iu, ju].imag])
+    return np.hstack([A.diagonal(axis1=1, axis2=2).real,
+                      2 * A[:, iu, ju].real, -2 * A[:, iu, ju].imag])
 
-    def forms(F):
-        V = C @ F
-        return V[0], V[1] + V[2:].max(axis=0)
-    if r == 2:      # the features come from ``_bloch_features``
-        return forms
 
-    def featured(e, Z):
-        # the features |zeta_k|^2, Re P_ij, Im P_ij (i < j, row-major)
-        F = np.empty((r * r, e.shape[1]))
-        F[:r] = e
-        re, im = np.split(F[r:], 2)
-        stop = 0
-        for i in range(r - 1):
-            pairs = slice(stop, stop + r - 1 - i)
-            stop = pairs.stop
-            np.multiply(Z[i], Z[i + 1:r], out=re[pairs])
-            np.multiply(Z[i], Z[r + i + 1:], out=im[pairs])
-            if i:       # Im zeta_1 = 0
-                re[pairs] += Z[r + i] * Z[r + i + 1:]
-                im[pairs] -= Z[r + i] * Z[i + 1:r]
-        return forms(F)
-    return featured
+def _polar_features(e, Z):
+    """The rays (e, Z) of ``_polar_rays`` as the features |zeta_k|^2,
+    Re P_ij and Im P_ij (i < j, row-major) of ``_grp_forms``, shape (r^2, m)."""
+    r = e.shape[0]
+    F = np.empty((r * r, e.shape[1]))
+    F[:r] = e
+    re, im = np.split(F[r:], 2)
+    stop = 0
+    for i in range(r - 1):
+        pairs = slice(stop, stop + r - 1 - i)
+        stop = pairs.stop
+        np.multiply(Z[i], Z[i + 1:r], out=re[pairs])
+        np.multiply(Z[i], Z[r + i + 1:], out=im[pairs])
+        if i:       # Im zeta_1 = 0
+            re[pairs] += Z[r + i] * Z[r + i + 1:]
+            im[pairs] -= Z[r + i] * Z[i + 1:r]
+    return F
 
 
 def _top_factor(lam, U) -> np.ndarray:

@@ -139,12 +139,20 @@ def _top_root(qa, qb, qc):
 # ---------------------------------------------------------------------------
 
 def _check_eps(eps):
-    if not 0.0 < eps < math.inf:
+    if not (_is_real(eps) and 0.0 < eps < math.inf):
         raise InputError(f"eps must be a positive finite number, got {eps!r}")
 
 
+def _is_real(v) -> bool:
+    """v is a real scalar: a Python or numpy integer or float, not a bool."""
+    return not isinstance(v, bool) and isinstance(v, (int, float, np.integer, np.floating))
+
+
 def _check_w0(w0, n):
-    w = np.asarray(w0, dtype=complex).ravel()
+    try:
+        w = np.asarray(w0, dtype=complex).ravel()
+    except (TypeError, ValueError):
+        raise InputError(f"w0 must be a vector of numbers, got {w0!r}") from None
     if w.size != n:
         raise InputError(f"w0 has length {w.size}, expected {n}")
     if not np.isfinite(w).all():
@@ -244,9 +252,9 @@ def choose_p(n: int) -> int:
 
 
 def _check_p(p):
-    if not p >= 1:
+    if _is_real(p) and not p >= 1:
         raise InputError("p must be >= 1")
-    if isinstance(p, bool) or not float(p).is_integer():
+    if not (_is_real(p) and float(p).is_integer()):
         raise InputError(f"p must be an integer, got {p!r}")
 
 

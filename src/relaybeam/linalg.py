@@ -1,13 +1,13 @@
 """Dense complex Hermitian linear algebra kernel.
 
-Everything downstream (channel statistics, the total-power eigenvalue
-search, the SDP relaxation) manipulates small Hermitian matrices; this
-module owns their construction and validation.
-``hermitian`` validates a matrix where it enters from a caller;
-``symmetrize`` only cleans the round-off asymmetry of a matrix the library
-computed itself.  Matrices are n x n or 2n x 2n for relay counts up to
-n = 128, so dense LAPACK routines via numpy are used throughout; the
-contracts here are accuracy bounds, not a particular algorithm.
+Statistics given as matrices, the dense total-power pair, the SDP
+relaxation and the per-relay searches work on n x n or 2n x 2n Hermitian
+matrices with numpy's dense LAPACK routines (statistics from
+``build_stats`` are vectors, see ``channel``); this module owns their
+validation.  ``hermitian`` validates a matrix where it enters from a
+caller; ``symmetrize`` only cleans the round-off asymmetry of a matrix the
+library computed itself.  The contracts here are accuracy bounds, not a
+particular algorithm.
 """
 
 from __future__ import annotations

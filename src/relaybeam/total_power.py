@@ -10,10 +10,9 @@ diag(beta(x)) with beta = 1/(1-x) + lam/x, and mu(x) is the top eigenvalue
 of H(x) = beta^{-1/2} Rt beta^{-1/2} for the fixed Rt = V^H d^{-1/2} R d^{-1/2} V.
 Only the positive vector d is inverted, so rank-deficient R (line-of-sight
 links) needs no special case.  The bracket [x_l, x_u] follows from lam_1
-and lam_n.  Each iterate needs only H's top eigenpair, which gives analytic
-first and second derivatives (Hadamard variation formulas): from one
-eigendecomposition, or, from POWER_MIN_N relays, from a power iteration
-certified to reach the simple top eigenvalue (``_power_top``).  For a
+and lam_n.  Each iterate takes one eigendecomposition of H: its top
+eigenpair, and the analytic first and second derivatives (Hadamard
+variation formulas), which the second reads off every eigenpair.  For a
 fixed weight direction the objective is exactly a/(1-x) + b/x, and
 lambda_min(G(x)) is the minimum of such terms, so each step goes to the
 minimizer sqrt(b)/(sqrt(a) + sqrt(b)) of one (see ``_target``).  A run
@@ -53,9 +52,6 @@ TRACE_COLUMNS = ("k", "x", "lambda_min", "d1", "d2", "step")
 GAP_TOL = 1e-8     # relative spectral gap at or below which d2 is not trusted
 MAX_ITER = 100     # Newton steps before ConvergenceError
 STEP_TOL = 1e-3    # stop: |dx/x| < STEP_TOL
-POWER_MIN_N = 48   # relay count from which lambda_min_g tries the power iteration
-POWER_MATVECS = 30  # power iteration's matvec budget before the eigh fallback
-POWER_STRIDE = 4   # matvecs between its residual tests
 RICIAN_MIN_N = 16  # relay count from which build_stats statistics take the secular pair
 SECULAR_STEPS = 40  # a secular root's steps before the dense pair takes over
 _EPS = np.finfo(float).eps
@@ -165,10 +161,10 @@ def lambda_min_g(s: SPair | RicianPair, x: float):
     with c = U^H D1 h: mu' = 2 mu h^H D1 h and
     mu'' = 2 mu h^H D2 h + 2 sum_j mu_j |c_j|^2
            + 2 sum_{j>1} (mu + mu_j)^2 |c_j|^2 / (mu - mu_j).
-    Where ``_power_top`` certifies them (n >= POWER_MIN_N) the gap is a lower bound.
-    On the secular pair the values come from ``_secular_eval``, with the
-    certified lower bound (mu_1 - mu_d)/mu_1 on the gap, until an evaluation
-    it cannot certify: that one and every later one run on the dense pair.
+    On the dense pair every value comes from one ``eigh`` of H.  On the
+    secular pair they come from ``_secular_eval``, with the certified lower
+    bound (mu_1 - mu_d)/mu_1 on the gap, until an evaluation it cannot
+    certify: that one and every later one run on the dense pair.
     """
     if not 0.0 < x < 1.0:
         raise InputError(f"x must lie in (0,1), got {x}")
@@ -189,14 +185,10 @@ def lambda_min_g(s: SPair | RicianPair, x: float):
     bis = 1.0 / np.sqrt(beta)
     H = bis[:, None] * s.Rt * bis
     D1 = -db / (2.0 * beta)
-    top = _power_top(H, D1) if s.lam.size >= POWER_MIN_N else None
-    if top is None:
-        mus, U = np.linalg.eigh(H)
-        mu, h, rest = mus[-1], U[:, -1], mus[:-1]
-        cc = np.abs(U.conj().T @ (D1 * h)) ** 2
-        gap = float((mu - rest[-1]) / mu) if rest.size else np.inf
-    else:
-        mu, h, near, far, gap = top
+    mus, U = np.linalg.eigh(H)
+    mu, h, rest = mus[-1], U[:, -1], mus[:-1]
+    cc = np.abs(U.conj().T @ (D1 * h)) ** 2
+    gap = float((mu - rest[-1]) / mu) if rest.size else np.inf
     hh = np.abs(h) ** 2
     dmu = 2.0 * mu * (D1 @ hh)
     # at a zero gap d2 is meaningless, and _target reads the gap before d2; where
@@ -204,54 +196,11 @@ def lambda_min_g(s: SPair | RicianPair, x: float):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ddb = 2.0 / (1.0 - x) ** 3 + 2.0 * s.lam / x ** 3
         D2 = 0.75 * (db / beta) ** 2 - ddb / (2.0 * beta)
-        if top is None:
-            near, far = mus @ cc, ((mu + rest) ** 2 * cc[:-1] / (mu - rest)).sum()
+        near, far = mus @ cc, ((mu + rest) ** 2 * cc[:-1] / (mu - rest)).sum()
         ddmu = 2.0 * (mu * (D2 @ hh) + near + far)
         d1 = -dmu / mu ** 2
         d2 = -ddmu / mu ** 2 + 2.0 * dmu ** 2 / mu ** 3
     return float(1.0 / mu), float(d1), float(d2), s.basis @ (bis * h), gap
-
-
-def _power_top(H, D1):
-    """mu, h, lambda_min_g's two sums and a gap bound by power iteration, or None.
-
-    On H/H_kk, from its largest-diagonal column k, no test reads units or
-    denormal values.  A unit v with Rayleigh quotient t and residual r has an
-    eigenvalue in [t - r, t + r]; once (t - r)^2 > ||H||_F^2/2 it is the simple
-    top one, and no other exceeds sqrt(||H||_F^2 - (t - r)^2).  It stops at a
-    gap bound above GAP_TOL and r <= n eps t (eigh's backward error), and gives
-    up while ||H v||^2 <= ||H||_F^2/2 or after POWER_MATVECS matvecs.  With
-    g = D1 h and z = g - h (h^H g), sum_j mu_j |c_j|^2 = g^H H g, and as
-    (mu + m)^2/(mu - m) = 4 mu^2/(mu - m) - m - 3 mu, the sum over j > 1 is
-    4 mu^2 z^H (mu (I + h h^H) - H)^-1 z - z^H H z - 3 mu ||z||^2.
-    """
-    n, k = H.shape[0], int(np.argmax(H.diagonal().real))
-    scale = H[k, k].real
-    if not scale >= np.finfo(float).tiny:
-        return None
-    Hs = H * (1.0 / scale)
-    fro, v, used = np.vdot(Hs, Hs).real, Hs @ Hs[:, k], 2
-    while True:
-        v = v / np.sqrt(np.vdot(v, v).real)
-        Hv = Hs @ v
-        t = np.vdot(v, Hv).real
-        rv = Hv - t * v
-        res = np.sqrt(np.vdot(rv, rv).real)
-        gap = (t - res - np.sqrt(max(fro - (t - res) ** 2, 0.0))) / t
-        if (t - res) ** 2 > fro / 2.0 and gap > GAP_TOL and res <= n * np.finfo(float).eps * t:
-            break
-        if not np.vdot(Hv, Hv).real > fro / 2.0 or used >= POWER_MATVECS:
-            return None
-        for _ in range(POWER_STRIDE - 1):
-            Hv = Hs @ Hv
-        v, used = Hv, used + POWER_STRIDE
-    g = D1 * v
-    z = g - v * np.vdot(v, g)
-    M = np.outer(t * v, v.conj()) - Hs
-    M.flat[::n + 1] += t
-    far = (4.0 * t * t * np.vdot(z, np.linalg.solve(M, z)) - np.vdot(z, Hs @ z)
-           - 3.0 * t * np.vdot(z, z)).real
-    return t * scale, v, np.vdot(g, Hs @ g).real * scale, far * scale, float(gap)
 
 
 def _secular_eval(s: RicianPair, x: float):

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from relaybeam import indiv_diag, indiv_search
-from relaybeam.channel import ChannelStats
+from relaybeam.channel import ChannelStats, RicianParams, build_stats
 from relaybeam.errors import ConvergenceError, InputError
 from relaybeam.linalg import hermitian, symmetrize
 from relaybeam.sdp import (_EXIT_CUT, _EXIT_GAP, _EXIT_MAX_N, _EXIT_RANK, _EXIT_STEPS, FEAS_TOL,
@@ -44,6 +44,35 @@ def rand_indiv_problem(rng, n, diagonal=False):
 def rand_total_problem(rng, n, diagonal=False):
     stats = rand_stats(rng, n, diagonal=diagonal)
     return TotalPowerProblem(stats=stats, P0=float(rng.uniform(2.0, 20.0)))
+
+
+def identical_relays_problem(n, P0):
+    """n relays with the same Rician parameters: lambda_min(G(x)) has
+    repeated eigenvalues, so the gap reads 0 wherever the top one repeats."""
+    params = RicianParams(f_mean=np.full(n, 0.7 + 0.2j), f_var=np.full(n, 0.8),
+                          g_mean=np.full(n, -0.3 + 0.9j), g_var=np.full(n, 1.3))
+    return TotalPowerProblem(stats=build_stats(params, 1.0), P0=P0)
+
+
+def weak_rician_problem(n, P0, seed, mean_scale, var_lo, var_hi):
+    """n Rician relays with CN(0, 1) mean gains scaled by ``mean_scale`` and
+    per-link variances U(var_lo, var_hi); sigma^2 = 1.  Weak line of sight or
+    strong scattering, where H's top eigenvalue need not dominate."""
+    rng = np.random.default_rng(seed)
+
+    def mean():
+        return mean_scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+
+    params = RicianParams(f_mean=mean(), f_var=rng.uniform(var_lo, var_hi, n),
+                          g_mean=mean(), g_var=rng.uniform(var_lo, var_hi, n))
+    return TotalPowerProblem(stats=build_stats(params, 1.0), P0=P0)
+
+
+def matrix_built(p):
+    """The same D, R and Q as matrices: ``build_s_pair`` gives the dense pair."""
+    st = p.stats
+    return TotalPowerProblem(stats=ChannelStats(D=st.D, R=st.R, Q=st.Q, sigma2=st.sigma2),
+                             P0=p.P0)
 
 
 def scan_snr(stats, P0, points=1001, zooms=2):

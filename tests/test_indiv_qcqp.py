@@ -52,6 +52,19 @@ def grp_reference(X, q, samples, seed):
     return W[i] / np.sqrt(worst[i])
 
 
+def assert_forms_of_w(L, q, zeta, F):
+    """GRP's feature product C @ F gives, to 1e-12 relative, w^H R w, w^H Q w
+    and max_k (w^H Q w + c_k |w_k|^2) of each column w = L zeta, taken
+    straight from w in complex arithmetic."""
+    V = indiv_qcqp._grp_forms(L, q) @ F
+    got = np.array([V[0], V[1], V[1] + V[2:].max(axis=0)])
+    W = (L @ zeta).T
+    quad_Q = np.array([qform(q.Q, w) for w in W])
+    ref = np.array([[qform(q.R, w) for w in W], quad_Q,
+                    quad_Q + (q.c * np.abs(W) ** 2).max(axis=1)])
+    assert np.all(np.abs(got - ref).max(axis=1) <= 1e-12 * np.abs(ref).max(axis=1))
+
+
 def fixture_problem(n):
     R, Q = fixtures.indiv_fixture(n)
     stats = ChannelStats(D=np.ones(n), R=R, Q=Q, sigma2=1.0)
@@ -477,19 +490,15 @@ class TestGrp:
         within_4_se(rel.real, 0.0)
         within_4_se(rel.imag, 0.0)
 
-    def test_bloch_kernel_agrees_with_the_embedding(self, monkeypatch):
-        # the rank-two kernel on the features and the real-embedded one on
-        # the rays zeta = (F_0, F_2 + i F_3) / sqrt(F_0) give the same forms
+    def test_bloch_features_give_the_forms_of_w(self):
+        # the rank-two kernel on the features gives the forms of w = L zeta
+        # for the ray zeta = (F_0, F_2 + i F_3) / sqrt(F_0) of each column
         rng = np.random.default_rng([2, 8])
         q = build_qcqp(rand_indiv_problem(rng, 8))
         L = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
         F = indiv_qcqp._bloch_features(np.random.default_rng(2), 1000)
         zeta = np.stack([F[0], F[2] + 1j * F[3]]) / np.sqrt(F[0])
-        e, Z = np.abs(zeta) ** 2, np.vstack([zeta.real, zeta.imag])
-        got = np.array(indiv_qcqp._grp_forms(L, q)(F))
-        monkeypatch.setattr(indiv_qcqp, "_GRP_FEATURE_MAX_RANK", 1)
-        ref = np.array(indiv_qcqp._grp_forms(L, q)(e, Z))
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert_forms_of_w(L, q, zeta, F)
 
     @pytest.mark.parametrize("n", [4, 6, 9])
     def test_rank_two_returns_the_ray_of_its_best_value(self, n):
@@ -510,19 +519,16 @@ class TestGrp:
         assert qcqp_objective(q, w) == pytest.approx(best, rel=1e-12)
         assert q.constraint_values(w).max() == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("r", [1, 3, 4, 5, 8])
-    def test_kernels_agree_across_the_rank_gate(self, r, monkeypatch):
-        # the r^2-feature kernel and the real-embedded one give the same
-        # forms on the same rays, whichever side of the gate r is on
+    @pytest.mark.parametrize("r", [1, 3, 4, 5, 8, 16])
+    def test_polar_features_give_the_forms_of_w(self, r):
+        # the r^2-feature kernel gives the forms of w = L zeta on the rays of
+        # _polar_rays, at every rank the polar draw serves
+        n = max(8, r)
         rng = np.random.default_rng([r, 8])
-        q = build_qcqp(rand_indiv_problem(rng, 8))
-        L = rng.standard_normal((8, r)) + 1j * rng.standard_normal((8, r))
+        q = build_qcqp(rand_indiv_problem(rng, n))
+        L = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
         e, Z = indiv_qcqp._polar_rays(np.random.default_rng(r), 1000, r)
-        out = []
-        for gate in (r, r - 1):
-            monkeypatch.setattr(indiv_qcqp, "_GRP_FEATURE_MAX_RANK", gate)
-            out.append(np.array(indiv_qcqp._grp_forms(L, q)(e, Z)))
-        assert np.abs(out[0] - out[1]).max() <= 1e-12 * np.abs(out[1]).max()
+        assert_forms_of_w(L, q, Z[:r] + 1j * Z[r:], indiv_qcqp._polar_features(e, Z))
 
     def test_rank_one_draws_first_sample(self, rng):
         # a generic rank-one X: the values tie only up to round-off, and the

@@ -92,6 +92,19 @@ CASES = {
                             "samples must be >= 1 and an integer"),
     "solve-sdp-w0": (lambda: indiv_qcqp.solve(problem(), "sdp", {"w0": np.ones(3)}),
                      "w0 has length 3, expected 2"),
+    # ... and its type: a bool, a string or an array is no number
+    "solve-eps-bool": (lambda: indiv_qcqp.solve(problem(), "cdm", {"eps": True}),
+                       "eps must be a positive finite number, got True"),
+    "solve-eps-str": (lambda: indiv_qcqp.solve(problem(), "cdm", {"eps": "x"}),
+                      "eps must be a positive finite number, got 'x'"),
+    "solve-eps-list": (lambda: indiv_qcqp.solve(problem(), "cdm", {"eps": [1e-3]}),
+                       r"eps must be a positive finite number, got \[0.001\]"),
+    "solve-p-str": (lambda: indiv_qcqp.solve(problem(), "pnorm", {"p": "4"}),
+                    "p must be an integer, got '4'"),
+    "solve-p-array": (lambda: indiv_qcqp.solve(problem(), "pnorm", {"p": np.array([4])}),
+                      r"p must be an integer, got array\(\[4\]\)"),
+    "solve-w0-str": (lambda: indiv_qcqp.solve(problem(), "cdm", {"w0": "abc"}),
+                     "w0 must be a vector of numbers, got 'abc'"),
     "pnorm-hessian-at-zero": (lambda: phi_p_grad_hess(build_pnorm_embedding(problem(), 8),
                                                       np.zeros(4)),
                               "not twice differentiable at z = 0"),
@@ -101,6 +114,12 @@ CASES = {
                       "Ps must be positive and finite"),
     "powers-ps-inf": (lambda: powers(problem().stats, np.inf, np.ones(2)),
                       "Ps must be positive and finite"),
+    # one weight is not broadcast over three relays
+    "powers-w-length": (lambda: powers(problem(3).stats, 1.0, [1.0]), "w has length 1, expected 3"),
+    "snr-w-length": (lambda: snr(problem().stats, 1.0, np.ones(3)), "w has length 3, expected 2"),
+    "snr-w-length-vectors": (lambda: snr(build_stats(RicianParams(f_mean=[1, 1], f_var=[1, 1],
+                                                                  g_mean=[1, 1], g_var=[1, 1])),
+                                         1.0, np.ones(3)), "w has length 3, expected 2"),
 }
 
 

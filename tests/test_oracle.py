@@ -5,7 +5,8 @@ from relaybeam.errors import InputError
 from relaybeam.indiv_diag import solve_diagonal
 from relaybeam.oracle import GridSpec, brute_force_indiv, brute_force_total
 from relaybeam.total_power import solve as total_solve
-from conftest import finite_diff, rand_indiv_problem, rand_total_problem
+from conftest import (finite_diff, identical_relays_problem, matrix_built, rand_indiv_problem,
+                      rand_total_problem, weak_rician_problem)
 
 
 class TestBruteForceIndiv:
@@ -76,8 +77,14 @@ class TestBruteForceTotal:
             assert abs(x_grid - ref.x) <= step + 1e-12
 
     def test_matches_solver(self, rng):
-        for _ in range(5):
-            p = rand_total_problem(rng, 4)
+        # five random problems, then 64 relays on matrix-built statistics (the
+        # dense pair) where H's top eigenvalue need not dominate: weak line of
+        # sight, strong scattering and identical relays
+        problems = [rand_total_problem(rng, 4) for _ in range(5)] + [
+            matrix_built(weak_rician_problem(64, 10.0, 1, 0.05, 0.2, 2.0)),
+            matrix_built(weak_rician_problem(64, 10.0, 2, 0.3, 1.0, 5.0)),
+            matrix_built(identical_relays_problem(64, 10.0))]
+        for p in problems:
             x_grid, obj_grid = brute_force_total(p, points=200)
             sol = total_solve(p)
             # solver must be at least as good as the grid and nearby in x

@@ -15,8 +15,8 @@ from relaybeam.problems import IndivPowerProblem, TotalPowerProblem
 from relaybeam.total_power import (GAP_TOL, _target, bracket_x, build_s_pair,
                                    lambda_min_g, newton_solve, solve,
                                    solve_diagonal)
-from conftest import (finite_diff, finite_diff_second, is_psd, rand_pd, rand_stats,
-                      rand_total_problem, scan_snr)
+from conftest import (finite_diff, finite_diff_second, identical_relays_problem, is_psd,
+                      matrix_built, rand_pd, rand_stats, rand_total_problem, scan_snr)
 
 
 def fixture_problem(case):
@@ -49,14 +49,6 @@ def los_problem(n, var, P0, seed):
 
     params = RicianParams(f_mean=los(), f_var=np.full(n, var),
                           g_mean=los(), g_var=np.full(n, var))
-    return TotalPowerProblem(stats=build_stats(params, 1.0), P0=P0)
-
-
-def identical_relays_problem(n, P0):
-    """n relays with the same Rician parameters: lambda_min(G(x)) has
-    repeated eigenvalues, so the gap reads 0 wherever the top one repeats."""
-    params = RicianParams(f_mean=np.full(n, 0.7 + 0.2j), f_var=np.full(n, 0.8),
-                          g_mean=np.full(n, -0.3 + 0.9j), g_var=np.full(n, 1.3))
     return TotalPowerProblem(stats=build_stats(params, 1.0), P0=P0)
 
 
@@ -679,40 +671,12 @@ class TestLineOfSight:
         assert solve(p).snr >= (1.0 - 1e-9) * scan_snr(p.stats, p.P0)
 
 
-def weak_rician_problem(n, P0, seed, mean_scale, var_lo, var_hi):
-    """``rician_problem`` with the mean gains scaled by ``mean_scale`` and
-    per-link variances U(var_lo, var_hi): weak line of sight or strong
-    scattering, where H's top eigenvalue need not dominate."""
-    rng = np.random.default_rng(seed)
-
-    def mean():
-        return mean_scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-
-    params = RicianParams(f_mean=mean(), f_var=rng.uniform(var_lo, var_hi, n),
-                          g_mean=mean(), g_var=rng.uniform(var_lo, var_hi, n))
-    return TotalPowerProblem(stats=build_stats(params, 1.0), P0=P0)
-
-
 def count_eigh(monkeypatch):
     """Record the size of every np.linalg.eigh call."""
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(len(M)) or eigh(M))
     return calls
-
-
-def dense_solve(p, monkeypatch):
-    """``solve`` with the power iteration switched off: one eigh per iterate."""
-    with monkeypatch.context() as m:
-        m.setattr(total_power, "POWER_MIN_N", 10 ** 9)
-        return solve(p)
-
-
-def matrix_built(p):
-    """The same D, R and Q as matrices: ``build_s_pair`` gives the dense pair."""
-    st = p.stats
-    return TotalPowerProblem(stats=ChannelStats(D=st.D, R=st.R, Q=st.Q, sigma2=st.sigma2),
-                             P0=p.P0)
 
 
 def kind_problem(kind, n, seed, P0=None):
@@ -722,105 +686,9 @@ def kind_problem(kind, n, seed, P0=None):
     return los_problem(n, 1e-3 if kind == "near-los" else 0.0, P0, [seed, n])
 
 
-def power_kind_problem(kind, n, seed):
-    return matrix_built(kind_problem(kind, n, seed))
-
-
-class TestPowerIteration:
-    @pytest.mark.parametrize("kind", ["rician", "near-los", "los"])
-    @pytest.mark.parametrize("n", [48, 64, 96])
-    def test_agrees_with_eigh(self, n, kind, monkeypatch):
-        # 5 seeds x 5 interior x: the certified power path against eigh
-        for seed in range(5):
-            s = build_s_pair(power_kind_problem(kind, n, seed))
-            xs = np.linspace(*bracket_x(s), 7)[1:-1]
-            calls = count_eigh(monkeypatch)
-            power = [lambda_min_g(s, x) for x in xs]
-            assert calls == []
-            with monkeypatch.context() as m:
-                m.setattr(total_power, "POWER_MIN_N", 10 ** 9)
-                dense = [lambda_min_g(s, x) for x in xs]
-            assert calls == [n] * len(xs)
-            for (lam, d1, d2, w, gap), (rl, r1, r2, rw, rgap) in zip(power, dense):
-                assert lam == pytest.approx(rl, rel=1e-13)
-                assert d1 == pytest.approx(r1, rel=1e-12, abs=1e-12 * rl)
-                assert d2 == pytest.approx(r2, rel=1e-12)
-                assert 1.0 - abs(np.vdot(w, rw)) / (np.linalg.norm(w) * np.linalg.norm(rw)) <= 1e-14
-                # a certified lower bound on the gap
-                assert GAP_TOL < gap <= rgap + 1e-12
-
-    def test_derivatives_match_finite_differences(self, monkeypatch):
-        s = build_s_pair(matrix_built(rician_problem(64, 10.0, 64)))
-        calls = count_eigh(monkeypatch)
-        f = lambda xv: lambda_min_g(s, float(xv))[0]
-        for x in np.linspace(*bracket_x(s), 5)[1:-1]:
-            _, d1, d2, _, _ = lambda_min_g(s, x)
-            assert d1 == pytest.approx(finite_diff(f, x, h=1e-5), rel=1e-6, abs=1e-9)
-            assert d2 == pytest.approx(finite_diff_second(f, x, h=1e-4), rel=1e-4, abs=1e-6)
-        assert calls == []
-
-    @pytest.mark.parametrize("kind", ["rician", "near-los", "los"])
-    def test_solve_matches_the_dense_path(self, kind, monkeypatch):
-        p = power_kind_problem(kind, 64, 2)
-        ref = dense_solve(p, monkeypatch)
-        calls = count_eigh(monkeypatch)
-        sol = solve(p)
-        assert calls == [64]       # build_s_pair's only
-        assert sol.iterations == ref.iterations
-        assert sol.x == pytest.approx(ref.x, rel=1e-12)
-        assert sol.snr == pytest.approx(ref.snr, rel=1e-12)
-
-    def test_crossover(self, monkeypatch):
-        # from POWER_MIN_N relays a Rician H is certified; below, eigh runs
-        for n, eighs in ((total_power.POWER_MIN_N, 0), (total_power.POWER_MIN_N - 1, 1)):
-            s = build_s_pair(matrix_built(rician_problem(n, 10.0, n)))
-            calls = count_eigh(monkeypatch)
-            lambda_min_g(s, float(np.mean(bracket_x(s))))
-            assert calls == [n] * eighs
-
-
-class TestPowerFallback:
-    # RuntimeWarnings are errors under the suite's filterwarnings setting,
-    # so each case also checks that no fallback warns
-    @pytest.mark.parametrize("p", [
-        matrix_built(weak_rician_problem(64, 10.0, 1, 0.05, 0.2, 2.0)),
-        matrix_built(weak_rician_problem(64, 10.0, 2, 0.3, 1.0, 5.0)),
-        matrix_built(identical_relays_problem(64, 10.0)),
-    ], ids=["weak-los", "strong-scattering", "identical-relays"])
-    def test_uncertified_evaluations_take_eigh(self, p, monkeypatch):
-        ref = dense_solve(p, monkeypatch)
-        # with no matvec budget to run out, only the certificate declines
-        monkeypatch.setattr(total_power, "POWER_MATVECS", 10 ** 4)
-        evals = count_lambda_min_g(monkeypatch)
-        calls = count_eigh(monkeypatch)
-        sol = solve(p)
-        # build_s_pair's, then one per evaluation: the certificate never holds
-        assert calls == [64] * (len(evals) + 1)
-        assert (sol.x, sol.snr, sol.iterations) == (ref.x, ref.snr, ref.iterations)
-        assert np.array_equal(sol.w, ref.w)
-
-    @pytest.mark.parametrize("P0", [1e-150, 10.0])
-    @pytest.mark.parametrize("var", [0.5, 0.0], ids=["rician", "pure-los"])
-    def test_scale_free_certificate(self, var, P0, monkeypatch):
-        # at P0/sigma^2 = 1e-150 ||H||_F^2 is near underflow, and on a rank-one
-        # H ||H||_F^2 - theta^2 rounds below 0; both still certify, unwarned
-        p = matrix_built(los_problem(64, var, P0, 64))
-        ref = dense_solve(p, monkeypatch)
-        calls = count_eigh(monkeypatch)
-        sol = solve(p)
-        assert calls == [64]
-        assert sol.iterations == ref.iterations
-        assert sol.snr == pytest.approx(ref.snr, rel=1e-12)
-
-    def test_denormal_diagonal_gives_up(self):
-        H = 1e-310 * np.outer([1.0, 0.5, 0.25], [1.0, 0.5, 0.25]).astype(complex)
-        assert total_power._power_top(H, np.ones(3)) is None
-
-
-def eigh_reference(p, monkeypatch):
+def eigh_reference(p):
     """lambda_min_g on the dense pair of matrix-built statistics, one eigh per call."""
     s = build_s_pair(matrix_built(p))
-    monkeypatch.setattr(total_power, "POWER_MIN_N", 10 ** 9)
     return lambda x: lambda_min_g(s, x)
 
 
@@ -845,7 +713,7 @@ class TestSecularPair:
             p = kind_problem(kind, n, seed, P0)
             s = build_s_pair(p)
             assert isinstance(s, total_power.RicianPair)
-            reference = eigh_reference(p, monkeypatch)
+            reference = eigh_reference(p)
             xs = np.linspace(*bracket_x(s), 7)[1:-1]
             calls = count_eigh(monkeypatch)
             secular = [lambda_min_g(s, x) for x in xs]
@@ -859,16 +727,16 @@ class TestSecularPair:
                 assert 1.0 - abs(np.vdot(w, rw)) / (np.linalg.norm(w) * np.linalg.norm(rw)) <= 1e-13
                 # (mu_1 - mu_d)/mu_1 is a certified lower bound on the gap
                 assert 0.0 < gap <= rgap + 1e-15
-            sol, ref = solve(p), dense_solve(matrix_built(p), monkeypatch)
+            sol, ref = solve(p), solve(matrix_built(p))
             assert sol.iterations == ref.iterations
             assert sol.x == pytest.approx(ref.x, rel=1e-12)
             assert sol.snr == pytest.approx(ref.snr, rel=1e-12)
 
-    def test_identical_relays(self, monkeypatch):
+    def test_identical_relays(self):
         # every q_i is equal, so lam_1 is q_(1) itself, and h is parallel to gbar
         p = identical_relays_problem(64, 10.0)
         assert isinstance(build_s_pair(p), total_power.RicianPair)
-        sol, ref = solve(p), dense_solve(matrix_built(p), monkeypatch)
+        sol, ref = solve(p), solve(matrix_built(p))
         assert sol.iterations == ref.iterations
         assert sol.x == pytest.approx(ref.x, rel=1e-12)
         assert sol.snr == pytest.approx(ref.snr, rel=1e-12)
@@ -920,7 +788,7 @@ class TestSecularPair:
         assert run_l.trace.notes == [f"dense pair from x={xl}: the secular pair did not certify"]
         run_u = newton_solve(p, xu, s=s)
         assert builds == [p] and not run_u.trace.notes
-        sol, ref = solve(p), dense_solve(matrix_built(p), monkeypatch)
+        sol, ref = solve(p), solve(matrix_built(p))
         assert sol.iterations == ref.iterations
         assert sol.x == pytest.approx(ref.x, rel=1e-12)
         assert sol.snr == pytest.approx(ref.snr, rel=1e-12)
