@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -684,6 +685,47 @@ def kind_problem(kind, n, seed, P0=None):
     if kind == "rician":
         return rician_problem(n, P0, [seed, n])
     return los_problem(n, 1e-3 if kind == "near-los" else 0.0, P0, [seed, n])
+
+
+class TestDensePair:
+    # matrix-built statistics take the dense pair at every n: one eigh of H
+    # per evaluation, checked against the pencil (R, B(x)) itself
+    @pytest.mark.parametrize("kind", ["rician", "near-los", "los"])
+    @pytest.mark.parametrize("n", [48, 64, 96])
+    def test_agrees_with_the_pencil(self, n, kind, monkeypatch):
+        # mu = lambda_max(R, B(x)) by scipy's generalized eigh; d1 by
+        # Hellmann-Feynman, mu' = -mu v^H B'(x) v / v^H B(x) v for R v = mu B v
+        for seed in range(3):
+            p = matrix_built(kind_problem(kind, n, seed))
+            st, r = p.stats, p.stats.sigma2 / p.P0
+            Dr, Qr = np.diag(st.D + r), st.Q + r * np.eye(n)
+            s = build_s_pair(p)
+            xs = np.linspace(*bracket_x(s), 7)[1:-1]
+            calls = count_eigh(monkeypatch)
+            dense = [lambda_min_g(s, x) for x in xs]
+            assert calls == [n] * len(xs)
+            for x, (lam, d1, _, w, gap) in zip(xs, dense):
+                B = Dr / (1.0 - x) + Qr / x
+                mus, V = scipy.linalg.eigh(st.R, B)
+                mu, v = mus[-1], V[:, -1]
+                dB = Dr / (1.0 - x) ** 2 - Qr / x ** 2
+                rd1 = (v.conj() @ dB @ v).real / (mu * (v.conj() @ B @ v).real)
+                assert lam == pytest.approx(1.0 / mu, rel=1e-12)
+                assert d1 == pytest.approx(rd1, rel=1e-10, abs=1e-10 * lam)
+                assert (np.linalg.norm(st.R @ w - mu * (B @ w))
+                        <= 1e-12 * mu * np.linalg.norm(B @ w))
+                assert gap == pytest.approx((mus[-1] - mus[-2]) / mus[-1], abs=1e-12)
+
+    def test_derivatives_match_finite_differences(self, monkeypatch):
+        s = build_s_pair(matrix_built(rician_problem(64, 10.0, 64)))
+        calls = count_eigh(monkeypatch)
+        f = lambda xv: lambda_min_g(s, float(xv))[0]
+        xs = np.linspace(*bracket_x(s), 5)[1:-1]
+        for x in xs:
+            _, d1, d2, _, _ = lambda_min_g(s, x)
+            assert d1 == pytest.approx(finite_diff(f, x, h=1e-5), rel=1e-6, abs=1e-9)
+            assert d2 == pytest.approx(finite_diff_second(f, x, h=1e-4), rel=1e-4, abs=1e-6)
+        assert set(calls) == {64}
 
 
 def eigh_reference(p):
