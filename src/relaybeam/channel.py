@@ -207,17 +207,10 @@ def build_stats(p: RicianParams, sigma2: float = 1.0) -> ChannelStats:
     return stats
 
 
-def _check_w(stats: ChannelStats, w) -> np.ndarray:
-    w = np.asarray(w, dtype=complex).ravel()
-    if w.size != stats.n:
-        raise InputError(f"w has length {w.size}, expected {stats.n}")
-    return w
-
-
 def snr(stats: ChannelStats, Ps: float, w) -> float:
     """Destination SNR (Ps/sigma^2) * (w^H R w) / (1 + w^H Q w)."""
     _check_Ps(Ps)
-    rr, qq = stats._forms(_check_w(stats, w))
+    rr, qq = stats._forms(check_vector(w, name="w", n=stats.n))
     return (Ps / stats.sigma2) * rr / (1.0 + qq)
 
 
@@ -228,5 +221,5 @@ def powers(stats: ChannelStats, Ps: float, w):
     P_ri = (Ps D_ii + sigma^2) |w_i|^2; the per-relay values sum to P_r.
     """
     _check_Ps(Ps)
-    P_ri = (Ps * stats.D + stats.sigma2) * np.abs(_check_w(stats, w)) ** 2
+    P_ri = (Ps * stats.D + stats.sigma2) * np.abs(check_vector(w, name="w", n=stats.n)) ** 2
     return float(P_ri.sum()), P_ri

@@ -25,14 +25,14 @@ import numpy as np
 from . import indiv_diag, indiv_search
 from .channel import BeamformingSolution
 from .errors import InputError
-from .linalg import qform, symmetrize
+from .linalg import check_vector, hermitian, qform, symmetrize
 from .problems import IndivPowerProblem
 from .sdp import QcqpInstance, _gauge_basis, range_eigh, solve_relaxation
 
 FALLBACKS = ("cdm", "pnorm")     # the searches the sdp route falls back to
 ROUTES = ("auto", "indiv-diag", "sdp", *FALLBACKS, "grp")
 
-_GRP_CHUNK = 4096   # GRP samples per column chunk: its temporaries stay in L2
+_GRP_CHUNK = 8192   # GRP samples per column chunk at rank two, 2/r of it at rank r: in L2
 
 
 def build_qcqp(p: IndivPowerProblem) -> QcqpInstance:
@@ -91,7 +91,7 @@ def solve(p: IndivPowerProblem, solver: str = "auto", options: dict | None = Non
         if options.get(key) is not None:
             check(options[key])
     if options.get("w0") is not None:
-        indiv_search._check_w0(options["w0"], p.n)
+        check_vector(options["w0"], name="w0", n=p.n)
     if solver == "auto":
         solver = "indiv-diag" if p.stats.is_diagonal() else "sdp"
     meta = {"solver": solver}
@@ -152,7 +152,7 @@ def rank_one_decompose(X, q: QcqpInstance) -> np.ndarray:
         raise InputError(
             "rank-one decomposition is only guaranteed for n <= 3; "
             "use coordinate descent or the p-norm solver")
-    lam, U = range_eigh(symmetrize(X))
+    lam, U = range_eigh(hermitian(X, name="X", n=q.n))
     while lam.size >= 2:
         V = U * np.sqrt(lam)
         H = -1j * _gauge_basis(lam.size)
@@ -179,31 +179,35 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
     ``SdpSolution.rank_estimate``) L = U_r sqrt(lambda_r), and each sample
     is w = L zeta for zeta ~ CN(0, I_r).  A sample's value is unchanged by
     w -> alpha w, so it depends only on the complex ray of zeta, which is
-    drawn with its CN(0, I_r) law from uniforms alone.  At rank two the
+    drawn with its CN(0, I_r) law from uniform bits alone.  At rank two the
     normalized ray is uniform on the Bloch sphere: the share t = |zeta_2|^2
-    / |zeta|^2 is U(0, 1) and independent of the relative phase, so row (t,
-    u) of one (samples, 2) block gives zeta = (sqrt(1 - t), sqrt(t) p), p
-    the float32 phasor of 2 pi u, with no logarithm and no normalization.
-    Above rank two the polar (Box-Muller) form takes 2r - 1 uniforms: row u
-    of one (samples, 2r - 1) block gives independent unit exponentials
-    |zeta_k|^2 = -log(1 - u_k) and the phases 2 pi u_{r+k} of zeta_{k+1}
-    relative to zeta_1, which is real; its float32 phasors are renormalized
-    in float64.  Either way every value and the returned w come from one
-    zeta.  When X has rank one (the report's ``rank_estimate`` is 1), every
-    sample has the same value, so one sample is drawn whatever ``samples``
-    says.  Every quadratic form is linear in zeta zeta^H, so at every rank
-    one (n + 2) x r^2 product on its r^2 real features (``_grp_forms``)
-    gives w^H R w, w^H Q w and each c_k |w_k|^2, (n + 2) r^2 multiply-adds
-    a sample; at rank two the draw gives those features directly.  So
-    GRP's cost follows r^2 and n, and its draw only r.  The kernel runs on
-    the calling thread in column chunks that keep its temporaries in cache,
-    and the first maximum wins.
+    / |zeta|^2 is U(0, 1) and independent of the relative phase, so one
+    64-bit word a sample gives zeta = (sqrt(1 - t), sqrt(t) p), p a float32
+    phasor (``_bloch_rays``).  Above rank two the polar (Box-Muller) form
+    takes 2r - 1 uniforms: row u of one (samples, 2r - 1) block gives
+    independent unit exponentials |zeta_k|^2 = -log(1 - u_k) and the phases
+    2 pi u_{r+k} of zeta_{k+1} relative to zeta_1, which is real; its
+    float32 phasors are renormalized in float64.  When X has rank one (the
+    report's ``rank_estimate`` is 1), every sample has the same value, so
+    one sample is drawn whatever ``samples`` says.  Every quadratic form is
+    linear in zeta zeta^H, so one (n + 2) x r^2 product C on its r^2 real
+    features F (``_grp_forms``) gives w^H R w, w^H Q w and each c_k |w_k|^2.
+    It runs on the calling thread in column chunks that stay in cache, first
+    in float32, with C's R row and Q-and-caps rows each scaled by a power of
+    two (no scale overflows; R -> 4^j R leaves it unchanged).  Its rows V_j
+    are within a_j = (r^2 + 16) eps32 sum_l |C_jl| max |F_l| + 2^-100 of
+    their float64 values (Higham, Accuracy and Stability, 3.1, with F's own
+    rounding and underflow), so (V_0 + a_0) / (V_1 + max_k V_k - a_1 -
+    max_k a_k) bounds a sample's float64 value.  Only samples whose bound reaches
+    the best float64 value so far (all while none is positive; the first chunk
+    is half), or whose bounded denominator is not positive, are evaluated in
+    float64: w is the float64 first maximum over the drawn samples, from one zeta.
     """
     _check_samples(samples)
     if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
             or not 0 <= seed < 2 ** 64):
         raise InputError("seed must be a non-negative integer below 2**64")
-    lam, U = range_eigh(symmetrize(X))
+    lam, U = range_eigh(hermitian(X, name="X", n=q.n))
     if lam.size == 0:
         raise InputError("X is numerically zero; nothing to sample")
     L = U * np.sqrt(lam)
@@ -213,42 +217,73 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
         # the same value, and the first sample wins the tie
         samples = 1
     C = _grp_forms(L, q)
+    s0, s1 = np.ldexp(1.0, -np.frexp([np.abs(C[0]).max(), np.abs(C[1:]).max()])[1])
+    Cs = np.vstack([s0 * C[:1], s1 * C[1:]])
+    # eps32 = 2^-23; |F_l| <= 1 at rank two, and < -log(2^-53) < 37 in the polar draw
+    a = ((r * r + 16) * 2.0 ** -23 * (1.0 if r == 2 else 37.0) * np.abs(Cs).sum(axis=1)
+         + 2.0 ** -100).astype(np.float32)
+    a0, a_den = a[0], a[1] + a[2:].max()
+    C32 = np.vstack([Cs[:1], Cs[1] + Cs[2:]]).astype(np.float32)    # V_1 + V_k in one row
     best_val, best_w = -np.inf, None
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
-    for c0 in range(0, samples, _GRP_CHUNK):
-        m = min(_GRP_CHUNK, samples - c0)
+    step = 2 * _GRP_CHUNK // r
+    Vb = np.empty((q.n + 1, step), np.float32)    # reused: no page faults a chunk
+    for c0 in range(-(step // 2), samples, step):   # the first chunk, all float64, is half
+        m = min(c0 + step, samples) - max(c0, 0)
         if r == 2:
-            F = _bloch_features(rng, m)
+            k, cos, sin = _bloch_rays(rng, m)
         else:
             e, Z = _polar_rays(rng, m, r)
-            F = _polar_features(e, Z)
-        V = C @ F
+        if best_val <= 0:   # no bound yet: every sample is evaluated in float64
+            idx = np.arange(m)
+        else:
+            F = (_bloch_features(k, cos, sin, np.float32) if r == 2
+                 else _polar_features(e.astype(np.float32), Z.astype(np.float32)))
+            V = np.matmul(C32, F, out=Vb[:, :m])
+            D = V[1:].max(axis=0)
+            x = min(best_val * s0 / s1 * (1 - 2.0 ** -19), 2.0 ** 100)
+            thr = np.nextafter(np.float32(x), np.float32(0))    # x rounded down to float32
+            idx = np.flatnonzero((D <= a_den) | (V[0] >= thr * D - (a0 + thr * a_den)))
+            if idx.size == 0:
+                continue
+        Fi = (_bloch_features(k[idx], cos[idx], sin[idx], float) if r == 2
+              else _polar_features(e[:, idx], Z[:, idx]))
+        V = C @ Fi
         worst = V[1] + V[2:].max(axis=0)
         vals = V[0] / worst
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_val = float(vals[i])
             # at rank two (F_0, F_2 + i F_3) = sqrt(1 - t) zeta
-            zeta = (np.array([F[0, i], F[2, i] + 1j * F[3, i]]) / np.sqrt(F[0, i]) if r == 2
-                    else Z[:r, i] + 1j * Z[r:, i])
+            zeta = (np.array([Fi[0, i], Fi[2, i] + 1j * Fi[3, i]]) / np.sqrt(Fi[0, i])
+                    if r == 2 else Z[:r, idx[i]] + 1j * Z[r:, idx[i]])
             best_w = L @ zeta / np.sqrt(worst[i])
     return best_w
 
 
-def _bloch_features(rng, m):
-    """The next m rows (t, u) of GRP's (samples, 2) block of uniforms at
-    rank two as the features of zeta = (sqrt(1 - t), sqrt(t) p), p the
-    float32 phasor of 2 pi u: (1 - t, t |p|^2, s Re p, s Im p) in rows,
-    shape (4, m), with s = sqrt(t (1 - t))."""
-    t, u = rng.random((m, 2)).T
-    ang = np.multiply(u, 2 * np.pi, dtype=np.float32)
-    cos, sin = np.cos(ang), np.sin(ang)
-    F = np.empty((4, m))
-    np.subtract(1.0, t, out=F[0])
-    np.multiply(t, np.square(cos, dtype=float) + np.square(sin, dtype=float), out=F[1])
-    s = np.sqrt(t * F[0])
+def _bloch_rays(rng, m):
+    """The next m words of GRP's rank-two stream as (k, cos, sin): t = k 2^-32 from each
+    word's high 32 bits, and the float32 phasor of 2 pi u, u = its low 32 bits times 2^-32."""
+    words = rng.bit_generator.random_raw(m)
+    # uint32 (the low word, by truncation) and int64 convert faster than uint64
+    ang = np.multiply(words.astype(np.uint32), np.float32(2 * np.pi * 2.0 ** -32),
+                      dtype=np.float32)
+    return (words >> 32).view(np.int64), np.cos(ang), np.sin(ang)
+
+
+def _bloch_features(k, cos, sin, dtype):
+    """The rays of ``_bloch_rays`` as the features (1 - t, t |p|^2, s Re p, s Im p) of zeta
+    = (sqrt(1 - t), sqrt(t) p) in dtype, shape (4, m), s = sqrt(t (1 - t)), with 1 - t =
+    (2^32 - k) 2^-32 formed before its one rounding; float32 takes |p|^2 = 1 + O(eps32)."""
+    F = np.empty((4, k.size), dtype)
+    unit = dtype(2.0 ** -32)
+    np.multiply(2 ** 32 - k, unit, out=F[0], dtype=dtype)
+    np.multiply(k, unit, out=F[1], dtype=dtype)
+    s = np.sqrt(F[0] * F[1])
     np.multiply(s, cos, out=F[2])
     np.multiply(s, sin, out=F[3])
+    if dtype is float:
+        F[1] *= np.square(cos, dtype=float) + np.square(sin, dtype=float)
     return F
 
 
@@ -290,7 +325,7 @@ def _polar_features(e, Z):
     """The rays (e, Z) of ``_polar_rays`` as the features |zeta_k|^2,
     Re P_ij and Im P_ij (i < j, row-major) of ``_grp_forms``, shape (r^2, m)."""
     r = e.shape[0]
-    F = np.empty((r * r, e.shape[1]))
+    F = np.empty((r * r, e.shape[1]), e.dtype)
     F[:r] = e
     re, im = np.split(F[r:], 2)
     stop = 0

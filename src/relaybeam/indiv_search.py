@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InputError, ModelError
-from .linalg import _real_embed, symmetrize
+from .linalg import _real_embed, check_vector, symmetrize
 from .problems import IndivPowerProblem
 from .trace import SolverTrace
 
@@ -148,18 +148,6 @@ def _is_real(v) -> bool:
     return not isinstance(v, bool) and isinstance(v, (int, float, np.integer, np.floating))
 
 
-def _check_w0(w0, n):
-    try:
-        w = np.asarray(w0, dtype=complex).ravel()
-    except (TypeError, ValueError):
-        raise InputError(f"w0 must be a vector of numbers, got {w0!r}") from None
-    if w.size != n:
-        raise InputError(f"w0 has length {w.size}, expected {n}")
-    if not np.isfinite(w).all():
-        raise InputError("w0 contains non-finite entries")
-    return w
-
-
 def coordinate_descent(p: IndivPowerProblem, w0, eps: float = 1e-3):
     """Cyclic coordinate ascent on the SNR ratio.
 
@@ -171,7 +159,7 @@ def coordinate_descent(p: IndivPowerProblem, w0, eps: float = 1e-3):
     (sweep, slot, objective).
     """
     _check_eps(eps)
-    w = _check_w0(w0, p.n).copy()
+    w = check_vector(w0, name="w0", n=p.n).copy()
     over = (np.abs(w) / p.caps()).max()
     if over > 1.0:
         w = w / over
@@ -353,7 +341,7 @@ def augmented_lagrangian_solve(e: PnormEmbedding, prob: IndivPowerProblem, w0=No
     n = e.n
     lam, z = p1_solution(e)
     if w0 is not None:
-        u = e.D1 * _check_w0(w0, n)
+        u = e.D1 * check_vector(w0, name="w0", n=n)
         z = np.concatenate([u.real, u.imag])
         if not z @ e.K @ z > 0:      # z^T K z = w0^H R w0
             raise InputError("w0 must have w0^H R w0 > 0")

@@ -21,8 +21,8 @@ DIAGONAL_RTOL = 1e-12  # is_diagonal: off-diagonal mass <= DIAGONAL_RTOL |trace|
 PSD_RTOL = 1e-9        # psd_violation: lambda_min >= -PSD_RTOL max(1, max |M_ij|) is PSD
 
 
-def hermitian(a, *, name: str = "matrix") -> np.ndarray:
-    """Validate and symmetrize a square array into an exact Hermitian matrix.
+def hermitian(a, *, name: str = "matrix", n: int | None = None) -> np.ndarray:
+    """Validate and symmetrize a square array (n x n if given) into an exact Hermitian matrix.
 
     Stores (H + H^dagger)/2, which silently absorbs round-off in the input
     without changing already-Hermitian matrices.  Asymmetry beyond
@@ -31,6 +31,8 @@ def hermitian(a, *, name: str = "matrix") -> np.ndarray:
     H = np.asarray(a, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise InputError(f"{name} must be square, got shape {H.shape}")
+    if n is not None and H.shape[0] != n:
+        raise InputError(f"{name} must be {n} x {n}, got shape {H.shape}")
     if not np.isfinite(H).all():
         raise InputError(f"{name} contains non-finite entries")
     asym = np.abs(H - H.conj().T).max()
@@ -75,8 +77,17 @@ def psd_violation(M) -> float:
     return lam if lam < -PSD_RTOL * max(1.0, np.abs(M).max()) else 0.0
 
 
-def check_vector(v, *, name: str = "vector") -> np.ndarray:
-    v = np.asarray(v, dtype=complex).ravel()
+def check_vector(v, *, name: str = "vector", n: int | None = None) -> np.ndarray:
+    """v as a complex 1-D array of one or more (n if given) finite numbers; a scalar is one."""
+    try:
+        a = np.asarray(v)
+    except ValueError:      # a ragged nesting
+        a = None
+    if a is None or a.dtype.kind not in "iufc" or a.ndim > 1:
+        raise InputError(f"{name} must be a vector of numbers, got {v!r}")
+    v = np.asarray(a, dtype=complex).ravel()
+    if n is not None and v.size != n:
+        raise InputError(f"{name} has length {v.size}, expected {n}")
     if v.size < 1:
         raise InputError(f"{name} must have length >= 1")
     if not np.isfinite(v).all():

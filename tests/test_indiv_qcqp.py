@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaybeam import fixtures, indiv_qcqp
 from relaybeam.channel import ChannelStats
@@ -9,27 +11,29 @@ from relaybeam.indiv_qcqp import (_GRP_CHUNK, build_qcqp, grp_extract, qcqp_obje
                                   rank_one_decompose, rescale_to_original, solve_via_sdp)
 from relaybeam.linalg import qform, symmetrize
 from relaybeam.problems import IndivPowerProblem
-from relaybeam.sdp import _gauge_basis, range_eigh
+from relaybeam.sdp import RANK_TOL, QcqpInstance, _gauge_basis, range_eigh
 from conftest import constraint_stack, degenerate_qcqp_instance, rand_indiv_problem, rand_pd
 
 
 def grp_values(X, q, samples, seed):
     """GRP in complex (samples, n) arithmetic on the same uniform draws: L
     L^H = X on the eigenpairs above 1e-6 lambda_max, and from SFC64 seeded
-    by SeedSequence(seed) one block u of uniforms and the rays zeta, w = L
-    zeta.  At rank two u is (samples, 2) and zeta = (sqrt(1 - t), sqrt(t) p)
-    with t = u_1 and p = exp(i a); at any other rank u is (samples, 2r - 1)
-    and zeta_k = sqrt(-log(1 - u_k)) p_k / |p_k| with p_1 = 1 and p_k =
-    exp(i a_k); a is the float32 angle 2 pi u of the phase column(s).  It
-    draws every sample at every rank.  Returns the samples w, their worst
-    constraint values and their objective values."""
+    by SeedSequence(seed) the rays zeta, w = L zeta.  At rank two one 64-bit
+    word a sample gives t (its high 32 bits times 2^-32) and u (its low 32
+    bits times 2^-32), and zeta = (sqrt(1 - t), sqrt(t) p) with p = exp(i
+    a); at any other rank one (samples, 2r - 1) block u of uniforms gives
+    zeta_k = sqrt(-log(1 - u_k)) p_k / |p_k| with p_1 = 1 and p_k = exp(i
+    a_k); a is the float32 angle 2 pi u of the phase(s).  It draws every
+    sample at every rank.  Returns the samples w, their worst constraint
+    values and their objective values."""
     wv, U = np.linalg.eigh(symmetrize(X))
     keep = wv > 1e-6 * wv.max()
     L = U[:, keep] * np.sqrt(wv[keep])
     r = L.shape[1]
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
     if r == 2:
-        t, u = rng.random((samples, 2)).T
+        words = rng.bit_generator.random_raw(samples)
+        t, u = (words >> 32) * 2.0 ** -32, (words & 0xFFFFFFFF) * 2.0 ** -32
         a = u.astype(np.float32) * np.float32(2 * np.pi)
         zeta = np.stack([np.sqrt(1.0 - t), np.sqrt(t) * (np.cos(a) + 1j * np.sin(a))], axis=1)
     else:
@@ -421,12 +425,14 @@ class TestGrp:
         rng = np.random.default_rng(rank)
         p = rand_indiv_problem(rng, 5)
         V = rng.standard_normal((5, rank)) + 1j * rng.standard_normal((5, rank))
-        generator, made, drawn = np.random.Generator, [], []
+        generator, made, drawn, words = np.random.Generator, [], [], []
 
         class Counting:
-            # only ``random``: a normal drawn anywhere is an AttributeError
+            # only ``random`` and raw words: a normal drawn anywhere is an
+            # AttributeError
             def __init__(self, bit_generator):
                 self.rng = generator(bit_generator)
+                self.bit_generator = self
                 made.append(self)
 
             def random(self, *args, **kwargs):
@@ -434,14 +440,21 @@ class TestGrp:
                 drawn.append(out.size)
                 return out
 
+            def random_raw(self, size):
+                out = self.rng.bit_generator.random_raw(size)
+                words.append(out.size)
+                return out
+
         monkeypatch.setattr(np.random, "Generator", Counting)
         samples = 2 * _GRP_CHUNK + 17
         grp_extract(V @ V.conj().T, build_qcqp(p), samples, seed=4)
-        # one stream per call and 2r - 1 uniforms a sample, 2 at rank two; at
-        # rank one every sample ties, so only the first one is drawn
+        # one stream per call and 2r - 1 uniforms a sample, one 64-bit word at
+        # rank two; at rank one every sample ties, so only the first one is
+        # drawn
         assert len(made) == 1
-        per_sample = 2 if rank == 2 else 2 * rank - 1
+        per_sample = 0 if rank == 2 else 2 * rank - 1
         assert sum(drawn) == per_sample * (1 if rank == 1 else samples)
+        assert sum(words) == (samples if rank == 2 else 0)
 
     @pytest.mark.parametrize("r", [3, 4])
     def test_polar_rays_have_the_complex_normal_ray_law(self, r):
@@ -474,7 +487,7 @@ class TestGrp:
         # averages 1/2 with second moment 1/3, and the relative phasor
         # averages 0, each within 4 standard errors over 10^5 rows
         rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([7, 2])))
-        F = indiv_qcqp._bloch_features(rng, 10 ** 5)
+        F = indiv_qcqp._bloch_features(*indiv_qcqp._bloch_rays(rng, 10 ** 5), float)
         assert np.all(F[0] > 0) and np.all(F[1] >= 0)
         t = F[1] / (F[0] + F[1])
         rel = (F[2] + 1j * F[3]) / np.sqrt(F[0] * F[1])
@@ -496,7 +509,8 @@ class TestGrp:
         rng = np.random.default_rng([2, 8])
         q = build_qcqp(rand_indiv_problem(rng, 8))
         L = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
-        F = indiv_qcqp._bloch_features(np.random.default_rng(2), 1000)
+        rays = indiv_qcqp._bloch_rays(np.random.default_rng(2), 1000)
+        F = indiv_qcqp._bloch_features(*rays, float)
         zeta = np.stack([F[0], F[2] + 1j * F[3]]) / np.sqrt(F[0])
         assert_forms_of_w(L, q, zeta, F)
 
@@ -547,7 +561,9 @@ class TestGrp:
     @pytest.mark.parametrize("n", [3, 4, 6, 11, 12, 16])
     def test_matches_complex_reference(self, n, rank):
         # the sample counts cover a single sample, a partial first chunk, the
-        # chunk edge on both sides and a partial last chunk
+        # first chunk's edge on both sides (the first chunk is half of the
+        # others, which hold 2 / r of _GRP_CHUNK at rank r) and a partial
+        # last chunk
         rng = np.random.default_rng([n, rank or n])
         if rank == 2 and n in fixtures.INDIV_EXPECT:
             p = fixture_problem(n)
@@ -557,7 +573,8 @@ class TestGrp:
             V = rng.standard_normal((n, rank or n)) + 1j * rng.standard_normal((n, rank or n))
             X = V @ V.conj().T
         q = build_qcqp(p)
-        for samples in (1, 7, _GRP_CHUNK - 1, _GRP_CHUNK, _GRP_CHUNK + 1, 100000):
+        edge = _GRP_CHUNK // (rank or n)
+        for samples in (1, 7, edge - 1, edge, edge + 1, 100000):
             w = grp_extract(X, q, samples, seed=samples + n)
             w_ref = grp_reference(X, q, samples, seed=samples + n)
             if rank == 1:
@@ -565,3 +582,64 @@ class TestGrp:
                 # round-off and only w w^H is determined
                 w, w_ref = np.outer(w, w.conj()), np.outer(w_ref, w_ref.conj())
             assert np.abs(w - w_ref).max() <= 1e-12, samples
+
+    def test_screen_keeps_samples_whose_bounded_denominator_is_not_positive(self):
+        # tiny caps beside a rank-one Q: the best samples lie near the null
+        # space of Q, where the float32 screen's bounded denominator V_1 +
+        # max_k V_k - a_1 - max_k a_k is not positive, so no bound on their
+        # value exists and each must be evaluated in float64.  The values
+        # there are ill-conditioned (Q's form cancels), hence 1e-9.
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        q = QcqpInstance(R=np.eye(4, dtype=complex), Q=np.outer(g, g.conj()), c=np.full(4, 1e-9))
+        X, chunk = np.eye(4, dtype=complex), 2 * _GRP_CHUNK // 4
+        for seed in (0, 1, 3):
+            best = grp_values(X, q, 3 * chunk, seed)[2].max()
+            # the best sample is not among the first `chunk` samples
+            assert qcqp_objective(q, grp_extract(X, q, chunk, seed)) < 0.5 * best
+            assert qcqp_objective(q, grp_extract(X, q, 3 * chunk, seed)) == pytest.approx(
+                best, rel=1e-9)
+
+    @pytest.mark.parametrize("trial", [26, 59, 64])
+    def test_screen_bounds_the_rounding_of_cancelling_forms(self, trial):
+        # R = Q + eps D beside a rank-one Q and caps c ~ eps: near the null
+        # space of Q both forms cancel, their float32 values are off by far
+        # more than the screen's 2^-19 margin, and only the rounding bounds
+        # a_j keep the float64 best among the evaluated samples (these
+        # trials fail without them).  The values are ill-conditioned, hence 1e-9.
+        rng = np.random.default_rng([trial, 77])
+        r = int(rng.choice([2, 3]))
+        g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        Q = np.outer(g, g.conj())
+        c = np.full(4, 10 ** rng.uniform(-9, -3))
+        R = Q + c[0] * 10 ** rng.uniform(-1, 1) * np.diag(rng.uniform(0.5, 2, 4))
+        q = QcqpInstance(R=R, Q=Q, c=c)
+        V = rng.standard_normal((4, r)) + 1j * rng.standard_normal((4, r))
+        X, samples = V @ V.conj().T, 3 * (2 * _GRP_CHUNK // r)
+        best = grp_values(X, q, samples, trial)[2].max()
+        assert qcqp_objective(q, grp_extract(X, q, samples, trial)) == pytest.approx(
+            best, rel=1e-9)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 16), rank=st.integers(1, 5),
+       j=st.integers(-64, 64), spread=st.floats(0.0, 1.0), chunks=st.integers(0, 2),
+       offset=st.integers(-2, 2))
+@settings(deadline=None, max_examples=200)
+def test_grp_is_the_float64_first_maximum(seed, n, rank, j, spread, chunks, offset):
+    # whatever the float32 screen leaves out, w is the first maximum of the
+    # float64 values of the same draws (the complex reference's): at ranks
+    # 1-5, R scaled by 4^j, lambda_r / lambda_1 down to RANK_TOL, and sample
+    # counts around the chunk edges
+    rank = min(rank, n)
+    rng = np.random.default_rng(seed)
+    q = build_qcqp(rand_indiv_problem(rng, n))
+    q = QcqpInstance(R=4.0 ** j * q.R, Q=q.Q, c=q.c)
+    U = np.linalg.qr(rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank)))[0]
+    X = (U * RANK_TOL ** (spread * np.arange(rank) / max(rank - 1, 1))) @ U.conj().T
+    step = 2 * _GRP_CHUNK // rank       # the first chunk holds step // 2 samples
+    samples = max(1, chunks * step - step // 2 + offset)
+    w, w_ref = grp_extract(X, q, samples, seed), grp_reference(X, q, samples, seed)
+    if rank == 1:
+        # every sample lies on one ray: only w w^H is determined
+        w, w_ref = np.outer(w, w.conj()), np.outer(w_ref, w_ref.conj())
+    assert np.abs(w - w_ref).max() <= 1e-12 * np.abs(w_ref).max()

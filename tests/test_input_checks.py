@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import relaybeam
-from relaybeam import indiv_qcqp
+from relaybeam import fixtures, indiv_qcqp
 from relaybeam.channel import ChannelStats, RicianParams, build_stats, powers, snr
 from relaybeam.errors import ConvergenceError, InputError, ModelError, RelayBeamError
 from relaybeam.indiv_search import (augmented_lagrangian_solve, build_pnorm_embedding,
@@ -19,6 +19,19 @@ I2 = np.eye(2)
 def problem(n=2):
     stats = ChannelStats(D=np.ones(n), R=np.eye(n), Q=np.eye(n), sigma2=1.0)
     return IndivPowerProblem(stats=stats, Ps=1.0, P=np.ones(n))
+
+
+def fixture_qcqp(n=4):
+    R, Q = fixtures.indiv_fixture(n)
+    stats = ChannelStats(D=np.ones(n), R=R, Q=Q, sigma2=1.0)
+    return indiv_qcqp.build_qcqp(IndivPowerProblem(stats=stats, Ps=1.0, P=np.full(n, 2.0)))
+
+
+def with_entry(n, i, j, value):
+    """I_n with entries (i, j) and (j, i) set to value."""
+    X = np.eye(n, dtype=complex)
+    X[i, j] = X[j, i] = value
+    return X
 
 
 CASES = {
@@ -63,6 +76,29 @@ CASES = {
     "vector-empty": (lambda: check_vector([], name="f_mean"), "f_mean must have length"),
     "vector-non-finite": (lambda: check_vector([1.0, np.nan], name="g_mean"),
                           "g_mean contains non-finite"),
+    "vector-ragged": (lambda: check_vector([[1.0], [1.0, 2.0]], name="f_mean"),
+                      "f_mean must be a vector of numbers"),
+    "rician-mean-matrix": (lambda: RicianParams(f_mean=np.ones((2, 2)), f_var=np.ones(4),
+                                                g_mean=np.ones(4), g_var=np.ones(4)),
+                           r"f_mean must be a vector of numbers, got array\(\[\[1"),
+    # the caller's X of the relaxation: an n x n Hermitian matrix of finite entries
+    "grp-x-3x3": (lambda: indiv_qcqp.grp_extract(np.eye(3), fixture_qcqp(), 10, 0),
+                  r"X must be 4 x 4, got shape \(3, 3\)"),
+    "grp-x-5x5": (lambda: indiv_qcqp.grp_extract(np.eye(5), fixture_qcqp(), 10, 0),
+                  r"X must be 4 x 4, got shape \(5, 5\)"),
+    "grp-x-1d": (lambda: indiv_qcqp.grp_extract(np.ones(4), fixture_qcqp(), 10, 0),
+                 r"X must be square, got shape \(4,\)"),
+    "grp-x-inf": (lambda: indiv_qcqp.grp_extract(with_entry(4, 0, 1, np.inf), fixture_qcqp(),
+                                                 10, 0), "X contains non-finite entries"),
+    "grp-x-nan-diagonal": (lambda: indiv_qcqp.grp_extract(with_entry(4, 2, 2, np.nan),
+                                                          fixture_qcqp(), 10, 0),
+                           "X contains non-finite entries"),
+    "rank-one-x-shape": (lambda: indiv_qcqp.rank_one_decompose(
+                             np.eye(2), indiv_qcqp.build_qcqp(problem(3))),
+                         r"X must be 3 x 3, got shape \(2, 2\)"),
+    "rank-one-x-nan": (lambda: indiv_qcqp.rank_one_decompose(
+                           with_entry(3, 0, 0, np.nan), indiv_qcqp.build_qcqp(problem(3))),
+                       "X contains non-finite entries"),
     "cdm-w0-length": (lambda: coordinate_descent(problem(), np.ones(3)), "w0 has length 3"),
     "al-w0-nan": (lambda: augmented_lagrangian_solve(build_pnorm_embedding(problem(), 8), problem(),
                                                      w0=[np.nan, 1.0]),
@@ -120,6 +156,22 @@ CASES = {
     "snr-w-length-vectors": (lambda: snr(build_stats(RicianParams(f_mean=[1, 1], f_var=[1, 1],
                                                                   g_mean=[1, 1], g_var=[1, 1])),
                                          1.0, np.ones(3)), "w has length 3, expected 2"),
+    # weights are a finite numeric 1-D vector: no string, no matrix, no NaN or inf
+    "snr-w-str": (lambda: snr(problem().stats, 1.0, "ab"),
+                  "w must be a vector of numbers, got 'ab'"),
+    "snr-w-mixed": (lambda: snr(problem().stats, 1.0, [1, "x"]),
+                    r"w must be a vector of numbers, got \[1, 'x'\]"),
+    "snr-w-matrix": (lambda: snr(problem(4).stats, 1.0, np.ones((2, 2))),
+                     r"w must be a vector of numbers, got array\(\[\[1"),
+    "snr-w-nan": (lambda: snr(problem().stats, 1.0, [1.0, np.nan]), "w contains non-finite"),
+    "snr-w-inf": (lambda: snr(problem().stats, 1.0, [np.inf, 1.0]), "w contains non-finite"),
+    "powers-w-str": (lambda: powers(problem().stats, 1.0, "ab"),
+                     "w must be a vector of numbers, got 'ab'"),
+    "powers-w-matrix": (lambda: powers(problem(4).stats, 1.0, np.ones((2, 2))),
+                        r"w must be a vector of numbers, got array\(\[\[1"),
+    "powers-w-nan": (lambda: powers(problem().stats, 1.0, [np.nan, 1.0]), "w contains non-finite"),
+    "powers-w-inf": (lambda: powers(problem().stats, 1.0, [1.0, -np.inf]),
+                     "w contains non-finite"),
 }
 
 

@@ -14,6 +14,10 @@
   Phi w (on ``build_stats`` statistics the relays' parameters are relabeled,
   and g_mean -> Phi g_mean): the SNR and w, up to a global phase, agree to
   round-off, for statistics built from matrices and by ``build_stats``.
+- (e) GRP: R -> 4^j R keeps ``grp_extract``'s w bitwise, and (Q, c) -> 4^j
+  (Q, c) maps it to exactly 2^-j w, since a sample's values scale by 4^j and
+  4^-j, its rescaling by 2^-j, and the float32 screen's rows are scaled by
+  powers of two, so its bounds and its picks do not move.
 """
 import numpy as np
 import pytest
@@ -22,7 +26,7 @@ from hypothesis import strategies as st
 
 from relaybeam import fixtures, total_power
 from relaybeam.channel import ChannelStats, RicianParams, build_stats
-from relaybeam.indiv_qcqp import build_qcqp
+from relaybeam.indiv_qcqp import _GRP_CHUNK, build_qcqp, grp_extract
 from relaybeam.problems import IndivPowerProblem, TotalPowerProblem
 from relaybeam.sdp import GAP_TOL, QcqpInstance, solve_relaxation
 from conftest import rand_indiv_problem, rand_total_problem
@@ -158,3 +162,19 @@ def test_total_power_relabel_and_rotate(relation, n, built):
         want = phi * a.w[perm]
         turn = np.vdot(want, b.w)
         assert np.abs(b.w - turn / abs(turn) * want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("rank", [2, 4])
+@pytest.mark.parametrize("j", [-64, -8, 8, 64])
+def test_grp_scale(rank, j):
+    # three chunks, so the float32 screen picks which samples are evaluated
+    q = general(8, rank)
+    rng = np.random.default_rng([rank, 41])
+    V = rng.standard_normal((8, rank)) + 1j * rng.standard_normal((8, rank))
+    X, samples = V @ V.conj().T, 3 * (2 * _GRP_CHUNK // rank)
+    w = grp_extract(X, q, samples, seed=rank)
+    got = grp_extract(X, QcqpInstance(R=4.0 ** j * q.R, Q=q.Q, c=q.c), samples, seed=rank)
+    assert np.array_equal(got, w)
+    got = grp_extract(X, QcqpInstance(R=q.R, Q=4.0 ** j * q.Q, c=4.0 ** j * q.c), samples,
+                      seed=rank)
+    assert np.array_equal(got, 2.0 ** -j * w)
