@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .linalg import (_negligible, check_vector, hermitian, is_diagonal, psd_violation, qform,
-                     symmetrize)
+from .linalg import (_negligible, check_scalar, check_vector, hermitian, is_diagonal,
+                     psd_violation, qform, symmetrize)
 
 
 @dataclass
@@ -36,15 +36,10 @@ class RicianParams:
 
     def __post_init__(self):
         self.f_mean = check_vector(self.f_mean, name="f_mean")
-        self.g_mean = check_vector(self.g_mean, name="g_mean")
-        self.f_var = np.asarray(self.f_var, dtype=float).ravel()
-        self.g_var = np.asarray(self.g_var, dtype=float).ravel()
         n = self.f_mean.size
-        if not (self.f_var.size == self.g_mean.size == self.g_var.size == n):
-            raise InputError("f_mean, f_var, g_mean and g_var must share one length")
-        for name, var in (("f_var", self.f_var), ("g_var", self.g_var)):
-            if not ((var >= 0) & (var < np.inf)).all():
-                raise InputError(f"{name} must be nonnegative and finite")
+        self.f_var = check_vector(self.f_var, name="f_var", n=n, kind="nonnegative")
+        self.g_mean = check_vector(self.g_mean, name="g_mean", n=n)
+        self.g_var = check_vector(self.g_var, name="g_var", n=n, kind="nonnegative")
         if np.all((self.f_mean == 0) & (self.f_var == 0)):
             raise InputError("f_mean and f_var give every source-relay channel zero power")
 
@@ -83,15 +78,10 @@ class ChannelStats:
     _rician = None       # _Rician: set by build_stats alone, see there
 
     def __post_init__(self):
-        self.D = np.asarray(self.D, dtype=float).ravel()
-        self.R = hermitian(self.R, name="R")
-        self.Q = hermitian(self.Q, name="Q")
-        n = self.D.size
-        if self.R.shape != (n, n) or self.Q.shape != (n, n):
-            raise InputError("D, R, Q dimensions disagree")
-        if not ((self.D >= 0) & (self.D < np.inf)).all():
-            raise InputError("D must be nonnegative and finite")
-        _check_sigma2(self.sigma2)
+        self.D = check_vector(self.D, name="D", kind="nonnegative")
+        self.R = hermitian(self.R, name="R", n=self.D.size)
+        self.Q = hermitian(self.Q, name="Q", n=self.D.size)
+        self.sigma2 = check_scalar(self.sigma2, name="sigma2", kind="positive")
         for name, M in (("R", self.R), ("Q", self.Q)):
             lam = psd_violation(M)
             if lam:
@@ -151,14 +141,11 @@ def _form(v: _Rician):
     return symmetrize(Rf * Q), symmetrize(Q)
 
 
-def _check_sigma2(sigma2):
-    if not 0 < sigma2 < np.inf:
-        raise InputError(f"sigma2 must be positive and finite, got {sigma2}")
-
-
-def _check_Ps(Ps):
-    if not 0 < Ps < np.inf:
-        raise InputError(f"Ps must be positive and finite, got {Ps}")
+def check_stats(stats) -> ChannelStats:
+    """``stats`` if it is a ChannelStats, else an InputError."""
+    if not isinstance(stats, ChannelStats):
+        raise InputError(f"stats must be a ChannelStats, got a {type(stats).__name__}")
+    return stats
 
 
 @dataclass
@@ -187,12 +174,12 @@ def build_stats(p: RicianParams, sigma2: float = 1.0) -> ChannelStats:
     from matrices never carry them.  ``RicianParams`` has checked every
     input, and Q and R (a Schur product of PSD matrices) are Hermitian PSD
     by construction, so ChannelStats' checks of caller input are skipped
-    and only sigma^2 is checked.  Parameters whose R or Q overflows raise:
-    no entry exceeds R's or Q's largest diagonal entry, and symmetrizing
-    doubles it, so the test reads 2 Q_ii max(D_ii, 1) alone.
+    and only sigma^2 is checked (a positive number, not a string).
+    Parameters whose R or Q overflows raise: no entry exceeds R's or Q's
+    largest diagonal entry, and symmetrizing doubles it, so the test reads
+    2 Q_ii max(D_ii, 1) alone.
     """
-    sigma2 = float(sigma2)
-    _check_sigma2(sigma2)
+    sigma2 = check_scalar(sigma2, name="sigma2", kind="positive")
     f, psi, g, phi = p.f_mean.copy(), p.f_var.copy(), p.g_mean.copy(), p.g_var.copy()
     with np.errstate(over="ignore", invalid="ignore"):   # overflow is raised below
         f2, g2 = np.abs(f) ** 2, np.abs(g) ** 2
@@ -209,8 +196,8 @@ def build_stats(p: RicianParams, sigma2: float = 1.0) -> ChannelStats:
 
 def snr(stats: ChannelStats, Ps: float, w) -> float:
     """Destination SNR (Ps/sigma^2) * (w^H R w) / (1 + w^H Q w)."""
-    _check_Ps(Ps)
-    rr, qq = stats._forms(check_vector(w, name="w", n=stats.n))
+    Ps = check_scalar(Ps, name="Ps", kind="positive")
+    rr, qq = check_stats(stats)._forms(check_vector(w, name="w", n=stats.n))
     return (Ps / stats.sigma2) * rr / (1.0 + qq)
 
 
@@ -220,6 +207,7 @@ def powers(stats: ChannelStats, Ps: float, w):
     Returns ``(P_r, P_ri)`` with P_r = Ps w^H D w + sigma^2 w^H w and
     P_ri = (Ps D_ii + sigma^2) |w_i|^2; the per-relay values sum to P_r.
     """
-    _check_Ps(Ps)
-    P_ri = (Ps * stats.D + stats.sigma2) * np.abs(check_vector(w, name="w", n=stats.n)) ** 2
+    Ps = check_scalar(Ps, name="Ps", kind="positive")
+    w = check_vector(w, name="w", n=check_stats(stats).n)
+    P_ri = (Ps * stats.D + stats.sigma2) * np.abs(w) ** 2
     return float(P_ri.sum()), P_ri

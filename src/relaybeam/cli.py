@@ -35,7 +35,7 @@ import numpy as np
 from . import fixtures, indiv_qcqp, oracle, sdp, total_power
 from .channel import ChannelStats, RicianParams, build_stats
 from .errors import ConvergenceError, InputError, RelayBeamError
-from .linalg import hermitian
+from .linalg import SCALAR_KINDS, check_scalar, hermitian
 from .problems import IndivPowerProblem, TotalPowerProblem
 # unused here: bench/selftest.py checks that its tracer rebinds this copy
 from .sdp import solve_relaxation  # noqa: F401
@@ -403,25 +403,18 @@ def _make_dir(path: str):
 
 
 _MISSING = object()
-# numeric field kind: (array rank, description); ranks 2 and 3 hold [re, im] pairs
-_NUMERIC = {"number": (0, "a number"), "positive": (0, "a positive number"),
-            "count": (0, "an integer >= 1"),
-            "seed": (0, "a non-negative integer below 2**64"),
-            "numbers": (1, "a list of numbers"), "vector": (2, "a list of [re, im] pairs"),
-            "matrix": (3, "a square matrix of [re, im] pairs")}
-_INTEGER = ("count", "seed")
-# the test each ranged kind's value must pass
-_IN_RANGE = {"positive": lambda v: v > 0, "count": lambda v: v >= 1,
-             "seed": lambda v: 0 <= v < 2 ** 64}
+# array field kind: (array rank, description); ranks 2 and 3 hold [re, im] pairs
+_ARRAYS = {"numbers": (1, "a list of numbers"), "vector": (2, "a list of [re, im] pairs"),
+           "matrix": (3, "a square matrix of [re, im] pairs")}
 
 
 def _field(block: dict, path: str, kind, default=_MISSING):
     """The field at the dotted ``path`` (its last part is the key in ``block``)
-    converted to ``kind``: "object", a tuple of the allowed strings, or a kind
-    of ``_NUMERIC``, which gives a float, an int, a float array, a complex
-    vector or a Hermitian matrix.  A missing field without a default, or a
-    value of another kind or out of the kind's range, raises an InputError
-    that names ``path``."""
+    converted to ``kind``: "object", a tuple of the allowed strings, a scalar
+    kind of ``linalg.SCALAR_KINDS``, which gives a float or an int, or a kind
+    of ``_ARRAYS``, which gives a float array, a complex vector or a Hermitian
+    matrix.  A missing field without a default, or a value of another kind
+    or out of the kind's range, raises an InputError that names ``path``."""
     key = path.rpartition(".")[2]
     if key not in block:
         if default is _MISSING:
@@ -436,19 +429,20 @@ def _field(block: dict, path: str, kind, default=_MISSING):
         if isinstance(value, str) and value in kind:
             return value
         what = f"one of {kind}"
+    elif kind in SCALAR_KINDS:
+        # JSON numbers have no integer type: an integral float of the kind is read as an int
+        if isinstance(value, float) and value.is_integer() and SCALAR_KINDS[kind][2](int(value)):
+            value = int(value)
+        return check_scalar(value, name=f"field '{path}'", kind=kind)
     else:
-        ndim, what = _NUMERIC[kind]
+        ndim, what = _ARRAYS[kind]
         try:
             arr = np.asarray(value)
         except ValueError:             # ragged nesting
             arr = np.asarray(None)
         if (arr.dtype.kind in "iuf" and arr.ndim == ndim and np.isfinite(arr).all()
                 and (ndim < 2 or arr.shape[-1] == 2)
-                and (ndim < 3 or arr.shape[0] == arr.shape[1])
-                and (kind not in _INTEGER or arr == np.round(arr))
-                and (kind not in _IN_RANGE or _IN_RANGE[kind](arr.item()))):
-            if ndim == 0:
-                return int(arr) if kind in _INTEGER else float(arr)
+                and (ndim < 3 or arr.shape[0] == arr.shape[1])):
             if ndim == 1:
                 return arr.astype(float)
             z = arr[..., 0] + 1j * arr[..., 1]

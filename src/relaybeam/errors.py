@@ -10,10 +10,10 @@ class RelayBeamError(Exception):
 
 
 class InputError(RelayBeamError):
-    """Invalid user-supplied data: bad shapes, non-Hermitian matrices,
-    negative variances, malformed scenario files, or an instance outside a
-    solver's scope (non-diagonal R, Q for a diagonal solver; n > 3 where
-    only n <= 3 is proven)."""
+    """Invalid user-supplied data: a value of the wrong kind (see ``linalg``'s
+    checks), bad shapes, non-Hermitian matrices, negative variances, malformed
+    scenario files, or an instance outside a solver's scope (non-diagonal R,
+    Q for a diagonal solver; n > 3 where only n <= 3 is proven)."""
 
 
 class ConvergenceError(RelayBeamError):

@@ -25,7 +25,7 @@ import numpy as np
 from . import indiv_diag, indiv_search
 from .channel import BeamformingSolution
 from .errors import InputError
-from .linalg import check_vector, hermitian, qform, symmetrize
+from .linalg import check_scalar, check_vector, hermitian, qform, symmetrize
 from .problems import IndivPowerProblem
 from .sdp import QcqpInstance, _gauge_basis, range_eigh, solve_relaxation
 
@@ -41,6 +41,7 @@ def build_qcqp(p: IndivPowerProblem) -> QcqpInstance:
 
 def qcqp_objective(q: QcqpInstance, w) -> float:
     """w^H R w / max_k (w^H Q w + c_k |w_k|^2): the QCQP value of w's ray."""
+    w = check_vector(w, name="w", n=q.n)
     return qform(q.R, w) / float(q.constraint_values(w).max())
 
 
@@ -50,7 +51,7 @@ def rescale_to_original(w_qcqp, q: QcqpInstance, p: IndivPowerProblem) -> Beamfo
     eta = max_k c_k |w_k|^2; w/sqrt(eta) is feasible with at least one cap
     active (the optimum always saturates some relay).
     """
-    w = np.asarray(w_qcqp, dtype=complex).ravel()
+    w = check_vector(w_qcqp, name="w", n=q.n)
     if not np.abs(w).max() > 0:
         raise InputError("cannot rescale the zero vector")
     eta = float((q.c * np.abs(w) ** 2).max())
@@ -80,16 +81,19 @@ def solve(p: IndivPowerProblem, solver: str = "auto", options: dict | None = Non
     rank-one point, else its rank-one decomposition (n <= 3), else the
     ``fallback`` search (``cdm`` or ``pnorm``) from X's top factor.  ``sdp``
     and ``grp`` solve the relaxation unless given ``solve_via_sdp``'s triple."""
-    if solver not in ROUTES:
+    if not (isinstance(solver, str) and solver in ROUTES):
         raise InputError(f"unknown per-relay solver {solver!r}; choose one of {ROUTES}")
-    options = options or {}
-    # every option's value is checked here, whatever the route reads
-    if options.get("fallback", "cdm") not in FALLBACKS:
-        raise InputError(f"unknown fallback {options['fallback']!r}; choose one of {FALLBACKS}")
-    for key, check in (("eps", indiv_search._check_eps), ("samples", _check_samples),
-                       ("p", indiv_search._check_p)):
+    options = {} if options is None else options
+    if not isinstance(options, dict):
+        raise InputError(f"options must be a dict or None, got {options!r}")
+    # the seed and every option's value are checked here, whatever the route reads
+    seed = check_scalar(seed, name="seed", kind="seed")
+    fallback = options.get("fallback", "cdm")
+    if not (isinstance(fallback, str) and fallback in FALLBACKS):
+        raise InputError(f"unknown fallback {fallback!r}; choose one of {FALLBACKS}")
+    for key, kind in (("eps", "positive"), ("samples", "count"), ("p", "count")):
         if options.get(key) is not None:
-            check(options[key])
+            check_scalar(options[key], name=key, kind=kind)
     if options.get("w0") is not None:
         check_vector(options["w0"], name="w0", n=p.n)
     if solver == "auto":
@@ -124,11 +128,6 @@ def solve(p: IndivPowerProblem, solver: str = "auto", options: dict | None = Non
     sol, trace, state = indiv_search.augmented_lagrangian_solve(emb, p, w0=start)
     meta.update(p=p_val, multiplier=state.lam, constraint_residual=state.constraint_residual)
     return sol, meta, trace
-
-
-def _check_samples(samples):
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise InputError("samples must be >= 1 and an integer")
 
 
 def rank_one_decompose(X, q: QcqpInstance) -> np.ndarray:
@@ -203,10 +202,8 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
     is half), or whose bounded denominator is not positive, are evaluated in
     float64: w is the float64 first maximum over the drawn samples, from one zeta.
     """
-    _check_samples(samples)
-    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
-            or not 0 <= seed < 2 ** 64):
-        raise InputError("seed must be a non-negative integer below 2**64")
+    samples = check_scalar(samples, name="samples", kind="count")
+    seed = check_scalar(seed, name="seed", kind="seed")
     lam, U = range_eigh(hermitian(X, name="X", n=q.n))
     if lam.size == 0:
         raise InputError("X is numerically zero; nothing to sample")
@@ -217,17 +214,18 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
         # the same value, and the first sample wins the tie
         samples = 1
     C = _grp_forms(L, q)
-    s0, s1 = np.ldexp(1.0, -np.frexp([np.abs(C[0]).max(), np.abs(C[1:]).max()])[1])
-    Cs = np.vstack([s0 * C[:1], s1 * C[1:]])
-    # eps32 = 2^-23; |F_l| <= 1 at rank two, and < -log(2^-53) < 37 in the polar draw
-    a = ((r * r + 16) * 2.0 ** -23 * (1.0 if r == 2 else 37.0) * np.abs(Cs).sum(axis=1)
-         + 2.0 ** -100).astype(np.float32)
-    a0, a_den = a[0], a[1] + a[2:].max()
-    C32 = np.vstack([Cs[:1], Cs[1] + Cs[2:]]).astype(np.float32)    # V_1 + V_k in one row
+    step = 2 * _GRP_CHUNK // r
+    if samples > step // 2:     # a chunk after the first runs: build the float32 screen
+        s0, s1 = np.ldexp(1.0, -np.frexp([np.abs(C[0]).max(), np.abs(C[1:]).max()])[1])
+        Cs = np.vstack([s0 * C[:1], s1 * C[1:]])
+        # eps32 = 2^-23; |F_l| <= 1 at rank two, and < -log(2^-53) < 37 in the polar draw
+        a = ((r * r + 16) * 2.0 ** -23 * (1.0 if r == 2 else 37.0) * np.abs(Cs).sum(axis=1)
+             + 2.0 ** -100).astype(np.float32)
+        a0, a_den = a[0], a[1] + a[2:].max()
+        C32 = np.vstack([Cs[:1], Cs[1] + Cs[2:]]).astype(np.float32)    # V_1 + V_k in one row
+        Vb = np.empty((q.n + 1, step), np.float32)    # reused: no page faults a chunk
     best_val, best_w = -np.inf, None
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
-    step = 2 * _GRP_CHUNK // r
-    Vb = np.empty((q.n + 1, step), np.float32)    # reused: no page faults a chunk
     for c0 in range(-(step // 2), samples, step):   # the first chunk, all float64, is half
         m = min(c0 + step, samples) - max(c0, 0)
         if r == 2:

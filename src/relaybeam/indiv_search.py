@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InputError, ModelError
-from .linalg import _real_embed, check_vector, symmetrize
+from .linalg import _real_embed, check_scalar, check_vector, symmetrize
 from .problems import IndivPowerProblem
 from .trace import SolverTrace
 
@@ -138,16 +138,6 @@ def _top_root(qa, qb, qc):
 # coordinate descent (cyclic, closed-form slot updates)
 # ---------------------------------------------------------------------------
 
-def _check_eps(eps):
-    if not (_is_real(eps) and 0.0 < eps < math.inf):
-        raise InputError(f"eps must be a positive finite number, got {eps!r}")
-
-
-def _is_real(v) -> bool:
-    """v is a real scalar: a Python or numpy integer or float, not a bool."""
-    return not isinstance(v, bool) and isinstance(v, (int, float, np.integer, np.floating))
-
-
 def coordinate_descent(p: IndivPowerProblem, w0, eps: float = 1e-3):
     """Cyclic coordinate ascent on the SNR ratio.
 
@@ -158,7 +148,7 @@ def coordinate_descent(p: IndivPowerProblem, w0, eps: float = 1e-3):
     cap.  Returns ``(BeamformingSolution, SolverTrace)`` with trace rows
     (sweep, slot, objective).
     """
-    _check_eps(eps)
+    eps = check_scalar(eps, name="eps", kind="positive")
     w = check_vector(w0, name="w0", n=p.n).copy()
     over = (np.abs(w) / p.caps()).max()
     if over > 1.0:
@@ -239,23 +229,16 @@ def choose_p(n: int) -> int:
     return 1 << max(0, (p_min - 1).bit_length())
 
 
-def _check_p(p):
-    if _is_real(p) and not p >= 1:
-        raise InputError("p must be >= 1")
-    if not (_is_real(p) and float(p).is_integer()):
-        raise InputError(f"p must be an integer, got {p!r}")
-
-
 def build_pnorm_embedding(prob: IndivPowerProblem, p: int) -> PnormEmbedding:
     """Scale weights by D1, then embed complex u into z = [Re u; Im u]."""
-    _check_p(p)
+    p = check_scalar(p, name="p", kind="count")
     d1 = np.sqrt(prob.c)
     S = np.outer(1.0 / d1, 1.0 / d1)    # D1^-1 M D1^-1 entrywise, Hermitian as M is
     Q1, R1 = prob.stats.Q * S, prob.stats.R * S
     if not np.abs(R1).max() > 0:
         raise ModelError("R = 0: no signal reaches the destination, the SNR is 0 for every w")
     return PnormEmbedding(D1=d1, Q1=Q1, R1=R1, F=_real_embed(Q1),
-                          K=_real_embed(R1), p=int(p))
+                          K=_real_embed(R1), p=p)
 
 
 def phi_p_value(e: PnormEmbedding, z) -> float:

@@ -1,4 +1,4 @@
-"""Dense complex Hermitian linear algebra kernel.
+"""Dense complex Hermitian linear algebra kernel, and the package's one scalar and vector checks.
 
 Statistics given as matrices, the dense total-power pair, the SDP
 relaxation and the per-relay searches work on n x n or 2n x 2n Hermitian
@@ -11,6 +11,8 @@ particular algorithm.
 """
 
 from __future__ import annotations
+
+import reprlib
 
 import numpy as np
 
@@ -28,7 +30,10 @@ def hermitian(a, *, name: str = "matrix", n: int | None = None) -> np.ndarray:
     without changing already-Hermitian matrices.  Asymmetry beyond
     HERMITIAN_TOL raises; any non-finite entry raises.
     """
-    H = np.asarray(a, dtype=complex)
+    try:
+        H = np.asarray(a, dtype=complex)
+    except (TypeError, ValueError):     # no number, or a ragged nesting
+        raise InputError(f"{name} must be a matrix of numbers, got {reprlib.repr(a)}") from None
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise InputError(f"{name} must be square, got shape {H.shape}")
     if n is not None and H.shape[0] != n:
@@ -77,22 +82,53 @@ def psd_violation(M) -> float:
     return lam if lam < -PSD_RTOL * max(1.0, np.abs(M).max()) else 0.0
 
 
-def check_vector(v, *, name: str = "vector", n: int | None = None) -> np.ndarray:
-    """v as a complex 1-D array of one or more (n if given) finite numbers; a scalar is one."""
+_MAX = float(np.finfo(float).max)
+_REAL = (float, int, np.floating, np.integer)
+_INTEGER = (int, np.integer)
+# scalar kind: (description, the types it takes, its test of a value of them);
+# check_vector's real kinds are the first three's tests, applied entrywise
+SCALAR_KINDS = {
+    "number": ("a number", _REAL, lambda v: (v >= -_MAX) & (v <= _MAX)),
+    "positive": ("a positive number", _REAL, lambda v: (v > 0) & (v <= _MAX)),
+    "nonnegative": ("a nonnegative number", _REAL, lambda v: (v >= 0) & (v <= _MAX)),
+    "count": ("an integer >= 1", _INTEGER, lambda v: v >= 1),
+    "seed": ("a non-negative integer below 2**64", _INTEGER, lambda v: 0 <= v < 2 ** 64),
+}
+
+
+def check_scalar(v, *, name: str, kind: str = "number"):
+    """v as a scalar of ``kind`` (a key of SCALAR_KINDS): a finite Python float, or
+    an int for "count" and "seed", which take no float.  A numpy scalar or 0-d
+    array is one; a bool, a string, None, a complex number or other array is not."""
+    what, types, test = SCALAR_KINDS[kind]
+    x = v.item() if isinstance(v, np.ndarray) and v.ndim == 0 else v
+    if isinstance(x, types) and not isinstance(x, bool) and test(x):
+        return int(x) if types is _INTEGER else float(x)
+    raise InputError(f"{name} must be {what}, got {reprlib.repr(v)}")
+
+
+def check_vector(v, *, name: str = "vector", n: int | None = None,
+                 kind: str | None = None) -> np.ndarray:
+    """v as a complex 1-D array of one or more (n if given) finite numbers, a
+    scalar being one, or given a real ``kind`` ("nonnegative" or "positive")
+    as a float array of entries of that kind, which takes no complex entry."""
     try:
         a = np.asarray(v)
     except ValueError:      # a ragged nesting
         a = None
-    if a is None or a.dtype.kind not in "iufc" or a.ndim > 1:
-        raise InputError(f"{name} must be a vector of numbers, got {v!r}")
-    v = np.asarray(a, dtype=complex).ravel()
-    if n is not None and v.size != n:
-        raise InputError(f"{name} has length {v.size}, expected {n}")
-    if v.size < 1:
+    if a is None or a.dtype.kind not in ("iuf" if kind else "iufc") or a.ndim > 1:
+        what = f"a vector of {kind} numbers" if kind else "a vector of numbers"
+        raise InputError(f"{name} must be {what}, got {reprlib.repr(v)}")
+    a = np.asarray(a, dtype=float if kind else complex).ravel()
+    if n is not None and a.size != n:
+        raise InputError(f"{name} has length {a.size}, expected {n}")
+    if a.size < 1:
         raise InputError(f"{name} must have length >= 1")
-    if not np.isfinite(v).all():
+    if kind is not None and not SCALAR_KINDS[kind][2](a).all():
+        raise InputError(f"{name} must be {kind} and finite, got {reprlib.repr(v)}")
+    if not np.isfinite(a).all():
         raise InputError(f"{name} contains non-finite entries")
-    return v
+    return a
 
 
 def qform(H, v) -> float:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .channel import snr
 from .errors import ConvergenceError, InputError
+from .linalg import check_scalar
 from .problems import IndivPowerProblem, TotalPowerProblem
 from . import indiv_search
 
@@ -93,6 +94,7 @@ def brute_force_total(p: TotalPowerProblem, points: int = 100):
     Cholesky factor of the second matrix.  Where c <= n eps d, below what
     eigvalsh resolves (line of sight at large P0/sigma^2), it raises ConvergenceError.
     """
+    points = check_scalar(points, name="points", kind="count")
     if points < 10:
         raise InputError("points must be >= 10")
     stats = p.stats

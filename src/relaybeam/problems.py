@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BeamformingSolution, ChannelStats, _check_Ps, snr
+from .channel import BeamformingSolution, ChannelStats, check_stats, snr
 from .errors import InputError
+from .linalg import check_scalar, check_vector
 
 
 @dataclass
@@ -18,9 +19,9 @@ class TotalPowerProblem:
     P0: float
 
     def __post_init__(self):
-        if not 0 < self.P0 < np.inf:
-            raise InputError(f"P0 must be positive and finite, got {self.P0}")
-        if not 0 < float(self.stats.sigma2) / float(self.P0) < np.inf:
+        check_stats(self.stats)
+        self.P0 = check_scalar(self.P0, name="P0", kind="positive")
+        if not 0 < self.stats.sigma2 / self.P0 < np.inf:
             raise InputError(f"sigma2/P0 = {self.stats.sigma2}/{self.P0} is not positive and finite")
 
 
@@ -34,14 +35,9 @@ class IndivPowerProblem:
     P: np.ndarray
 
     def __post_init__(self):
-        _check_Ps(self.Ps)
-        self.P = np.asarray(self.P, dtype=float).ravel()
-        if self.P.size != self.stats.n:
-            raise InputError(
-                f"P must hold one power cap per relay: got {self.P.size} for n={self.stats.n}"
-            )
-        if not ((self.P > 0) & (self.P < np.inf)).all():
-            raise InputError("P must hold positive and finite relay power caps")
+        check_stats(self.stats)
+        self.Ps = check_scalar(self.Ps, name="Ps", kind="positive")
+        self.P = check_vector(self.P, name="P", n=self.stats.n, kind="positive")
 
     @property
     def n(self) -> int:
@@ -58,7 +54,7 @@ class IndivPowerProblem:
 
     def slacks(self, w) -> np.ndarray:
         """P_k (1 - c_k |w_k|^2), nonnegative iff w feasible."""
-        w = np.asarray(w, dtype=complex).ravel()
+        w = check_vector(w, name="w", n=self.n)
         return self.P * (1.0 - self.c * np.abs(w) ** 2)
 
     def solution(self, w) -> BeamformingSolution:

@@ -45,6 +45,7 @@ import numpy as np
 
 from .channel import BeamformingSolution, powers, snr
 from .errors import ConvergenceError, InputError, ModelError
+from .linalg import check_scalar
 from .problems import TotalPowerProblem
 from .trace import SolverTrace
 
@@ -166,6 +167,7 @@ def lambda_min_g(s: SPair | RicianPair, x: float):
     bound (mu_1 - mu_d)/mu_1 on the gap, until an evaluation it cannot
     certify: that one and every later one run on the dense pair.
     """
+    x = check_scalar(x, name="x")
     if not 0.0 < x < 1.0:
         raise InputError(f"x must lie in (0,1), got {x}")
     if isinstance(s, RicianPair):
@@ -372,7 +374,7 @@ def newton_solve(p: TotalPowerProblem, x0: float, s: SPair | RicianPair | None =
     could only end there: it returns the current iterate and its steps, with
     a trace note.
     """
-    return _package(p, *_run(p, x0, s, meet))
+    return _package(p, *_run(p, check_scalar(x0, name="x0"), s, meet))
 
 
 def _run(p, x0, s=None, meet=None):

@@ -50,7 +50,7 @@ class TestBuildStats:
 
     @pytest.mark.parametrize("sigma2", [0.0, -1.0, np.nan, np.inf])
     def test_bad_sigma2_rejected(self, sigma2):
-        with pytest.raises(InputError, match="sigma2 must be positive and finite"):
+        with pytest.raises(InputError, match=f"sigma2 must be a positive number, got {sigma2}"):
             build_stats(fixtures.total_fixture(1), sigma2)
 
     def test_negative_variance_rejected(self):

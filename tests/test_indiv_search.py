@@ -277,7 +277,7 @@ class TestCoordinateDescent:
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
     def test_bad_eps_rejected(self, eps):
-        with pytest.raises(InputError, match="eps must be a positive finite number"):
+        with pytest.raises(InputError, match=f"eps must be a positive number, got {eps}"):
             coordinate_descent(fixture_problem(4), np.ones(4), eps=eps)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])

@@ -1,16 +1,21 @@
 """Every input check of the library raises InputError naming the field,
 and the package namespace holds the problem inputs and the error classes."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relaybeam
-from relaybeam import fixtures, indiv_qcqp
+from relaybeam import fixtures, indiv_qcqp, total_power
 from relaybeam.channel import ChannelStats, RicianParams, build_stats, powers, snr
 from relaybeam.errors import ConvergenceError, InputError, ModelError, RelayBeamError
 from relaybeam.indiv_search import (augmented_lagrangian_solve, build_pnorm_embedding,
                                     coordinate_descent, phi_p_grad_hess)
 from relaybeam.linalg import check_vector, hermitian
+from relaybeam.oracle import brute_force_total
 from relaybeam.problems import IndivPowerProblem, TotalPowerProblem
 
 I2 = np.eye(2)
@@ -25,6 +30,16 @@ def fixture_qcqp(n=4):
     R, Q = fixtures.indiv_fixture(n)
     stats = ChannelStats(D=np.ones(n), R=R, Q=Q, sigma2=1.0)
     return indiv_qcqp.build_qcqp(IndivPowerProblem(stats=stats, Ps=1.0, P=np.full(n, 2.0)))
+
+
+def rician(**given):
+    """Two-relay Rician parameters, with the fields in ``given`` replaced."""
+    return RicianParams(**{"f_mean": [1, 0.5j], "f_var": [0.5, 1], "g_mean": [1, 1],
+                           "g_var": [0.2, 0.3], **given})
+
+
+def total_problem():
+    return TotalPowerProblem(stats=build_stats(rician()), P0=10.0)
 
 
 def with_entry(n, i, j, value):
@@ -62,13 +77,14 @@ CASES = {
     "rician-overflow-q": (lambda: build_stats(RicianParams(f_mean=[0, 1], f_var=[1e-10, 1],
                                                            g_mean=[0, 1], g_var=[1e308, 1])),
                           "overflow R or Q"),
-    "stats-sizes": (lambda: ChannelStats(D=np.ones(3), R=I2, Q=I2, sigma2=1.0), "D, R, Q"),
+    "stats-sizes": (lambda: ChannelStats(D=np.ones(3), R=I2, Q=I2, sigma2=1.0),
+                    r"R must be 3 x 3, got shape \(2, 2\)"),
     "stats-r-not-psd": (lambda: ChannelStats(D=np.ones(2), R=np.diag([1.0, -1.0]), Q=I2,
                                              sigma2=1.0), "R is not PSD"),
     "stats-q-not-psd": (lambda: ChannelStats(D=np.ones(2), R=I2, Q=np.diag([1.0, -1.0]),
                                              sigma2=1.0), "Q is not PSD"),
     "cap-count": (lambda: IndivPowerProblem(stats=problem().stats, Ps=1.0, P=np.ones(3)),
-                  "P must hold one power cap per relay"),
+                  "P has length 3, expected 2"),
     # r = sigma2/P0 overflows at a denormal P0
     "total-p0-denormal": (lambda: TotalPowerProblem(stats=problem().stats, P0=1e-310),
                           r"sigma2/P0 = 1.0/1e-310 is not positive"),
@@ -106,50 +122,53 @@ CASES = {
     "al-w0-inf": (lambda: augmented_lagrangian_solve(build_pnorm_embedding(problem(), 8), problem(),
                                                      w0=[1.0, np.inf]),
                   "w0 contains non-finite entries"),
-    "pnorm-p": (lambda: build_pnorm_embedding(problem(), 0), "p must be >= 1"),
+    "pnorm-p": (lambda: build_pnorm_embedding(problem(), 0), "p must be an integer >= 1, got 0"),
     "pnorm-p-fraction": (lambda: build_pnorm_embedding(problem(), 2.5),
-                         "p must be an integer, got 2.5"),
+                         "p must be an integer >= 1, got 2.5"),
     "pnorm-p-bool": (lambda: build_pnorm_embedding(problem(), True),
-                     "p must be an integer, got True"),
+                     "p must be an integer >= 1, got True"),
     # a per-relay option given to the library is checked, not replaced
-    "solve-p-zero": (lambda: indiv_qcqp.solve(problem(), "pnorm", {"p": 0}), "p must be >= 1"),
+    "solve-p-zero": (lambda: indiv_qcqp.solve(problem(), "pnorm", {"p": 0}),
+                     "p must be an integer >= 1, got 0"),
     "solve-p-bool": (lambda: indiv_qcqp.solve(problem(), "pnorm", {"p": True}),
-                     "p must be an integer, got True"),
+                     "p must be an integer >= 1, got True"),
     "solve-fallback": (lambda: indiv_qcqp.solve(problem(), "sdp", {"fallback": "bogus"}),
                        r"unknown fallback 'bogus'; choose one of \('cdm', 'pnorm'\)"),
     # ... whatever the route reads
     "solve-pnorm-eps": (lambda: indiv_qcqp.solve(problem(), "pnorm", {"eps": -1.0}),
-                        "eps must be a positive finite number, got -1.0"),
+                        "eps must be a positive number, got -1.0"),
     "solve-grp-eps": (lambda: indiv_qcqp.solve(problem(), "grp", {"eps": 0}),
-                      "eps must be a positive finite number, got 0"),
+                      "eps must be a positive number, got 0"),
     "solve-cdm-samples": (lambda: indiv_qcqp.solve(problem(), "cdm", {"samples": 0}),
-                          "samples must be >= 1 and an integer"),
+                          "samples must be an integer >= 1, got 0"),
     "solve-pnorm-samples": (lambda: indiv_qcqp.solve(problem(), "pnorm", {"samples": 0}),
-                            "samples must be >= 1 and an integer"),
+                            "samples must be an integer >= 1, got 0"),
     "solve-sdp-w0": (lambda: indiv_qcqp.solve(problem(), "sdp", {"w0": np.ones(3)}),
                      "w0 has length 3, expected 2"),
     # ... and its type: a bool, a string or an array is no number
     "solve-eps-bool": (lambda: indiv_qcqp.solve(problem(), "cdm", {"eps": True}),
-                       "eps must be a positive finite number, got True"),
+                       "eps must be a positive number, got True"),
     "solve-eps-str": (lambda: indiv_qcqp.solve(problem(), "cdm", {"eps": "x"}),
-                      "eps must be a positive finite number, got 'x'"),
+                      "eps must be a positive number, got 'x'"),
     "solve-eps-list": (lambda: indiv_qcqp.solve(problem(), "cdm", {"eps": [1e-3]}),
-                       r"eps must be a positive finite number, got \[0.001\]"),
+                       r"eps must be a positive number, got \[0.001\]"),
     "solve-p-str": (lambda: indiv_qcqp.solve(problem(), "pnorm", {"p": "4"}),
-                    "p must be an integer, got '4'"),
+                    "p must be an integer >= 1, got '4'"),
     "solve-p-array": (lambda: indiv_qcqp.solve(problem(), "pnorm", {"p": np.array([4])}),
-                      r"p must be an integer, got array\(\[4\]\)"),
+                      r"p must be an integer >= 1, got array\(\[4\]\)"),
     "solve-w0-str": (lambda: indiv_qcqp.solve(problem(), "cdm", {"w0": "abc"}),
                      "w0 must be a vector of numbers, got 'abc'"),
     "pnorm-hessian-at-zero": (lambda: phi_p_grad_hess(build_pnorm_embedding(problem(), 8),
                                                       np.zeros(4)),
                               "not twice differentiable at z = 0"),
-    "snr-ps-nan": (lambda: snr(problem().stats, np.nan, np.ones(2)), "Ps must be positive and finite"),
-    "snr-ps-inf": (lambda: snr(problem().stats, np.inf, np.ones(2)), "Ps must be positive and finite"),
+    "snr-ps-nan": (lambda: snr(problem().stats, np.nan, np.ones(2)),
+                   "Ps must be a positive number, got nan"),
+    "snr-ps-inf": (lambda: snr(problem().stats, np.inf, np.ones(2)),
+                   "Ps must be a positive number, got inf"),
     "powers-ps-nan": (lambda: powers(problem().stats, np.nan, np.ones(2)),
-                      "Ps must be positive and finite"),
+                      "Ps must be a positive number, got nan"),
     "powers-ps-inf": (lambda: powers(problem().stats, np.inf, np.ones(2)),
-                      "Ps must be positive and finite"),
+                      "Ps must be a positive number, got inf"),
     # one weight is not broadcast over three relays
     "powers-w-length": (lambda: powers(problem(3).stats, 1.0, [1.0]), "w has length 1, expected 3"),
     "snr-w-length": (lambda: snr(problem().stats, 1.0, np.ones(3)), "w has length 3, expected 2"),
@@ -172,6 +191,87 @@ CASES = {
     "powers-w-nan": (lambda: powers(problem().stats, 1.0, [np.nan, 1.0]), "w contains non-finite"),
     "powers-w-inf": (lambda: powers(problem().stats, 1.0, [1.0, -np.inf]),
                      "w contains non-finite"),
+    # a scalar is a real number of its kind, never a string, None, a bool, a
+    # complex number or an array of rank >= 1; a real vector takes no complex entry
+    "rician-g-var-str": (lambda: rician(g_var="abc"),
+                         "g_var must be a vector of nonnegative numbers, got 'abc'"),
+    "rician-f-var-matrix": (lambda: rician(f_var=np.ones((2, 1))),
+                            r"f_var must be a vector of nonnegative numbers, got array\(\[\[1"),
+    "rician-f-var-complex": (lambda: rician(f_var=[1 + 1j, 1]),
+                             r"f_var must be a vector of nonnegative numbers, got \[\(1\+1j\), 1\]"),
+    "stats-d-str": (lambda: ChannelStats(D="abc", R=I2, Q=I2),
+                    "D must be a vector of nonnegative numbers, got 'abc'"),
+    "stats-d-matrix": (lambda: ChannelStats(D=np.ones((2, 1)), R=I2, Q=I2),
+                       r"D must be a vector of nonnegative numbers, got array\(\[\[1"),
+    "stats-r-str": (lambda: ChannelStats(D=np.ones(2), R="abc", Q=I2),
+                    "R must be a matrix of numbers, got 'abc'"),
+    "stats-sigma2-str": (lambda: ChannelStats(D=np.ones(2), R=I2, Q=I2, sigma2="1"),
+                         "sigma2 must be a positive number, got '1'"),
+    "stats-sigma2-none": (lambda: ChannelStats(D=np.ones(2), R=I2, Q=I2, sigma2=None),
+                          "sigma2 must be a positive number, got None"),
+    "stats-sigma2-bool": (lambda: ChannelStats(D=np.ones(2), R=I2, Q=I2, sigma2=True),
+                          "sigma2 must be a positive number, got True"),
+    "build-stats-sigma2-bool": (lambda: build_stats(rician(), True),
+                                "sigma2 must be a positive number, got True"),
+    # numeric strings are refused, as the constructors refuse them
+    "build-stats-sigma2-str": (lambda: build_stats(rician(), "1"),
+                               "sigma2 must be a positive number, got '1'"),
+    "total-stats-none": (lambda: TotalPowerProblem(stats=None, P0=1.0),
+                         "stats must be a ChannelStats, got a NoneType"),
+    "total-p0-str": (lambda: TotalPowerProblem(stats=problem().stats, P0="1"),
+                     "P0 must be a positive number, got '1'"),
+    "total-p0-none": (lambda: TotalPowerProblem(stats=problem().stats, P0=None),
+                      "P0 must be a positive number, got None"),
+    "total-p0-bool": (lambda: TotalPowerProblem(stats=problem().stats, P0=True),
+                      "P0 must be a positive number, got True"),
+    "total-p0-array": (lambda: TotalPowerProblem(stats=problem().stats, P0=np.array([1.0])),
+                       r"P0 must be a positive number, got array\(\[1\.\]\)"),
+    # an int past float64 is no finite float
+    "total-p0-huge-int": (lambda: TotalPowerProblem(stats=problem().stats, P0=10 ** 400),
+                          "P0 must be a positive number, got 1000"),
+    "indiv-ps-str": (lambda: IndivPowerProblem(stats=problem().stats, Ps="1", P=np.ones(2)),
+                     "Ps must be a positive number, got '1'"),
+    "indiv-ps-bool": (lambda: IndivPowerProblem(stats=problem().stats, Ps=True, P=np.ones(2)),
+                      "Ps must be a positive number, got True"),
+    "indiv-ps-complex": (lambda: IndivPowerProblem(stats=problem().stats, Ps=1 + 0j, P=np.ones(2)),
+                         r"Ps must be a positive number, got \(1\+0j\)"),
+    "indiv-p-str": (lambda: IndivPowerProblem(stats=problem().stats, Ps=1.0, P="ab"),
+                    "P must be a vector of positive numbers, got 'ab'"),
+    "indiv-p-matrix": (lambda: IndivPowerProblem(stats=problem().stats, Ps=1.0, P=np.ones((1, 2))),
+                       r"P must be a vector of positive numbers, got array\(\[\[1"),
+    "indiv-p-complex": (lambda: IndivPowerProblem(stats=problem().stats, Ps=1.0, P=[1, 1j]),
+                        r"P must be a vector of positive numbers, got \[1, 1j\]"),
+    "snr-ps-str": (lambda: snr(problem().stats, "1", np.ones(2)),
+                   "Ps must be a positive number, got '1'"),
+    "snr-stats-none": (lambda: snr(None, 1.0, np.ones(2)),
+                       "stats must be a ChannelStats, got a NoneType"),
+    "newton-x0-str": (lambda: total_power.newton_solve(total_problem(), "0.5"),
+                      "x0 must be a number, got '0.5'"),
+    "lambda-min-g-x-str": (lambda: total_power.lambda_min_g(
+                               total_power.build_s_pair(total_problem()), "0.5"),
+                           "x must be a number, got '0.5'"),
+    "solve-options-str": (lambda: indiv_qcqp.solve(problem(), "auto", "abc"),
+                          "options must be a dict or None, got 'abc'"),
+    # the seed is checked on every route, before the relaxation is solved
+    "solve-sdp-seed-str": (lambda: indiv_qcqp.solve(problem(), "sdp", None, seed="x"),
+                           "seed must be a non-negative integer below 2\\*\\*64, got 'x'"),
+    "qcqp-objective-w-str": (lambda: indiv_qcqp.qcqp_objective(fixture_qcqp(), "ab"),
+                             "w must be a vector of numbers, got 'ab'"),
+    "oracle-points-str": (lambda: brute_force_total(total_problem(), "100"),
+                          "points must be an integer >= 1, got '100'"),
+    "oracle-points-fraction": (lambda: brute_force_total(total_problem(), 10.5),
+                               "points must be an integer >= 1, got 10.5"),
+    "slacks-w-str": (lambda: problem().slacks("ab"), "w must be a vector of numbers, got 'ab'"),
+    # a weight vector to rescale is checked before its zero test
+    "rescale-w-nan": (lambda: indiv_qcqp.rescale_to_original(
+                          [np.nan, 1, 1], indiv_qcqp.build_qcqp(problem(3)), problem(3)),
+                      "w contains non-finite entries"),
+    "rescale-w-inf": (lambda: indiv_qcqp.rescale_to_original(
+                          [np.inf, 1, 1], indiv_qcqp.build_qcqp(problem(3)), problem(3)),
+                      "w contains non-finite entries"),
+    "rescale-w-length": (lambda: indiv_qcqp.rescale_to_original(
+                             [1, 1], indiv_qcqp.build_qcqp(problem(3)), problem(3)),
+                         "w has length 2, expected 3"),
 }
 
 
@@ -190,3 +290,91 @@ def test_package_namespace():
         assert getattr(relaybeam, name).__name__ == name
     # the CLI's exit codes: 2, 3 and 4 (any other RelayBeamError)
     assert set(RelayBeamError.__subclasses__()) == {InputError, ConvergenceError, ModelError}
+
+
+
+# what a caller may pass by mistake: None, a bool, a string or bytes, a nested
+# or ragged list, a 0-d or 2-d array, NaN, +-inf, a complex number where a real
+# one is expected, or a number out of range; a few of them are valid somewhere
+_ENTRY = st.sampled_from([0.0, 0.5, 1.0, -1.0, np.nan, np.inf, -np.inf, 1j])
+MALFORMED = st.one_of(
+    st.sampled_from([None, True, False, "", "1", "ab", b"1", 0, -1, 3, 2.5, -0.5, np.nan,
+                     np.inf, -np.inf, 1j, 1 + 0j, np.float64(np.nan), np.complex128(1),
+                     np.bool_(True), np.array(0.5), np.array(np.nan), np.array(True),
+                     np.array(1j), np.array("1"), np.array(None), [1, "x"], [1, None],
+                     [[1.0], [1.0, 2.0]], [], {}]),
+    st.lists(st.one_of(_ENTRY, st.lists(_ENTRY, max_size=2)), max_size=3),
+    st.lists(_ENTRY, min_size=1, max_size=3).map(np.array),
+    st.lists(st.lists(_ENTRY.filter(np.isfinite), min_size=2, max_size=2), min_size=1,
+             max_size=2).map(np.array),
+)
+
+
+@functools.cache
+def grp_instance():
+    """The rank-two relaxation of the four-relay fixture, and its QCQP."""
+    R, Q = fixtures.indiv_fixture(4)
+    p = IndivPowerProblem(stats=ChannelStats(D=np.ones(4), R=R, Q=Q), Ps=1.0, P=np.full(4, 2.0))
+    q, sol, _ = indiv_qcqp.solve_via_sdp(p)
+    return {"X": sol.X, "q": q}
+
+
+def diagonal_problem():
+    stats = ChannelStats(D=[1, 2], R=np.diag([1.0, 2.0]), Q=np.diag([0.5, 1.0]))
+    return IndivPowerProblem(stats=stats, Ps=1.0, P=[1, 1])
+
+
+def solve_with(options=None, seed=0, **option):
+    """indiv_qcqp.solve on a diagonal problem with ``options``, or with the one ``option``."""
+    return indiv_qcqp.solve(diagonal_problem(), "auto", option or options, seed)
+
+
+# entry point: (the call, its valid arguments by name, the arguments its checks cover)
+ENTRIES = {
+    "RicianParams": (rician, dict, ("f_mean", "f_var", "g_mean", "g_var")),
+    "ChannelStats": (ChannelStats, lambda: {"D": [1, 2], "R": I2, "Q": I2, "sigma2": 1.0},
+                     ("D", "R", "Q", "sigma2")),
+    "build_stats": (build_stats, lambda: {"p": rician(), "sigma2": 1.0}, ("sigma2",)),
+    "TotalPowerProblem": (TotalPowerProblem, lambda: {"stats": problem().stats, "P0": 1.0},
+                          ("stats", "P0")),
+    "IndivPowerProblem": (IndivPowerProblem,
+                          lambda: {"stats": problem().stats, "Ps": 1.0, "P": [1, 2]},
+                          ("stats", "Ps", "P")),
+    "snr": (snr, lambda: {"stats": problem().stats, "Ps": 1.0, "w": [1, 1j]},
+            ("stats", "Ps", "w")),
+    "powers": (powers, lambda: {"stats": problem().stats, "Ps": 1.0, "w": [1, 1j]},
+               ("stats", "Ps", "w")),
+    "newton_solve": (total_power.newton_solve, lambda: {"p": total_problem(), "x0": 0.5},
+                     ("x0",)),
+    "lambda_min_g": (total_power.lambda_min_g,
+                     lambda: {"s": total_power.build_s_pair(total_problem()), "x": 0.5}, ("x",)),
+    "indiv_qcqp.solve": (solve_with, dict,
+                         ("options", "seed", "eps", "samples", "p", "w0", "fallback")),
+    "grp_extract": (indiv_qcqp.grp_extract, lambda: {**grp_instance(), "samples": 10, "seed": 0},
+                    ("samples", "seed")),
+    "coordinate_descent": (coordinate_descent,
+                           lambda: {"p": diagonal_problem(), "w0": [1, 1], "eps": 1e-3},
+                           ("w0", "eps")),
+    "build_pnorm_embedding": (build_pnorm_embedding, lambda: {"prob": problem(), "p": 4},
+                              ("p",)),
+    "brute_force_total": (brute_force_total, lambda: {"p": total_problem(), "points": 10},
+                          ("points",)),
+    "rescale_to_original": (indiv_qcqp.rescale_to_original,
+                            lambda: {"w_qcqp": [1, 1], "q": indiv_qcqp.build_qcqp(problem()),
+                                     "p": problem()}, ("w_qcqp",)),
+}
+ARGUMENT = {name: st.sampled_from(checked) for name, (_, _, checked) in ENTRIES.items()}
+
+
+@settings(deadline=None, max_examples=200)
+@given(bad=MALFORMED, data=st.data())
+def test_malformed_argument_returns_or_raises_input_error(bad, data):
+    # each entry point, given ``bad`` for one argument and valid values for the
+    # others, returns or raises InputError
+    for name, (call, valid, _) in ENTRIES.items():
+        args = valid()
+        args[data.draw(ARGUMENT[name], label=f"{name} argument")] = bad
+        try:
+            call(**args)
+        except InputError:
+            pass
