@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .linalg import (_negligible, check_scalar, check_vector, hermitian, is_diagonal,
-                     psd_violation, qform, symmetrize)
+from .linalg import (_negligible, check_scalar, check_type, check_vector, hermitian,
+                     is_diagonal, psd_violation, qform, symmetrize)
 
 
 @dataclass
@@ -141,13 +141,6 @@ def _form(v: _Rician):
     return symmetrize(Rf * Q), symmetrize(Q)
 
 
-def check_stats(stats) -> ChannelStats:
-    """``stats`` if it is a ChannelStats, else an InputError."""
-    if not isinstance(stats, ChannelStats):
-        raise InputError(f"stats must be a ChannelStats, got a {type(stats).__name__}")
-    return stats
-
-
 @dataclass
 class BeamformingSolution:
     """A weight vector with its achieved SNR and per-constraint slacks."""
@@ -173,12 +166,13 @@ def build_stats(p: RicianParams, sigma2: float = 1.0) -> ChannelStats:
     R and Q as that product the first time either is read; statistics built
     from matrices never carry them.  ``RicianParams`` has checked every
     input, and Q and R (a Schur product of PSD matrices) are Hermitian PSD
-    by construction, so ChannelStats' checks of caller input are skipped
-    and only sigma^2 is checked (a positive number, not a string).
+    by construction, so ChannelStats' checks of caller input are skipped and
+    only p's type and sigma^2 (a positive number, not a string) are checked.
     Parameters whose R or Q overflows raise: no entry exceeds R's or Q's
     largest diagonal entry, and symmetrizing doubles it, so the test reads
     2 Q_ii max(D_ii, 1) alone.
     """
+    p = check_type(p, RicianParams, name="p")
     sigma2 = check_scalar(sigma2, name="sigma2", kind="positive")
     f, psi, g, phi = p.f_mean.copy(), p.f_var.copy(), p.g_mean.copy(), p.g_var.copy()
     with np.errstate(over="ignore", invalid="ignore"):   # overflow is raised below
@@ -197,7 +191,8 @@ def build_stats(p: RicianParams, sigma2: float = 1.0) -> ChannelStats:
 def snr(stats: ChannelStats, Ps: float, w) -> float:
     """Destination SNR (Ps/sigma^2) * (w^H R w) / (1 + w^H Q w)."""
     Ps = check_scalar(Ps, name="Ps", kind="positive")
-    rr, qq = check_stats(stats)._forms(check_vector(w, name="w", n=stats.n))
+    stats = check_type(stats, ChannelStats, name="stats")
+    rr, qq = stats._forms(check_vector(w, name="w", n=stats.n))
     return (Ps / stats.sigma2) * rr / (1.0 + qq)
 
 
@@ -208,6 +203,6 @@ def powers(stats: ChannelStats, Ps: float, w):
     P_ri = (Ps D_ii + sigma^2) |w_i|^2; the per-relay values sum to P_r.
     """
     Ps = check_scalar(Ps, name="Ps", kind="positive")
-    w = check_vector(w, name="w", n=check_stats(stats).n)
+    w = check_vector(w, name="w", n=check_type(stats, ChannelStats, name="stats").n)
     P_ri = (Ps * stats.D + stats.sigma2) * np.abs(w) ** 2
     return float(P_ri.sum()), P_ri

@@ -49,7 +49,7 @@ class Scenario:
     mode: str                      # "total" | "individual"
     problem: TotalPowerProblem | IndivPowerProblem
     solver: str = "auto"
-    solver_options: dict = field(default_factory=dict)   # converted, see _OPTION_KINDS
+    solver_options: dict = field(default_factory=dict)   # converted, see indiv_qcqp.OPTIONS
     seed: int = 0
 
 
@@ -58,8 +58,6 @@ class Scenario:
 _CHANNEL_KINDS = {"stats": {"D": "numbers", "R": "matrix", "Q": "matrix"},
                   "rician": {"f_mean": "vector", "f_var": "numbers",
                              "g_mean": "vector", "g_var": "numbers"}}
-_OPTION_KINDS = {"samples": "count", "eps": "positive", "p": "count",
-                 "w0": "vector", "fallback": indiv_qcqp.FALLBACKS}
 
 
 def parse_scenario(path: str) -> Scenario:
@@ -92,12 +90,12 @@ def parse_scenario(path: str) -> Scenario:
     solver = _field(raw, "solver", "object", {"name": "auto"})
     name = _field(solver, "solver.name", ("auto",) if mode == "total" else indiv_qcqp.ROUTES)
     given = _field(solver, "solver.options", "object", {})
-    unknown = sorted(given.keys() - _OPTION_KINDS.keys())
+    unknown = sorted(given.keys() - indiv_qcqp.OPTIONS.keys())
     if unknown:
         raise InputError(f"field 'solver.options.{unknown[0]}' is not an option; "
-                         f"known options: {', '.join(_OPTION_KINDS)}")
+                         f"known options: {', '.join(indiv_qcqp.OPTIONS)}")
     options = {key: _field(given, f"solver.options.{key}", kind)
-               for key, kind in _OPTION_KINDS.items() if key in given}
+               for key, kind in indiv_qcqp.OPTIONS.items() if key in given}
     if "w0" in options and options["w0"].size != stats.n:
         raise InputError(f"field 'solver.options.w0' has {options['w0'].size} pairs, "
                          f"expected one per relay ({stats.n})")
@@ -130,7 +128,8 @@ def run(s: Scenario, trace_dir: str | None = None) -> Report:
         sol = total_power.solve(prob)
         # only the closed form takes no iteration
         meta.update(solver="total-newton" if sol.iterations else "total-diagonal",
-                    iterations=sol.iterations, x=sol.x, lambda_min=sol.lambda_min)
+                    iterations=sol.iterations, x=sol.x, lambda_min=sol.lambda_min,
+                    notes=sol.trace.notes)
         bsol, trace_obj = total_power.as_beamforming_solution(prob, sol), sol.trace
     else:
         bsol, more, trace_obj = indiv_qcqp.solve(prob, s.solver, s.solver_options, s.seed)

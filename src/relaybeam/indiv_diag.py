@@ -16,6 +16,7 @@ import numpy as np
 
 from .channel import BeamformingSolution
 from .errors import InputError
+from .linalg import check_type
 from .problems import IndivPowerProblem
 
 
@@ -42,7 +43,7 @@ def solve_diagonal(p: IndivPowerProblem) -> BeamformingSolution:
     stay silent.  Phases are set to zero: with diagonal R, Q the objective
     depends only on the magnitudes.
     """
-    r, q, coef = _diag_parts(p)
+    r, q, coef = _diag_parts(check_type(p, IndivPowerProblem, name="p"))
     a = (p.Ps / p.stats.sigma2) * r
     tk = np.divide(a, q, out=np.full(p.n, np.inf), where=q > 0)
     order = np.argsort(-tk, kind="stable")

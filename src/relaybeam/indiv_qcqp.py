@@ -25,12 +25,15 @@ import numpy as np
 from . import indiv_diag, indiv_search
 from .channel import BeamformingSolution
 from .errors import InputError
-from .linalg import check_scalar, check_vector, hermitian, qform, symmetrize
+from .linalg import check_scalar, check_type, check_vector, hermitian, qform, symmetrize
 from .problems import IndivPowerProblem
 from .sdp import QcqpInstance, _gauge_basis, range_eigh, solve_relaxation
 
 FALLBACKS = ("cdm", "pnorm")     # the searches the sdp route falls back to
 ROUTES = ("auto", "indiv-diag", "sdp", *FALLBACKS, "grp")
+# solve's options and the kind of each value, which cli.parse_scenario reads too (see cli._field)
+OPTIONS = {"samples": "count", "eps": "positive", "p": "count", "w0": "vector",
+           "fallback": FALLBACKS}
 
 _GRP_CHUNK = 8192   # GRP samples per column chunk at rank two, 2/r of it at rank r: in L2
 
@@ -75,8 +78,8 @@ def solve_via_sdp(p: IndivPowerProblem):
 
 def solve(p: IndivPowerProblem, solver: str = "auto", options: dict | None = None,
           seed: int = 0, relaxation=None):
-    """Run the route ``solver`` of ``ROUTES`` with a scenario's solver
-    ``options``; returns ``(solution, metadata, trace or None)``.  ``auto`` is
+    """Run the route ``solver`` of ``ROUTES`` with solver ``options`` keyed by
+    ``OPTIONS``; returns ``(solution, metadata, trace or None)``.  ``auto`` is
     ``indiv-diag`` for diagonal statistics, else ``sdp``: the relaxation's
     rank-one point, else its rank-one decomposition (n <= 3), else the
     ``fallback`` search (``cdm`` or ``pnorm``) from X's top factor.  ``sdp``
@@ -86,16 +89,19 @@ def solve(p: IndivPowerProblem, solver: str = "auto", options: dict | None = Non
     options = {} if options is None else options
     if not isinstance(options, dict):
         raise InputError(f"options must be a dict or None, got {options!r}")
+    p = check_type(p, IndivPowerProblem, name="p")
     # the seed and every option's value are checked here, whatever the route reads
     seed = check_scalar(seed, name="seed", kind="seed")
-    fallback = options.get("fallback", "cdm")
-    if not (isinstance(fallback, str) and fallback in FALLBACKS):
-        raise InputError(f"unknown fallback {fallback!r}; choose one of {FALLBACKS}")
-    for key, kind in (("eps", "positive"), ("samples", "count"), ("p", "count")):
-        if options.get(key) is not None:
-            check_scalar(options[key], name=key, kind=kind)
-    if options.get("w0") is not None:
-        check_vector(options["w0"], name="w0", n=p.n)
+    for key, value in options.items():
+        kind = OPTIONS.get(key)
+        if kind is None:
+            raise InputError(f"unknown option {key!r}; known options: {', '.join(OPTIONS)}")
+        if isinstance(kind, tuple) and not (isinstance(value, str) and value in kind):
+            raise InputError(f"unknown {key} {value!r}; choose one of {kind}")
+        if kind == "vector" and value is not None:
+            check_vector(value, name=key, n=p.n)
+        elif value is not None and not isinstance(kind, tuple):
+            check_scalar(value, name=key, kind=kind)
     if solver == "auto":
         solver = "indiv-diag" if p.stats.is_diagonal() else "sdp"
     meta = {"solver": solver}

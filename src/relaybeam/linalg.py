@@ -131,6 +131,14 @@ def check_vector(v, *, name: str = "vector", n: int | None = None,
     return a
 
 
+def check_type(v, kind: type, *, name: str):
+    """v if it is a ``kind`` (a class), else an InputError naming ``name``."""
+    if not isinstance(v, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise InputError(f"{name} must be {article} {kind.__name__}, got a {type(v).__name__}")
+    return v
+
+
 def qform(H, v) -> float:
     """Real quadratic form v^dagger H v for Hermitian H."""
     v = np.asarray(v, dtype=complex).ravel()

@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import snr
 from .errors import ConvergenceError, InputError
-from .linalg import check_scalar
+from .linalg import check_scalar, check_type
 from .problems import IndivPowerProblem, TotalPowerProblem
 from . import indiv_search
 
@@ -42,9 +42,9 @@ def brute_force_indiv(p: IndivPowerProblem, g: GridSpec | None = None):
     the best grid point is polished by one sweep of the closed-form scalar
     subproblem.  Returns ``(w, snr)``.
     """
-    if p.n > 3:
+    if check_type(p, IndivPowerProblem, name="p").n > 3:
         raise InputError("brute force is limited to n <= 3")
-    g = g or GridSpec()
+    g = GridSpec() if g is None else check_type(g, GridSpec, name="g")
     total = g.evaluations(p.n)
     if total > EVAL_GUARD:
         raise InputError(
@@ -97,7 +97,7 @@ def brute_force_total(p: TotalPowerProblem, points: int = 100):
     points = check_scalar(points, name="points", kind="count")
     if points < 10:
         raise InputError("points must be >= 10")
-    stats = p.stats
+    stats = check_type(p, TotalPowerProblem, name="p").stats
     r = stats.sigma2 / p.P0
     dis = 1.0 / np.sqrt(stats.D + r)
     ev = np.linalg.eigvalsh(dis[:, None] * (stats.Q + r * np.eye(stats.n)) * dis)

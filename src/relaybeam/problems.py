@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BeamformingSolution, ChannelStats, check_stats, snr
+from .channel import BeamformingSolution, ChannelStats, snr
 from .errors import InputError
-from .linalg import check_scalar, check_vector
+from .linalg import check_scalar, check_type, check_vector
 
 
 @dataclass
@@ -19,7 +19,7 @@ class TotalPowerProblem:
     P0: float
 
     def __post_init__(self):
-        check_stats(self.stats)
+        check_type(self.stats, ChannelStats, name="stats")
         self.P0 = check_scalar(self.P0, name="P0", kind="positive")
         if not 0 < self.stats.sigma2 / self.P0 < np.inf:
             raise InputError(f"sigma2/P0 = {self.stats.sigma2}/{self.P0} is not positive and finite")
@@ -35,7 +35,7 @@ class IndivPowerProblem:
     P: np.ndarray
 
     def __post_init__(self):
-        check_stats(self.stats)
+        check_type(self.stats, ChannelStats, name="stats")
         self.Ps = check_scalar(self.Ps, name="Ps", kind="positive")
         self.P = check_vector(self.P, name="P", n=self.stats.n, kind="positive")
 

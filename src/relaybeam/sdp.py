@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InputError, ModelError
-from .linalg import HERMITIAN_TOL, hermitian, psd_violation, symmetrize
+from .linalg import HERMITIAN_TOL, check_type, hermitian, psd_violation, symmetrize
 
 GAP_TOL = 1e-8    # certified relative duality gap, |gap| <= GAP_TOL max(1, |primal|)
 FEAS_TOL = 1e-8   # primal residual max_k |1 - Tr(A_k X) - s_k| at the stop; no units
@@ -144,6 +144,7 @@ def solve_relaxation(q: QcqpInstance) -> SdpSolution:
     c_k ~ 1e-8), a LAPACK kernel breaks down, or any step overflows (as the
     start does near the float64 limit).
     """
+    check_type(q, QcqpInstance, name="q")
     R, Q, c, n = q.R, q.Q, q.c, q.n
     tr = q.traces
     it = 0

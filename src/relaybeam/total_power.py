@@ -33,8 +33,8 @@ matrix.  There it skips the eigendecomposition: the secular pair
 diagonal-plus-rank-two R - mu B(x) (Bunch, Nielsen and Sorensen, Numer.
 Math. 31, 1978), certified to be the top eigenvalue, and its derivatives
 and the bracket's lam_1 and lam_n in O(n) per iterate with no n x n
-factorization.  An evaluation it cannot certify builds the dense pair once
-(forming R and Q), notes it in the trace, and the solve finishes on it.
+factorization.  No run changes the pair: from an evaluation it cannot
+certify, that run goes on on the dense pair (forming R and Q) and notes it.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import numpy as np
 
 from .channel import BeamformingSolution, powers, snr
 from .errors import ConvergenceError, InputError, ModelError
-from .linalg import check_scalar
+from .linalg import check_scalar, check_type
 from .problems import TotalPowerProblem
 from .trace import SolverTrace
 
@@ -58,7 +58,7 @@ SECULAR_STEPS = 40  # a secular root's steps before the dense pair takes over
 _EPS = np.finfo(float).eps
 
 
-@dataclass
+@dataclass(frozen=True)
 class SPair:
     """The problem in the basis that makes B(x) diagonal for every x."""
 
@@ -67,19 +67,14 @@ class SPair:
     basis: np.ndarray   # d^{-1/2} V, maps H's eigenvectors back to weight space
 
 
-@dataclass
+@dataclass(frozen=True)
 class RicianPair:
     """Rician statistics as vectors: R = h h^H + diag(delta) and
-    B(x) = diag(b) + gbar gbar^H/x with b = d/(1-x) + e/x.  After one
-    evaluation it cannot certify, ``dense`` holds the dense pair that
-    finishes the solve."""
+    B(x) = diag(b) + gbar gbar^H/x with b = d/(1-x) + e/x."""
 
     U: np.ndarray       # rows h = fbar o gbar and gbar
     K: np.ndarray       # rows d = D + r, e = phi + r and delta, R's diagonal part
     lam: np.ndarray     # lam_1 and lam_n of (Q + rI, D + rI), for bracket_x
-    p: TotalPowerProblem
-    dense: SPair | None = None
-    trace: SolverTrace | None = None  # the running newton_solve's, for the fallback note
 
 
 @dataclass
@@ -122,7 +117,7 @@ def build_s_pair(p: TotalPowerProblem) -> SPair | RicianPair:
     if tau is None or low is None or not low > stats.n * _EPS * (top + tau):
         return _dense_pair(p)
     return RicianPair(U=np.stack((v.h, g)), K=np.stack((d, e, v.delta)),
-                      lam=np.array([low, top + tau]), p=p)
+                      lam=np.array([low, top + tau]))
 
 
 def _dense_pair(p: TotalPowerProblem) -> SPair:
@@ -164,21 +159,14 @@ def lambda_min_g(s: SPair | RicianPair, x: float):
            + 2 sum_{j>1} (mu + mu_j)^2 |c_j|^2 / (mu - mu_j).
     On the dense pair every value comes from one ``eigh`` of H.  On the
     secular pair they come from ``_secular_eval``, with the certified lower
-    bound (mu_1 - mu_d)/mu_1 on the gap, until an evaluation it cannot
-    certify: that one and every later one run on the dense pair.
+    bound (mu_1 - mu_d)/mu_1 on the gap, or it returns None where that pair
+    cannot certify x; a run then goes on on the dense pair (see ``_run``).
     """
     x = check_scalar(x, name="x")
     if not 0.0 < x < 1.0:
         raise InputError(f"x must lie in (0,1), got {x}")
     if isinstance(s, RicianPair):
-        if s.dense is None:
-            out = _secular_eval(s, x)
-            if out is not None:
-                return out
-            s.dense = _dense_pair(s.p)
-            if s.trace is not None:
-                s.trace.note(f"dense pair from x={x}: the secular pair did not certify")
-        s = s.dense
+        return _secular_eval(s, x)
     beta = 1.0 / (1.0 - x) + s.lam / x
     with np.errstate(divide="ignore", over="ignore"):
         db = 1.0 / (1.0 - x) ** 2 - s.lam / x ** 2
@@ -359,8 +347,8 @@ def solve_diagonal(p: TotalPowerProblem) -> TotalPowerSolution:
     return _package(p, x, lam, e, 0, trace)
 
 
-def newton_solve(p: TotalPowerProblem, x0: float, s: SPair | RicianPair | None = None,
-                 meet: float | None = None) -> TotalPowerSolution:
+def newton_solve(p: TotalPowerProblem, x0: float,
+                 s: SPair | RicianPair | None = None) -> TotalPowerSolution:
     """Bracketed Newton-type search for a stationary x starting from x0.
 
     Every step goes where ``_target`` says: to the minimizer of a term
@@ -369,56 +357,58 @@ def newton_solve(p: TotalPowerProblem, x0: float, s: SPair | RicianPair | None =
     when |dx/x| < STEP_TOL, a test free of the problem's units, or raises
     ConvergenceError after MAX_ITER steps, at a target outside (0, 1)
     (mu^2 underflows below P0/sigma^2 ~ 1e-160), or where beta'(x) overflows
-    (pure line of sight from P0/sigma^2 ~ 1e305).  Given ``meet``, another
-    run's x, it stops once a target lands within STEP_TOL of it, where it
-    could only end there: it returns the current iterate and its steps, with
-    a trace note.
+    (pure line of sight from P0/sigma^2 ~ 1e305).  From the first x the secular
+    pair cannot certify, the run goes on on the dense pair and notes that x.
     """
-    return _package(p, *_run(p, check_scalar(x0, name="x0"), s, meet))
+    p = check_type(p, TotalPowerProblem, name="p")
+    return _package(p, *_run(p, check_scalar(x0, name="x0"), s)[0])
 
 
 def _run(p, x0, s=None, meet=None):
-    """newton_solve's run, unpackaged: (x, lambda_min, direction, steps, trace)."""
+    """newton_solve's run, unpackaged, and whether a target within STEP_TOL of another
+    run's x ``meet`` stopped it: ((x, lambda_min, direction, steps, trace), met)."""
     if s is None:
         s = build_s_pair(p)
     xl, xu = bracket_x(s)
     if not xl <= x0 <= xu:
         raise InputError(f"x0={x0} outside bracket [{xl:.6f}, {xu:.6f}]")
     trace = SolverTrace(columns=TRACE_COLUMNS)
-    if isinstance(s, RicianPair):
-        s.trace = trace
-    x = float(x0)
-    lam, d1, d2, w_dir, gap = lambda_min_g(s, x)
-    for k in range(MAX_ITER):
+    x, converged = float(x0), False
+    for k in range(MAX_ITER + 1):
+        out = lambda_min_g(s, x)
+        if out is None:     # this run goes on on its own dense pair
+            s = _dense_pair(p)
+            trace.note(f"dense pair from x={x}: the secular pair did not certify")
+            out = lambda_min_g(s, x)
+        lam, d1, d2, w_dir, gap = out
+        if converged:
+            return (x, lam, w_dir, k, trace), False
+        if k == MAX_ITER:
+            raise ConvergenceError(f"Newton did not meet the stopping test in {k} iterations")
         x_new = _target(x, lam, d1, d2, gap, xl, xu)
         if not 0.0 < x_new < 1.0:
             raise ConvergenceError(f"Newton broke down at iteration {k}: x={x} has target {x_new}")
         if meet is not None and abs((x_new - meet) / meet) < STEP_TOL:
-            trace.note(f"met x={meet} after {k} steps")
-            return x, lam, w_dir, k, trace
+            return (x, lam, w_dir, k, trace), True
         trace.append(k, x, lam, d1, d2, x_new - x)
         converged = abs((x_new - x) / x) < STEP_TOL
         x = x_new
-        lam, d1, d2, w_dir, gap = lambda_min_g(s, x)
-        if converged:
-            return x, lam, w_dir, k + 1, trace
-    raise ConvergenceError(f"Newton did not meet the stopping test in {MAX_ITER} iterations")
 
 
 def solve(p: TotalPowerProblem) -> TotalPowerSolution:
     """Dispatch: diagonal instances in closed form, otherwise Newton from
-    both bracket endpoints.  A run from x_u that meets the x_l run (see
-    newton_solve; its trace notes it) would end there and tie, so the x_l
-    run is kept.  Otherwise the run from x_u is kept only where it reaches
-    a strictly smaller lambda_min, the quantity both runs minimize.  Only
-    the run kept is packaged."""
+    both bracket endpoints, which share the pair ``build_s_pair`` returns.
+    A run from x_u that meets the x_l run (see ``_run``) would end there and
+    tie, so the x_l run is kept.  Otherwise the run from x_u is kept only
+    where it reaches a strictly smaller lambda_min, the quantity both runs
+    minimize.  Only the run kept is packaged."""
+    p = check_type(p, TotalPowerProblem, name="p")
     if p.stats.is_diagonal():
         return solve_diagonal(p)
     s = build_s_pair(p)
     xl, xu = bracket_x(s)
-    run_l = _run(p, xl, s)
-    run_u = _run(p, xu, s, meet=run_l[0])
-    met = any(note.startswith("met x=") for note in run_u[-1].notes)
+    run_l, _ = _run(p, xl, s)
+    run_u, met = _run(p, xu, s, meet=run_l[0])
     return _package(p, *(run_u if not met and run_u[1] < run_l[1] else run_l))
 
 

@@ -68,6 +68,25 @@ def weak_rician_problem(n, P0, seed, mean_scale, var_lo, var_hi):
     return TotalPowerProblem(stats=build_stats(params, 1.0), P0=P0)
 
 
+def low_k_problem(K, n, seed):
+    """n Rician relays with K-factor K, sigma^2 = 1: from rng [seed, n, 100 K],
+    psi and then phi ~ U(0.5, 2), f_mean = sqrt(2 K psi) CN(n), then
+    g_mean = sqrt(2 K phi) CN(n), then P0 = 10^U(-1, 3).  Scattering dominates
+    at K = 0.01, where the secular pair cannot certify most evaluations;
+    ``scenarios/total_lowk_n32.json`` is K = 0.01, n = 32, seed 20."""
+    rng = np.random.default_rng([seed, n, round(100 * K)])
+    psi, phi = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
+
+    def cn():
+        return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+
+    f_mean = np.sqrt(2 * K * psi) * cn()
+    g_mean = np.sqrt(2 * K * phi) * cn()
+    params = RicianParams(f_mean=f_mean, f_var=psi, g_mean=g_mean, g_var=phi)
+    P0 = float(10.0 ** rng.uniform(-1.0, 3.0))
+    return TotalPowerProblem(stats=build_stats(params, 1.0), P0=P0)
+
+
 def matrix_built(p):
     """The same D, R and Q as matrices: ``build_s_pair`` gives the dense pair."""
     st = p.stats

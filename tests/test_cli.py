@@ -16,7 +16,8 @@ from relaybeam.indiv_diag import solve_diagonal
 from relaybeam.indiv_qcqp import build_qcqp, qcqp_objective
 from relaybeam.oracle import brute_force_indiv, brute_force_total
 from relaybeam.problems import IndivPowerProblem, TotalPowerProblem
-from conftest import break_stacked_kernel, degenerate_qcqp_instance, loose_cap_problem, scan_snr
+from conftest import (break_stacked_kernel, degenerate_qcqp_instance, loose_cap_problem,
+                      low_k_problem, scan_snr)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -565,6 +566,20 @@ class TestMain:
         rep = strict_json(capsys.readouterr().out)
         assert rep["scenario_mode"] == "total" and len(rep["w"]) == 64
         assert rep["snr"] >= brute_force_total(parse_scenario(str(path)).problem)[1] * (1 - 1e-9)
+        assert rep["metadata"]["notes"] == []
+
+    def test_sample_low_k_scenario_reports_its_fallback(self, capsys):
+        # Rician K = 0.01: the run kept, from x_u, went on on the dense pair
+        # from there, and the report's notes say so; the file is the seeded draw
+        path = SCENARIOS / "total_lowk_n32.json"
+        assert main(["solve", str(path)]) == 0
+        rep = strict_json(capsys.readouterr().out)
+        ref = total_power.solve(low_k_problem(0.01, 32, 20))
+        assert (rep["metadata"]["x"], rep["snr"]) == (ref.x, ref.snr)
+        xu = total_power.bracket_x(total_power.build_s_pair(parse_scenario(str(path)).problem))[1]
+        assert rep["metadata"]["notes"] == ref.trace.notes == [
+            f"dense pair from x={xu}: the secular pair did not certify"]
+        assert rep["snr"] >= brute_force_total(low_k_problem(0.01, 32, 20))[1]
 
     def test_trace_and_export(self, tmp_path, capsys):
         path, _ = diagonal_scenario(tmp_path, solver="cdm")

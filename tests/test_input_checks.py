@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relaybeam
-from relaybeam import fixtures, indiv_qcqp, total_power
+from relaybeam import fixtures, indiv_diag, indiv_qcqp, sdp, total_power
 from relaybeam.channel import ChannelStats, RicianParams, build_stats, powers, snr
 from relaybeam.errors import ConvergenceError, InputError, ModelError, RelayBeamError
 from relaybeam.indiv_search import (augmented_lagrangian_solve, build_pnorm_embedding,
                                     coordinate_descent, phi_p_grad_hess)
 from relaybeam.linalg import check_vector, hermitian
-from relaybeam.oracle import brute_force_total
+from relaybeam.oracle import brute_force_indiv, brute_force_total
 from relaybeam.problems import IndivPowerProblem, TotalPowerProblem
 
 I2 = np.eye(2)
@@ -272,6 +272,30 @@ CASES = {
     "rescale-w-length": (lambda: indiv_qcqp.rescale_to_original(
                              [1, 1], indiv_qcqp.build_qcqp(problem(3)), problem(3)),
                          "w has length 2, expected 3"),
+    # an option key the routes do not read is refused, not ignored
+    "solve-grp-unknown-option": (lambda: indiv_qcqp.solve(problem(), "grp", {"sample": 100}),
+                                 "unknown option 'sample'; known options: samples, eps, p, w0, "
+                                 "fallback"),
+    "solve-cdm-unknown-option": (lambda: indiv_qcqp.solve(problem(), "cdm", {"epsilon": 0.5}),
+                                 "unknown option 'epsilon'"),
+    "solve-unknown-option-key": (lambda: indiv_qcqp.solve(problem(), "auto", {1: 2}),
+                                 "unknown option 1"),
+    # a problem or parameter object of another type
+    "build-stats-none": (lambda: build_stats(None), "p must be a RicianParams, got a NoneType"),
+    "total-solve-none": (lambda: total_power.solve(None),
+                         "p must be a TotalPowerProblem, got a NoneType"),
+    "newton-none": (lambda: total_power.newton_solve(None, 0.5),
+                    "p must be a TotalPowerProblem, got a NoneType"),
+    "indiv-solve-none": (lambda: indiv_qcqp.solve(None),
+                         "p must be an IndivPowerProblem, got a NoneType"),
+    "indiv-diag-none": (lambda: indiv_diag.solve_diagonal(None),
+                        "p must be an IndivPowerProblem, got a NoneType"),
+    "relaxation-none": (lambda: sdp.solve_relaxation(None),
+                        "q must be a QcqpInstance, got a NoneType"),
+    "oracle-grid-str": (lambda: brute_force_indiv(problem(), "x"),
+                        "g must be a GridSpec, got a str"),
+    "oracle-total-none": (lambda: brute_force_total(None),
+                          "p must be a TotalPowerProblem, got a NoneType"),
 }
 
 
@@ -334,7 +358,7 @@ ENTRIES = {
     "RicianParams": (rician, dict, ("f_mean", "f_var", "g_mean", "g_var")),
     "ChannelStats": (ChannelStats, lambda: {"D": [1, 2], "R": I2, "Q": I2, "sigma2": 1.0},
                      ("D", "R", "Q", "sigma2")),
-    "build_stats": (build_stats, lambda: {"p": rician(), "sigma2": 1.0}, ("sigma2",)),
+    "build_stats": (build_stats, lambda: {"p": rician(), "sigma2": 1.0}, ("p", "sigma2")),
     "TotalPowerProblem": (TotalPowerProblem, lambda: {"stats": problem().stats, "P0": 1.0},
                           ("stats", "P0")),
     "IndivPowerProblem": (IndivPowerProblem,
@@ -345,7 +369,7 @@ ENTRIES = {
     "powers": (powers, lambda: {"stats": problem().stats, "Ps": 1.0, "w": [1, 1j]},
                ("stats", "Ps", "w")),
     "newton_solve": (total_power.newton_solve, lambda: {"p": total_problem(), "x0": 0.5},
-                     ("x0",)),
+                     ("p", "x0")),
     "lambda_min_g": (total_power.lambda_min_g,
                      lambda: {"s": total_power.build_s_pair(total_problem()), "x": 0.5}, ("x",)),
     "indiv_qcqp.solve": (solve_with, dict,
@@ -358,7 +382,7 @@ ENTRIES = {
     "build_pnorm_embedding": (build_pnorm_embedding, lambda: {"prob": problem(), "p": 4},
                               ("p",)),
     "brute_force_total": (brute_force_total, lambda: {"p": total_problem(), "points": 10},
-                          ("points",)),
+                          ("p", "points")),
     "rescale_to_original": (indiv_qcqp.rescale_to_original,
                             lambda: {"w_qcqp": [1, 1], "q": indiv_qcqp.build_qcqp(problem()),
                                      "p": problem()}, ("w_qcqp",)),

@@ -17,7 +17,8 @@ from relaybeam.total_power import (GAP_TOL, _target, bracket_x, build_s_pair,
                                    lambda_min_g, newton_solve, solve,
                                    solve_diagonal)
 from conftest import (finite_diff, finite_diff_second, identical_relays_problem, is_psd,
-                      matrix_built, rand_pd, rand_stats, rand_total_problem, scan_snr)
+                      low_k_problem, matrix_built, rand_pd, rand_stats, rand_total_problem,
+                      scan_snr)
 
 
 def fixture_problem(case):
@@ -562,9 +563,8 @@ class TestMeetingStop:
         s = build_s_pair(p)
         xl, xu = bracket_x(s)
         run_l = newton_solve(p, xl, s=s)
-        met = newton_solve(p, xu, s=s, meet=run_l.x)
-        assert met.iterations == len(met.trace) == 1
-        assert met.trace.notes == [f"met x={run_l.x} after 1 steps"]
+        (_, _, _, steps, trace), met = total_power._run(p, xu, s, meet=run_l.x)
+        assert met and steps == len(trace) == 1 and not trace.notes
         calls = count_lambda_min_g(monkeypatch)
         sol = solve(p)
         assert len(calls) == 6
@@ -576,8 +576,8 @@ class TestMeetingStop:
         inner = total_power._run
 
         def deflated(p, x0, s=None, meet=None):
-            x, lam, w_dir, steps, trace = inner(p, x0, s, meet)
-            return x, 0.5 * lam if trace.notes else lam, w_dir, steps, trace
+            (x, lam, w_dir, steps, trace), met = inner(p, x0, s, meet)
+            return (x, 0.5 * lam if met else lam, w_dir, steps, trace), met
 
         p = fixture_problem(2)
         s = build_s_pair(p)
@@ -592,9 +592,9 @@ class TestMeetingStop:
         p = fixture_problem(1)
         s = build_s_pair(p)
         xl, xu = bracket_x(s)
-        run_l = newton_solve(p, xl, s=s)
-        run_u = newton_solve(p, xu, s=s, meet=run_l.x)
-        assert not run_u.trace.notes and run_u.x == newton_solve(p, xu, s=s).x
+        run_l, run_u = (newton_solve(p, x0, s=s) for x0 in (xl, xu))
+        (x, *_), met = total_power._run(p, xu, s, meet=run_l.x)
+        assert not met and x == run_u.x and not run_u.trace.notes
         assert run_u.x == pytest.approx(0.5844, abs=5e-3)
         calls = count_lambda_min_g(monkeypatch)
         sol = solve(p)
@@ -759,7 +759,7 @@ class TestSecularPair:
             xs = np.linspace(*bracket_x(s), 7)[1:-1]
             calls = count_eigh(monkeypatch)
             secular = [lambda_min_g(s, x) for x in xs]
-            assert calls == [] and s.dense is None
+            assert calls == []
             for x, (lam, d1, d2, w, gap) in zip(xs, secular):
                 rl, r1, r2, rw, rgap = reference(x)
                 assert lam == pytest.approx(rl, rel=1e-12)
@@ -816,20 +816,20 @@ class TestSecularPair:
                 assert got == pytest.approx(float(want), rel=1e-12)
 
     def test_no_certificate_falls_back_to_the_dense_pair(self, monkeypatch):
-        # h = 0: no Rayleigh quotient exceeds mu_d, so the first evaluation
-        # builds the dense pair, notes it in the x_l run's trace, and the
-        # solve finishes on it
+        # h = 0: no Rayleigh quotient exceeds mu_d, so lambda_min_g certifies
+        # nothing, and each run builds its own dense pair at its first x, notes
+        # it in its own trace, and finishes on it; the pair stays as built
         p = rayleigh_first_hop_problem(16, 3)
         s = build_s_pair(p)
         assert isinstance(s, total_power.RicianPair) and not p.stats.is_diagonal()
         builds, inner = [], total_power._dense_pair
         monkeypatch.setattr(total_power, "_dense_pair", lambda q: builds.append(q) or inner(q))
-        xl, xu = bracket_x(s)
-        run_l = newton_solve(p, xl, s=s)
-        assert builds == [p] and isinstance(s.dense, total_power.SPair)
-        assert run_l.trace.notes == [f"dense pair from x={xl}: the secular pair did not certify"]
-        run_u = newton_solve(p, xu, s=s)
-        assert builds == [p] and not run_u.trace.notes
+        for x0 in bracket_x(s):
+            assert lambda_min_g(s, x0) is None
+            run = newton_solve(p, x0, s=s)
+            assert builds == [p]
+            assert run.trace.notes == [f"dense pair from x={x0}: the secular pair did not certify"]
+            builds.clear()
         sol, ref = solve(p), solve(matrix_built(p))
         assert sol.iterations == ref.iterations
         assert sol.x == pytest.approx(ref.x, rel=1e-12)
@@ -841,12 +841,16 @@ class TestSecularPair:
             m.setattr(total_power, "SECULAR_STEPS", 1)
             assert isinstance(build_s_pair(p), total_power.SPair)   # lam_1, lam_n
         s = build_s_pair(p)
+        x = float(np.mean(bracket_x(s)))
+        ref = newton_solve(p, x, s=s)
+        assert not ref.trace.notes
         monkeypatch.setattr(total_power, "SECULAR_STEPS", 1)
-        lam = lambda_min_g(s, float(np.mean(bracket_x(s))))[0]      # mu_1
-        assert isinstance(s.dense, total_power.SPair)
-        monkeypatch.undo()
-        assert lam == pytest.approx(lambda_min_g(build_s_pair(p), float(np.mean(bracket_x(s))))[0],
-                                    rel=1e-12)
+        assert lambda_min_g(s, x) is None       # mu_1 takes more than one step
+        sol = newton_solve(p, x, s=s)
+        assert sol.trace.notes == [f"dense pair from x={x}: the secular pair did not certify"]
+        assert sol.iterations == ref.iterations
+        assert sol.lambda_min == pytest.approx(ref.lambda_min, rel=1e-12)
+        assert sol.x == pytest.approx(ref.x, rel=1e-12)
 
     def test_a_step_back_ends_the_root(self):
         # near the root, rounding in f can turn the one-pole step around; from
@@ -863,30 +867,48 @@ class TestSecularPair:
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_a_run_does_not_depend_on_run_order(self, n):
-        # an evaluation reads nothing that an earlier run left on the pair, so
-        # solve's x_u run, made after the x_l run, is the run on a fresh pair
-        for kind in ("rician", "near-los", "los"):
-            for seed in range(4):
-                p = kind_problem(kind, n, seed)
-                fresh, s = build_s_pair(p), build_s_pair(p)
-                assert isinstance(s, total_power.RicianPair)
-                xl, xu = bracket_x(s)
-                newton_solve(p, xl, s=s)
-                a, b = newton_solve(p, xu, s=fresh), newton_solve(p, xu, s=s)
-                assert (b.x, b.lambda_min, b.snr, b.iterations) == (a.x, a.lambda_min, a.snr,
-                                                                    a.iterations)
-                assert b.trace.rows == a.trace.rows and np.array_equal(b.w, a.w)
+        # no run changes the pair, so solve's x_u run, made after the x_l run,
+        # is the run on a fresh pair, with the same notes: at K = 0.01 the x_l
+        # run's dense pair is its own, and an x_u run that falls back notes it too
+        problems = [kind_problem(kind, n, seed) for kind in ("rician", "near-los", "los")
+                    for seed in range(4)]
+        for p in problems + [low_k_problem(0.01, n, seed) for seed in range(4)]:
+            fresh, s = build_s_pair(p), build_s_pair(p)
+            assert isinstance(s, total_power.RicianPair)
+            xl, xu = bracket_x(s)
+            newton_solve(p, xl, s=s)
+            a, b = newton_solve(p, xu, s=fresh), newton_solve(p, xu, s=s)
+            assert (b.x, b.lambda_min, b.snr, b.iterations) == (a.x, a.lambda_min, a.snr,
+                                                                a.iterations)
+            assert b.trace.rows == a.trace.rows and np.array_equal(b.w, a.w)
+            assert b.trace.notes == a.trace.notes
+
+    def test_the_x_u_run_kept_notes_its_own_fallback(self):
+        # K = 0.01, n = 32, seed 20 (scenarios/total_lowk_n32.json): the pair
+        # certifies neither bracket end, and solve keeps the x_u run, which
+        # ran on its own dense pair from x_u and says so
+        p = low_k_problem(0.01, 32, 20)
+        s = build_s_pair(p)
+        xl, xu = bracket_x(s)
+        run_l, run_u = (newton_solve(p, x0, s=s) for x0 in (xl, xu))
+        assert run_l.trace.notes == [f"dense pair from x={xl}: the secular pair did not certify"]
+        sol = solve(p)
+        assert sol.trace.notes == [f"dense pair from x={xu}: the secular pair did not certify"]
+        assert (sol.x, sol.snr, sol.iterations) == (run_u.x, run_u.snr, run_u.iterations)
+        assert sol.lambda_min < run_l.lambda_min
+        assert sol.x == pytest.approx(0.51610, abs=5e-6)
+        assert sol.snr == pytest.approx(53.53505, rel=1e-6)
 
     def test_a_fallback_note_leaves_the_x_u_run_competing(self, monkeypatch):
-        # only the meeting note stops the x_u run from being compared
+        # only a meeting stops the x_u run from being compared, not its notes
         inner = total_power._run
 
         def noted(p, x0, s=None, meet=None):
-            x, lam, w_dir, steps, trace = inner(p, x0, s, meet)
+            (x, lam, w_dir, steps, trace), met = inner(p, x0, s, meet)
             if meet is not None:
                 trace.note(f"dense pair from x={x0}: the secular pair did not certify")
                 lam = 0.5 * lam
-            return x, lam, w_dir, steps, trace
+            return (x, lam, w_dir, steps, trace), met
 
         p = fixture_problem(1)      # two basins: the x_u run is not met
         monkeypatch.setattr(total_power, "_run", noted)
