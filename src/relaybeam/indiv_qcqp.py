@@ -39,11 +39,13 @@ _GRP_CHUNK = 8192   # GRP samples per column chunk at rank two, 2/r of it at ran
 
 
 def build_qcqp(p: IndivPowerProblem) -> QcqpInstance:
+    p = check_type(p, IndivPowerProblem, name="p")
     return QcqpInstance(R=p.stats.R, Q=p.stats.Q, c=p.c)
 
 
 def qcqp_objective(q: QcqpInstance, w) -> float:
     """w^H R w / max_k (w^H Q w + c_k |w_k|^2): the QCQP value of w's ray."""
+    q = check_type(q, QcqpInstance, name="q")
     w = check_vector(w, name="w", n=q.n)
     return qform(q.R, w) / float(q.constraint_values(w).max())
 
@@ -54,6 +56,8 @@ def rescale_to_original(w_qcqp, q: QcqpInstance, p: IndivPowerProblem) -> Beamfo
     eta = max_k c_k |w_k|^2; w/sqrt(eta) is feasible with at least one cap
     active (the optimum always saturates some relay).
     """
+    q = check_type(q, QcqpInstance, name="q")
+    p = check_type(p, IndivPowerProblem, name="p")
     w = check_vector(w_qcqp, name="w", n=q.n)
     if not np.abs(w).max() > 0:
         raise InputError("cannot rescale the zero vector")
@@ -153,6 +157,7 @@ def rank_one_decompose(X, q: QcqpInstance) -> np.ndarray:
     (complementary slackness), so the objective Tr(R X) = sum y_k Tr(A_k X)
     is unchanged too.
     """
+    q = check_type(q, QcqpInstance, name="q")
     if q.n > 3:
         raise InputError(
             "rank-one decomposition is only guaranteed for n <= 3; "
@@ -183,33 +188,36 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
     of X: with the eigenpairs of X that ``range_eigh`` keeps (the rule behind
     ``SdpSolution.rank_estimate``) L = U_r sqrt(lambda_r), and each sample
     is w = L zeta for zeta ~ CN(0, I_r).  A sample's value is unchanged by
-    w -> alpha w, so it depends only on the complex ray of zeta, which is
-    drawn with its CN(0, I_r) law from uniform bits alone.  At rank two the
-    normalized ray is uniform on the Bloch sphere: the share t = |zeta_2|^2
-    / |zeta|^2 is U(0, 1) and independent of the relative phase, so one
-    64-bit word a sample gives zeta = (sqrt(1 - t), sqrt(t) p), p a float32
-    phasor (``_bloch_rays``).  Above rank two the polar (Box-Muller) form
-    takes 2r - 1 uniforms: row u of one (samples, 2r - 1) block gives
-    independent unit exponentials |zeta_k|^2 = -log(1 - u_k) and the phases
-    2 pi u_{r+k} of zeta_{k+1} relative to zeta_1, which is real; its
-    float32 phasors are renormalized in float64.  When X has rank one (the
-    report's ``rank_estimate`` is 1), every sample has the same value, so
-    one sample is drawn whatever ``samples`` says.  Every quadratic form is
-    linear in zeta zeta^H, so one (n + 2) x r^2 product C on its r^2 real
-    features F (``_grp_forms``) gives w^H R w, w^H Q w and each c_k |w_k|^2.
-    It runs on the calling thread in column chunks that stay in cache, first
-    in float32, with C's R row and Q-and-caps rows each scaled by a power of
-    two (no scale overflows; R -> 4^j R leaves it unchanged).  Its rows V_j
-    are within a_j = (r^2 + 16) eps32 sum_l |C_jl| max |F_l| + 2^-100 of
-    their float64 values (Higham, Accuracy and Stability, 3.1, with F's own
-    rounding and underflow), so (V_0 + a_0) / (V_1 + max_k V_k - a_1 -
-    max_k a_k) bounds a sample's float64 value.  Only samples whose bound reaches
-    the best float64 value so far (all while none is positive; the first chunk
-    is half), or whose bounded denominator is not positive, are evaluated in
-    float64: w is the float64 first maximum over the drawn samples, from one zeta.
+    w -> alpha w, so only the ray of zeta counts, drawn with its law from
+    r - 1 64-bit words (``_rays``): the shares t_j = |zeta_j|^2 / |zeta|^2
+    are Dirichlet(1, ..., 1), the spacings of r - 1 sorted uniforms (the
+    high 32 bits; Devroye 1986, ch. V), independent of the float32 phasors
+    p_j of zeta_2 ... zeta_r relative to a real zeta_1 (the low 32 bits).
+    At rank one every sample has the same value, so one sample is drawn,
+    from no word, whatever ``samples`` says.  Every quadratic form is linear
+    in zeta zeta^H, so one (n + 2) x r^2 product C on its r^2 real features
+    F (``_grp_features``, in units of 2^-32) gives w^H R w, w^H Q w and each
+    c_k |w_k|^2.  It runs on the calling thread in column chunks that stay
+    in cache, first in float32, with C's R row and Q-and-caps rows each
+    scaled by a power of two (no scale overflows; R -> 4^j R leaves it
+    unchanged) and by 2^-32.  The float32 bound, at every rank, with u =
+    eps32 / 2: the shares sum to one and |P_ij| <= sqrt(t_i t_j) |p_i p_j|,
+    so |F_l| <= 1 + O(u).  Each share is rounded once, numpy's float32 cos
+    and sin (within 2 ulps) give |p_j|^2 = 1 within 6 u, and the cross terms
+    (at most 1/2) take relative errors of at most 4 u (P_1j) and 11 u
+    (P_ij), so each float32 feature is within 4 eps32 of its float64 value.
+    With C's own rounding and Higham's dot-product bound (Accuracy and
+    Stability, 3.1), the rows V_j are within a_j = (r^2 + 16) eps32 sum_l
+    |C_jl| + 2^-100 (underflow) of their float64 values, and (V_0 + a_0) /
+    (V_1 + max_k V_k - a_1 - max_k a_k) bounds a sample's float64 value.
+    Only samples whose bound reaches the best float64 value so far (all
+    while none is positive; the first chunk is half), or whose bounded
+    denominator is not positive, are evaluated in float64: w is the float64
+    first maximum over the drawn samples.
     """
     samples = check_scalar(samples, name="samples", kind="count")
     seed = check_scalar(seed, name="seed", kind="seed")
+    q = check_type(q, QcqpInstance, name="q")
     lam, U = range_eigh(hermitian(X, name="X", n=q.n))
     if lam.size == 0:
         raise InputError("X is numerically zero; nothing to sample")
@@ -221,99 +229,67 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
         samples = 1
     C = _grp_forms(L, q)
     step = 2 * _GRP_CHUNK // r
-    if samples > step // 2:     # a chunk after the first runs: build the float32 screen
+    screen = samples > step // 2    # a chunk after the first runs: build the float32 screen
+    if screen:
         s0, s1 = np.ldexp(1.0, -np.frexp([np.abs(C[0]).max(), np.abs(C[1:]).max()])[1])
         Cs = np.vstack([s0 * C[:1], s1 * C[1:]])
-        # eps32 = 2^-23; |F_l| <= 1 at rank two, and < -log(2^-53) < 37 in the polar draw
-        a = ((r * r + 16) * 2.0 ** -23 * (1.0 if r == 2 else 37.0) * np.abs(Cs).sum(axis=1)
-             + 2.0 ** -100).astype(np.float32)
+        a = ((r * r + 16) * 2.0 ** -23 * np.abs(Cs).sum(axis=1) + 2.0 ** -100).astype(np.float32)
         a0, a_den = a[0], a[1] + a[2:].max()
-        C32 = np.vstack([Cs[:1], Cs[1] + Cs[2:]]).astype(np.float32)    # V_1 + V_k in one row
+        C32 = (2.0 ** -32 * np.vstack([Cs[:1], Cs[1] + Cs[2:]])).astype(np.float32)  # V_1 + V_k
         Vb = np.empty((q.n + 1, step), np.float32)    # reused: no page faults a chunk
     best_val, best_w = -np.inf, None
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
+    h = r * (r - 1) // 2
     for c0 in range(-(step // 2), samples, step):   # the first chunk, all float64, is half
         m = min(c0 + step, samples) - max(c0, 0)
-        if r == 2:
-            k, cos, sin = _bloch_rays(rng, m)
-        else:
-            e, Z = _polar_rays(rng, m, r)
+        k, cos, sin = _rays(rng, m, r)
         if best_val <= 0:   # no bound yet: every sample is evaluated in float64
             idx = np.arange(m)
         else:
-            F = (_bloch_features(k, cos, sin, np.float32) if r == 2
-                 else _polar_features(e.astype(np.float32), Z.astype(np.float32)))
-            V = np.matmul(C32, F, out=Vb[:, :m])
+            V = np.matmul(C32, _grp_features(k, cos, sin, np.float32), out=Vb[:, :m])
             D = V[1:].max(axis=0)
-            x = min(best_val * s0 / s1 * (1 - 2.0 ** -19), 2.0 ** 100)
-            thr = np.nextafter(np.float32(x), np.float32(0))    # x rounded down to float32
-            idx = np.flatnonzero((D <= a_den) | (V[0] >= thr * D - (a0 + thr * a_den)))
+            idx = ((D <= a_den) | (V[0] >= thr * D - off)).nonzero()[0]
             if idx.size == 0:
                 continue
-        Fi = (_bloch_features(k[idx], cos[idx], sin[idx], float) if r == 2
-              else _polar_features(e[:, idx], Z[:, idx]))
+        Fi = _grp_features(k.take(idx, 1), cos.take(idx, 1), sin.take(idx, 1), float)
         V = C @ Fi
         worst = V[1] + V[2:].max(axis=0)
         vals = V[0] / worst
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_val = float(vals[i])
-            # at rank two (F_0, F_2 + i F_3) = sqrt(1 - t) zeta
-            zeta = (np.array([Fi[0, i], Fi[2, i] + 1j * Fi[3, i]]) / np.sqrt(Fi[0, i])
-                    if r == 2 else Z[:r, idx[i]] + 1j * Z[r:, idx[i]])
-            best_w = L @ zeta / np.sqrt(worst[i])
+            # zeta, to scale, is (F_0, P_12, ..., P_1r) / sqrt(F_0), with F_0 > 0
+            zeta = np.append(Fi[0, i], Fi[r:2 * r - 1, i] + 1j * Fi[r + h:r + h + r - 1, i])
+            best_w = L @ (zeta / np.sqrt(Fi[0, i])) / np.sqrt(worst[i])
+            if screen:      # the bar of the screen, used once best_val > 0
+                x = min(best_val * s0 / s1 * (1 - 2.0 ** -19), 2.0 ** 100)
+                thr = np.nextafter(np.float32(x), np.float32(0))    # x rounded down to float32
+                off = a0 + thr * a_den
     return best_w
 
 
-def _bloch_rays(rng, m):
-    """The next m words of GRP's rank-two stream as (k, cos, sin): t = k 2^-32 from each
-    word's high 32 bits, and the float32 phasor of 2 pi u, u = its low 32 bits times 2^-32."""
-    words = rng.bit_generator.random_raw(m)
-    # uint32 (the low word, by truncation) and int64 convert faster than uint64
+def _rays(rng, m, r):
+    """The next m samples of GRP's stream, r - 1 words each, as (k, cos, sin) of shape
+    (r - 1, m): the words' high 32 bits sorted down each column, k_(r-1) >= ... >= k_(1),
+    and the float32 phasors of zeta_2 ... zeta_r, of 2 pi u with u = their low 32 bits
+    times 2^-32."""
+    words = rng.bit_generator.random_raw(m * (r - 1))
+    # int64 and uint32 (the low word, by truncation) convert faster than uint64
+    k = np.ascontiguousarray((words >> 32).view(np.int64).reshape(m, r - 1).T)
+    for j in range(1, r - 1):   # insert row j into the sorted rows above it
+        low = np.minimum(k[:j], k[j])
+        np.maximum(k[0], k[j], out=k[0])
+        np.maximum(k[1:j], low[:-1], out=k[1:j])
+        k[j] = low[-1]
     ang = np.multiply(words.astype(np.uint32), np.float32(2 * np.pi * 2.0 ** -32),
                       dtype=np.float32)
-    return (words >> 32).view(np.int64), np.cos(ang), np.sin(ang)
-
-
-def _bloch_features(k, cos, sin, dtype):
-    """The rays of ``_bloch_rays`` as the features (1 - t, t |p|^2, s Re p, s Im p) of zeta
-    = (sqrt(1 - t), sqrt(t) p) in dtype, shape (4, m), s = sqrt(t (1 - t)), with 1 - t =
-    (2^32 - k) 2^-32 formed before its one rounding; float32 takes |p|^2 = 1 + O(eps32)."""
-    F = np.empty((4, k.size), dtype)
-    unit = dtype(2.0 ** -32)
-    np.multiply(2 ** 32 - k, unit, out=F[0], dtype=dtype)
-    np.multiply(k, unit, out=F[1], dtype=dtype)
-    s = np.sqrt(F[0] * F[1])
-    np.multiply(s, cos, out=F[2])
-    np.multiply(s, sin, out=F[3])
-    if dtype is float:
-        F[1] *= np.square(cos, dtype=float) + np.square(sin, dtype=float)
-    return F
-
-
-def _polar_rays(rng, m, r):
-    """The next m rows of GRP's (samples, 2r - 1) block of uniforms as rays
-    zeta in columns: |zeta|^2, shape (r, m), and [Re zeta; Im zeta], shape
-    (2r, m), with zeta_1 real and non-negative."""
-    U = np.ascontiguousarray(rng.random((m, 2 * r - 1)).T)
-    e = -np.log(1.0 - U[:r])
-    Z = np.empty((2 * r, m))
-    np.sqrt(e[0], out=Z[0])
-    Z[r] = 0.0
-    ang = np.multiply(U[r:], 2 * np.pi, dtype=np.float32)
-    cos, sin = np.cos(ang), np.sin(ang)
-    # |zeta_k| = sqrt(e_k) / |phasor|: the float32 phasor renormalized
-    np.sqrt(e[1:] / (np.square(cos, dtype=float) + np.square(sin, dtype=float)), out=Z[1:r])
-    np.multiply(Z[1:r], sin, out=Z[r + 1:])
-    Z[1:r] *= cos
-    return e, Z
+    return k, np.cos(ang).reshape(m, r - 1).T, np.sin(ang).reshape(m, r - 1).T
 
 
 def _grp_forms(L, q: QcqpInstance):
     """``grp_extract``'s (n + 2) x r^2 matrix C of the quadratic forms of w =
-    L zeta in the r^2 real features F of zeta zeta^H: the rows of C @ F are
-    w^H R w, w^H Q w and each c_k |w_k|^2.  The features are those of
-    ``_bloch_features`` at rank two, else of ``_polar_features``."""
+    L zeta in the r^2 real features F of zeta zeta^H (``_grp_features``): the
+    rows of C @ F are w^H R w, w^H Q w and each c_k |w_k|^2."""
     r = L.shape[1]
     RQ = L.conj().T @ np.stack([q.R, q.Q]) @ L
     # zeta^H A zeta = sum_k A_kk |zeta_k|^2 + 2 sum_{i<j} (Re A_ij Re P_ij
@@ -325,22 +301,35 @@ def _grp_forms(L, q: QcqpInstance):
                       2 * A[:, iu, ju].real, -2 * A[:, iu, ju].imag])
 
 
-def _polar_features(e, Z):
-    """The rays (e, Z) of ``_polar_rays`` as the features |zeta_k|^2,
-    Re P_ij and Im P_ij (i < j, row-major) of ``_grp_forms``, shape (r^2, m)."""
-    r = e.shape[0]
-    F = np.empty((r * r, e.shape[1]), e.dtype)
-    F[:r] = e
-    re, im = np.split(F[r:], 2)
-    stop = 0
-    for i in range(r - 1):
+def _grp_features(k, cos, sin, dtype):
+    """The rays of ``_rays`` as the features of zeta = (sqrt(t_1), sqrt(t_2) p_2, ...) in dtype
+    and units of 2^-32, shape (r^2, m): the shares |zeta_j|^2 = t_j, 2^32 t_j = 2^32 - k_(r-1),
+    k_(r-1) - k_(r-2), ..., k_(1) in one rounding (float32 takes |p_j|^2 = 1), then Re and Im
+    of P_1j = sqrt(t_1 t_j) p_j and P_ij = conj(P_1i) P_1j / t_1 (i < j, row-major, t_1 > 0)."""
+    r = len(k) + 1
+    F = np.empty((r * r, k.shape[1]), dtype)
+    upper = 2 ** 32             # k_(r), then each k_(j) down to k_(1) above k_(0) = 0
+    for j in range(r - 1):
+        F[j] = upper - k[j]
+        upper = k[j]
+    F[r - 1] = upper
+    h = r * (r - 1) // 2        # Re P_ij in rows r + l, Im P_ij in rows r + h + l, l = 0..h-1
+    for j in range(1, r):
+        g = np.sqrt(F[0] * F[j])
+        np.multiply(g, cos[j - 1], out=F[r + j - 1])
+        np.multiply(g, sin[j - 1], out=F[r + h + j - 1])
+    re, im = F[r:r + h], F[r + h:]
+    stop = r - 1
+    for i in range(1, r - 1):
         pairs = slice(stop, stop + r - 1 - i)
         stop = pairs.stop
-        np.multiply(Z[i], Z[i + 1:r], out=re[pairs])
-        np.multiply(Z[i], Z[r + i + 1:], out=im[pairs])
-        if i:       # Im zeta_1 = 0
-            re[pairs] += Z[r + i] * Z[r + i + 1:]
-            im[pairs] -= Z[r + i] * Z[i + 1:r]
+        a, b = re[i - 1] / F[0], im[i - 1] / F[0]
+        np.multiply(re[i:r - 1], a, out=re[pairs])
+        re[pairs] += b * im[i:r - 1]
+        np.multiply(im[i:r - 1], a, out=im[pairs])
+        im[pairs] -= b * re[i:r - 1]
+    if dtype is float:
+        F[1:r] *= np.square(cos, dtype=float) + np.square(sin, dtype=float)
     return F
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InputError, ModelError
-from .linalg import _real_embed, check_scalar, check_vector, symmetrize
+from .linalg import _real_embed, check_scalar, check_type, check_vector, symmetrize
 from .problems import IndivPowerProblem
 from .trace import SolverTrace
 
@@ -231,6 +231,7 @@ def choose_p(n: int) -> int:
 
 def build_pnorm_embedding(prob: IndivPowerProblem, p: int) -> PnormEmbedding:
     """Scale weights by D1, then embed complex u into z = [Re u; Im u]."""
+    prob = check_type(prob, IndivPowerProblem, name="prob")
     p = check_scalar(p, name="p", kind="count")
     d1 = np.sqrt(prob.c)
     S = np.outer(1.0 / d1, 1.0 / d1)    # D1^-1 M D1^-1 entrywise, Hermitian as M is
@@ -321,6 +322,8 @@ def augmented_lagrangian_solve(e: PnormEmbedding, prob: IndivPowerProblem, w0=No
     Returns ``(BeamformingSolution, SolverTrace, AugLagState)``; the
     solution is scaled so that its largest per-relay cap is active.
     """
+    e = check_type(e, PnormEmbedding, name="e")
+    prob = check_type(prob, IndivPowerProblem, name="prob")
     n = e.n
     lam, z = p1_solution(e)
     if w0 is not None:

@@ -131,11 +131,12 @@ def check_vector(v, *, name: str = "vector", n: int | None = None,
     return a
 
 
-def check_type(v, kind: type, *, name: str):
-    """v if it is a ``kind`` (a class), else an InputError naming ``name``."""
+def check_type(v, kind, *, name: str):
+    """v if it is a ``kind`` (a class or a tuple of classes), else an InputError naming ``name``."""
     if not isinstance(v, kind):
-        article = "an" if kind.__name__[0] in "AEIOU" else "a"
-        raise InputError(f"{name} must be {article} {kind.__name__}, got a {type(v).__name__}")
+        what = " or ".join(("an " if k.__name__[0] in "AEIOU" else "a ") + k.__name__
+                           for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise InputError(f"{name} must be {what}, got a {type(v).__name__}")
     return v
 
 

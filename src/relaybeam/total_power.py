@@ -77,6 +77,9 @@ class RicianPair:
     lam: np.ndarray     # lam_1 and lam_n of (Q + rI, D + rI), for bracket_x
 
 
+PAIRS = (SPair, RicianPair)     # what build_s_pair returns
+
+
 @dataclass
 class TotalPowerSolution:
     x: float                  # normalized source power Ps/P0 in (0, 1)
@@ -102,7 +105,7 @@ def build_s_pair(p: TotalPowerProblem) -> SPair | RicianPair:
     SNR to working precision, and the dense pair, which resolves lam_1 no
     finer than eps lam_n, keeps x there.
     """
-    stats = p.stats
+    stats = check_type(p, TotalPowerProblem, name="p").stats
     v = stats._rician
     if v is None or stats.n < RICIAN_MIN_N:
         return _dense_pair(p)
@@ -141,7 +144,7 @@ def bracket_x(s: SPair) -> tuple[float, float]:
     x_l = sqrt(c)/(1+sqrt(c)) and x_u = sqrt(d)/(1+sqrt(d)) where c, d are
     the extreme generalized eigenvalues of (Q + rI, D + rI), lam_1 and lam_n.
     """
-    c, d = np.sqrt(s.lam[[0, -1]])
+    c, d = np.sqrt(check_type(s, PAIRS, name="s").lam[[0, -1]])
     return float(c / (1.0 + c)), float(d / (1.0 + d))
 
 
@@ -162,6 +165,7 @@ def lambda_min_g(s: SPair | RicianPair, x: float):
     bound (mu_1 - mu_d)/mu_1 on the gap, or it returns None where that pair
     cannot certify x; a run then goes on on the dense pair (see ``_run``).
     """
+    s = check_type(s, PAIRS, name="s")
     x = check_scalar(x, name="x")
     if not 0.0 < x < 1.0:
         raise InputError(f"x must lie in (0,1), got {x}")
@@ -327,7 +331,7 @@ def solve_diagonal(p: TotalPowerProblem) -> TotalPowerSolution:
     It is computed as the maximum of R_kk/(sqrt(D_k+r)+sqrt(Q_kk+r))^2, so a
     relay with R_kk = 0 is never chosen.
     """
-    stats = p.stats
+    stats = check_type(p, TotalPowerProblem, name="p").stats
     if not stats.is_diagonal():
         raise InputError("R, Q are not diagonal; use newton_solve or solve")
     r = stats.sigma2 / p.P0
@@ -451,6 +455,8 @@ def _package(p, x, lam, w_dir, iterations, trace) -> TotalPowerSolution:
 
 def as_beamforming_solution(p: TotalPowerProblem, sol: TotalPowerSolution) -> BeamformingSolution:
     """Repackage with the budget slack as the single feasibility entry."""
+    p = check_type(p, TotalPowerProblem, name="p")
+    sol = check_type(sol, TotalPowerSolution, name="sol")
     used = sol.Ps + powers(p.stats, sol.Ps, sol.w)[0]
     return BeamformingSolution(w=sol.w, Ps=sol.Ps, snr=sol.snr,
                                feasibility=np.array([p.P0 - used]))

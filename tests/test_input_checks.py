@@ -296,6 +296,43 @@ CASES = {
                         "g must be a GridSpec, got a str"),
     "oracle-total-none": (lambda: brute_force_total(None),
                           "p must be a TotalPowerProblem, got a NoneType"),
+    # ... at the lower-level entries too
+    "build-qcqp-none": (lambda: indiv_qcqp.build_qcqp(None),
+                        "p must be an IndivPowerProblem, got a NoneType"),
+    "solve-via-sdp-none": (lambda: indiv_qcqp.solve_via_sdp(None),
+                           "p must be an IndivPowerProblem, got a NoneType"),
+    "grp-q-none": (lambda: indiv_qcqp.grp_extract(np.eye(4), None, 10, 0),
+                   "q must be a QcqpInstance, got a NoneType"),
+    "rank-one-q-none": (lambda: indiv_qcqp.rank_one_decompose(np.eye(3), None),
+                        "q must be a QcqpInstance, got a NoneType"),
+    "qcqp-objective-q-none": (lambda: indiv_qcqp.qcqp_objective(None, [1, 1]),
+                              "q must be a QcqpInstance, got a NoneType"),
+    "rescale-q-none": (lambda: indiv_qcqp.rescale_to_original([1, 1], None, problem()),
+                       "q must be a QcqpInstance, got a NoneType"),
+    "rescale-p-none": (lambda: indiv_qcqp.rescale_to_original(
+                           [1, 1], indiv_qcqp.build_qcqp(problem()), None),
+                       "p must be an IndivPowerProblem, got a NoneType"),
+    "s-pair-none": (lambda: total_power.build_s_pair(None),
+                    "p must be a TotalPowerProblem, got a NoneType"),
+    "bracket-none": (lambda: total_power.bracket_x(None),
+                     "s must be a SPair or a RicianPair, got a NoneType"),
+    "lambda-min-g-none": (lambda: total_power.lambda_min_g(None, 0.5),
+                          "s must be a SPair or a RicianPair, got a NoneType"),
+    "lambda-min-g-problem": (lambda: total_power.lambda_min_g(total_problem(), 0.5),
+                             "s must be a SPair or a RicianPair, got a TotalPowerProblem"),
+    "total-diagonal-none": (lambda: total_power.solve_diagonal(None),
+                            "p must be a TotalPowerProblem, got a NoneType"),
+    "as-beamforming-p-none": (lambda: total_power.as_beamforming_solution(
+                                  None, total_power.solve(total_problem())),
+                              "p must be a TotalPowerProblem, got a NoneType"),
+    "as-beamforming-sol-none": (lambda: total_power.as_beamforming_solution(total_problem(), None),
+                                "sol must be a TotalPowerSolution, got a NoneType"),
+    "pnorm-prob-none": (lambda: build_pnorm_embedding(None, 4),
+                        "prob must be an IndivPowerProblem, got a NoneType"),
+    "al-embedding-none": (lambda: augmented_lagrangian_solve(None, problem()),
+                          "e must be a PnormEmbedding, got a NoneType"),
+    "al-prob-none": (lambda: augmented_lagrangian_solve(build_pnorm_embedding(problem(), 8), None),
+                     "prob must be an IndivPowerProblem, got a NoneType"),
 }
 
 
@@ -371,21 +408,22 @@ ENTRIES = {
     "newton_solve": (total_power.newton_solve, lambda: {"p": total_problem(), "x0": 0.5},
                      ("p", "x0")),
     "lambda_min_g": (total_power.lambda_min_g,
-                     lambda: {"s": total_power.build_s_pair(total_problem()), "x": 0.5}, ("x",)),
+                     lambda: {"s": total_power.build_s_pair(total_problem()), "x": 0.5},
+                     ("s", "x")),
     "indiv_qcqp.solve": (solve_with, dict,
                          ("options", "seed", "eps", "samples", "p", "w0", "fallback")),
     "grp_extract": (indiv_qcqp.grp_extract, lambda: {**grp_instance(), "samples": 10, "seed": 0},
-                    ("samples", "seed")),
+                    ("q", "samples", "seed")),
     "coordinate_descent": (coordinate_descent,
                            lambda: {"p": diagonal_problem(), "w0": [1, 1], "eps": 1e-3},
                            ("w0", "eps")),
     "build_pnorm_embedding": (build_pnorm_embedding, lambda: {"prob": problem(), "p": 4},
-                              ("p",)),
+                              ("prob", "p")),
     "brute_force_total": (brute_force_total, lambda: {"p": total_problem(), "points": 10},
                           ("p", "points")),
     "rescale_to_original": (indiv_qcqp.rescale_to_original,
                             lambda: {"w_qcqp": [1, 1], "q": indiv_qcqp.build_qcqp(problem()),
-                                     "p": problem()}, ("w_qcqp",)),
+                                     "p": problem()}, ("w_qcqp", "q", "p")),
 }
 ARGUMENT = {name: st.sampled_from(checked) for name, (_, _, checked) in ENTRIES.items()}
 
