@@ -90,6 +90,8 @@ def parse_scenario(path: str) -> Scenario:
     solver = _field(raw, "solver", "object", {"name": "auto"})
     name = _field(solver, "solver.name", ("auto",) if mode == "total" else indiv_qcqp.ROUTES)
     given = _field(solver, "solver.options", "object", {})
+    if mode == "total" and given:
+        raise InputError(f"field 'solver.options' must be empty in total mode, got {sorted(given)}")
     unknown = sorted(given.keys() - indiv_qcqp.OPTIONS.keys())
     if unknown:
         raise InputError(f"field 'solver.options.{unknown[0]}' is not an option; "

@@ -51,18 +51,26 @@ def qcqp_objective(q: QcqpInstance, w) -> float:
 
 
 def rescale_to_original(w_qcqp, q: QcqpInstance, p: IndivPowerProblem) -> BeamformingSolution:
-    """Map a QCQP point back to the per-relay-cap problem.
+    """Map a point of p's own QCQP q back to the per-relay-cap problem p.
 
     eta = max_k c_k |w_k|^2; w/sqrt(eta) is feasible with at least one cap
     active (the optimum always saturates some relay).
     """
-    q = check_type(q, QcqpInstance, name="q")
     p = check_type(p, IndivPowerProblem, name="p")
+    _check_poses(q, p, "q")
     w = check_vector(w_qcqp, name="w", n=q.n)
     if not np.abs(w).max() > 0:
         raise InputError("cannot rescale the zero vector")
     eta = float((q.c * np.abs(w) ** 2).max())
     return p.solution(w / np.sqrt(eta))
+
+
+def _check_poses(q: QcqpInstance, p: IndivPowerProblem, name: str):
+    """An InputError unless q is a QcqpInstance of p's (R, Q, c): its points hold p's caps."""
+    check_type(q, QcqpInstance, name=name)
+    if not (np.array_equal(q.R, p.stats.R) and np.array_equal(q.Q, p.stats.Q)
+            and np.array_equal(q.c, p.c)):
+        raise InputError(f"{name} does not pose p: its (R, Q, c) is not p's")
 
 
 def solve_via_sdp(p: IndivPowerProblem):
@@ -83,11 +91,12 @@ def solve_via_sdp(p: IndivPowerProblem):
 def solve(p: IndivPowerProblem, solver: str = "auto", options: dict | None = None,
           seed: int = 0, relaxation=None):
     """Run the route ``solver`` of ``ROUTES`` with solver ``options`` keyed by
-    ``OPTIONS``; returns ``(solution, metadata, trace or None)``.  ``auto`` is
-    ``indiv-diag`` for diagonal statistics, else ``sdp``: the relaxation's
-    rank-one point, else its rank-one decomposition (n <= 3), else the
-    ``fallback`` search (``cdm`` or ``pnorm``) from X's top factor.  ``sdp``
-    and ``grp`` solve the relaxation unless given ``solve_via_sdp``'s triple."""
+    ``OPTIONS`` (a None value is absent); returns ``(solution, metadata, trace
+    or None)``.  ``auto`` is ``indiv-diag`` for diagonal statistics, else
+    ``sdp``: the relaxation's rank-one point, else its rank-one decomposition
+    (n <= 3), else the ``fallback`` search (``cdm`` or ``pnorm``) from X's top
+    factor.  ``sdp`` and ``grp`` solve the relaxation unless given
+    ``solve_via_sdp(p)``'s triple."""
     if not (isinstance(solver, str) and solver in ROUTES):
         raise InputError(f"unknown per-relay solver {solver!r}; choose one of {ROUTES}")
     options = {} if options is None else options
@@ -100,12 +109,16 @@ def solve(p: IndivPowerProblem, solver: str = "auto", options: dict | None = Non
         kind = OPTIONS.get(key)
         if kind is None:
             raise InputError(f"unknown option {key!r}; known options: {', '.join(OPTIONS)}")
-        if isinstance(kind, tuple) and not (isinstance(value, str) and value in kind):
-            raise InputError(f"unknown {key} {value!r}; choose one of {kind}")
-        if kind == "vector" and value is not None:
+        if value is None:       # an option whose value is None is absent
+            continue
+        if isinstance(kind, tuple):
+            if not (isinstance(value, str) and value in kind):
+                raise InputError(f"unknown {key} {value!r}; choose one of {kind}")
+        elif kind == "vector":
             check_vector(value, name=key, n=p.n)
-        elif value is not None and not isinstance(kind, tuple):
+        else:
             check_scalar(value, name=key, kind=kind)
+    options = {key: value for key, value in options.items() if value is not None}
     if solver == "auto":
         solver = "indiv-diag" if p.stats.is_diagonal() else "sdp"
     meta = {"solver": solver}
@@ -114,6 +127,7 @@ def solve(p: IndivPowerProblem, solver: str = "auto", options: dict | None = Non
     start = options.get("w0")
     if solver in ("sdp", "grp"):
         q, sdp_sol, w = solve_via_sdp(p) if relaxation is None else relaxation
+        _check_poses(q, p, "the relaxation's q")
         meta.update(sdp_obj=sdp_sol.primal_obj, sdp_gap=sdp_sol.gap,
                     dual_y=sdp_sol.dual_y.tolist(),
                     rank_estimate=sdp_sol.rank_estimate, iterations=sdp_sol.iterations)
@@ -133,9 +147,8 @@ def solve(p: IndivPowerProblem, solver: str = "auto", options: dict | None = Non
         meta["sweeps"] = int(trace.rows[-1][0]) + 1 if len(trace) else 0
         return sol, meta, trace
     # pnorm
-    p_val = indiv_search.choose_p(p.n) if options.get("p") is None else options["p"]
-    emb = indiv_search.build_pnorm_embedding(p, p_val)
-    sol, trace, state = indiv_search.augmented_lagrangian_solve(emb, p, w0=start)
+    p_val = options.get("p", indiv_search.choose_p(p.n))
+    sol, trace, state = indiv_search.augmented_lagrangian_solve(p, p_val, w0=start)
     meta.update(p=p_val, multiplier=state.lam, constraint_residual=state.constraint_residual)
     return sol, meta, trace
 
@@ -211,9 +224,14 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
     |C_jl| + 2^-100 (underflow) of their float64 values, and (V_0 + a_0) /
     (V_1 + max_k V_k - a_1 - max_k a_k) bounds a sample's float64 value.
     Only samples whose bound reaches the best float64 value so far (all
-    while none is positive; the first chunk is half), or whose bounded
-    denominator is not positive, are evaluated in float64: w is the float64
-    first maximum over the drawn samples.
+    while none is positive; the first chunk is half) are evaluated in
+    float64: w is the float64 first maximum over the drawn samples, but for
+    those of a negative R form and no bound.  The test, V_0 >= thr D - off
+    with D = V_1 + max_k V_k and off = a_0 + thr (a_1 + max_k a_k), keeps
+    every sample of a nonnegative float64 R form where the bounded
+    denominator D - a_1 - max_k a_k is not positive (thr D - off <= -a_0
+    there); a negative R form has a negative value, or a positive one over a
+    negative denominator, where w = L zeta / sqrt(worst) is not finite.
     """
     samples = check_scalar(samples, name="samples", kind="count")
     seed = check_scalar(seed, name="seed", kind="seed")
@@ -248,7 +266,7 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
         else:
             V = np.matmul(C32, _grp_features(k, cos, sin, np.float32), out=Vb[:, :m])
             D = V[1:].max(axis=0)
-            idx = ((D <= a_den) | (V[0] >= thr * D - off)).nonzero()[0]
+            idx = (V[0] >= thr * D - off).nonzero()[0]
             if idx.size == 0:
                 continue
         Fi = _grp_features(k.take(idx, 1), cos.take(idx, 1), sin.take(idx, 1), float)

@@ -46,47 +46,19 @@ AL_MAX_INNER = 400         # Newton steps per inner minimization
 # scalar fractional subproblem (one complex weight, others frozen)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ScalarFractionalSubproblem:
-    """max (a1 |y|^2 + 2 Re(b1 y) + c1) / (a2 |y|^2 + 2 Re(b2 y) + c2)
-    over |y| <= beta; the denominator is positive on the disk by
-    construction (it is 1 + a PSD form)."""
-
-    a1: float
-    a2: float
-    b1: complex
-    b2: complex
-    c1: float
-    c2: float
-    beta: float
-
-
-def _products(cols, w):
-    """R w and Q w as the columns of one (n, 2) array, then w^H R w, w^H Q w."""
-    P = (w @ cols.reshape(w.size, -1)).reshape(w.size, 2)
-    return (P, *(w.conj() @ P).real.tolist())
-
-
-def _slot_coefficients(a1, a2, beta, wk, rw, qw, wRw, wQw):
-    """Slot k's subproblem in O(1) from (R w)_k = rw, (Q w)_k = qw and the
-    full forms: removing w_k's own terms leaves the frozen parts."""
-    m = abs(wk) ** 2
-    return ScalarFractionalSubproblem(
-        a1, a2, (rw - a1 * wk).conjugate(), (qw - a2 * wk).conjugate(),
-        wRw - 2.0 * (wk.conjugate() * rw).real + a1 * m,
-        1.0 + wQw - 2.0 * (wk.conjugate() * qw).real + a2 * m, beta)
-
-
-def subproblem_value(s: ScalarFractionalSubproblem, y: complex) -> float:
+def subproblem_value(a1, a2, b1, b2, c1, c2, y) -> float:
+    """(a1 |y|^2 + 2 Re(b1 y) + c1) / (a2 |y|^2 + 2 Re(b2 y) + c2): the SNR
+    ratio as a function of one weight y, the others frozen."""
     m = abs(y) ** 2
-    return (s.a1 * m + 2.0 * (s.b1 * y).real + s.c1) / (s.a2 * m + 2.0 * (s.b2 * y).real + s.c2)
+    return (a1 * m + 2.0 * (b1 * y).real + c1) / (a2 * m + 2.0 * (b2 * y).real + c2)
 
 
-def solve_scalar_subproblem(s: ScalarFractionalSubproblem):
-    """Global maximizer and value of the scalar fractional subproblem.
+def solve_scalar_subproblem(a1, a2, b1, b2, c1, c2, beta):
+    """``(y, t)``: the global maximizer over |y| <= beta of
+    ``subproblem_value`` and the ratio t there.  The denominator is positive
+    on the disk: it is 1 + a PSD form.
 
-    Returns ``(y, t, constant)``; ``constant`` flags the degenerate case
-    where the ratio does not depend on y (y = 0 is returned).  With
+    Where the ratio does not depend on y, y = 0 is returned.  With
     v = [y; 1] the ratio is v^H A v / v^H B v, B >= e2 e2^T, and the
     maximum is one of two candidates:
 
@@ -102,13 +74,12 @@ def solve_scalar_subproblem(s: ScalarFractionalSubproblem):
 
     t is returned as the ratio at the chosen y.
     """
-    a1, a2, b1, b2, c1, c2, beta = s.a1, s.a2, s.b1, s.b2, s.c1, s.c2, s.beta
     # numerator and denominator proportional, relative to each one's own size
     prop_tol = 1e-13 * max(abs(a1), abs(b1), abs(c1)) * max(abs(a2), abs(b2), abs(c2))
     if (abs(a1 * c2 - a2 * c1) <= prop_tol
             and abs(b1 * c2 - b2 * c1) <= prop_tol
             and abs(a1 * b2 - a2 * b1) <= prop_tol):
-        return 0.0 + 0.0j, c1 / c2, True
+        return 0.0 + 0.0j, c1 / c2
     B0 = abs(b1) ** 2
     B1 = 2.0 * (b1 * b2.conjugate()).real
     B2 = abs(b2) ** 2
@@ -117,15 +88,15 @@ def solve_scalar_subproblem(s: ScalarFractionalSubproblem):
     u0, u1, bb = a1 * beta ** 2 + c1, a2 * beta ** 2 + c2, 4.0 * beta ** 2
     t = _top_root(u1 * u1 - bb * B2, bb * B1 - 2.0 * u0 * u1, u0 * u0 - bb * B0)
     y = cmath.rect(beta, -cmath.phase(b1 - t * b2))
-    val = subproblem_value(s, y)
+    val = subproblem_value(a1, a2, b1, b2, c1, c2, y)
     if a2 > 0:
         t = _top_root(a2 * c2 - B2, B1 - a1 * c2 - a2 * c1, a1 * c1 - B0)
         bt, d = b1 - t * b2, t * a2 - a1
         if abs(bt) < d * beta:
             y_in = bt.conjugate() / d
-            if (v := subproblem_value(s, y_in)) > val:
+            if (v := subproblem_value(a1, a2, b1, b2, c1, c2, y_in)) > val:
                 y, val = y_in, v
-    return complex(y), float(val), False
+    return complex(y), float(val)
 
 
 def _top_root(qa, qb, qc):
@@ -173,6 +144,12 @@ def _slot_data(p: IndivPowerProblem):
             Q.diagonal().real.tolist(), p.caps().tolist())
 
 
+def _products(cols, w):
+    """R w and Q w as the columns of one (n, 2) array, then w^H R w, w^H Q w."""
+    P = (w @ cols.reshape(w.size, -1)).reshape(w.size, 2)
+    return (P, *(w.conj() @ P).real.tolist())
+
+
 def _sweep(data, w):
     """One cyclic pass of slot updates on ``w``, in place; returns each slot's t.
     R w, Q w and the forms start afresh each pass, so round-off cannot build up."""
@@ -182,7 +159,12 @@ def _sweep(data, w):
     ts = []
     for k, (wk, a1, a2, beta) in enumerate(zip(ws, a1s, a2s, caps)):
         rw, qw = P[k].tolist()
-        y, t, _ = solve_scalar_subproblem(_slot_coefficients(a1, a2, beta, wk, rw, qw, wRw, wQw))
+        # slot k's subproblem in O(1): removing w_k's own terms from R w, Q w
+        # and the forms leaves the frozen parts
+        m, wkc = abs(wk) ** 2, wk.conjugate()
+        y, t = solve_scalar_subproblem(
+            a1, a2, (rw - a1 * wk).conjugate(), (qw - a2 * wk).conjugate(),
+            wRw - 2.0 * (wkc * rw).real + a1 * m, 1.0 + wQw - 2.0 * (wkc * qw).real + a2 * m, beta)
         d = y - wk
         wRw += 2.0 * (d.conjugate() * rw).real + a1 * abs(d) ** 2
         wQw += 2.0 * (d.conjugate() * qw).real + a2 * abs(d) ** 2
@@ -305,8 +287,9 @@ def p1_solution(e: PnormEmbedding):
     return 1.0 / float(vals[-1]), z / np.sqrt(z @ e.K @ z)
 
 
-def augmented_lagrangian_solve(e: PnormEmbedding, prob: IndivPowerProblem, w0=None):
-    """Outer multiplier updates around inner modified-Newton minimizations.
+def augmented_lagrangian_solve(prob: IndivPowerProblem, p: int, w0=None):
+    """Outer multiplier updates around inner modified-Newton minimizations
+    on ``build_pnorm_embedding(prob, p)``.
 
     L(z; lam; mu) = z^T F z + phi_p(z) - lam (z^T K z - 1)
                     + (z^T K z - 1)^2 / (2 mu),
@@ -322,8 +305,7 @@ def augmented_lagrangian_solve(e: PnormEmbedding, prob: IndivPowerProblem, w0=No
     Returns ``(BeamformingSolution, SolverTrace, AugLagState)``; the
     solution is scaled so that its largest per-relay cap is active.
     """
-    e = check_type(e, PnormEmbedding, name="e")
-    prob = check_type(prob, IndivPowerProblem, name="prob")
+    e = build_pnorm_embedding(prob, p)
     n = e.n
     lam, z = p1_solution(e)
     if w0 is not None:
@@ -332,28 +314,19 @@ def augmented_lagrangian_solve(e: PnormEmbedding, prob: IndivPowerProblem, w0=No
         if not z @ e.K @ z > 0:      # z^T K z = w0^H R w0
             raise InputError("w0 must have w0^H R w0 > 0")
     trace = SolverTrace(columns=AL_TRACE_COLUMNS)
-    mu = AL_MU
-    F, K, p = e.F, e.K, e.p
-
-    def lagrangian(zv):
-        c = zv @ K @ zv - 1.0
-        return zv @ F @ zv + phi_p_value(e, zv) - lam * c + c * c / (2.0 * mu), c
-
-    converged = False
+    F, K = e.F, e.K
     for outer in range(AL_MAX_OUTER):
         g_norm = np.inf
         for inner in range(AL_MAX_INNER):
             val, g_phi, H_phi = phi_p_grad_hess(e, z)
-            c = z @ K @ z - 1.0
+            L, c = _lagrangian(e, z, val, lam)
             Kz = K @ z
-            L = z @ F @ z + val - lam * c + c * c / (2.0 * mu)
-            gL = 2.0 * F @ z + g_phi - 2.0 * lam * Kz + (2.0 / mu) * c * Kz
+            gL = 2.0 * F @ z + g_phi - 2.0 * lam * Kz + (2.0 / AL_MU) * c * Kz
             g_norm = float(np.linalg.norm(gL))
             if g_norm <= AL_GRAD_TOL:
                 break
-            HL = 2.0 * F + H_phi - 2.0 * lam * K + (2.0 / mu) * c * K \
-                + (4.0 / mu) * np.outer(Kz, Kz)
-            HL = symmetrize(HL)
+            HL = symmetrize(2.0 * F + H_phi - 2.0 * lam * K + (2.0 / AL_MU) * c * K
+                            + (4.0 / AL_MU) * np.outer(Kz, Kz))
             lmin = float(np.linalg.eigvalsh(HL)[0])
             if lmin <= 0:
                 HL = HL + (-lmin + 1e-6) * np.eye(2 * n)
@@ -361,26 +334,31 @@ def augmented_lagrangian_solve(e: PnormEmbedding, prob: IndivPowerProblem, w0=No
             slope = float(gL @ step)
             alpha = 1.0
             while True:
-                Lnew, _ = lagrangian(z + alpha * step)
-                if Lnew <= L + 1e-4 * alpha * slope:
+                zt = z + alpha * step
+                if _lagrangian(e, zt, phi_p_value(e, zt), lam)[0] <= L + 1e-4 * alpha * slope:
                     break
                 alpha *= 0.5
                 if alpha < 1e-18:
                     raise ConvergenceError("inner Newton line search stalled")
-            z = z + alpha * step
+            z = zt
             trace.append(outer, inner, float(L), float(c), g_norm, float(alpha))
-        c = float(z @ K @ z - 1.0)
-        trace.append(outer, -1, float(lagrangian(z)[0]), c, g_norm, 0.0)
+        L, c = _lagrangian(e, z, phi_p_value(e, z), lam)
+        trace.append(outer, -1, float(L), float(c), g_norm, 0.0)
         if abs(c) <= AL_CONSTRAINT_TOL and g_norm <= AL_GRAD_TOL:
-            converged = True
             break
-        lam = lam - c / mu
-    if not converged:
+        lam = lam - c / AL_MU
+    else:
         raise ConvergenceError(
             f"augmented Lagrangian did not converge in {AL_MAX_OUTER} outer rounds")
 
     u = z[:n] + 1j * z[n:]
     # cap k reads |u_k| <= 1: the largest |u_k| is the active cap
     w = u / (e.D1 * np.abs(u).max())
-    state = AugLagState(z=z, lam=float(lam), constraint_residual=c)
+    state = AugLagState(z=z, lam=float(lam), constraint_residual=float(c))
     return prob.solution(w), trace, state
+
+
+def _lagrangian(e: PnormEmbedding, z, phi, lam):
+    """L(z; lam; AL_MU) given phi = phi_p(z), and the residual z^T K z - 1."""
+    c = z @ e.K @ z - 1.0
+    return z @ e.F @ z + phi - lam * c + c * c / (2.0 * AL_MU), c

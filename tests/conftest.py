@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,6 +14,9 @@ from relaybeam.problems import IndivPowerProblem, TotalPowerProblem
 
 MC_BATCH = 20000   # draws per monte_carlo_stats batch
 PSD_TOL = 1e-9     # is_psd: lambda_min >= -PSD_TOL
+# the arguments of indiv_search.solve_scalar_subproblem, by name; the first
+# six and y are those of subproblem_value
+Slot = namedtuple("Slot", "a1 a2 b1 b2 c1 c2 beta")
 
 
 def rand_psd(rng, n, scale=1.0):
@@ -289,7 +294,7 @@ def stacked_residuals(R, A, sol):
 
 
 def grid_maximum(s, radial=400, angular=720):
-    """Largest ratio of the scalar subproblem ``s`` on a polar grid of the
+    """Largest ratio of the scalar subproblem ``s`` (a ``Slot``) on a polar grid of the
     disk |y| <= beta, and the grid point that attains it."""
     rr = np.linspace(0.0, s.beta, radial)
     th = np.linspace(0.0, 2 * np.pi, angular, endpoint=False)
@@ -421,8 +426,9 @@ def monte_carlo_stats(p, samples: int, seed: int):
 
 
 def extract_coefficients(p, w, k: int):
-    """The ``ScalarFractionalSubproblem`` of the SNR ratio as a function of
-    w_k alone, built as coordinate descent builds it for slot k.
+    """The seven numbers (a1, a2, b1, b2, c1, c2, beta) of the scalar
+    subproblem of the SNR ratio as a function of w_k alone, as coordinate
+    descent forms them for slot k from R w, Q w and the full forms.
 
     Numerator coefficients come from R (a1 = R_kk, b1 from R's k-th
     column against the frozen entries, c1 the frozen R-form) and the
@@ -433,8 +439,11 @@ def extract_coefficients(p, w, k: int):
         raise InputError(f"slot index {k} out of range for n={p.n}")
     cols, a1s, a2s, caps = indiv_search._slot_data(p)
     P, wRw, wQw = indiv_search._products(cols, w)
-    return indiv_search._slot_coefficients(a1s[k], a2s[k], caps[k], complex(w[k]),
-                                           *P[k].tolist(), wRw, wQw)
+    (rw, qw), a1, a2, wk = P[k].tolist(), a1s[k], a2s[k], complex(w[k])
+    m = abs(wk) ** 2
+    return Slot(a1, a2, (rw - a1 * wk).conjugate(), (qw - a2 * wk).conjugate(),
+                wRw - 2.0 * (wk.conjugate() * rw).real + a1 * m,
+                1.0 + wQw - 2.0 * (wk.conjugate() * qw).real + a2 * m, caps[k])
 
 
 def dinkelbach_F(p, t: float) -> float:

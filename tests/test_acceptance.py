@@ -52,8 +52,7 @@ def solve_indiv_fixture(n):
     w0 = np.sqrt(max(vals[-1], 0.0)) * vecs[:, -1]
     cdm_sol, _ = coordinate_descent(p, w0.copy())
     cdm = qcqp_objective(q, cdm_sol.w)
-    emb = build_pnorm_embedding(p, fixtures.PNORM_P)
-    pn_sol, _, _ = augmented_lagrangian_solve(emb, p, w0=w0)
+    pn_sol, _, _ = augmented_lagrangian_solve(p, fixtures.PNORM_P, w0=w0)
     pnorm = qcqp_objective(q, pn_sol.w)
     core_time = time.perf_counter() - t0
     t0 = time.perf_counter()
@@ -229,11 +228,11 @@ def test_criterion_7_scalar_subproblem():
         w = 0.7 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         k = int(rng.integers(0, n))
         s = extract_coefficients(ip, w, k)
-        y, t, const = solve_scalar_subproblem(s)
+        y, t = solve_scalar_subproblem(*s)
         t_grid, _ = grid_maximum(s)
         if abs(t - t_grid) > 1e-4 * max(1.0, abs(t_grid)):
             bad += 1
-        if const:
+        if y == 0:
             branches["constant"] += 1
         elif abs(abs(y) - s.beta) <= 1e-9 * s.beta:
             branches["boundary"] += 1

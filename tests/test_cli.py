@@ -146,6 +146,18 @@ class TestParseScenario:
         assert isinstance(s.problem, TotalPowerProblem)
         assert (s.problem.P0, s.problem.stats.n, s.seed) == (10.0, 4, 1)
 
+    @pytest.mark.parametrize("options", [{"eps": 0.5, "samples": 3, "fallback": "pnorm"},
+                                         {"w0": [[1.0, 0.0]] * 6}])
+    def test_total_mode_refuses_options(self, tmp_path, capsys, options):
+        # total power reads no option: one given is refused, not ignored
+        payload = json.loads((SCENARIOS / "total_rician_n6.json").read_text())
+        payload["solver"] = {"name": "auto", "options": options}
+        path = write_scenario(tmp_path / "total_options.json", payload)
+        assert main(["solve", path]) == 3
+        assert "field 'solver.options' must be empty in total mode" in capsys.readouterr().err
+        payload["solver"]["options"] = {}
+        assert main(["solve", write_scenario(tmp_path / "total_empty.json", payload)]) == 0
+
     def test_invalid_solver_for_mode(self, tmp_path):
         payload = {"mode": "total", "sigma2": 1.0,
                    "channel": {"stats": {"D": [1], "R": cmat(np.eye(1)),

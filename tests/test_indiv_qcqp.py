@@ -161,6 +161,17 @@ class TestRescale:
         with pytest.raises(InputError):
             rescale_to_original(np.zeros(3), q, p)
 
+    def test_q_of_another_problem_refused(self, rng):
+        # w scaled by another problem's caps can break p's; a q of p's own
+        # (R, Q, c) in other arrays is p's
+        p1, p2 = rand_indiv_problem(rng, 4), rand_indiv_problem(rng, 4)
+        w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        with pytest.raises(InputError, match="q does not pose p"):
+            rescale_to_original(w, build_qcqp(p1), p2)
+        q = QcqpInstance(R=p2.stats.R.copy(), Q=p2.stats.Q.copy(), c=p2.c.copy())
+        assert np.array_equal(rescale_to_original(w, q, p2).w,
+                              rescale_to_original(w, build_qcqp(p2), p2).w)
+
 
 class TestSolveViaSdp:
     @pytest.mark.parametrize("n", [4, 6])
@@ -222,6 +233,30 @@ class TestSolve:
         assert meta["rank_estimate"] >= 2 and trace is None
         assert meta["fallback"] == "rank-one-decomposition"
         assert qcqp_objective(q, sol.w) == pytest.approx(meta["sdp_obj"], rel=1e-8)
+
+    @pytest.mark.parametrize("route", indiv_qcqp.ROUTES)
+    @pytest.mark.parametrize("key", indiv_qcqp.OPTIONS)
+    def test_none_option_is_absent(self, key, route):
+        # an option whose value is None takes its default, on a route that
+        # reads it and on one that does not
+        if route == "indiv-diag":
+            p = IndivPowerProblem(stats=ChannelStats(D=np.ones(3), R=np.diag([2.0, 1.0, 0.5]),
+                                                     Q=np.eye(3), sigma2=1.0),
+                                  Ps=1.0, P=np.ones(3))
+        else:
+            p = fixture_problem(4)
+        relaxation = solve_via_sdp(p) if route in ("auto", "sdp", "grp") else None
+        sol, meta, trace = indiv_qcqp.solve(p, route, {key: None}, 0, relaxation)
+        ref, meta_ref, trace_ref = indiv_qcqp.solve(p, route, {}, 0, relaxation)
+        assert np.array_equal(sol.w, ref.w) and meta == meta_ref
+        assert (trace and trace.rows) == (trace_ref and trace_ref.rows)
+
+    @pytest.mark.parametrize("solver", ["sdp", "grp"])
+    def test_relaxation_of_another_problem_refused(self, solver, rng):
+        # another problem's relaxation, rescaled to p, can break p's caps
+        p1, p2 = rand_indiv_problem(rng, 4), rand_indiv_problem(rng, 4)
+        with pytest.raises(InputError, match="the relaxation's q does not pose p"):
+            indiv_qcqp.solve(p2, solver, None, 0, solve_via_sdp(p1))
 
     @pytest.mark.parametrize("solver", ["bogus", "total-newton", "SDP"])
     def test_unknown_route_rejected(self, solver):
@@ -570,8 +605,9 @@ class TestGrp:
         # tiny caps beside a rank-one Q: the best samples lie near the null
         # space of Q, where the float32 screen's bounded denominator V_1 +
         # max_k V_k - a_1 - max_k a_k is not positive, so no bound on their
-        # value exists and each must be evaluated in float64.  The values
-        # there are ill-conditioned (Q's form cancels), hence 1e-9.
+        # value exists; their R form is positive, so the screen's test keeps
+        # them and each is evaluated in float64.  The values there are
+        # ill-conditioned (Q's form cancels), hence 1e-9.
         rng = np.random.default_rng(5)
         g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         q = QcqpInstance(R=np.eye(4, dtype=complex), Q=np.outer(g, g.conj()), c=np.full(4, 1e-9))
@@ -584,6 +620,24 @@ class TestGrp:
             assert qcqp_objective(q, grp_extract(X, q, 3 * chunk, seed)) == pytest.approx(
                 best, rel=1e-9)
         assert late >= 3
+
+    def test_screen_drops_unbounded_samples_of_negative_r_form(self):
+        # X's range within 1e-9 of the null spaces of a rank-one R and of
+        # Q = 1e8 g g^H, under caps of 1e-9: both forms are float64 round-off
+        # of either sign, and the float64 first maximum over the draws has a
+        # negative R form over a negative denominator, with no finite ray.
+        # The screen drops such samples unevaluated where it has no bound
+        # (see grp_extract), so w is finite here; evaluating them would make it NaN.
+        rng = np.random.default_rng([3, 45])
+        v, g = (rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(2))
+        q = QcqpInstance(R=np.outer(v, v.conj()), Q=1e8 * np.outer(g, g.conj()),
+                         c=np.full(4, 1e-9))
+        B = np.linalg.svd(np.stack([v, g]).conj())[2][2:].conj().T
+        V = B + 1e-9 * (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
+        X, samples = V @ V.conj().T, 3 * _GRP_CHUNK
+        _, worst, vals = grp_values(X, q, samples, 3)
+        assert worst[np.argmax(vals)] < 0
+        assert np.isfinite(grp_extract(X, q, samples, 3)).all()
 
     @pytest.mark.parametrize("trial", [26, 59, 64])
     def test_screen_bounds_the_rounding_of_cancelling_forms(self, trial):

@@ -8,14 +8,13 @@ from relaybeam.channel import ChannelStats, snr
 from relaybeam.errors import ConvergenceError, InputError, ModelError
 from relaybeam.indiv_diag import solve_diagonal
 from relaybeam.indiv_qcqp import build_qcqp, qcqp_objective
-from relaybeam.indiv_search import (ScalarFractionalSubproblem,
-                                    augmented_lagrangian_solve,
+from relaybeam.indiv_search import (augmented_lagrangian_solve,
                                     build_pnorm_embedding, choose_p,
                                     coordinate_descent, p1_solution,
                                     phi_p_grad_hess, phi_p_value,
                                     solve_scalar_subproblem, subproblem_value)
 from relaybeam.problems import IndivPowerProblem
-from conftest import (extract_coefficients, finite_diff,
+from conftest import (Slot, extract_coefficients, finite_diff,
                       finite_diff_second, grid_maximum, rand_indiv_problem)
 
 
@@ -41,7 +40,7 @@ def dense_coefficients(p, w, k):
     R, Q = p.stats.R, p.stats.Q
     idx = [i for i in range(p.n) if i != k]
     wt = w[idx]
-    return ScalarFractionalSubproblem(
+    return Slot(
         a1=float(R[k, k].real), a2=float(Q[k, k].real),
         b1=complex(wt.conj() @ R[idx, k]), b2=complex(wt.conj() @ Q[idx, k]),
         c1=float(np.real(wt.conj() @ R[np.ix_(idx, idx)] @ wt)),
@@ -60,7 +59,7 @@ def dense_coordinate_descent(p, w0, eps=1e-3, max_sweeps=500):
     for _ in range(max_sweeps):
         w_prev = w.copy()
         for k in range(p.n):
-            y, t, _ = solve_scalar_subproblem(dense_coefficients(p, w, k))
+            y, t = solve_scalar_subproblem(*dense_coefficients(p, w, k))
             w[k] = y
             objs.append(p.Ps / p.stats.sigma2 * t)
         denom = np.linalg.norm(w_prev)
@@ -79,8 +78,8 @@ def stationarity_improvement(p, w) -> float:
     worst = 0.0
     for k in range(p.n):
         sub = extract_coefficients(p, w, k)
-        _, t, _ = solve_scalar_subproblem(sub)
-        worst = max(worst, t - subproblem_value(sub, w[k]))
+        _, t = solve_scalar_subproblem(*sub)
+        worst = max(worst, t - subproblem_value(*sub[:6], w[k]))
     return worst
 
 
@@ -111,7 +110,7 @@ class TestExtractCoefficients:
                 w2 = w.copy()
                 w2[k] = y
                 expected = snr(p.stats, p.Ps, w2) * p.stats.sigma2 / p.Ps
-                assert subproblem_value(s, y) == pytest.approx(expected, rel=1e-10)
+                assert subproblem_value(*s[:6], y) == pytest.approx(expected, rel=1e-10)
 
 
     def test_matches_dense_sub_blocks(self):
@@ -128,46 +127,42 @@ class TestExtractCoefficients:
 
 class TestScalarSubproblem:
     def test_constant_case(self):
-        s = ScalarFractionalSubproblem(a1=0.0, a2=1.0, b1=0.0, b2=0.0,
-                                       c1=0.0, c2=1.0, beta=1.0)
-        y, t, const = solve_scalar_subproblem(s)
-        assert const
+        s = Slot(a1=0.0, a2=1.0, b1=0.0, b2=0.0, c1=0.0, c2=1.0, beta=1.0)
+        y, t = solve_scalar_subproblem(*s)
         assert y == 0
         assert t == pytest.approx(0.0)
 
     def test_no_cross_term_boundary(self):
         # b1 = b2 = 0 and a1 c2 - a2 c1 > 0: ratio increases with |y|
-        s = ScalarFractionalSubproblem(a1=2.0, a2=1.0, b1=0.0, b2=0.0,
-                                       c1=0.5, c2=1.0, beta=0.8)
-        y, t, const = solve_scalar_subproblem(s)
-        assert not const
+        s = Slot(a1=2.0, a2=1.0, b1=0.0, b2=0.0, c1=0.5, c2=1.0, beta=0.8)
+        y, t = solve_scalar_subproblem(*s)
         assert abs(y) == pytest.approx(0.8, rel=1e-12)
-        assert t == pytest.approx(subproblem_value(s, y), rel=1e-12)
+        assert t == pytest.approx(subproblem_value(*s[:6], y), rel=1e-12)
 
     @staticmethod
     def assert_feasible_maximum(s, y, t, radial=400, angular=720):
         assert abs(y) <= s.beta * (1.0 + 1e-12)
-        assert t == pytest.approx(subproblem_value(s, y), rel=1e-12)
+        assert t == pytest.approx(subproblem_value(*s[:6], y), rel=1e-12)
         t_grid = grid_maximum(s, radial, angular)[0]
         assert t >= t_grid - 1e-9 * abs(t_grid)
 
     @pytest.mark.parametrize("s, t_max", [
         # a boundary optimum that root filters with absolute sign margins miss
-        (ScalarFractionalSubproblem(
+        (Slot(
             a1=0.5292279301347068, a2=4.319937227016552e-05,
             b1=5.064139848037656e-07 - 4.145966114436969e-06j,
             b2=-2.112074393972352e-10 - 7.252912528899636e-10j,
             c1=1.9593655289424063e-10, c2=1.0000000000000144,
             beta=5778.812138186871), 12242.33845806319),
         # an interior root just outside the disk that such margins accept
-        (ScalarFractionalSubproblem(
+        (Slot(
             a1=4.6363518852872877e-07, a2=298.3038389493982,
             b1=-2.228672469680796e-09 - 9.999690053697283e-10j,
             b2=-0.0019176998509088873 - 0.004797199812443993j,
             c1=9.879670715805064e-10, c2=1.000000171333543,
             beta=0.0011415649645183485), 9.9375343006471e-10),
         # an interior optimum at a scale those margins cannot resolve
-        (ScalarFractionalSubproblem(
+        (Slot(
             a1=1.1544437484797912e-10, a2=35.436989513699835,
             b1=-1.4170223764177e-11 - 4.393946068507409e-11j,
             b2=-4.584369233316775 + 0.6009287125832833j,
@@ -175,8 +170,8 @@ class TestScalarSubproblem:
             beta=694.3121801938354), 1.0333956874823e-11),
     ], ids=["boundary-fuzz", "interior-outside-disk", "interior-tiny-scale"])
     def test_extreme_scale_cases(self, s, t_max):
-        y, t, const = solve_scalar_subproblem(s)
-        assert not const
+        y, t = solve_scalar_subproblem(*s)
+        assert y != 0
         self.assert_feasible_maximum(s, y, t)
         assert t == pytest.approx(t_max, rel=1e-9)
 
@@ -191,8 +186,8 @@ class TestScalarSubproblem:
                   for q in (a1 * c1, a2 * (c2 - 1.0)))
         beta = 10.0 ** rng.uniform(-3, 5, m)
         for case in zip(*(v.tolist() for v in (a1, a2, b1, b2, c1, c2, beta))):
-            s = ScalarFractionalSubproblem(*case)
-            y, t, _ = solve_scalar_subproblem(s)
+            s = Slot(*case)
+            y, t = solve_scalar_subproblem(*s)
             self.assert_feasible_maximum(s, y, t, radial=200, angular=360)
 
     def test_matches_grid_oracle(self, rng):
@@ -213,11 +208,11 @@ class TestScalarSubproblem:
             w = 0.7 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
             k = int(rng.integers(0, n))
             s = extract_coefficients(p, w, k)
-            y, t, const = solve_scalar_subproblem(s)
+            y, t = solve_scalar_subproblem(*s)
             t_grid, _ = grid_maximum(s)
             assert t >= t_grid - 1e-4 * max(1.0, abs(t_grid))
             assert t == pytest.approx(t_grid, rel=1e-4, abs=1e-4)
-            if const:
+            if y == 0:
                 branches["constant"] += 1
             elif abs(abs(y) - s.beta) <= 1e-9 * s.beta:
                 branches["boundary"] += 1
@@ -441,7 +436,7 @@ class TestAugmentedLagrangian:
     def test_p1_matches_closed_form(self, rng):
         p = rand_indiv_problem(rng, 3)
         e = build_pnorm_embedding(p, 1)
-        sol, trace, state = augmented_lagrangian_solve(e, p)
+        sol, trace, state = augmented_lagrangian_solve(p, 1)
         # at p = 1 the constrained optimum value is the initial multiplier
         z = state.z
         achieved = z @ e.F @ z + phi_p_value(e, z)
@@ -455,8 +450,7 @@ class TestAugmentedLagrangian:
         rel = solve_relaxation(q)
         vals, vecs = np.linalg.eigh(rel.X)
         w0 = np.sqrt(vals[-1]) * vecs[:, -1]
-        e = build_pnorm_embedding(p, fixtures.PNORM_P)
-        sol, trace, state = augmented_lagrangian_solve(e, p, w0=w0)
+        sol, trace, state = augmented_lagrangian_solve(p, fixtures.PNORM_P, w0=w0)
         obj = qcqp_objective(q, sol.w)
         assert obj == pytest.approx(fixtures.INDIV_EXPECT[n][key], rel=2e-2)
         assert abs(state.constraint_residual) <= 1e-8
@@ -478,8 +472,7 @@ class TestAugmentedLagrangian:
         p = IndivPowerProblem(stats=stats, Ps=1.0, P=rng.uniform(1.0, 3.0, n))
         q = build_qcqp(p)
         bound = solve_relaxation(q).primal_obj
-        sol, _, _ = augmented_lagrangian_solve(
-            build_pnorm_embedding(p, choose_p(n)), p)
+        sol, _, _ = augmented_lagrangian_solve(p, choose_p(n))
         assert sol.feasibility.min() >= -1e-12
         obj = qcqp_objective(q, sol.w)
         assert 0.99 * bound <= obj <= (1.0 + 1e-6) * bound
@@ -496,16 +489,14 @@ class TestAugmentedLagrangian:
     def test_ascent_direction_stalls_the_line_search(self, monkeypatch):
         # a solve that returns the negated Newton direction makes every inner
         # step an ascent direction, where no Armijo step length exists
-        e = build_pnorm_embedding(fixture_problem(4), 8)
         real = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: -real(a, b))
         with pytest.raises(ConvergenceError, match="inner Newton line search stalled"):
-            augmented_lagrangian_solve(e, fixture_problem(4))
+            augmented_lagrangian_solve(fixture_problem(4), 8)
 
     def test_inner_descent_and_outer_residuals(self):
         p = fixture_problem(4)
-        e = build_pnorm_embedding(p, 64)
-        sol, trace, state = augmented_lagrangian_solve(e, p)
+        sol, trace, state = augmented_lagrangian_solve(p, 64)
         inner_L = {}
         residuals = []
         for outer, inner, L, c, gnorm, alpha in trace.rows:
@@ -521,19 +512,17 @@ class TestAugmentedLagrangian:
 
     def test_trace_columns(self):
         p = fixture_problem(4)
-        e = build_pnorm_embedding(p, 8)
-        _, trace, _ = augmented_lagrangian_solve(e, p)
+        _, trace, _ = augmented_lagrangian_solve(p, 8)
         assert trace.columns == ("outer_k", "inner_i", "L",
                                  "constraint_residual", "grad_norm", "alpha")
 
     def test_bad_z0_rejected(self, rng):
         # a start z = [Re u; Im u] off the constraint's reach, z^T K z = 0
         p = rand_indiv_problem(rng, 3)
-        e = build_pnorm_embedding(p, 4)
         with pytest.raises(InputError, match="w0"):
-            augmented_lagrangian_solve(e, p, w0=np.zeros(3))
+            augmented_lagrangian_solve(p, 4, w0=np.zeros(3))
         with pytest.raises(InputError, match="w0 has length 4"):
-            augmented_lagrangian_solve(e, p, w0=np.ones(4))
+            augmented_lagrangian_solve(p, 4, w0=np.ones(4))
 
     def test_rank_one_r_default_start(self):
         # with equal c_k, v = [1, -1, 0, 0] puts the all-ones vector in the
@@ -547,6 +536,6 @@ class TestAugmentedLagrangian:
         p = IndivPowerProblem(stats=stats, Ps=1.0, P=np.full(4, 2.0))
         q = build_qcqp(p)
         bound = solve_relaxation(q).primal_obj
-        sol, _, _ = augmented_lagrangian_solve(build_pnorm_embedding(p, choose_p(4)), p)
+        sol, _, _ = augmented_lagrangian_solve(p, choose_p(4))
         assert sol.feasibility.min() >= -1e-12
         assert 0.99 * bound <= qcqp_objective(q, sol.w) <= (1.0 + 1e-6) * bound

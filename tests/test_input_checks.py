@@ -116,12 +116,12 @@ CASES = {
                            with_entry(3, 0, 0, np.nan), indiv_qcqp.build_qcqp(problem(3))),
                        "X contains non-finite entries"),
     "cdm-w0-length": (lambda: coordinate_descent(problem(), np.ones(3)), "w0 has length 3"),
-    "al-w0-nan": (lambda: augmented_lagrangian_solve(build_pnorm_embedding(problem(), 8), problem(),
-                                                     w0=[np.nan, 1.0]),
+    "al-w0-nan": (lambda: augmented_lagrangian_solve(problem(), 8, w0=[np.nan, 1.0]),
                   "w0 contains non-finite entries"),
-    "al-w0-inf": (lambda: augmented_lagrangian_solve(build_pnorm_embedding(problem(), 8), problem(),
-                                                     w0=[1.0, np.inf]),
+    "al-w0-inf": (lambda: augmented_lagrangian_solve(problem(), 8, w0=[1.0, np.inf]),
                   "w0 contains non-finite entries"),
+    "al-p-zero": (lambda: augmented_lagrangian_solve(problem(), 0),
+                  "p must be an integer >= 1, got 0"),
     "pnorm-p": (lambda: build_pnorm_embedding(problem(), 0), "p must be an integer >= 1, got 0"),
     "pnorm-p-fraction": (lambda: build_pnorm_embedding(problem(), 2.5),
                          "p must be an integer >= 1, got 2.5"),
@@ -309,6 +309,10 @@ CASES = {
                               "q must be a QcqpInstance, got a NoneType"),
     "rescale-q-none": (lambda: indiv_qcqp.rescale_to_original([1, 1], None, problem()),
                        "q must be a QcqpInstance, got a NoneType"),
+    "solve-relaxation-q-none": (lambda: indiv_qcqp.solve(
+                                    problem(), "sdp", None, 0,
+                                    (None, *indiv_qcqp.solve_via_sdp(problem())[1:])),
+                                "the relaxation's q must be a QcqpInstance, got a NoneType"),
     "rescale-p-none": (lambda: indiv_qcqp.rescale_to_original(
                            [1, 1], indiv_qcqp.build_qcqp(problem()), None),
                        "p must be an IndivPowerProblem, got a NoneType"),
@@ -329,9 +333,11 @@ CASES = {
                                 "sol must be a TotalPowerSolution, got a NoneType"),
     "pnorm-prob-none": (lambda: build_pnorm_embedding(None, 4),
                         "prob must be an IndivPowerProblem, got a NoneType"),
-    "al-embedding-none": (lambda: augmented_lagrangian_solve(None, problem()),
-                          "e must be a PnormEmbedding, got a NoneType"),
-    "al-prob-none": (lambda: augmented_lagrangian_solve(build_pnorm_embedding(problem(), 8), None),
+    # the AL builds its own embedding: one in the problem's place is refused
+    "al-embedding-as-problem": (lambda: augmented_lagrangian_solve(
+                                    build_pnorm_embedding(problem(), 8), 8),
+                                "prob must be an IndivPowerProblem, got a PnormEmbedding"),
+    "al-prob-none": (lambda: augmented_lagrangian_solve(None, 8),
                      "prob must be an IndivPowerProblem, got a NoneType"),
 }
 
@@ -419,6 +425,9 @@ ENTRIES = {
                            ("w0", "eps")),
     "build_pnorm_embedding": (build_pnorm_embedding, lambda: {"prob": problem(), "p": 4},
                               ("prob", "p")),
+    "augmented_lagrangian_solve": (augmented_lagrangian_solve,
+                                   lambda: {"prob": problem(), "p": 4, "w0": [1, 1j]},
+                                   ("prob", "p", "w0")),
     "brute_force_total": (brute_force_total, lambda: {"p": total_problem(), "points": 10},
                           ("p", "points")),
     "rescale_to_original": (indiv_qcqp.rescale_to_original,
