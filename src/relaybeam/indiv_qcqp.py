@@ -24,10 +24,10 @@ import numpy as np
 
 from . import indiv_diag, indiv_search
 from .channel import BeamformingSolution
-from .errors import InputError
+from .errors import ConvergenceError, InputError
 from .linalg import check_scalar, check_type, check_vector, hermitian, qform, symmetrize
 from .problems import IndivPowerProblem
-from .sdp import QcqpInstance, _gauge_basis, range_eigh, solve_relaxation
+from .sdp import QcqpInstance, SdpSolution, _gauge_basis, range_eigh, solve_relaxation
 
 FALLBACKS = ("cdm", "pnorm")     # the searches the sdp route falls back to
 ROUTES = ("auto", "indiv-diag", "sdp", *FALLBACKS, "grp")
@@ -35,7 +35,7 @@ ROUTES = ("auto", "indiv-diag", "sdp", *FALLBACKS, "grp")
 OPTIONS = {"samples": "count", "eps": "positive", "p": "count", "w0": "vector",
            "fallback": FALLBACKS}
 
-_GRP_CHUNK = 8192   # GRP samples per column chunk at rank two, 2/r of it at rank r: in L2
+_GRP_CHUNK = 8192   # GRP's first chunk holds 1/r of it; later ones 2/r of it, or 2^15 at rank two
 
 
 def build_qcqp(p: IndivPowerProblem) -> QcqpInstance:
@@ -126,8 +126,13 @@ def solve(p: IndivPowerProblem, solver: str = "auto", options: dict | None = Non
         return indiv_diag.solve_diagonal(p), meta, None
     start = options.get("w0")
     if solver in ("sdp", "grp"):
+        if not (relaxation is None or isinstance(relaxation, tuple) and len(relaxation) == 3):
+            raise InputError("relaxation must be solve_via_sdp(p)'s triple (q, sdp_solution, w)")
         q, sdp_sol, w = solve_via_sdp(p) if relaxation is None else relaxation
         _check_poses(q, p, "the relaxation's q")
+        hermitian(check_type(sdp_sol, SdpSolution, name="the relaxation's sdp_solution").X,
+                  name="the relaxation's X", n=p.n)
+        w = None if w is None else check_vector(w, name="the relaxation's w", n=p.n)
         meta.update(sdp_obj=sdp_sol.primal_obj, sdp_gap=sdp_sol.gap,
                     dual_y=sdp_sol.dual_y.tolist(),
                     rank_estimate=sdp_sol.rank_estimate, iterations=sdp_sol.iterations)
@@ -197,41 +202,37 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
 
     One SFC64 stream seeded with ``SeedSequence(seed)`` draws every sample,
     so w is a pure function of (X, q, samples, seed) and growing ``samples``
-    only extends the stream (prefix property).  The samples lie in the range
-    of X: with the eigenpairs of X that ``range_eigh`` keeps (the rule behind
-    ``SdpSolution.rank_estimate``) L = U_r sqrt(lambda_r), and each sample
-    is w = L zeta for zeta ~ CN(0, I_r).  A sample's value is unchanged by
-    w -> alpha w, so only the ray of zeta counts, drawn with its law from
-    r - 1 64-bit words (``_rays``): the shares t_j = |zeta_j|^2 / |zeta|^2
-    are Dirichlet(1, ..., 1), the spacings of r - 1 sorted uniforms (the
-    high 32 bits; Devroye 1986, ch. V), independent of the float32 phasors
-    p_j of zeta_2 ... zeta_r relative to a real zeta_1 (the low 32 bits).
-    At rank one every sample has the same value, so one sample is drawn,
-    from no word, whatever ``samples`` says.  Every quadratic form is linear
-    in zeta zeta^H, so one (n + 2) x r^2 product C on its r^2 real features
-    F (``_grp_features``, in units of 2^-32) gives w^H R w, w^H Q w and each
-    c_k |w_k|^2.  It runs on the calling thread in column chunks that stay
-    in cache, first in float32, with C's R row and Q-and-caps rows each
-    scaled by a power of two (no scale overflows; R -> 4^j R leaves it
-    unchanged) and by 2^-32.  The float32 bound, at every rank, with u =
-    eps32 / 2: the shares sum to one and |P_ij| <= sqrt(t_i t_j) |p_i p_j|,
-    so |F_l| <= 1 + O(u).  Each share is rounded once, numpy's float32 cos
-    and sin (within 2 ulps) give |p_j|^2 = 1 within 6 u, and the cross terms
-    (at most 1/2) take relative errors of at most 4 u (P_1j) and 11 u
-    (P_ij), so each float32 feature is within 4 eps32 of its float64 value.
-    With C's own rounding and Higham's dot-product bound (Accuracy and
-    Stability, 3.1), the rows V_j are within a_j = (r^2 + 16) eps32 sum_l
-    |C_jl| + 2^-100 (underflow) of their float64 values, and (V_0 + a_0) /
-    (V_1 + max_k V_k - a_1 - max_k a_k) bounds a sample's float64 value.
-    Only samples whose bound reaches the best float64 value so far (all
-    while none is positive; the first chunk is half) are evaluated in
-    float64: w is the float64 first maximum over the drawn samples, but for
-    those of a negative R form and no bound.  The test, V_0 >= thr D - off
-    with D = V_1 + max_k V_k and off = a_0 + thr (a_1 + max_k a_k), keeps
-    every sample of a nonnegative float64 R form where the bounded
-    denominator D - a_1 - max_k a_k is not positive (thr D - off <= -a_0
-    there); a negative R form has a negative value, or a positive one over a
-    negative denominator, where w = L zeta / sqrt(worst) is not finite.
+    only extends the stream (prefix property).  A sample is w = L zeta, L =
+    U_r sqrt(lambda_r) over the eigenpairs ``range_eigh`` keeps and zeta ~
+    CN(0, I_r), whose ray alone sets its value and takes r - 1 64-bit words
+    (``_rays``): Dirichlet(1, ..., 1) shares as spacings of the sorted high
+    32 bits (Devroye 1986, ch. V), float32 phasors of zeta_2 ... zeta_r from
+    the low 32 bits.  At rank one all samples tie: one is drawn, from no
+    word.  An (n + 2) x r^2 matrix C on the real features F of zeta zeta^H
+    (``_grp_features``, in units of 2^-32) gives w^H R w, w^H Q w and each
+    c_k |w_k|^2, in float64 as the sums C_j0 F_0 + C_j1 F_1 + ... in order,
+    so a sample's value does not depend on the samples beside it.  A sample
+    whose float64 w^H Q w + max_k c_k |w_k|^2 is not positive (round-off
+    near null spaces) has no value; ConvergenceError is raised when none has
+    one.  w is the float64 first maximum of the values.
+
+    The first chunk (``_GRP_CHUNK`` / r samples) is evaluated whole; later
+    ones only where two exact filters leave a sample that can exceed the
+    best value b > 0 so far: at rank two the band of shares of
+    ``_bloch_band``, then a float32 screen, with C's R row and Q-and-caps
+    rows each scaled by a power of two (no scale overflows; R -> 4^j R
+    leaves it unchanged) and by 2^-32.  With u = eps32 / 2, |F_l| <= 1 +
+    O(u) (the shares sum to one, |P_ij| <= sqrt(t_i t_j) |p_i p_j|); a share
+    is rounded once, float32 cos and sin (2 ulps) give |p_j|^2 = 1 within 6
+    u, and cross terms (at most 1/2) err by at most 4 u (P_1j) and 11 u
+    (P_ij), so a float32 feature is within 4 eps32 of its float64 one.  With
+    C's own rounding and Higham's dot-product bound (Accuracy and Stability,
+    3.1), rows V_j are within a_j = (r^2 + 16) eps32 sum_l |C_jl| + 2^-100
+    of their float64 values.  The screen keeps V_0 >= thr D - off, D = V_1 +
+    max_k V_k, off = a_0 + thr (a_1 + max_k a_k), thr = b rounded down:
+    where the bounded denominator D - a_1 - max_k a_k is not positive, thr D
+    - off <= -a_0 keeps each nonnegative R form, and a negative R form over
+    a positive denominator has a negative value.
     """
     samples = check_scalar(samples, name="samples", kind="count")
     seed = check_scalar(seed, name="seed", kind="seed")
@@ -239,15 +240,11 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
     lam, U = range_eigh(hermitian(X, name="X", n=q.n))
     if lam.size == 0:
         raise InputError("X is numerically zero; nothing to sample")
-    L = U * np.sqrt(lam)
-    r = lam.size
-    if r == 1:
-        # every sample lies on the ray of L, so rescaling gives every sample
-        # the same value, and the first sample wins the tie
-        samples = 1
+    L, r = U * np.sqrt(lam), lam.size
+    samples = 1 if r == 1 else samples      # at rank one every sample lies on L's ray: all tie
     C = _grp_forms(L, q)
-    step = 2 * _GRP_CHUNK // r
-    screen = samples > step // 2    # a chunk after the first runs: build the float32 screen
+    first, step = _GRP_CHUNK // r, 2 ** 15 if r == 2 else 2 * _GRP_CHUNK // r
+    screen = samples > first    # a later chunk runs: build the float32 screen
     if screen:
         s0, s1 = np.ldexp(1.0, -np.frexp([np.abs(C[0]).max(), np.abs(C[1:]).max()])[1])
         Cs = np.vstack([s0 * C[:1], s1 * C[1:]])
@@ -255,12 +252,16 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
         a0, a_den = a[0], a[1] + a[2:].max()
         C32 = (2.0 ** -32 * np.vstack([Cs[:1], Cs[1] + Cs[2:]])).astype(np.float32)  # V_1 + V_k
         Vb = np.empty((q.n + 1, step), np.float32)    # reused: no page faults a chunk
-    best_val, best_w = -np.inf, None
+    best_val, best_w, band = -np.inf, None, None
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
     h = r * (r - 1) // 2
-    for c0 in range(-(step // 2), samples, step):   # the first chunk, all float64, is half
-        m = min(c0 + step, samples) - max(c0, 0)
-        k, cos, sin = _rays(rng, m, r)
+    for m in np.diff([0, *range(first, samples, step), samples]).tolist():
+        words = rng.bit_generator.random_raw(m * (r - 1))
+        if band is not None:    # rank two: the words outside the band cannot reach best_val
+            words -= band[0]    # in place: a temporary of the chunk's size costs page faults
+            words = words.compress(words < band[1]) + band[0]
+            m = words.size
+        k, cos, sin = _rays(words, m, r)
         if best_val <= 0:   # no bound yet: every sample is evaluated in float64
             idx = np.arange(m)
         else:
@@ -270,28 +271,72 @@ def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:
             if idx.size == 0:
                 continue
         Fi = _grp_features(k.take(idx, 1), cos.take(idx, 1), sin.take(idx, 1), float)
-        V = C @ Fi
+        V = C[:, :1] * Fi[0]    # C @ Fi term by term: a BLAS kernel's sums depend on the batch
+        for j in range(1, r * r):
+            V += C[:, j:j + 1] * Fi[j]
         worst = V[1] + V[2:].max(axis=0)
-        vals = V[0] / worst
+        vals = np.divide(V[0], worst, out=np.full(worst.shape, -np.inf), where=worst > 0)
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_val = float(vals[i])
             # zeta, to scale, is (F_0, P_12, ..., P_1r) / sqrt(F_0), with F_0 > 0
             zeta = np.append(Fi[0, i], Fi[r:2 * r - 1, i] + 1j * Fi[r + h:r + h + r - 1, i])
             best_w = L @ (zeta / np.sqrt(Fi[0, i])) / np.sqrt(worst[i])
-            if screen:      # the bar of the screen, used once best_val > 0
+            if screen and best_val > 0:     # the bars of the band and the screen
+                band = _bloch_band(C, best_val) if r == 2 else None
                 x = min(best_val * s0 / s1 * (1 - 2.0 ** -19), 2.0 ** 100)
                 thr = np.nextafter(np.float32(x), np.float32(0))    # x rounded down to float32
                 off = a0 + thr * a_den
+    if best_w is None:
+        raise ConvergenceError("GRP: no sample has a positive w^H Q w + max_k c_k |w_k|^2")
     return best_w
 
 
-def _rays(rng, m, r):
-    """The next m samples of GRP's stream, r - 1 words each, as (k, cos, sin) of shape
-    (r - 1, m): the words' high 32 bits sorted down each column, k_(r-1) >= ... >= k_(1),
-    and the float32 phasors of zeta_2 ... zeta_r, of 2 pi u with u = their low 32 bits
-    times 2^-32."""
-    words = rng.bit_generator.random_raw(m * (r - 1))
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")   # a NaN candidate fails the test
+def _bloch_band(C, best):
+    """The rank-two words whose samples can exceed the float64 value ``best`` > 0, as (lo,
+    width) with word - lo < width (mod 2^64), or None for every word.
+
+    C's rows are affine in the Bloch vector v = (2 s cos phi, 2 s sin phi, 1 - 2 t), s^2 = t
+    (1 - t), of t = k 2^-32 and phi = 2 pi u 2^-32 (high word k, low word u), and the float64
+    features lie within 2^-20 2^32 of v's: to exceed best, v lies in each cap g_k(v) = N(v) -
+    best D_k(v) + 2^-16 (S_0 + best (S_1 + S_k)) >= 0 (rows N of R, D_k of Q plus cap k, S_j =
+    sum_l |C_jl|).  Their common part has its extreme z at the poles, circle tops, bottoms and
+    crossings: where two of the planes of the circles g_k = 0, of the meridians through the
+    caps' axes, x = 0 and y = 0 meet the sphere.  The band spans the z of those that each cap
+    admits to 2^-16 (|h_k| + |grad g_k|), plus 2^-16 in t, which holds their rounding where
+    planes meet at 2^-5 rad or more; a cap nearer an earlier one's plane is left out.
+    """
+    S, n = np.abs(C).sum(axis=1), len(C) - 2
+    A = C[0] - best * (C[1] + C[2:])
+    B = np.stack([A[:, 2], A[:, 3], A[:, 0] - A[:, 1]], axis=1) / 2     # g_k(v) = B_k . v - h_k
+    h = -(A[:, 0] + A[:, 1]) / 2 - 2.0 ** -16 * (S[0] + best * (S[1] + S[2:]))
+    # the planes P v = h of the circles, of the meridians through the caps' axes, x = 0, y = 0
+    P, h = np.vstack([B, B[:, [1, 0, 2]] * [1, -1, 0], np.eye(3)[:2]]), np.r_[h, [0] * (n + 2)]
+    G = (P[:, None] * P).sum(axis=2)
+    g = G.diagonal()
+    s2 = 1 - G * G / (g[:, None] * g)       # sin^2 of the angle between planes i and j
+    keep = ~np.triu(s2[:n, :n] < 2.0 ** -10, 1).any(axis=0)  # no cap near an earlier one
+    a = (h[:, None] * g - h * G) / (g[:, None] * g * s2)
+    x0 = a[..., None] * P[:, None] + a.T[..., None] * P    # on planes i and j, nearest 0
+    d = np.cross(P[:, None], P)
+    e = 1 - (x0 * x0).sum(axis=2)
+    d *= np.sqrt(np.where(e > -2.0 ** -32, np.maximum(e, 0), np.nan)
+                 / (d * d).sum(axis=2))[..., None]    # NaN where the line misses the sphere
+    pts = np.concatenate([x0 + d, x0 - d]).reshape(-1, 3)
+    B, h = B[keep], h[:n][keep]
+    z = pts[(pts @ B.T - h >= -2.0 ** -16 * (np.abs(h) + np.sqrt(g[:n][keep]))).all(axis=1), 2]
+    if z.size == 0:
+        return 0, 0
+    k0 = max(int(np.floor(((1 - z.max()) / 2 - 2.0 ** -16) * 2.0 ** 32)), 0)
+    k1 = min(int(np.ceil(((1 - z.min()) / 2 + 2.0 ** -16) * 2.0 ** 32)) + 1, 2 ** 32)
+    return None if k1 - k0 == 2 ** 32 else (k0 << 32, (k1 - k0) << 32)
+
+
+def _rays(words, m, r):
+    """m samples of GRP's stream from their r - 1 64-bit words each, as (k, cos, sin) of shape
+    (r - 1, m): the words' high 32 bits sorted down each column, k_(r-1) >= ... >= k_(1), and
+    the float32 phasors of zeta_2 ... zeta_r, of 2 pi u with u = their low 32 bits times 2^-32."""
     # int64 and uint32 (the low word, by truncation) convert faster than uint64
     k = np.ascontiguousarray((words >> 32).view(np.int64).reshape(m, r - 1).T)
     for j in range(1, r - 1):   # insert row j into the sorted rows above it

@@ -9,9 +9,9 @@ the corrector reuses the Schur matrix and targets sigma mu I - dX_a dZ_a).
 Its start, y = (1 + 1/n) rho 1 with rho the spectral radius of the pencil
 (R, sum_k A_k), scales with R; Z = sum_k y_k A_k - R stays positive definite
 under the step rule, so sum_k y_k certifies a bound at every iterate.  The
-stop is SDPT3's relative gap, |gap| <= GAP_TOL max(1, |primal|); an absolute
-1e-8 stalled on round-off at objectives near 70.  With W = Z^-1 the Schur
-matrix Re Tr(A_k X A_j W) is
+stop is SDPT3's gap test |gap| <= GAP_TOL max(1, |primal|), relative above
+|primal| = 1 and absolute below; a purely absolute 1e-8 stalled on round-off
+at objectives near 70.  With W = Z^-1 the Schur matrix Re Tr(A_k X A_j W) is
 Re[Tr(QXQW) + c_j (WQX)_jj + c_k (XQW)_kk + c_k c_j X_kj W_jk] (Benson, Ye and
 Zhang, SIAM J. Optim. 10 (2000)), so an iteration costs a few n x n products,
 O(n^3), plus one stacked [X, Z] Cholesky and its inverse (step scalings and
@@ -35,11 +35,11 @@ import numpy as np
 from .errors import ConvergenceError, InputError, ModelError
 from .linalg import HERMITIAN_TOL, check_type, hermitian, psd_violation, symmetrize
 
-GAP_TOL = 1e-8    # certified relative duality gap, |gap| <= GAP_TOL max(1, |primal|)
+GAP_TOL = 1e-8    # certified duality gap |gap| <= GAP_TOL max(1, |primal|): absolute below 1
 FEAS_TOL = 1e-8   # primal residual max_k |1 - Tr(A_k X) - s_k| at the stop; no units
 MAX_ITER = 200    # interior-point Newton steps before ConvergenceError
 RANK_TOL = 1e-6   # eigenvalues of X above RANK_TOL lambda_max count toward its rank
-# The exit is tried at relative gaps <= _EXIT_GAP: at r = 1 where ||X||_F^2 >=
+# The exit is tried at |gap| <= _EXIT_GAP max(1, |primal|): at r = 1 where ||X||_F^2 >=
 # _EXIT_RANK Tr(X)^2 (no LAPACK call); else, up to _EXIT_MAX_N relays, at the r
 # eigenvalues of X above _EXIT_CUT lambda_max where 2 <= r and r^2 <= |active
 # caps| (Pataki's bound, so never at n <= 3).  Rank-one relaxations certify near

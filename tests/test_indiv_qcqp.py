@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from relaybeam import fixtures, indiv_qcqp
 from relaybeam.channel import ChannelStats
-from relaybeam.errors import InputError
+from relaybeam.errors import ConvergenceError, InputError
 from relaybeam.indiv_diag import solve_diagonal
 from relaybeam.indiv_qcqp import (_GRP_CHUNK, build_qcqp, grp_extract, qcqp_objective,
                                   rank_one_decompose, rescale_to_original, solve_via_sdp)
 from relaybeam.linalg import qform, symmetrize
 from relaybeam.problems import IndivPowerProblem
-from relaybeam.sdp import RANK_TOL, QcqpInstance, _gauge_basis, range_eigh
+from relaybeam.sdp import RANK_TOL, QcqpInstance, SdpSolution, _gauge_basis, range_eigh
 from conftest import constraint_stack, degenerate_qcqp_instance, rand_indiv_problem, rand_pd
 
 
@@ -24,7 +24,8 @@ def grp_values(X, q, samples, seed):
     their low 32 bits u give p_j = exp(i a_j) for zeta_2 ... zeta_r, a the
     float32 angle 2 pi u 2^-32; zeta = sqrt(t) (1, p_2, ..., p_r).  It
     draws every sample at every rank.  Returns the samples w, their worst
-    constraint values and their objective values."""
+    constraint values and their objective values; a sample whose worst
+    constraint value is not positive has no value (-inf)."""
     wv, U = np.linalg.eigh(symmetrize(X))
     keep = wv > 1e-6 * wv.max()
     L = U[:, keep] * np.sqrt(wv[keep])
@@ -41,15 +42,31 @@ def grp_values(X, q, samples, seed):
     W = zeta @ L.T
     quad_Q = ((W @ q.Q.T) * W.conj()).sum(axis=1).real
     worst = (quad_Q[:, None] + np.abs(W) ** 2 * q.c[None, :]).max(axis=1)
-    return W, worst, ((W @ q.R.T) * W.conj()).sum(axis=1).real / worst
+    vals = np.full(samples, -np.inf)
+    vals[worst > 0] = ((W @ q.R.T) * W.conj()).sum(axis=1).real[worst > 0] / worst[worst > 0]
+    return W, worst, vals
 
 
 def grp_reference(X, q, samples, seed):
-    """The best of ``grp_values``, rescaled to the feasible boundary.  Every
-    kernel of ``grp_extract`` must agree with it."""
+    """The best of ``grp_values``, rescaled to the feasible boundary, or
+    ConvergenceError when no sample has a value.  Every kernel of
+    ``grp_extract`` must agree with it."""
     W, worst, vals = grp_values(X, q, samples, seed)
     i = int(np.argmax(vals))
+    if vals[i] == -np.inf:
+        raise ConvergenceError("no sample has a positive worst constraint value")
     return W[i] / np.sqrt(worst[i])
+
+
+def near_null_space_instance(seed):
+    """X's range within 1e-9 of the null spaces of a rank-one R and of
+    Q = 1e8 g g^H, under caps of 1e-9, with rng [seed, 45]: (X, q)."""
+    rng = np.random.default_rng([seed, 45])
+    v, g = (rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(2))
+    q = QcqpInstance(R=np.outer(v, v.conj()), Q=1e8 * np.outer(g, g.conj()), c=np.full(4, 1e-9))
+    B = np.linalg.svd(np.stack([v, g]).conj())[2][2:].conj().T
+    V = B + 1e-9 * (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
+    return V @ V.conj().T, q
 
 
 def assert_forms_of_w(L, q, zeta, F):
@@ -493,7 +510,8 @@ class TestGrp:
         # phasors e^{i(phi_j - phi_i)} average 0: each within 4 standard
         # errors over 10^5 rows
         rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([7, r])))
-        F = indiv_qcqp._grp_features(*indiv_qcqp._rays(rng, 10 ** 5, r), float)
+        words = rng.bit_generator.random_raw(10 ** 5 * (r - 1))
+        F = indiv_qcqp._grp_features(*indiv_qcqp._rays(words, 10 ** 5, r), float)
         assert np.all(F[:r] > 0)
         i, j = np.triu_indices(r, 1)
         P = F[r:r + i.size] + 1j * F[r + i.size:]
@@ -520,7 +538,8 @@ class TestGrp:
         rng = np.random.default_rng([r, 8])
         q = build_qcqp(rand_indiv_problem(rng, n))
         L = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
-        F = indiv_qcqp._grp_features(*indiv_qcqp._rays(np.random.default_rng(r), 1000, r), float)
+        words = np.random.default_rng(r).bit_generator.random_raw(1000 * (r - 1))
+        F = indiv_qcqp._grp_features(*indiv_qcqp._rays(words, 1000, r), float)
         h = r * (r - 1) // 2
         zeta = np.vstack([F[:1], F[r:2 * r - 1] + 1j * F[r + h:r + h + r - 1]]) / np.sqrt(F[0])
         assert_forms_of_w(L, q, zeta, F)
@@ -624,20 +643,116 @@ class TestGrp:
     def test_screen_drops_unbounded_samples_of_negative_r_form(self):
         # X's range within 1e-9 of the null spaces of a rank-one R and of
         # Q = 1e8 g g^H, under caps of 1e-9: both forms are float64 round-off
-        # of either sign, and the float64 first maximum over the draws has a
-        # negative R form over a negative denominator, with no finite ray.
-        # The screen drops such samples unevaluated where it has no bound
-        # (see grp_extract), so w is finite here; evaluating them would make it NaN.
-        rng = np.random.default_rng([3, 45])
-        v, g = (rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(2))
-        q = QcqpInstance(R=np.outer(v, v.conj()), Q=1e8 * np.outer(g, g.conj()),
-                         c=np.full(4, 1e-9))
-        B = np.linalg.svd(np.stack([v, g]).conj())[2][2:].conj().T
-        V = B + 1e-9 * (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
-        X, samples = V @ V.conj().T, 3 * _GRP_CHUNK
-        _, worst, vals = grp_values(X, q, samples, 3)
-        assert worst[np.argmax(vals)] < 0
+        # of either sign, and the largest ratio of the R form to the
+        # denominator over the draws has a negative R form over a negative
+        # denominator, with no finite ray.  Such a sample has no value (see
+        # grp_extract), so w is finite here; taking its ratio would make it NaN.
+        X, q = near_null_space_instance(3)
+        samples = 3 * _GRP_CHUNK
+        W, worst, _ = grp_values(X, q, samples, 3)
+        assert worst[np.argmax(((W @ q.R.T) * W.conj()).sum(axis=1).real / worst)] < 0
         assert np.isfinite(grp_extract(X, q, samples, 3)).all()
+
+    @pytest.mark.parametrize("samples", [4000, 24576])
+    def test_no_non_finite_w_near_null_spaces(self, samples):
+        # the instance above over 100 seeds: a sample whose float64
+        # denominator is not positive has no value, so w is finite, or, where
+        # no drawn sample has a value (Q's round-off is negative over the
+        # whole range of X), ConvergenceError is raised
+        raised = 0
+        for seed in range(100):
+            X, q = near_null_space_instance(seed)
+            try:
+                assert np.isfinite(grp_extract(X, q, samples, seed)).all()
+            except ConvergenceError:
+                raised += 1
+        assert raised < 10
+
+    def test_no_value_is_a_convergence_error(self):
+        # seed 14 of the instance above: every drawn sample's float64
+        # denominator is negative, through grp_extract and solve's grp route
+        # alike (exit 2), never a NaN w that rescaling reports as an input error
+        X, q = near_null_space_instance(14)
+        with pytest.raises(ConvergenceError, match="no sample has a positive"):
+            grp_extract(X, q, 100, 14)
+        stats = ChannelStats(D=np.ones(4), R=q.R, Q=q.Q, sigma2=1.0)
+        p = IndivPowerProblem(stats=stats, Ps=1.0, P=np.full(4, 2e9))
+        sol = SdpSolution(X=X, dual_y=np.zeros(4), primal_obj=0.0, dual_obj=0.0, gap=0.0,
+                          rank_estimate=2, iterations=0)
+        with pytest.raises(ConvergenceError):
+            indiv_qcqp.solve(p, "grp", {"samples": 100}, 14, (build_qcqp(p), sol, None))
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_band_leaves_few_draws_to_the_feature_kernel(self, n, monkeypatch):
+        # at rank two the band rejects a draw on its raw word: at the paper's
+        # sample count fewer than 10 % of the draws reach the feature kernel
+        # (float32 screen and float64 values together)
+        q, sol, _ = solve_via_sdp(fixture_problem(n))
+        columns, features = [], indiv_qcqp._grp_features
+        monkeypatch.setattr(indiv_qcqp, "_grp_features",
+                            lambda k, *rest: columns.append(k.shape[1]) or features(k, *rest))
+        for seed in (1, 20111):
+            columns.clear()
+            grp_extract(sol.X, q, fixtures.GRP_SAMPLES, seed)
+            assert sum(columns) < 0.1 * fixtures.GRP_SAMPLES
+
+    @pytest.mark.parametrize("n", [4, 6, 3, 9, 16])
+    def test_bloch_band_holds_every_word_that_exceeds_best(self, n):
+        # every one of 2 x 10^5 rank-two words whose float64 value exceeds a
+        # best value (the first chunk's best, the best of all, and half of it)
+        # lies in the band; on the fixture relaxations the band near the best
+        # is narrow (the values of random instances can be flat over wide
+        # bands); beyond every value the band is empty
+        first, last = 1.0, 1.0
+        if n in fixtures.INDIV_EXPECT:
+            q, sol, _ = solve_via_sdp(fixture_problem(n))
+            lam, U = range_eigh(sol.X)
+            L, first, last = U * np.sqrt(lam), 0.1, 0.02
+        else:
+            rng = np.random.default_rng([n, 46])
+            q = build_qcqp(rand_indiv_problem(rng, n))
+            L = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        C = indiv_qcqp._grp_forms(L, q)
+        words = np.random.default_rng(n).bit_generator.random_raw(2 * 10 ** 5)
+        V = C @ indiv_qcqp._grp_features(*indiv_qcqp._rays(words, words.size, 2), float)
+        vals = V[0] / (V[1] + V[2:].max(axis=0))
+        for best, narrow in ((vals[:_GRP_CHUNK // 2].max(), first), (vals.max(), last),
+                             (vals.max() / 2, 1.0)):
+            lo, width = indiv_qcqp._bloch_band(C, best) or (0, 2 ** 64)
+            assert np.all(words[vals > best] - np.uint64(lo) < width)
+            assert width <= narrow * 2 ** 64
+        assert indiv_qcqp._bloch_band(C, 2 * vals.max()) == (0, 0)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_float64_value_does_not_depend_on_its_batch(self, n, monkeypatch):
+        # a sample's float64 value, and so w, is bit for bit the same whether
+        # it is evaluated alone or among the few survivors of the band and the
+        # screen, or inside one batch of every sample (a first chunk that
+        # holds them all); the winners here are past the default first chunk
+        q, sol, _ = solve_via_sdp(fixture_problem(n))
+        batches, features = [], indiv_qcqp._grp_features
+
+        def record(k, cos, sin, dtype):
+            if dtype is float:
+                batches.append(k.shape[1])
+            return features(k, cos, sin, dtype)
+
+        monkeypatch.setattr(indiv_qcqp, "_grp_features", record)
+        samples, late = 50000, 0
+        for seed in range(8):
+            batches.clear()
+            w = grp_extract(sol.X, q, samples, seed)
+            later = batches[1:]
+            if np.array_equal(w, grp_extract(sol.X, q, _GRP_CHUNK // 2, seed)):
+                continue    # the winner is in the first chunk
+            late += 1
+            assert 0 < max(later) <= samples // 100
+            with monkeypatch.context() as one_chunk:
+                one_chunk.setattr(indiv_qcqp, "_GRP_CHUNK", 4 * samples)
+                batches.clear()
+                assert np.array_equal(w, grp_extract(sol.X, q, samples, seed))
+                assert batches == [samples]
+        assert late >= 3
 
     @pytest.mark.parametrize("trial", [26, 59, 64])
     def test_screen_bounds_the_rounding_of_cancelling_forms(self, trial):

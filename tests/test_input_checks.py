@@ -313,6 +313,24 @@ CASES = {
                                     problem(), "sdp", None, 0,
                                     (None, *indiv_qcqp.solve_via_sdp(problem())[1:])),
                                 "the relaxation's q must be a QcqpInstance, got a NoneType"),
+    # solve's relaxation is solve_via_sdp(p)'s triple (q, sdp_solution, w), checked whole
+    "solve-relaxation-pair": (lambda: indiv_qcqp.solve(
+                                  problem(), "sdp", None, 0, indiv_qcqp.solve_via_sdp(problem())[:2]),
+                              r"relaxation must be solve_via_sdp\(p\)'s triple"),
+    "solve-grp-relaxation-solution-none": (lambda: indiv_qcqp.solve(
+                                               problem(), "grp", {"samples": 10}, 0,
+                                               (indiv_qcqp.build_qcqp(problem()), None, None)),
+                                           "the relaxation's sdp_solution must be a SdpSolution, "
+                                           "got a NoneType"),
+    "solve-relaxation-x-size": (lambda: indiv_qcqp.solve(
+                                    problem(), "sdp", None, 0,
+                                    (indiv_qcqp.build_qcqp(problem()),
+                                     indiv_qcqp.solve_via_sdp(problem(3))[1], None)),
+                                "the relaxation's X must be 2 x 2, got shape"),
+    "solve-relaxation-w-length": (lambda: indiv_qcqp.solve(
+                                      problem(), "sdp", None, 0,
+                                      (*indiv_qcqp.solve_via_sdp(problem())[:2], np.ones(3))),
+                                  "the relaxation's w has length 3, expected 2"),
     "rescale-p-none": (lambda: indiv_qcqp.rescale_to_original(
                            [1, 1], indiv_qcqp.build_qcqp(problem()), None),
                        "p must be an IndivPowerProblem, got a NoneType"),
