@@ -225,16 +225,16 @@ def build_pnorm_embedding(prob: IndivPowerProblem, p: int) -> PnormEmbedding:
 
 
 def phi_p_value(e: PnormEmbedding, z) -> float:
-    s = _slot_powers(e, z)
+    n = e.n
+    return _phi(z[:n] ** 2 + z[n:] ** 2, e.p)    # z^T J~_k z = |u_k|^2
+
+
+def _phi(s, p) -> float:
+    """phi_p from the slot powers s_k = |u_k|^2."""
     smax = s.max()
     if smax <= 0:
         return 0.0      # the norm's value at z = 0, where it is not smooth
-    return float(smax * (np.sum((s / smax) ** e.p)) ** (1.0 / e.p))
-
-
-def _slot_powers(e, z):
-    n = e.n
-    return z[:n] ** 2 + z[n:] ** 2    # z^T Jtilde_k z = |u_k|^2
+    return float(smax * ((s / smax) ** p).sum() ** (1.0 / p))
 
 
 def phi_p_grad_hess(e: PnormEmbedding, z):
@@ -244,31 +244,29 @@ def phi_p_grad_hess(e: PnormEmbedding, z):
     hess = 2 sum_k (s_k/phi)^(p-1) J~_k + (1-p)/phi grad grad^T
            + 4(p-1)/phi sum_k (s_k/phi)^(p-2) (J~_k z)(J~_k z)^T.
     Powers are evaluated through ratios <= 1 so large p cannot overflow.
+    Slot k's 2 x 2 block, entry k of each quarter's diagonal, is added in place.
     """
     z = np.asarray(z, dtype=float).ravel()
-    n = e.n
-    p = e.p
-    s = _slot_powers(e, z)
-    val = phi_p_value(e, z)
+    n, p = e.n, e.p
+    xy = z.reshape(2, n)                # rows Re u and Im u: column k is slot k's (x_k, y_k)
+    sq = xy * xy
+    s = sq[0] + sq[1]
+    val = _phi(s, p)
     if val == 0:
         raise InputError("phi_p is not twice differentiable at z = 0")
     ratio = s / val
-    rp1 = ratio ** (p - 1)
-    g = np.empty(2 * n)
-    g[:n] = 2.0 * rp1 * z[:n]
-    g[n:] = 2.0 * rp1 * z[n:]
-    H = ((1.0 - p) / val) * np.outer(g, g)
-    kr, ki = np.arange(n), np.arange(n, 2 * n)    # rows of Re u_k and Im u_k
-    H[kr, kr] += 2.0 * rp1
-    H[ki, ki] += 2.0 * rp1
+    r2 = 2.0 * ratio ** (p - 1)
+    g = (r2 * xy).ravel()
+    H = ((1.0 - p) / val) * (g[:, None] * g)
+    flat, stride = H.reshape(-1), 2 * n + 1
+    diag = flat[::stride].reshape(2, n)     # views, added to in place
+    diag += r2
     if p >= 2:
-        # J~_k z has only the entries z_k and z_{n+k}: four entries per relay
         coef = (4.0 * (p - 1) / val) * ratio ** (p - 2)
-        x, y = z[:n], z[n:]
-        H[kr, kr] += coef * (x * x)
-        H[ki, ki] += coef * (y * y)
-        H[kr, ki] += coef * (x * y)
-        H[ki, kr] += coef * (x * y)
+        diag += coef * sq
+        cross = coef * (xy[0] * xy[1])
+        flat[n:n * stride:stride] += cross
+        flat[2 * n * n::stride] += cross
     return val, g, H
 
 
@@ -296,9 +294,11 @@ def augmented_lagrangian_solve(prob: IndivPowerProblem, p: int, w0=None):
     lam starts at the p = 1 closed form and updates by
     lam <- lam - (z^T K z - 1)/mu with mu = AL_MU fixed.  z starts at [Re u; Im u]
     for the weight vector ``w0`` (u = D1 w0), or at the p = 1 minimizer
-    when ``w0`` is None.  Inner steps are Newton
-    with the Hessian shifted to positive definite when needed and Armijo
-    backtracking (alpha = 1, c1 = 1e-4, rho = 0.5).  Terminates when
+    when ``w0`` is None.  Inner steps are Newton with Armijo backtracking
+    (alpha = 1, c1 = 1e-4, rho = 0.5); where a Cholesky attempt fails, a
+    Hessian with lambda_min <= 0 is shifted by 1e-6 - lambda_min.  A step
+    forms phi_p's value, gradient and Hessian, [F; K] z and one LU solve
+    once; a trial costs one phi_p of an n-vector (``_line``).  Terminates when
     |z^T K z - 1| <= AL_CONSTRAINT_TOL and ||grad L|| <= AL_GRAD_TOL, or
     raises ConvergenceError after AL_MAX_OUTER multiplier updates.
 
@@ -314,34 +314,38 @@ def augmented_lagrangian_solve(prob: IndivPowerProblem, p: int, w0=None):
         if not z @ e.K @ z > 0:      # z^T K z = w0^H R w0
             raise InputError("w0 must have w0^H R w0 > 0")
     trace = SolverTrace(columns=AL_TRACE_COLUMNS)
-    F, K = e.F, e.K
+    F2, K, FK = 2.0 * e.F, e.K, np.concatenate([e.F, e.K])    # [F; K] x: F x and K x
     for outer in range(AL_MAX_OUTER):
         g_norm = np.inf
         for inner in range(AL_MAX_INNER):
-            val, g_phi, H_phi = phi_p_grad_hess(e, z)
+            val, g_phi, HL = phi_p_grad_hess(e, z)
             L, c = _lagrangian(e, z, val, lam)
-            Kz = K @ z
-            gL = 2.0 * F @ z + g_phi - 2.0 * lam * Kz + (2.0 / AL_MU) * c * Kz
-            g_norm = float(np.linalg.norm(gL))
+            Fz, Kz = (FK @ z).reshape(2, -1)
+            gL = 2.0 * Fz + g_phi - 2.0 * lam * Kz + (2.0 / AL_MU) * c * Kz
+            g_norm = math.sqrt(gL @ gL)
             if g_norm <= AL_GRAD_TOL:
                 break
-            HL = symmetrize(2.0 * F + H_phi - 2.0 * lam * K + (2.0 / AL_MU) * c * K
-                            + (4.0 / AL_MU) * np.outer(Kz, Kz))
-            lmin = float(np.linalg.eigvalsh(HL)[0])
-            if lmin <= 0:
-                HL = HL + (-lmin + 1e-6) * np.eye(2 * n)
+            HL += F2                              # hess L, in place on phi_p's
+            HL -= 2.0 * lam * K
+            HL += (2.0 / AL_MU) * c * K
+            HL += (4.0 / AL_MU) * (Kz[:, None] * Kz)
+            try:
+                np.linalg.cholesky(HL)            # positive definite: no shift
+            except np.linalg.LinAlgError:
+                lmin = float(np.linalg.eigvalsh(HL)[0])
+                if lmin <= 0:
+                    HL += (-lmin + 1e-6) * np.eye(2 * n)
             step = -np.linalg.solve(HL, gL)
             slope = float(gL @ step)
+            change = _line(e, FK, z, step, val, lam)
             alpha = 1.0
-            while True:
-                zt = z + alpha * step
-                if _lagrangian(e, zt, phi_p_value(e, zt), lam)[0] <= L + 1e-4 * alpha * slope:
-                    break
+            # a test of L's values, as L + change: a change below L's last digit passes
+            while not L + change(alpha) <= L + 1e-4 * alpha * slope:
                 alpha *= 0.5
                 if alpha < 1e-18:
                     raise ConvergenceError("inner Newton line search stalled")
-            z = zt
-            trace.append(outer, inner, float(L), float(c), g_norm, float(alpha))
+            z = z + alpha * step
+            trace.append(outer, inner, float(L), float(c), g_norm, alpha)
         L, c = _lagrangian(e, z, phi_p_value(e, z), lam)
         trace.append(outer, -1, float(L), float(c), g_norm, 0.0)
         if abs(c) <= AL_CONSTRAINT_TOL and g_norm <= AL_GRAD_TOL:
@@ -362,3 +366,20 @@ def _lagrangian(e: PnormEmbedding, z, phi, lam):
     """L(z; lam; AL_MU) given phi = phi_p(z), and the residual z^T K z - 1."""
     c = z @ e.K @ z - 1.0
     return z @ e.F @ z + phi - lam * c + c * c / (2.0 * AL_MU), c
+
+
+def _line(e: PnormEmbedding, FK, z, step, phi, lam):
+    """a -> L(z + a step) - L(z) at lam, given phi = phi_p(z), from scalars
+    taken once: x^T F y and x^T K y for x, y in (z, step), one product with
+    FK = [F; K], and |u_k + a v_k|^2 = s0 + a s1 + a^2 s2 (u = x + i y and
+    v = dx + i dy for z and step).  No term cancels against the value L(z)."""
+    zs = np.array([z, step])
+    ((_, xF), (_, sF)), ((zK, xK), (_, sK)) = (zs @ (FK @ zs.T).reshape(2, -1, 2)).tolist()
+    x, y, dx, dy = z[:e.n], z[e.n:], step[:e.n], step[e.n:]
+    s0, s1, s2 = x * x + y * y, 2.0 * (x * dx + y * dy), dx * dx + dy * dy
+
+    def change(a):
+        dc = a * (2.0 * xK + a * sK)    # of c = z^T K z - 1
+        return (a * (2.0 * xF + a * sF) + (_phi(s0 + a * (s1 + a * s2), e.p) - phi)
+                - lam * dc + dc * (2.0 * (zK - 1.0) + dc) / (2.0 * AL_MU))
+    return change

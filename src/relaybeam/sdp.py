@@ -9,9 +9,9 @@ the corrector reuses the Schur matrix and targets sigma mu I - dX_a dZ_a).
 Its start, y = (1 + 1/n) rho 1 with rho the spectral radius of the pencil
 (R, sum_k A_k), scales with R; Z = sum_k y_k A_k - R stays positive definite
 under the step rule, so sum_k y_k certifies a bound at every iterate.  The
-stop is SDPT3's gap test |gap| <= GAP_TOL max(1, |primal|), relative above
-|primal| = 1 and absolute below; a purely absolute 1e-8 stalled on round-off
-at objectives near 70.  With W = Z^-1 the Schur matrix Re Tr(A_k X A_j W) is
+stop is |gap| <= GAP_TOL |dual|, relative at every scale of R (an absolute
+floor below unit scale let the SNR exceed the reported value); R = 0 is settled
+first.  With W = Z^-1 the Schur matrix Re Tr(A_k X A_j W) is
 Re[Tr(QXQW) + c_j (WQX)_jj + c_k (XQW)_kk + c_k c_j X_kj W_jk] (Benson, Ye and
 Zhang, SIAM J. Optim. 10 (2000)), so an iteration costs a few n x n products,
 O(n^3), plus one stacked [X, Z] Cholesky and its inverse (step scalings and
@@ -35,11 +35,11 @@ import numpy as np
 from .errors import ConvergenceError, InputError, ModelError
 from .linalg import HERMITIAN_TOL, check_type, hermitian, psd_violation, symmetrize
 
-GAP_TOL = 1e-8    # certified duality gap |gap| <= GAP_TOL max(1, |primal|): absolute below 1
+GAP_TOL = 1e-8    # certified duality gap |gap| <= GAP_TOL |dual|, relative at every scale
 FEAS_TOL = 1e-8   # primal residual max_k |1 - Tr(A_k X) - s_k| at the stop; no units
 MAX_ITER = 200    # interior-point Newton steps before ConvergenceError
 RANK_TOL = 1e-6   # eigenvalues of X above RANK_TOL lambda_max count toward its rank
-# The exit is tried at |gap| <= _EXIT_GAP max(1, |primal|): at r = 1 where ||X||_F^2 >=
+# The exit is tried at |gap| <= _EXIT_GAP |dual|: at r = 1 where ||X||_F^2 >=
 # _EXIT_RANK Tr(X)^2 (no LAPACK call); else, up to _EXIT_MAX_N relays, at the r
 # eigenvalues of X above _EXIT_CUT lambda_max where 2 <= r and r^2 <= |active
 # caps| (Pataki's bound, so never at n <= 3).  Rank-one relaxations certify near
@@ -132,13 +132,14 @@ class CertificateReport:
 
 @np.errstate(over="raise", invalid="raise")
 def solve_relaxation(q: QcqpInstance) -> SdpSolution:
-    """Solve the relaxation to a certified duality gap <= GAP_TOL * max(1, |primal|),
-    or to a rank-one point w w^H whose ``dual_obj`` is its certified bound.
+    """Solve the relaxation to a certified duality gap <= GAP_TOL * |dual|, or
+    to a rank-one point w w^H whose ``dual_obj`` is its certified bound.
 
     Initial point ``X0 = eps I`` with ``eps = 0.5 / max_k Tr(A_k)`` is
     strictly feasible because Q is PSD and every c_k > 0: every slack is at
     least 0.5.  ``y0 = t 1`` is strictly dual feasible: with S = sum_k A_k =
-    L L^H, t S - R = L (t I - L^-1 R L^-H) L^H (t = 1 at R = 0).  Raises
+    L L^H, t S - R = L (t I - L^-1 R L^-H) L^H.  At R = 0, X0 and y = 0 are
+    returned after no iteration: every X has value 0 and Z = 0 is PSD.  Raises
     ConvergenceError when the gap is not certified within MAX_ITER Newton steps,
     or when the Schur matrix is singular (nearly parallel constraints, as at
     c_k ~ 1e-8), a LAPACK kernel breaks down, or any step overflows (as the
@@ -168,6 +169,9 @@ def solve_relaxation(q: QcqpInstance) -> SdpSolution:
 
     try:
         X = (0.5 / (np.trace(Q).real + c.max())) * np.eye(n, dtype=complex)
+        if not R.any():     # every X has value 0 and y = 0 is dual feasible: both optimal
+            return SdpSolution(X=X, dual_y=np.zeros(n), primal_obj=0.0, dual_obj=0.0, gap=0.0,
+                               rank_estimate=range_eigh(X)[0].size, iterations=0)
         s = 1.0 - tr(X)
         cc = np.outer(c, c)
         Li = np.linalg.inv(np.linalg.cholesky(q.weighted_sum(np.ones(n))))
@@ -179,11 +183,11 @@ def solve_relaxation(q: QcqpInstance) -> SdpSolution:
             primal = np.vdot(R, X).real
             dual = float(y.sum())
             gap = dual - primal
-            if it and abs(gap) <= _EXIT_GAP * max(1.0, abs(primal)):
+            if it and abs(gap) <= _EXIT_GAP * abs(dual):
                 sol = _kkt_exit(q, X, y, s, it)
                 if sol is not None:
                     return sol
-            if (abs(gap) <= GAP_TOL * max(1.0, abs(primal))
+            if (abs(gap) <= GAP_TOL * abs(dual)
                     and np.abs(1.0 - tr(X) - s).max() <= FEAS_TOL):
                 break
 
@@ -217,7 +221,7 @@ def solve_relaxation(q: QcqpInstance) -> SdpSolution:
             Z = q.weighted_sum(y) - R
         else:
             raise ConvergenceError(
-                f"interior-point method did not certify relative gap <= {GAP_TOL:.1e} "
+                f"interior-point method did not certify |gap| <= {GAP_TOL:.1e} |dual| "
                 f"in {MAX_ITER} iterations")
     except (np.linalg.LinAlgError, FloatingPointError) as err:
         # a step overflowed, or a Cholesky factor, its inverse or an eigvalsh broke down

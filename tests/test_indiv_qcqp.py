@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaybeam import fixtures, indiv_qcqp
@@ -779,21 +779,27 @@ class TestGrp:
        j=st.integers(-64, 64), spread=st.floats(0.0, 1.0), chunks=st.integers(0, 2),
        offset=st.integers(-2, 2))
 @settings(deadline=None, max_examples=200)
+@example(seed=1, n=4, rank=2, j=0, spread=0.5, chunks=2, offset=-2)   # rank two: two samples
+@example(seed=1, n=4, rank=2, j=0, spread=0.5, chunks=2, offset=2)    # short of, and past, 4,096 + 2^15
 def test_grp_is_the_float64_first_maximum(seed, n, rank, j, spread, chunks, offset):
     # whatever the float32 screen leaves out, w is the first maximum of the
     # float64 values of the same draws (the complex reference's): at ranks
     # 1-5, R scaled by 4^j, lambda_r / lambda_1 down to RANK_TOL, and sample
-    # counts around the chunk edges
+    # counts around the edge after chunk `chunks` (one sample at 0)
     rank = min(rank, n)
     rng = np.random.default_rng(seed)
     q = build_qcqp(rand_indiv_problem(rng, n))
     q = QcqpInstance(R=4.0 ** j * q.R, Q=q.Q, c=q.c)
     U = np.linalg.qr(rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank)))[0]
     X = (U * RANK_TOL ** (spread * np.arange(rank) / max(rank - 1, 1))) @ U.conj().T
-    step = 2 * _GRP_CHUNK // rank       # the first chunk holds step // 2 samples
-    samples = max(1, chunks * step - step // 2 + offset)
+    # grp_extract's chunks at the rank it samples at (range_eigh may cut the
+    # last eigenvalue, at RANK_TOL lambda_1): the first holds _GRP_CHUNK / r
+    # samples, each later one 2^15 at rank two and 2 _GRP_CHUNK / r otherwise
+    r = range_eigh(X)[0].size
+    first, step = _GRP_CHUNK // r, 2 ** 15 if r == 2 else 2 * _GRP_CHUNK // r
+    samples = max(1, first + (chunks - 1) * step + offset)
     w, w_ref = grp_extract(X, q, samples, seed), grp_reference(X, q, samples, seed)
-    if rank == 1:
+    if r == 1:
         # every sample lies on one ray: only w w^H is determined
         w, w_ref = np.outer(w, w.conj()), np.outer(w_ref, w_ref.conj())
     assert np.abs(w - w_ref).max() <= 1e-12 * np.abs(w_ref).max()

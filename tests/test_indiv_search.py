@@ -1,21 +1,30 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaybeam import fixtures
-from relaybeam.channel import ChannelStats, snr
+from relaybeam.channel import ChannelStats, RicianParams, build_stats, snr
+from relaybeam.cli import parse_scenario
 from relaybeam.errors import ConvergenceError, InputError, ModelError
 from relaybeam.indiv_diag import solve_diagonal
 from relaybeam.indiv_qcqp import build_qcqp, qcqp_objective
-from relaybeam.indiv_search import (augmented_lagrangian_solve,
+from relaybeam.indiv_search import (AL_CONSTRAINT_TOL, AL_GRAD_TOL, AL_MAX_INNER,
+                                    AL_MAX_OUTER, AL_MU, _lagrangian, _line,
+                                    augmented_lagrangian_solve,
                                     build_pnorm_embedding, choose_p,
                                     coordinate_descent, p1_solution,
                                     phi_p_grad_hess, phi_p_value,
                                     solve_scalar_subproblem, subproblem_value)
+from relaybeam.linalg import symmetrize
 from relaybeam.problems import IndivPowerProblem
 from conftest import (Slot, extract_coefficients, finite_diff,
                       finite_diff_second, grid_maximum, rand_indiv_problem)
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def fixture_problem(n):
@@ -66,6 +75,89 @@ def dense_coordinate_descent(p, w0, eps=1e-3, max_sweeps=500):
         if denom > 0 and np.linalg.norm(w - w_prev) / denom < eps:
             return w, objs
     raise AssertionError("reference did not converge")
+
+
+def reference_augmented_lagrangian(prob, p, w0=None):
+    """The augmented Lagrangian loop as first written: every Newton step
+    forms F z, K z and both quadratic forms afresh, reads the Hessian's
+    definiteness off eigvalsh, and evaluates L anew at each trial z + alpha s
+    of the line search.  Returns (trace rows, w)."""
+    e = build_pnorm_embedding(prob, p)
+    n, F, K = e.n, e.F, e.K
+    lam, z = p1_solution(e)
+    if w0 is not None:
+        u = e.D1 * np.asarray(w0)
+        z = np.concatenate([u.real, u.imag])
+
+    def lagrangian(z):
+        c = z @ K @ z - 1.0
+        return z @ F @ z + phi_p_value(e, z) - lam * c + c * c / (2.0 * AL_MU), c
+    rows = []
+    for outer in range(AL_MAX_OUTER):
+        g_norm = np.inf
+        for inner in range(AL_MAX_INNER):
+            _, g_phi, H_phi = phi_p_grad_hess(e, z)
+            L, c = lagrangian(z)
+            Kz = K @ z
+            gL = 2.0 * F @ z + g_phi - 2.0 * lam * Kz + (2.0 / AL_MU) * c * Kz
+            g_norm = float(np.linalg.norm(gL))
+            if g_norm <= AL_GRAD_TOL:
+                break
+            HL = symmetrize(2.0 * F + H_phi - 2.0 * lam * K + (2.0 / AL_MU) * c * K
+                            + (4.0 / AL_MU) * np.outer(Kz, Kz))
+            lmin = float(np.linalg.eigvalsh(HL)[0])
+            if lmin <= 0:
+                HL = HL + (-lmin + 1e-6) * np.eye(2 * n)
+            step = -np.linalg.solve(HL, gL)
+            slope = float(gL @ step)
+            alpha = 1.0
+            while not lagrangian(z + alpha * step)[0] <= L + 1e-4 * alpha * slope:
+                alpha *= 0.5
+                assert alpha >= 1e-18, "the reference's line search stalled"
+            z = z + alpha * step
+            rows.append((outer, inner, float(L), float(c), g_norm, alpha))
+        L, c = lagrangian(z)
+        rows.append((outer, -1, float(L), float(c), g_norm, 0.0))
+        if abs(c) <= AL_CONSTRAINT_TOL and g_norm <= AL_GRAD_TOL:
+            break
+        lam = lam - c / AL_MU
+    u = z[:n] + 1j * z[n:]
+    return rows, u / (e.D1 * np.abs(u).max())
+
+
+def badly_scaled_problem(seed):
+    """Per-relay caps on Rician statistics drawn over many decades, with rng
+    [seed, 46]: means 10^U(-4, 2) CN(n), variances 10^U(-8, 4), a fifth of
+    them zero, sigma^2 10^U(-6, 6), Ps 10^U(-4, 8) and caps 10^U(-4, 6)."""
+    rng = np.random.default_rng([seed, 46])
+    n = int(rng.integers(2, 20))
+
+    def link():
+        scale = 10.0 ** rng.uniform(-4, 2)
+        mean = scale * ((rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0))
+        var = 10.0 ** rng.uniform(-8, 4, n)
+        var[rng.uniform(size=n) <= 0.2] = 0.0
+        return mean, var
+    (f_mean, f_var), (g_mean, g_var) = link(), link()
+    stats = build_stats(RicianParams(f_mean=f_mean, f_var=f_var, g_mean=g_mean, g_var=g_var),
+                        10.0 ** rng.uniform(-6, 6))
+    return IndivPowerProblem(stats=stats, Ps=10.0 ** rng.uniform(-4, 8),
+                             P=10.0 ** rng.uniform(-4, 6, n))
+
+
+def top_factor_start(p):
+    """sqrt(lambda_max) times the top eigenvector of p's relaxation."""
+    from relaybeam.sdp import solve_relaxation
+    vals, vecs = np.linalg.eigh(solve_relaxation(build_qcqp(p)).X)
+    return np.sqrt(vals[-1]) * vecs[:, -1]
+
+
+def assert_same_trace(got, want):
+    """The same rows and step lengths; L, c and ||grad L|| within 1e-12 relative."""
+    got, want = np.array(got.rows), np.array(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got[:, [0, 1, 5]], want[:, [0, 1, 5]])
+    assert np.allclose(got[:, 2:5], want[:, 2:5], rtol=1e-12, atol=0.0)
 
 
 def stationarity_improvement(p, w) -> float:
@@ -539,3 +631,80 @@ class TestAugmentedLagrangian:
         sol, _, _ = augmented_lagrangian_solve(p, choose_p(4))
         assert sol.feasibility.min() >= -1e-12
         assert 0.99 * bound <= qcqp_objective(q, sol.w) <= (1.0 + 1e-6) * bound
+
+
+class TestLeanNewtonStep:
+    """Each Newton step of the augmented Lagrangian forms L's gradient and
+    Hessian once, tests definiteness by a Cholesky attempt and backtracks on
+    scalars; its iterates are those of the loop as first written."""
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_fixture_starts_keep_the_trace(self, n):
+        p = fixture_problem(n)
+        w0 = top_factor_start(p)
+        _, trace, _ = augmented_lagrangian_solve(p, fixtures.PNORM_P, w0=w0)
+        assert_same_trace(trace, reference_augmented_lagrangian(p, fixtures.PNORM_P, w0)[0])
+
+    @pytest.mark.parametrize("seed", range(1, 13))
+    def test_benchmark_pnorm_scenarios_keep_the_snr(self, seed, tmp_path, monkeypatch):
+        # solve/gen-pnorm-n4 of the cli-paper benchmark pool, generated by
+        # bench/workloads.py (read only) and solved from the p = 1 start
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        monkeypatch.chdir(ROOT)     # the pool names its sample scenarios from the root
+        import workloads
+        (op,) = [op for op in workloads.load("cli-paper", seed, str(tmp_path)).ops
+                 if op.key == "solve/gen-pnorm-n4"]
+        prob = parse_scenario(op.data["argv"][1]).problem
+        sol, _, _ = augmented_lagrangian_solve(prob, choose_p(prob.n))
+        _, w = reference_augmented_lagrangian(prob, choose_p(prob.n))
+        assert sol.snr == pytest.approx(prob.solution(w).snr, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_line_search_model_is_the_lagrangian(self, n, rng):
+        # L(z) plus the change read off the step's scalars is L evaluated
+        # afresh at z + a s, on the constraint z^T K z = 1 and off it
+        e = build_pnorm_embedding(rand_indiv_problem(rng, n), choose_p(n))
+        FK = np.concatenate([e.F, e.K])
+        for _ in range(20):
+            z = rng.standard_normal(2 * n)
+            z *= rng.uniform(0.5, 1.5) / np.sqrt(z @ e.K @ z)
+            s = rng.uniform(0.01, 1.0) * rng.standard_normal(2 * n)
+            lam = float(rng.uniform(-2.0, 2.0))
+            phi = phi_p_value(e, z)
+            L, change = _lagrangian(e, z, phi, lam)[0], _line(e, FK, z, s, phi, lam)
+            for a in (1.0, 0.5, 2.0 ** -7, 1e-3):
+                zt = z + a * s
+                assert L + change(a) == pytest.approx(
+                    _lagrangian(e, zt, phi_p_value(e, zt), lam)[0], rel=1e-12)
+
+    def test_indefinite_hessian_is_shifted(self, monkeypatch):
+        # a start well inside the constraint, z^T K z = 1e-4: the penalty's
+        # curvature (2 c / mu) K with c ~ -1 makes the Hessian indefinite, the
+        # Cholesky attempt fails, and eigvalsh's shift makes it definite, as
+        # the loop as first written shifts it
+        p = fixture_problem(4)
+        w0 = 0.01 * top_factor_start(p)
+        failed, cholesky = [], np.linalg.cholesky
+
+        def attempt(a):
+            try:
+                return cholesky(a)
+            except np.linalg.LinAlgError:
+                failed.append(a.shape)
+                raise
+        monkeypatch.setattr(np.linalg, "cholesky", attempt)
+        _, trace, _ = augmented_lagrangian_solve(p, 8, w0=w0)
+        assert failed
+        assert_same_trace(trace, reference_augmented_lagrangian(p, 8, w0)[0])
+
+    @pytest.mark.parametrize("seed", [59, 209])
+    def test_badly_scaled_input_keeps_the_armijo_test(self, seed):
+        # F's entries reach 1e6 beside z^T F z ~ 1e-2 or less: the line search
+        # compares L + change with L + c1 alpha slope, so a change below L's
+        # last digit passes as it did where L was evaluated afresh; a test of
+        # the change alone stalls at seed 209, and L read off the expanded
+        # forms, whose value at alpha = 0 is not L's, stalls at seed 59
+        prob = badly_scaled_problem(seed)
+        sol, _, _ = augmented_lagrangian_solve(prob, choose_p(prob.n))
+        _, w = reference_augmented_lagrangian(prob, choose_p(prob.n))
+        assert sol.snr == pytest.approx(prob.solution(w).snr, rel=1e-8)

@@ -533,16 +533,25 @@ class TestKktExit:
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_zero_objective_declines(self, monkeypatch, n):
-        # R = 0: every multiplier tends to zero, no cap is active and the
-        # bordered Newton system is singular; a 1 x 1 X is rank one, so n = 1
-        # tries the exit at every iteration
+        # R = 0 is settled before the interior point: the strictly feasible
+        # start and y = 0 (Z = -R = 0 is PSD) are optimal, with gap 0 after
+        # no iteration
         q = rank_one_problem(n)
         q = QcqpInstance(R=np.zeros_like(q.R), Q=q.Q, c=q.c)
         seen = exits(monkeypatch)
         sol = solve_relaxation(q)
-        assert all(attempt is None for attempt in seen) and (n > 1 or seen)
-        assert sol.primal_obj == 0.0
-        assert_same_solution(sol, without_exit(q))
+        X0 = (0.5 / (np.trace(q.Q).real + q.c.max())) * np.eye(n)
+        assert np.array_equal(sol.X, X0) and not sol.dual_y.any() and not seen
+        assert (sol.primal_obj, sol.dual_obj, sol.gap, sol.iterations) == (0.0, 0.0, 0.0, 0)
+        assert sol.rank_estimate == n and sol.factor is None
+        assert_certified(q, sol)
+        # at an R = 0 iterate every multiplier is small and no cap is active;
+        # a 1 x 1 X is rank one, so at n = 1 the exit tries its bordered
+        # Newton system, which is singular, and declines
+        calls, real = [], np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a.shape) or real(a, b))
+        assert sdp._kkt_exit(q, X0, np.full(n, 1e-3), 1.0 - q.traces(X0), 2) is None
+        assert bool(calls) == (n == 1)
 
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8),
            kind=st.sampled_from(["general", "rician"]))
