@@ -4,19 +4,20 @@ Subcommands:
   solve <scenario.json>     run the configured solver on a scenario file
   reproduce <case|all>      regenerate the embedded benchmark numbers
   oracle <scenario.json>    brute-force verification of a scenario (no flags)
-  trace-export <report>     print the trace CSV referenced by a report
 
 Scenario files are JSON with complex numbers encoded as [re, im] pairs and
-matrices row-major.  ``_read_json`` reads every scenario and report, and
+matrices row-major.  ``_read_json`` reads every scenario, and
 ``parse_scenario`` converts and checks every field and builds the problem, so
 the solvers never see raw JSON.  ``run`` then calls ``total_power.solve`` or
 ``indiv_qcqp.solve``, the one per-relay route, and serializes the answer.
 ``solve --out DIR`` writes a new ``report-<solver>-<random>.json`` per run, so
-reports never overwrite each other.  Exit codes: 0 success (and ``--help``), 1
-a ``reproduce`` row outside its tolerance, 2 solver non-convergence, 3 input
-error (a malformed field, an unreadable or unwritable file or directory, named
-in the message, an instance outside a solver's scope, or a command-line usage
-error), 4 any other library failure (an infeasible or unbounded model, R = 0).
+reports never overwrite each other, and ``solve --trace`` puts the solver's
+iteration table in the report, each non-finite entry null.  Exit codes: 0
+success (and ``--help``), 1 a ``reproduce`` row outside its tolerance, 2 solver
+non-convergence, 3 input error (a malformed field, an unreadable or unwritable
+file or directory, named in the message, an instance outside a solver's scope,
+or a command-line usage error), 4 any other library failure (an infeasible or
+unbounded model, R = 0).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import reprlib
 import sys
@@ -66,7 +68,7 @@ def parse_scenario(path: str) -> Scenario:
     The only place a scenario file is read: every error is an InputError,
     and one in a field names that field.
     """
-    raw = _read_json(path, "scenario")
+    raw = _read_json(path)
     mode = _field(raw, "mode", ("total", "individual"))
     sigma2 = _field(raw, "sigma2", "number", 1.0)
     channel = _field(raw, "channel", "object")
@@ -115,15 +117,15 @@ class Report:
     snr_db: float | None         # null when the SNR is 0
     feasibility: list
     metadata: dict
-    trace_file: str | None = None
+    trace: dict | None = None     # {"columns": [...], "rows": [[...], ...]}
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, indent=2, sort_keys=True)
 
 
-def run(s: Scenario, trace_dir: str | None = None) -> Report:
+def run(s: Scenario, trace: bool = False) -> Report:
     """Solve a scenario and package a report.  Every setting comes from the
-    scenario; ``trace_dir`` receives the iteration table."""
+    scenario; with ``trace`` the report holds the iteration table."""
     prob = s.problem
     meta: dict = {"seed": s.seed}
     if s.mode == "total":
@@ -137,16 +139,18 @@ def run(s: Scenario, trace_dir: str | None = None) -> Report:
         bsol, more, trace_obj = indiv_qcqp.solve(prob, s.solver, s.solver_options, s.seed)
         meta.update(more)
 
-    trace_file = None
-    if trace_dir is not None and trace_obj:      # None, or a trace with no row
-        trace_file = _write_new(trace_dir, f"trace-{meta['solver']}-", ".csv", trace_obj.to_csv())
+    table = None
+    if trace and trace_obj:      # None, or a trace with no row
+        table = {"columns": list(trace_obj.columns),
+                 "rows": [[float(v) if math.isfinite(v) else None for v in row]
+                          for row in trace_obj.rows]}
 
     return Report(scenario_mode=s.mode, solver=meta["solver"],
                   w=[[float(v.real), float(v.imag)] for v in bsol.w],
                   Ps=float(bsol.Ps), snr=float(bsol.snr),
                   snr_db=float(bsol.snr_db) if bsol.snr > 0 else None,
                   feasibility=[float(v) for v in np.atleast_1d(bsol.feasibility)],
-                  metadata=meta, trace_file=trace_file)
+                  metadata=meta, trace=table)
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +286,11 @@ def _parser() -> argparse.ArgumentParser:
     p_repro.add_argument("case", choices=CASES + ("all",))
     p_oracle = sub.add_parser("oracle", help="brute-force a scenario")
     p_oracle.add_argument("scenario")
-    p_trace = sub.add_parser("trace-export", help="print a report's trace CSV")
-    p_trace.add_argument("report")
 
-    for p in (p_solve, p_repro, p_trace):
+    for p in (p_solve, p_repro):
         p.add_argument("--out", default=None, help="directory for report files")
-    p_solve.add_argument("--trace", action="store_true")
+    p_solve.add_argument("--trace", action="store_true",
+                         help="put the iteration table in the report")
     p_repro.add_argument("--seed", type=int, default=20111)
     return parser
 
@@ -310,7 +313,7 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "solve":
         s = parse_scenario(args.scenario)
-        rep = run(s, trace_dir=(args.out or ".") if args.trace else None)
+        rep = run(s, trace=args.trace)
         body = rep.to_json()
         if args.out:
             print(_write_new(args.out, f"report-{rep.solver}-", ".json", body))
@@ -331,47 +334,27 @@ def _dispatch(args) -> int:
             print(json.dumps({"snr": val,
                               "w": [[v.real, v.imag] for v in w]}, indent=2))
         return 0
-    if args.command == "trace-export":
-        trace_file = _read_json(args.report, "report").get("trace_file")
-        if not (isinstance(trace_file, str) and trace_file):
-            raise InputError(f"report {args.report} names no trace file "
-                             "(re-run solve with --trace)")
-        content = _read_text(trace_file, "trace")
-        if args.out:
-            _make_dir(args.out)
-            dest = os.path.join(args.out, os.path.basename(trace_file))
-            _write_text(dest, content)
-            print(dest)
-        else:
-            sys.stdout.write(content)
-        return 0
 
 
 # ---------------------------------------------------------------------------
 # file and field decoding helpers
 # ---------------------------------------------------------------------------
 
-def _read_json(path: str, what: str) -> dict:
-    """The JSON object in the ``what`` file at ``path``.  A file that cannot
+def _read_json(path: str) -> dict:
+    """The JSON object in the scenario file at ``path``.  A file that cannot
     be read, or holds no JSON object, is an InputError that names ``path``."""
     try:
-        raw = json.loads(_read_text(path, what))
-    except (json.JSONDecodeError, RecursionError) as exc:   # too deeply nested
-        raise InputError(f"cannot parse {what} file {path} as JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise InputError(f"{what} file {path} must hold a JSON object")
-    return raw
-
-
-def _read_text(path: str, what: str) -> str:
-    """The UTF-8 text of the ``what`` file at ``path``, else an InputError naming it."""
-    try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            raw = json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read {what} file {path}: {exc.strerror}") from None
+        raise InputError(f"cannot read scenario file {path}: {exc.strerror}") from None
     except UnicodeDecodeError:
-        raise InputError(f"{what} file {path} is not UTF-8 text") from None
+        raise InputError(f"scenario file {path} is not UTF-8 text") from None
+    except (json.JSONDecodeError, RecursionError) as exc:   # too deeply nested
+        raise InputError(f"cannot parse scenario file {path} as JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise InputError(f"scenario file {path} must hold a JSON object")
+    return raw
 
 
 def _write_text(path: str, text: str):

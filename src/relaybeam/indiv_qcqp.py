@@ -173,7 +173,7 @@ def rank_one_decompose(X, q: QcqpInstance) -> np.ndarray:
     and its rank drops, so r <= 3 ends in at most two rounds.  The range of
     X only shrinks, and the dual slack Z = sum y_k A_k - R vanishes on it
     (complementary slackness), so the objective Tr(R X) = sum y_k Tr(A_k X)
-    is unchanged too.
+    is unchanged too.  A numerically zero X is an InputError, as in GRP.
     """
     q = check_type(q, QcqpInstance, name="q")
     if q.n > 3:
@@ -189,11 +189,11 @@ def rank_one_decompose(X, q: QcqpInstance) -> np.ndarray:
         mu = np.linalg.eigvalsh(M)
         M /= mu[-1] if mu[-1] >= -mu[0] else mu[0]
         lam, U = range_eigh(symmetrize(V @ (np.eye(lam.size) - M) @ V.conj().T))
+    if lam.size == 0:
+        raise InputError("X is numerically zero; nothing to sample")
     v = _top_factor(lam, U)
     j = int(np.argmax(np.abs(v)))
-    if np.abs(v[j]) > 0:
-        v = v * (np.abs(v[j]) / v[j])
-    return v
+    return v * (np.abs(v[j]) / v[j])
 
 
 def grp_extract(X, q: QcqpInstance, samples: int, seed: int) -> np.ndarray:

@@ -300,60 +300,65 @@ def augmented_lagrangian_solve(prob: IndivPowerProblem, p: int, w0=None):
     forms phi_p's value, gradient and Hessian, [F; K] z and one LU solve
     once; a trial costs one phi_p of an n-vector (``_line``).  Terminates when
     |z^T K z - 1| <= AL_CONSTRAINT_TOL and ||grad L|| <= AL_GRAD_TOL, or
-    raises ConvergenceError after AL_MAX_OUTER multiplier updates.
+    raises ConvergenceError after AL_MAX_OUTER multiplier updates, or where
+    LAPACK fails (a shifted Hessian can still be numerically singular).
 
     Returns ``(BeamformingSolution, SolverTrace, AugLagState)``; the
     solution is scaled so that its largest per-relay cap is active.
     """
     e = build_pnorm_embedding(prob, p)
     n = e.n
-    lam, z = p1_solution(e)
-    if w0 is not None:
-        u = e.D1 * check_vector(w0, name="w0", n=n)
-        z = np.concatenate([u.real, u.imag])
-        if not z @ e.K @ z > 0:      # z^T K z = w0^H R w0
-            raise InputError("w0 must have w0^H R w0 > 0")
-    trace = SolverTrace(columns=AL_TRACE_COLUMNS)
-    F2, K, FK = 2.0 * e.F, e.K, np.concatenate([e.F, e.K])    # [F; K] x: F x and K x
-    for outer in range(AL_MAX_OUTER):
-        g_norm = np.inf
-        for inner in range(AL_MAX_INNER):
-            val, g_phi, HL = phi_p_grad_hess(e, z)
-            L, c = _lagrangian(e, z, val, lam)
-            Fz, Kz = (FK @ z).reshape(2, -1)
-            gL = 2.0 * Fz + g_phi - 2.0 * lam * Kz + (2.0 / AL_MU) * c * Kz
-            g_norm = math.sqrt(gL @ gL)
-            if g_norm <= AL_GRAD_TOL:
+    try:
+        lam, z = p1_solution(e)
+        if w0 is not None:
+            u = e.D1 * check_vector(w0, name="w0", n=n)
+            z = np.concatenate([u.real, u.imag])
+            if not z @ e.K @ z > 0:      # z^T K z = w0^H R w0
+                raise InputError("w0 must have w0^H R w0 > 0")
+        trace = SolverTrace(columns=AL_TRACE_COLUMNS)
+        F2, K, FK = 2.0 * e.F, e.K, np.concatenate([e.F, e.K])    # [F; K] x: F x and K x
+        for outer in range(AL_MAX_OUTER):
+            g_norm = np.inf
+            for inner in range(AL_MAX_INNER):
+                val, g_phi, HL = phi_p_grad_hess(e, z)
+                L, c = _lagrangian(e, z, val, lam)
+                Fz, Kz = (FK @ z).reshape(2, -1)
+                gL = 2.0 * Fz + g_phi - 2.0 * lam * Kz + (2.0 / AL_MU) * c * Kz
+                g_norm = math.sqrt(gL @ gL)
+                if g_norm <= AL_GRAD_TOL:
+                    break
+                HL += F2                              # hess L, in place on phi_p's
+                HL -= 2.0 * lam * K
+                HL += (2.0 / AL_MU) * c * K
+                HL += (4.0 / AL_MU) * (Kz[:, None] * Kz)
+                try:
+                    np.linalg.cholesky(HL)            # positive definite: no shift
+                except np.linalg.LinAlgError:
+                    lmin = float(np.linalg.eigvalsh(HL)[0])
+                    if lmin <= 0:
+                        HL += (-lmin + 1e-6) * np.eye(2 * n)
+                step = -np.linalg.solve(HL, gL)
+                slope = float(gL @ step)
+                change = _line(e, FK, z, step, val, lam)
+                alpha = 1.0
+                # a test of L's values, as L + change: a change below L's last digit passes
+                while not L + change(alpha) <= L + 1e-4 * alpha * slope:
+                    alpha *= 0.5
+                    if alpha < 1e-18:
+                        raise ConvergenceError("inner Newton line search stalled")
+                z = z + alpha * step
+                trace.append(outer, inner, float(L), float(c), g_norm, alpha)
+            L, c = _lagrangian(e, z, phi_p_value(e, z), lam)
+            trace.append(outer, -1, float(L), float(c), g_norm, 0.0)
+            if abs(c) <= AL_CONSTRAINT_TOL and g_norm <= AL_GRAD_TOL:
                 break
-            HL += F2                              # hess L, in place on phi_p's
-            HL -= 2.0 * lam * K
-            HL += (2.0 / AL_MU) * c * K
-            HL += (4.0 / AL_MU) * (Kz[:, None] * Kz)
-            try:
-                np.linalg.cholesky(HL)            # positive definite: no shift
-            except np.linalg.LinAlgError:
-                lmin = float(np.linalg.eigvalsh(HL)[0])
-                if lmin <= 0:
-                    HL += (-lmin + 1e-6) * np.eye(2 * n)
-            step = -np.linalg.solve(HL, gL)
-            slope = float(gL @ step)
-            change = _line(e, FK, z, step, val, lam)
-            alpha = 1.0
-            # a test of L's values, as L + change: a change below L's last digit passes
-            while not L + change(alpha) <= L + 1e-4 * alpha * slope:
-                alpha *= 0.5
-                if alpha < 1e-18:
-                    raise ConvergenceError("inner Newton line search stalled")
-            z = z + alpha * step
-            trace.append(outer, inner, float(L), float(c), g_norm, alpha)
-        L, c = _lagrangian(e, z, phi_p_value(e, z), lam)
-        trace.append(outer, -1, float(L), float(c), g_norm, 0.0)
-        if abs(c) <= AL_CONSTRAINT_TOL and g_norm <= AL_GRAD_TOL:
-            break
-        lam = lam - c / AL_MU
-    else:
-        raise ConvergenceError(
-            f"augmented Lagrangian did not converge in {AL_MAX_OUTER} outer rounds")
+            lam = lam - c / AL_MU
+        else:
+            raise ConvergenceError(
+                f"augmented Lagrangian did not converge in {AL_MAX_OUTER} outer rounds")
+    except np.linalg.LinAlgError as err:
+        # p1_solution's factorizations, an eigvalsh or the Newton solve broke down
+        raise ConvergenceError(f"augmented Lagrangian broke down: {err}") from None
 
     u = z[:n] + 1j * z[n:]
     # cap k reads |u_k| <= 1: the largest |u_k| is the active cap

@@ -446,8 +446,7 @@ def _package(p, x, lam, w_dir, iterations, trace) -> TotalPowerSolution:
     w = w_dir * np.sqrt((p.P0 - Ps) / powers(stats, Ps, w_dir)[0])
     # deterministic phase: largest-magnitude entry real positive
     j = int(np.argmax(np.abs(w)))
-    if np.abs(w[j]) > 0:
-        w = w * (np.abs(w[j]) / w[j])
+    w = w * (np.abs(w[j]) / w[j])
     return TotalPowerSolution(x=float(x), Ps=float(Ps), w=w,
                               snr=snr(stats, Ps, w), lambda_min=float(lam),
                               iterations=iterations, trace=trace)

@@ -1,8 +1,7 @@
-"""Per-iteration solver traces, exportable as CSV for external plotting."""
+"""Per-iteration solver traces; ``relaybeam solve --trace`` puts one in its report."""
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 
@@ -10,8 +9,8 @@ from dataclasses import dataclass, field
 class SolverTrace:
     """Append-only record of solver iterations.
 
-    ``columns`` fixes the CSV header and the meaning of each row tuple;
-    every iterative solver documents its own column layout.
+    ``columns`` names the entries of each row tuple; every iterative
+    solver documents its own column layout.
     """
 
     columns: tuple[str, ...]
@@ -26,10 +25,3 @@ class SolverTrace:
 
     def __len__(self):
         return len(self.rows)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            buf.write(",".join(map(str, row)) + "\n")
-        return buf.getvalue()

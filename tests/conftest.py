@@ -316,6 +316,26 @@ def loose_cap_problem(seed, n, r_scale=1.0, q_scale=1.0):
     return QcqpInstance(R=r_scale * R, Q=q_scale * Q, c=np.full(n, 1e-8))
 
 
+def badly_scaled_problem(seed):
+    """Per-relay caps on Rician statistics drawn over many decades, with rng
+    [seed, 46]: means 10^U(-4, 2) CN(n), variances 10^U(-8, 4), a fifth of
+    them zero, sigma^2 10^U(-6, 6), Ps 10^U(-4, 8) and caps 10^U(-4, 6)."""
+    rng = np.random.default_rng([seed, 46])
+    n = int(rng.integers(2, 20))
+
+    def link():
+        scale = 10.0 ** rng.uniform(-4, 2)
+        mean = scale * ((rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0))
+        var = 10.0 ** rng.uniform(-8, 4, n)
+        var[rng.uniform(size=n) <= 0.2] = 0.0
+        return mean, var
+    (f_mean, f_var), (g_mean, g_var) = link(), link()
+    stats = build_stats(RicianParams(f_mean=f_mean, f_var=f_var, g_mean=g_mean, g_var=g_var),
+                        10.0 ** rng.uniform(-6, 6))
+    return IndivPowerProblem(stats=stats, Ps=10.0 ** rng.uniform(-4, 8),
+                             P=10.0 ** rng.uniform(-4, 6, n))
+
+
 def break_stacked_kernel(monkeypatch, name, after=0):
     """Make ``np.linalg.<name>`` raise LinAlgError on stacked (batch) input
     after ``after`` such calls; 2-D calls run as usual."""

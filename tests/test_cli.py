@@ -10,14 +10,15 @@ import pytest
 
 import relaybeam
 from relaybeam import cli, fixtures, indiv_qcqp, indiv_search, sdp, total_power
+from relaybeam.channel import ChannelStats
 from relaybeam.cli import main, parse_scenario, reproduce, run
 from relaybeam.errors import InputError
 from relaybeam.indiv_diag import solve_diagonal
 from relaybeam.indiv_qcqp import build_qcqp, qcqp_objective
 from relaybeam.oracle import brute_force_indiv, brute_force_total
 from relaybeam.problems import IndivPowerProblem, TotalPowerProblem
-from conftest import (break_stacked_kernel, degenerate_qcqp_instance, loose_cap_problem,
-                      low_k_problem, scan_snr)
+from conftest import (badly_scaled_problem, break_stacked_kernel, degenerate_qcqp_instance,
+                      loose_cap_problem, low_k_problem, scan_snr)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -593,40 +594,80 @@ class TestMain:
             f"dense pair from x={xu}: the secular pair did not certify"]
         assert rep["snr"] >= brute_force_total(low_k_problem(0.01, 32, 20))[1]
 
-    def test_trace_and_export(self, tmp_path, capsys):
+    def test_trace_in_the_report(self, tmp_path, capsys, monkeypatch):
+        # --trace puts the iteration table in the one report --out writes;
+        # without --trace the report's trace is null, and without --out
+        # nothing is written to the working directory
         path, _ = diagonal_scenario(tmp_path, solver="cdm")
         out_dir = tmp_path / "out"
         assert main(["solve", path, "--trace", "--out", str(out_dir)]) == 0
         report_path = capsys.readouterr().out.strip()
-        with open(report_path) as fh:
-            rep = json.load(fh)
-        assert rep["trace_file"] is not None
-        assert main(["trace-export", report_path]) == 0
-        csv = capsys.readouterr().out
-        assert csv.splitlines()[0] == "sweep,slot,objective"
-        # with --out the CSV is copied there and its path printed
-        export_dir = tmp_path / "export"
-        assert main(["trace-export", report_path, "--out", str(export_dir)]) == 0
-        dest = capsys.readouterr().out.strip()
-        assert dest == str(export_dir / os.path.basename(rep["trace_file"]))
-        assert Path(dest).read_text() == csv
+        assert os.listdir(out_dir) == [os.path.basename(report_path)]
+        rep = strict_json(Path(report_path).read_text())
+        _, trace = indiv_search.coordinate_descent(parse_scenario(path).problem, np.ones(3))
+        assert rep["trace"] == {"columns": ["sweep", "slot", "objective"],
+                                "rows": [[float(v) for v in row] for row in trace.rows]}
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["solve", path, "--trace"]) == 0
+        assert strict_json(capsys.readouterr().out)["trace"] == rep["trace"]
+        assert main(["solve", path]) == 0
+        assert strict_json(capsys.readouterr().out)["trace"] is None
+        assert os.listdir(work) == []
 
-    def test_two_traced_solves_keep_two_files(self, tmp_path, capsys):
+    def test_two_traced_solves_keep_two_reports(self, tmp_path, capsys):
         path, _ = diagonal_scenario(tmp_path, solver="cdm")
         out_dir = tmp_path / "out"
-        trace_files, report_paths = [], []
+        report_paths = []
         for _ in range(2):
             assert main(["solve", path, "--trace", "--out", str(out_dir)]) == 0
-            report_path = capsys.readouterr().out.strip()
-            report_paths.append(report_path)
-            trace_files.append(json.loads(Path(report_path).read_text())["trace_file"])
-        assert trace_files[0] != trace_files[1]
+            report_paths.append(capsys.readouterr().out.strip())
+        assert sorted(os.listdir(out_dir)) == sorted({os.path.basename(f) for f in report_paths})
         assert len(set(report_paths)) == 2
-        assert sorted(os.listdir(out_dir)) == sorted(
-            os.path.basename(f) for f in report_paths + trace_files)
         assert all(os.path.basename(f).startswith("report-cdm-") for f in report_paths)
-        for f in trace_files:
-            assert Path(f).read_text().splitlines()[0] == "sweep,slot,objective"
+        first, second = (strict_json(Path(f).read_text()) for f in report_paths)
+        assert first == second and first["trace"]["columns"] == ["sweep", "slot", "objective"]
+
+    def test_trace_entries_are_plain_floats(self):
+        # numpy scalar budgets make every objective an np.float64; the
+        # report's rows hold plain floats, the trace's values
+        R, Q = fixtures.indiv_fixture(4)
+        stats = ChannelStats(D=np.ones(4), R=R, Q=Q, sigma2=np.float64(1.3))
+        p = IndivPowerProblem(stats=stats, Ps=np.float64(0.7), P=np.full(4, 2.0))
+        rep = run(cli.Scenario(mode="individual", problem=p, solver="cdm"), trace=True)
+        _, trace = indiv_search.coordinate_descent(p, np.ones(4))
+        assert all(type(v) is float for row in rep.trace["rows"] for v in row)
+        assert strict_json(rep.to_json())["trace"]["rows"] == [
+            [float(v) for v in row] for row in trace.rows]
+
+    def test_non_finite_trace_entry_is_null(self, tmp_path, capsys):
+        # the total_tiny_p0_n5 channel at P0 = 1e-150: the first Newton
+        # step's d2 is NaN, which the strict-JSON report holds as null
+        payload = json.loads((SCENARIOS / "total_tiny_p0_n5.json").read_text())
+        payload["budget"]["P0"] = 1e-150
+        assert main(["solve", write_scenario(tmp_path / "faint.json", payload), "--trace"]) == 0
+        trace = strict_json(capsys.readouterr().out)["trace"]
+        assert trace["columns"] == ["k", "x", "lambda_min", "d1", "d2", "step"]
+        (row,) = trace["rows"]
+        assert row[4] is None
+        assert all(isinstance(v, float) for v in row[:4] + row[5:])
+
+    def test_singular_pnorm_newton_step_exit_2(self, tmp_path, capsys):
+        # seed 100 of the badly scaled recipe: the p-norm route's shifted
+        # inner Hessian is numerically singular, a non-convergence; the sdp
+        # route's p-norm fallback, from the relaxation's top factor, solves it
+        p = badly_scaled_problem(100)
+        payload = {"mode": "individual", "sigma2": float(p.stats.sigma2),
+                   "channel": {"stats": {"D": p.stats.D.tolist(), "R": cmat(p.stats.R),
+                                         "Q": cmat(p.stats.Q)}},
+                   "budget": {"Ps": float(p.Ps), "P": p.P.tolist()},
+                   "solver": {"name": "pnorm"}}
+        assert main(["solve", write_scenario(tmp_path / "pnorm.json", payload)]) == 2
+        assert "augmented Lagrangian broke down" in capsys.readouterr().err
+        payload["solver"] = {"name": "sdp", "options": {"fallback": "pnorm"}}
+        assert main(["solve", write_scenario(tmp_path / "sdp.json", payload)]) == 0
+        assert strict_json(capsys.readouterr().out)["metadata"]["fallback"] == "pnorm"
 
     def test_samples_zero_exit_3(self, tmp_path, capsys):
         path, _ = fixture_scenario(tmp_path, solver="grp", options={"samples": 0})
@@ -740,37 +781,27 @@ class TestMain:
     @pytest.mark.parametrize("argv,named", [
         (["solve", "{dir}"], "{dir}"),
         (["oracle", "{dir}"], "{dir}"),
-        (["trace-export", "{dir}"], "{dir}"),
         (["solve", "{latin1}"], "{latin1}"),
-        (["trace-export", "{invalid}"], "{invalid}"),
+        (["solve", "{invalid}"], "{invalid}"),
         (["solve", "{deep}"], "{deep}"),
-        (["trace-export", "{list}"], "{list}"),
-        (["trace-export", "{int_trace}"], "{int_trace}"),
+        (["solve", "{list}"], "{list}"),
         (["solve", "{scenario}", "--out", "{file}"], "{file}"),
         (["reproduce", "total-1", "--out", "{file}"], "{file}"),
         # an output file name taken by a directory
         (["reproduce", "total-1", "--out", "{out}"], "{out}/total-1.json"),
-        (["trace-export", "{report}", "--out", "{out}"], "{out}/trace.csv"),
-    ], ids=["solve-directory", "oracle-directory", "trace-export-directory",
-            "non-utf8-scenario", "invalid-json-report", "too-deep-json-scenario", "list-report",
-            "integer-trace-file", "solve-out-is-a-file", "reproduce-out-is-a-file",
-            "reproduce-out-name-is-a-directory", "trace-export-out-name-is-a-directory"])
+    ], ids=["solve-directory", "oracle-directory", "non-utf8-scenario", "invalid-json-scenario",
+            "too-deep-json-scenario", "list-scenario", "solve-out-is-a-file",
+            "reproduce-out-is-a-file", "reproduce-out-name-is-a-directory"])
     def test_unreadable_input_or_out_path_exit_3(self, tmp_path, capsys, argv, named):
         paths = {key: tmp_path / key
-                 for key in ("dir", "latin1", "invalid", "deep", "list", "int_trace", "file",
-                             "out", "report")}
+                 for key in ("dir", "latin1", "invalid", "deep", "list", "file", "out")}
         paths["dir"].mkdir()
         paths["latin1"].write_bytes('{"mode": "total", "note": "\u00e9"}'.encode("latin-1"))
         paths["invalid"].write_text("{not json")
         paths["deep"].write_text("[" * 10 ** 5 + "]" * 10 ** 5)
         paths["list"].write_text("[]")
-        # an integer path would name an open file descriptor to open()
-        paths["int_trace"].write_text('{"trace_file": 1}')
         paths["file"].write_text("")
-        for name in ("total-1.json", "trace.csv"):
-            (paths["out"] / name).mkdir(parents=True)
-        (tmp_path / "trace.csv").write_text("k,mu\n0,1.0\n")
-        paths["report"].write_text(json.dumps({"trace_file": str(tmp_path / "trace.csv")}))
+        (paths["out"] / "total-1.json").mkdir(parents=True)
         names = {key: str(path) for key, path in paths.items()}
         names["scenario"] = diagonal_scenario(tmp_path)[0]
         assert main([a.format(**names) for a in argv]) == 3

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaybeam import fixtures
-from relaybeam.channel import ChannelStats, RicianParams, build_stats, snr
+from relaybeam import fixtures, indiv_qcqp
+from relaybeam.channel import ChannelStats, snr
 from relaybeam.cli import parse_scenario
 from relaybeam.errors import ConvergenceError, InputError, ModelError
 from relaybeam.indiv_diag import solve_diagonal
@@ -20,7 +20,7 @@ from relaybeam.indiv_search import (AL_CONSTRAINT_TOL, AL_GRAD_TOL, AL_MAX_INNER
                                     solve_scalar_subproblem, subproblem_value)
 from relaybeam.linalg import symmetrize
 from relaybeam.problems import IndivPowerProblem
-from conftest import (Slot, extract_coefficients, finite_diff,
+from conftest import (Slot, badly_scaled_problem, extract_coefficients, finite_diff,
                       finite_diff_second, grid_maximum, rand_indiv_problem)
 
 
@@ -123,26 +123,6 @@ def reference_augmented_lagrangian(prob, p, w0=None):
         lam = lam - c / AL_MU
     u = z[:n] + 1j * z[n:]
     return rows, u / (e.D1 * np.abs(u).max())
-
-
-def badly_scaled_problem(seed):
-    """Per-relay caps on Rician statistics drawn over many decades, with rng
-    [seed, 46]: means 10^U(-4, 2) CN(n), variances 10^U(-8, 4), a fifth of
-    them zero, sigma^2 10^U(-6, 6), Ps 10^U(-4, 8) and caps 10^U(-4, 6)."""
-    rng = np.random.default_rng([seed, 46])
-    n = int(rng.integers(2, 20))
-
-    def link():
-        scale = 10.0 ** rng.uniform(-4, 2)
-        mean = scale * ((rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0))
-        var = 10.0 ** rng.uniform(-8, 4, n)
-        var[rng.uniform(size=n) <= 0.2] = 0.0
-        return mean, var
-    (f_mean, f_var), (g_mean, g_var) = link(), link()
-    stats = build_stats(RicianParams(f_mean=f_mean, f_var=f_var, g_mean=g_mean, g_var=g_var),
-                        10.0 ** rng.uniform(-6, 6))
-    return IndivPowerProblem(stats=stats, Ps=10.0 ** rng.uniform(-4, 8),
-                             P=10.0 ** rng.uniform(-4, 6, n))
 
 
 def top_factor_start(p):
@@ -312,6 +292,28 @@ class TestScalarSubproblem:
                 branches["interior"] += 1
         assert all(v > 0 for v in branches.values()), branches
 
+    def test_zero_q_row_maximum_on_the_circle(self, rng):
+        # matrix-built statistics with a zero row and column of Q at slot k
+        # beside R_kk > 0: a2 = 0 and b2 = 0, so the denominator is the
+        # constant c2 and no interior point can beat the circle; the closed
+        # form meets a dense grid of the disk
+        for _ in range(20):
+            n = int(rng.integers(2, 6))
+            k = int(rng.integers(0, n))
+            A, B = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                    for _ in range(2))
+            B[k] = 0.0
+            stats = ChannelStats(D=rng.uniform(0.1, 2.0, n), R=A @ A.conj().T / n,
+                                 Q=B @ B.conj().T / n, sigma2=float(rng.uniform(0.5, 2.0)))
+            p = IndivPowerProblem(stats=stats, Ps=float(rng.uniform(0.5, 2.0)),
+                                  P=rng.uniform(0.5, 2.0, n))
+            w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            s = extract_coefficients(p, w, k)
+            assert s.a2 == 0 and s.b2 == 0 and s.a1 > 0
+            y, t = solve_scalar_subproblem(*s)
+            assert abs(y) == pytest.approx(s.beta, rel=1e-12)
+            self.assert_feasible_maximum(s, y, t, radial=800, angular=2880)
+
 
 class TestCoordinateDescent:
     @pytest.mark.parametrize("n,key", [(4, "cdm")])
@@ -379,18 +381,6 @@ class TestCoordinateDescent:
         w0 = 100.0 * np.ones(3, dtype=complex)
         sol, _ = coordinate_descent(p, w0)
         assert p.slacks(sol.w).min() >= -1e-9
-
-    def test_trace_csv_fields_are_numbers(self):
-        # numpy scalar budgets make every objective an np.float64, whose
-        # repr is "np.float64(...)"; the CSV must still hold plain numbers
-        R, Q = fixtures.indiv_fixture(4)
-        stats = ChannelStats(D=np.ones(4), R=R, Q=Q, sigma2=np.float64(1.3))
-        p = IndivPowerProblem(stats=stats, Ps=np.float64(0.7), P=np.full(4, 2.0))
-        _, trace = coordinate_descent(p, np.ones(4))
-        header, *rows = trace.to_csv().splitlines()
-        assert header == "sweep,slot,objective" and len(rows) == len(trace)
-        for line, row in zip(rows, trace.rows):
-            assert [float(v) for v in line.split(",")] == [float(v) for v in row]
 
 
 class TestChooseP:
@@ -696,6 +686,39 @@ class TestLeanNewtonStep:
         _, trace, _ = augmented_lagrangian_solve(p, 8, w0=w0)
         assert failed
         assert_same_trace(trace, reference_augmented_lagrangian(p, 8, w0)[0])
+
+    def test_failed_cholesky_at_positive_lambda_min_takes_no_shift(self, monkeypatch):
+        # seed 155 (n = 4): a Hessian with eigenvalues from 8.5e-4 to 1.4e13
+        # fails the Cholesky attempt, yet eigvalsh finds it positive
+        # definite, so the Newton step solves it unshifted
+        prob = badly_scaled_problem(155)
+        calls, eigvalsh, solve = [], np.linalg.eigvalsh, np.linalg.solve
+
+        def recorded_eigvalsh(a):
+            calls.append(("eigvalsh", a.copy()))
+            return eigvalsh(a)
+
+        def recorded_solve(a, b):
+            calls.append(("solve", a.copy()))
+            return solve(a, b)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded_eigvalsh)
+        monkeypatch.setattr(np.linalg, "solve", recorded_solve)
+        sol, _, _ = augmented_lagrangian_solve(prob, choose_p(prob.n))
+        monkeypatch.undo()
+        shifts = [(H, following) for (name, H), (_, following) in zip(calls, calls[1:])
+                  if name == "eigvalsh"]
+        assert shifts
+        for H, solved in shifts:
+            assert np.linalg.eigvalsh(H)[0] > 0 and np.array_equal(solved, H)
+        _, w = reference_augmented_lagrangian(prob, choose_p(prob.n))
+        assert sol.snr == pytest.approx(prob.solution(w).snr, rel=1e-12)
+
+    def test_singular_shifted_hessian_is_a_convergence_error(self):
+        # seed 100 (n = 4): the inner Hessian's eigenvalues run from -5.2e-5
+        # to 6.9e14, the shift is below its round-off, and the Newton solve
+        # finds it singular; LAPACK's failure is a non-convergence
+        with pytest.raises(ConvergenceError, match="augmented Lagrangian broke down"):
+            indiv_qcqp.solve(badly_scaled_problem(100), "pnorm")
 
     @pytest.mark.parametrize("seed", [59, 209])
     def test_badly_scaled_input_keeps_the_armijo_test(self, seed):

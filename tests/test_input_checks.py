@@ -115,6 +115,12 @@ CASES = {
     "rank-one-x-nan": (lambda: indiv_qcqp.rank_one_decompose(
                            with_entry(3, 0, 0, np.nan), indiv_qcqp.build_qcqp(problem(3))),
                        "X contains non-finite entries"),
+    # one rule for a numerically zero X on both extractions
+    "rank-one-x-zero": (lambda: indiv_qcqp.rank_one_decompose(
+                            np.zeros((3, 3)), indiv_qcqp.build_qcqp(problem(3))),
+                        "X is numerically zero"),
+    "grp-x-zero": (lambda: indiv_qcqp.grp_extract(np.zeros((4, 4)), fixture_qcqp(), 10, 0),
+                   "X is numerically zero"),
     "cdm-w0-length": (lambda: coordinate_descent(problem(), np.ones(3)), "w0 has length 3"),
     "al-w0-nan": (lambda: augmented_lagrangian_solve(problem(), 8, w0=[np.nan, 1.0]),
                   "w0 contains non-finite entries"),

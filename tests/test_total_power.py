@@ -391,8 +391,6 @@ class TestNewton:
         sol = newton_solve(p, xl, s=s)
         assert sol.trace.columns == ("k", "x", "lambda_min", "d1", "d2", "step")
         assert len(sol.trace) == sol.iterations
-        csv = sol.trace.to_csv()
-        assert csv.splitlines()[0] == "k,x,lambda_min,d1,d2,step"
 
     def test_rejects_start_outside_bracket(self):
         p = fixture_problem(1)
