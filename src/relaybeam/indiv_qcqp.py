@@ -153,8 +153,8 @@ def solve(p: IndivPowerProblem, solver: str = "auto", options: dict | None = Non
         return sol, meta, trace
     # pnorm
     p_val = options.get("p", indiv_search.choose_p(p.n))
-    sol, trace, state = indiv_search.augmented_lagrangian_solve(p, p_val, w0=start)
-    meta.update(p=p_val, multiplier=state.lam, constraint_residual=state.constraint_residual)
+    sol, trace, more = indiv_search.augmented_lagrangian_solve(p, p_val, w0=start)
+    meta.update(p=p_val, **more)
     return sol, meta, trace
 
 

@@ -1,27 +1,27 @@
-"""Search solvers for general R, Q under per-relay caps.
+"""Search solvers for general R, Q under per-relay caps.  The public functions
+are the two routes taken when the SDP relaxation is not rank one, and
+``choose_p``, the p of the second; every other name here is private.
 
-Two routes when the SDP relaxation is not rank one:
+* ``coordinate_descent``: cyclic coordinate descent on the SNR ratio, one
+  complex weight at a time, O(n) per weight: each sweep forms R w and Q w
+  once and moves them by one column per update.  Each scalar subproblem is
+  a ratio of two quadratic forms in [y; 1] over the disk |y| <= beta, solved
+  exactly: the pencil's top eigenpair when it lies inside the disk, else
+  the circle's maximum, each the larger root of one quadratic in t.  The
+  stop tolerance eps must be positive.
 
-* Cyclic coordinate descent on the SNR ratio, one complex weight at a
-  time, O(n) per weight: each sweep forms R w and Q w once and moves them
-  by one column per update.  Each scalar subproblem is a ratio of two
-  quadratic forms in [y; 1] over the disk |y| <= beta, solved exactly: the
-  pencil's top eigenpair when it lies inside the disk, else the circle's
-  maximum, each the larger root of one quadratic in t.  The stop
-  tolerance eps must be positive.
-
-* Smoothed minimax: the QCQP is equivalent (up to scaling) to minimizing
-  u^H Q1 u + ||u||_inf^2 on the ellipsoid u^H R1 u = 1; the infinity norm
-  is replaced by the smooth ||u||_{2p}^2 and the equality-constrained
-  problem is solved in a real 2n-dimensional embedding by the augmented
-  Lagrangian method with backtracking modified-Newton inner solves.
+* ``augmented_lagrangian_solve``, smoothed minimax: the QCQP is equivalent
+  (up to scaling) to minimizing u^H Q1 u + ||u||_inf^2 on the ellipsoid
+  u^H R1 u = 1; the infinity norm is replaced by the smooth ||u||_{2p}^2
+  and the equality-constrained problem is solved in a real 2n-dimensional
+  embedding by the augmented Lagrangian method with backtracking
+  modified-Newton inner solves.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,16 +46,16 @@ AL_MAX_INNER = 400         # Newton steps per inner minimization
 # scalar fractional subproblem (one complex weight, others frozen)
 # ---------------------------------------------------------------------------
 
-def subproblem_value(a1, a2, b1, b2, c1, c2, y) -> float:
+def _subproblem_value(a1, a2, b1, b2, c1, c2, y) -> float:
     """(a1 |y|^2 + 2 Re(b1 y) + c1) / (a2 |y|^2 + 2 Re(b2 y) + c2): the SNR
     ratio as a function of one weight y, the others frozen."""
     m = abs(y) ** 2
     return (a1 * m + 2.0 * (b1 * y).real + c1) / (a2 * m + 2.0 * (b2 * y).real + c2)
 
 
-def solve_scalar_subproblem(a1, a2, b1, b2, c1, c2, beta):
+def _solve_scalar_subproblem(a1, a2, b1, b2, c1, c2, beta):
     """``(y, t)``: the global maximizer over |y| <= beta of
-    ``subproblem_value`` and the ratio t there.  The denominator is positive
+    ``_subproblem_value`` and the ratio t there.  The denominator is positive
     on the disk: it is 1 + a PSD form.
 
     Where the ratio does not depend on y, y = 0 is returned.  With
@@ -88,13 +88,13 @@ def solve_scalar_subproblem(a1, a2, b1, b2, c1, c2, beta):
     u0, u1, bb = a1 * beta ** 2 + c1, a2 * beta ** 2 + c2, 4.0 * beta ** 2
     t = _top_root(u1 * u1 - bb * B2, bb * B1 - 2.0 * u0 * u1, u0 * u0 - bb * B0)
     y = cmath.rect(beta, -cmath.phase(b1 - t * b2))
-    val = subproblem_value(a1, a2, b1, b2, c1, c2, y)
+    val = _subproblem_value(a1, a2, b1, b2, c1, c2, y)
     if a2 > 0:
         t = _top_root(a2 * c2 - B2, B1 - a1 * c2 - a2 * c1, a1 * c1 - B0)
         bt, d = b1 - t * b2, t * a2 - a1
         if abs(bt) < d * beta:
             y_in = bt.conjugate() / d
-            if (v := subproblem_value(a1, a2, b1, b2, c1, c2, y_in)) > val:
+            if (v := _subproblem_value(a1, a2, b1, b2, c1, c2, y_in)) > val:
                 y, val = y_in, v
     return complex(y), float(val)
 
@@ -162,7 +162,7 @@ def _sweep(data, w):
         # slot k's subproblem in O(1): removing w_k's own terms from R w, Q w
         # and the forms leaves the frozen parts
         m, wkc = abs(wk) ** 2, wk.conjugate()
-        y, t = solve_scalar_subproblem(
+        y, t = _solve_scalar_subproblem(
             a1, a2, (rw - a1 * wk).conjugate(), (qw - a2 * wk).conjugate(),
             wRw - 2.0 * (wkc * rw).real + a1 * m, 1.0 + wQw - 2.0 * (wkc * qw).real + a2 * m, beta)
         d = y - wk
@@ -179,66 +179,38 @@ def _sweep(data, w):
 # p-norm smoothing + augmented Lagrangian
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PnormEmbedding:
-    """Real 2n-dimensional embedding of the smoothed minimax problem."""
-
-    D1: np.ndarray           # diagonal entries, sqrt((Ps D_kk + sigma^2)/P_k)
-    Q1: np.ndarray
-    R1: np.ndarray
-    F: np.ndarray            # 2n x 2n real symmetric, z^T F z = u^H Q1 u
-    K: np.ndarray            # 2n x 2n real symmetric PD, z^T K z = u^H R1 u
-    p: int
-
-    @property
-    def n(self) -> int:
-        return self.Q1.shape[0]
-
-
-@dataclass
-class AugLagState:
-    z: np.ndarray
-    lam: float
-    constraint_residual: float
-
-
 def choose_p(n: int) -> int:
-    """Smallest p with relative smoothing error <= SMOOTHING_EPS, rounded up
-    to a power of two: p >= log(n)/log(1 + SMOOTHING_EPS)."""
+    """Smallest p with relative smoothing error <= SMOOTHING_EPS for n relays,
+    a count, rounded up to a power of two: p >= log(n)/log(1 + SMOOTHING_EPS)."""
+    n = check_scalar(n, name="n", kind="count")
     if n <= 1:
         return 1
     p_min = math.ceil(math.log(n) / math.log1p(SMOOTHING_EPS))
     return 1 << max(0, (p_min - 1).bit_length())
 
 
-def build_pnorm_embedding(prob: IndivPowerProblem, p: int) -> PnormEmbedding:
-    """Scale weights by D1, then embed complex u into z = [Re u; Im u]."""
-    prob = check_type(prob, IndivPowerProblem, name="prob")
-    p = check_scalar(p, name="p", kind="count")
+def _embed(prob: IndivPowerProblem):
+    """``(d1, F, K)``: u = D1 w, d1_k = sqrt((Ps D_kk + sigma^2)/P_k), embedded as
+    z = [Re u; Im u]; F and K are 2n x 2n real symmetric with z^T F z = u^H Q1 u
+    and z^T K z = u^H R1 u, for Q1 = D1^-1 Q D1^-1 and R1 = D1^-1 R D1^-1."""
     d1 = np.sqrt(prob.c)
     S = np.outer(1.0 / d1, 1.0 / d1)    # D1^-1 M D1^-1 entrywise, Hermitian as M is
-    Q1, R1 = prob.stats.Q * S, prob.stats.R * S
+    R1 = prob.stats.R * S
     if not np.abs(R1).max() > 0:
         raise ModelError("R = 0: no signal reaches the destination, the SNR is 0 for every w")
-    return PnormEmbedding(D1=d1, Q1=Q1, R1=R1, F=_real_embed(Q1),
-                          K=_real_embed(R1), p=p)
-
-
-def phi_p_value(e: PnormEmbedding, z) -> float:
-    n = e.n
-    return _phi(z[:n] ** 2 + z[n:] ** 2, e.p)    # z^T J~_k z = |u_k|^2
+    return d1, _real_embed(prob.stats.Q * S), _real_embed(R1)
 
 
 def _phi(s, p) -> float:
-    """phi_p from the slot powers s_k = |u_k|^2."""
+    """phi_p from the slot powers s_k = |u_k|^2 (z^T J~_k z for z = [Re u; Im u])."""
     smax = s.max()
     if smax <= 0:
         return 0.0      # the norm's value at z = 0, where it is not smooth
     return float(smax * ((s / smax) ** p).sum() ** (1.0 / p))
 
 
-def phi_p_grad_hess(e: PnormEmbedding, z):
-    """Value, gradient and Hessian of phi_p(z) = (sum_k (z^T J~_k z)^p)^(1/p).
+def _phi_grad_hess(z, p):
+    """Value, gradient and Hessian of phi_p(z) = (sum_k (z^T J~_k z)^p)^(1/p), z != 0.
 
     grad = 2 sum_k (s_k/phi)^(p-1) J~_k z;
     hess = 2 sum_k (s_k/phi)^(p-1) J~_k + (1-p)/phi grad grad^T
@@ -246,14 +218,11 @@ def phi_p_grad_hess(e: PnormEmbedding, z):
     Powers are evaluated through ratios <= 1 so large p cannot overflow.
     Slot k's 2 x 2 block, entry k of each quarter's diagonal, is added in place.
     """
-    z = np.asarray(z, dtype=float).ravel()
-    n, p = e.n, e.p
+    n = z.size // 2
     xy = z.reshape(2, n)                # rows Re u and Im u: column k is slot k's (x_k, y_k)
     sq = xy * xy
     s = sq[0] + sq[1]
     val = _phi(s, p)
-    if val == 0:
-        raise InputError("phi_p is not twice differentiable at z = 0")
     ratio = s / val
     r2 = 2.0 * ratio ** (p - 1)
     g = (r2 * xy).ravel()
@@ -270,7 +239,7 @@ def phi_p_grad_hess(e: PnormEmbedding, z):
     return val, g, H
 
 
-def p1_solution(e: PnormEmbedding):
+def _p1(F, K):
     """``(lam, z)``: the value lam = 1/lambda_max(K, F + I) and a minimizer z
     of the p = 1 problem, min z^T (F + I) z s.t. z^T K z = 1.  lam is the
     exact multiplier there and z the top eigenvector of the pencil; both
@@ -279,15 +248,15 @@ def p1_solution(e: PnormEmbedding):
     F + I is positive definite, so with its Cholesky factor C the pencil
     is C^{-1} K C^{-T} and K may be singular (rank-deficient R).
     """
-    Ci = np.linalg.inv(np.linalg.cholesky(e.F + np.eye(2 * e.n)))
-    vals, vecs = np.linalg.eigh(symmetrize(Ci @ e.K @ Ci.T))
+    Ci = np.linalg.inv(np.linalg.cholesky(F + np.eye(len(F))))
+    vals, vecs = np.linalg.eigh(symmetrize(Ci @ K @ Ci.T))
     z = Ci.T @ vecs[:, -1]
-    return 1.0 / float(vals[-1]), z / np.sqrt(z @ e.K @ z)
+    return 1.0 / float(vals[-1]), z / np.sqrt(z @ K @ z)
 
 
 def augmented_lagrangian_solve(prob: IndivPowerProblem, p: int, w0=None):
     """Outer multiplier updates around inner modified-Newton minimizations
-    on ``build_pnorm_embedding(prob, p)``.
+    on ``prob``'s real embedding (``_embed``), at the integer p >= 1.
 
     L(z; lam; mu) = z^T F z + phi_p(z) - lam (z^T K z - 1)
                     + (z^T K z - 1)^2 / (2 mu),
@@ -303,25 +272,28 @@ def augmented_lagrangian_solve(prob: IndivPowerProblem, p: int, w0=None):
     raises ConvergenceError after AL_MAX_OUTER multiplier updates, or where
     LAPACK fails (a shifted Hessian can still be numerically singular).
 
-    Returns ``(BeamformingSolution, SolverTrace, AugLagState)``; the
-    solution is scaled so that its largest per-relay cap is active.
+    Returns ``(BeamformingSolution, SolverTrace, {"multiplier": lam,
+    "constraint_residual": z^T K z - 1})`` at the last z; the solution is
+    scaled so that its largest per-relay cap is active.
     """
-    e = build_pnorm_embedding(prob, p)
-    n = e.n
+    prob = check_type(prob, IndivPowerProblem, name="prob")
+    p = check_scalar(p, name="p", kind="count")
+    d1, F, K = _embed(prob)
+    n = prob.n
     try:
-        lam, z = p1_solution(e)
+        lam, z = _p1(F, K)
         if w0 is not None:
-            u = e.D1 * check_vector(w0, name="w0", n=n)
+            u = d1 * check_vector(w0, name="w0", n=n)
             z = np.concatenate([u.real, u.imag])
-            if not z @ e.K @ z > 0:      # z^T K z = w0^H R w0
+            if not z @ K @ z > 0:      # z^T K z = w0^H R w0
                 raise InputError("w0 must have w0^H R w0 > 0")
         trace = SolverTrace(columns=AL_TRACE_COLUMNS)
-        F2, K, FK = 2.0 * e.F, e.K, np.concatenate([e.F, e.K])    # [F; K] x: F x and K x
+        F2, FK = 2.0 * F, np.concatenate([F, K])    # [F; K] x: F x and K x
         for outer in range(AL_MAX_OUTER):
             g_norm = np.inf
             for inner in range(AL_MAX_INNER):
-                val, g_phi, HL = phi_p_grad_hess(e, z)
-                L, c = _lagrangian(e, z, val, lam)
+                val, g_phi, HL = _phi_grad_hess(z, p)
+                L, c = _lagrangian(F, K, z, val, lam)
                 Fz, Kz = (FK @ z).reshape(2, -1)
                 gL = 2.0 * Fz + g_phi - 2.0 * lam * Kz + (2.0 / AL_MU) * c * Kz
                 g_norm = math.sqrt(gL @ gL)
@@ -339,7 +311,7 @@ def augmented_lagrangian_solve(prob: IndivPowerProblem, p: int, w0=None):
                         HL += (-lmin + 1e-6) * np.eye(2 * n)
                 step = -np.linalg.solve(HL, gL)
                 slope = float(gL @ step)
-                change = _line(e, FK, z, step, val, lam)
+                change = _line(p, FK, z, step, val, lam)
                 alpha = 1.0
                 # a test of L's values, as L + change: a change below L's last digit passes
                 while not L + change(alpha) <= L + 1e-4 * alpha * slope:
@@ -348,7 +320,7 @@ def augmented_lagrangian_solve(prob: IndivPowerProblem, p: int, w0=None):
                         raise ConvergenceError("inner Newton line search stalled")
                 z = z + alpha * step
                 trace.append(outer, inner, float(L), float(c), g_norm, alpha)
-            L, c = _lagrangian(e, z, phi_p_value(e, z), lam)
+            L, c = _lagrangian(F, K, z, _phi(z[:n] ** 2 + z[n:] ** 2, p), lam)
             trace.append(outer, -1, float(L), float(c), g_norm, 0.0)
             if abs(c) <= AL_CONSTRAINT_TOL and g_norm <= AL_GRAD_TOL:
                 break
@@ -357,34 +329,34 @@ def augmented_lagrangian_solve(prob: IndivPowerProblem, p: int, w0=None):
             raise ConvergenceError(
                 f"augmented Lagrangian did not converge in {AL_MAX_OUTER} outer rounds")
     except np.linalg.LinAlgError as err:
-        # p1_solution's factorizations, an eigvalsh or the Newton solve broke down
+        # _p1's factorizations, an eigvalsh or the Newton solve broke down
         raise ConvergenceError(f"augmented Lagrangian broke down: {err}") from None
 
     u = z[:n] + 1j * z[n:]
     # cap k reads |u_k| <= 1: the largest |u_k| is the active cap
-    w = u / (e.D1 * np.abs(u).max())
-    state = AugLagState(z=z, lam=float(lam), constraint_residual=float(c))
-    return prob.solution(w), trace, state
+    w = u / (d1 * np.abs(u).max())
+    return prob.solution(w), trace, {"multiplier": float(lam), "constraint_residual": float(c)}
 
 
-def _lagrangian(e: PnormEmbedding, z, phi, lam):
+def _lagrangian(F, K, z, phi, lam):
     """L(z; lam; AL_MU) given phi = phi_p(z), and the residual z^T K z - 1."""
-    c = z @ e.K @ z - 1.0
-    return z @ e.F @ z + phi - lam * c + c * c / (2.0 * AL_MU), c
+    c = z @ K @ z - 1.0
+    return z @ F @ z + phi - lam * c + c * c / (2.0 * AL_MU), c
 
 
-def _line(e: PnormEmbedding, FK, z, step, phi, lam):
+def _line(p, FK, z, step, phi, lam):
     """a -> L(z + a step) - L(z) at lam, given phi = phi_p(z), from scalars
     taken once: x^T F y and x^T K y for x, y in (z, step), one product with
     FK = [F; K], and |u_k + a v_k|^2 = s0 + a s1 + a^2 s2 (u = x + i y and
     v = dx + i dy for z and step).  No term cancels against the value L(z)."""
+    n = z.size // 2
     zs = np.array([z, step])
     ((_, xF), (_, sF)), ((zK, xK), (_, sK)) = (zs @ (FK @ zs.T).reshape(2, -1, 2)).tolist()
-    x, y, dx, dy = z[:e.n], z[e.n:], step[:e.n], step[e.n:]
+    x, y, dx, dy = z[:n], z[n:], step[:n], step[n:]
     s0, s1, s2 = x * x + y * y, 2.0 * (x * dx + y * dy), dx * dx + dy * dy
 
     def change(a):
         dc = a * (2.0 * xK + a * sK)    # of c = z^T K z - 1
-        return (a * (2.0 * xF + a * sF) + (_phi(s0 + a * (s1 + a * s2), e.p) - phi)
+        return (a * (2.0 * xF + a * sF) + (_phi(s0 + a * (s1 + a * s2), p) - phi)
                 - lam * dc + dc * (2.0 * (zK - 1.0) + dc) / (2.0 * AL_MU))
     return change

@@ -11,8 +11,6 @@ solver and its reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import snr
@@ -25,18 +23,9 @@ EVAL_GUARD = 10 ** 8
 BATCH = 2 ** 20            # grid points evaluated per block
 
 
-@dataclass
-class GridSpec:
-    radial_points: int = 24
-    angular_points: int = 16
-
-    def evaluations(self, n: int) -> int:
-        # slot 1 phase is gauge-fixed to zero, so it contributes no angle
-        return self.radial_points ** n * self.angular_points ** (n - 1)
-
-
-def brute_force_indiv(p: IndivPowerProblem, g: GridSpec | None = None):
-    """Exhaustive polar-grid search over the per-relay feasible box.
+def brute_force_indiv(p: IndivPowerProblem, radial_points: int = 24, angular_points: int = 16):
+    """Exhaustive polar-grid search over the per-relay feasible box:
+    ``radial_points`` magnitudes and ``angular_points`` phases per relay, both counts.
 
     The first weight's phase is fixed to zero (SNR is phase invariant);
     the best grid point is polished by one sweep of the closed-form scalar
@@ -44,15 +33,15 @@ def brute_force_indiv(p: IndivPowerProblem, g: GridSpec | None = None):
     """
     if check_type(p, IndivPowerProblem, name="p").n > 3:
         raise InputError("brute force is limited to n <= 3")
-    g = GridSpec() if g is None else check_type(g, GridSpec, name="g")
-    total = g.evaluations(p.n)
+    radial = check_scalar(radial_points, name="radial_points", kind="count")
+    angular = check_scalar(angular_points, name="angular_points", kind="count")
+    n = p.n
+    total = radial ** n * angular ** (n - 1)    # the first relay's phase adds no angle
     if total > EVAL_GUARD:
         raise InputError(
-            f"grid of {total} evaluations exceeds the {EVAL_GUARD} guard; "
-            "use a coarser GridSpec")
-    n = p.n
-    phases = np.exp(2j * np.pi * np.arange(g.angular_points) / g.angular_points)
-    axes = [np.outer(np.linspace(0.0, cap, g.radial_points), phases if k else [1.0 + 0j]).ravel()
+            f"grid of {total} evaluations exceeds the {EVAL_GUARD} guard; use a coarser grid")
+    phases = np.exp(2j * np.pi * np.arange(angular) / angular)
+    axes = [np.outer(np.linspace(0.0, cap, radial), phases if k else [1.0 + 0j]).ravel()
             for k, cap in enumerate(p.caps())]
     # in C order the grid is (leading relays) x (last relay).  On the leading
     # relays' broadcast grid a form is diagonal terms plus one cross term per

@@ -326,6 +326,7 @@ def _gauge_basis(r):
 
 def dual_certificate_residuals(q: QcqpInstance, sol: SdpSolution) -> CertificateReport:
     """KKT residuals of a candidate solution; all ~0 on a valid optimum."""
+    q, sol = check_type(q, QcqpInstance, name="q"), check_type(sol, SdpSolution, name="sol")
     X, y = sol.X, sol.dual_y
     # an exit's X = V V^H is PSD, and its caps are read from V: forming X
     # rounds them, and lambda_min(X), by up to 3e-8 where Q ~ 1e-8 and X ~ 1e8

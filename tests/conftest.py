@@ -14,8 +14,8 @@ from relaybeam.problems import IndivPowerProblem, TotalPowerProblem
 
 MC_BATCH = 20000   # draws per monte_carlo_stats batch
 PSD_TOL = 1e-9     # is_psd: lambda_min >= -PSD_TOL
-# the arguments of indiv_search.solve_scalar_subproblem, by name; the first
-# six and y are those of subproblem_value
+# the arguments of indiv_search._solve_scalar_subproblem, CDM's slot update,
+# by name; the first six and y are those of _subproblem_value
 Slot = namedtuple("Slot", "a1 a2 b1 b2 c1 c2 beta")
 
 
@@ -377,6 +377,12 @@ def is_psd(H) -> bool:
     """True iff lambda_min(H) >= -PSD_TOL."""
     H = hermitian(H)
     return bool(np.linalg.eigvalsh(H)[0] >= -PSD_TOL)
+
+
+def phi_value(z, p):
+    """phi_p(z) of the p-norm route from the slot powers |u_k|^2 of z = [Re u; Im u]."""
+    n = z.size // 2
+    return indiv_search._phi(z[:n] ** 2 + z[n:] ** 2, p)
 
 
 def finite_diff(fn, x, h: float = 1e-5):

@@ -14,18 +14,16 @@ from relaybeam.indiv_diag import solve_diagonal
 from relaybeam.indiv_qcqp import (build_qcqp, grp_extract, qcqp_objective,
                                   rank_one_decompose, rescale_to_original,
                                   solve_via_sdp)
-from relaybeam.indiv_search import (augmented_lagrangian_solve,
-                                    build_pnorm_embedding, coordinate_descent,
-                                    phi_p_grad_hess, phi_p_value,
-                                    solve_scalar_subproblem)
+from relaybeam.indiv_search import (_phi_grad_hess, _solve_scalar_subproblem,
+                                    augmented_lagrangian_solve, coordinate_descent)
 from relaybeam.linalg import qform
-from relaybeam.oracle import GridSpec, brute_force_indiv
+from relaybeam.oracle import brute_force_indiv
 from relaybeam.problems import IndivPowerProblem
 from relaybeam.sdp import range_eigh, solve_relaxation
 from relaybeam import total_power
 from conftest import (degenerate_qcqp_instance, dinkelbach_F,
                       extract_coefficients, finite_diff, finite_diff_second,
-                      grid_maximum, monte_carlo_stats, rand_indiv_problem,
+                      grid_maximum, monte_carlo_stats, phi_value, rand_indiv_problem,
                       rand_total_problem)
 
 GRP_SEED = 20111
@@ -162,7 +160,7 @@ def test_criterion_5_diagonal_cross_checks():
         ip = rand_indiv_problem(rng, int(rng.integers(1, 4)), diagonal=True)
         closed = solve_diagonal(ip)
         oracle_checked += 1
-        _, val = brute_force_indiv(ip, GridSpec(radial_points=30, angular_points=8))
+        _, val = brute_force_indiv(ip, radial_points=30, angular_points=8)
         if abs(val - closed.snr) > 1e-3 * max(closed.snr, 1e-12):
             oracle_bad += 1
     report("5 (diagonal cross-checks)", newton_bad == 0 and oracle_bad == 0,
@@ -192,14 +190,12 @@ def test_criterion_6_calculus():
     phi_bad = 0
     for i in range(50):
         n = int(rng.integers(2, 5))
-        ip = rand_indiv_problem(rng, n)
         p_exp = int(rng.choice([2, 8, 64]))
-        e = build_pnorm_embedding(ip, p_exp)
         z = rng.standard_normal(2 * n)
         z /= np.linalg.norm(z)
-        _, g, H = phi_p_grad_hess(e, z)
-        fd_g = finite_diff(lambda zv: phi_p_value(e, zv), z, h=1e-6)
-        fd_H = finite_diff_second(lambda zv: phi_p_value(e, zv), z, h=1e-4)
+        _, g, H = _phi_grad_hess(z, p_exp)
+        fd_g = finite_diff(lambda zv: phi_value(zv, p_exp), z, h=1e-6)
+        fd_H = finite_diff_second(lambda zv: phi_value(zv, p_exp), z, h=1e-4)
         if np.linalg.norm(g - fd_g) > 1e-4 * max(1.0, np.linalg.norm(fd_g)):
             phi_bad += 1
         if np.linalg.norm(H - fd_H) > 1e-4 * max(1.0, np.linalg.norm(fd_H)):
@@ -228,7 +224,7 @@ def test_criterion_7_scalar_subproblem():
         w = 0.7 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         k = int(rng.integers(0, n))
         s = extract_coefficients(ip, w, k)
-        y, t = solve_scalar_subproblem(*s)
+        y, t = _solve_scalar_subproblem(*s)
         t_grid, _ = grid_maximum(s)
         if abs(t - t_grid) > 1e-4 * max(1.0, abs(t_grid)):
             bad += 1

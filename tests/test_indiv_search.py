@@ -12,16 +12,14 @@ from relaybeam.errors import ConvergenceError, InputError, ModelError
 from relaybeam.indiv_diag import solve_diagonal
 from relaybeam.indiv_qcqp import build_qcqp, qcqp_objective
 from relaybeam.indiv_search import (AL_CONSTRAINT_TOL, AL_GRAD_TOL, AL_MAX_INNER,
-                                    AL_MAX_OUTER, AL_MU, _lagrangian, _line,
-                                    augmented_lagrangian_solve,
-                                    build_pnorm_embedding, choose_p,
-                                    coordinate_descent, p1_solution,
-                                    phi_p_grad_hess, phi_p_value,
-                                    solve_scalar_subproblem, subproblem_value)
-from relaybeam.linalg import symmetrize
+                                    AL_MAX_OUTER, AL_MU, _embed, _lagrangian, _line, _p1,
+                                    _phi_grad_hess, _solve_scalar_subproblem,
+                                    _subproblem_value, augmented_lagrangian_solve,
+                                    choose_p, coordinate_descent)
+from relaybeam.linalg import _real_embed, symmetrize
 from relaybeam.problems import IndivPowerProblem
 from conftest import (Slot, badly_scaled_problem, extract_coefficients, finite_diff,
-                      finite_diff_second, grid_maximum, rand_indiv_problem)
+                      finite_diff_second, grid_maximum, phi_value, rand_indiv_problem)
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -68,7 +66,7 @@ def dense_coordinate_descent(p, w0, eps=1e-3, max_sweeps=500):
     for _ in range(max_sweeps):
         w_prev = w.copy()
         for k in range(p.n):
-            y, t = solve_scalar_subproblem(*dense_coefficients(p, w, k))
+            y, t = _solve_scalar_subproblem(*dense_coefficients(p, w, k))
             w[k] = y
             objs.append(p.Ps / p.stats.sigma2 * t)
         denom = np.linalg.norm(w_prev)
@@ -82,21 +80,21 @@ def reference_augmented_lagrangian(prob, p, w0=None):
     forms F z, K z and both quadratic forms afresh, reads the Hessian's
     definiteness off eigvalsh, and evaluates L anew at each trial z + alpha s
     of the line search.  Returns (trace rows, w)."""
-    e = build_pnorm_embedding(prob, p)
-    n, F, K = e.n, e.F, e.K
-    lam, z = p1_solution(e)
+    d1, F, K = _embed(prob)
+    n = prob.n
+    lam, z = _p1(F, K)
     if w0 is not None:
-        u = e.D1 * np.asarray(w0)
+        u = d1 * np.asarray(w0)
         z = np.concatenate([u.real, u.imag])
 
     def lagrangian(z):
         c = z @ K @ z - 1.0
-        return z @ F @ z + phi_p_value(e, z) - lam * c + c * c / (2.0 * AL_MU), c
+        return z @ F @ z + phi_value(z, p) - lam * c + c * c / (2.0 * AL_MU), c
     rows = []
     for outer in range(AL_MAX_OUTER):
         g_norm = np.inf
         for inner in range(AL_MAX_INNER):
-            _, g_phi, H_phi = phi_p_grad_hess(e, z)
+            _, g_phi, H_phi = _phi_grad_hess(z, p)
             L, c = lagrangian(z)
             Kz = K @ z
             gL = 2.0 * F @ z + g_phi - 2.0 * lam * Kz + (2.0 / AL_MU) * c * Kz
@@ -122,7 +120,7 @@ def reference_augmented_lagrangian(prob, p, w0=None):
             break
         lam = lam - c / AL_MU
     u = z[:n] + 1j * z[n:]
-    return rows, u / (e.D1 * np.abs(u).max())
+    return rows, u / (d1 * np.abs(u).max())
 
 
 def top_factor_start(p):
@@ -150,8 +148,8 @@ def stationarity_improvement(p, w) -> float:
     worst = 0.0
     for k in range(p.n):
         sub = extract_coefficients(p, w, k)
-        _, t = solve_scalar_subproblem(*sub)
-        worst = max(worst, t - subproblem_value(*sub[:6], w[k]))
+        _, t = _solve_scalar_subproblem(*sub)
+        worst = max(worst, t - _subproblem_value(*sub[:6], w[k]))
     return worst
 
 
@@ -182,7 +180,7 @@ class TestExtractCoefficients:
                 w2 = w.copy()
                 w2[k] = y
                 expected = snr(p.stats, p.Ps, w2) * p.stats.sigma2 / p.Ps
-                assert subproblem_value(*s[:6], y) == pytest.approx(expected, rel=1e-10)
+                assert _subproblem_value(*s[:6], y) == pytest.approx(expected, rel=1e-10)
 
 
     def test_matches_dense_sub_blocks(self):
@@ -200,21 +198,21 @@ class TestExtractCoefficients:
 class TestScalarSubproblem:
     def test_constant_case(self):
         s = Slot(a1=0.0, a2=1.0, b1=0.0, b2=0.0, c1=0.0, c2=1.0, beta=1.0)
-        y, t = solve_scalar_subproblem(*s)
+        y, t = _solve_scalar_subproblem(*s)
         assert y == 0
         assert t == pytest.approx(0.0)
 
     def test_no_cross_term_boundary(self):
         # b1 = b2 = 0 and a1 c2 - a2 c1 > 0: ratio increases with |y|
         s = Slot(a1=2.0, a2=1.0, b1=0.0, b2=0.0, c1=0.5, c2=1.0, beta=0.8)
-        y, t = solve_scalar_subproblem(*s)
+        y, t = _solve_scalar_subproblem(*s)
         assert abs(y) == pytest.approx(0.8, rel=1e-12)
-        assert t == pytest.approx(subproblem_value(*s[:6], y), rel=1e-12)
+        assert t == pytest.approx(_subproblem_value(*s[:6], y), rel=1e-12)
 
     @staticmethod
     def assert_feasible_maximum(s, y, t, radial=400, angular=720):
         assert abs(y) <= s.beta * (1.0 + 1e-12)
-        assert t == pytest.approx(subproblem_value(*s[:6], y), rel=1e-12)
+        assert t == pytest.approx(_subproblem_value(*s[:6], y), rel=1e-12)
         t_grid = grid_maximum(s, radial, angular)[0]
         assert t >= t_grid - 1e-9 * abs(t_grid)
 
@@ -242,7 +240,7 @@ class TestScalarSubproblem:
             beta=694.3121801938354), 1.0333956874823e-11),
     ], ids=["boundary-fuzz", "interior-outside-disk", "interior-tiny-scale"])
     def test_extreme_scale_cases(self, s, t_max):
-        y, t = solve_scalar_subproblem(*s)
+        y, t = _solve_scalar_subproblem(*s)
         assert y != 0
         self.assert_feasible_maximum(s, y, t)
         assert t == pytest.approx(t_max, rel=1e-9)
@@ -259,7 +257,7 @@ class TestScalarSubproblem:
         beta = 10.0 ** rng.uniform(-3, 5, m)
         for case in zip(*(v.tolist() for v in (a1, a2, b1, b2, c1, c2, beta))):
             s = Slot(*case)
-            y, t = solve_scalar_subproblem(*s)
+            y, t = _solve_scalar_subproblem(*s)
             self.assert_feasible_maximum(s, y, t, radial=200, angular=360)
 
     def test_matches_grid_oracle(self, rng):
@@ -280,7 +278,7 @@ class TestScalarSubproblem:
             w = 0.7 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
             k = int(rng.integers(0, n))
             s = extract_coefficients(p, w, k)
-            y, t = solve_scalar_subproblem(*s)
+            y, t = _solve_scalar_subproblem(*s)
             t_grid, _ = grid_maximum(s)
             assert t >= t_grid - 1e-4 * max(1.0, abs(t_grid))
             assert t == pytest.approx(t_grid, rel=1e-4, abs=1e-4)
@@ -310,7 +308,7 @@ class TestScalarSubproblem:
             w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             s = extract_coefficients(p, w, k)
             assert s.a2 == 0 and s.b2 == 0 and s.a1 > 0
-            y, t = solve_scalar_subproblem(*s)
+            y, t = _solve_scalar_subproblem(*s)
             assert abs(y) == pytest.approx(s.beta, rel=1e-12)
             self.assert_feasible_maximum(s, y, t, radial=800, angular=2880)
 
@@ -400,23 +398,25 @@ class TestChooseP:
 
 class TestPnormEmbedding:
     def test_identity_scaling(self):
+        # the fixture's caps give c = 1: no scaling, F and K embed Q and R
         p = fixture_problem(4)
-        e = build_pnorm_embedding(p, 64)
-        assert np.allclose(e.D1, 1.0)
-        assert np.allclose(e.Q1, p.stats.Q)
-        assert np.allclose(e.R1, p.stats.R)
+        d1, F, K = _embed(p)
+        assert np.allclose(d1, 1.0)
+        assert np.allclose(F, _real_embed(p.stats.Q))
+        assert np.allclose(K, _real_embed(p.stats.R))
 
     def test_embedding_identities(self, rng):
         p = rand_indiv_problem(rng, 4)
-        e = build_pnorm_embedding(p, 8)
+        d1, F, K = _embed(p)
         for _ in range(10):
             u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             z = np.concatenate([u.real, u.imag])
-            assert z @ e.F @ z == pytest.approx(
-                np.real(u.conj() @ e.Q1 @ u), rel=1e-12)
-            assert z @ e.K @ z == pytest.approx(
-                np.real(u.conj() @ e.R1 @ u), rel=1e-12)
-            assert phi_p_value(e, z) == pytest.approx(
+            w = u / d1      # u^H Q1 u = w^H Q w for Q1 = D1^-1 Q D1^-1
+            assert z @ F @ z == pytest.approx(
+                np.real(w.conj() @ p.stats.Q @ w), rel=1e-12)
+            assert z @ K @ z == pytest.approx(
+                np.real(w.conj() @ p.stats.R @ w), rel=1e-12)
+            assert phi_value(z, 8) == pytest.approx(
                 np.linalg.norm(u, ord=16) ** 2, rel=1e-12)
 
     @given(p_exp=st.sampled_from([1, 2, 8, 64, 1024]))
@@ -434,95 +434,85 @@ class TestPnormEmbedding:
 
 
 class TestPhiP:
-    def make(self, rng, n, p):
-        prob = rand_indiv_problem(rng, n)
-        return build_pnorm_embedding(prob, p)
-
     def test_p1_collapses(self, rng):
-        e = self.make(rng, 3, 1)
         z = rng.standard_normal(6)
-        val, g, H = phi_p_grad_hess(e, z)
+        val, g, H = _phi_grad_hess(z, 1)
         assert val == pytest.approx(z @ z, rel=1e-12)
         assert np.allclose(g, 2 * z)
         assert np.allclose(H, 2 * np.eye(6))
 
     @pytest.mark.parametrize("p", [2, 8, 64])
     def test_finite_difference_oracle(self, p, rng):
-        e = self.make(rng, 3, p)
         for _ in range(5):
             z = rng.standard_normal(6)
             z = z / np.linalg.norm(z)
-            val, g, H = phi_p_grad_hess(e, z)
-            fd_g = finite_diff(lambda zv: phi_p_value(e, zv), z, h=1e-6)
+            val, g, H = _phi_grad_hess(z, p)
+            fd_g = finite_diff(lambda zv: phi_value(zv, p), z, h=1e-6)
             assert np.allclose(g, fd_g, rtol=1e-5, atol=1e-7)
-            fd_H = finite_diff_second(lambda zv: phi_p_value(e, zv), z, h=1e-4)
+            fd_H = finite_diff_second(lambda zv: phi_value(zv, p), z, h=1e-4)
             assert np.allclose(H, fd_H, rtol=1e-4, atol=5e-3)
 
     @pytest.mark.parametrize("p", [1, 2, 8, 1024])
     def test_hessian_matches_outer_product_loop(self, p, rng):
         # the Hessian adds four entries per relay; the reference adds the
-        # whole outer product (J~_k z)(J~_k z)^T, in the same order
+        # whole outer product (J~_k z)(J~_k z)^T, in the same order.  The
+        # powers come from one array power, as in the Hessian: numpy's array
+        # and scalar powers can differ in the last bit, on about one slot in
+        # twenty, so a scalar power per relay matched only some draws of z
         n = 16
-        e = self.make(rng, n, p)
         z = rng.standard_normal(2 * n)
-        val, g, H = phi_p_grad_hess(e, z)
+        val, g, H = _phi_grad_hess(z, p)
         ratio = (z[:n] ** 2 + z[n:] ** 2) / val
         ref = np.zeros((2 * n, 2 * n))
         ref[np.arange(2 * n), np.arange(2 * n)] = 2.0 * np.tile(ratio ** (p - 1), 2)
         ref += ((1.0 - p) / val) * np.outer(g, g)
+        power = ratio ** (p - 2)
         for k in range(n if p >= 2 else 0):
             jz = np.zeros(2 * n)
             jz[[k, n + k]] = z[[k, n + k]]
-            ref += (4.0 * (p - 1) / val) * ratio[k] ** (p - 2) * np.outer(jz, jz)
+            ref += (4.0 * (p - 1) / val) * power[k] * np.outer(jz, jz)
         assert np.array_equal(H, ref)
 
     def test_one_hot_exact(self, rng):
         for p in (1, 2, 8, 1024):
-            e = self.make(rng, 4, p)
             u = np.zeros(4, dtype=complex)
             u[2] = 1.7 - 0.3j
             z = np.concatenate([u.real, u.imag])
-            assert phi_p_value(e, z) == pytest.approx(abs(u[2]) ** 2, rel=1e-12)
+            assert phi_value(z, p) == pytest.approx(abs(u[2]) ** 2, rel=1e-12)
 
     def test_zero_is_zero(self, rng):
         # the norm's value at z = 0, where it is not smooth
-        e = self.make(rng, 3, 4)
-        assert phi_p_value(e, np.zeros(6)) == 0.0
+        assert phi_value(np.zeros(6), 4) == 0.0
 
 
 class TestInitialMultiplier:
-    def test_zero_f(self, rng):
-        p = rand_indiv_problem(rng, 3)
-        e = build_pnorm_embedding(p, 2)
-        e.F = np.zeros((6, 6))
-        e.K = np.eye(6)
-        assert p1_solution(e)[0] == pytest.approx(1.0)
+    def test_zero_f(self):
+        assert _p1(np.zeros((6, 6)), np.eye(6))[0] == pytest.approx(1.0)
 
-    def test_identity_pair(self, rng):
-        p = rand_indiv_problem(rng, 3)
-        e = build_pnorm_embedding(p, 2)
-        e.F = np.eye(6)
-        e.K = np.eye(6)
-        assert p1_solution(e)[0] == pytest.approx(2.0)
+    def test_identity_pair(self):
+        assert _p1(np.eye(6), np.eye(6))[0] == pytest.approx(2.0)
 
     def test_fixture_positive(self):
-        e = build_pnorm_embedding(fixture_problem(4), 1024)
-        lam, z = p1_solution(e)
+        _, F, K = _embed(fixture_problem(4))
+        lam, z = _p1(F, K)
         assert lam > 0
         # z is the p = 1 minimizer: on the constraint, at the value lam
-        assert z @ e.K @ z == pytest.approx(1.0, rel=1e-12)
-        assert z @ (e.F + np.eye(8)) @ z == pytest.approx(lam, rel=1e-12)
+        assert z @ K @ z == pytest.approx(1.0, rel=1e-12)
+        assert z @ (F + np.eye(8)) @ z == pytest.approx(lam, rel=1e-12)
 
 
 class TestAugmentedLagrangian:
     def test_p1_matches_closed_form(self, rng):
         p = rand_indiv_problem(rng, 3)
-        e = build_pnorm_embedding(p, 1)
-        sol, trace, state = augmented_lagrangian_solve(p, 1)
-        # at p = 1 the constrained optimum value is the initial multiplier
-        z = state.z
-        achieved = z @ e.F @ z + phi_p_value(e, z)
-        assert achieved == pytest.approx(p1_solution(e)[0], rel=1e-6)
+        d1, F, K = _embed(p)
+        sol, _, _ = augmented_lagrangian_solve(p, 1)
+        # at p = 1 the constrained optimum value is the initial multiplier;
+        # z = [Re u; Im u] for u = D1 w, scaled onto the constraint z^T K z = 1
+        u = d1 * sol.w
+        z = np.concatenate([u.real, u.imag])
+        z /= np.sqrt(z @ K @ z)
+        achieved = z @ F @ z + phi_value(z, 1)
+        assert achieved == pytest.approx(_p1(F, K)[0], rel=1e-6)
 
     @pytest.mark.parametrize("n,key", [(4, "pnorm")])
     def test_fixture_objective(self, n, key):
@@ -532,10 +522,10 @@ class TestAugmentedLagrangian:
         rel = solve_relaxation(q)
         vals, vecs = np.linalg.eigh(rel.X)
         w0 = np.sqrt(vals[-1]) * vecs[:, -1]
-        sol, trace, state = augmented_lagrangian_solve(p, fixtures.PNORM_P, w0=w0)
+        sol, trace, more = augmented_lagrangian_solve(p, fixtures.PNORM_P, w0=w0)
         obj = qcqp_objective(q, sol.w)
         assert obj == pytest.approx(fixtures.INDIV_EXPECT[n][key], rel=2e-2)
-        assert abs(state.constraint_residual) <= 1e-8
+        assert abs(more["constraint_residual"]) <= 1e-8
         # solution is feasible with an active cap
         assert sol.feasibility.min() >= -1e-9
 
@@ -566,7 +556,7 @@ class TestAugmentedLagrangian:
                              Q=fixtures.indiv_fixture(4)[1], sigma2=1.0)
         p = IndivPowerProblem(stats=stats, Ps=1.0, P=np.full(4, 2.0))
         with pytest.raises(ModelError, match="R = 0"):
-            build_pnorm_embedding(p, 8)
+            augmented_lagrangian_solve(p, 8)
 
     def test_ascent_direction_stalls_the_line_search(self, monkeypatch):
         # a solve that returns the negated Newton direction makes every inner
@@ -578,7 +568,7 @@ class TestAugmentedLagrangian:
 
     def test_inner_descent_and_outer_residuals(self):
         p = fixture_problem(4)
-        sol, trace, state = augmented_lagrangian_solve(p, 64)
+        sol, trace, _ = augmented_lagrangian_solve(p, 64)
         inner_L = {}
         residuals = []
         for outer, inner, L, c, gnorm, alpha in trace.rows:
@@ -653,19 +643,19 @@ class TestLeanNewtonStep:
     def test_line_search_model_is_the_lagrangian(self, n, rng):
         # L(z) plus the change read off the step's scalars is L evaluated
         # afresh at z + a s, on the constraint z^T K z = 1 and off it
-        e = build_pnorm_embedding(rand_indiv_problem(rng, n), choose_p(n))
-        FK = np.concatenate([e.F, e.K])
+        _, F, K = _embed(rand_indiv_problem(rng, n))
+        p, FK = choose_p(n), np.concatenate([F, K])
         for _ in range(20):
             z = rng.standard_normal(2 * n)
-            z *= rng.uniform(0.5, 1.5) / np.sqrt(z @ e.K @ z)
+            z *= rng.uniform(0.5, 1.5) / np.sqrt(z @ K @ z)
             s = rng.uniform(0.01, 1.0) * rng.standard_normal(2 * n)
             lam = float(rng.uniform(-2.0, 2.0))
-            phi = phi_p_value(e, z)
-            L, change = _lagrangian(e, z, phi, lam)[0], _line(e, FK, z, s, phi, lam)
+            phi = phi_value(z, p)
+            L, change = _lagrangian(F, K, z, phi, lam)[0], _line(p, FK, z, s, phi, lam)
             for a in (1.0, 0.5, 2.0 ** -7, 1e-3):
                 zt = z + a * s
                 assert L + change(a) == pytest.approx(
-                    _lagrangian(e, zt, phi_p_value(e, zt), lam)[0], rel=1e-12)
+                    _lagrangian(F, K, zt, phi_value(zt, p), lam)[0], rel=1e-12)
 
     def test_indefinite_hessian_is_shifted(self, monkeypatch):
         # a start well inside the constraint, z^T K z = 1e-4: the penalty's

@@ -2,6 +2,8 @@
 and the package namespace holds the problem inputs and the error classes."""
 
 import functools
+import importlib
+import inspect
 
 import numpy as np
 import pytest
@@ -12,8 +14,7 @@ import relaybeam
 from relaybeam import fixtures, indiv_diag, indiv_qcqp, sdp, total_power
 from relaybeam.channel import ChannelStats, RicianParams, build_stats, powers, snr
 from relaybeam.errors import ConvergenceError, InputError, ModelError, RelayBeamError
-from relaybeam.indiv_search import (augmented_lagrangian_solve, build_pnorm_embedding,
-                                    coordinate_descent, phi_p_grad_hess)
+from relaybeam.indiv_search import augmented_lagrangian_solve, choose_p, coordinate_descent
 from relaybeam.linalg import check_vector, hermitian
 from relaybeam.oracle import brute_force_indiv, brute_force_total
 from relaybeam.problems import IndivPowerProblem, TotalPowerProblem
@@ -128,11 +129,11 @@ CASES = {
                   "w0 contains non-finite entries"),
     "al-p-zero": (lambda: augmented_lagrangian_solve(problem(), 0),
                   "p must be an integer >= 1, got 0"),
-    "pnorm-p": (lambda: build_pnorm_embedding(problem(), 0), "p must be an integer >= 1, got 0"),
-    "pnorm-p-fraction": (lambda: build_pnorm_embedding(problem(), 2.5),
+    "pnorm-p-fraction": (lambda: augmented_lagrangian_solve(problem(), 2.5),
                          "p must be an integer >= 1, got 2.5"),
-    "pnorm-p-bool": (lambda: build_pnorm_embedding(problem(), True),
+    "pnorm-p-bool": (lambda: augmented_lagrangian_solve(problem(), True),
                      "p must be an integer >= 1, got True"),
+    "choose-p-zero": (lambda: choose_p(0), "n must be an integer >= 1, got 0"),
     # a per-relay option given to the library is checked, not replaced
     "solve-p-zero": (lambda: indiv_qcqp.solve(problem(), "pnorm", {"p": 0}),
                      "p must be an integer >= 1, got 0"),
@@ -164,9 +165,6 @@ CASES = {
                       r"p must be an integer >= 1, got array\(\[4\]\)"),
     "solve-w0-str": (lambda: indiv_qcqp.solve(problem(), "cdm", {"w0": "abc"}),
                      "w0 must be a vector of numbers, got 'abc'"),
-    "pnorm-hessian-at-zero": (lambda: phi_p_grad_hess(build_pnorm_embedding(problem(), 8),
-                                                      np.zeros(4)),
-                              "not twice differentiable at z = 0"),
     "snr-ps-nan": (lambda: snr(problem().stats, np.nan, np.ones(2)),
                    "Ps must be a positive number, got nan"),
     "snr-ps-inf": (lambda: snr(problem().stats, np.inf, np.ones(2)),
@@ -298,8 +296,14 @@ CASES = {
                         "p must be an IndivPowerProblem, got a NoneType"),
     "relaxation-none": (lambda: sdp.solve_relaxation(None),
                         "q must be a QcqpInstance, got a NoneType"),
+    "certificate-q-none": (lambda: sdp.dual_certificate_residuals(None, None),
+                           "q must be a QcqpInstance, got a NoneType"),
+    "certificate-sol-none": (lambda: sdp.dual_certificate_residuals(fixture_qcqp(), None),
+                             "sol must be a SdpSolution, got a NoneType"),
     "oracle-grid-str": (lambda: brute_force_indiv(problem(), "x"),
-                        "g must be a GridSpec, got a str"),
+                        "radial_points must be an integer >= 1, got 'x'"),
+    "oracle-angular-zero": (lambda: brute_force_indiv(problem(), angular_points=0),
+                            "angular_points must be an integer >= 1, got 0"),
     "oracle-total-none": (lambda: brute_force_total(None),
                           "p must be a TotalPowerProblem, got a NoneType"),
     # ... at the lower-level entries too
@@ -355,12 +359,6 @@ CASES = {
                               "p must be a TotalPowerProblem, got a NoneType"),
     "as-beamforming-sol-none": (lambda: total_power.as_beamforming_solution(total_problem(), None),
                                 "sol must be a TotalPowerSolution, got a NoneType"),
-    "pnorm-prob-none": (lambda: build_pnorm_embedding(None, 4),
-                        "prob must be an IndivPowerProblem, got a NoneType"),
-    # the AL builds its own embedding: one in the problem's place is refused
-    "al-embedding-as-problem": (lambda: augmented_lagrangian_solve(
-                                    build_pnorm_embedding(problem(), 8), 8),
-                                "prob must be an IndivPowerProblem, got a PnormEmbedding"),
     "al-prob-none": (lambda: augmented_lagrangian_solve(None, 8),
                      "prob must be an IndivPowerProblem, got a NoneType"),
 }
@@ -370,6 +368,45 @@ CASES = {
 def test_input_check_names_the_field(call, named):
     with pytest.raises(InputError, match=named):
         call()
+
+
+# the modules whose public functions make up the library's API
+API_MODULES = ("channel", "total_power", "sdp", "indiv_qcqp", "indiv_search", "indiv_diag",
+               "oracle")
+NONE_EXEMPT = {
+    # bench/selftest.py's check that a failing benchmark probe is counted
+    # calls coordinate_descent(None, None) and pins its AttributeError
+    # (ROADMAP item 7)
+    "indiv_search.coordinate_descent",
+    # every caller passes an X that it checked with linalg.hermitian or built
+    # itself; a check here would add an O(n^2) pass to every relaxation
+    "sdp.range_eigh",
+}
+
+
+def public_functions():
+    for short in API_MODULES:
+        mod = importlib.import_module(f"relaybeam.{short}")
+        for name, fn in vars(mod).items():
+            if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == mod.__name__:
+                yield f"{short}.{name}", fn
+
+
+def test_public_function_refuses_none():
+    # each public function, given None for every argument without a default,
+    # raises InputError: no malformed input escapes as a bare Python error
+    seen = set()
+    for name, fn in public_functions():
+        seen.add(name)
+        if name in NONE_EXEMPT:
+            continue
+        required = [q.name for q in inspect.signature(fn).parameters.values()
+                    if q.default is q.empty and q.kind not in (q.VAR_POSITIONAL, q.VAR_KEYWORD)]
+        with pytest.raises(InputError):
+            fn(**dict.fromkeys(required))
+    assert NONE_EXEMPT <= seen
+    assert {"indiv_search.coordinate_descent", "indiv_search.augmented_lagrangian_solve",
+            "indiv_search.choose_p"} == {n for n in seen if n.startswith("indiv_search.")}
 
 
 def test_package_namespace():
@@ -447,11 +484,13 @@ ENTRIES = {
     "coordinate_descent": (coordinate_descent,
                            lambda: {"p": diagonal_problem(), "w0": [1, 1], "eps": 1e-3},
                            ("w0", "eps")),
-    "build_pnorm_embedding": (build_pnorm_embedding, lambda: {"prob": problem(), "p": 4},
-                              ("prob", "p")),
+    "choose_p": (choose_p, lambda: {"n": 4}, ("n",)),
     "augmented_lagrangian_solve": (augmented_lagrangian_solve,
                                    lambda: {"prob": problem(), "p": 4, "w0": [1, 1j]},
                                    ("prob", "p", "w0")),
+    "brute_force_indiv": (brute_force_indiv,
+                          lambda: {"p": problem(), "radial_points": 3, "angular_points": 2},
+                          ("p", "radial_points", "angular_points")),
     "brute_force_total": (brute_force_total, lambda: {"p": total_problem(), "points": 10},
                           ("p", "points")),
     "rescale_to_original": (indiv_qcqp.rescale_to_original,

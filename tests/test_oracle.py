@@ -3,7 +3,7 @@ import pytest
 
 from relaybeam.errors import InputError
 from relaybeam.indiv_diag import solve_diagonal
-from relaybeam.oracle import GridSpec, brute_force_indiv, brute_force_total
+from relaybeam.oracle import brute_force_indiv, brute_force_total
 from relaybeam.total_power import solve as total_solve
 from conftest import (finite_diff, identical_relays_problem, matrix_built, rand_indiv_problem,
                       rand_total_problem, weak_rician_problem)
@@ -12,7 +12,7 @@ from conftest import (finite_diff, identical_relays_problem, matrix_built, rand_
 class TestBruteForceIndiv:
     def test_single_relay_full_power(self, rng):
         p = rand_indiv_problem(rng, 1)
-        w, val = brute_force_indiv(p, GridSpec(radial_points=50, angular_points=8))
+        w, val = brute_force_indiv(p, radial_points=50, angular_points=8)
         beta = p.caps()[0]
         assert abs(w[0]) == pytest.approx(beta, rel=1e-9)
 
@@ -20,20 +20,18 @@ class TestBruteForceIndiv:
         for _ in range(5):
             p = rand_indiv_problem(rng, 2, diagonal=True)
             ref = solve_diagonal(p)
-            _, val = brute_force_indiv(p, GridSpec(radial_points=30,
-                                                   angular_points=12))
+            _, val = brute_force_indiv(p, radial_points=30, angular_points=12)
             assert val == pytest.approx(ref.snr, rel=1e-3)
 
     def test_feasible_output(self, rng):
         p = rand_indiv_problem(rng, 3)
-        w, val = brute_force_indiv(p, GridSpec(radial_points=12,
-                                               angular_points=8))
+        w, val = brute_force_indiv(p, radial_points=12, angular_points=8)
         assert p.slacks(w).min() >= -1e-9
 
     def test_budget_guard(self, rng):
         p = rand_indiv_problem(rng, 3)
         with pytest.raises(InputError, match="coarser"):
-            brute_force_indiv(p, GridSpec(radial_points=600, angular_points=720))
+            brute_force_indiv(p, radial_points=600, angular_points=720)
 
     def test_scope_error(self, rng):
         p = rand_indiv_problem(rng, 4)
@@ -55,9 +53,8 @@ class TestSdpRouteEquivalence:
             if w is None:
                 w = rank_one_decompose(sol.X, q)
             got = rescale_to_original(w, q, p)
-            grid = GridSpec(radial_points=40, angular_points=32) if n == 2 \
-                else GridSpec(radial_points=24, angular_points=18)
-            _, val = brute_force_indiv(p, grid)
+            grid = (40, 32) if n == 2 else (24, 18)     # radial and angular points
+            _, val = brute_force_indiv(p, *grid)
             assert got.snr == pytest.approx(val, rel=2e-3)
             checked += 1
         assert checked == 6
