@@ -37,7 +37,7 @@ import numpy as np
 from . import fixtures, indiv_qcqp, oracle, sdp, total_power
 from .channel import ChannelStats, RicianParams, build_stats
 from .errors import ConvergenceError, InputError, RelayBeamError
-from .linalg import SCALAR_KINDS, check_scalar, hermitian
+from .linalg import SCALAR_KINDS, check_scalar, check_type, hermitian
 from .problems import IndivPowerProblem, TotalPowerProblem
 # unused here: bench/selftest.py checks that its tracer rebinds this copy
 from .sdp import solve_relaxation  # noqa: F401
@@ -126,7 +126,7 @@ class Report:
 def run(s: Scenario, trace: bool = False) -> Report:
     """Solve a scenario and package a report.  Every setting comes from the
     scenario; with ``trace`` the report holds the iteration table."""
-    prob = s.problem
+    prob = check_type(s, Scenario, name="s").problem
     meta: dict = {"seed": s.seed}
     if s.mode == "total":
         sol = total_power.solve(prob)
@@ -187,8 +187,7 @@ def _reproduce_total(case: int, reports: dict):
                        f"P0={fixtures.TOTAL_ASSUMED_P0} for the quoted SNR level")
     stats = build_stats(params, fixtures.TOTAL_ASSUMED_SIGMA2)
     prob = TotalPowerProblem(stats=stats, P0=fixtures.TOTAL_ASSUMED_P0)
-    s = total_power.build_s_pair(prob)
-    xl, xu = total_power.bracket_x(s)
+    xl, xu = total_power.bracket_x(total_power.build_s_pair(prob))
     name = f"total-{case}"
     rows = [(name, "x_l", exp["bracket"][0], xl, tol, abs(xl - exp["bracket"][0]) <= tol),
             (name, "x_u", exp["bracket"][1], xu, tol, abs(xu - exp["bracket"][1]) <= tol)]
@@ -196,7 +195,7 @@ def _reproduce_total(case: int, reports: dict):
               "P0_over_sigma2": fixtures.TOTAL_ASSUMED_P0 / fixtures.TOTAL_ASSUMED_SIGMA2,
               "bracket": [xl, xu]}
     for key, x0 in (("from_xl", xl), ("from_xu", xu)):
-        sol = total_power.newton_solve(prob, x0, s=s)
+        sol = total_power.newton_solve(prob, x0)
         ex, el = exp[key]
         rows.append((name, f"{key}.x", ex, sol.x, tol, abs(sol.x - ex) <= tol))
         rows.append((name, f"{key}.lambda_min", el, sol.lambda_min, tol,
@@ -215,7 +214,7 @@ def _reproduce_indiv(n: int, reports: dict, seed: int):
     R, Q = fixtures.indiv_fixture(n)
     stats = ChannelStats(D=np.ones(n), R=R, Q=Q, sigma2=1.0)
     prob = IndivPowerProblem(stats=stats, Ps=1.0, P=np.full(n, 2.0))
-    q, sdp_sol, _ = relaxation = indiv_qcqp.solve_via_sdp(prob)
+    q, sdp_sol, _ = indiv_qcqp.solve_via_sdp(prob)
     name = f"indiv-n{n}"
     rows = []
 
@@ -224,7 +223,7 @@ def _reproduce_indiv(n: int, reports: dict, seed: int):
 
     def objective(solver, options):
         """The QCQP value of the answer of ``solve``'s route, which no rescaling moves."""
-        sol, _, _ = indiv_qcqp.solve(prob, solver, options, seed, relaxation)
+        sol, _, _ = indiv_qcqp.solve(prob, solver, options, seed, sdp_sol)
         return indiv_qcqp.qcqp_objective(q, sol.w)
 
     rel("sdp_objective", exp["sdp"], sdp_sol.primal_obj)
@@ -344,7 +343,7 @@ def _read_json(path: str) -> dict:
     """The JSON object in the scenario file at ``path``.  A file that cannot
     be read, or holds no JSON object, is an InputError that names ``path``."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(check_type(path, (str, os.PathLike), name="path"), encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read scenario file {path}: {exc.strerror}") from None
@@ -381,7 +380,7 @@ def _write_new(out_dir: str, prefix: str, suffix: str, text: str) -> str:
 def _make_dir(path: str):
     """Create the output directory ``path`` unless it exists, else an InputError naming it."""
     try:
-        os.makedirs(path, exist_ok=True)
+        os.makedirs(check_type(path, (str, os.PathLike), name="out_dir"), exist_ok=True)
     except OSError as exc:
         raise InputError(f"cannot use {path} as an output directory: {exc.strerror}") from None
 

@@ -65,38 +65,40 @@ def rescale_to_original(w_qcqp, q: QcqpInstance, p: IndivPowerProblem) -> Beamfo
     return p.solution(w / np.sqrt(eta))
 
 
-def _check_poses(q: QcqpInstance, p: IndivPowerProblem, name: str):
-    """An InputError unless q is a QcqpInstance of p's (R, Q, c): its points hold p's caps."""
+def _check_poses(q: QcqpInstance, p: IndivPowerProblem, name: str) -> QcqpInstance:
+    """q if it is a QcqpInstance of p's (R, Q, c): its points hold p's caps; else an InputError."""
     check_type(q, QcqpInstance, name=name)
     if not (np.array_equal(q.R, p.stats.R) and np.array_equal(q.Q, p.stats.Q)
             and np.array_equal(q.c, p.c)):
         raise InputError(f"{name} does not pose p: its (R, Q, c) is not p's")
+    return q
 
 
 def solve_via_sdp(p: IndivPowerProblem):
-    """Solve the relaxation; return (qcqp_instance, sdp_solution, w or None).
+    """Solve p's relaxation; return (qcqp_instance, sdp_solution, w or None),
+    where w is ``_rank_one(sdp_solution)``."""
+    sol = solve_relaxation(build_qcqp(p))
+    return sol.q, sol, _rank_one(sol)
 
-    w is populated only when the relaxation comes back (numerically)
-    rank one, in which case its factor w (X = w w^H) is already optimal for
-    the QCQP: the exit's, else sqrt(lambda_max) times X's top eigenvector.
-    """
-    q = build_qcqp(p)
-    sol = solve_relaxation(q)
-    w = None
+
+def _rank_one(sol: SdpSolution):
+    """The factor w of a (numerically) rank-one X = w w^H, optimal for the QCQP: the exit's,
+    else sqrt(lambda_max) times X's top eigenvector; None above rank one."""
     if sol.rank_estimate == 1:
-        w = _top_factor(*range_eigh(sol.X)) if sol.factor is None else sol.factor[:, 0]
-    return q, sol, w
+        return _top_factor(*range_eigh(sol.X)) if sol.factor is None else sol.factor[:, 0]
+    return None
 
 
 def solve(p: IndivPowerProblem, solver: str = "auto", options: dict | None = None,
-          seed: int = 0, relaxation=None):
+          seed: int = 0, relaxation: SdpSolution | None = None):
     """Run the route ``solver`` of ``ROUTES`` with solver ``options`` keyed by
     ``OPTIONS`` (a None value is absent); returns ``(solution, metadata, trace
     or None)``.  ``auto`` is ``indiv-diag`` for diagonal statistics, else
     ``sdp``: the relaxation's rank-one point, else its rank-one decomposition
     (n <= 3), else the ``fallback`` search (``cdm`` or ``pnorm``) from X's top
-    factor.  ``sdp`` and ``grp`` solve the relaxation unless given
-    ``solve_via_sdp(p)``'s triple."""
+    factor.  ``sdp`` and ``grp`` solve p's relaxation unless given it as
+    ``relaxation``, an ``SdpSolution`` whose ``q`` poses p (such as
+    ``solve_via_sdp(p)[1]``); its w is read as from a relaxation solved here."""
     if not (isinstance(solver, str) and solver in ROUTES):
         raise InputError(f"unknown per-relay solver {solver!r}; choose one of {ROUTES}")
     options = {} if options is None else options
@@ -126,13 +128,12 @@ def solve(p: IndivPowerProblem, solver: str = "auto", options: dict | None = Non
         return indiv_diag.solve_diagonal(p), meta, None
     start = options.get("w0")
     if solver in ("sdp", "grp"):
-        if not (relaxation is None or isinstance(relaxation, tuple) and len(relaxation) == 3):
-            raise InputError("relaxation must be solve_via_sdp(p)'s triple (q, sdp_solution, w)")
-        q, sdp_sol, w = solve_via_sdp(p) if relaxation is None else relaxation
-        _check_poses(q, p, "the relaxation's q")
-        hermitian(check_type(sdp_sol, SdpSolution, name="the relaxation's sdp_solution").X,
-                  name="the relaxation's X", n=p.n)
-        w = None if w is None else check_vector(w, name="the relaxation's w", n=p.n)
+        if relaxation is None:
+            q, sdp_sol, w = solve_via_sdp(p)
+        else:
+            sdp_sol = check_type(relaxation, SdpSolution, name="relaxation")
+            hermitian(sdp_sol.X, name="the relaxation's X", n=p.n)
+            q, w = _check_poses(sdp_sol.q, p, "the relaxation's q"), _rank_one(sdp_sol)
         meta.update(sdp_obj=sdp_sol.primal_obj, sdp_gap=sdp_sol.gap,
                     dual_y=sdp_sol.dual_y.tolist(),
                     rank_estimate=sdp_sol.rank_estimate, iterations=sdp_sol.iterations)

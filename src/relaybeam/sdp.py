@@ -113,6 +113,7 @@ class SdpProblem(QcqpInstance):
 
 @dataclass
 class SdpSolution:
+    q: QcqpInstance          # the instance it solves
     X: np.ndarray
     dual_y: np.ndarray
     primal_obj: float        # Tr(R X), the maximization-form objective
@@ -170,7 +171,7 @@ def solve_relaxation(q: QcqpInstance) -> SdpSolution:
     try:
         X = (0.5 / (np.trace(Q).real + c.max())) * np.eye(n, dtype=complex)
         if not R.any():     # every X has value 0 and y = 0 is dual feasible: both optimal
-            return SdpSolution(X=X, dual_y=np.zeros(n), primal_obj=0.0, dual_obj=0.0, gap=0.0,
+            return SdpSolution(q=q, X=X, dual_y=np.zeros(n), primal_obj=0.0, dual_obj=0.0, gap=0.0,
                                rank_estimate=range_eigh(X)[0].size, iterations=0)
         s = 1.0 - tr(X)
         cc = np.outer(c, c)
@@ -227,7 +228,7 @@ def solve_relaxation(q: QcqpInstance) -> SdpSolution:
         # a step overflowed, or a Cholesky factor, its inverse or an eigvalsh broke down
         raise ConvergenceError(f"interior point broke down at iteration {it}: {err}") from None
 
-    return SdpSolution(X=X, dual_y=y, primal_obj=float(primal), dual_obj=dual,
+    return SdpSolution(q=q, X=X, dual_y=y, primal_obj=float(primal), dual_obj=dual,
                        gap=float(dual - primal), rank_estimate=range_eigh(X)[0].size,
                        iterations=it)
 
@@ -306,7 +307,7 @@ def _kkt_exit(q: QcqpInstance, X, y, s, it):
         # the caps V exceeds outside A join it, and the exit starts again from X
         out = (vals > 1.0) & ~(y > s)
         return _kkt_exit(q, X, y, np.where(out, -np.inf, s), it) if out.any() else None
-    return SdpSolution(X=(V[:, None] * V.conj()).sum(axis=2), dual_y=yk, primal_obj=primal,
+    return SdpSolution(q=q, X=(V[:, None] * V.conj()).sum(axis=2), dual_y=yk, primal_obj=primal,
                        dual_obj=float(bound), gap=float(bound - primal), rank_estimate=r,
                        iterations=it, factor=V)
 

@@ -138,7 +138,7 @@ def _dense_pair(p: TotalPowerProblem) -> SPair:
     return SPair(lam=lam, Rt=Rt, basis=T)
 
 
-def bracket_x(s: SPair) -> tuple[float, float]:
+def bracket_x(s: SPair | RicianPair) -> tuple[float, float]:
     """Bracket [x_l, x_u] containing every optimal x.
 
     x_l = sqrt(c)/(1+sqrt(c)) and x_u = sqrt(d)/(1+sqrt(d)) where c, d are
@@ -351,9 +351,9 @@ def solve_diagonal(p: TotalPowerProblem) -> TotalPowerSolution:
     return _package(p, x, lam, e, 0, trace)
 
 
-def newton_solve(p: TotalPowerProblem, x0: float,
-                 s: SPair | RicianPair | None = None) -> TotalPowerSolution:
-    """Bracketed Newton-type search for a stationary x starting from x0.
+def newton_solve(p: TotalPowerProblem, x0: float) -> TotalPowerSolution:
+    """Bracketed Newton-type search for a stationary x starting from x0, on
+    the pair ``build_s_pair(p)`` builds.
 
     Every step goes where ``_target`` says: to the minimizer of a term
     a/(1-x) + b/x, fitted to (d1, d2) where the gap and d2 can be trusted and
@@ -365,14 +365,12 @@ def newton_solve(p: TotalPowerProblem, x0: float,
     pair cannot certify, the run goes on on the dense pair and notes that x.
     """
     p = check_type(p, TotalPowerProblem, name="p")
-    return _package(p, *_run(p, check_scalar(x0, name="x0"), s)[0])
+    return _package(p, *_run(p, check_scalar(x0, name="x0"), build_s_pair(p)))
 
 
-def _run(p, x0, s=None, meet=None):
-    """newton_solve's run, unpackaged, and whether a target within STEP_TOL of another
-    run's x ``meet`` stopped it: ((x, lambda_min, direction, steps, trace), met)."""
-    if s is None:
-        s = build_s_pair(p)
+def _run(p, x0, s, meet=None):
+    """newton_solve's run on p's pair s, unpackaged: (x, lambda_min, direction, steps,
+    trace), or None where a target lands within STEP_TOL of another run's x ``meet``."""
     xl, xu = bracket_x(s)
     if not xl <= x0 <= xu:
         raise InputError(f"x0={x0} outside bracket [{xl:.6f}, {xu:.6f}]")
@@ -386,14 +384,14 @@ def _run(p, x0, s=None, meet=None):
             out = lambda_min_g(s, x)
         lam, d1, d2, w_dir, gap = out
         if converged:
-            return (x, lam, w_dir, k, trace), False
+            return x, lam, w_dir, k, trace
         if k == MAX_ITER:
             raise ConvergenceError(f"Newton did not meet the stopping test in {k} iterations")
         x_new = _target(x, lam, d1, d2, gap, xl, xu)
         if not 0.0 < x_new < 1.0:
             raise ConvergenceError(f"Newton broke down at iteration {k}: x={x} has target {x_new}")
         if meet is not None and abs((x_new - meet) / meet) < STEP_TOL:
-            return (x, lam, w_dir, k, trace), True
+            return None
         trace.append(k, x, lam, d1, d2, x_new - x)
         converged = abs((x_new - x) / x) < STEP_TOL
         x = x_new
@@ -411,9 +409,9 @@ def solve(p: TotalPowerProblem) -> TotalPowerSolution:
         return solve_diagonal(p)
     s = build_s_pair(p)
     xl, xu = bracket_x(s)
-    run_l, _ = _run(p, xl, s)
-    run_u, met = _run(p, xu, s, meet=run_l[0])
-    return _package(p, *(run_u if not met and run_u[1] < run_l[1] else run_l))
+    run_l = _run(p, xl, s)
+    run_u = _run(p, xu, s, meet=run_l[0])
+    return _package(p, *(run_u if run_u is not None and run_u[1] < run_l[1] else run_l))
 
 
 def _target(x, lam, d1, d2, gap, xl, xu):

@@ -210,7 +210,8 @@ def stacked_relaxation(R, A):
         raise ConvergenceError(f"reference IPM did not converge in {MAX_ITER} iterations")
     X = symmetrize(X)
     primal = float(np.trace(R @ X).real)
-    return SdpSolution(X=X, dual_y=np.maximum(y, 0.0), primal_obj=primal,
+    # q: the reference solves a stack of any N matrices, not a QcqpInstance
+    return SdpSolution(q=None, X=X, dual_y=np.maximum(y, 0.0), primal_obj=primal,
                        dual_obj=float(y.sum()), gap=float(y.sum()) - primal,
                        rank_estimate=range_eigh(X)[0].size, iterations=it)
 
@@ -276,7 +277,7 @@ def stacked_kkt_exit(R, A, X, y, s, it):
     if not bound - primal <= GAP_TOL * bound:
         out = (vals > 1.0) & ~(y > s)     # the exceeded caps outside A join it
         return stacked_kkt_exit(R, A, X, y, np.where(out, -np.inf, s), it) if out.any() else None
-    return SdpSolution(X=V @ V.conj().T, dual_y=yk, primal_obj=primal,
+    return SdpSolution(q=None, X=V @ V.conj().T, dual_y=yk, primal_obj=primal,
                        dual_obj=float(bound), gap=float(bound - primal), rank_estimate=r,
                        iterations=it, factor=V)
 

@@ -13,7 +13,10 @@ a test fails).  Python 3.10 and 3.11 (no ``sys.monitoring``):
 ``--workloads`` instead loads each benchmark workload of ``bench/workloads.py``
 once (seed 1), runs every op of its pool once under the same tracer and
 prints "workload line reach: X of Y": the lines that users' calls reach, a
-report that never fails on the count.  It edits nothing under ``bench/``:
+report that never fails on the count.  Then, one line per module, most
+first, it prints "workload unreached: <module> <count>: <line numbers>",
+the function-body lines that no workload reaches.  It edits nothing under
+``bench/``:
 
     PYTHONPATH=src python tests/line_reach.py --workloads
 """
@@ -94,6 +97,12 @@ if __name__ == "__main__":
         raised = traced(run_workloads)
         missed, total = unreached()
         print(f"workload line reach: {total - len(missed)} of {total}")
+        by_module = {}
+        for m in missed:
+            module, line = m.split(":")
+            by_module.setdefault(module, []).append(int(line))
+        for module, lines in sorted(by_module.items(), key=lambda item: (-len(item[1]), item[0])):
+            print(f"workload unreached: {module} {len(lines)}: {' '.join(map(str, sorted(lines)))}")
         for r in raised:
             print(f"raised: {r}")
         sys.exit(0)

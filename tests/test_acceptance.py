@@ -153,7 +153,7 @@ def test_criterion_5_diagonal_cross_checks():
         s = total_power.build_s_pair(tp)
         ref = total_power.solve_diagonal(tp)
         xl, xu = total_power.bracket_x(s)
-        runs = [total_power.newton_solve(tp, x0, s=s) for x0 in (xl, xu)]
+        runs = [total_power.newton_solve(tp, x0) for x0 in (xl, xu)]
         best = max(runs, key=lambda r: r.snr)
         if abs(best.x - ref.x) > 1e-6:
             newton_bad += 1

@@ -238,8 +238,9 @@ class TestSolve:
         p = fixture_problem(4)
         options = {"samples": 100}
         sol, meta, _ = indiv_qcqp.solve(p, solver, options)
-        relaxation = solve_via_sdp(p)
+        relaxation = solve_via_sdp(p)[1]
         monkeypatch.setattr(indiv_qcqp, "solve_via_sdp", None)
+        monkeypatch.setattr(indiv_qcqp, "solve_relaxation", None)
         again, meta_again, _ = indiv_qcqp.solve(p, solver, options, relaxation=relaxation)
         assert np.array_equal(sol.w, again.w)
         assert meta == meta_again
@@ -262,7 +263,7 @@ class TestSolve:
                                   Ps=1.0, P=np.ones(3))
         else:
             p = fixture_problem(4)
-        relaxation = solve_via_sdp(p) if route in ("auto", "sdp", "grp") else None
+        relaxation = solve_via_sdp(p)[1] if route in ("auto", "sdp", "grp") else None
         sol, meta, trace = indiv_qcqp.solve(p, route, {key: None}, 0, relaxation)
         ref, meta_ref, trace_ref = indiv_qcqp.solve(p, route, {}, 0, relaxation)
         assert np.array_equal(sol.w, ref.w) and meta == meta_ref
@@ -273,7 +274,7 @@ class TestSolve:
         # another problem's relaxation, rescaled to p, can break p's caps
         p1, p2 = rand_indiv_problem(rng, 4), rand_indiv_problem(rng, 4)
         with pytest.raises(InputError, match="the relaxation's q does not pose p"):
-            indiv_qcqp.solve(p2, solver, None, 0, solve_via_sdp(p1))
+            indiv_qcqp.solve(p2, solver, None, 0, solve_via_sdp(p1)[1])
 
     @pytest.mark.parametrize("solver", ["bogus", "total-newton", "SDP"])
     def test_unknown_route_rejected(self, solver):
@@ -677,10 +678,10 @@ class TestGrp:
             grp_extract(X, q, 100, 14)
         stats = ChannelStats(D=np.ones(4), R=q.R, Q=q.Q, sigma2=1.0)
         p = IndivPowerProblem(stats=stats, Ps=1.0, P=np.full(4, 2e9))
-        sol = SdpSolution(X=X, dual_y=np.zeros(4), primal_obj=0.0, dual_obj=0.0, gap=0.0,
-                          rank_estimate=2, iterations=0)
+        sol = SdpSolution(q=build_qcqp(p), X=X, dual_y=np.zeros(4), primal_obj=0.0, dual_obj=0.0,
+                          gap=0.0, rank_estimate=2, iterations=0)
         with pytest.raises(ConvergenceError):
-            indiv_qcqp.solve(p, "grp", {"samples": 100}, 14, (build_qcqp(p), sol, None))
+            indiv_qcqp.solve(p, "grp", {"samples": 100}, 14, sol)
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_band_leaves_few_draws_to_the_feature_kernel(self, n, monkeypatch):

@@ -1,9 +1,11 @@
 """Every input check of the library raises InputError naming the field,
 and the package namespace holds the problem inputs and the error classes."""
 
+import dataclasses
 import functools
 import importlib
 import inspect
+import os
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relaybeam
-from relaybeam import fixtures, indiv_diag, indiv_qcqp, sdp, total_power
+from relaybeam import cli, fixtures, indiv_diag, indiv_qcqp, sdp, total_power
 from relaybeam.channel import ChannelStats, RicianParams, build_stats, powers, snr
 from relaybeam.errors import ConvergenceError, InputError, ModelError, RelayBeamError
 from relaybeam.indiv_search import augmented_lagrangian_solve, choose_p, coordinate_descent
@@ -321,26 +323,20 @@ CASES = {
                        "q must be a QcqpInstance, got a NoneType"),
     "solve-relaxation-q-none": (lambda: indiv_qcqp.solve(
                                     problem(), "sdp", None, 0,
-                                    (None, *indiv_qcqp.solve_via_sdp(problem())[1:])),
+                                    dataclasses.replace(indiv_qcqp.solve_via_sdp(problem())[1],
+                                                        q=None)),
                                 "the relaxation's q must be a QcqpInstance, got a NoneType"),
-    # solve's relaxation is solve_via_sdp(p)'s triple (q, sdp_solution, w), checked whole
+    # solve's relaxation is one SdpSolution, which carries its own q
     "solve-relaxation-pair": (lambda: indiv_qcqp.solve(
                                   problem(), "sdp", None, 0, indiv_qcqp.solve_via_sdp(problem())[:2]),
-                              r"relaxation must be solve_via_sdp\(p\)'s triple"),
-    "solve-grp-relaxation-solution-none": (lambda: indiv_qcqp.solve(
-                                               problem(), "grp", {"samples": 10}, 0,
-                                               (indiv_qcqp.build_qcqp(problem()), None, None)),
-                                           "the relaxation's sdp_solution must be a SdpSolution, "
-                                           "got a NoneType"),
+                              "relaxation must be a SdpSolution, got a tuple"),
+    "solve-grp-relaxation-qcqp": (lambda: indiv_qcqp.solve(
+                                      problem(), "grp", {"samples": 10}, 0,
+                                      indiv_qcqp.build_qcqp(problem())),
+                                  "relaxation must be a SdpSolution, got a QcqpInstance"),
     "solve-relaxation-x-size": (lambda: indiv_qcqp.solve(
-                                    problem(), "sdp", None, 0,
-                                    (indiv_qcqp.build_qcqp(problem()),
-                                     indiv_qcqp.solve_via_sdp(problem(3))[1], None)),
+                                    problem(), "sdp", None, 0, indiv_qcqp.solve_via_sdp(problem(3))[1]),
                                 "the relaxation's X must be 2 x 2, got shape"),
-    "solve-relaxation-w-length": (lambda: indiv_qcqp.solve(
-                                      problem(), "sdp", None, 0,
-                                      (*indiv_qcqp.solve_via_sdp(problem())[:2], np.ones(3))),
-                                  "the relaxation's w has length 3, expected 2"),
     "rescale-p-none": (lambda: indiv_qcqp.rescale_to_original(
                            [1, 1], indiv_qcqp.build_qcqp(problem()), None),
                        "p must be an IndivPowerProblem, got a NoneType"),
@@ -361,7 +357,20 @@ CASES = {
                                 "sol must be a TotalPowerSolution, got a NoneType"),
     "al-prob-none": (lambda: augmented_lagrangian_solve(None, 8),
                      "prob must be an IndivPowerProblem, got a NoneType"),
+    # the CLI's Python entry points: open(0) would read the scenario from stdin and close fd 0
+    "cli-path-int": (lambda: parse_fd_0(), "path must be a str or a PathLike, got a int"),
+    "cli-out-dir-int": (lambda: cli.reproduce("total-1", out_dir=3),
+                        "out_dir must be a str or a PathLike, got a int"),
+    "cli-run-none": (lambda: cli.run(None), "s must be a Scenario, got a NoneType"),
 }
+
+
+def parse_fd_0():
+    """cli.parse_scenario(0), then a check that fd 0 is still open (os.fstat raises if not)."""
+    try:
+        cli.parse_scenario(0)
+    finally:
+        os.fstat(0)
 
 
 @pytest.mark.parametrize("call,named", CASES.values(), ids=CASES.keys())
@@ -372,8 +381,11 @@ def test_input_check_names_the_field(call, named):
 
 # the modules whose public functions make up the library's API
 API_MODULES = ("channel", "total_power", "sdp", "indiv_qcqp", "indiv_search", "indiv_diag",
-               "oracle")
+               "oracle", "cli")
 NONE_EXEMPT = {
+    # it has no required argument, and called with none it parses sys.argv
+    # (here pytest's own command line)
+    "cli.main",
     # bench/selftest.py's check that a failing benchmark probe is counted
     # calls coordinate_descent(None, None) and pins its AttributeError
     # (ROADMAP item 7)

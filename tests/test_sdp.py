@@ -299,7 +299,7 @@ class TestCertificateResiduals:
     def test_scaled_x_reports_violation(self, rng):
         q = random_problem(rng, 4)
         sol = solve_relaxation(q)
-        bad = type(sol)(X=2.0 * sol.X, dual_y=sol.dual_y,
+        bad = type(sol)(q=q, X=2.0 * sol.X, dual_y=sol.dual_y,
                         primal_obj=sol.primal_obj, dual_obj=sol.dual_obj,
                         gap=sol.gap, rank_estimate=sol.rank_estimate,
                         iterations=sol.iterations)
@@ -309,7 +309,7 @@ class TestCertificateResiduals:
     def test_zero_dual_reports_dual_infeasibility(self, rng):
         q = random_problem(rng, 3)
         sol = solve_relaxation(q)
-        bad = type(sol)(X=sol.X, dual_y=np.zeros(q.n),
+        bad = type(sol)(q=q, X=sol.X, dual_y=np.zeros(q.n),
                         primal_obj=sol.primal_obj, dual_obj=0.0, gap=0.0,
                         rank_estimate=sol.rank_estimate, iterations=sol.iterations)
         rep = dual_certificate_residuals(q, bad)
@@ -395,6 +395,7 @@ class TestKktExit:
         sol = solve_relaxation(q)
         ref = without_exit(q)
         assert seen[-1] is sol and sol.rank_estimate == ref.rank_estimate == 1
+        assert sol.q is ref.q is q      # the exit's return and the gap stop's
         assert sol.factor.shape == (n, 1)
         assert sol.iterations < ref.iterations
         assert sol.primal_obj == pytest.approx(ref.primal_obj, rel=1e-8)
@@ -543,7 +544,7 @@ class TestKktExit:
         X0 = (0.5 / (np.trace(q.Q).real + q.c.max())) * np.eye(n)
         assert np.array_equal(sol.X, X0) and not sol.dual_y.any() and not seen
         assert (sol.primal_obj, sol.dual_obj, sol.gap, sol.iterations) == (0.0, 0.0, 0.0, 0)
-        assert sol.rank_estimate == n and sol.factor is None
+        assert sol.rank_estimate == n and sol.factor is None and sol.q is q
         assert_certified(q, sol)
         # at an R = 0 iterate every multiplier is small and no cap is active;
         # a 1 x 1 X is rank one, so at n = 1 the exit tries its bordered
@@ -563,13 +564,12 @@ class TestKktExit:
         q = build_qcqp(p)
         ref = without_exit(q)
         assume(ref.rank_estimate == 1)
-        relaxation = solve_via_sdp(p)
-        sol = relaxation[1]
+        sol = solve_via_sdp(p)[1]
         assert sol.iterations < ref.iterations     # the exit was taken
         assert q.traces(sol.X).max() <= 1.0 + 1e-12
         assert_certified(q, sol)
         for route, options in (("sdp", {}), ("cdm", {}), ("grp", {"samples": 64})):
-            w = indiv_qcqp.solve(p, route, options, seed, relaxation)[0].w
+            w = indiv_qcqp.solve(p, route, options, seed, sol)[0].w
             assert qcqp_objective(q, w) <= sol.dual_obj * (1 + 1e-12)
 
 

@@ -85,7 +85,7 @@ def two_full_runs(p):
     """The rule before the meeting stop: both endpoint runs to convergence,
     the x_u run kept only where its SNR is larger by more than 1e-12."""
     s = build_s_pair(p)
-    run_l, run_u = (newton_solve(p, x0, s=s) for x0 in bracket_x(s))
+    run_l, run_u = (newton_solve(p, x0) for x0 in bracket_x(s))
     return run_u if run_u.snr > run_l.snr * (1.0 + 1e-12) else run_l
 
 
@@ -298,16 +298,16 @@ class TestEigDerivatives:
             s = build_s_pair(p)
             calls.clear()
             for x0 in bracket_x(s):
-                sol = newton_solve(p, x0, s=s)
-                # one at the start point, then one per Newton step
-                assert calls == ["eigh"] * (sol.iterations + 1)
+                sol = newton_solve(p, x0)
+                # one for the dense pair, one at the start point, then one per Newton step
+                assert calls == ["eigh"] * (sol.iterations + 2)
                 calls.clear()
 
     def test_stationary_point_small_d1(self):
         p = fixture_problem(1)
         s = build_s_pair(p)
         xl, _ = bracket_x(s)
-        sol = newton_solve(p, xl, s=s)
+        sol = newton_solve(p, xl)
         assert abs(lambda_min_g(s, sol.x)[1]) <= 1e-3
 
 
@@ -319,7 +319,7 @@ class TestNewton:
         xl, xu = bracket_x(s)
         exp = fixtures.TOTAL_EXPECT[case]
         for key, x0 in (("from_xl", xl), ("from_xu", xu)):
-            sol = newton_solve(p, x0, s=s)
+            sol = newton_solve(p, x0)
             assert sol.x == pytest.approx(exp[key][0], abs=5e-3)
             assert sol.lambda_min == pytest.approx(exp[key][1], abs=5e-3)
             assert sol.iterations <= 30
@@ -349,7 +349,7 @@ class TestNewton:
         p = rand_total_problem(np.random.default_rng(352), 3)
         s = build_s_pair(p)
         calls = count_lambda_min_g(monkeypatch)
-        sol = newton_solve(p, bracket_x(s)[0], s=s)
+        sol = newton_solve(p, bracket_x(s)[0])
         assert len(calls) <= 30
         bent = [(x, lam, d1, step) for _, x, lam, d1, d2, step in sol.trace.rows if d2 <= 0]
         assert bent
@@ -363,7 +363,7 @@ class TestNewton:
         p = rand_total_problem(np.random.default_rng(7), 2)
         s = build_s_pair(p)
         xl, xu = bracket_x(s)
-        sol = newton_solve(p, xl, s=s)
+        sol = newton_solve(p, xl)
         _, x, lam, d1, d2, step = sol.trace.rows[0]
         assert d2 > 0 and lambda_min_g(s, x)[4] > GAP_TOL
         assert not xl <= fitted_target(x, d1, d2) <= xu
@@ -376,7 +376,7 @@ class TestNewton:
         p = rand_total_problem(np.random.default_rng(15), 2)
         s = build_s_pair(p)
         xl, xu = bracket_x(s)
-        sol = newton_solve(p, xu, s=s)
+        sol = newton_solve(p, xu)
         _, x, lam, d1, d2, step = sol.trace.rows[0]
         assert d2 > 0 and lambda_min_g(s, x)[4] > GAP_TOL
         assert fitted_target(x, d1, d2) == x - d1 / d2
@@ -388,7 +388,7 @@ class TestNewton:
         p = fixture_problem(1)
         s = build_s_pair(p)
         xl, _ = bracket_x(s)
-        sol = newton_solve(p, xl, s=s)
+        sol = newton_solve(p, xl)
         assert sol.trace.columns == ("k", "x", "lambda_min", "d1", "d2", "step")
         assert len(sol.trace) == sol.iterations
 
@@ -463,7 +463,7 @@ class TestModelStep:
         p = fixture_problem(case)
         s = build_s_pair(p)
         for x0 in bracket_x(s):
-            assert newton_solve(p, x0, s=s).iterations == 3
+            assert newton_solve(p, x0).iterations == 3
 
 
 class TestDiagonal:
@@ -516,7 +516,7 @@ class TestDiagonal:
                                   P0=float(10.0 ** rng.uniform(-1.0, 3.0)))
             s = build_s_pair(p)
             xl, xu = bracket_x(s)
-            run_l, run_u = (newton_solve(p, x0, s=s) for x0 in (xl, xu))
+            run_l, run_u = (newton_solve(p, x0) for x0 in (xl, xu))
             if abs(run_l.x - run_u.x) <= 1e-6:
                 tied += 1
                 assert solve(p).x == run_l.x, seed
@@ -529,7 +529,7 @@ class TestDiagonal:
             s = build_s_pair(p)
             ref = solve_diagonal(p)
             xl, xu = bracket_x(s)
-            runs = [newton_solve(p, x0, s=s) for x0 in (xl, xu)]
+            runs = [newton_solve(p, x0) for x0 in (xl, xu)]
             best = max(runs, key=lambda r: r.snr)
             assert best.x == pytest.approx(ref.x, abs=1e-6)
             assert best.snr == pytest.approx(ref.snr, rel=1e-6)
@@ -560,28 +560,29 @@ class TestMeetingStop:
         p = fixture_problem(2)
         s = build_s_pair(p)
         xl, xu = bracket_x(s)
-        run_l = newton_solve(p, xl, s=s)
-        (_, _, _, steps, trace), met = total_power._run(p, xu, s, meet=run_l.x)
-        assert met and steps == len(trace) == 1 and not trace.notes
+        run_l = newton_solve(p, xl)
         calls = count_lambda_min_g(monkeypatch)
+        # met (None) after one step, at x_u and its successor, on the shared pair
+        assert total_power._run(p, xu, s, meet=run_l.x) is None and len(calls) == 2
+        calls.clear()
         sol = solve(p)
         assert len(calls) == 6
         assert sol.x == run_l.x and sol.iterations == 3
 
     def test_a_met_run_never_competes(self, monkeypatch):
-        # the met x_u run stopped short of its end, so its lambda_min is not
-        # compared: even a smaller one leaves the x_l run returned
-        inner = total_power._run
+        # the met x_u run stopped short of its end and returns no run (None),
+        # so no lambda_min of it is compared: the x_l run is returned
+        inner, runs = total_power._run, []
 
-        def deflated(p, x0, s=None, meet=None):
-            (x, lam, w_dir, steps, trace), met = inner(p, x0, s, meet)
-            return (x, 0.5 * lam if met else lam, w_dir, steps, trace), met
+        def kept(p, x0, s, meet=None):
+            runs.append(inner(p, x0, s, meet))
+            return runs[-1]
 
         p = fixture_problem(2)
-        s = build_s_pair(p)
-        run_l = newton_solve(p, bracket_x(s)[0], s=s)
-        monkeypatch.setattr(total_power, "_run", deflated)
+        run_l = newton_solve(p, bracket_x(build_s_pair(p))[0])
+        monkeypatch.setattr(total_power, "_run", kept)
         sol = solve(p)
+        assert len(runs) == 2 and runs[1] is None
         assert (sol.x, sol.snr, sol.iterations) == (run_l.x, run_l.snr, run_l.iterations)
 
     def test_two_basin_fixture_runs_both_to_convergence(self, monkeypatch):
@@ -590,9 +591,9 @@ class TestMeetingStop:
         p = fixture_problem(1)
         s = build_s_pair(p)
         xl, xu = bracket_x(s)
-        run_l, run_u = (newton_solve(p, x0, s=s) for x0 in (xl, xu))
-        (x, *_), met = total_power._run(p, xu, s, meet=run_l.x)
-        assert not met and x == run_u.x and not run_u.trace.notes
+        run_l, run_u = (newton_solve(p, x0) for x0 in (xl, xu))
+        run = total_power._run(p, xu, s, meet=run_l.x)
+        assert run is not None and run[0] == run_u.x and not run_u.trace.notes
         assert run_u.x == pytest.approx(0.5844, abs=5e-3)
         calls = count_lambda_min_g(monkeypatch)
         sol = solve(p)
@@ -605,7 +606,7 @@ class TestMeetingStop:
         p = near_diagonal_two_relay_problem(23)
         s = build_s_pair(p)
         xl, xu = bracket_x(s)
-        run_l, run_u = (newton_solve(p, x0, s=s) for x0 in (xl, xu))
+        run_l, run_u = (newton_solve(p, x0) for x0 in (xl, xu))
         assert run_u.x - run_l.x > 0.1 and run_u.snr > run_l.snr * 1.01
         calls = count_lambda_min_g(monkeypatch)
         sol = solve(p)
@@ -666,7 +667,7 @@ class TestLineOfSight:
         p = identical_relays_problem(n, P0)
         s = build_s_pair(p)
         for x0 in bracket_x(s):
-            assert newton_solve(p, x0, s=s).iterations <= 10
+            assert newton_solve(p, x0).iterations <= 10
         assert solve(p).snr >= (1.0 - 1e-9) * scan_snr(p.stats, p.P0)
 
 
@@ -824,9 +825,9 @@ class TestSecularPair:
         monkeypatch.setattr(total_power, "_dense_pair", lambda q: builds.append(q) or inner(q))
         for x0 in bracket_x(s):
             assert lambda_min_g(s, x0) is None
-            run = newton_solve(p, x0, s=s)
+            *_, trace = total_power._run(p, x0, s)
             assert builds == [p]
-            assert run.trace.notes == [f"dense pair from x={x0}: the secular pair did not certify"]
+            assert trace.notes == [f"dense pair from x={x0}: the secular pair did not certify"]
             builds.clear()
         sol, ref = solve(p), solve(matrix_built(p))
         assert sol.iterations == ref.iterations
@@ -840,15 +841,16 @@ class TestSecularPair:
             assert isinstance(build_s_pair(p), total_power.SPair)   # lam_1, lam_n
         s = build_s_pair(p)
         x = float(np.mean(bracket_x(s)))
-        ref = newton_solve(p, x, s=s)
+        ref = newton_solve(p, x)
         assert not ref.trace.notes
         monkeypatch.setattr(total_power, "SECULAR_STEPS", 1)
         assert lambda_min_g(s, x) is None       # mu_1 takes more than one step
-        sol = newton_solve(p, x, s=s)
-        assert sol.trace.notes == [f"dense pair from x={x}: the secular pair did not certify"]
-        assert sol.iterations == ref.iterations
-        assert sol.lambda_min == pytest.approx(ref.lambda_min, rel=1e-12)
-        assert sol.x == pytest.approx(ref.x, rel=1e-12)
+        # on the secular pair built before the patch (a pair built now is the dense one)
+        x_end, lam, _, steps, trace = total_power._run(p, x, s)
+        assert trace.notes == [f"dense pair from x={x}: the secular pair did not certify"]
+        assert steps == ref.iterations
+        assert lam == pytest.approx(ref.lambda_min, rel=1e-12)
+        assert x_end == pytest.approx(ref.x, rel=1e-12)
 
     def test_a_step_back_ends_the_root(self):
         # near the root, rounding in f can turn the one-pole step around; from
@@ -874,12 +876,10 @@ class TestSecularPair:
             fresh, s = build_s_pair(p), build_s_pair(p)
             assert isinstance(s, total_power.RicianPair)
             xl, xu = bracket_x(s)
-            newton_solve(p, xl, s=s)
-            a, b = newton_solve(p, xu, s=fresh), newton_solve(p, xu, s=s)
-            assert (b.x, b.lambda_min, b.snr, b.iterations) == (a.x, a.lambda_min, a.snr,
-                                                                a.iterations)
-            assert b.trace.rows == a.trace.rows and np.array_equal(b.w, a.w)
-            assert b.trace.notes == a.trace.notes
+            total_power._run(p, xl, s)
+            a, b = total_power._run(p, xu, fresh), total_power._run(p, xu, s)
+            assert (b[0], b[1], b[3]) == (a[0], a[1], a[3]) and np.array_equal(b[2], a[2])
+            assert b[4].rows == a[4].rows and b[4].notes == a[4].notes
 
     def test_the_x_u_run_kept_notes_its_own_fallback(self):
         # K = 0.01, n = 32, seed 20 (scenarios/total_lowk_n32.json): the pair
@@ -888,7 +888,7 @@ class TestSecularPair:
         p = low_k_problem(0.01, 32, 20)
         s = build_s_pair(p)
         xl, xu = bracket_x(s)
-        run_l, run_u = (newton_solve(p, x0, s=s) for x0 in (xl, xu))
+        run_l, run_u = (newton_solve(p, x0) for x0 in (xl, xu))
         assert run_l.trace.notes == [f"dense pair from x={xl}: the secular pair did not certify"]
         sol = solve(p)
         assert sol.trace.notes == [f"dense pair from x={xu}: the secular pair did not certify"]
@@ -901,12 +901,12 @@ class TestSecularPair:
         # only a meeting stops the x_u run from being compared, not its notes
         inner = total_power._run
 
-        def noted(p, x0, s=None, meet=None):
-            (x, lam, w_dir, steps, trace), met = inner(p, x0, s, meet)
+        def noted(p, x0, s, meet=None):
+            x, lam, w_dir, steps, trace = inner(p, x0, s, meet)
             if meet is not None:
                 trace.note(f"dense pair from x={x0}: the secular pair did not certify")
                 lam = 0.5 * lam
-            return (x, lam, w_dir, steps, trace), met
+            return x, lam, w_dir, steps, trace
 
         p = fixture_problem(1)      # two basins: the x_u run is not met
         monkeypatch.setattr(total_power, "_run", noted)
