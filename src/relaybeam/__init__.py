@@ -8,13 +8,13 @@ behind the CLI's exit codes; the solvers are its modules.
 """
 
 from .channel import ChannelStats, RicianParams, build_stats
-from .errors import ConvergenceError, InputError, ModelError, RelayBeamError
+from .errors import ConvergenceError, InputError, RelayBeamError
 from .problems import IndivPowerProblem, TotalPowerProblem
 
 __all__ = [
     "ChannelStats", "RicianParams", "build_stats",
     "IndivPowerProblem", "TotalPowerProblem",
-    "RelayBeamError", "InputError", "ConvergenceError", "ModelError",
+    "RelayBeamError", "InputError", "ConvergenceError",
 ]
 
 __version__ = "0.1.0"

@@ -16,8 +16,7 @@ iteration table in the report, each non-finite entry null.  Exit codes: 0
 success (and ``--help``), 1 a ``reproduce`` row outside its tolerance, 2 solver
 non-convergence, 3 input error (a malformed field, an unreadable or unwritable
 file or directory, named in the message, an instance outside a solver's scope,
-or a command-line usage error), 4 any other library failure (an infeasible or
-unbounded model, R = 0).
+or a command-line usage error).  R = 0 is no error: its report has SNR 0.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import numpy as np
 
 from . import fixtures, indiv_qcqp, oracle, sdp, total_power
 from .channel import ChannelStats, RicianParams, build_stats
-from .errors import ConvergenceError, InputError, RelayBeamError
+from .errors import ConvergenceError, InputError
 from .linalg import SCALAR_KINDS, check_scalar, check_type, hermitian
 from .problems import IndivPowerProblem, TotalPowerProblem
 # unused here: bench/selftest.py checks that its tracer rebinds this copy
@@ -130,7 +129,7 @@ def run(s: Scenario, trace: bool = False) -> Report:
     meta: dict = {"seed": s.seed}
     if s.mode == "total":
         sol = total_power.solve(prob)
-        # only the closed form takes no iteration
+        # only a closed form (diagonal statistics, or R = 0) takes no iteration
         meta.update(solver="total-newton" if sol.iterations else "total-diagonal",
                     iterations=sol.iterations, x=sol.x, lambda_min=sol.lambda_min,
                     notes=sol.trace.notes)
@@ -171,7 +170,7 @@ def reproduce(case: str, out_dir: str | None = None, seed: int = 20111):
             rows += _reproduce_total(int(c[-1]), reports)
         else:
             rows += _reproduce_indiv(int(c[-1]), reports, seed)
-    if out_dir:
+    if out_dir is not None:
         _make_dir(out_dir)
         for name, rep in reports.items():
             _write_text(os.path.join(out_dir, f"{name}.json"),
@@ -304,9 +303,9 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)
         return 2
-    except RelayBeamError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, InputError) else 4
+        return 3
 
 
 def _dispatch(args) -> int:
@@ -314,7 +313,7 @@ def _dispatch(args) -> int:
         s = parse_scenario(args.scenario)
         rep = run(s, trace=args.trace)
         body = rep.to_json()
-        if args.out:
+        if args.out is not None:
             print(_write_new(args.out, f"report-{rep.solver}-", ".json", body))
         else:
             print(body)
@@ -382,7 +381,7 @@ def _make_dir(path: str):
     try:
         os.makedirs(check_type(path, (str, os.PathLike), name="out_dir"), exist_ok=True)
     except OSError as exc:
-        raise InputError(f"cannot use {path} as an output directory: {exc.strerror}") from None
+        raise InputError(f"cannot use out_dir {path!r} as a directory: {exc.strerror}") from None
 
 
 _MISSING = object()

@@ -1,7 +1,6 @@
 """Exception hierarchy shared across the solvers.
 
-The CLI maps ConvergenceError to exit code 2, InputError to exit code 3,
-and ModelError (and any other RelayBeamError) to exit code 4.
+The CLI maps ConvergenceError to exit code 2 and InputError to exit code 3.
 """
 
 
@@ -17,8 +16,4 @@ class InputError(RelayBeamError):
 
 
 class ConvergenceError(RelayBeamError):
-    """Iteration budget exhausted, a line search stalled, or a quantity below round-off."""
-
-
-class ModelError(RelayBeamError):
-    """Problem detected as infeasible, unbounded, or carrying no signal (R = 0)."""
+    """Iteration budget spent, a line search stalled, or a quantity lost to round-off or underflow."""

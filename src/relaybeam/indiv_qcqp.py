@@ -65,13 +65,12 @@ def rescale_to_original(w_qcqp, q: QcqpInstance, p: IndivPowerProblem) -> Beamfo
     return p.solution(w / np.sqrt(eta))
 
 
-def _check_poses(q: QcqpInstance, p: IndivPowerProblem, name: str) -> QcqpInstance:
-    """q if it is a QcqpInstance of p's (R, Q, c): its points hold p's caps; else an InputError."""
+def _check_poses(q: QcqpInstance, p: IndivPowerProblem, name: str):
+    """An InputError unless q is a QcqpInstance of p's (R, Q, c), whose points hold p's caps."""
     check_type(q, QcqpInstance, name=name)
     if not (np.array_equal(q.R, p.stats.R) and np.array_equal(q.Q, p.stats.Q)
             and np.array_equal(q.c, p.c)):
         raise InputError(f"{name} does not pose p: its (R, Q, c) is not p's")
-    return q
 
 
 def solve_via_sdp(p: IndivPowerProblem):
@@ -98,7 +97,8 @@ def solve(p: IndivPowerProblem, solver: str = "auto", options: dict | None = Non
     (n <= 3), else the ``fallback`` search (``cdm`` or ``pnorm``) from X's top
     factor.  ``sdp`` and ``grp`` solve p's relaxation unless given it as
     ``relaxation``, an ``SdpSolution`` whose ``q`` poses p (such as
-    ``solve_via_sdp(p)[1]``); its w is read as from a relaxation solved here."""
+    ``solve_via_sdp(p)[1]``, checked on every route); its w is read as from a
+    relaxation solved here.  At R = 0 (its diagonal) every route gives w = 0 and a note."""
     if not (isinstance(solver, str) and solver in ROUTES):
         raise InputError(f"unknown per-relay solver {solver!r}; choose one of {ROUTES}")
     options = {} if options is None else options
@@ -121,19 +121,22 @@ def solve(p: IndivPowerProblem, solver: str = "auto", options: dict | None = Non
         else:
             check_scalar(value, name=key, kind=kind)
     options = {key: value for key, value in options.items() if value is not None}
+    if relaxation is not None:
+        check_type(relaxation, SdpSolution, name="relaxation")
+        hermitian(relaxation.X, name="the relaxation's X", n=p.n)
+        _check_poses(relaxation.q, p, "the relaxation's q")
     if solver == "auto":
         solver = "indiv-diag" if p.stats.is_diagonal() else "sdp"
     meta = {"solver": solver}
+    if not p.stats._forms()[0].any():
+        meta["notes"] = ["R = 0: no signal reaches the destination"]
+        return p.solution(np.zeros(p.n, dtype=complex)), meta, None
     if solver == "indiv-diag":
         return indiv_diag.solve_diagonal(p), meta, None
     start = options.get("w0")
     if solver in ("sdp", "grp"):
-        if relaxation is None:
-            q, sdp_sol, w = solve_via_sdp(p)
-        else:
-            sdp_sol = check_type(relaxation, SdpSolution, name="relaxation")
-            hermitian(sdp_sol.X, name="the relaxation's X", n=p.n)
-            q, w = _check_poses(sdp_sol.q, p, "the relaxation's q"), _rank_one(sdp_sol)
+        sdp_sol = solve_relaxation(build_qcqp(p)) if relaxation is None else relaxation
+        q, w = sdp_sol.q, _rank_one(sdp_sol)
         meta.update(sdp_obj=sdp_sol.primal_obj, sdp_gap=sdp_sol.gap,
                     dual_y=sdp_sol.dual_y.tolist(),
                     rank_estimate=sdp_sol.rank_estimate, iterations=sdp_sol.iterations)

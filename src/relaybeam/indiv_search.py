@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, InputError, ModelError
+from .errors import ConvergenceError, InputError
 from .linalg import _real_embed, check_scalar, check_type, check_vector, symmetrize
 from .problems import IndivPowerProblem
 from .trace import SolverTrace
@@ -197,7 +197,7 @@ def _embed(prob: IndivPowerProblem):
     S = np.outer(1.0 / d1, 1.0 / d1)    # D1^-1 M D1^-1 entrywise, Hermitian as M is
     R1 = prob.stats.R * S
     if not np.abs(R1).max() > 0:
-        raise ModelError("R = 0: no signal reaches the destination, the SNR is 0 for every w")
+        raise ConvergenceError("the scaled R is 0 in float64: it underflows, or R = 0")
     return d1, _real_embed(prob.stats.Q * S), _real_embed(R1)
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InputError, ModelError
+from .errors import ConvergenceError, InputError
 from .linalg import HERMITIAN_TOL, check_type, hermitian, psd_violation, symmetrize
 
 GAP_TOL = 1e-8    # certified duality gap |gap| <= GAP_TOL |dual|, relative at every scale
@@ -87,8 +87,8 @@ class QcqpInstance:
 
 class SdpProblem(QcqpInstance):
     """The (R, Q, c) of an objective R and n constraint matrices in relay form,
-    A_k = Q + c_k e_k e_k^H.  Any other list is an InputError; Q not PSD or
-    some c_k <= 0 is a ModelError."""
+    A_k = Q + c_k e_k e_k^H.  Any other list, Q not PSD or some c_k <= 0 is
+    an InputError."""
 
     def __init__(self, objective, constraints):
         R = hermitian(objective, name="R")
@@ -106,7 +106,7 @@ class SdpProblem(QcqpInstance):
                 raise InputError(f"A_{k+1} is not Q + c_k e_k e_k^H for the Q of the others")
         lam = psd_violation(Q)
         if lam or c.min() <= 0:
-            raise ModelError(f"the relay form needs Q PSD (lambda_min(Q) = {lam:.3e}) "
+            raise InputError(f"the relay form needs Q PSD (lambda_min(Q) = {lam:.3e}) "
                              f"and every c_k > 0 (min c_k = {c.min():.3e})")
         super().__init__(R=R, Q=Q, c=c)
 
@@ -325,10 +325,10 @@ def _gauge_basis(r):
     return S
 
 
-def dual_certificate_residuals(q: QcqpInstance, sol: SdpSolution) -> CertificateReport:
-    """KKT residuals of a candidate solution; all ~0 on a valid optimum."""
-    q, sol = check_type(q, QcqpInstance, name="q"), check_type(sol, SdpSolution, name="sol")
-    X, y = sol.X, sol.dual_y
+def dual_certificate_residuals(sol: SdpSolution) -> CertificateReport:
+    """KKT residuals of a candidate solution against its instance ``sol.q``; all ~0 at an optimum."""
+    sol = check_type(sol, SdpSolution, name="sol")
+    q, X, y = check_type(sol.q, QcqpInstance, name="sol.q"), sol.X, sol.dual_y
     # an exit's X = V V^H is PSD, and its caps are read from V: forming X
     # rounds them, and lambda_min(X), by up to 3e-8 where Q ~ 1e-8 and X ~ 1e8
     if sol.factor is None:

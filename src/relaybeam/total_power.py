@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import BeamformingSolution, powers, snr
-from .errors import ConvergenceError, InputError, ModelError
+from .errors import ConvergenceError, InputError
 from .linalg import check_scalar, check_type
 from .problems import TotalPowerProblem
 from .trace import SolverTrace
@@ -82,11 +82,11 @@ PAIRS = (SPair, RicianPair)     # what build_s_pair returns
 
 @dataclass
 class TotalPowerSolution:
-    x: float                  # normalized source power Ps/P0 in (0, 1)
+    x: float                  # normalized source power Ps/P0 in (0, 1), or 1 at R = 0
     Ps: float
     w: np.ndarray             # scaled so the budget is saturated
     snr: float
-    lambda_min: float         # lambda_min(G(x)) = 1/mu(x) at the returned x
+    lambda_min: float | None  # lambda_min(G(x)) = 1/mu(x) at the returned x; None at R = 0
     iterations: int
     trace: SolverTrace
 
@@ -134,7 +134,7 @@ def _dense_pair(p: TotalPowerProblem) -> SPair:
     T = dis[:, None] * V
     Rt = T.conj().T @ stats.R @ T
     if not np.trace(Rt).real > 0:
-        raise ModelError("R = 0: no signal reaches the destination, the SNR is 0 for every w")
+        raise ConvergenceError("the whitened R is 0 in float64: it underflows, or R = 0")
     return SPair(lam=lam, Rt=Rt, basis=T)
 
 
@@ -340,7 +340,7 @@ def solve_diagonal(p: TotalPowerProblem) -> TotalPowerSolution:
     mu = Rd / (sa + sb) ** 2
     k0 = int(np.argmax(mu))
     if not mu[k0] > 0:
-        raise ModelError("R = 0: no signal reaches the destination, the SNR is 0 for every w")
+        raise ConvergenceError("every relay's mu_k is 0 in float64: it underflows, or R = 0")
     x = float(sb[k0] / (sa[k0] + sb[k0]))
     lam = float(1.0 / mu[k0])
     trace = SolverTrace(columns=TRACE_COLUMNS)
@@ -398,13 +398,16 @@ def _run(p, x0, s, meet=None):
 
 
 def solve(p: TotalPowerProblem) -> TotalPowerSolution:
-    """Dispatch: diagonal instances in closed form, otherwise Newton from
-    both bracket endpoints, which share the pair ``build_s_pair`` returns.
-    A run from x_u that meets the x_l run (see ``_run``) would end there and
-    tie, so the x_l run is kept.  Otherwise the run from x_u is kept only
-    where it reaches a strictly smaller lambda_min, the quantity both runs
-    minimize.  Only the run kept is packaged."""
+    """Dispatch: R = 0 (its diagonal, as R is PSD) gives w = 0, Ps = P0 and a note;
+    diagonal instances in closed form, otherwise Newton from both bracket endpoints,
+    which share the pair ``build_s_pair`` returns.  A run from x_u that meets the
+    x_l run (see ``_run``) would end there and tie, so the x_l run is kept.
+    Otherwise the run from x_u is kept only where it reaches a strictly smaller
+    lambda_min, the quantity both runs minimize.  Only the run kept is packaged."""
     p = check_type(p, TotalPowerProblem, name="p")
+    if not p.stats._forms()[0].any():
+        trace = SolverTrace(TRACE_COLUMNS, notes=["R = 0: no signal reaches the destination"])
+        return TotalPowerSolution(1.0, p.P0, np.zeros(p.stats.n, dtype=complex), 0.0, None, 0, trace)
     if p.stats.is_diagonal():
         return solve_diagonal(p)
     s = build_s_pair(p)

@@ -63,6 +63,13 @@ def fixture_scenario(tmp_path, solver="sdp", options=None, seed=11, n=4):
     return write_scenario(tmp_path / f"n{n}.json", payload), payload
 
 
+def refuse(what):
+    """A stand-in for a solver stage that must not run."""
+    def stage(*args, **kwargs):
+        raise AssertionError(f"{what} ran")
+    return stage
+
+
 def strict_json(text):
     """json.loads that rejects NaN and +-Infinity, which JSON does not have."""
     def reject(name):
@@ -467,19 +474,25 @@ class TestMain:
         phase = np.vdot(w_sdp, w_grp) / abs(np.vdot(w_sdp, w_grp))
         assert np.abs(w_grp - phase * w_sdp).max() <= 1e-12 * np.abs(w_sdp).max()
 
-    def test_zero_r_total_exit_4(self, tmp_path, capsys):
-        # no signal path is a model failure, not an input error
+    def test_zero_r_total_solves_at_snr_0(self, tmp_path, capsys):
+        # no signal path is no failure: w = 0 at SNR 0, the whole budget at
+        # the source (x = 1), no lambda_min and a note
         payload = {"mode": "total", "sigma2": 1.0,
                    "channel": {"stats": {"D": [1.0] * 3, "R": cmat(np.zeros((3, 3))),
                                          "Q": cmat(np.ones((3, 3)))}},
                    "budget": {"P0": 10.0}}
         path = write_scenario(tmp_path / "dark.json", payload)
-        assert main(["solve", path]) == 4
-        assert "R = 0" in capsys.readouterr().err
+        assert main(["solve", path]) == 0
+        rep = strict_json(capsys.readouterr().out)
+        assert (rep["snr"], rep["snr_db"], rep["Ps"]) == (0.0, None, 10.0)
+        assert rep["feasibility"] == [0.0] and not any(re or im for re, im in rep["w"])
+        meta = rep["metadata"]
+        assert (meta["x"], meta["lambda_min"], meta["iterations"]) == (1.0, None, 0)
+        assert meta["notes"] == ["R = 0: no signal reaches the destination"]
 
-    def test_zero_r_general_q_solves_at_snr_0(self, tmp_path, capsys):
-        # with R = 0 coordinate descent sends every slot to w = 0, where it
-        # must stop rather than sweep to its limit
+    def test_zero_r_general_q_solves_at_snr_0(self, tmp_path, capsys, monkeypatch):
+        # with R = 0 the sdp route returns w = 0 before any relaxation runs
+        monkeypatch.setattr(indiv_qcqp, "solve_relaxation", refuse("a relaxation"))
         rng = np.random.default_rng(2)
         A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         payload = {"mode": "individual", "sigma2": 1.0,
@@ -489,9 +502,28 @@ class TestMain:
         path = write_scenario(tmp_path / "dark.json", payload)
         assert main(["solve", path]) == 0
         rep = strict_json(capsys.readouterr().out)
-        assert rep["metadata"]["fallback"] == "cdm"
+        assert rep["solver"] == "sdp" and "fallback" not in rep["metadata"]
+        assert rep["metadata"]["notes"] == ["R = 0: no signal reaches the destination"]
         assert rep["snr"] == 0.0
         assert rep["snr_db"] is None
+
+    @pytest.mark.parametrize("mode,R,D,P", [("total", "Q", 1e300, None),
+                                            ("total", "I", 1e300, None),
+                                            ("pnorm", "Q", 1.0, 1e-300)],
+                             ids=["dense-pair", "closed-form", "pnorm-embedding"])
+    def test_underflowing_r_is_a_convergence_error(self, tmp_path, capsys, mode, R, D, P):
+        # a nonzero R whose whitened or scaled form underflows float64 is no
+        # R = 0: n = 3 with R = 1e-300 Q (Q general) or 1e-300 I, at D_k =
+        # 1e300 on total power and at P_k = 1e-300 on the p-norm route
+        A = np.random.default_rng(3).standard_normal((3, 3, 2)) @ [1.0, 1j]
+        Q = A @ A.conj().T / 3 if R == "Q" else np.eye(3)
+        payload = {"mode": "total" if mode == "total" else "individual", "sigma2": 1.0,
+                   "channel": {"stats": {"D": [D] * 3, "R": cmat(1e-300 * Q), "Q": cmat(Q)}},
+                   "budget": {"P0": 10.0} if mode == "total" else {"Ps": 1.0, "P": [P] * 3},
+                   "solver": {"name": "auto" if mode == "total" else mode}}
+        path = write_scenario(tmp_path / "faint.json", payload)
+        assert main(["solve", path]) == 2
+        assert "it underflows, or R = 0" in capsys.readouterr().err
 
     def test_pnorm_rank_one_r_solves(self, tmp_path, capsys):
         # equal caps and v = [1, -1, 0, 0]: the all-ones vector is in the
@@ -530,9 +562,14 @@ class TestMain:
     @pytest.mark.parametrize("solver,n,diagonal", [
         (solver, n, diagonal) for n, diagonal in ((3, True), (3, False), (5, False))
         for solver in indiv_qcqp.ROUTES if diagonal or solver != "indiv-diag"])
-    def test_zero_r_on_every_route(self, tmp_path, capsys, solver, n, diagonal):
-        # R = 0 leaves every w at SNR 0: each route reports that point, apart
-        # from p-norm, whose embedding needs a signal (ModelError, exit 4)
+    def test_zero_r_on_every_route(self, tmp_path, capsys, monkeypatch, solver, n, diagonal):
+        # R = 0 leaves every w at SNR 0: each route reports w = 0 with a note,
+        # and no closed form, relaxation, search or GRP draw runs
+        for module, name in ((indiv_qcqp.indiv_diag, "solve_diagonal"),
+                             (indiv_qcqp, "solve_relaxation"), (indiv_qcqp, "grp_extract"),
+                             (indiv_search, "coordinate_descent"),
+                             (indiv_search, "augmented_lagrangian_solve")):
+            monkeypatch.setattr(module, name, refuse(name))
         A = np.random.default_rng(n).standard_normal((n, n, 2)) @ [1.0, 1j]
         payload = {"mode": "individual", "sigma2": 1.0,
                    "channel": {"stats": {"D": [1.0] * n, "R": cmat(np.zeros((n, n))),
@@ -541,14 +578,12 @@ class TestMain:
                    "budget": {"Ps": 1.0, "P": [1.0] * n},
                    "solver": {"name": solver}}
         path = write_scenario(tmp_path / "dark.json", payload)
-        if solver == "pnorm":
-            assert main(["solve", path]) == 4
-            assert "R = 0" in capsys.readouterr().err
-            return
         assert main(["solve", path]) == 0
         rep = strict_json(capsys.readouterr().out)
         assert rep["snr"] == 0.0
         assert rep["snr_db"] is None
+        assert not any(re or im for re, im in rep["w"]) and rep["trace"] is None
+        assert rep["metadata"]["notes"] == ["R = 0: no signal reaches the destination"]
 
     def test_sample_rician_scenario(self, capsys):
         path = SCENARIOS / "individual_rician_n3.json"

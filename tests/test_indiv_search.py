@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from relaybeam import fixtures, indiv_qcqp
 from relaybeam.channel import ChannelStats, snr
 from relaybeam.cli import parse_scenario
-from relaybeam.errors import ConvergenceError, InputError, ModelError
+from relaybeam.errors import ConvergenceError, InputError
 from relaybeam.indiv_diag import solve_diagonal
 from relaybeam.indiv_qcqp import build_qcqp, qcqp_objective
 from relaybeam.indiv_search import (AL_CONSTRAINT_TOL, AL_GRAD_TOL, AL_MAX_INNER,
@@ -374,6 +374,17 @@ class TestCoordinateDescent:
         with pytest.raises(InputError, match="non-finite"):
             coordinate_descent(fixture_problem(4), w0)
 
+    def test_zero_r_stops_at_the_zero_iterate(self):
+        # indiv_qcqp.solve settles R = 0 before any route; called directly,
+        # coordinate descent sends every slot to 0 and stops there, where the
+        # relative change test reads 0 <= eps * 0
+        stats = ChannelStats(D=np.ones(4), R=np.zeros((4, 4)),
+                             Q=fixtures.indiv_fixture(4)[1], sigma2=1.0)
+        p = IndivPowerProblem(stats=stats, Ps=1.0, P=np.full(4, 2.0))
+        sol, trace = coordinate_descent(p, np.ones(4))
+        assert not sol.w.any() and sol.snr == 0.0
+        assert trace.rows[-1][0] <= 1 and len(trace) <= 8
+
     def test_infeasible_start_projected(self, rng):
         p = rand_indiv_problem(rng, 3)
         w0 = 100.0 * np.ones(3, dtype=complex)
@@ -549,13 +560,14 @@ class TestAugmentedLagrangian:
         obj = qcqp_objective(q, sol.w)
         assert 0.99 * bound <= obj <= (1.0 + 1e-6) * bound
 
-    def test_zero_r_is_a_model_error(self):
-        # no signal: a model failure (exit 4), not a division by zero in
-        # the initial multiplier
+    def test_zero_scaled_r_is_a_convergence_error(self):
+        # indiv_qcqp.solve settles R = 0 before any route; called directly,
+        # the embedding refuses a scaled R of 0 rather than divide by zero
+        # in the initial multiplier
         stats = ChannelStats(D=np.ones(4), R=np.zeros((4, 4)),
                              Q=fixtures.indiv_fixture(4)[1], sigma2=1.0)
         p = IndivPowerProblem(stats=stats, Ps=1.0, P=np.full(4, 2.0))
-        with pytest.raises(ModelError, match="R = 0"):
+        with pytest.raises(ConvergenceError, match="it underflows, or R = 0"):
             augmented_lagrangian_solve(p, 8)
 
     def test_ascent_direction_stalls_the_line_search(self, monkeypatch):

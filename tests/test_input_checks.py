@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import relaybeam
 from relaybeam import cli, fixtures, indiv_diag, indiv_qcqp, sdp, total_power
 from relaybeam.channel import ChannelStats, RicianParams, build_stats, powers, snr
-from relaybeam.errors import ConvergenceError, InputError, ModelError, RelayBeamError
+from relaybeam.errors import ConvergenceError, InputError, RelayBeamError
 from relaybeam.indiv_search import augmented_lagrangian_solve, choose_p, coordinate_descent
 from relaybeam.linalg import check_vector, hermitian
 from relaybeam.oracle import brute_force_indiv, brute_force_total
@@ -298,9 +298,8 @@ CASES = {
                         "p must be an IndivPowerProblem, got a NoneType"),
     "relaxation-none": (lambda: sdp.solve_relaxation(None),
                         "q must be a QcqpInstance, got a NoneType"),
-    "certificate-q-none": (lambda: sdp.dual_certificate_residuals(None, None),
-                           "q must be a QcqpInstance, got a NoneType"),
-    "certificate-sol-none": (lambda: sdp.dual_certificate_residuals(fixture_qcqp(), None),
+    # the certificate is read against the solution's own q
+    "certificate-sol-none": (lambda: sdp.dual_certificate_residuals(None),
                              "sol must be a SdpSolution, got a NoneType"),
     "oracle-grid-str": (lambda: brute_force_indiv(problem(), "x"),
                         "radial_points must be an integer >= 1, got 'x'"),
@@ -337,6 +336,19 @@ CASES = {
     "solve-relaxation-x-size": (lambda: indiv_qcqp.solve(
                                     problem(), "sdp", None, 0, indiv_qcqp.solve_via_sdp(problem(3))[1]),
                                 "the relaxation's X must be 2 x 2, got shape"),
+    # ... on every route, the ones that do not read it too
+    "solve-cdm-relaxation-tuple": (lambda: indiv_qcqp.solve(problem(), "cdm", None, 0, ("junk",)),
+                                   "relaxation must be a SdpSolution, got a tuple"),
+    "solve-pnorm-relaxation-x-nan": (lambda: indiv_qcqp.solve(
+                                         problem(), "pnorm", None, 0, dataclasses.replace(
+                                             indiv_qcqp.solve_via_sdp(problem())[1],
+                                             X=np.full((2, 2), np.nan))),
+                                     "the relaxation's X contains non-finite entries"),
+    "solve-indiv-diag-relaxation-other-p": (lambda: indiv_qcqp.solve(
+                                                problem(), "indiv-diag", None, 0,
+                                                indiv_qcqp.solve_via_sdp(dataclasses.replace(
+                                                    problem(), P=np.full(2, 5.0)))[1]),
+                                            "the relaxation's q does not pose p"),
     "rescale-p-none": (lambda: indiv_qcqp.rescale_to_original(
                            [1, 1], indiv_qcqp.build_qcqp(problem()), None),
                        "p must be an IndivPowerProblem, got a NoneType"),
@@ -361,6 +373,11 @@ CASES = {
     "cli-path-int": (lambda: parse_fd_0(), "path must be a str or a PathLike, got a int"),
     "cli-out-dir-int": (lambda: cli.reproduce("total-1", out_dir=3),
                         "out_dir must be a str or a PathLike, got a int"),
+    # any out_dir but None is a directory, a falsy one too
+    "cli-out-dir-zero": (lambda: cli.reproduce("total-1", out_dir=0),
+                         "out_dir must be a str or a PathLike, got a int"),
+    "cli-out-dir-empty": (lambda: cli.reproduce("total-1", out_dir=""),
+                          "cannot use out_dir '' as a directory"),
     "cli-run-none": (lambda: cli.run(None), "s must be a Scenario, got a NoneType"),
 }
 
@@ -424,12 +441,11 @@ def test_public_function_refuses_none():
 def test_package_namespace():
     assert sorted(relaybeam.__all__) == sorted([
         "ChannelStats", "RicianParams", "build_stats", "IndivPowerProblem",
-        "TotalPowerProblem", "RelayBeamError", "InputError", "ConvergenceError",
-        "ModelError"])
+        "TotalPowerProblem", "RelayBeamError", "InputError", "ConvergenceError"])
     for name in relaybeam.__all__:
         assert getattr(relaybeam, name).__name__ == name
-    # the CLI's exit codes: 2, 3 and 4 (any other RelayBeamError)
-    assert set(RelayBeamError.__subclasses__()) == {InputError, ConvergenceError, ModelError}
+    # the CLI's exit codes 2 and 3; no signal (R = 0) is no error
+    assert set(RelayBeamError.__subclasses__()) == {InputError, ConvergenceError}
 
 
 

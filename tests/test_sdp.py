@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from relaybeam import fixtures, indiv_qcqp, sdp
 from relaybeam.channel import ChannelStats, RicianParams, build_stats
-from relaybeam.errors import ConvergenceError, InputError, ModelError
+from relaybeam.errors import ConvergenceError, InputError
 from relaybeam.indiv_qcqp import build_qcqp, qcqp_objective, solve_via_sdp
 from relaybeam.problems import IndivPowerProblem
 from relaybeam.sdp import (FEAS_TOL, GAP_TOL, RANK_TOL, QcqpInstance, SdpProblem,
@@ -55,7 +55,7 @@ def n64_problem(index):
 
 
 def assert_certified(q, sol):
-    rep = dual_certificate_residuals(q, sol)
+    rep = dual_certificate_residuals(sol)
     assert sol.dual_y.min() >= 0
     assert rep.primal_feas <= 1e-8
     assert rep.dual_feas >= -1e-8
@@ -93,7 +93,7 @@ class TestSolveRelaxation:
     def test_n64_converges_to_relative_gap(self, index):
         q = build_qcqp(n64_problem(index))
         sol = solve_relaxation(q)
-        rep = dual_certificate_residuals(q, sol)
+        rep = dual_certificate_residuals(sol)
         assert sol.iterations < 25
         assert rep.primal_feas <= 1e-8
         assert rep.dual_feas >= -1e-8
@@ -146,7 +146,7 @@ class TestSolveRelaxation:
 
     def test_non_psd_constraint_rejected(self):
         # A_1 = diag(2, -1) is Q + e_1 e_1^H for Q = diag(1, -1)
-        with pytest.raises(ModelError, match="needs Q PSD"):
+        with pytest.raises(InputError, match="needs Q PSD"):
             SdpProblem(objective=np.eye(2), constraints=[np.diag([2.0, -1.0]), np.diag([1.0, 0.0])])
 
     def test_psd_test_is_relative(self):
@@ -157,7 +157,7 @@ class TestSolveRelaxation:
             if ok:
                 assert np.array_equal(SdpProblem(objective=np.eye(2), constraints=A).Q, Q)
             else:
-                with pytest.raises(ModelError, match="needs Q PSD"):
+                with pytest.raises(InputError, match="needs Q PSD"):
                     SdpProblem(objective=np.eye(2), constraints=A)
 
 
@@ -196,7 +196,7 @@ def assert_relative_certificate(q, sol):
     y_k A_k - R PSD to round-off in R's units, the relative gap of the stop,
     and X within FEAS_TOL of every cap (an exit's caps are read from its
     factor, which it scales to its tightest cap)."""
-    rep = dual_certificate_residuals(q, sol)
+    rep = dual_certificate_residuals(sol)
     assert sol.dual_y.min() >= 0 and rep.primal_feas <= FEAS_TOL
     assert rep.dual_feas >= -q.n * np.finfo(float).eps * np.linalg.norm(q.R, 2)
     assert sol.dual_obj == pytest.approx(sol.dual_y.sum(), rel=1e-15)
@@ -303,7 +303,7 @@ class TestCertificateResiduals:
                         primal_obj=sol.primal_obj, dual_obj=sol.dual_obj,
                         gap=sol.gap, rank_estimate=sol.rank_estimate,
                         iterations=sol.iterations)
-        rep = dual_certificate_residuals(q, bad)
+        rep = dual_certificate_residuals(bad)
         assert rep.primal_feas > 0   # an active constraint now exceeds 1
 
     def test_zero_dual_reports_dual_infeasibility(self, rng):
@@ -312,7 +312,7 @@ class TestCertificateResiduals:
         bad = type(sol)(q=q, X=sol.X, dual_y=np.zeros(q.n),
                         primal_obj=sol.primal_obj, dual_obj=0.0, gap=0.0,
                         rank_estimate=sol.rank_estimate, iterations=sol.iterations)
-        rep = dual_certificate_residuals(q, bad)
+        rep = dual_certificate_residuals(bad)
         # with y = 0 the certificate matrix is -R, so lambda_min(-R) < 0
         assert rep.dual_feas == pytest.approx(-np.linalg.eigvalsh(q.R)[-1], rel=1e-9)
 
@@ -609,7 +609,7 @@ class TestSdpProblemAdapter:
             SdpProblem(objective=np.eye(2), constraints=[np.eye(2), np.eye(3)])
 
     def test_nonpositive_coefficient_rejected(self):
-        with pytest.raises(ModelError, match="min c_k = -1"):
+        with pytest.raises(InputError, match="min c_k = -1"):
             SdpProblem(objective=np.eye(2), constraints=[2.0 * np.eye(2), np.eye(2)])
 
 

@@ -8,9 +8,9 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relaybeam import channel, fixtures, indiv_diag, total_power
+from relaybeam import channel, fixtures, indiv_diag, indiv_qcqp, total_power
 from relaybeam.channel import ChannelStats, RicianParams, build_stats, snr
-from relaybeam.errors import ConvergenceError, InputError, ModelError
+from relaybeam.errors import ConvergenceError, InputError
 from relaybeam.oracle import brute_force_total
 from relaybeam.problems import IndivPowerProblem, TotalPowerProblem
 from relaybeam.total_power import (GAP_TOL, _target, bracket_x, build_s_pair,
@@ -157,13 +157,25 @@ class TestBuildSPair:
             assert is_psd(s.Rt)
             assert_whitens(p, s)
 
-    def test_zero_r_is_a_model_error(self, rng):
-        # no signal path: the SNR is 0 for every weight vector
+    def test_zero_r_solves_at_snr_0_and_the_pair_refuses_it(self, rng):
+        # no signal path: the SNR is 0 for every weight vector, so solve
+        # returns w = 0 with the whole budget at the source (x = 1) and a
+        # note, and takes no step; the dense pair and the closed form, called
+        # directly, refuse a whitened R of 0
         n = 3
         for Q in (rand_pd(rng, n), np.eye(n)):
             stats = ChannelStats(D=np.ones(n), R=np.zeros((n, n)), Q=Q, sigma2=1.0)
-            with pytest.raises(ModelError):
-                solve(TotalPowerProblem(stats=stats, P0=10.0))
+            p = TotalPowerProblem(stats=stats, P0=10.0)
+            sol = solve(p)
+            assert (sol.x, sol.Ps, sol.snr, sol.lambda_min, sol.iterations) == (1.0, 10.0, 0.0,
+                                                                                 None, 0)
+            assert not sol.w.any() and len(sol.trace) == 0
+            assert sol.trace.notes == ["R = 0: no signal reaches the destination"]
+            assert total_power.as_beamforming_solution(p, sol).feasibility.tolist() == [0.0]
+            with pytest.raises(ConvergenceError, match="it underflows, or R = 0"):
+                build_s_pair(p)
+        with pytest.raises(ConvergenceError, match="it underflows, or R = 0"):
+            solve_diagonal(p)
 
 
 class TestBracket:
@@ -962,6 +974,24 @@ class TestUnformedStatistics:
         assert sol.iterations == 0 and np.count_nonzero(sol.w) == 1
         indiv = indiv_diag.solve_diagonal(IndivPowerProblem(stats=stats, Ps=1.0, P=np.ones(n)))
         assert indiv.snr > 0 and (indiv.feasibility >= -1e-12).all()
+
+    def test_zero_r_solves_on_both_problems(self, unformed):
+        # relays 0..n/2-1 have only a source link and the others only a
+        # destination link: R = 0, read off R's diagonal in O(n), and every
+        # solve returns w = 0 at SNR 0
+        n, rng = 10 ** 4, np.random.default_rng(5)
+        half = np.arange(n) < n // 2
+        cn = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+        stats = build_stats(RicianParams(f_mean=np.where(half, cn, 0), f_var=half * 1.0,
+                                         g_mean=np.where(half, 0, cn), g_var=~half * 1.0))
+        assert not stats.is_diagonal()
+        sol = solve(TotalPowerProblem(stats=stats, P0=10.0))
+        assert sol.snr == 0.0 and sol.lambda_min is None and not sol.w.any()
+        p = IndivPowerProblem(stats=stats, Ps=1.0, P=np.ones(n))
+        for route in indiv_qcqp.ROUTES:
+            bsol, meta, trace = indiv_qcqp.solve(p, route)
+            assert bsol.snr == 0.0 and not bsol.w.any() and trace is None
+            assert meta["notes"] == ["R = 0: no signal reaches the destination"]
 
     def test_repr_and_equality_form_nothing(self, unformed):
         # the repr shows the vectors held, and equality is identity, where a
